@@ -44,9 +44,8 @@ import numpy as np
 from .availability import AvailabilityDb
 from .commissioning import effective_exclusion
 from .experiment import HicannConfig, RowSpec, SynapseSpec, readout, simulate
-from .fitting import (estimate_noise, fit_linear, fit_psp_batch, fit_softplus,
-                      psp_model_batch)
-from .psp import ALPHA_SWITCH
+from .fitting import estimate_noise, fit_linear, fit_psp_batch, fit_softplus
+from .psp import is_alpha, peak_factor, psp_model_batch, smooth3
 from .topology import Coord, Kind, TopologyConfig
 from .wafer import (WaferModel, dac_to_ua, dac_to_volts, inverse_softplus_tau,
                     program_floating_gates, softplus_tau)
@@ -745,9 +744,13 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
         tau_scale = np.nan_to_num(np.nanmedian(taus.T, axis=1), nan=1.0)
     coeffs, red_sp, ok_sp = fit_softplus(
         x, taus.T, sigma=np.maximum(0.05 * tau_scale, 1e-9))
+    # a circuit without one finite (tau, curve) point stays invalid
     with np.errstate(invalid="ignore"):
         curve = np.stack([softplus_tau(x, *c) for c in coeffs])
-        curve_mis = np.sqrt(np.nanmean((taus.T / curve - 1.0) ** 2, axis=1))
+        sq = (taus.T / curve - 1.0) ** 2
+    seen = np.isfinite(sq).any(axis=1)
+    curve_mis = np.full(len(scope), np.nan)
+    curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
     valid = fit_ok & ok_sp & (worst_mis < 0.20) & (curve_mis < 0.15)
     return _add_entries(db, h, scope, parameter, "softplus",
                         np.nan_to_num(coeffs), np.nan_to_num(red_sp, nan=np.inf),
@@ -763,15 +766,10 @@ def _rel_misfit(t_win, v, params) -> np.ndarray:
 
 
 def _ratio_tau_pf(tau1, tau2):
-    """Batched (tau1 - tau2) / psp_peak_factor; equal constants -> tau * e."""
+    """Batched (tau1 - tau2) / peak_factor; equal constants -> tau * e."""
     with np.errstate(all="ignore"):
-        r = tau2 / tau1
-        log_r = np.log(r)
-        pf = np.exp(r * log_r / (1.0 - r)) - np.exp(log_r / (1.0 - r))
-        out = (tau1 - tau2) / pf
-    alpha = np.abs(tau1 - tau2) <= ALPHA_SWITCH * np.maximum(np.abs(tau1),
-                                                             np.abs(tau2))
-    return np.where(alpha, tau1 * np.e, out)
+        out = (tau1 - tau2) / peak_factor(tau1, tau2)
+    return np.where(is_alpha(tau1, tau2), tau1 * np.e, out)
 
 
 def _linfit_rows(x: np.ndarray, y: np.ndarray):
@@ -786,17 +784,11 @@ def _linfit_rows(x: np.ndarray, y: np.ndarray):
     return slope, icpt
 
 
-def _smooth3(v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    out[..., 1:-1] = (v[..., :-2] + v[..., 1:-1] + v[..., 2:]) / 3.0
-    return out
-
-
 def _window_peak_heights(t_win, v, spike_at):
     """Signed PSP peak height and baseline per averaged window."""
     base_n = max(int(np.searchsorted(t_win, spike_at)) - 2, 4)
     base = v[:, :base_n].mean(axis=1)
-    dev = _smooth3(v - base[:, None])
+    dev = smooth3(v - base[:, None])
     k = np.argmax(np.abs(dev[:, base_n:]), axis=1) + base_n
     h = dev[np.arange(v.shape[0]), k]
     return h, base

@@ -12,7 +12,9 @@ Fit strategy per model family:
   and initial guesses read off trace landmarks (documented on each fit
   function). Many traces are fitted at once: parameters, Jacobians and
   normal equations carry a leading batch axis, which keeps per-trace Python
-  overhead off the hot path when a full HICANN is calibrated.
+  overhead off the hot path when a full HICANN is calibrated. Only rows
+  still iterating are evaluated: converged and infeasible rows leave the
+  working set, so a row's result is the same alone or in any batch.
 
 Unless an explicit noise level is passed, each trace's noise is estimated
 from the median absolute first difference (white noise inflates successive
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .psp import ALPHA_SWITCH
+from .psp import psp_model_batch, psp_peak_time, smooth3
 from .wafer import softplus_tau
 
 NOISE_FLOOR = 1e-12
@@ -93,11 +95,16 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, *, max_iter=80,
                         step_tol=1e-10, lam0=1e-3):
     """Minimize ``sum(((model(P) - y) / sigma)**2)`` per batch row.
 
-    ``model`` maps parameters (n, k) to predictions (n, T); non-finite
-    predictions mark a trial point as infeasible and the step is rejected.
-    ``pscale`` (k,) or (n, k) gives the magnitude floor used for difference
-    steps and the relative-step convergence test. Returns
-    ``(params, reduced chi-square, converged mask)``.
+    ``model`` maps parameters (m, k) of any subset of rows to predictions
+    (m, T); non-finite predictions mark a trial point as infeasible and the
+    step is rejected. ``pscale`` (k,) or (n, k) gives the magnitude floor
+    used for difference steps and the relative-step convergence test.
+
+    Only live rows are iterated: a row leaves once converged and a row with
+    an infeasible start never enters, so each row gets the arithmetic it
+    would get fitted alone. The residual of each row's last accepted point
+    is reused by the next step. Returns ``(params, reduced chi-square,
+    converged mask)``.
     """
     P = np.array(p0, dtype=float)
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -107,55 +114,52 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, *, max_iter=80,
                      NOISE_FLOOR)
     scale = np.broadcast_to(np.asarray(pscale, dtype=float), (n, k))
 
-    def chi2(Pc):
+    def chi2(Pc, rows):
         with np.errstate(all="ignore"):
-            r = (model(Pc) - y) / sig[:, None]
+            r = (model(Pc) - y[rows]) / sig[rows, None]
         c = np.einsum("nt,nt->n", r, r)
-        return np.where(np.isfinite(c), c, np.inf)
+        return np.where(np.isfinite(c), c, np.inf), r
 
-    cost = chi2(P)
-    lam = np.full(n, lam0)
+    cost, R = chi2(P, slice(None))
     converged = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(np.isfinite(cost))
+    R = R[rows]
+    lam = np.full(rows.size, lam0)
     diag_idx = np.arange(k)
     for _ in range(max_iter):
-        live = ~converged & np.isfinite(cost)
-        if not live.any():
+        if rows.size == 0:
             break
-        J = np.empty((n, T, k))
+        Pl, sl, cl = P[rows], scale[rows], cost[rows]
+        J = np.empty((rows.size, T, k))
         for j in range(k):
-            dp = 1e-6 * np.maximum(np.abs(P[:, j]), scale[:, j])
-            Pp = P.copy()
-            Pp[:, j] += dp
-            Pm = P.copy()
-            Pm[:, j] -= dp
+            step = np.zeros_like(Pl)
+            step[:, j] = dp = 1e-6 * np.maximum(np.abs(Pl[:, j]), sl[:, j])
             with np.errstate(all="ignore"):
-                J[:, :, j] = (model(Pp) - model(Pm)) / (2.0 * dp)[:, None]
-        J = np.where(np.isfinite(J), J, 0.0) / sig[:, None, None]
-        with np.errstate(all="ignore"):
-            r = np.where(np.isfinite(y), (model(P) - y), 0.0) / sig[:, None]
-        r = np.where(np.isfinite(r), r, 0.0)
-        g = np.einsum("ntk,nt->nk", J, r)
+                J[:, :, j] = (model(Pl + step) - model(Pl - step)) / (2.0 * dp)[:, None]
+        J = np.where(np.isfinite(J), J, 0.0) / sig[rows, None, None]
+        g = np.einsum("ntk,nt->nk", J, R)
         H = np.einsum("ntk,ntl->nkl", J, J)
         diag = H[:, diag_idx, diag_idx]
         damp = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True) + 1e-300)
-        D = H.copy()
-        D[:, diag_idx, diag_idx] += lam[:, None] * damp
+        H[:, diag_idx, diag_idx] += lam[:, None] * damp
         try:
-            delta = np.linalg.solve(D, -g[..., None])[..., 0]
+            delta = np.linalg.solve(H, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            delta = -(np.linalg.pinv(D) @ g[..., None])[..., 0]
-        trial = np.where(live[:, None], P + delta, P)
-        trial_cost = chi2(trial)
-        accept = live & (trial_cost <= cost)
-        rel_step = np.max(np.abs(delta) / np.maximum(np.abs(P), scale), axis=1)
-        improved = cost - trial_cost
-        P = np.where(accept[:, None], trial, P)
-        cost = np.where(accept, trial_cost, cost)
-        lam = np.where(accept, lam * 0.35, lam * 6.0)
-        converged |= accept & (rel_step < step_tol)
+            delta = -(np.linalg.pinv(H) @ g[..., None])[..., 0]
+        trial = Pl + delta
+        trial_cost, trial_R = chi2(trial, rows)
+        accept = trial_cost <= cl
+        rel_step = np.max(np.abs(delta) / np.maximum(np.abs(Pl), sl), axis=1)
         # at the noise floor accepted steps stop paying: relative cost
         # improvements below ftol mean the parameters have settled
-        converged |= accept & (improved <= 1e-7 * np.maximum(cost, 1e-300))
+        done = accept & ((rel_step < step_tol) | (
+            cl - trial_cost <= 1e-7 * np.maximum(trial_cost, 1e-300)))
+        P[rows[accept]] = trial[accept]
+        cost[rows[accept]] = trial_cost[accept]
+        R[accept] = trial_R[accept]
+        lam = np.where(accept, lam * 0.35, lam * 6.0)
+        converged[rows[done]] = True
+        rows, R, lam = rows[~done], R[~done], lam[~done]
     dof = max(T - k, 1)
     return P, cost / dof, converged
 
@@ -211,42 +215,6 @@ def fit_softplus(x, y, sigma=None):
 # ---- PSP shape -----------------------------------------------------------
 
 
-def psp_model_batch(t, params):
-    """Batched peak-normalized PSP, identical math to ``psp.psp_analytic``.
-
-    ``params`` columns are (t0, h, tau1, tau2, e_leak); rows whose time
-    constants nearly coincide use the alpha-function branch.
-    """
-    t = np.asarray(t, dtype=float)
-    P = np.atleast_2d(np.asarray(params, dtype=float))
-    t0, h, tau1, tau2, e = (P[:, j:j + 1] for j in range(5))
-    s = t[None, :] - t0
-    active = s > 0.0
-    bad = (tau1 <= 0.0) | (tau2 <= 0.0)
-    with np.errstate(all="ignore"):
-        alpha = np.abs(tau1 - tau2) <= ALPHA_SWITCH * np.maximum(
-            np.abs(tau1), np.abs(tau2))
-        x = s / (0.5 * (tau1 + tau2))
-        f_alpha = x * np.exp(1.0 - x)
-        r = tau2 / tau1
-        log_r = np.log(r)
-        pf = np.exp(r * log_r / (1.0 - r)) - np.exp(log_r / (1.0 - r))
-        f_diff = (np.exp(-s / tau1) - np.exp(-s / tau2)) / pf
-        out = e + h * np.where(alpha, f_alpha, f_diff) * active
-    return np.where(bad, np.nan, out)
-
-
-def _smooth3(d):
-    out = d.copy()
-    out[:, 1:-1] = (d[:, :-2] + d[:, 1:-1] + d[:, 2:]) / 3.0
-    return out
-
-
-def _peak_time_onset_gap(tau1, tau2):
-    """Time from onset to peak for the difference-of-exponentials shape."""
-    return tau1 * tau2 * np.log(tau1 / tau2) / (tau1 - tau2)
-
-
 def _tau2_from_peak_gap(tau1, gap):
     """Invert the onset-to-peak gap for tau2 in (0, tau1) by bisection."""
     gap = np.clip(gap, 1e-3 * tau1, 0.999 * tau1)
@@ -254,7 +222,7 @@ def _tau2_from_peak_gap(tau1, gap):
     hi = 0.999999 * tau1
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        too_big = _peak_time_onset_gap(tau1, mid) > gap
+        too_big = psp_peak_time(tau1, mid) > gap
         hi = np.where(too_big, mid, hi)
         lo = np.where(too_big, lo, mid)
     return 0.5 * (lo + hi)
@@ -286,7 +254,7 @@ def fit_psp_batch(t, V, sigma=None):
 
     base0 = np.median(V[:, :max(3, T // 10)], axis=1)
     d = V - base0[:, None]
-    dsm = _smooth3(d)
+    dsm = smooth3(d)
     k_peak = np.argmax(np.abs(dsm), axis=1)
     rows = np.arange(n)
     h0 = dsm[rows, k_peak]

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from waferforge.fitting import (FitError, estimate_noise, fit_linear, fit_psp,
-                                fit_psp_batch, fit_reciprocal, fit_softplus,
-                                psp_model_batch)
+from waferforge import fitting
+from waferforge.fitting import (FitError, damped_gauss_newton, estimate_noise,
+                                fit_linear, fit_psp, fit_psp_batch, fit_reciprocal,
+                                fit_softplus, psp_model_batch)
 from waferforge.psp import psp_analytic
 from waferforge.wafer import softplus_tau
 
@@ -148,3 +151,87 @@ def test_estimate_noise_tracks_white_noise():
     smooth = np.sin(np.linspace(0, 2, 4000))
     sig = estimate_noise(smooth + rng.normal(0, 2e-3, 4000))
     assert abs(sig[0] - 2e-3) / 2e-3 < 0.15
+
+
+def _psp_traces():
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 0.08, 300)
+    truth = [(0.010, 0.020, 0.012, 0.002, 0.70), (0.012, -0.015, 0.008, 0.003, 0.65),
+             (0.008, 0.030, 0.020, 0.001, 0.72), (0.011, 0.010, 0.005, 0.005, 0.68)]
+    V = np.stack([psp_analytic(t, *p) for p in truth])
+    return t, V + rng.normal(0.0, 5e-4, V.shape), 0.7 + rng.normal(0.0, 1e-3, t.size)
+
+
+def _softplus_curves():
+    rng = np.random.default_rng(6)
+    x = np.linspace(0.15, 1.0, 8)
+    truth = [(0.05, 0.5, 10.0, 0.003), (0.04, 0.55, 9.0, 0.002),
+             (0.06, 0.45, 12.0, 0.004)]
+    Y = np.stack([softplus_tau(x, *c) for c in truth])
+    return x, Y * (1.0 + 0.02 * rng.standard_normal(Y.shape)), np.full(x.size, 0.003)
+
+
+def _assert_rows_independent(fit, x, Y, flat):
+    """Every row fits to the same bytes alone, permuted, and beside a flat
+    and an all-NaN row."""
+    n = len(Y)
+    alone = [fit(x, Y[i:i + 1]) for i in range(n)]
+    perm = np.random.default_rng(1).permutation(n)
+    nan = np.full_like(flat, np.nan)
+    for batch, at in ((Y[perm], np.argsort(perm)),
+                      (np.vstack([flat, Y, nan]), np.arange(n) + 1)):
+        out = fit(x, batch)
+        for i in range(n):
+            for got, ref in zip(out, alone[i]):
+                assert got[at[i]].tobytes() == ref[0].tobytes()
+    assert not fit(x, np.vstack([flat, nan]))[2].any()
+
+
+def test_fit_psp_batch_rows_are_independent():
+    t, V, flat = _psp_traces()
+    _assert_rows_independent(fit_psp_batch, t, V, flat)
+
+
+def test_fit_softplus_rows_are_independent():
+    x, Y, flat = _softplus_curves()
+    _assert_rows_independent(fit_softplus, x, Y, flat)
+
+
+@pytest.mark.parametrize("name, data, fit", [
+    ("psp_model_batch", _psp_traces, fit_psp_batch),
+    ("softplus_model", _softplus_curves, fit_softplus)], ids=["psp", "softplus"])
+def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, name, data, fit):
+    # converged and infeasible rows leave the working set, so a batch
+    # evaluates exactly the rows its members would evaluate alone
+    x, Y, flat = data()
+    Y = np.vstack([Y, flat, np.full_like(flat, np.nan)])
+    model = getattr(fitting, name)
+    rows = []
+
+    def counting(x, params):
+        rows.append(np.atleast_2d(params).shape[0])
+        return model(x, params)
+
+    monkeypatch.setattr(fitting, name, counting)
+    fit(x, Y)
+    batch = sum(rows)
+    rows.clear()
+    for y in Y:
+        fit(x, y[None, :])
+    assert batch == sum(rows) > len(Y)
+
+
+def test_infeasible_start_stays_at_p0_without_warnings():
+    x = np.linspace(0.0, 1.0, 20)
+
+    def line(P):  # infeasible (NaN) for a non-positive slope
+        return np.where(P[:, :1] > 0.0, P[:, :1] * x + P[:, 1:], np.nan)
+
+    p0 = np.array([[1.0, 0.0], [-1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P, red, conv = damped_gauss_newton(line, p0, np.tile(2.0 * x + 1.0, (2, 1)),
+                                           1e-3, [1.0, 1.0])
+    assert conv.tolist() == [True, False]
+    assert np.allclose(P[0], [2.0, 1.0])
+    assert P[1].tobytes() == p0[1].tobytes() and red[1] == np.inf
