@@ -26,6 +26,17 @@ fitting. Ops must run in dependency order -- e.g. refractory times need
 calibrated reset/threshold/leak voltages first; violating the order
 raises CalibrationOrderError.
 
+Sweeps whose points store few or no traces (the rest sweeps of e_leak,
+e_syni, v_convoffx/i and the direct reversal readout; each i_pulse
+repetition) integrate once per sweep pass: every point is programmed and
+prepared in the usual write order, all points run as one block-diagonal
+network, and each point is read out with its usual noise token, so the
+results are those of one integration per point. The PSP sweeps (i_gl,
+v_syntcx/i, e_synx) and the spiking sweeps (v_reset, v_threshold) keep
+one integration per point and reduce each point before the next runs:
+their full-length traces would make a batched sweep hold K times the
+memory of one point.
+
 Results live in a CalibrationDb: one entry per (coordinate, parameter)
 with the model name, coefficients, a reduced chi-square and a validity
 flag. `to_hardware` inverts entries into DAC values for target voltages
@@ -43,7 +54,8 @@ import numpy as np
 
 from .availability import AvailabilityDb
 from .commissioning import effective_exclusion
-from .experiment import HicannConfig, RowSpec, SynapseSpec, readout, simulate
+from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
+                         prepare, readout, simulate, simulate_batch)
 from .fitting import estimate_noise, fit_linear, fit_psp_batch, fit_softplus
 from .psp import is_alpha, peak_factor, psp_model_batch, smooth3
 from .topology import Coord, Kind, TopologyConfig
@@ -237,9 +249,6 @@ class CalibrationDb:
                if parameter is None or e.parameter == parameter]
         return sorted(out, key=_entry_sort_key)
 
-    def invalid_entries(self) -> list[CalibrationEntry]:
-        return [e for e in self.entries() if not e.valid]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -327,9 +336,10 @@ def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
     coords = [Coord.neuron(h, n) for n in circuits]
     n_samples = int(np.floor(sim.duration / _adc_dt(wafer))) + 1
     out = np.empty((len(coords), n_samples))
-    for b in range(0, len(coords), 12):
-        res = readout(wafer, sim, coords[b:b + 12], token=(token, b // 12))
-        for i, c in enumerate(coords[b:b + 12]):
+    for b in range(0, len(coords), READOUT_TRACES):
+        block = coords[b:b + READOUT_TRACES]
+        res = readout(wafer, sim, block, token=(token, b // READOUT_TRACES))
+        for i, c in enumerate(block):
             out[b + i] = res.traces[c]
     out *= wafer.variability.adc_divider
     if offsets is not None:
@@ -351,21 +361,19 @@ def _standalone_config(h: int, circuits, rows=(), synapses=()) -> HicannConfig:
 
 
 def _rest_sweep(wafer, db, h, circuits, plan, *, side_rows=None,
-                stimulus=(), tail=0.5, v_convoff_extra=None,
-                availability=None) -> np.ndarray:
+                stimulus=(), tail=0.5, availability=None) -> np.ndarray:
     """Resting potential per (sweep point, circuit), corrected volts."""
     offsets = _offsets(db, h, circuits)
     cfg = _standalone_config(h, circuits, rows=side_rows or [],
                              synapses=_one_synapse_per_circuit(
                                  wafer, circuits, side_rows) if side_rows else [])
+    runs = []
+    for dac in plan.dac_values:
+        _program_context(wafer, h, plan, {plan.parameter: dac})
+        runs.append(prepare(wafer, [cfg], stimulus, plan.duration,
+                            v_init="rest", availability=availability))
     rests = np.empty((len(plan.dac_values), len(circuits)))
-    for k, dac in enumerate(plan.dac_values):
-        extra = {plan.parameter: dac}
-        if v_convoff_extra:
-            extra.update(v_convoff_extra)
-        _program_context(wafer, h, plan, extra)
-        sim = simulate(wafer, [cfg], stimulus, plan.duration, v_init="rest",
-                       availability=availability)
+    for k, sim in enumerate(simulate_batch(runs)):
         v = _read_corrected(wafer, sim, h, circuits, offsets,
                             (plan.parameter, k))
         rests[k] = v[:, int(v.shape[1] * (1.0 - tail)):].mean(axis=1)
@@ -439,7 +447,7 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
                             plan: SweepPlan | None = None):
     """Offset of each circuit's readout chain.
 
-    All circuits of a 64-block are shorted into one membrane, so every
+    All circuits of a neuron block are shorted into one membrane, so every
     member reads the same physical voltage; per-circuit deviations from
     the block mean are pure readout offsets (up to the unknowable common
     mode of each block).
@@ -450,7 +458,7 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
         return []
     groups: dict[int, list[int]] = {}
     for n in scope:
-        groups.setdefault(n // 64, []).append(n)
+        groups.setdefault(wafer.topology.channel_of_neuron(n), []).append(n)
     _program_context(wafer, h, plan, {"e_leak": plan.dac_values[0]})
     cfg = HicannConfig(hicann=h, enabled=scope,
                        membrane_groups=[g for g in groups.values()])
@@ -514,33 +522,32 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
                               availability)
 
 
-def _spiking_sweep(wafer, db, h, scope, plan, *, keep_traces, availability):
-    """Per sweep point: corrected traces (or None) and spike rasters."""
+def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
+    """Yield (k, corrected traces, spike rasters) one sweep point at a time.
+
+    Each point is programmed and integrated only when the caller asks for
+    it, so the caller reduces one point before the next one runs.
+    """
     offsets = _offsets(db, h, scope)
     cfg = _standalone_config(h, scope)
-    traces, rasters = [], []
     for k, dac in enumerate(plan.dac_values):
         _program_context(wafer, h, plan, {plan.parameter: dac})
         sim = simulate(wafer, [cfg], (), plan.duration, v_init="rest",
-                       trace_circuits="all" if keep_traces else [],
                        availability=availability)
         raster = sim.raster()
-        rasters.append([raster[Coord.neuron(h, n)] for n in scope])
-        if keep_traces:
-            traces.append(_read_corrected(wafer, sim, h, scope, offsets,
-                                          (plan.parameter, k)))
-    return traces, rasters
+        yield (k, _read_corrected(wafer, sim, h, scope, offsets,
+                                  (plan.parameter, k)),
+               [raster[Coord.neuron(h, n)] for n in scope])
 
 
 def _calibrate_v_reset(wafer, db, h, scope, plan, invalid_max, availability):
     cfg = wafer.topology
     per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-    traces, rasters = _spiking_sweep(wafer, db, h, scope, plan,
-                                     keep_traces=True, availability=availability)
     plateau = np.full((len(plan.dac_values), len(scope)), np.nan)
-    for k, v in enumerate(traces):
+    for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
+                                        availability=availability):
         med = np.median(v, axis=1)
-        counts = np.array([len(ts) for ts in rasters[k]])
+        counts = np.array([len(ts) for ts in rasters])
         plateau[k, counts >= 5] = med[counts >= 5]
 
     entries = []
@@ -569,14 +576,13 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, invalid_max,
                            availability):
     from .experiment import DEFAULT_DT
 
-    traces, rasters = _spiking_sweep(wafer, db, h, scope, plan,
-                                     keep_traces=True, availability=availability)
     dt_adc = _adc_dt(wafer)
     peaks = np.full((len(plan.dac_values), len(scope)), np.nan)
-    for k, v in enumerate(traces):
+    for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
+                                        availability=availability):
         t_adc = np.arange(v.shape[1]) * dt_adc
         for i in range(len(scope)):
-            ts = rasters[k][i]
+            ts = rasters[i]
             if len(ts) < 5:
                 continue
             ts = ts[2:]  # skip the settling spikes
@@ -620,17 +626,18 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         return []
     anchor = int(np.argmax(plan.dac_values))
     cfg = _standalone_config(h, scope)
-    taus, counts = [], []
-    x = []
+    taus, x = [], []
     for rep in range(plan.repetitions):
-        isis = np.full((len(plan.dac_values), len(scope)), np.nan)
+        runs = []
         for k, dac in enumerate(plan.dac_values):
             if k == 0:
                 _program_context(wafer, h, plan, {"i_pulse": dac})
             else:  # only the swept cells move within one repetition
                 program_floating_gates(wafer, h, {"i_pulse": dac})
-            sim = simulate(wafer, [cfg], (), plan.duration, v_init="rest",
-                           trace_circuits=[], availability=availability)
+            runs.append(prepare(wafer, [cfg], (), plan.duration, v_init="rest",
+                                trace_circuits=[], availability=availability))
+        isis = np.full((len(plan.dac_values), len(scope)), np.nan)
+        for k, sim in enumerate(simulate_batch(runs)):
             raster = sim.raster()
             for i, n in enumerate(scope):
                 ts = raster[Coord.neuron(h, n)]

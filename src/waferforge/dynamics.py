@@ -145,7 +145,11 @@ class EventQueue:
         if np.any(amounts < 0.0):
             raise ValueError("synaptic amounts must be non-negative")
         boundary = np.floor(times / dt).astype(np.int64) + 1
-        boundary = np.maximum(boundary, 0)
+        return cls.from_boundaries(np.maximum(boundary, 0), units, amounts)
+
+    @classmethod
+    def from_boundaries(cls, boundary, units, amounts) -> "EventQueue":
+        """Sort by boundary, then unit; events that tie keep their order."""
         order = np.lexsort((units, boundary))
         return cls(boundary[order], units[order], amounts[order])
 
@@ -286,6 +290,7 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     if spike_unit_chunks:
         units_all = np.concatenate(spike_unit_chunks)
         times_all = np.concatenate(spike_time_chunks)
+        del spike_unit_chunks, spike_time_chunks
         order = np.lexsort((units_all, times_all))
         units_all, times_all = units_all[order], times_all[order]
     else:

@@ -11,17 +11,25 @@ a 4-bit source address, so a channel distinguishes at most 16 sources. Placed
 neurons broadcast their spikes on a channel/address pair (``EmitterSpec``);
 external stimuli inject events on channels directly.
 
-``simulate`` integrates the network once (traces for a chosen subset of
-circuits), ``readout`` digitizes up to 12 of those traces through the ADC
-chain; ``run_experiment`` is the one-shot combination. Splitting the two lets
-a measurement schedule reuse one integration for several 12-trace readout
-batches, exactly like re-running a deterministic hardware experiment with a
-different analog-output multiplexer setting.
+``prepare`` compiles the network against the floating-gate state of the
+moment and builds its event queues, trace selection and initial voltages.
+``simulate_batch`` integrates prepared runs of one duration and step as one
+block-diagonal network (a single ``integrate`` call) and splits the result
+into one ``SimResult`` per run. Every per-unit update of the integrator is
+elementwise, so a run's result does not depend on its batch: a calibration
+sweep can program and prepare all its points, then integrate them together.
+``simulate`` is the batch of one.
+
+``readout`` digitizes up to 12 stored traces through the ADC chain;
+``run_experiment`` is the one-shot combination. Splitting integration from
+readout lets a measurement schedule reuse one integration for several 12-trace
+readout batches, exactly like re-running a deterministic hardware experiment
+with a different analog-output multiplexer setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from .wafer import (WaferModel, adc_readout, conductance_step_array,
 
 DEFAULT_DT = 1e-4  # biological seconds per integration step
 ADDRESS_BITS = 4
+READOUT_TRACES = 12  # membrane traces the analog readout samples at once
 
 
 class RecordingLimitError(ValueError):
@@ -286,10 +295,23 @@ def resting_potential(params: UnitParams) -> np.ndarray:
     return np.where(g > 0.0, num / np.where(g > 0.0, g, 1.0), params.v_reset)
 
 
-def simulate(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
-             dt: float = DEFAULT_DT, trace_circuits="all",
-             availability=None, v_init="reset") -> SimResult:
-    """Integrate the configured network once.
+@dataclass
+class PreparedRun:
+    """A compiled network with its inputs, ready to integrate."""
+
+    compiled: CompiledNetwork
+    duration: float
+    dt: float
+    events_x: EventQueue
+    events_i: EventQueue
+    trace_units: np.ndarray
+    v0: np.ndarray
+
+
+def prepare(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
+            dt: float = DEFAULT_DT, trace_circuits="all",
+            availability=None, v_init="reset") -> PreparedRun:
+    """Compile the configured network against the current FG state.
 
     ``trace_circuits`` limits membrane-trace storage (not the physics) to the
     units containing the given neuron coords; pass "all" to keep every unit.
@@ -313,8 +335,9 @@ def simulate(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
             np.asarray(units, dtype=np.int64)[m] if len(sides) else [],
             np.asarray(amounts, dtype=float)[m] if len(sides) else [], dt)
 
+    n = net.params.n_units
     if trace_circuits == "all":
-        trace_units = np.arange(net.params.n_units, dtype=np.int64)
+        trace_units = np.arange(n, dtype=np.int64)
     else:
         idx = sorted({net.unit_of[c] for c in trace_circuits})
         trace_units = np.asarray(idx, dtype=np.int64)
@@ -323,17 +346,92 @@ def simulate(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
         if v_init == "rest":
             v0 = resting_potential(net.params)
         elif v_init == "reset":
-            v0 = None
+            v0 = net.params.v_reset.copy()
         else:
             raise ValueError(f"unknown v_init {v_init!r}")
     else:
-        v0 = v_init
-    engine = integrate(net.params, duration_bio, dt,
+        v0 = np.broadcast_to(np.asarray(v_init, dtype=float), (n,)).copy()
+    return PreparedRun(compiled=net, duration=duration_bio, dt=dt,
                        events_x=ev["x"], events_i=ev["i"],
-                       recurrent_x=net.recurrent_x, recurrent_i=net.recurrent_i,
-                       record_units=trace_units, v_init=v0)
-    return SimResult(compiled=net, engine=engine, duration=duration_bio,
-                     dt=dt, trace_units=trace_units)
+                       trace_units=trace_units, v0=v0)
+
+
+def _stack_events(queues, starts) -> EventQueue:
+    return EventQueue.from_boundaries(
+        np.concatenate([q.boundary for q in queues]),
+        np.concatenate([q.unit + s for q, s in zip(queues, starts)]),
+        np.concatenate([q.amount for q in queues]))
+
+
+def _stack_matrices(matrices, starts, n: int) -> SynapticMatrix | None:
+    """Block-diagonal union of per-run matrices (None = no connections)."""
+    pre, post, amount = [], [], []
+    for m, lo in zip(matrices, starts):
+        if m is not None:
+            pre.append(np.repeat(np.arange(m.n_units), np.diff(m.indptr)) + lo)
+            post.append(m.targets + lo)
+            amount.append(m.amounts)
+    if not pre:
+        return None
+    return SynapticMatrix.from_triplets(n, np.concatenate(pre),
+                                        np.concatenate(post),
+                                        np.concatenate(amount))
+
+
+def simulate_batch(runs) -> list[SimResult]:
+    """Integrate prepared runs of one duration and step in one pass.
+
+    The runs become one block-diagonal network: unit parameters are
+    concatenated, event, connection and trace units are offset, and the
+    result is split back into per-run ``SimResult``s whose unit numbering is
+    the run's own (trace rows are views into the batch's trace array).
+    """
+    runs = list(runs)
+    duration, dt = runs[0].duration, runs[0].dt
+    if any(r.duration != duration or r.dt != dt for r in runs):
+        raise ValueError("runs in one batch must share duration and dt")
+    starts = np.cumsum([0] + [r.compiled.params.n_units for r in runs])
+    n = int(starts[-1])
+    params = UnitParams(**{f.name: np.concatenate(
+        [getattr(r.compiled.params, f.name) for r in runs])
+        for f in fields(UnitParams)})
+    engine = integrate(
+        params, duration, dt,
+        events_x=_stack_events([r.events_x for r in runs], starts),
+        events_i=_stack_events([r.events_i for r in runs], starts),
+        recurrent_x=_stack_matrices([r.compiled.recurrent_x for r in runs],
+                                    starts, n),
+        recurrent_i=_stack_matrices([r.compiled.recurrent_i for r in runs],
+                                    starts, n),
+        record_units=np.concatenate([r.trace_units + s
+                                     for r, s in zip(runs, starts)]),
+        v_init=np.concatenate([r.v0 for r in runs]))
+
+    out = []
+    row = 0
+    for r, lo, hi in zip(runs, starts[:-1], starts[1:]):
+        rows = r.trace_units.shape[0]
+        own = (engine.spike_units >= lo) & (engine.spike_units < hi)
+        part = EngineResult(dt=dt, n_steps=engine.n_steps,
+                            record_units=r.trace_units, t=engine.t,
+                            v=engine.v[row:row + rows],
+                            spike_units=engine.spike_units[own] - lo,
+                            spike_times=engine.spike_times[own])
+        row += rows
+        out.append(SimResult(compiled=r.compiled, engine=part,
+                             duration=duration, dt=dt,
+                             trace_units=r.trace_units))
+    return out
+
+
+def simulate(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
+             dt: float = DEFAULT_DT, trace_circuits="all",
+             availability=None, v_init="reset") -> SimResult:
+    """Integrate the configured network once (see ``prepare``)."""
+    return simulate_batch([prepare(
+        wafer, configs, stimulus, duration_bio, dt=dt,
+        trace_circuits=trace_circuits, availability=availability,
+        v_init=v_init)])[0]
 
 
 @dataclass
@@ -349,9 +447,9 @@ class ExperimentResult:
 def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentResult:
     """Digitize up to 12 membrane traces of a finished simulation."""
     record = list(record)
-    if len(record) > 12:
-        raise RecordingLimitError(
-            f"{len(record)} recordings requested, readout supports 12")
+    if len(record) > READOUT_TRACES:
+        raise RecordingLimitError(f"{len(record)} recordings requested, "
+                                  f"readout supports {READOUT_TRACES}")
     adc_dt = wafer.topology.speedup / wafer.variability.adc_sample_rate_hw
     n_samples = int(np.floor(sim.duration / adc_dt)) + 1
     t_adc = np.arange(n_samples) * adc_dt
@@ -386,9 +484,9 @@ def run_experiment(wafer: WaferModel, configs, stimulus, duration_bio: float,
                    availability=None, v_init="reset") -> ExperimentResult:
     """One-shot experiment: integrate, then read out ``record`` (≤ 12)."""
     record = list(record)
-    if len(record) > 12:
-        raise RecordingLimitError(
-            f"{len(record)} recordings requested, readout supports 12")
+    if len(record) > READOUT_TRACES:
+        raise RecordingLimitError(f"{len(record)} recordings requested, "
+                                  f"readout supports {READOUT_TRACES}")
     sim = simulate(wafer, configs, stimulus, duration_bio, dt=dt,
                    trace_circuits=record, availability=availability,
                    v_init=v_init)

@@ -1,0 +1,50 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from waferforge import calibration as cal
+from waferforge.topology import Coord, TopologyConfig
+from waferforge.wafer import build_wafer
+
+# sha256 of the sorted-key JSON of the DB below; batching the sweeps must
+# leave every coefficient and verdict bit-for-bit as it was
+EARLY_OPS_DIGEST = "07965219d83f4866293ee1d77a7fabe4bb797846664ae10513e2c768a74d55d8"
+
+
+def test_early_ops_reproduce_reference_db():
+    w = build_wafer(3)
+    db = cal.CalibrationDb()
+    kw = dict(neurons=range(0, 512, 128))
+    cal.calibrate_readout_shift(w, db, 0, **kw)
+    for p in ("v_reset", "v_threshold", "e_leak", "e_syni"):
+        cal.calibrate_voltage(w, db, 0, p, **kw)
+    cal.calibrate_i_pulse(w, db, 0, **kw)
+    for side in "xi":
+        cal.calibrate_v_convoff(w, db, 0, side, **kw)
+    # 4 circuits x 7 per-circuit ops, plus one v_reset entry per FG block
+    assert len(db) == 32
+    assert all(e.valid for e in db.entries())
+    digest = hashlib.sha256(
+        json.dumps(db.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == EARLY_OPS_DIGEST
+
+
+def test_i_pulse_needs_its_prerequisites():
+    w = build_wafer(3)
+    with pytest.raises(cal.CalibrationOrderError):
+        cal.calibrate_i_pulse(w, cal.CalibrationDb(), 0, neurons=[0, 8])
+
+
+def test_readout_shift_groups_by_neuron_block():
+    # shorted membranes span one neuron block, whatever its size: the
+    # offsets of a block are deviations from the block mean
+    cfg = TopologyConfig(neuron_block_size=16)
+    w = build_wafer(3, cfg)
+    db = cal.CalibrationDb()
+    cal.calibrate_readout_shift(w, db, 0, neurons=range(64))
+    off = np.array([db.coeffs(Coord.neuron(0, n), "readout_shift")[0]
+                    for n in range(64)])
+    assert np.all(np.abs(off.reshape(4, 16).sum(axis=1)) < 1e-12)
+    assert np.ptp(off) > 1e-3  # the offsets themselves are not zero

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from waferforge.experiment import (
     RowSpec,
     SynapseSpec,
     compile_network,
+    prepare,
     readout,
     run_experiment,
     simulate,
+    simulate_batch,
     write_trace_csv,
 )
 
@@ -225,3 +229,126 @@ def test_trace_csv_roundtrip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(res.t), 2)
     assert np.allclose(data[:, 1], res.traces[Coord.neuron(0, 7)], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched integration: a run's result does not depend on its batch
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def assert_same_run(batched, alone):
+    for name in ("v", "spike_units", "spike_times", "t", "record_units"):
+        assert _bits(getattr(batched.engine, name)) \
+            == _bits(getattr(alone.engine, name)), name
+    assert batched.engine.n_steps == alone.engine.n_steps
+    ra, rb = batched.raster(), alone.raster()
+    assert list(ra) == list(rb)
+    for coord in ra:
+        assert _bits(ra[coord]) == _bits(rb[coord])
+
+
+def prepare_and_simulate(w, configs, stimulus, duration, **kw):
+    """The prepared run and, from the same FG state, the run alone."""
+    return (prepare(w, configs, stimulus, duration, **kw),
+            simulate(w, configs, stimulus, duration, **kw))
+
+
+def psp_config(circuits, sign="x", gmax_div=11, weight=15):
+    return HicannConfig(
+        hicann=0, enabled=list(circuits),
+        rows=[RowSpec(row=0, sign=sign, source="in", gmax_div=gmax_div)],
+        synapses=[SynapseSpec(row=0, col=c, weight=weight, address=0)
+                  for c in circuits])
+
+
+def saturates(prepared) -> bool:
+    """Does lifting the amplifier current limit change the run?"""
+    unlimited = dataclasses.replace(prepared, compiled=dataclasses.replace(
+        prepared.compiled, params=dataclasses.replace(
+            prepared.compiled.params,
+            i_sat=np.full(prepared.compiled.params.n_units, np.inf))))
+    limited, free = simulate_batch([prepared]), simulate_batch([unlimited])
+    return not np.array_equal(limited[0].engine.v, free[0].engine.v)
+
+
+def test_batch_matches_separate_psp_runs():
+    w = quiet_wafer()
+    stim = [("in", 0, 0.01), ("in", 0, 0.011), ("in", 0, 0.03)]
+    strong, strong_alone = prepare_and_simulate(
+        w, psp_config([3, 4, 6], gmax_div=1), stim, 0.05, v_init="rest")
+    # the same FG cells rewritten: prepare reads the state of its moment
+    program_floating_gates(w, 0, {"e_leak": 455, "vgmax": [300] * 4})
+    # events interleaved in time with the strong run's
+    weak, weak_alone = prepare_and_simulate(
+        w, psp_config([3, 5, 9], weight=4), [("in", 0, 0.005), ("in", 0, 0.02)],
+        0.05,
+        v_init="reset", trace_circuits=[Coord.neuron(0, 9), Coord.neuron(0, 5)])
+    quiet, quiet_alone = prepare_and_simulate(
+        w, psp_config([1, 2], sign="i"), [("in", 0, 0.02)], 0.05,
+        v_init=np.array([0.5, 0.9]), trace_circuits=[])
+    assert saturates(strong) and not saturates(weak)
+
+    batch = simulate_batch([strong, weak, quiet])
+    for batched, alone in zip(batch, [strong_alone, weak_alone, quiet_alone]):
+        assert_same_run(batched, alone)
+    assert batch[1].engine.v.shape[0] == 2 and batch[2].engine.v.shape[0] == 0
+    # trace rows are views into the one integration
+    assert batch[0].engine.v.base is batch[1].engine.v.base
+
+
+def test_batch_matches_separate_spiking_runs():
+    w = build_wafer(5, variability=ZERO)
+    # a weak pulse current: each spike is followed by a long reset clamp
+    program_floating_gates(w, 0, dict(spiking_values(), i_pulse=120))
+    slow, slow_alone = prepare_and_simulate(
+        w, HicannConfig(hicann=0, enabled=[0, 1, 2], membrane_groups=[[1, 2]]),
+        [], 0.2, v_init="rest")
+    program_floating_gates(w, 0, dict(spiking_values(), i_pulse=600,
+                                      v_threshold=480))
+    fast, fast_alone = prepare_and_simulate(
+        w, HicannConfig(hicann=0, enabled=[7, 8]), [], 0.2)
+    v_reset = slow.compiled.params.v_reset[0]
+    clamped = np.flatnonzero(slow_alone.engine.v[0] == v_reset)
+    assert len(slow_alone.raster()[Coord.neuron(0, 0)]) >= 3
+    assert np.any(np.diff(clamped) == 1)  # the membrane sat at reset
+
+    for batched, alone in zip(simulate_batch([fast, slow]), [fast_alone, slow_alone]):
+        assert_same_run(batched, alone)
+
+
+def recurrent_config(pre, post, sign):
+    return HicannConfig(
+        hicann=0, enabled=[pre, post],
+        rows=[RowSpec(row=0, sign=sign, source="loop")],
+        synapses=[SynapseSpec(row=0, col=post, weight=15, address=2)],
+        emitters=[EmitterSpec(circuit=pre, channel="loop", address=2)])
+
+
+def test_batch_matches_separate_recurrent_runs():
+    w = build_wafer(6)  # circuits differ, so a stray connection shows
+    program_floating_gates(w, 0, spiking_values())
+    plain, plain_alone = prepare_and_simulate(
+        w, HicannConfig(hicann=0, enabled=[20]), [], 0.2)
+    exc, exc_alone = prepare_and_simulate(w, recurrent_config(0, 9, "x"), [], 0.2)
+    inh, inh_alone = prepare_and_simulate(w, recurrent_config(12, 5, "i"), [], 0.2)
+    assert exc.compiled.recurrent_x.n_connections == 1
+    assert inh.compiled.recurrent_i.n_connections == 1
+    assert len(exc_alone.raster()[Coord.neuron(0, 0)]) >= 10
+
+    batch = simulate_batch([plain, exc, inh, exc])
+    for batched, alone in zip(batch, [plain_alone, exc_alone, inh_alone, exc_alone]):
+        assert_same_run(batched, alone)
+
+
+def test_batch_rejects_mismatched_timing():
+    w = quiet_wafer()
+    cfg = HicannConfig(hicann=0, enabled=[7])
+    a = prepare(w, cfg, [], 0.05)
+    with pytest.raises(ValueError):
+        simulate_batch([a, prepare(w, cfg, [], 0.06)])
+    with pytest.raises(ValueError):
+        simulate_batch([a, prepare(w, cfg, [], 0.05, dt=5e-5)])
