@@ -1,8 +1,11 @@
 """Availability database: per-component usable/excluded flags.
 
-Exclusions are stored sparsely as sets of coordinates per resource kind and
-grouped into named states. The two canonical states are "individual" (what
-the tests discovered, one flag per failing component) and "effective" (the
+Each state holds one boolean mask per resource kind, shaped by the kind's
+index bounds in ``TopologyConfig.index_shapes`` (``True`` = excluded). A
+mask is allocated on the first exclusion of its kind, so a wafer without
+synapse faults never holds the synapse mask. A database keeps states by
+name. The two canonical states are "individual" (what the tests
+discovered, one flag per failing component) and "effective" (the
 dependency closure over the individual state). Flags are hierarchical in
 interpretation but flat in storage: excluding a HICANN does not
 automatically flag each of its children; closure rules decide which child
@@ -13,82 +16,121 @@ from __future__ import annotations
 
 import json
 
-from .topology import Coord, Kind, TopologyConfig
+import numpy as np
+
+from .topology import Coord, Kind, TopologyConfig, validate_coord
 
 SCHEMA = "waferforge.availability/1"
 
 
 class AvailabilityState:
-    """One named snapshot of per-coordinate exclusions."""
+    """One named snapshot of per-coordinate exclusions on one topology."""
 
-    def __init__(self, excluded=None):
-        self._excluded: dict[Kind, set[Coord]] = {}
+    def __init__(self, topology: TopologyConfig, excluded=None):
+        self.topology = topology
+        self._masks: dict[Kind, np.ndarray] = {}
+        self._shared: set[Kind] = set()  # masks a copy() shares, copied before a write
         if excluded:
-            for coord in excluded:
-                self.exclude(coord)
+            self.exclude_many(excluded)
+
+    def mask(self, kind: Kind) -> np.ndarray:
+        """Writable exclusion mask of ``kind``, allocated on first use.
+
+        Do not hold it across a ``copy()``: both states share their masks
+        until one of them asks for a mask to write.
+        """
+        m = self._masks.get(kind)
+        if m is None:
+            m = self._masks[kind] = np.zeros(self.topology.index_shapes[kind], dtype=bool)
+        elif kind in self._shared:
+            m = self._masks[kind] = m.copy()
+            self._shared.discard(kind)
+        return m
 
     def exclude(self, coord: Coord) -> None:
-        self._excluded.setdefault(coord.kind, set()).add(coord)
+        validate_coord(self.topology, coord)
+        self.mask(coord.kind)[coord.indices] = True
 
     def exclude_many(self, coords) -> None:
         for coord in coords:
             self.exclude(coord)
 
     def is_usable(self, coord: Coord) -> bool:
-        return coord not in self._excluded.get(coord.kind, ())
+        validate_coord(self.topology, coord)
+        m = self._masks.get(coord.kind)
+        return m is None or not m[coord.indices]
 
     def excluded_of(self, kind: Kind) -> set[Coord]:
-        return set(self._excluded.get(kind, ()))
+        return {Coord(kind, idx) for idx in self._indices(kind)}
 
-    def count_excluded(self, kind: Kind) -> int:
-        return len(self._excluded.get(kind, ()))
+    def count_excluded(self, kind: Kind, hicanns=None) -> int:
+        """Exclusions of ``kind``, on the given first-axis indices if any."""
+        m = self._masks.get(kind)
+        if m is None:
+            return 0
+        if hicanns is None:
+            return int(np.count_nonzero(m))
+        return sum(int(np.count_nonzero(m[h])) for h in hicanns)
 
     def kinds(self) -> list[Kind]:
-        return [k for k in Kind if self._excluded.get(k)]
+        return [k for k in Kind if self.count_excluded(k)]
 
     def all_excluded(self) -> list[Coord]:
-        out = []
-        for k in Kind:
-            out.extend(sorted(self._excluded.get(k, ()), key=Coord.sort_key))
-        return out
+        return [Coord(k, idx) for k in Kind for idx in self._indices(k)]
+
+    def _indices(self, kind: Kind) -> list[list[int]]:
+        # a C-ordered mask's flat order is Coord.sort_key order
+        m = self._masks.get(kind)
+        if m is None:
+            return []
+        return np.column_stack(np.unravel_index(np.flatnonzero(m), m.shape)).tolist()
 
     def copy(self) -> "AvailabilityState":
-        new = AvailabilityState()
-        new._excluded = {k: set(v) for k, v in self._excluded.items() if v}
+        new = AvailabilityState(self.topology)
+        new._masks = dict(self._masks)
+        self._shared.update(self._masks)
+        new._shared.update(self._masks)
         return new
 
     def issuperset(self, other: "AvailabilityState") -> bool:
-        return all(self._excluded.get(k, set()) >= v
-                   for k, v in other._excluded.items())
+        for k, m in other._masks.items():
+            mine = self._masks.get(k)
+            if mine is None:
+                if m.any():
+                    return False
+            elif m is not mine and (m.shape != mine.shape or np.any(m > mine)):
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AvailabilityState):
             return NotImplemented
-        ks = set(self._excluded) | set(other._excluded)
-        return all(self._excluded.get(k, set()) == other._excluded.get(k, set())
-                   for k in ks)
+        return self.issuperset(other) and other.issuperset(self)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._excluded.values())
+        return sum(int(np.count_nonzero(m)) for m in self._masks.values())
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "excluded": {k.value: [list(c.indices) for c in
-                                   sorted(v, key=Coord.sort_key)]
-                         for k, v in sorted(self._excluded.items(),
-                                            key=lambda kv: kv[0].value) if v},
-        }
+        excluded = {k.value: self._indices(k) for k in sorted(self._masks, key=lambda k: k.value)}
+        return {"schema": SCHEMA, "excluded": {k: v for k, v in excluded.items() if v}}
 
     @classmethod
-    def from_json(cls, data: dict) -> "AvailabilityState":
+    def from_json(cls, data: dict, topology: TopologyConfig) -> "AvailabilityState":
         if data.get("schema", SCHEMA).split("/")[0] != SCHEMA.split("/")[0]:
             raise ValueError(f"unexpected schema {data.get('schema')!r}")
-        state = cls()
+        state = cls(topology)
         for kind_value, coords in data.get("excluded", {}).items():
             kind = Kind(kind_value)
-            for indices in coords:
-                state.exclude(Coord(kind, tuple(indices)))
+            if not coords:
+                continue
+            try:
+                flat = np.ravel_multi_index(np.asarray(coords, dtype=np.int64).T,
+                                            topology.index_shapes[kind])
+            except ValueError:
+                for indices in coords:  # name the first coordinate outside the shape
+                    validate_coord(topology, Coord(kind, indices))
+                raise
+            state.mask(kind).reshape(-1)[flat] = True
         return state
 
 
@@ -111,7 +153,9 @@ class AvailabilityDb:
         return self._states[name]
 
     def ensure(self, name: str) -> AvailabilityState:
-        return self._states.setdefault(name, AvailabilityState())
+        if name not in self._states:
+            self._states[name] = AvailabilityState(self.topology)
+        return self._states[name]
 
     def set_state(self, name: str, state: AvailabilityState) -> None:
         self._states[name] = state
@@ -144,6 +188,6 @@ def save_state(db: AvailabilityDb, name: str, path) -> None:
 def load_state(db: AvailabilityDb, name: str, path) -> AvailabilityState:
     with open(path) as f:
         data = json.load(f)
-    state = AvailabilityState.from_json(data)
+    state = AvailabilityState.from_json(data, db.topology)
     db.set_state(name, state)
     return state

@@ -19,13 +19,14 @@ Closure rules, applied in dependency order:
       and reports only count resources of reachable dies)
   R5  a neuron or ext merger with no usable injection bus (and, for
       neurons, leaf merger) has no route into the fabric
-R2/R5 iterate to a fixed point. The closure is monotone in its input and
-idempotent, which the property tests rely on.
+Every rule is an expression over the states' per-kind masks. R2 reads
+nothing that R5 writes, so one R2 then R5 pass reaches the fixed point. The
+closure is monotone in its input and idempotent, which the property tests
+rely on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from . import rng
 from .availability import AvailabilityDb, AvailabilityState
 from .defects import DefectType
-from .topology import Coord, Direction, Kind, TopologyConfig, resource_count
+from .topology import Coord, Direction, Kind, TopologyConfig, group_members, resource_count
 from .wafer import WaferModel, adc_readout, dac_to_volts, program_floating_gates, true_parameter
 
 FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
@@ -164,7 +165,10 @@ def stability_test(wafer: WaferModel, array: Coord, reps: int = 10) -> Stability
 
 
 def array_exclusion(cfg: TopologyConfig, h: int, a: int) -> list[Coord]:
-    """Everything that goes when one synapse array is written off."""
+    """Everything that goes when one synapse array is written off, as coordinates.
+
+    ``write_off_array`` applies the same exclusions to a state as mask slices.
+    """
     out = [Coord.synapse_array(h, a)]
     out += [Coord.synapse_row(h, a, r) for r in range(cfg.rows_per_array)]
     out += [Coord.synapse_driver(h, a, d) for d in range(cfg.drivers_per_array)]
@@ -172,6 +176,13 @@ def array_exclusion(cfg: TopologyConfig, h: int, a: int) -> list[Coord]:
             for r in range(cfg.driven_rows_per_array)
             for c in range(cfg.columns_per_array)]
     return out
+
+
+def write_off_array(state: AvailabilityState, h: int, a: int) -> None:
+    """Exclude synapse array ``(h, a)`` with all its rows, drivers and synapses."""
+    state.exclude(Coord.synapse_array(h, a))
+    for kind in (Kind.SYNAPSE_ROW, Kind.SYNAPSE_DRIVER, Kind.SYNAPSE):
+        state.mask(kind)[h, a] = True
 
 
 def _excluded_unit(d) -> Coord:
@@ -190,13 +201,12 @@ class MemoryTestResult:
     full_passes: int
     reduced_passes: int
     skipped: int
-    discovered: list[Coord]
-    unstable_arrays: list[Coord]
+    discovered: list[Coord]  # failing units, without the contents of unstable arrays
+    unstable_arrays: list[Coord]  # written off whole, see write_off_array
 
 
 def memory_test(wafer: WaferModel, db: AvailabilityDb,
-                writes_per_cell: int = 10, stability_reps: int = 10,
-                jobs: int = 1) -> MemoryTestResult:
+                writes_per_cell: int = 10, stability_reps: int = 10) -> MemoryTestResult:
     """Write/read-test all reachable registers with seeded random values.
 
     Hicanns whose high-speed link failed the communication test are only
@@ -204,8 +214,8 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
     by-design unbonded dies still get the full pass, their routing fabric
     stays in service. One die takes a reported 70 s; groups run in
     parallel, dies within a group in sequence. All random draws are keyed
-    by cell coordinate, so the outcome is independent of visit order and
-    worker count; discovered exclusions merge in coordinate order.
+    by cell coordinate, so the outcome is independent of visit order;
+    discovered exclusions merge in coordinate order.
     """
     cfg = wafer.topology
     ind = db.ensure("individual")
@@ -217,76 +227,57 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
     defects_at: dict[int, list] = {}
     for d in wafer.defects:
         defects_at.setdefault(d.coord.hicann, []).append(d)
-
-    def test_hicann(h: int):
-        if not ind.is_usable(_jtag(h)):
-            return None
-        reduced = not ind.is_usable(_highspeed(h))
-        regions = routing if reduced else tuple(mm)
-        seconds = FULL_TEST_SECONDS * (reduced_bytes / full_bytes if reduced else 1.0)
-        found: list[Coord] = []
-        unstable: list[Coord] = []
-        for d in defects_at.get(h, ()):
-            if d.type in (DefectType.JTAG_DEAD, DefectType.HIGHSPEED_DEAD):
-                continue  # link faults, not memory faults
-            region = REGION_OF_KIND.get(d.coord.kind)
-            if region not in regions:
-                continue
-            if d.type is DefectType.MEMORY_STUCK:
-                vals = rng.stream(wafer.master_seed, "memtest", str(d.coord)) \
-                    .integers(0, 256, size=writes_per_cell)
-                if not np.any(vals != d.pattern):
-                    continue  # every random value landed on the stuck pattern
-            elif d.type is DefectType.MEMORY_UNSTABLE:
-                if d.coord.kind is Kind.SYNAPSE:
-                    continue  # the per-array stability phase below covers it
-                gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
-                if not np.any(gen.random(stability_reps) < d.flip_probability):
-                    continue
-            found.append(_excluded_unit(d))
-        if "synapse_array" in regions:
-            for a in range(cfg.arrays_per_hicann):
-                res = stability_test(wafer, Coord.synapse_array(h, a), reps=stability_reps)
-                if not res.stable:
-                    unstable.append(Coord.synapse_array(h, a))
-                    found.extend(array_exclusion(cfg, h, a))
-        return reduced, seconds, found, unstable
-
-    def test_group(g: int):
-        return [test_hicann(h) for h in range(g * cfg.group_size, (g + 1) * cfg.group_size)]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            group_results = list(pool.map(test_group, range(cfg.n_groups)))
-    else:
-        group_results = [test_group(g) for g in range(cfg.n_groups)]
+    no_jtag = ind.mask(Kind.JTAG_LINK).tolist()
+    no_highspeed = ind.mask(Kind.HIGHSPEED_LINK).tolist()
 
     bytes_by_region = dict.fromkeys(mm, 0)
     duration = 0.0
     full_passes = reduced_passes = skipped = 0
-    found_all: list[Coord] = []
-    unstable_all: list[Coord] = []
-    for results in group_results:
+    found: list[Coord] = []
+    suspect: set[Coord] = set()  # arrays holding an unstable cell
+    for g in range(cfg.n_groups):
         group_seconds = 0.0
-        for r in results:
-            if r is None:
+        for h in group_members(cfg, g):
+            if no_jtag[h]:
                 skipped += 1
                 continue
-            reduced, seconds, found, unstable = r
-            group_seconds += seconds
-            for region in (routing if reduced else tuple(mm)):
+            reduced = no_highspeed[h]
+            regions = routing if reduced else tuple(mm)
+            group_seconds += FULL_TEST_SECONDS * (reduced_bytes / full_bytes if reduced else 1.0)
+            for region in regions:
                 bytes_by_region[region] += mm[region]
-            if reduced:
-                reduced_passes += 1
-            else:
-                full_passes += 1
-            found_all.extend(found)
-            unstable_all.extend(unstable)
+            reduced_passes += reduced
+            full_passes += not reduced
+            for d in defects_at.get(h, ()):
+                if d.type in (DefectType.JTAG_DEAD, DefectType.HIGHSPEED_DEAD):
+                    continue  # link faults, not memory faults
+                region = REGION_OF_KIND.get(d.coord.kind)
+                if region not in regions:
+                    continue
+                if d.type is DefectType.MEMORY_STUCK:
+                    vals = rng.stream(wafer.master_seed, "memtest", str(d.coord)) \
+                        .integers(0, 256, size=writes_per_cell)
+                    if not np.any(vals != d.pattern):
+                        continue  # every random value landed on the stuck pattern
+                elif d.type is DefectType.MEMORY_UNSTABLE:
+                    if d.coord.kind is Kind.SYNAPSE:
+                        # the per-array stability phase below covers it
+                        suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
+                        continue
+                    gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
+                    if not np.any(gen.random(stability_reps) < d.flip_probability):
+                        continue
+                found.append(_excluded_unit(d))
         duration = max(duration, group_seconds)
 
-    found_all.sort(key=Coord.sort_key)
-    unstable_all.sort(key=Coord.sort_key)
-    ind.exclude_many(found_all)
+    # an array without unstable cells reads back stable on every rewrite
+    unstable = sorted((c for c in suspect
+                       if not stability_test(wafer, c, reps=stability_reps).stable),
+                      key=Coord.sort_key)
+    found.sort(key=Coord.sort_key)
+    ind.exclude_many(found)
+    for array in unstable:
+        write_off_array(ind, *array.indices)
     return MemoryTestResult(
         bytes_tested=sum(bytes_by_region.values()),
         bytes_by_region=bytes_by_region,
@@ -294,8 +285,8 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
         full_passes=full_passes,
         reduced_passes=reduced_passes,
         skipped=skipped,
-        discovered=found_all,
-        unstable_arrays=unstable_all,
+        discovered=found,
+        unstable_arrays=unstable,
     )
 
 
@@ -316,7 +307,7 @@ def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None,
     """
     cfg = wafer.topology
     ind = db.state("individual") if db is not None and db.has_state("individual") \
-        else AvailabilityState()
+        else AvailabilityState(cfg)
     ok = np.ones(cfg.n_hicanns, dtype=bool)
     for h in range(cfg.n_hicanns):
         if not (ind.is_usable(_jtag(h)) and ind.is_usable(Coord.hicann_(h))):
@@ -351,15 +342,14 @@ def individual_from_defects(cfg: TopologyConfig, defects) -> AvailabilityState:
     tests can reach, ``comm_test`` + ``memory_test`` discover exactly these
     flags (up to the astronomically unlikely stuck-pattern collision).
     """
-    state = AvailabilityState()
+    state = AvailabilityState(cfg)
     for d in defects:
         if d.type is DefectType.JTAG_DEAD:
             state.exclude(_jtag(d.coord.hicann))
         elif d.type is DefectType.HIGHSPEED_DEAD:
             state.exclude(_highspeed(d.coord.hicann))
         elif d.type is DefectType.MEMORY_UNSTABLE and d.coord.kind is Kind.SYNAPSE:
-            h, a = d.coord.indices[0], d.coord.indices[1]
-            state.exclude_many(array_exclusion(cfg, h, a))
+            write_off_array(state, *d.coord.indices[:2])
         else:
             state.exclude(_excluded_unit(d))
     return state
@@ -372,84 +362,65 @@ def individual_from_defects(cfg: TopologyConfig, defects) -> AvailabilityState:
 def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> AvailabilityState:
     """Close individual failures over hardware dependencies (rules R1-R6)."""
     eff = individual.copy()
-    lanes = cfg.lanes_per_group
+    mask = eff.mask
+    H, G, lanes = cfg.n_hicanns, cfg.bus_groups, cfg.lanes_per_group
 
     # R3: an unprogrammable die is as good as unreachable
-    no_jtag = {c.hicann for c in eff.excluded_of(Kind.JTAG_LINK)}
-    no_jtag |= {c.hicann for c in eff.excluded_of(Kind.HICANN)}
-    for h in no_jtag:
-        eff.exclude(Coord.hicann_(h))
-        eff.exclude(_jtag(h))
+    no_jtag, dead = mask(Kind.JTAG_LINK), mask(Kind.HICANN)
+    no_jtag |= dead
+    dead |= no_jtag
 
     # R1: two broken repeaters in one block point at the shared controller
-    per_block: dict[tuple[int, int], int] = {}
-    for c in eff.excluded_of(Kind.REPEATER):
-        key = (c.hicann, cfg.repeater_block_of(c.indices[1]))
-        per_block[key] = per_block.get(key, 0) + 1
-    closed = {k for k, n in per_block.items() if n >= 2}
-    closed |= {(c.hicann, c.indices[1]) for c in eff.excluded_of(Kind.REPEATER_BLOCK)}
-    for h, rb in closed:
-        eff.exclude(Coord.repeater_block(h, rb))
-        for r in range(rb * cfg.repeaters_per_block, (rb + 1) * cfg.repeaters_per_block):
-            eff.exclude(Coord.repeater(h, r))
+    blocks = mask(Kind.REPEATER).reshape(H, cfg.repeater_blocks_per_hicann,
+                                         cfg.repeaters_per_block)
+    closed = mask(Kind.REPEATER_BLOCK)
+    closed |= blocks.sum(axis=-1) >= 2
+    blocks |= closed[:, :, None]
 
     # R4: no high-speed traffic, no experiments on this die
-    no_hs = set(cfg.no_highspeed_hicanns()) | no_jtag
-    no_hs |= {c.hicann for c in eff.excluded_of(Kind.HIGHSPEED_LINK)}
-    for h in sorted(no_hs):
-        eff.exclude(_highspeed(h))
-        for n in range(cfg.neurons_per_hicann):
-            eff.exclude(Coord.neuron(h, n))
-        for m in range(cfg.ext_mergers_per_hicann):
-            eff.exclude(Coord.ext_merger(h, m))
+    no_hs = mask(Kind.HIGHSPEED_LINK)
+    no_hs |= no_jtag
+    no_hs[list(cfg.no_highspeed_hicanns())] = True
+    mask(Kind.NEURON)[no_hs] = True
+    mask(Kind.EXT_MERGER)[no_hs] = True
 
     # R6: bus groups facing removed edge dies carry nothing
-    for h in cfg.edge_hicanns:
-        for d in Direction:
-            if cfg.neighbor(h, d) is None:
-                for lane in range(lanes):
-                    eff.exclude(Coord.bus(h, d * lanes + lane))
+    nbr = cfg.neighbor_table()  # (H, G): die across each border group
+    has_nbr = nbr >= 0
+    edge = np.zeros(H, dtype=bool)
+    edge[list(cfg.edge_hicanns)] = True
+    bus = mask(Kind.BUS).reshape(H, G, lanes)
+    bus |= (edge[:, None] & ~has_nbr)[:, :, None]
 
-    # R2/R5 to fixed point
-    while True:
-        before = len(eff)
-        # R2: buses attached to excluded or unreachable repeaters
-        for c in list(eff.excluded_of(Kind.REPEATER)):
-            h, r = c.hicann, c.indices[1]
-            eff.exclude(Coord.bus(h, r))
-            partner = cfg.bus_partner(h, r)
-            if partner is not None:
-                eff.exclude(Coord.bus(*partner))
-        for h in no_jtag:
-            for d, n in cfg.neighbors(h).items():
-                g = d.opposite
-                for lane in range(lanes):
-                    eff.exclude(Coord.bus(n, g * lanes + lane))
-        # R5: no injection route, no traffic from this unit
-        for h in range(cfg.n_hicanns):
-            for ch in range(cfg.ext_mergers_per_hicann):
-                inject_ok = any(eff.is_usable(Coord.bus(h, b))
-                                for b in cfg.injection_buses(ch))
-                if not inject_ok:
-                    eff.exclude(Coord.ext_merger(h, ch))
-                if not (inject_ok and eff.is_usable(Coord.merger(h, cfg.leaf_merger(ch)))):
-                    for n in range(ch * cfg.neuron_block_size,
-                                   (ch + 1) * cfg.neuron_block_size):
-                        eff.exclude(Coord.neuron(h, n))
-        if len(eff) == before:
-            break
+    # R2: a bus goes with its own repeater, with the facing repeater that
+    # drives it from the neighbor, and when it faces an unreachable die
+    repeater = mask(Kind.REPEATER).reshape(H, G, lanes)
+    opposite = [d.opposite for d in Direction]
+    facing = repeater[nbr, opposite] | no_jtag[nbr][:, :, None]
+    bus |= repeater | (has_nbr[:, :, None] & facing)
+
+    # R5: no injection route, no traffic from this unit
+    channels = range(cfg.ext_mergers_per_hicann)
+    injection = np.array([cfg.injection_buses(ch) for ch in channels])
+    no_route = mask(Kind.BUS)[:, injection].all(axis=-1)  # (H, channels)
+    ext = mask(Kind.EXT_MERGER)
+    ext |= no_route
+    stranded = no_route | mask(Kind.MERGER)[:, [cfg.leaf_merger(ch) for ch in channels]]
+    stranded = np.repeat(stranded, cfg.neuron_block_size, axis=1)[:, :cfg.neurons_per_hicann]
+    neurons = mask(Kind.NEURON)[:, :stranded.shape[1]]
+    neurons |= stranded
     return eff
 
 
 def commission(wafer: WaferModel, db: AvailabilityDb | None = None,
-               writes_per_cell: int = 10, stability_reps: int = 10,
-               jobs: int = 1) -> tuple[AvailabilityDb, MemoryTestResult]:
+               writes_per_cell: int = 10,
+               stability_reps: int = 10) -> tuple[AvailabilityDb, MemoryTestResult]:
     """Full pipeline: comm test, memory test, closure into "effective"."""
     if db is None:
         db = AvailabilityDb(wafer.topology)
     comm_test(wafer, db)
     mem = memory_test(wafer, db, writes_per_cell=writes_per_cell,
-                      stability_reps=stability_reps, jobs=jobs)
+                      stability_reps=stability_reps)
     db.set_state("effective", effective_exclusion(wafer.topology, db.state("individual")))
     return db, mem
 
@@ -483,17 +454,15 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
     if reference:
         ref.update(reference)
     H = cfg.n_hicanns
-    ok_h = {h for h in range(H) if individual.is_usable(_jtag(h))}
+    unreachable = [c.hicann for c in individual.excluded_of(Kind.JTAG_LINK)]
 
-    def counted(state: AvailabilityState, kind: Kind, subset=None) -> int:
-        coords = state.excluded_of(kind)
-        if subset is None:
-            return len(coords)
-        return sum(1 for c in coords if c.hicann in subset)
+    def counted(state: AvailabilityState, kind: Kind, reachable_only: bool) -> int:
+        n = state.count_excluded(kind)
+        return n - state.count_excluded(kind, unreachable) if reachable_only else n
 
-    def row(resource, kind, components, tested, subset=None) -> ReportRow:
-        ind = counted(individual, kind, subset)
-        eff = counted(effective, kind, subset)
+    def row(resource, kind, components, tested, reachable_only=False) -> ReportRow:
+        ind = counted(individual, kind, reachable_only)
+        eff = counted(effective, kind, reachable_only)
         return ReportRow(resource, components, tested, ind,
                          100.0 * ind / tested, eff, 100.0 * eff / components)
 
@@ -504,10 +473,10 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
     ]
     for kind in _EXPERIMENT_KINDS:
         n = resource_count(cfg, kind, ref["experiment_hicanns"])
-        rows.append(row(kind.value, kind, n, n, subset=ok_h))
+        rows.append(row(kind.value, kind, n, n, reachable_only=True))
     for kind in _INFRA_KINDS:
         n = resource_count(cfg, kind, ref["infrastructure_hicanns"])
-        rows.append(row(kind.value, kind, n, n, subset=ok_h))
+        rows.append(row(kind.value, kind, n, n, reachable_only=True))
     return rows
 
 

@@ -32,8 +32,12 @@ well defined:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 __all__ = [
     "Kind",
@@ -91,12 +95,8 @@ class Direction(enum.IntEnum):
 class Coord:
     """Typed coordinate: a resource kind plus its index tuple.
 
-    Index layout per kind (h = hicann index):
-      HICANN (h,) | HICANN_GROUP (g,) | JTAG_LINK/HIGHSPEED_LINK (h,)
-      NEURON (h, n) | SYNAPSE_ARRAY (h, a) | SYNAPSE_ROW (h, a, r)
-      SYNAPSE_DRIVER (h, a, d) | SYNAPSE (h, a, r, c) | FG_BLOCK (h, b)
-      EXT_MERGER/BG_GEN/MERGER/ANALOG_OUT (h, m) | BUS/REPEATER (h, b)
-      REPEATER_BLOCK (h, rb) | SWITCH (h, s)
+    ``TopologyConfig.index_shapes`` gives each kind's index layout and
+    bounds; the first index is the hicann (the group for ``HICANN_GROUP``).
     """
 
     kind: Kind
@@ -284,33 +284,36 @@ class TopologyConfig:
         select = self.arrays_per_hicann * self.drivers_per_array * self.select_fanin
         return crossbar + select
 
-    @property
-    def neuron_blocks_per_hicann(self) -> int:
-        return self.neurons_per_hicann // self.neuron_block_size
+    @cached_property
+    def index_shapes(self) -> MappingProxyType[Kind, tuple[int, ...]]:
+        """Index bounds of every kind's coordinates, hicann axis first."""
+        H = self.n_hicanns
+        per_array = (H, self.arrays_per_hicann)
+        return MappingProxyType({
+            Kind.HICANN: (H,),
+            Kind.HICANN_GROUP: (self.n_groups,),
+            Kind.JTAG_LINK: (H,),
+            Kind.HIGHSPEED_LINK: (H,),
+            Kind.NEURON: (H, self.neurons_per_hicann),
+            Kind.SYNAPSE_ARRAY: per_array,
+            Kind.SYNAPSE_ROW: (*per_array, self.rows_per_array),
+            Kind.SYNAPSE_DRIVER: (*per_array, self.drivers_per_array),
+            Kind.SYNAPSE: (*per_array, self.driven_rows_per_array, self.columns_per_array),
+            Kind.FG_BLOCK: (H, self.fg_blocks_per_hicann),
+            Kind.EXT_MERGER: (H, self.ext_mergers_per_hicann),
+            Kind.BG_GEN: (H, self.bg_gens_per_hicann),
+            Kind.MERGER: (H, self.mergers_per_hicann),
+            Kind.ANALOG_OUT: (H, self.analog_outs_per_hicann),
+            Kind.BUS: (H, self.buses_per_hicann),
+            Kind.REPEATER: (H, self.buses_per_hicann),
+            Kind.REPEATER_BLOCK: (H, self.repeater_blocks_per_hicann),
+            Kind.SWITCH: (H, self.switches_per_hicann),
+        })
 
     def units_per_hicann(self, kind: Kind) -> int:
-        table = {
-            Kind.HICANN: 1,
-            Kind.JTAG_LINK: 1,
-            Kind.HIGHSPEED_LINK: 1,
-            Kind.NEURON: self.neurons_per_hicann,
-            Kind.SYNAPSE_ARRAY: self.arrays_per_hicann,
-            Kind.SYNAPSE_ROW: self.arrays_per_hicann * self.rows_per_array,
-            Kind.SYNAPSE_DRIVER: self.arrays_per_hicann * self.drivers_per_array,
-            Kind.SYNAPSE: self.synapses_per_hicann,
-            Kind.FG_BLOCK: self.fg_blocks_per_hicann,
-            Kind.EXT_MERGER: self.ext_mergers_per_hicann,
-            Kind.BG_GEN: self.bg_gens_per_hicann,
-            Kind.MERGER: self.mergers_per_hicann,
-            Kind.ANALOG_OUT: self.analog_outs_per_hicann,
-            Kind.BUS: self.buses_per_hicann,
-            Kind.REPEATER: self.buses_per_hicann,
-            Kind.REPEATER_BLOCK: self.repeater_blocks_per_hicann,
-            Kind.SWITCH: self.switches_per_hicann,
-        }
-        if kind not in table:
+        if kind is Kind.HICANN_GROUP:
             raise ValueError(f"no per-hicann unit count for {kind}")
-        return table[kind]
+        return math.prod(self.index_shapes[kind][1:])
 
     # ---- grid ------------------------------------------------------------
     @property
@@ -329,9 +332,8 @@ class TopologyConfig:
         return _grid(self).by_xy.get((x, y))
 
     def neighbor(self, h: int, direction: Direction) -> int | None:
-        x, y = self.hicann_xy(h)
-        dx, dy = direction.dxdy
-        return self.hicann_at(x + dx, y + dy)
+        n = int(_grid(self).neighbor_table[h, direction])
+        return None if n < 0 else n
 
     def neighbors(self, h: int) -> dict[Direction, int]:
         out = {}
@@ -340,6 +342,10 @@ class TopologyConfig:
             if n is not None:
                 out[d] = n
         return out
+
+    def neighbor_table(self) -> np.ndarray:
+        """Read-only ``(n_hicanns, 4)`` neighbor ids by ``Direction``, -1 off-grid."""
+        return _grid(self).neighbor_table
 
     def row_widths(self) -> list[int]:
         widths = [0] * self.grid_height
@@ -357,9 +363,6 @@ class TopologyConfig:
 
     def bus_lane(self, b: int) -> int:
         return b % self.lanes_per_group
-
-    def repeater_block_of(self, r: int) -> int:
-        return r // self.repeaters_per_block
 
     def bus_partner(self, h: int, b: int) -> tuple[int, int] | None:
         """Bus on the neighboring hicann that repeater ``b`` of ``h`` drives."""
@@ -449,9 +452,6 @@ class TopologyConfig:
                 kwargs[k] = tuple(kwargs[k])
         return cls(**kwargs)
 
-    def with_overrides(self, **kwargs) -> "TopologyConfig":
-        return replace(self, **kwargs)
-
 
 class _Grid:
     """Precomputed hicann grid: reticles laid out row-major and centered."""
@@ -468,6 +468,10 @@ class _Grid:
                     lx, ly = local % rw, local // rw
                     self.xy.append((rx * rw + lx, ry * rh + ly))
         self.by_xy = {xy: h for h, xy in enumerate(self.xy)}
+        self.neighbor_table = np.array(
+            [[self.by_xy.get((x + d.dxdy[0], y + d.dxdy[1]), -1) for d in Direction]
+             for x, y in self.xy], dtype=np.int64)
+        self.neighbor_table.setflags(write=False)
 
 
 class _Fabric:
@@ -547,28 +551,7 @@ def resource_count(cfg: TopologyConfig, kind: Kind, subset_size: int) -> int:
 
 def validate_coord(cfg: TopologyConfig, coord: Coord) -> None:
     """Raise ValueError if the coordinate is outside the configured ranges."""
-    k, idx = coord.kind, coord.indices
-    bounds = {
-        Kind.HICANN: (cfg.n_hicanns,),
-        Kind.HICANN_GROUP: (cfg.n_groups,),
-        Kind.JTAG_LINK: (cfg.n_hicanns,),
-        Kind.HIGHSPEED_LINK: (cfg.n_hicanns,),
-        Kind.NEURON: (cfg.n_hicanns, cfg.neurons_per_hicann),
-        Kind.SYNAPSE_ARRAY: (cfg.n_hicanns, cfg.arrays_per_hicann),
-        Kind.SYNAPSE_ROW: (cfg.n_hicanns, cfg.arrays_per_hicann, cfg.rows_per_array),
-        Kind.SYNAPSE_DRIVER: (cfg.n_hicanns, cfg.arrays_per_hicann, cfg.drivers_per_array),
-        Kind.SYNAPSE: (cfg.n_hicanns, cfg.arrays_per_hicann,
-                       cfg.driven_rows_per_array, cfg.columns_per_array),
-        Kind.FG_BLOCK: (cfg.n_hicanns, cfg.fg_blocks_per_hicann),
-        Kind.EXT_MERGER: (cfg.n_hicanns, cfg.ext_mergers_per_hicann),
-        Kind.BG_GEN: (cfg.n_hicanns, cfg.bg_gens_per_hicann),
-        Kind.MERGER: (cfg.n_hicanns, cfg.mergers_per_hicann),
-        Kind.ANALOG_OUT: (cfg.n_hicanns, cfg.analog_outs_per_hicann),
-        Kind.BUS: (cfg.n_hicanns, cfg.buses_per_hicann),
-        Kind.REPEATER: (cfg.n_hicanns, cfg.buses_per_hicann),
-        Kind.REPEATER_BLOCK: (cfg.n_hicanns, cfg.repeater_blocks_per_hicann),
-        Kind.SWITCH: (cfg.n_hicanns, cfg.switches_per_hicann),
-    }[k]
+    idx, bounds = coord.indices, cfg.index_shapes[coord.kind]
     if len(idx) != len(bounds):
         raise ValueError(f"{coord}: expected {len(bounds)} indices")
     for i, (v, b) in enumerate(zip(idx, bounds)):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ CFG = TopologyConfig()
 
 
 def test_exclude_and_usable():
-    st = AvailabilityState()
+    st = AvailabilityState(CFG)
     c = Coord.repeater(7, 85)
     assert st.is_usable(c)
     st.exclude(c)
@@ -25,45 +26,69 @@ def test_exclude_and_usable():
 
 
 def test_copy_is_independent():
-    a = AvailabilityState([Coord.neuron(3, 4)])
+    a = AvailabilityState(CFG, [Coord.neuron(3, 4)])
     b = a.copy()
     b.exclude(Coord.neuron(3, 5))
     assert len(a) == 1 and len(b) == 2
     assert a.is_usable(Coord.neuron(3, 5))
+    a.exclude(Coord.neuron(3, 6))  # the original stays writable on its own
+    assert b.is_usable(Coord.neuron(3, 6))
+    c = b.copy()
+    b.mask(Kind.NEURON)[3, 7] = True
+    assert c.is_usable(Coord.neuron(3, 7)) and not b.is_usable(Coord.neuron(3, 7))
 
 
 def test_superset_and_equality():
-    a = AvailabilityState([Coord.bus(0, 1), Coord.neuron(2, 3)])
-    b = AvailabilityState([Coord.bus(0, 1)])
+    a = AvailabilityState(CFG, [Coord.bus(0, 1), Coord.neuron(2, 3)])
+    b = AvailabilityState(CFG, [Coord.bus(0, 1)])
     assert a.issuperset(b) and not b.issuperset(a)
     assert a.issuperset(a)
     assert a != b
-    assert a == AvailabilityState([Coord.neuron(2, 3), Coord.bus(0, 1)])
+    assert a == AvailabilityState(CFG, [Coord.neuron(2, 3), Coord.bus(0, 1)])
 
 
 def test_all_excluded_sorted():
-    st = AvailabilityState([Coord.bus(5, 9), Coord.bus(5, 2), Coord.hicann_(1)])
+    st = AvailabilityState(CFG, [Coord.bus(5, 9), Coord.bus(5, 2), Coord.hicann_(1)])
     coords = st.all_excluded()
     assert coords == sorted(coords, key=Coord.sort_key)
     assert coords[0] == Coord.hicann_(1)  # hicann kind orders before bus
 
 
 def test_json_roundtrip_canonical():
-    st = AvailabilityState([Coord.bus(5, 9), Coord.bus(5, 2),
+    st = AvailabilityState(CFG, [Coord.bus(5, 9), Coord.bus(5, 2),
                             Coord.synapse(1, 0, 10, 20)])
     data = st.to_json()
     assert data["schema"] == "waferforge.availability/1"
     assert data["excluded"]["bus"] == [[5, 2], [5, 9]]  # sorted
-    assert AvailabilityState.from_json(data) == st
+    assert AvailabilityState.from_json(data, CFG) == st
     # same content listed in any order loads to the same state
     data2 = json.loads(json.dumps(data))
     data2["excluded"]["bus"].reverse()
-    assert AvailabilityState.from_json(data2) == st
+    assert AvailabilityState.from_json(data2, CFG) == st
 
 
 def test_from_json_rejects_unknown_schema():
     with pytest.raises(ValueError, match="schema"):
-        AvailabilityState.from_json({"schema": "something.else/1", "excluded": {}})
+        AvailabilityState.from_json({"schema": "something.else/1", "excluded": {}}, CFG)
+
+
+def test_out_of_range_coordinates_rejected():
+    st = AvailabilityState(CFG, [Coord.neuron(3, 511)])
+    for bad in (Coord.neuron(3, -1), Coord.neuron(3, 512), Coord.neuron(384, 0),
+                Coord.synapse(0, 0, 220, 0), Coord(Kind.NEURON, (3,))):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            st.exclude(bad)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            st.is_usable(bad)
+    # a negative index must not wrap onto neuron 511
+    assert st.all_excluded() == [Coord.neuron(3, 511)]
+    for coords, name in (([[3, 5], [3, -1]], "neuron[3,-1]"),
+                         ([[3, 512]], "neuron[3,512]"),
+                         ([[384, 0]], "neuron[384,0]")):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            AvailabilityState.from_json({"excluded": {"neuron": coords}}, CFG)
+    with pytest.raises(ValueError, match="2 indices"):
+        AvailabilityState.from_json({"excluded": {"neuron": [[3]]}}, CFG)
 
 
 def test_db_named_states():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from waferforge.wafer import build_wafer
 
 CFG = TopologyConfig()
 FULL_BYTES = 117250  # sum of the per-hicann memory map
+CLOSURE_RATES = DefectRates(jtag=0.02, highspeed=0.03, fg_controller=0.004,
+                            repeater=0.001, switch=3e-5, synapse_driver=1e-4,
+                            synapse_stuck=1e-6, merger_stuck=3e-4, fg_block_stuck=3e-4)
 
 
 def jtag(h):
@@ -29,8 +34,12 @@ def wafer_with(defects=None, seed=11, **kw):
     return build_wafer(seed, defects=DefectSet(list(defects or [])), **kw)
 
 
+def state_digest(state):
+    return hashlib.sha256(json.dumps(state.to_json()).encode()).hexdigest()
+
+
 def baseline_effective():
-    return effective_exclusion(CFG, AvailabilityState())
+    return effective_exclusion(CFG, AvailabilityState(CFG))
 
 
 # ---- comm test -------------------------------------------------------------
@@ -139,26 +148,6 @@ def test_reduced_pass_still_finds_routing_faults():
     assert ind.excluded_of(Kind.SYNAPSE_DRIVER) == set()
 
 
-def test_memory_test_worker_count_irrelevant():
-    rates = DefectRates(jtag=0.01, highspeed=0.02, fg_controller=0.003,
-                        repeater=5e-4, switch=2e-5, synapse_driver=1e-4,
-                        synapse_stuck=5e-7, synapse_unstable=2e-8,
-                        merger_stuck=2e-4, fg_block_stuck=2e-4)
-    defects = random_defects(3, CFG, rates)
-    results = []
-    for jobs in (1, 8):
-        w = build_wafer(21, defects=defects)
-        db = AvailabilityDb(CFG)
-        comm_test(w, db)
-        res = memory_test(w, db, jobs=jobs)
-        results.append((db.state("individual"), res))
-    (ind1, r1), (ind8, r8) = results
-    assert ind1 == ind8
-    assert r1.discovered == r8.discovered
-    assert r1.bytes_tested == r8.bytes_tested
-    assert r1.duration_s == r8.duration_s
-
-
 # ---- stability test --------------------------------------------------------
 
 
@@ -187,13 +176,14 @@ def test_unstable_cell_takes_whole_array():
     comm_test(w, db)
     res = memory_test(w, db)
     assert res.unstable_arrays == [Coord.synapse_array(7, 1)]
+    assert res.discovered == []  # the array's contents are not listed cell by cell
     ind = db.state("individual")
     assert ind.count_excluded(Kind.SYNAPSE) == 220 * 256 == 56320
     assert ind.count_excluded(Kind.SYNAPSE_ROW) == 224
     assert ind.count_excluded(Kind.SYNAPSE_DRIVER) == 110
     assert ind.excluded_of(Kind.SYNAPSE_ARRAY) == {Coord.synapse_array(7, 1)}
     assert all(c.indices[1] == 1 for c in ind.excluded_of(Kind.SYNAPSE_ROW))
-    assert set(array_exclusion(CFG, 7, 1)) <= set(ind.all_excluded())
+    assert set(array_exclusion(CFG, 7, 1)) == set(ind.all_excluded())
 
 
 # ---- effective exclusion ---------------------------------------------------
@@ -219,7 +209,7 @@ def test_defect_free_closure_is_design_plus_edge():
 
 def test_single_repeater_takes_its_two_buses():
     h = CFG.hicann_at(18, 4)
-    ind = AvailabilityState([Coord.repeater(h, 85)])
+    ind = AvailabilityState(CFG, [Coord.repeater(h, 85)])
     eff = effective_exclusion(CFG, ind)
     assert eff.excluded_of(Kind.REPEATER) == {Coord.repeater(h, 85)}
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
@@ -229,7 +219,7 @@ def test_single_repeater_takes_its_two_buses():
 
 def test_two_repeaters_close_the_block():
     h = CFG.hicann_at(18, 4)
-    ind = AvailabilityState([Coord.repeater(h, 85), Coord.repeater(h, 99)])
+    ind = AvailabilityState(CFG, [Coord.repeater(h, 85), Coord.repeater(h, 99)])
     eff = effective_exclusion(CFG, ind)
     reps = eff.excluded_of(Kind.REPEATER)
     assert reps == {Coord.repeater(h, r) for r in range(80, 120)}
@@ -240,7 +230,7 @@ def test_two_repeaters_close_the_block():
 
 def test_rim_facing_repeater_has_one_bus():
     h = CFG.hicann_at(13, 0)  # top row, northern group faces off-grid
-    ind = AvailabilityState([Coord.repeater(h, 7)])
+    ind = AvailabilityState(CFG, [Coord.repeater(h, 7)])
     eff = effective_exclusion(CFG, ind)
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
     assert added == {Coord.bus(h, 7)}
@@ -248,7 +238,7 @@ def test_rim_facing_repeater_has_one_bus():
 
 def test_fg_controller_acts_like_dead_jtag():
     f = CFG.hicann_at(12, 0)  # corner: east + south neighbors only
-    ind = AvailabilityState([Coord.hicann_(f)])
+    ind = AvailabilityState(CFG, [Coord.hicann_(f)])
     eff = effective_exclusion(CFG, ind)
     assert not eff.is_usable(jtag(f))
     assert not eff.is_usable(highspeed(f))
@@ -264,7 +254,7 @@ def test_fg_controller_acts_like_dead_jtag():
 def test_no_route_excludes_neurons_and_ext_mergers():
     h = CFG.hicann_at(18, 4)
     # channels 0 and 4 share the injection pair (bus 0, bus 160)
-    ind = AvailabilityState([Coord.repeater(h, 0), Coord.repeater(h, 160)])
+    ind = AvailabilityState(CFG, [Coord.repeater(h, 0), Coord.repeater(h, 160)])
     eff = effective_exclusion(CFG, ind)
     neurons = {c for c in eff.excluded_of(Kind.NEURON) if c.hicann == h}
     assert {c.indices[1] // 64 for c in neurons} == {0, 4}
@@ -275,7 +265,7 @@ def test_no_route_excludes_neurons_and_ext_mergers():
 
 def test_broken_leaf_merger_strands_its_neurons():
     h = CFG.hicann_at(18, 4)
-    eff = effective_exclusion(CFG, AvailabilityState([Coord.merger(h, 3)]))
+    eff = effective_exclusion(CFG, AvailabilityState(CFG, [Coord.merger(h, 3)]))
     neurons = {c.indices[1] for c in eff.excluded_of(Kind.NEURON) if c.hicann == h}
     assert neurons == set(range(3 * 64, 4 * 64))
     # external input does not pass the leaf merger
@@ -283,12 +273,9 @@ def test_broken_leaf_merger_strands_its_neurons():
 
 
 def test_closure_properties_on_random_sets():
-    rates = DefectRates(jtag=0.02, highspeed=0.03, fg_controller=0.004,
-                        repeater=0.001, switch=3e-5, synapse_driver=1e-4,
-                        synapse_stuck=1e-6, merger_stuck=3e-4, fg_block_stuck=3e-4)
     extra_rates = DefectRates(jtag=0.01, repeater=3e-4, merger_stuck=2e-4)
     for s in range(10):
-        ds = random_defects(s, CFG, rates)
+        ds = random_defects(s, CFG, CLOSURE_RATES)
         ind = individual_from_defects(CFG, ds)
         eff = effective_exclusion(CFG, ind)
         assert eff.issuperset(ind)
@@ -296,6 +283,59 @@ def test_closure_properties_on_random_sets():
         grown = DefectSet(ds.defects + random_defects(900 + s, CFG, extra_rates).defects)
         eff_grown = effective_exclusion(CFG, individual_from_defects(CFG, grown))
         assert eff_grown.issuperset(eff)
+
+
+# sha256 of json.dumps(to_json()) of (individual, effective) for closure
+# seeds 0-9, recorded from the coordinate-set states the masks replaced
+CLOSURE_DIGESTS = [
+    ("b2d3d4066e70842e5177b71caa16b4b7a287192a2e24c6bd82565048816104e7",
+     "688671f4018aca44af1f0ae0b48d56fa0719bbc959da7ad67b2eb81bd179592e"),
+    ("c4cb32ad84311f2199f42bfc4cce2268c6478a3aa54be9de3c07fed3be6d8f04",
+     "850df53e91721e9dc2629c83899ea3b5f0d4aa7005d72d690c4b0b4b078032da"),
+    ("75223d1950a05c8e2dd238362f95a1c61ab48b5b340196e35bd8a483b0a54adf",
+     "405135a4566eff74ab4abfb43f70c6d0b3ed611265f2b462c5059df23e08cc87"),
+    ("30391291eef6ee24fe2741a09f86f45e5be136b0234af2f06317fa937e3e397b",
+     "bb5d8c29a2e6aedd7189e22846a7b48558e3290e3201971bad9149d9a362460d"),
+    ("44f5ebbcf831180c4c6f55a515ca6fe91f7c112de07d01748b273647a0b9605b",
+     "19f16727b137882f9ccdce59a9b0ed37142fe636c4719e069a20e8dd2207ce29"),
+    ("0105790cc255e676e69452c5bc78750c9ada05805de9a67d196586ea079c9ca7",
+     "23770e83439532fee9949f82a8c38dc7efde5fddfe7086a48c5a4d0e570ddcda"),
+    ("d7efa124d0a00e645fbf60fedf3fe667777a7ed48763f1bbc2331398903f2bc0",
+     "47ba6f474f95c139aaf512b1054fb1db0bd8a381000e72aa4359b3604e39ce97"),
+    ("7e851d3538fb99072cce4d8a3d0554736e3a621875b6b8df95f78e0fae3f036c",
+     "68e86d7b1f64c8c0bfdf1dec43f1996e96c493ef5a3a550e3d42b2745d0c88a5"),
+    ("b5728e154922fd7f0d0cc2d49c7eca1e0edc0ac6d8a4a50951c3f0da0c4240d1",
+     "6d064480e81dec84af10c594ab87884d8ea12d60b8cbbe18120494a8154c0ae1"),
+    ("e9e77ceb6a195a1ae81523732db5c7f3f2da3746d317ddf9b7e58ecf4a2c3146",
+     "98e21780b350196c6b0e94eb4625ec1fc59c6ff8c9527e445952eaa0d3a255b9"),
+]
+
+
+def test_closure_states_byte_identical():
+    for s, want in enumerate(CLOSURE_DIGESTS):
+        ind = individual_from_defects(CFG, random_defects(s, CFG, CLOSURE_RATES))
+        assert (state_digest(ind), state_digest(effective_exclusion(CFG, ind))) == want
+
+
+def test_reduced_topology_commissioning_byte_identical():
+    # 32 dies, 16-circuit neuron blocks: R5 covers only the blocks that own
+    # a sending channel; two unstable arrays are written off
+    small = TopologyConfig(reticle_rows=(1, 2, 1), neuron_block_size=16)
+    rates = DefectRates(jtag=0.1, highspeed=0.1, fg_controller=0.05, repeater=0.01,
+                        switch=1e-4, synapse_driver=1e-3, synapse_stuck=1e-5,
+                        synapse_unstable=1.5e-6, merger_stuck=0.02, fg_block_stuck=0.02)
+    db, mem = commission(build_wafer(5, small, defects=random_defects(5, small, rates)))
+    ind, eff = db.state("individual"), db.state("effective")
+    assert mem.unstable_arrays == [Coord.synapse_array(7, 0), Coord.synapse_array(8, 1)]
+    assert state_digest(ind) == "a4062380d40b0471dd8b3afabaa758168a900fe8dfa46178ec373fc9555476be"
+    assert state_digest(eff) == "ee3a243f81a69e58c234db68635a4d4692ad5e56cae2ed180d1f539f27335aca"
+    rows = {r.resource: (r.individual, r.effective)
+            for r in exclusion_report(small, ind, eff) if r.individual or r.effective}
+    assert rows == {"jtag_link": (4, 7), "highspeed_link": (2, 9), "neuron": (0, 2720),
+                    "merger": (1, 1), "synapse_array": (2, 2), "synapse_row": (448, 448),
+                    "synapse_driver": (221, 221), "synapse": (112672, 112672),
+                    "ext_merger": (0, 50), "repeater": (104, 710), "bus": (0, 2885),
+                    "switch": (23, 23)}
 
 
 # ---- analog readout test ---------------------------------------------------

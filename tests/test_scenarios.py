@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from waferforge.availability import AvailabilityDb
 from waferforge.commissioning import (comm_test, commission, exclusion_report,
                                       individual_from_defects, memory_test)
@@ -92,6 +95,18 @@ def test_golden_effective_counts():
         "repeater": 263,
         "repeater_block": 2,
     }
+
+
+def test_golden_states_byte_identical():
+    # sha256 of json.dumps(to_json()), recorded from the coordinate-set
+    # states the masks replaced
+    db, _ = commission(build_wafer(4242, defects=golden_defect_set()))
+    digests = [hashlib.sha256(json.dumps(db.state(name).to_json()).encode()).hexdigest()
+               for name in ("individual", "effective")]
+    assert digests == [
+        "8c57b25ab218577cbb30e39047276c221caef1105d453da1f9420c7bc3161c3a",
+        "f37bc722a8ed305ed41abfdf294deab1c4ae1954cf8424848c46576d71f87d5e",
+    ]
 
 
 def test_golden_report_rows():
