@@ -700,7 +700,8 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
 
 
 def _convoff_array(wafer, db, h, parameter, scope):
-    out = np.full(wafer.topology.neurons_per_hicann, 1023.0)
+    cfg = wafer.topology
+    out = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
     for n in scope:
         out[n] = db.coeffs(Coord.neuron(h, n), parameter)[0]
     return out
@@ -1165,7 +1166,7 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
         param = f"v_convoff{side}"
         if param in per_neuron_targets:
             continue
-        arr = np.full(cfg.neurons_per_hicann, 1023.0)
+        arr = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
         present = False
         for n in scope:
             if db.has(Coord.neuron(h, n), param):

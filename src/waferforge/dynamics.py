@@ -20,6 +20,34 @@ Exponential-Euler scheme with per-step frozen conductances:
 
 A simulation "unit" is one membrane: either a single neuron circuit or a
 group of interconnected circuits whose leak terms are summed.
+
+``integrate`` does once per run what cannot change during the run. Each
+shortcut gives the full per-step expression bit for bit, for any parameter
+values, under these conditions:
+
+* a side that no event reaches, with no recurrent connection and a finite
+  decay factor, keeps ``g == +0.0``: its share of ``num`` and ``g_tot`` is
+  computed once;
+* such a side's saturation test is skipped when it can fire for no unit:
+  each ``i_sat`` is +inf or NaN, or is ``>= 0`` where the side's total
+  conductance is zero;
+* with both sides static, ``num`` and ``g_tot`` are constant, and so are
+  ``V_inf`` and the propagator ``exp(-dt * g_tot / C)`` of every step that
+  does not saturate: they are computed once (exact for constant inputs,
+  Rotter & Diesmann 1999);
+* a step that does not saturate skips the ``g_tot > 0`` selection when
+  every ``g_tot`` is positive: each side's conductance stays in [0, inf]
+  (non-negative event and connection amounts, decay factor in (0, inf)) and
+  ``g_leak + g_base_x + g_base_i > 0``, since rounded sums are monotonic;
+* a conductance in [0, inf] is never -0.0, so adding a zero of either sign
+  leaves it unchanged: with ``g_base == 0`` a side's total is its ``g``; a
+  static inhibitory side with ``g_base_i == 0`` adds nothing to ``num``
+  unless ``g_leak_e`` holds a -0.0, and nothing to ``g_tot`` but the sign
+  of a zero, which takes the drift branch either way;
+* the refractory clamp is skipped while the latest release time has passed
+  (never, once a release time is NaN);
+* a step that saturates, or a run whose ``g_tot`` may reach zero, takes the
+  full expression.
 """
 
 from __future__ import annotations
@@ -173,6 +201,58 @@ class EngineResult:
         return self.spike_times[self.spike_units == unit]
 
 
+def _exp_euler(num, g_tot, v, c, dt):
+    """One membrane step; a unit without conductance drifts on ``num``."""
+    conductive = g_tot > 0.0
+    v_inf = num / np.where(conductive, g_tot, 1.0)
+    return np.where(
+        conductive,
+        v_inf + (v - v_inf) * np.exp(-dt * g_tot / c),
+        v + dt * num / c,
+    )
+
+
+def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt):
+    """One membrane step in which some synaptic side saturates."""
+    ix_lin = gx_tot * (p.e_synx - v)
+    ii_lin = gi_tot * (p.e_syni - v)
+    sat_x = np.abs(ix_lin) > p.i_sat
+    sat_i = np.abs(ii_lin) > p.i_sat
+    saturated = sat_x | sat_i
+    adj_num = np.where(sat_x, np.sign(ix_lin) * p.i_sat - gx_tot * p.e_synx, 0.0)
+    adj_num += np.where(sat_i, np.sign(ii_lin) * p.i_sat - gi_tot * p.e_syni, 0.0)
+    num = num + adj_num
+    g_tot = g_tot - np.where(sat_x, gx_tot, 0.0) - np.where(sat_i, gi_tot, 0.0)
+    v_new = _exp_euler(num, g_tot, v, p.capacitance, dt)
+    lo = np.minimum(p.e_syni, v)
+    hi = np.maximum(p.e_synx, v)
+    return np.where(saturated, np.clip(v_new, lo, hi), v_new)
+
+
+def _first_boundary(q: EventQueue, n_steps: int) -> int:
+    return int(q.boundary[0]) if q.boundary.shape[0] else n_steps
+
+
+def _stays_nonnegative(q: EventQueue, m: SynapticMatrix | None, decay) -> bool:
+    """Whether a side's conductance stays in [0, inf], never NaN."""
+    return bool(np.all(q.amount >= 0.0)
+                and (m is None or np.all(m.amounts >= 0.0))
+                and np.all((decay > 0.0) & (decay < np.inf)))
+
+
+def _never_saturates(gx_tot, i_sat) -> bool:
+    """Whether |gx_tot * (e - v)| > i_sat is false for every membrane v."""
+    return bool(np.all(~(i_sat < np.inf) | ((gx_tot == 0.0) & (i_sat >= 0.0))))
+
+
+def _saturates(g_side, e_side, v, i_sat, tmp, sat) -> bool:
+    """Whether |g_side * (e_side - v)| > i_sat for some unit."""
+    np.subtract(e_side, v, out=tmp)
+    np.multiply(g_side, tmp, out=tmp)
+    np.abs(tmp, out=tmp)
+    return bool(np.greater(tmp, i_sat, out=sat).any())
+
+
 def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
               events_x: EventQueue | None = None,
               events_i: EventQueue | None = None,
@@ -184,26 +264,91 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     Unrecorded units are fully simulated; only trace storage is restricted
     to ``record_units`` (default: all units).
     """
-    n = params.n_units
+    p = params
+    n = p.n_units
     n_steps = int(round(duration / dt))
     if record_units is None:
         record_units = np.arange(n, dtype=np.int64)
     else:
         record_units = np.asarray(record_units, dtype=np.int64)
+    record_all = np.array_equal(record_units, np.arange(n))
+    record_any = record_units.shape[0] > 0
     events_x = events_x or EventQueue.empty()
     events_i = events_i or EventQueue.empty()
+    # a matrix without connections never delivers anything
+    if recurrent_x is not None and not recurrent_x.n_connections:
+        recurrent_x = None
+    if recurrent_i is not None and not recurrent_i.n_connections:
+        recurrent_i = None
 
-    v = params.v_reset.copy() if v_init is None else _as_f64(v_init, n)
+    v = p.v_reset.copy() if v_init is None else _as_f64(v_init, n)
     g_x = np.zeros(n)
     g_i = np.zeros(n)
     pending_x = np.zeros(n)
     pending_i = np.zeros(n)
     refrac_until = np.full(n, -np.inf)
+    release = -np.inf  # latest release time, NaN once any is NaN
 
-    decay_x = np.exp(-dt / params.tau_synx)
-    decay_i = np.exp(-dt / params.tau_syni)
-    c = params.capacitance
-    has_sat = np.any(np.isfinite(params.i_sat))
+    decay_x = np.exp(-dt / p.tau_synx)
+    decay_i = np.exp(-dt / p.tau_syni)
+    c = p.capacitance
+    has_sat = np.any(np.isfinite(p.i_sat))
+
+    bx, ux, ax = events_x.boundary, events_x.unit, events_x.amount
+    bi, ui, ai = events_i.boundary, events_i.unit, events_i.amount
+    next_x = _first_boundary(events_x, n_steps)
+    next_i = _first_boundary(events_i, n_steps)
+    # a side that no event reaches, with no recurrent input and a finite
+    # decay, keeps g == +0.0 for the whole run
+    static_x = (next_x >= n_steps and recurrent_x is None
+                and bool(np.all(np.isfinite(decay_x))))
+    static_i = (next_i >= n_steps and recurrent_i is None
+                and bool(np.all(np.isfinite(decay_i))))
+
+    # whether each side's g stays in [0, inf]; such a g is never -0.0
+    nonneg_x = static_x or _stays_nonnegative(events_x, recurrent_x, decay_x)
+    nonneg_i = static_i or _stays_nonnegative(events_i, recurrent_i, decay_i)
+
+    # num = g_leak_e + gx_tot * e_synx + gi_tot * e_syni and
+    # g_tot = g_leak + gx_tot + gi_tot, split so that a static side's share
+    # is computed once
+    gx_tot = g_x + p.g_base_x
+    gi_tot = g_i + p.g_base_i
+    num_x = p.g_leak_e + gx_tot * p.e_synx
+    num_i = gi_tot * p.e_syni
+    gl_x = p.g_leak + gx_tot
+    num = num_x + num_i
+    g_tot = gl_x + gi_tot
+    check_x = has_sat and not (static_x and _never_saturates(gx_tot, p.i_sat))
+    check_i = has_sat and not (static_i and _never_saturates(gi_tot, p.i_sat))
+    const = static_x and static_i
+    # g_tot > 0 on every step that does not saturate: rounded sums are
+    # monotonic, so g_tot is at least g_leak + g_base_x + g_base_i
+    positive = nonneg_x and nonneg_i \
+        and bool(np.all(p.g_leak + p.g_base_x + p.g_base_i > 0.0))
+    # exact zeros need not be added: without permanent conductance gx_tot is
+    # g_x itself, and a static inhibitory side without it adds +0.0 to g_tot
+    # (a zero g_tot drifts whatever its sign) and +-0.0 to num (num_x is
+    # never -0.0 unless g_leak_e holds one)
+    if not static_x and nonneg_x and np.all(p.g_base_x == 0.0):
+        gx_tot = g_x
+    if not static_i and nonneg_i and np.all(p.g_base_i == 0.0):
+        gi_tot = g_i
+    if static_i and np.all(p.g_base_i == 0.0):
+        g_tot = gl_x
+    if static_i and np.all(num_i == 0.0) \
+            and not np.any((p.g_leak_e == 0.0) & np.signbit(p.g_leak_e)):
+        num = num_x
+
+    v_inf = np.empty(n)
+    prop = np.empty(n)  # exp(-dt * g_tot / c)
+    if const and positive:
+        np.divide(num, g_tot, out=v_inf)
+        np.exp(-dt * g_tot / c, out=prop)
+    tmp = np.empty(n)
+    sat = np.empty(n, dtype=bool)
+    fired = np.empty(n, dtype=bool)
+    v_next = np.empty(n)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
@@ -214,78 +359,92 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     for k in range(n_steps):
         t_k = k * dt
         # conductance increments landing on this boundary
-        if px < events_x.boundary.shape[0] and events_x.boundary[px] <= k:
-            hi = px + np.searchsorted(events_x.boundary[px:], k, side="right")
-            np.add.at(g_x, events_x.unit[px:hi], events_x.amount[px:hi])
+        if k >= next_x:
+            hi = px + np.searchsorted(bx[px:], k, side="right")
+            np.add.at(g_x, ux[px:hi], ax[px:hi])
             px = hi
-        if pi < events_i.boundary.shape[0] and events_i.boundary[pi] <= k:
-            hi = pi + np.searchsorted(events_i.boundary[pi:], k, side="right")
-            np.add.at(g_i, events_i.unit[pi:hi], events_i.amount[pi:hi])
+            next_x = int(bx[px]) if px < bx.shape[0] else n_steps
+        if k >= next_i:
+            hi = pi + np.searchsorted(bi[pi:], k, side="right")
+            np.add.at(g_i, ui[pi:hi], ai[pi:hi])
             pi = hi
-        if pending_x.any():
+            next_i = int(bi[pi]) if pi < bi.shape[0] else n_steps
+        if recurrent_x is not None and pending_x.any():
             g_x += pending_x
             pending_x[:] = 0.0
-        if pending_i.any():
+        if recurrent_i is not None and pending_i.any():
             g_i += pending_i
             pending_i[:] = 0.0
 
-        gx_tot = g_x + params.g_base_x
-        gi_tot = g_i + params.g_base_i
-        num = params.g_leak_e + gx_tot * params.e_synx + gi_tot * params.e_syni
-        g_tot = params.g_leak + gx_tot + gi_tot
-        saturated = None
-        if has_sat:
-            ix_lin = gx_tot * (params.e_synx - v)
-            ii_lin = gi_tot * (params.e_syni - v)
-            sat_x = np.abs(ix_lin) > params.i_sat
-            sat_i = np.abs(ii_lin) > params.i_sat
-            if sat_x.any() or sat_i.any():
-                saturated = sat_x | sat_i
-                adj_num = np.where(sat_x, np.sign(ix_lin) * params.i_sat
-                                   - gx_tot * params.e_synx, 0.0)
-                adj_num += np.where(sat_i, np.sign(ii_lin) * params.i_sat
-                                    - gi_tot * params.e_syni, 0.0)
-                num = num + adj_num
-                g_tot = g_tot - np.where(sat_x, gx_tot, 0.0) \
-                    - np.where(sat_i, gi_tot, 0.0)
+        if not static_x:
+            if gx_tot is not g_x:
+                np.add(g_x, p.g_base_x, out=gx_tot)
+            np.multiply(gx_tot, p.e_synx, out=num_x)
+            np.add(p.g_leak_e, num_x, out=num_x)
+            np.add(p.g_leak, gx_tot, out=gl_x)
+        if not static_i:
+            if gi_tot is not g_i:
+                np.add(g_i, p.g_base_i, out=gi_tot)
+            np.multiply(gi_tot, p.e_syni, out=num_i)
+        if not const:
+            if num is not num_x:
+                np.add(num_x, num_i, out=num)
+            if g_tot is not gl_x:
+                np.add(gl_x, gi_tot, out=g_tot)
 
-        conductive = g_tot > 0.0
-        v_inf = num / np.where(conductive, g_tot, 1.0)
-        v_new = np.where(
-            conductive,
-            v_inf + (v - v_inf) * np.exp(-dt * g_tot / c),
-            v + dt * num / c,
-        )
-        if saturated is not None:
-            lo = np.minimum(params.e_syni, v)
-            hi_b = np.maximum(params.e_synx, v)
-            v_new = np.where(saturated, np.clip(v_new, lo, hi_b), v_new)
+        saturated = (
+            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
+            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
+        if saturated:
+            v_new = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt)
+        elif not positive:
+            v_new = _exp_euler(num, g_tot, v, c, dt)
+        else:
+            if not const:
+                np.divide(num, g_tot, out=v_inf)
+                np.multiply(-dt, g_tot, out=tmp)
+                np.divide(tmp, c, out=tmp)
+                np.exp(tmp, out=prop)
+            v_new = v_next
+            np.subtract(v, v_inf, out=v_new)
+            np.multiply(v_new, prop, out=v_new)
+            np.add(v_inf, v_new, out=v_new)
 
-        active = t_k >= refrac_until
-        v_new = np.where(active, v_new, params.v_reset)
-
-        fired = active & (v_new >= params.v_threshold)
-        if fired.any():
-            idx = np.nonzero(fired)[0]
+        if t_k >= release:  # no unit is refractory
+            np.greater_equal(v_new, p.v_threshold, out=fired)
+            firing = fired
+        else:
+            active = t_k >= refrac_until
+            v_new = np.where(active, v_new, p.v_reset)
+            firing = active & (v_new >= p.v_threshold)
+        if firing.any():
+            idx = np.nonzero(firing)[0]
             dv = v_new[idx] - v[idx]
-            frac = np.where(dv > 0.0,
-                            (params.v_threshold[idx] - v[idx])
-                            / np.where(dv > 0.0, dv, 1.0),
+            rising = dv > 0.0
+            frac = np.where(rising,
+                            (p.v_threshold[idx] - v[idx])
+                            / np.where(rising, dv, 1.0),
                             1.0)
             t_s = t_k + np.clip(frac, 0.0, 1.0) * dt
             spike_unit_chunks.append(idx)
             spike_time_chunks.append(t_s)
-            v_new[idx] = params.v_reset[idx]
-            refrac_until[idx] = t_s + params.tau_ref[idx]
+            v_new[idx] = p.v_reset[idx]
+            refrac_until[idx] = t_s + p.tau_ref[idx]
+            release = float(np.maximum(release, refrac_until[idx].max()))
             if recurrent_x is not None:
                 recurrent_x.accumulate(idx, pending_x)
             if recurrent_i is not None:
                 recurrent_i.accumulate(idx, pending_i)
 
-        v = v_new
-        g_x *= decay_x
-        g_i *= decay_i
-        traces[:, k + 1] = v[record_units]
+        v, v_next = v_new, v
+        if not static_x:
+            g_x *= decay_x
+        if not static_i:
+            g_i *= decay_i
+        if record_all:
+            traces[:, k + 1] = v
+        elif record_any:
+            traces[:, k + 1] = v[record_units]
 
     if spike_unit_chunks:
         units_all = np.concatenate(spike_unit_chunks)

@@ -5,8 +5,6 @@ Fit strategy per model family:
 
 * straight lines (voltage-parameter transfer, reversal-potential
   extrapolation) are solved in closed form;
-* the refractory-current law ``1/I = c0 + c1 * tau`` is linear in
-  reciprocal-current space and reuses the closed form;
 * the softplus laws and the PSP shape are fitted by Gauss-Newton with
   multiplicative (Levenberg) damping, numeric central-difference Jacobians
   and initial guesses read off trace landmarks (documented on each fit
@@ -74,18 +72,6 @@ def fit_linear(x, y, sigma=None):
     if scalar:
         return float(slope[0]), float(intercept[0]), float(red[0])
     return slope, intercept, red
-
-
-def fit_reciprocal(i_ua, tau, sigma=None):
-    """Refractory law ``I = 1/(c0 + c1 * tau)`` via a line in 1/I space.
-
-    Returns (c0, c1, reduced chi-square) per trace; ``tau`` is the shared
-    abscissa (m,), ``i_ua`` the measured currents (m,) or (n, m).
-    """
-    tau = np.asarray(tau, dtype=float)
-    inv = 1.0 / np.asarray(i_ua, dtype=float)
-    c1, c0, red = fit_linear(tau, inv, sigma)
-    return c0, c1, red
 
 
 # ---- batched damped Gauss-Newton ----------------------------------------

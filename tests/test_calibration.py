@@ -6,7 +6,7 @@ import pytest
 
 from waferforge import calibration as cal
 from waferforge.topology import Coord, TopologyConfig
-from waferforge.wafer import build_wafer
+from waferforge.wafer import build_wafer, fg_dac_array, true_parameter_array
 
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
 # leave every coefficient and verdict bit-for-bit as it was
@@ -48,3 +48,35 @@ def test_readout_shift_groups_by_neuron_block():
                     for n in range(64)])
     assert np.all(np.abs(off.reshape(4, 16).sum(axis=1)) < 1e-12)
     assert np.ptp(off) > 1e-3  # the offsets themselves are not zero
+
+
+def test_convoff_defaults_follow_the_dac_ceiling():
+    # circuits without a v_convoff entry are programmed to the topology's
+    # DAC ceiling, not to the reference module's 1023
+    cfg = TopologyConfig(dac_max=511)
+    w = build_wafer(3, cfg)
+    db = cal.CalibrationDb()
+    for n, dac in ((0, 300.0), (8, 420.0)):
+        db.add(cal.CalibrationEntry(Coord.neuron(0, n), "v_convoffx", "constant",
+                                    (dac, dac - 10.0), 0.0, True))
+    want = np.full(cfg.neurons_per_hicann, 511.0)
+    want[[0, 8]] = 300.0, 420.0
+    assert np.array_equal(cal._convoff_array(w, db, 0, "v_convoffx", [0, 8]), want)
+    cal.apply_calibration(w, db, 0, {"e_leak": 0.5})
+    got = fg_dac_array(w, 0, "v_convoffx")
+    assert got.max() <= 511
+    assert np.all(np.abs(got - want) <= 10)  # FG write noise
+
+
+def test_direct_reversal_readout_lies_between_rest_and_reversal():
+    # the amplifier's limited current holds the membrane below the true
+    # reversal potential, but well above the leak's rest
+    w = build_wafer(3)
+    db = cal.CalibrationDb()
+    circuits = [0, 128, 256, 384]
+    cal.calibrate_readout_shift(w, db, 0, neurons=circuits)
+    reading = cal.direct_reversal_readout(w, db, 0, circuits)
+    e_leak = true_parameter_array(w, 0, "e_leak", d_eff=455)[circuits]
+    e_synx = true_parameter_array(w, 0, "e_synx", d_eff=853)[circuits]
+    assert reading.shape == (4,)
+    assert np.all((e_leak < reading) & (reading < e_synx))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,215 @@ def test_record_subset_of_units():
     full = run(p, 0.01)
     assert np.array_equal(res.v[0], full.v[3])
     assert np.array_equal(res.v[1], full.v[1])
+
+
+# ---- pinned traces ---------------------------------------------------------
+# Each case drives a different per-run shortcut of ``integrate``. The
+# digests cover the trace array and the spike raster; they were computed
+# with the loop as it was before the shortcuts existed, so every shortcut
+# must be bit-exact.
+
+def _queue(times, units, amounts, dt=1e-4):
+    return EventQueue.from_times(np.asarray(times, float),
+                                 np.asarray(units), np.asarray(amounts, float), dt)
+
+
+def _case_psp_x_saturates():
+    # strong kicks saturate units 0-1, weak ones leave 2-3 linear; the
+    # inhibitory side has no input and no permanent conductance
+    p = leak_params(n=4, i_sat=5e-11)
+    q = EventQueue.from_boundaries(
+        np.array([-3, 40, 40, 40, 40, 200]), np.array([2, 0, 1, 2, 3, 1]),
+        np.array([3e-12, 1e-6, 4e-9, 2e-12, 1e-12, 1e-6]))
+    return p, dict(events_x=q, v_init=np.full(4, 0.7))
+
+
+def _case_permanent_saturation():
+    # no events, but permanent conductances: the saturation test still
+    # depends on the membrane at every step
+    p = leak_params(n=3, i_sat=5e-11, g_base_x=np.array([1e-9, 2e-11, 0.0]),
+                    g_base_i=np.array([0.0, 3e-11, 1e-9]))
+    return p, dict(v_init=np.array([0.3, 0.7, 1.1]))
+
+
+def _case_inhibitory_only():
+    p = leak_params(n=3, e_leak=np.array([0.7, 0.8, 0.9]))
+    q = _queue([0.002, 0.002, 0.011, 0.0205], [0, 2, 1, 0],
+               [5e-12, 2e-12, 8e-12, 3e-12])
+    return p, dict(events_i=q)
+
+
+def _case_spiking_refractory():
+    # constant drive, finite saturation current, three refractory times
+    p = leak_params(n=3, e_leak=2.0, v_threshold=0.9, i_sat=5e-11,
+                    tau_ref=np.array([0.0, 2e-3, 5e-3]))
+    return p, dict()
+
+
+def _case_nonconductive():
+    # unit 0 has no conductance at all and drifts on its leak term; unit 2
+    # receives events
+    p = UnitParams.build(3, capacitance=2.16e-12,
+                         g_leak=np.array([0.0, 1.2e-10, 1.2e-10]),
+                         g_leak_e=np.array([2e-13, 8.4e-11, 9e-11]),
+                         v_threshold=2.0, v_reset=0.5, e_synx=1.4, e_syni=0.3,
+                         tau_synx=1.1e-3, tau_syni=1.1e-3)
+    return p, dict(events_x=_queue([0.005], [2], [4e-12]),
+                   v_init=np.array([0.4, 0.6, 0.7]))
+
+
+def _case_nonconductive_static():
+    p, kw = _case_nonconductive()
+    return p, dict(v_init=kw["v_init"])
+
+
+def _case_recurrent():
+    # units 0 and 1 fire; 0 excites 2 and inhibits 3, 1 excites 3
+    p = leak_params(n=4, e_leak=np.array([2.0, 1.6, 0.7, 0.7]),
+                    v_threshold=0.9, tau_ref=1e-3, i_sat=5e-11)
+    rx = SynapticMatrix.from_triplets(4, [0, 1, 1], [2, 3, 3], [3e-12, 2e-12, 1e-12])
+    ri = SynapticMatrix.from_triplets(4, [0], [3], [4e-12])
+    return p, dict(recurrent_x=rx, recurrent_i=ri,
+                   events_x=_queue([0.004], [3], [2e-12]))
+
+
+def _case_psp_on_permanent():
+    # events on top of permanent conductances on both sides
+    p = leak_params(n=3, i_sat=5e-11, g_base_x=np.array([2e-11, 4e-11, 0.0]),
+                    g_base_i=np.array([1e-11, 0.0, 3e-11]))
+    return p, dict(events_x=_queue([0.002, 0.002, 0.012], [0, 2, 1],
+                                   [3e-12, 5e-12, 2e-11]))
+
+
+def _case_negative_amounts():
+    # an unchecked queue can pull the conductance below zero
+    p = leak_params(n=2)
+    q = EventQueue.from_boundaries(np.array([30, 60]), np.array([0, 1]),
+                                   np.array([-3e-10, 2e-12]))
+    return p, dict(events_i=q, v_init=np.array([0.6, 0.7]))
+
+
+def _case_signed_zero():
+    # unit 0 has no conductance and a leak term of -0.0: its drift keeps
+    # the sign of zero that num carries
+    p = UnitParams.build(2, capacitance=2.16e-12, g_leak=np.array([0.0, 1.2e-10]),
+                         g_leak_e=np.array([-0.0, 8.4e-11]), v_threshold=2.0,
+                         v_reset=0.5, e_synx=np.array([-1.0, 1.4]), e_syni=0.3)
+    return p, dict(events_x=_queue([0.004], [1], [3e-12]),
+                   v_init=np.array([-0.0, 0.7]))
+
+
+def _case_psp_i_saturates():
+    # the excitatory side has no input; strong inhibitory kicks saturate
+    p = leak_params(n=3, i_sat=5e-11)
+    return p, dict(events_i=_queue([0.003, 0.003, 0.01], [0, 1, 2],
+                                   [1e-6, 2e-12, 5e-9]))
+
+
+def _case_negative_i_sat():
+    # a negative saturation current counts even a zero conductance as
+    # saturated: the membrane is held between the reversal potentials
+    p = leak_params(n=2, e_leak=2.0, v_threshold=3.0,
+                    i_sat=np.array([-1.0, 5e-11]))
+    return p, dict()
+
+
+def _case_negative_zero_conductance():
+    # a negative kick with a zero decay factor leaves g at -0.0, which the
+    # sum g + g_base turns into +0.0 and the drift shows (unit 0 on the
+    # excitatory side, unit 1 on the inhibitory side)
+    p = UnitParams.build(2, capacitance=2.16e-12, g_leak=0.0, g_leak_e=-0.0,
+                         v_threshold=2.0, v_reset=0.5,
+                         e_synx=np.array([0.0, -1.0]), e_syni=np.array([-1.0, 0.0]),
+                         tau_synx=np.array([1e-9, 1.1e-3]),
+                         tau_syni=np.array([1.1e-3, 1e-9]))
+    kick = dict(boundary=np.array([0]), amounts=np.array([-1e-12]))
+    return p, dict(
+        events_x=EventQueue.from_boundaries(units=np.array([0]), **kick),
+        events_i=EventQueue.from_boundaries(units=np.array([1]), **kick),
+        v_init=np.array([-0.0, -0.0]))
+
+
+def _case_record_subset():
+    p, kw = _case_psp_x_saturates()
+    return p, dict(kw, record_units=[3, 1, 3])
+
+
+def _case_record_permuted():
+    p, kw = _case_psp_x_saturates()
+    return p, dict(kw, record_units=[1, 0, 3, 2])
+
+
+def _case_record_none():
+    p, kw = _case_spiking_refractory()
+    return p, dict(kw, record_units=[])
+
+
+def _case_tau_ref_not_finite():
+    # an infinite or NaN refractory time holds the unit at reset for good
+    p = leak_params(n=3, e_leak=2.0, v_threshold=0.9,
+                    tau_ref=np.array([np.inf, np.nan, 1e-3]))
+    return p, dict()
+
+
+def _case_decay_not_finite():
+    # a negative synaptic time constant overflows the decay factor, so the
+    # excitatory conductance turns NaN although no event ever lands
+    p = leak_params(n=2, tau_synx=-1e-7)
+    return p, dict(events_i=_queue([0.003], [1], [2e-12]))
+
+
+PINNED_CASES = {
+    "psp_x_saturates": (_case_psp_x_saturates,
+        "080789e9f9b4bfdb9f65b3a8050e082635854ac69d905a1c9715122d8d8776ac"),
+    "permanent_saturation": (_case_permanent_saturation,
+        "87946469f632fe6c504dff00cb97140b7d30fea87f17475138e2658393bee4b2"),
+    "inhibitory_only": (_case_inhibitory_only,
+        "2647bf0e299b5351549f19b1b3df4a8d64b1179777c77527a7e23a4e8f39dab0"),
+    "spiking_refractory": (_case_spiking_refractory,
+        "80cfcd4037986f9b56b7354bc25ab248dd90f0de36726bf67f00b091d1d92bfa"),
+    "nonconductive": (_case_nonconductive,
+        "13bc01fa84cf6518b39a53ac99aad67066f3ee6b9581f6fbfed0759f084781c7"),
+    "nonconductive_static": (_case_nonconductive_static,
+        "01b42c5bb35153318dd908ac50613eae4ed82b2c4cfd6ab9f524ca76e02d778e"),
+    "recurrent": (_case_recurrent,
+        "c29df0c73b7e6854867233b1681b3223eb7b7266df905f72be09e54c8b409a83"),
+    "psp_on_permanent": (_case_psp_on_permanent,
+        "dfb7518c9ec25fe1f5b3ef63001829feaad3fbe253779e4bd19e51f46c30c12e"),
+    "negative_amounts": (_case_negative_amounts,
+        "753f0b144c6e7a9969788d65ab5bc92d85df2d4027d4a8d604c5a3cb30bc6cc8"),
+    "signed_zero": (_case_signed_zero,
+        "1da9ea1efcf258a0131f359f2fba19356eb756ccd8bf3a665c8023b2b7c94d8c"),
+    "psp_i_saturates": (_case_psp_i_saturates,
+        "c4e2c300df4a9732403c032b0e758630f81ef937e507c6ae80816a923900f8d5"),
+    "negative_i_sat": (_case_negative_i_sat,
+        "9fe7d790e2f981cdaa78c151243f752b03a4b776aa6417a817d2eb92e605c1c5"),
+    "negative_zero_conductance": (_case_negative_zero_conductance,
+        "eb32bfb95a9e6fce093500053becb769839571719bd73a4e7486293bf437b8ee"),
+    "record_subset": (_case_record_subset,
+        "f316467bc77939d373fae68861f695e5a4b5e0272cb3a824a630801ed6b00343"),
+    "record_permuted": (_case_record_permuted,
+        "f88fdfed434dad0a4488808e6656ae29a514408724e2d9b41407e6adbc70cb55"),
+    "record_none": (_case_record_none,
+        "dec97c78a1f2035d04e403c8fe4d215641660ec15ec14a9cbbf8a34f75f532e0"),
+    "tau_ref_not_finite": (_case_tau_ref_not_finite,
+        "7d16a9923d436fd2f76ff8a41cc1d0376b8950b83dc2e40e7591d946cecfbda8"),
+    "decay_not_finite": (_case_decay_not_finite,
+        "f5b627c38812ab9d7ce9b12689be0e754fd72f950342a4dc55ac2d7bd78816c3"),
+}
+
+
+def _trace_digest(res) -> str:
+    h = hashlib.sha256()
+    for a in (res.v, res.spike_units, res.spike_times):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pinned_traces(name):
+    build, digest = PINNED_CASES[name]
+    params, kw = build()
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = run(params, 0.03, **kw)
+    assert _trace_digest(res) == digest

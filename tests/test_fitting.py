@@ -5,8 +5,8 @@ import pytest
 
 from waferforge import fitting
 from waferforge.fitting import (FitError, damped_gauss_newton, estimate_noise,
-                                fit_linear, fit_psp, fit_psp_batch, fit_reciprocal,
-                                fit_softplus, psp_model_batch)
+                                fit_linear, fit_psp, fit_psp_batch, fit_softplus,
+                                psp_model_batch)
 from waferforge.psp import psp_analytic
 from waferforge.wafer import softplus_tau
 
@@ -81,14 +81,6 @@ def test_fit_linear_exact_and_batched():
     assert (slope, icpt) == (2.0, 1.0) and red < 1e-12
     s, i, _ = fit_linear(x, np.stack([3.0 * x - 1.0, np.full(4, 2.0)]))
     assert np.allclose(s, [3.0, 0.0]) and np.allclose(i, [-1.0, 2.0])
-
-
-def test_fit_reciprocal_recovers_refractory_law():
-    tau = np.array([0.0, 5e-4, 1e-3, 3e-3, 6e-3, 1e-2])
-    i = 1.0 / (0.45 + 220.0 * tau)
-    c0, c1, red = fit_reciprocal(i, tau)
-    assert abs(c0 - 0.45) < 1e-9
-    assert abs(c1 - 220.0) / 220.0 < 1e-9
 
 
 def test_fit_softplus_recovers_law():
