@@ -35,7 +35,9 @@ results are those of one integration per point. The PSP sweeps (i_gl,
 v_syntcx/i, e_synx) and the spiking sweeps (v_reset, v_threshold) keep
 one integration per point and reduce each point before the next runs:
 their full-length traces would make a batched sweep hold K times the
-memory of one point.
+memory of one point. A PSP point's threshold sits above every reversal
+potential, so it cannot spike and ``simulate_batch`` solves it as a
+prefix scan instead of a step loop.
 
 Results live in a CalibrationDb: one entry per (coordinate, parameter)
 with the model name, coefficients, a reduced chi-square and a validity

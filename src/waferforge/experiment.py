@@ -13,12 +13,14 @@ external stimuli inject events on channels directly.
 
 ``prepare`` compiles the network against the floating-gate state of the
 moment and builds its event queues, trace selection and initial voltages.
-``simulate_batch`` integrates prepared runs of one duration and step as one
-block-diagonal network (a single ``integrate`` call) and splits the result
-into one ``SimResult`` per run. Every per-unit update of the integrator is
-elementwise, so a run's result does not depend on its batch: a calibration
-sweep can program and prepare all its points, then integrate them together.
-``simulate`` is the batch of one.
+``simulate_batch`` integrates prepared runs of one duration and step and
+returns one ``SimResult`` per run. It decides per run, from properties of the
+run alone: a run that provably cannot spike and whose events are sparse
+(every single-PSP calibration run) is solved by ``integrate_scan`` on its
+own; the other runs are integrated together as one block-diagonal network by
+``integrate``, whose per-unit updates are elementwise. So a run's result does
+not depend on its batch: a calibration sweep can program and prepare all its
+points, then integrate them together. ``simulate`` is the batch of one.
 
 ``readout`` digitizes up to 12 stored traces through the ADC chain;
 ``run_experiment`` is the one-shot combination. Splitting integration from
@@ -33,7 +35,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import EngineResult, EventQueue, SynapticMatrix, UnitParams, integrate
+from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
+                       cannot_spike, integrate, integrate_scan)
 from .topology import Coord
 from .wafer import (WaferModel, adc_readout, conductance_step_array,
                     efficacy_arrays, true_parameter_array)
@@ -41,6 +44,7 @@ from .wafer import (WaferModel, adc_readout, conductance_step_array,
 DEFAULT_DT = 1e-4  # biological seconds per integration step
 ADDRESS_BITS = 4
 READOUT_TRACES = 12  # membrane traces the analog readout samples at once
+SCAN_MIN_SEGMENT = 8  # mean steps between event boundaries of a scanned run
 
 
 class RecordingLimitError(ValueError):
@@ -378,24 +382,33 @@ def _stack_matrices(matrices, starts, n: int) -> SynapticMatrix | None:
                                         np.concatenate(amount))
 
 
-def simulate_batch(runs) -> list[SimResult]:
-    """Integrate prepared runs of one duration and step in one pass.
+def _scanned(run: PreparedRun, n_steps: int) -> bool:
+    """Whether a run goes through ``integrate_scan`` rather than the loop.
 
-    The runs become one block-diagonal network: unit parameters are
-    concatenated, event, connection and trace units are offset, and the
-    result is split back into per-run ``SimResult``s whose unit numbering is
-    the run's own (trace rows are views into the batch's trace array).
+    Only properties of the run decide: it has no recurrent connection,
+    ``cannot_spike`` holds, and its event boundaries leave segments of at
+    least ``SCAN_MIN_SEGMENT`` steps on average (a run without events keeps
+    ``integrate``'s constant path).
     """
-    runs = list(runs)
-    duration, dt = runs[0].duration, runs[0].dt
-    if any(r.duration != duration or r.dt != dt for r in runs):
-        raise ValueError("runs in one batch must share duration and dt")
+    net = run.compiled
+    if any(m is not None and m.n_connections
+           for m in (net.recurrent_x, net.recurrent_i)):
+        return False
+    bounds = np.concatenate([run.events_x.boundary, run.events_i.boundary])
+    landing = np.unique(np.maximum(bounds[bounds < n_steps], 0))
+    return (0 < landing.shape[0] * SCAN_MIN_SEGMENT <= n_steps
+            and cannot_spike(net.params, run.v0, run.dt, n_steps,
+                             run.events_x, run.events_i))
+
+
+def _integrate_stacked(runs, duration: float, dt: float) -> EngineResult:
+    """Integrate runs as one block-diagonal network (one ``integrate`` call)."""
     starts = np.cumsum([0] + [r.compiled.params.n_units for r in runs])
     n = int(starts[-1])
     params = UnitParams(**{f.name: np.concatenate(
         [getattr(r.compiled.params, f.name) for r in runs])
         for f in fields(UnitParams)})
-    engine = integrate(
+    return integrate(
         params, duration, dt,
         events_x=_stack_events([r.events_x for r in runs], starts),
         events_i=_stack_events([r.events_i for r in runs], starts),
@@ -407,16 +420,51 @@ def simulate_batch(runs) -> list[SimResult]:
                                      for r, s in zip(runs, starts)]),
         v_init=np.concatenate([r.v0 for r in runs]))
 
+
+def simulate_batch(runs) -> list[SimResult]:
+    """Integrate prepared runs of one duration and step.
+
+    Runs that ``_scanned`` selects are integrated one at a time by
+    ``integrate_scan``; the others become one block-diagonal network for
+    ``integrate``: unit parameters are concatenated, event, connection and
+    trace units are offset, and the result is split back. Either way each
+    ``SimResult``'s unit numbering is the run's own, and its trace rows are
+    views into one trace array of the batch.
+    """
+    runs = list(runs)
+    duration, dt = runs[0].duration, runs[0].dt
+    if any(r.duration != duration or r.dt != dt for r in runs):
+        raise ValueError("runs in one batch must share duration and dt")
+    n_steps = int(round(duration / dt))
+    scanned = [_scanned(r, n_steps) for r in runs]
+    looped = [r for r, s in zip(runs, scanned) if not s]
+    stacked = _integrate_stacked(looped, duration, dt) if looped else None
+    if not any(scanned):
+        traces = stacked.v
+    else:
+        traces = np.empty((sum(r.trace_units.shape[0] for r in runs),
+                           n_steps + 1))
+
     out = []
-    row = 0
-    for r, lo, hi in zip(runs, starts[:-1], starts[1:]):
+    row = lo = s_row = 0  # lo, s_row: unit and trace row in the loop's network
+    for r, scan in zip(runs, scanned):
         rows = r.trace_units.shape[0]
-        own = (engine.spike_units >= lo) & (engine.spike_units < hi)
-        part = EngineResult(dt=dt, n_steps=engine.n_steps,
-                            record_units=r.trace_units, t=engine.t,
-                            v=engine.v[row:row + rows],
-                            spike_units=engine.spike_units[own] - lo,
-                            spike_times=engine.spike_times[own])
+        v = traces[row:row + rows]
+        if scan:
+            part = integrate_scan(r.compiled.params, duration, dt,
+                                  events_x=r.events_x, events_i=r.events_i,
+                                  record_units=r.trace_units, v_init=r.v0,
+                                  out=v)
+        else:
+            if traces is not stacked.v:
+                v[:] = stacked.v[s_row:s_row + rows]
+            hi = lo + r.compiled.params.n_units
+            own = (stacked.spike_units >= lo) & (stacked.spike_units < hi)
+            part = EngineResult(dt=dt, n_steps=n_steps,
+                                record_units=r.trace_units, t=stacked.t, v=v,
+                                spike_units=stacked.spike_units[own] - lo,
+                                spike_times=stacked.spike_times[own])
+            lo, s_row = hi, s_row + rows
         row += rows
         out.append(SimResult(compiled=r.compiled, engine=part,
                              duration=duration, dt=dt,

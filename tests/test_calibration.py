@@ -11,6 +11,14 @@ from waferforge.wafer import build_wafer, fg_dac_array, true_parameter_array
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
 # leave every coefficient and verdict bit-for-bit as it was
 EARLY_OPS_DIGEST = "07965219d83f4866293ee1d77a7fabe4bb797846664ae10513e2c768a74d55d8"
+# the same for the whole suite, which adds i_gl, v_syntcx, v_syntci and
+# e_synx: single-PSP runs that the integrator solves as prefix scans
+LATE_OPS_DIGEST = "40fde814900f076c9bb8046df3b2ec2708ddcc6019a6c669b0803ea7381d97e3"
+
+
+def _digest(db) -> str:
+    return hashlib.sha256(
+        json.dumps(db.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 def test_early_ops_reproduce_reference_db():
@@ -26,9 +34,14 @@ def test_early_ops_reproduce_reference_db():
     # 4 circuits x 7 per-circuit ops, plus one v_reset entry per FG block
     assert len(db) == 32
     assert all(e.valid for e in db.entries())
-    digest = hashlib.sha256(
-        json.dumps(db.to_json(), sort_keys=True).encode()).hexdigest()
-    assert digest == EARLY_OPS_DIGEST
+    assert _digest(db) == EARLY_OPS_DIGEST
+
+
+def test_late_ops_reproduce_reference_db():
+    db = cal.calibrate_hicann(build_wafer(3), None, 0,
+                              neurons=range(0, 512, 128))
+    assert len(db) == 48
+    assert _digest(db) == LATE_OPS_DIGEST
 
 
 def test_i_pulse_needs_its_prerequisites():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,7 +8,9 @@ from waferforge.dynamics import (
     EventQueue,
     SynapticMatrix,
     UnitParams,
+    cannot_spike,
     integrate,
+    integrate_scan,
 )
 from waferforge.psp import psp_analytic, psp_peak_factor, psp_peak_time
 
@@ -141,6 +144,26 @@ def test_synaptic_matrix_accumulate_matches_dense():
 def test_synaptic_matrix_rejects_negative():
     with pytest.raises(ValueError):
         SynapticMatrix.from_triplets(2, [0], [0], [-1e-12])
+
+
+def test_synaptic_matrix_rejects_nan():
+    with pytest.raises(ValueError):
+        SynapticMatrix.from_triplets(2, [0, 1], [1, 0], [1e-12, np.nan])
+
+
+def test_event_queue_rejects_nan_amounts():
+    with pytest.raises(ValueError):
+        EventQueue.from_times([0.001, 0.002], [0, 0], [1e-12, np.nan], 1e-4)
+
+
+def test_event_queue_rejects_descending_boundaries():
+    with pytest.raises(ValueError):
+        EventQueue(np.array([3, 2]), np.array([0, 0]), np.array([1e-12, 1e-12]))
+    # from_boundaries sorts, and an empty queue is ascending
+    q = EventQueue.from_boundaries(np.array([3, 2]), np.array([0, 0]),
+                                   np.array([1e-12, -1e-12]))
+    assert np.array_equal(q.boundary, [2, 3])
+    assert EventQueue.empty().boundary.shape == (0,)
 
 
 def test_saturation_limits_charge_rate():
@@ -388,3 +411,114 @@ def test_pinned_traces(name):
     with np.errstate(invalid="ignore", over="ignore"):
         res = run(params, 0.03, **kw)
     assert _trace_digest(res) == digest
+
+
+# ---- prefix scan -----------------------------------------------------------
+# integrate_scan solves runs that cannot spike in whole-array chunks; it must
+# agree with the step loop to rounding, far below the ADC's 0.44 mV step.
+
+SCAN_TOL = 1e-12  # volts
+
+
+def _random_psp_run(rng, sides):
+    n = int(rng.integers(1, 10))
+    n_steps = int(rng.integers(50, 1000))
+    p = leak_params(
+        n=n, e_leak=rng.uniform(0.3, 1.0, n), g_leak=rng.uniform(2e-11, 3e-10, n),
+        e_synx=rng.uniform(1.0, 1.5, n), e_syni=rng.uniform(0.1, 0.5, n),
+        tau_synx=rng.uniform(3e-4, 1e-2, n), tau_syni=rng.uniform(3e-4, 1e-2, n),
+        g_base_x=rng.choice([0.0, 1e-11, 6e-11], n),
+        g_base_i=rng.choice([0.0, 3e-11], n),
+        i_sat=rng.choice([np.inf, 5e-11, 1e-10]))
+    kw = dict(v_init=rng.uniform(0.2, 1.2, n))
+    for side in sides:
+        k = int(rng.integers(1, 25))
+        # a third are strong kicks that drive the amplifier into saturation
+        amounts = np.where(rng.random(k) < 0.3, rng.uniform(1e-9, 1e-6, k),
+                           rng.uniform(1e-13, 1e-11, k))
+        kw["events_" + side] = EventQueue.from_boundaries(
+            rng.integers(-2, n_steps + 5, k), rng.integers(0, n, k), amounts)
+    return p, n_steps * 1e-4, kw
+
+
+@pytest.mark.parametrize("sides", ["x", "i", "xi", ""])
+def test_scan_matches_loop_randomized(sides):
+    rng = np.random.default_rng(2024 + len(sides) + 7 * sides.count("i"))
+    saturated = 0
+    for _ in range(16):
+        p, duration, kw = _random_psp_run(rng, sides)
+        loop = integrate(p, duration, **kw)
+        scan = integrate_scan(p, duration, **kw)
+        assert np.max(np.abs(scan.v - loop.v)) <= SCAN_TOL
+        assert loop.spike_units.shape == scan.spike_units.shape == (0,)
+        assert loop.spike_times.shape == scan.spike_times.shape == (0,)
+        assert scan.spike_units.dtype == loop.spike_units.dtype
+        assert np.array_equal(scan.t, loop.t)
+        free = dataclasses.replace(p, i_sat=np.full(p.n_units, np.inf))
+        saturated += not np.array_equal(loop.v, integrate(free, duration, **kw).v)
+    if sides:  # the saturation hand-over is exercised
+        assert saturated >= 5
+
+
+def test_scan_matches_pinned_cases():
+    # every pinned case that provably cannot spike, with its record set
+    scanned = set()
+    for name, (build, _) in sorted(PINNED_CASES.items()):
+        p, kw = build()
+        n_steps = 300
+        v0 = p.v_reset if kw.get("v_init") is None else kw["v_init"]
+        if "recurrent_x" in kw or not cannot_spike(
+                p, v0, 1e-4, n_steps, kw.get("events_x", EventQueue.empty()),
+                kw.get("events_i", EventQueue.empty())):
+            continue
+        loop = run(p, 0.03, **kw)
+        out = np.full(loop.v.shape, np.nan)
+        scan = integrate_scan(p, 0.03, out=out, **kw)
+        assert scan.v is out
+        assert np.max(np.abs(out - loop.v)) <= SCAN_TOL
+        assert np.array_equal(scan.record_units, loop.record_units)
+        scanned.add(name)
+    assert scanned == {"inhibitory_only", "negative_i_sat",
+                       "permanent_saturation", "psp_i_saturates",
+                       "psp_on_permanent", "psp_x_saturates", "record_permuted",
+                       "record_subset"}
+
+
+def test_scan_hands_over_when_saturation_starts_after_the_event():
+    # at rest the permanent excitatory current is just below i_sat; an
+    # inhibitory kick pulls the membrane away from e_synx, so that side
+    # saturates only from a few steps after the kick on, inside a chunk
+    p = leak_params(n=2, e_leak=0.5, g_leak=1e-10, e_synx=1.4, e_syni=0.95,
+                    g_base_x=1.2e-10, i_sat=5e-11)
+    rest = (0.5e-10 + 1.2e-10 * 1.4) / 2.2e-10
+    kw = dict(events_i=EventQueue.from_boundaries(
+        np.array([50, 50, 170]), np.array([0, 1, 0]),
+        np.array([1e-9, 2e-10, 6e-10])), v_init=np.full(2, rest))
+    loop = run(p, 0.03, **kw)
+    free = run(dataclasses.replace(p, i_sat=np.full(2, np.inf)), 0.03, **kw)
+    first = np.flatnonzero(loop.v[0] != free.v[0])[0]
+    assert first > 52  # the step after the kick's is not yet saturated
+    scan = integrate_scan(p, 0.03, **kw)
+    assert np.max(np.abs(scan.v - loop.v)) <= SCAN_TOL
+
+
+def test_scan_refuses_runs_that_may_spike():
+    dt = 1e-4
+    psp = _queue([0.002], [0], [3e-12])
+    # the rest, a reversal or the start lies above threshold
+    for p, v0 in ((leak_params(e_leak=1.2, v_threshold=0.9), 0.7),
+                  (leak_params(e_synx=2.5), 0.7),
+                  (leak_params(), 2.5)):
+        assert not cannot_spike(p, np.array([v0]), dt, 300, psp,
+                                EventQueue.empty())
+        with pytest.raises(ValueError):
+            integrate_scan(p, 0.03, events_x=psp, v_init=[v0])
+    # a negative amount can pull a conductance below zero
+    p, kw = _case_negative_amounts()
+    assert not cannot_spike(p, kw["v_init"], dt, 300, EventQueue.empty(),
+                            kw["events_i"])
+    # without leak, the membrane may drift without bound
+    p = leak_params(g_leak=0.0)
+    assert not cannot_spike(p, np.array([0.7]), dt, 300, psp, EventQueue.empty())
+    assert cannot_spike(leak_params(), np.array([0.7]), dt, 300, psp,
+                        EventQueue.empty())

@@ -6,6 +6,8 @@ import pytest
 from waferforge.topology import Coord
 from waferforge.variability import VariabilityConfig
 from waferforge.wafer import build_wafer, program_floating_gates
+from waferforge import experiment
+from waferforge.dynamics import EventQueue, cannot_spike, integrate
 from waferforge.experiment import (
     EmitterSpec,
     HicannConfig,
@@ -352,3 +354,83 @@ def test_batch_rejects_mismatched_timing():
         simulate_batch([a, prepare(w, cfg, [], 0.06)])
     with pytest.raises(ValueError):
         simulate_batch([a, prepare(w, cfg, [], 0.05, dt=5e-5)])
+
+
+# ---------------------------------------------------------------------------
+# runs that cannot spike are integrated by the prefix scan
+
+
+def n_steps_of(run):
+    return int(round(run.duration / run.dt))
+
+
+def loop_alone(run):
+    """The run through the step loop, whichever path it would take."""
+    return integrate(run.compiled.params, run.duration, run.dt,
+                     events_x=run.events_x, events_i=run.events_i,
+                     recurrent_x=run.compiled.recurrent_x,
+                     recurrent_i=run.compiled.recurrent_i,
+                     record_units=run.trace_units, v_init=run.v0)
+
+
+def assert_same_engine(a, b):
+    for name in ("v", "spike_units", "spike_times", "t", "record_units"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+def test_mixed_batch_matches_separate_runs():
+    w = quiet_wafer()
+    stim = [("in", 0, 0.01), ("in", 0, 0.011), ("in", 0, 0.03)]
+    strong, strong_alone = prepare_and_simulate(
+        w, psp_config([3, 4, 6], gmax_div=1), stim, 0.05, v_init="rest")
+    inh, inh_alone = prepare_and_simulate(
+        w, psp_config([1, 2], sign="i"), [("in", 0, 0.02)], 0.05,
+        v_init=np.array([0.5, 0.9]), trace_circuits=[Coord.neuron(0, 2)])
+    program_floating_gates(w, 0, spiking_values())
+    spiking, spiking_alone = prepare_and_simulate(
+        w, psp_config([7, 8]), [("in", 0, 0.02)], 0.05)
+    rest, rest_alone = prepare_and_simulate(
+        w, HicannConfig(hicann=0, enabled=[9]), [], 0.05, v_init="rest")
+    assert saturates(strong)
+    scanned = [experiment._scanned(r, n_steps_of(r))
+               for r in (strong, inh, spiking, rest)]
+    assert scanned == [True, True, False, False]
+    assert len(spiking_alone.raster()[Coord.neuron(0, 7)]) >= 3
+
+    order = [spiking, strong, rest, inh, strong]
+    alone = [spiking_alone, strong_alone, rest_alone, inh_alone, strong_alone]
+    batch = simulate_batch(order)
+    for batched, single in zip(batch, alone):
+        assert_same_run(batched, single)
+    # trace rows are views into one array of the batch
+    assert all(b.engine.v.base is batch[0].engine.v.base for b in batch)
+    # the scanned runs agree with the step loop to rounding
+    for run, res in ((strong, batch[1]), (inh, batch[3])):
+        loop = loop_alone(run)
+        assert np.max(np.abs(res.engine.v - loop.v)) <= 1e-12
+        assert loop.spike_units.shape == (0,)
+
+
+def test_runs_the_scan_cannot_take_stay_on_the_loop():
+    w = build_wafer(6)
+    program_floating_gates(w, 0, spiking_values())
+    # it can spike
+    spiking = prepare(w, psp_config([3, 4]), [("in", 0, 0.02)], 0.05)
+    # it has a recurrent connection (a quiet circuit, but connected)
+    program_floating_gates(w, 0, {"v_threshold": 1023, "e_leak": 398})
+    recurrent = prepare(w, recurrent_config(0, 9, "x"), [], 0.05)
+    recurrent.events_x = EventQueue.from_times([0.01], [1], [2e-12], 1e-4)
+    # it carries a negative amount
+    negative = prepare(w, psp_config([5], sign="i"), [("in", 0, 0.02)], 0.05)
+    negative.events_i = EventQueue.from_boundaries(
+        np.array([100, 300]), np.array([0, 0]), np.array([-3e-10, 2e-12]))
+    # its events leave segments of fewer than a few steps
+    dense = prepare(w, psp_config([6]), [("in", 0, 0.0001 * k)
+                                         for k in range(500)], 0.05)
+    for run in (recurrent, dense):  # quiet, but not scanned
+        assert cannot_spike(run.compiled.params, run.v0, run.dt,
+                            n_steps_of(run), run.events_x, run.events_i)
+    for run in (spiking, recurrent, negative, dense):
+        assert not experiment._scanned(run, n_steps_of(run))
+        assert_same_engine(simulate_batch([run])[0].engine, loop_alone(run))
+    assert len(simulate_batch([spiking])[0].raster()[Coord.neuron(0, 3)]) > 0
