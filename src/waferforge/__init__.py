@@ -3,8 +3,8 @@
 The package models one wafer module end to end: static topology, a
 ground-truth hardware model with fixed-pattern variability, commissioning
 (communication, memory and analog readout tests plus availability closure),
-the calibration suite, network mapping and routing, and synfire-chain
-experiments. Everything is deterministic given a master seed.
+the per-circuit calibration suite and configured experiments on the
+calibrated circuits. Everything is deterministic given a master seed.
 """
 
 from .topology import Coord, Direction, Kind, TopologyConfig, resource_count

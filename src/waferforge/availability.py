@@ -18,7 +18,8 @@ import json
 
 import numpy as np
 
-from .topology import Coord, Kind, TopologyConfig, validate_coord
+from .topology import (Coord, Kind, TopologyConfig, check_schema,
+                       validate_coord)
 
 SCHEMA = "waferforge.availability/1"
 
@@ -116,8 +117,7 @@ class AvailabilityState:
 
     @classmethod
     def from_json(cls, data: dict, topology: TopologyConfig) -> "AvailabilityState":
-        if data.get("schema", SCHEMA).split("/")[0] != SCHEMA.split("/")[0]:
-            raise ValueError(f"unexpected schema {data.get('schema')!r}")
+        check_schema(data.get("schema", SCHEMA), SCHEMA)
         state = cls(topology)
         for kind_value, coords in data.get("excluded", {}).items():
             kind = Kind(kind_value)

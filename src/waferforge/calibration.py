@@ -17,7 +17,6 @@ reduce to an observable, and fit a small model per circuit:
   i_gl           softplus    membrane time constant vs leak current (uA)
   v_syntcx/i     softplus    synaptic time constant vs bias voltage (V)
   e_synx         linear      reversal from PSP-height extrapolation vs DAC
-  weight         weight      wafer-wide conductance-per-capacitance model
 
 Measurements respect the instrument limits: at most 12 traces per
 readout pass (one simulation is digitized in as many passes as needed)
@@ -58,9 +57,9 @@ from .availability import AvailabilityDb
 from .commissioning import effective_exclusion
 from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
                          prepare, readout, simulate, simulate_batch)
-from .fitting import estimate_noise, fit_linear, fit_psp_batch, fit_softplus
-from .psp import is_alpha, peak_factor, psp_model_batch, smooth3
-from .topology import Coord, Kind, TopologyConfig
+from .fitting import fit_linear, fit_psp_batch, fit_softplus
+from .psp import psp_model_batch, smooth3
+from .topology import Coord, Kind, TopologyConfig, check_schema
 from .wafer import (WaferModel, dac_to_ua, dac_to_volts, inverse_softplus_tau,
                     program_floating_gates, softplus_tau)
 
@@ -75,13 +74,20 @@ PSP_DT = 1e-4
 # the cell dominates the per-point error budget of any voltage measurement
 WRITE_SIGMA = 2.0 * 1.8 / 1023
 
-CALIBRATION_ORDER = (
-    "readout_shift", "v_reset", "v_threshold", "e_leak", "e_syni", "i_pulse",
-    "v_convoffx", "v_convoffi", "i_gl", "v_syntcx", "v_syntci", "e_synx",
-    "weight",
-)
+# v_convoff: one grid step below the transition already leaks >100 mV, so
+# the rest tolerance only has to clear the write/readout noise of two points
+CONVOFF_TOL = 2.5e-2
+CONVOFF_MARGIN_STEPS = 1
 
-# prerequisite entries a circuit must hold before an op may use it
+# digital weight of the single synapse behind each e_synx PSP
+E_SYNX_WEIGHT = 9
+
+# a fit whose reduced chi-square reaches this limit is not valid, and
+# calibration_exclusion drops any circuit whose entries reach it
+RED_CHI2_MAX = 10.0
+
+# prerequisite entries a circuit must hold before an op may use it, with the
+# ops in the order calibrate_hicann runs them
 REQUIRES = {
     "readout_shift": (),
     "v_reset": ("readout_shift",),
@@ -95,9 +101,8 @@ REQUIRES = {
     "v_syntcx": ("readout_shift", "e_leak", "v_convoffx", "i_gl"),
     "v_syntci": ("readout_shift", "e_leak", "v_convoffi", "i_gl"),
     "e_synx": ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx"),
-    "weight": ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx",
-               "e_synx"),
 }
+CALIBRATION_ORDER = tuple(REQUIRES)
 
 # target name -> (entry parameter, floating-gate parameter)
 _TARGET_MAP = {
@@ -134,23 +139,24 @@ class RangeError(ValueError):
 
 @dataclass
 class CalibrationEntry:
-    coord: Coord | None  # None = wafer-wide entry
+    coord: Coord
     parameter: str
-    model: str  # constant | linear | reciprocal | softplus | weight
+    model: str  # constant | linear | reciprocal | softplus
     coeffs: tuple
     red_chi2: float
     valid: bool
 
     def to_json(self) -> dict:
-        return {"coord": None if self.coord is None else self.coord.to_json(),
+        return {"coord": self.coord.to_json(),
                 "parameter": self.parameter, "model": self.model,
                 "coeffs": [float(c) for c in self.coeffs],
                 "red_chi2": float(self.red_chi2), "valid": bool(self.valid)}
 
     @classmethod
     def from_json(cls, data: dict) -> "CalibrationEntry":
-        coord = None if data["coord"] is None else Coord.from_json(data["coord"])
-        return cls(coord, data["parameter"], data["model"],
+        if data["coord"] is None:
+            raise ValueError(f"{data['parameter']!r} entry without a coordinate")
+        return cls(Coord.from_json(data["coord"]), data["parameter"], data["model"],
                    tuple(data["coeffs"]), data["red_chi2"], data["valid"])
 
 
@@ -208,12 +214,6 @@ DEFAULT_PLANS = {
                         {"i_gl": 123, "v_syntcx": 454},
                         presentations=8, window=0.06,
                         aux_values=(341, 398, 455, 512)),
-    "weight": SweepPlan("weight", tuple(range(16)),
-                        {"e_leak": 455, "e_synx": 853, "i_gl": 123,
-                         "v_syntcx": 625,
-                         "vgmax": (228, 455, 682, 909)},
-                        presentations=8, window=0.08,
-                        aux_values=(1, 3, 7, 11)),
 }
 
 
@@ -224,32 +224,27 @@ class CalibrationDb:
         self.master_seed = master_seed
         self._entries: dict[tuple, CalibrationEntry] = {}
 
-    @staticmethod
-    def _key(coord: Coord | None, parameter: str) -> tuple:
-        loc = None if coord is None else (coord.kind.value, coord.indices)
-        return (loc, parameter)
-
     def add(self, entry: CalibrationEntry) -> None:
-        self._entries[self._key(entry.coord, entry.parameter)] = entry
+        self._entries[(entry.coord, entry.parameter)] = entry
 
-    def has(self, coord: Coord | None, parameter: str,
+    def has(self, coord: Coord, parameter: str,
             valid_only: bool = True) -> bool:
-        e = self._entries.get(self._key(coord, parameter))
+        e = self._entries.get((coord, parameter))
         return e is not None and (e.valid or not valid_only)
 
-    def entry(self, coord: Coord | None, parameter: str) -> CalibrationEntry:
-        key = self._key(coord, parameter)
+    def entry(self, coord: Coord, parameter: str) -> CalibrationEntry:
+        key = (coord, parameter)
         if key not in self._entries:
             raise KeyError(f"no calibration of {parameter!r} for {coord}")
         return self._entries[key]
 
-    def coeffs(self, coord: Coord | None, parameter: str) -> tuple:
+    def coeffs(self, coord: Coord, parameter: str) -> tuple:
         return self.entry(coord, parameter).coeffs
 
     def entries(self, parameter: str | None = None) -> list[CalibrationEntry]:
         out = [e for e in self._entries.values()
                if parameter is None or e.parameter == parameter]
-        return sorted(out, key=_entry_sort_key)
+        return sorted(out, key=lambda e: (e.parameter, e.coord.sort_key()))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -260,8 +255,7 @@ class CalibrationDb:
 
     @classmethod
     def from_json(cls, data: dict) -> "CalibrationDb":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unexpected schema {data.get('schema')!r}")
+        check_schema(data.get("schema"), SCHEMA)
         db = cls(data.get("master_seed"))
         for e in data["entries"]:
             db.add(CalibrationEntry.from_json(e))
@@ -278,11 +272,6 @@ class CalibrationDb:
             return cls.from_json(json.load(f))
 
 
-def _entry_sort_key(e: CalibrationEntry):
-    coord = (-1, ()) if e.coord is None else (0,) + e.coord.sort_key()
-    return (e.parameter, coord)
-
-
 # ---------------------------------------------------------------------------
 # measurement scaffolding
 
@@ -293,17 +282,16 @@ def _bind(db: CalibrationDb, wafer: WaferModel) -> None:
         raise ValueError("calibration database belongs to a different wafer")
 
 
-def _scope(wafer: WaferModel, h: int, availability, neurons) -> list[int]:
+def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
+              availability, neurons) -> tuple[SweepPlan, list[int]]:
+    """An op's plan and the circuits it calibrates: those of ``neurons``
+    (default: all) that ``availability`` keeps usable and that hold every
+    valid prerequisite entry."""
+    cfg = wafer.topology
     if neurons is None:
-        neurons = range(wafer.topology.neurons_per_hicann)
-    if availability is None:
-        return list(neurons)
-    return [n for n in neurons
-            if availability.is_usable(Coord.neuron(h, n))]
-
-
-def _with_prereqs(db: CalibrationDb, h: int, scope, parameter: str,
-                  cfg: TopologyConfig) -> list[int]:
+        neurons = range(cfg.neurons_per_hicann)
+    scope = list(neurons) if availability is None else [
+        n for n in neurons if availability.is_usable(Coord.neuron(h, n))]
     per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
     kept = []
     for n in scope:
@@ -320,7 +308,7 @@ def _with_prereqs(db: CalibrationDb, h: int, scope, parameter: str,
         raise CalibrationOrderError(
             f"{parameter!r} needs valid "
             f"{', '.join(REQUIRES[parameter])} entries first")
-    return kept
+    return DEFAULT_PLANS[parameter], kept
 
 
 def _offsets(db: CalibrationDb, h: int, circuits) -> np.ndarray:
@@ -445,8 +433,7 @@ def _add_entries(db, h, circuits, parameter, model, coeff_rows, red, valid):
 # per-parameter ops
 
 def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
-                            availability=None, neurons=None,
-                            plan: SweepPlan | None = None):
+                            availability=None, neurons=None):
     """Offset of each circuit's readout chain.
 
     All circuits of a neuron block are shorted into one membrane, so every
@@ -454,8 +441,8 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     the block mean are pure readout offsets (up to the unknowable common
     mode of each block).
     """
-    plan = plan or DEFAULT_PLANS["readout_shift"]
-    scope = _scope(wafer, h, availability, neurons)
+    plan, scope = _op_scope(wafer, db, h, "readout_shift", availability,
+                            neurons)
     if not scope:
         return []
     groups: dict[int, list[int]] = {}
@@ -478,8 +465,7 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
 
 
 def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
-                      parameter: str, *, availability=None, neurons=None,
-                      plan: SweepPlan | None = None, invalid_max=10.0):
+                      parameter: str, *, availability=None, neurons=None):
     """Linear DAC-to-volts models from direct observables.
 
     e_leak reads the resting potential. e_syni rails the membrane onto
@@ -492,16 +478,14 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
     """
     if parameter not in ("e_leak", "e_syni", "v_threshold", "v_reset"):
         raise ValueError(f"not a direct voltage parameter: {parameter!r}")
-    plan = plan or DEFAULT_PLANS[parameter]
-    scope = _scope(wafer, h, availability, neurons)
-    scope = _with_prereqs(db, h, scope, parameter, wafer.topology)
+    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
     if parameter == "e_leak":
         rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
         slope, icpt, red = fit_linear(np.array(plan.dac_values, float), rests.T,
                                       sigma=WRITE_SIGMA)
-        valid = (slope > 0) & (red < invalid_max)
+        valid = (slope > 0) & (red < RED_CHI2_MAX)
         return _add_entries(db, h, scope, parameter, "linear",
                             np.column_stack([slope, icpt]), red, valid)
     if parameter == "e_syni":
@@ -514,14 +498,12 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
                             stimulus=stim, tail=0.33, availability=availability)
         slope, icpt, red = fit_linear(np.array(plan.dac_values, float), rests.T,
                                       sigma=WRITE_SIGMA)
-        valid = (slope > 0) & (red < invalid_max)
+        valid = (slope > 0) & (red < RED_CHI2_MAX)
         return _add_entries(db, h, scope, parameter, "linear",
                             np.column_stack([slope, icpt]), red, valid)
     if parameter == "v_threshold":
-        return _calibrate_v_threshold(wafer, db, h, scope, plan, invalid_max,
-                                      availability)
-    return _calibrate_v_reset(wafer, db, h, scope, plan, invalid_max,
-                              availability)
+        return _calibrate_v_threshold(wafer, db, h, scope, plan, availability)
+    return _calibrate_v_reset(wafer, db, h, scope, plan, availability)
 
 
 def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
@@ -542,7 +524,7 @@ def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
                [raster[Coord.neuron(h, n)] for n in scope])
 
 
-def _calibrate_v_reset(wafer, db, h, scope, plan, invalid_max, availability):
+def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
     cfg = wafer.topology
     per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
     plateau = np.full((len(plan.dac_values), len(scope)), np.nan)
@@ -568,14 +550,13 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, invalid_max, availability):
                 WRITE_SIGMA, 2.5e-3)))
             e = CalibrationEntry(Coord.fg_block(h, b), "v_reset", "linear",
                                  (float(slope), float(icpt)), float(red),
-                                 bool(slope > 0 and red < invalid_max))
+                                 bool(slope > 0 and red < RED_CHI2_MAX))
         db.add(e)
         entries.append(e)
     return entries
 
 
-def _calibrate_v_threshold(wafer, db, h, scope, plan, invalid_max,
-                           availability):
+def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
     from .experiment import DEFAULT_DT
 
     dt_adc = _adc_dt(wafer)
@@ -603,7 +584,7 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, invalid_max,
     x = np.array(plan.dac_values, float)
     slope, icpt, red = fit_linear(x, peaks.T,
                                   sigma=float(np.hypot(WRITE_SIGMA, 1.5e-3)))
-    valid = (slope > 0) & (red < invalid_max) & ~np.isnan(peaks).any(axis=0)
+    valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(peaks).any(axis=0)
     coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
     red = np.nan_to_num(red, nan=np.inf, posinf=np.inf)
     return _add_entries(db, h, scope, "v_threshold", "linear", coeffs, red,
@@ -611,8 +592,7 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, invalid_max,
 
 
 def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
-                      availability=None, neurons=None,
-                      plan: SweepPlan | None = None, invalid_max=10.0):
+                      availability=None, neurons=None):
     """Refractory time vs pulse current, fitted as tau = (1/I - c0)/c1.
 
     The refractory part of a spike cycle is the inter-spike interval
@@ -621,9 +601,7 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
     which is identical across the sweep. The maximum-current point
     anchors each rewrite repetition and is excluded from the fit.
     """
-    plan = plan or DEFAULT_PLANS["i_pulse"]
-    scope = _scope(wafer, h, availability, neurons)
-    scope = _with_prereqs(db, h, scope, "i_pulse", wafer.topology)
+    plan, scope = _op_scope(wafer, db, h, "i_pulse", availability, neurons)
     if not scope:
         return []
     anchor = int(np.argmax(plan.dac_values))
@@ -658,34 +636,27 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = 1.0 / slope
         c0 = -icpt * c1
-    valid = (slope > 0) & (red < invalid_max) & ~np.isnan(y).any(axis=1)
+    valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(y).any(axis=1)
     coeffs = np.column_stack([np.nan_to_num(c0), np.nan_to_num(c1)])
     return _add_entries(db, h, scope, "i_pulse", "reciprocal", coeffs,
                         np.nan_to_num(red, nan=np.inf), valid)
 
 
 def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
-                        side: str, *, availability=None, neurons=None,
-                        plan: SweepPlan | None = None, tol=2.5e-2,
-                        margin_steps: int = 1):
+                        side: str, *, availability=None, neurons=None):
     """Input-amplifier bias: first DAC whose rest matches the top of the
     sweep, i.e. the permanent leak through the amplifier has vanished.
 
-    The stored programming value sits ``margin_steps`` grid points above
-    the detected transition so that FG write noise cannot push a circuit
-    back below it. Entry coefficients: (programming DAC, transition DAC).
+    The stored programming value sits ``CONVOFF_MARGIN_STEPS`` grid points
+    above the detected transition so that FG write noise cannot push a
+    circuit back below it. Entry coefficients: (programming DAC, transition DAC).
     """
     parameter = "v_convoffx" if side == "x" else "v_convoffi"
-    plan = plan or DEFAULT_PLANS[parameter]
-    scope = _scope(wafer, h, availability, neurons)
-    scope = _with_prereqs(db, h, scope, parameter, wafer.topology)
+    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
     rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
-    # one grid step below the transition already leaks >100 mV, so the
-    # tolerance only has to clear the write/readout noise of two points
-    shift = np.abs(rests - rests[-1])
-    ok = shift < tol
+    ok = np.abs(rests - rests[-1]) < CONVOFF_TOL
     sustained = np.flip(np.logical_and.accumulate(np.flip(ok, 0), 0), 0)
     idx = np.argmax(sustained, axis=0)
     valid = idx <= len(plan.dac_values) - 2  # the top point alone proves nothing
@@ -693,7 +664,7 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     entries = []
     for i, n in enumerate(scope):
         trans = int(dacs[idx[i]])
-        prog = int(dacs[min(idx[i] + margin_steps, len(dacs) - 1)])
+        prog = int(dacs[min(idx[i] + CONVOFF_MARGIN_STEPS, len(dacs) - 1)])
         e = CalibrationEntry(Coord.neuron(h, n), parameter, "constant",
                              (float(prog), float(trans)), 0.0, bool(valid[i]))
         db.add(e)
@@ -710,8 +681,7 @@ def _convoff_array(wafer, db, h, parameter, scope):
 
 
 def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
-                  parameter: str, *, availability=None, neurons=None,
-                  plan: SweepPlan | None = None, invalid_max=10.0):
+                  parameter: str, *, availability=None, neurons=None):
     """Softplus time-constant laws from single-PSP shape fits.
 
     i_gl sweeps the leak current and takes the larger PSP time constant
@@ -722,9 +692,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     """
     if parameter not in ("i_gl", "v_syntcx", "v_syntci"):
         raise ValueError(f"not a time-constant parameter: {parameter!r}")
-    plan = plan or DEFAULT_PLANS[parameter]
-    scope = _scope(wafer, h, availability, neurons)
-    scope = _with_prereqs(db, h, scope, parameter, wafer.topology)
+    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
     side = "i" if parameter == "v_syntci" else "x"
@@ -775,13 +743,6 @@ def _rel_misfit(t_win, v, params) -> np.ndarray:
     return rms / np.maximum(np.abs(params[:, 1]), 1e-12)
 
 
-def _ratio_tau_pf(tau1, tau2):
-    """Batched (tau1 - tau2) / peak_factor; equal constants -> tau * e."""
-    with np.errstate(all="ignore"):
-        out = (tau1 - tau2) / peak_factor(tau1, tau2)
-    return np.where(is_alpha(tau1, tau2), tau1 * np.e, out)
-
-
 def _linfit_rows(x: np.ndarray, y: np.ndarray):
     """Row-wise least squares where each row has its own x."""
     xm = x.mean(axis=1, keepdims=True)
@@ -805,9 +766,7 @@ def _window_peak_heights(t_win, v, spike_at):
 
 
 def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
-                     availability=None, neurons=None,
-                     plan: SweepPlan | None = None, invalid_max=10.0,
-                     weight=9):
+                     availability=None, neurons=None):
     """Excitatory reversal potential, measured indirectly.
 
     Reading the reversal directly (input amplifier forced open) clips at
@@ -816,9 +775,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
     extrapolates the height to zero: the rest where a PSP vanishes IS
     the reversal. One linear DAC model per circuit over the main sweep.
     """
-    plan = plan or DEFAULT_PLANS["e_synx"]
-    scope = _scope(wafer, h, availability, neurons)
-    scope = _with_prereqs(db, h, scope, "e_synx", wafer.topology)
+    plan, scope = _op_scope(wafer, db, h, "e_synx", availability, neurons)
     if not scope:
         return []
     extra_conv = {"v_convoffx": _convoff_array(wafer, db, h, "v_convoffx",
@@ -832,7 +789,8 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
             t_win, v = _psp_windows(wafer, db, h, scope, plan,
                                     {"e_synx": dac, "e_leak": rest_dac,
                                      **extra_conv},
-                                    weight=weight, token=("e_synx", k, j),
+                                    weight=E_SYNX_WEIGHT,
+                                    token=("e_synx", k, j),
                                     availability=availability)
             hs[j], vr[j] = _window_peak_heights(t_win, v, 0.01)
         slope, icpt = _linfit_rows(vr.T, hs.T)
@@ -842,7 +800,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
 
     x = np.array(plan.dac_values, float)
     slope, icpt, red = fit_linear(x, roots.T, sigma=8e-3)
-    valid = slopes_ok & (slope > 0) & (red < invalid_max) \
+    valid = slopes_ok & (slope > 0) & (red < RED_CHI2_MAX) \
         & np.isfinite(roots).all(axis=0)
     coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
     return _add_entries(db, h, scope, "e_synx", "linear", coeffs,
@@ -864,213 +822,24 @@ def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
 
 
 # ---------------------------------------------------------------------------
-# synaptic weight model (wafer-wide)
-
-@dataclass
-class WeightFit:
-    entry: CalibrationEntry
-    per_neuron: dict  # Coord -> coeffs tuple
-    samples: dict  # arrays: neuron, weight, gmax_div, vgmax_sel, y, kept
-
-
-def _weight_windows(wafer, db, neurons, plan, weight, gmax_div, vgmax_sel,
-                    token, availability=None, program=True):
-    """One PSP window per sampled neuron for one digital setting."""
-    by_h: dict[int, list[int]] = {}
-    for c in neurons:
-        by_h.setdefault(c.indices[0], []).append(c.indices[1])
-    configs = []
-    for h, circuits in sorted(by_h.items()):
-        if program:
-            # without the calibrated amplifier bias the efficacy is ~zero
-            _program_context(wafer, h, plan, {
-                "v_convoffx": _convoff_array(wafer, db, h, "v_convoffx",
-                                             circuits)})
-        configs.append(_standalone_config(
-            h, circuits, rows=_psp_rows(wafer, "x", gmax_div, vgmax_sel),
-            synapses=_psp_synapses(wafer, circuits, weight)))
-    stimulus = [("cal", 0, 0.01 + k * plan.window)
-                for k in range(plan.presentations)]
-    sim = simulate(wafer, configs, stimulus, plan.presentations * plan.window,
-                   dt=PSP_DT, v_init="rest", availability=availability)
-    dt = _adc_dt(wafer)
-    s = int(round(plan.window / dt))
-    rows = []
-    for h, circuits in sorted(by_h.items()):
-        offs = _offsets(db, h, circuits)
-        v = _read_corrected(wafer, sim, h, circuits, offs, token + (h,))
-        rows.append(v[:, :plan.presentations * s]
-                    .reshape(len(circuits), plan.presentations, s).mean(axis=1))
-    order = [c for h, circuits in sorted(by_h.items())
-             for c in (Coord.neuron(h, n) for n in circuits)]
-    v = np.vstack(rows)
-    idx = [order.index(c) for c in neurons]
-    return np.arange(s) * dt, v[idx]
-
-
-def _conductance_samples(wafer, db, neurons, plan, combos, *,
-                         availability=None, token_prefix=(), program=True):
-    """Per (neuron, combo): conductance step / capacitance from PSP fits."""
-    e_syn_volts = np.array([_linear_volts(db, c, "e_synx",
-                                          plan.settings.get("e_synx", 853))
-                            for c in neurons])
-    var = wafer.variability
-    lsb = var.adc_fullscale / (2 ** var.adc_bits - 1) * var.adc_divider
-    y = np.full((len(neurons), len(combos)), np.nan)
-    misfit = np.full_like(y, np.inf)
-    for j, (w, d, s) in enumerate(combos):
-        t_win, v = _weight_windows(wafer, db, neurons, plan, w, d, s,
-                                   token_prefix + (j,), availability,
-                                   program=program)
-        params, _, ok = fit_psp_batch(t_win, v)
-        hgt, tau1, tau2, base = (params[:, 1], params[:, 2], params[:, 3],
-                                 params[:, 4])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = hgt * _ratio_tau_pf(tau1, tau2) \
-                / ((e_syn_volts - base) * tau1 * tau2)
-        # a quantization staircase can masquerade as a clean tiny PSP, so
-        # the height must clear both the noise and a few ADC codes
-        tall = np.abs(hgt) > np.maximum(4.0 * estimate_noise(v), 5.0 * lsb)
-        good = ok & tall & np.isfinite(val) & (val > 0)
-        y[good, j] = val[good]
-        misfit[:, j] = _rel_misfit(t_win, v, params)
-    return y, misfit
-
-
-def _linear_volts(db, coord, parameter, dac):
-    slope, icpt = db.coeffs(coord, parameter)[:2]
-    return slope * dac + icpt
-
-
-def _weight_design(combos, vg_volts):
-    w = np.array([c[0] for c in combos], float)
-    d = np.array([c[1] for c in combos], float)
-    vg = np.array([vg_volts[c[2]] for c in combos])
-    wi = w.astype(int)
-    return np.column_stack([w * vg / d, np.ones_like(w),
-                            (wi & 1), (wi >> 1) & 1, (wi >> 2) & 1,
-                            (wi >> 3) & 1]).astype(float)
-
-
-def calibrate_weights(wafer: WaferModel, db: CalibrationDb,
-                      sample_neurons, *, availability=None,
-                      plan: SweepPlan | None = None, saturated_misfit=0.15,
-                      drive_window=(0.5, 1.55), robust_rounds=2) -> WeightFit:
-    """Wafer-wide synaptic weight model from sampled circuits.
-
-    The observable is the conductance step per membrane capacitance,
-    extracted from each PSP fit as h*(tau_m - tau_s) / ((E_rev - V_rest)
-    * tau_m * tau_s * peak_factor). The model is linear in the digital
-    settings: y = A*(w*Vgmax/div) + A*(i0 + i1*w1 + i2*w2 + i4*w4 +
-    i8*w8), with one parasitic charge-injection term per weight bit.
-    Saturated samples (amplifier current limit) are dropped by fit
-    quality and by residual trimming before the final least squares.
-    """
-    plan = plan or DEFAULT_PLANS["weight"]
-    _bind(db, wafer)
-    neurons = list(sample_neurons)
-    vgmax = plan.settings.get("vgmax", BASE_SETTINGS["vgmax"])
-    cfg = wafer.topology
-    vg_volts = [dac_to_volts(cfg, v) for v in vgmax]
-    # drives outside the window either sink below the ADC floor or push the
-    # input amplifier into its current limit (a capped PSP still *fits* well,
-    # so saturation has to be excluded by construction, not by fit quality)
-    combos = [(w, d, s) for s in range(len(vgmax)) for d in plan.aux_values
-              for w in plan.dac_values
-              if drive_window[0] <= w * vg_volts[s] / d <= drive_window[1]]
-    if not combos:
-        raise ValueError("drive window excludes every weight combination")
-    y, misfit = _conductance_samples(wafer, db, neurons, plan, combos,
-                                     availability=availability,
-                                     token_prefix=("weight",))
-    X = _weight_design(combos, vg_volts)
-
-    flat_x = np.tile(X, (len(neurons), 1))
-    flat_y = y.reshape(-1)
-    kept = np.isfinite(flat_y) & (misfit.reshape(-1) < saturated_misfit)
-    if kept.sum() < 10:
-        raise RuntimeError("too few unsaturated weight samples")
-    coeffs, *_ = np.linalg.lstsq(flat_x[kept], flat_y[kept], rcond=None)
-    for _ in range(robust_rounds):
-        resid = flat_y - flat_x @ coeffs
-        scale = 1.4826 * np.median(np.abs(resid[kept]))
-        kept = kept & (np.abs(resid) < 3.5 * max(scale, 1e-12))
-        coeffs, *_ = np.linalg.lstsq(flat_x[kept], flat_y[kept], rcond=None)
-    resid = flat_y[kept] - flat_x[kept] @ coeffs
-    rel_rms = float(np.sqrt(np.mean(resid ** 2)) /
-                    max(np.abs(flat_y[kept]).mean(), 1e-30))
-    a = coeffs[0]
-    entry = CalibrationEntry(None, "weight", "weight",
-                             (float(a), *(float(c / a) for c in coeffs[1:])),
-                             rel_rms, bool(a > 0))
-    db.add(entry)
-
-    per_neuron = {}
-    for i, c in enumerate(neurons):
-        rows = kept.reshape(len(neurons), -1)[i]
-        if rows.sum() >= 8:
-            ci, *_ = np.linalg.lstsq(X[rows], y[i, rows], rcond=None)
-            if ci[0] > 0:
-                per_neuron[c] = (float(ci[0]),
-                                 *(float(v / ci[0]) for v in ci[1:]))
-    samples = {"neuron": np.repeat(np.arange(len(neurons)), len(combos)),
-               "weight": np.array([c[0] for c in combos] * len(neurons)),
-               "gmax_div": np.array([c[1] for c in combos] * len(neurons)),
-               "vgmax_sel": np.array([c[2] for c in combos] * len(neurons)),
-               "y": flat_y, "kept": kept.reshape(len(neurons), -1)}
-    return WeightFit(entry=entry, per_neuron=per_neuron, samples=samples)
-
-
-def weight_rewrite_spread(wafer: WaferModel, db: CalibrationDb, neuron: Coord,
-                          *, weight=9, gmax_div=7, vgmax_sel=2, reps=8,
-                          rewrite=True, availability=None) -> np.ndarray:
-    """Repeated conductance samples of one synapse setting.
-
-    With ``rewrite`` the floating gates are reprogrammed before every
-    repetition, so the spread contains the write noise of the analog
-    storage; without it only the measurement noise remains.
-    """
-    plan = DEFAULT_PLANS["weight"]
-    h, n = neuron.indices
-    conv = {"v_convoffx": _convoff_array(wafer, db, h, "v_convoffx", [n])}
-    out = np.empty(reps)
-    for r in range(reps):
-        if rewrite or r == 0:
-            _program_context(wafer, h, plan, conv)
-        y, _ = _conductance_samples(
-            wafer, db, [neuron], plan, [(weight, gmax_div, vgmax_sel)],
-            availability=availability, token_prefix=("rewrite", r),
-            program=False)
-        out[r] = y[0, 0]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # orchestration, inversion, exclusion
 
 def calibrate_hicann(wafer: WaferModel, db: CalibrationDb | None, h: int, *,
-                     availability=None, neurons=None, plans=None,
-                     invalid_max=10.0) -> CalibrationDb:
+                     availability=None, neurons=None) -> CalibrationDb:
     """Run the full per-hicann suite in dependency order."""
     db = db if db is not None else CalibrationDb()
     _bind(db, wafer)
-    plans = plans or {}
     kw = dict(availability=availability, neurons=neurons)
 
-    calibrate_readout_shift(wafer, db, h, plan=plans.get("readout_shift"), **kw)
+    calibrate_readout_shift(wafer, db, h, **kw)
     for p in ("v_reset", "v_threshold", "e_leak", "e_syni"):
-        calibrate_voltage(wafer, db, h, p, plan=plans.get(p),
-                          invalid_max=invalid_max, **kw)
-    calibrate_i_pulse(wafer, db, h, plan=plans.get("i_pulse"),
-                      invalid_max=invalid_max, **kw)
+        calibrate_voltage(wafer, db, h, p, **kw)
+    calibrate_i_pulse(wafer, db, h, **kw)
     for side in ("x", "i"):
-        calibrate_v_convoff(wafer, db, h, side,
-                            plan=plans.get(f"v_convoff{side}"), **kw)
+        calibrate_v_convoff(wafer, db, h, side, **kw)
     for p in ("i_gl", "v_syntcx", "v_syntci"):
-        calibrate_tau(wafer, db, h, p, plan=plans.get(p),
-                      invalid_max=invalid_max, **kw)
-    calibrate_e_synx(wafer, db, h, plan=plans.get("e_synx"),
-                     invalid_max=invalid_max, **kw)
+        calibrate_tau(wafer, db, h, p, **kw)
+    calibrate_e_synx(wafer, db, h, **kw)
     return db
 
 
@@ -1202,13 +971,13 @@ def _nominal_dac(cfg: TopologyConfig, name: str, target) -> float:
                float(cfg.dac_max))
 
 
-def calibration_exclusion(av_db: AvailabilityDb, calib_db: CalibrationDb, *,
-                          red_chi2_max: float = 10.0) -> list[Coord]:
+def calibration_exclusion(av_db: AvailabilityDb,
+                          calib_db: CalibrationDb) -> list[Coord]:
     """Fold calibration failures into the availability states.
 
     A circuit stays usable only if every entry touching it (its own and
-    its FG block's) is valid with a reduced chi-square below the
-    threshold. Newly excluded circuits join the individual state and the
+    its FG block's) is valid with a reduced chi-square below
+    ``RED_CHI2_MAX``. Newly excluded circuits join the individual state and the
     effective state is recomputed through the design rules.
     """
     cfg = av_db.topology
@@ -1216,9 +985,7 @@ def calibration_exclusion(av_db: AvailabilityDb, calib_db: CalibrationDb, *,
     bad_blocks = set()
     verdict: dict[Coord, bool] = {}
     for e in calib_db.entries():
-        if e.coord is None:
-            continue
-        ok = e.valid and e.red_chi2 < red_chi2_max
+        ok = e.valid and e.red_chi2 < RED_CHI2_MAX
         if e.coord.kind == Kind.FG_BLOCK:
             if not ok:
                 bad_blocks.add(e.coord)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .topology import Coord, Kind, TopologyConfig
+from .topology import Coord, TopologyConfig, check_schema
 
 SCHEMA = "waferforge.defects/1"
 
@@ -29,21 +29,6 @@ class DefectType(enum.Enum):
     REPEATER_BROKEN = "repeater_broken"
     SYNAPSE_DRIVER_BROKEN = "synapse_driver_broken"
     SWITCH_BROKEN = "switch_broken"
-
-
-# coordinate kinds a memory-stuck/unstable defect may target (register-backed)
-MEMORY_KINDS = (
-    Kind.SYNAPSE,
-    Kind.SYNAPSE_ROW,
-    Kind.SYNAPSE_DRIVER,
-    Kind.FG_BLOCK,
-    Kind.MERGER,
-    Kind.EXT_MERGER,
-    Kind.BG_GEN,
-    Kind.ANALOG_OUT,
-    Kind.REPEATER,
-    Kind.SWITCH,
-)
 
 
 @dataclass(frozen=True)
@@ -117,8 +102,7 @@ class DefectSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "DefectSet":
-        if data.get("schema", SCHEMA).split("/")[0] != SCHEMA.split("/")[0]:
-            raise ValueError(f"unexpected schema {data.get('schema')!r}")
+        check_schema(data.get("schema", SCHEMA), SCHEMA)
         return cls([Defect.from_json(d) for d in data["defects"]])
 
     def save(self, path) -> None:

@@ -66,7 +66,7 @@ chunks with cumulative sums in the log domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

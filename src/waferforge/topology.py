@@ -557,3 +557,12 @@ def validate_coord(cfg: TopologyConfig, coord: Coord) -> None:
     for i, (v, b) in enumerate(zip(idx, bounds)):
         if not 0 <= v < b:
             raise ValueError(f"{coord}: index {i} out of range (0..{b - 1})")
+
+
+def check_schema(schema, expected: str) -> None:
+    """Raise ValueError unless ``schema`` names the store and major version
+    of ``expected`` ("name/major[.minor]"); any minor version is accepted."""
+    name, _, version = expected.partition("/")
+    if not (isinstance(schema, str) and schema.partition("/")[0] == name
+            and schema.partition("/")[2].split(".")[0] == version):
+        raise ValueError(f"unexpected schema {schema!r}")

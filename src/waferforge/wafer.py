@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .defects import DefectSet
-from .topology import Coord, Kind, TopologyConfig
+from .topology import Coord, Kind, TopologyConfig, check_schema
 from .variability import SoftplusLaw, VariabilityConfig
 
 SCHEMA = "waferforge.wafer/1"
@@ -47,9 +47,6 @@ SHARED_FG_ROWS = {
     "vgmax2": 3,
     "vgmax3": 4,
 }
-VOLTAGE_PARAMS = ("e_leak", "v_threshold", "e_synx", "e_syni",
-                  "v_syntcx", "v_syntci", "v_convoffx", "v_convoffi")
-CURRENT_PARAMS = ("i_gl", "i_pulse")
 
 
 def softplus(x: np.ndarray | float) -> np.ndarray | float:
@@ -178,8 +175,7 @@ class WaferModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "WaferModel":
-        if data.get("schema", "").split("/")[0] != SCHEMA.split("/")[0]:
-            raise ValueError(f"unexpected schema {data.get('schema')!r}")
+        check_schema(data.get("schema"), SCHEMA)
         wafer = cls(
             master_seed=int(data["master_seed"]),
             topology=TopologyConfig.from_json(data["topology"]),
@@ -260,7 +256,7 @@ def program_floating_gates(wafer: WaferModel, h: int, values: dict) -> None:
 
     bad = (target < 0) | (target > cfg.dac_max)
     if np.any(bad & mask):
-        raise ValueError("DAC value out of range 0..1023")
+        raise ValueError(f"DAC value out of range 0..{cfg.dac_max}")
 
     st.write_cycle += 1
     noise = rng.stream(wafer.master_seed, "fgwrite", h, st.write_cycle) \

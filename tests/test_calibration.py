@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from waferforge import calibration as cal
-from waferforge.topology import Coord, TopologyConfig
+from waferforge.availability import AvailabilityDb
+from waferforge.commissioning import effective_exclusion
+from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.wafer import build_wafer, fg_dac_array, true_parameter_array
 
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
@@ -37,11 +39,77 @@ def test_early_ops_reproduce_reference_db():
     assert _digest(db) == EARLY_OPS_DIGEST
 
 
-def test_late_ops_reproduce_reference_db():
-    db = cal.calibrate_hicann(build_wafer(3), None, 0,
-                              neurons=range(0, 512, 128))
-    assert len(db) == 48
-    assert _digest(db) == LATE_OPS_DIGEST
+@pytest.fixture(scope="module")
+def late_db():
+    return cal.calibrate_hicann(build_wafer(3), None, 0,
+                                neurons=range(0, 512, 128))
+
+
+def test_late_ops_reproduce_reference_db(late_db):
+    assert len(late_db) == 48
+    assert _digest(late_db) == LATE_OPS_DIGEST
+
+
+def test_db_save_load_round_trip(late_db, tmp_path):
+    late_db.save(tmp_path / "calib.json")
+    loaded = cal.CalibrationDb.load(tmp_path / "calib.json")
+    assert loaded.master_seed == 3
+    assert len(loaded) == 48
+    assert _digest(loaded) == LATE_OPS_DIGEST
+
+
+def test_db_rejects_entry_without_coordinate():
+    data = cal.CalibrationDb(3).to_json()
+    data["entries"] = [{"coord": None, "parameter": "e_leak", "model": "linear",
+                        "coeffs": [1.0, 0.0], "red_chi2": 1.0, "valid": True}]
+    with pytest.raises(ValueError, match="coordinate"):
+        cal.CalibrationDb.from_json(data)
+
+
+def test_op_tables_agree():
+    assert list(cal.CALIBRATION_ORDER) == list(cal.REQUIRES)
+    assert set(cal.DEFAULT_PLANS) == set(cal.CALIBRATION_ORDER)
+    for op, plan in cal.DEFAULT_PLANS.items():
+        assert plan.parameter == op
+    for i, op in enumerate(cal.CALIBRATION_ORDER):
+        for req in cal.REQUIRES[op]:
+            assert cal.CALIBRATION_ORDER.index(req) < i, (op, req)
+
+
+def test_calibration_exclusion_drops_failed_circuits():
+    cfg = TopologyConfig()
+    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+
+    def entry(coord, parameter, red_chi2=1.0, valid=True):
+        return cal.CalibrationEntry(coord, parameter, "linear", (1.0, 0.0),
+                                    red_chi2, valid)
+
+    db = cal.CalibrationDb(3)
+    for n in (0, 5, 7, per_block + 2, per_block + 9, 2 * per_block):
+        db.add(entry(Coord.neuron(0, n), "readout_shift"))
+        db.add(entry(Coord.neuron(0, n), "e_leak"))
+    db.add(entry(Coord.neuron(0, 5), "e_leak", valid=False))
+    db.add(entry(Coord.neuron(0, 7), "e_leak", red_chi2=9.9))
+    db.add(entry(Coord.neuron(0, 2 * per_block), "e_leak",
+                 red_chi2=cal.RED_CHI2_MAX))
+    db.add(entry(Coord.fg_block(0, 0), "v_reset"))
+    db.add(entry(Coord.fg_block(0, 1), "v_reset", valid=False))
+
+    link = Coord(Kind.JTAG_LINK, (9,))
+    av_db = AvailabilityDb(cfg)
+    av_db.ensure("individual").exclude(link)
+    av_db.ensure("effective")  # stale: misses the closure of the link
+    excluded = cal.calibration_exclusion(av_db, db)
+
+    assert excluded == [Coord.neuron(0, n) for n in
+                        (5, per_block + 2, per_block + 9, 2 * per_block)]
+    individual = av_db.state("individual")
+    assert set(individual.all_excluded()) == set(excluded) | {link}
+    effective = av_db.state("effective")
+    assert effective == effective_exclusion(cfg, individual)
+    assert not effective.is_usable(Coord.hicann_(9))
+    assert all(not effective.is_usable(c) for c in excluded)
+    assert effective.is_usable(Coord.neuron(0, 7))
 
 
 def test_i_pulse_needs_its_prerequisites():

@@ -316,3 +316,10 @@ def test_v_reset_and_vgmax_are_per_block():
         seg = vr[128 * blk:128 * (blk + 1)]
         assert np.all(seg == seg[0])  # shared line within a block
     assert len(np.unique(vr)) > 1  # distinct block-level truth draws
+
+
+def test_dac_range_error_quotes_the_topology_ceiling():
+    w = build_wafer(3, TopologyConfig(dac_max=511))
+    program_floating_gates(w, 0, {"e_leak": 511})
+    with pytest.raises(ValueError, match=r"out of range 0\.\.511$"):
+        program_floating_gates(w, 0, {"e_leak": 512})
