@@ -10,6 +10,14 @@ dependency closure over the individual state). Flags are hierarchical in
 interpretation but flat in storage: excluding a HICANN does not
 automatically flag each of its children; closure rules decide which child
 flags get cleared, and reports decide which HICANNs' children are counted.
+
+Each state also keeps the exact number of excluded cells of every mask,
+kept up to date by the writers (``exclude``, ``exclude_many``,
+``exclude_block``, ``from_json``) and shared by ``copy()``, so a count is
+read, not scanned. ``mask()`` hands out the raw writable array and forgets
+its kind's count, which the next ``count_excluded`` recomputes once: write
+through a mask before the next count of its kind, as a mask must not be
+held across a ``copy()``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ class AvailabilityState:
         self.topology = topology
         self._masks: dict[Kind, np.ndarray] = {}
         self._shared: set[Kind] = set()  # masks a copy() shares, copied before a write
+        self._counts: dict[Kind, int] = {}  # excluded cells per mask; absent = recount
         if excluded:
             self.exclude_many(excluded)
 
@@ -38,23 +47,86 @@ class AvailabilityState:
         """Writable exclusion mask of ``kind``, allocated on first use.
 
         Do not hold it across a ``copy()``: both states share their masks
-        until one of them asks for a mask to write.
+        until one of them asks for a mask to write. The kind's count is
+        recomputed on its next ``count_excluded``, so write through the mask
+        before counting that kind again.
         """
+        m = self._writable(kind)
+        self._counts.pop(kind, None)
+        return m
+
+    def read_mask(self, kind: Kind) -> np.ndarray:
+        """Read-only exclusion mask of ``kind``; allocates nothing."""
+        m = self._masks.get(kind)
+        if m is None:
+            return np.broadcast_to(False, self.topology.index_shapes[kind])
+        m = m.view()
+        m.flags.writeable = False
+        return m
+
+    def _writable(self, kind: Kind) -> np.ndarray:
         m = self._masks.get(kind)
         if m is None:
             m = self._masks[kind] = np.zeros(self.topology.index_shapes[kind], dtype=bool)
+            self._counts[kind] = 0
         elif kind in self._shared:
             m = self._masks[kind] = m.copy()
             self._shared.discard(kind)
         return m
 
+    def _add(self, kind: Kind, n: int) -> None:
+        if kind in self._counts:
+            self._counts[kind] += n
+
     def exclude(self, coord: Coord) -> None:
         validate_coord(self.topology, coord)
-        self.mask(coord.kind)[coord.indices] = True
+        m = self._writable(coord.kind)
+        if not m[coord.indices]:
+            m[coord.indices] = True
+            self._add(coord.kind, 1)
 
     def exclude_many(self, coords) -> None:
-        for coord in coords:
-            self.exclude(coord)
+        """Exclude every coordinate of ``coords``, or none if one is invalid."""
+        coords = list(coords)
+        by_kind: dict[Kind, list] = {}
+        for c in coords:
+            by_kind.setdefault(c.kind, []).append(c.indices)
+        try:
+            flat = {kind: self._flat(kind, indices) for kind, indices in by_kind.items()}
+        except ValueError:
+            for c in coords:  # name the batch's first invalid coordinate
+                validate_coord(self.topology, c)
+            raise
+        for kind, f in flat.items():
+            self._write_flat(kind, f)
+
+    def exclude_block(self, kind: Kind, leading: tuple[int, ...]) -> None:
+        """Exclude every cell of ``kind`` whose leading indices are ``leading``."""
+        shape = self.topology.index_shapes[kind]
+        if len(leading) > len(shape) or not all(0 <= i < n for i, n in zip(leading, shape)):
+            raise ValueError(f"{kind.value}[{','.join(map(str, leading))}]: "
+                             f"outside index shape {shape}")
+        block = self._writable(kind)[(*leading, ...)]
+        self._add(kind, block.size - int(np.count_nonzero(block)))
+        block[...] = True
+
+    def _flat(self, kind: Kind, indices: list) -> np.ndarray:
+        """Flat mask positions of index tuples of ``kind``; a ValueError
+        names the first one outside the kind's shape."""
+        try:
+            return np.ravel_multi_index(np.asarray(indices, dtype=np.int64).T,
+                                        self.topology.index_shapes[kind])
+        except ValueError:
+            for idx in indices:
+                validate_coord(self.topology, Coord(kind, idx))
+            raise
+
+    def _write_flat(self, kind: Kind, flat: np.ndarray) -> None:
+        m = self._writable(kind).reshape(-1)
+        # sorted so that repeats are adjacent (np.unique's first call maps ~1.7 MB more)
+        new = np.sort(flat[~m[flat]])
+        m[new] = True
+        self._add(kind, new.size and 1 + int(np.count_nonzero(np.diff(new))))
 
     def is_usable(self, coord: Coord) -> bool:
         validate_coord(self.topology, coord)
@@ -69,9 +141,12 @@ class AvailabilityState:
         m = self._masks.get(kind)
         if m is None:
             return 0
-        if hicanns is None:
-            return int(np.count_nonzero(m))
-        return sum(int(np.count_nonzero(m[h])) for h in hicanns)
+        if hicanns is not None:
+            return int(np.count_nonzero(m[np.fromiter(hicanns, dtype=np.intp)]))
+        n = self._counts.get(kind)
+        if n is None:
+            n = self._counts[kind] = int(np.count_nonzero(m))
+        return n
 
     def kinds(self) -> list[Kind]:
         return [k for k in Kind if self.count_excluded(k)]
@@ -89,6 +164,7 @@ class AvailabilityState:
     def copy(self) -> "AvailabilityState":
         new = AvailabilityState(self.topology)
         new._masks = dict(self._masks)
+        new._counts = dict(self._counts)
         self._shared.update(self._masks)
         new._shared.update(self._masks)
         return new
@@ -109,7 +185,7 @@ class AvailabilityState:
         return self.issuperset(other) and other.issuperset(self)
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(m)) for m in self._masks.values())
+        return sum(self.count_excluded(k) for k in self._masks)
 
     def to_json(self) -> dict:
         excluded = {k.value: self._indices(k) for k in sorted(self._masks, key=lambda k: k.value)}
@@ -121,16 +197,8 @@ class AvailabilityState:
         state = cls(topology)
         for kind_value, coords in data.get("excluded", {}).items():
             kind = Kind(kind_value)
-            if not coords:
-                continue
-            try:
-                flat = np.ravel_multi_index(np.asarray(coords, dtype=np.int64).T,
-                                            topology.index_shapes[kind])
-            except ValueError:
-                for indices in coords:  # name the first coordinate outside the shape
-                    validate_coord(topology, Coord(kind, indices))
-                raise
-            state.mask(kind).reshape(-1)[flat] = True
+            if coords:
+                state._write_flat(kind, state._flat(kind, coords))
         return state
 
 

@@ -182,7 +182,7 @@ def write_off_array(state: AvailabilityState, h: int, a: int) -> None:
     """Exclude synapse array ``(h, a)`` with all its rows, drivers and synapses."""
     state.exclude(Coord.synapse_array(h, a))
     for kind in (Kind.SYNAPSE_ROW, Kind.SYNAPSE_DRIVER, Kind.SYNAPSE):
-        state.mask(kind)[h, a] = True
+        state.exclude_block(kind, (h, a))
 
 
 def _excluded_unit(d) -> Coord:
@@ -227,8 +227,8 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
     defects_at: dict[int, list] = {}
     for d in wafer.defects:
         defects_at.setdefault(d.coord.hicann, []).append(d)
-    no_jtag = ind.mask(Kind.JTAG_LINK).tolist()
-    no_highspeed = ind.mask(Kind.HIGHSPEED_LINK).tolist()
+    no_jtag = ind.read_mask(Kind.JTAG_LINK).tolist()
+    no_highspeed = ind.read_mask(Kind.HIGHSPEED_LINK).tolist()
 
     bytes_by_region = dict.fromkeys(mm, 0)
     duration = 0.0
@@ -405,7 +405,7 @@ def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> A
     no_route = mask(Kind.BUS)[:, injection].all(axis=-1)  # (H, channels)
     ext = mask(Kind.EXT_MERGER)
     ext |= no_route
-    stranded = no_route | mask(Kind.MERGER)[:, [cfg.leaf_merger(ch) for ch in channels]]
+    stranded = no_route | eff.read_mask(Kind.MERGER)[:, [cfg.leaf_merger(ch) for ch in channels]]
     stranded = np.repeat(stranded, cfg.neuron_block_size, axis=1)[:, :cfg.neurons_per_hicann]
     neurons = mask(Kind.NEURON)[:, :stranded.shape[1]]
     neurons |= stranded

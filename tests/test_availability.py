@@ -82,6 +82,18 @@ def test_out_of_range_coordinates_rejected():
             st.is_usable(bad)
     # a negative index must not wrap onto neuron 511
     assert st.all_excluded() == [Coord.neuron(3, 511)]
+    # a batch is checked whole before any of it is written; the error names
+    # the batch's first bad coordinate, whatever its kind
+    for batch, name in (([Coord.neuron(3, 5), Coord.neuron(3, -1)], "neuron[3,-1]"),
+                        ([Coord.bus(0, 1), Coord.neuron(3, 512), Coord.bus(0, 10 ** 6)],
+                         "neuron[3,512]"),
+                        ([Coord.synapse(0, 0, 1, 1), Coord(Kind.NEURON, (3,))], "neuron[3]")):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            st.exclude_many(batch)
+        assert st.all_excluded() == [Coord.neuron(3, 511)] and len(st) == 1
+    with pytest.raises(ValueError, match=re.escape("synapse[384,0]")):
+        st.exclude_block(Kind.SYNAPSE, (384, 0))
+    assert len(st) == 1
     for coords, name in (([[3, 5], [3, -1]], "neuron[3,-1]"),
                          ([[3, 512]], "neuron[3,512]"),
                          ([[384, 0]], "neuron[384,0]")):
