@@ -8,7 +8,9 @@ from waferforge import calibration as cal
 from waferforge.availability import AvailabilityDb
 from waferforge.commissioning import effective_exclusion
 from waferforge.topology import Coord, Kind, TopologyConfig
-from waferforge.wafer import build_wafer, fg_dac_array, true_parameter_array
+from waferforge.variability import VariabilityConfig
+from waferforge.wafer import (NEURON_FG_ROWS, SHARED_FG_ROWS, build_wafer,
+                              fg_dac_array, true_parameter_array)
 
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
 # leave every coefficient and verdict bit-for-bit as it was
@@ -56,6 +58,59 @@ def test_db_save_load_round_trip(late_db, tmp_path):
     assert loaded.master_seed == 3
     assert len(loaded) == 48
     assert _digest(loaded) == LATE_OPS_DIGEST
+
+
+# to_hardware target -> the calibrated floating-gate parameter behind it; the
+# oracle parameter of each target has the target's own name
+ROUND_TRIP_TARGETS = {
+    "e_leak": "e_leak", "v_threshold": "v_threshold", "e_syni": "e_syni",
+    "e_synx": "e_synx", "v_reset": "v_reset", "tau_ref": "i_pulse",
+    "tau_mem": "i_gl", "tau_synx": "v_syntcx", "tau_syni": "v_syntci",
+}
+
+
+def test_apply_calibration_round_trip(late_db):
+    # one shared target per parameter: the design value at the middle of the
+    # parameter's default sweep
+    ideal = build_wafer(0, variability=VariabilityConfig().zeroed())
+    targets = {}
+    for name, param in ROUND_TRIP_TARGETS.items():
+        dacs = cal.DEFAULT_PLANS[param].dac_values
+        mid = 0.5 * (min(dacs) + max(dacs))
+        targets[name] = float(true_parameter_array(ideal, 0, name, d_eff=mid)[0])
+    w = build_wafer(3)
+    circuits = [0, 128, 256, 384]
+    report = cal.apply_calibration(w, late_db, 0, targets, neurons=circuits)
+
+    cfg = w.topology
+    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+    no_entry = []
+    for n in circuits:
+        for name, param in ROUND_TRIP_TARGETS.items():
+            coord = Coord.fg_block(0, n // per_block) if param == "v_reset" \
+                else Coord.neuron(0, n)
+            if not (late_db.has(coord, param) and late_db.entry(coord, param).valid):
+                no_entry.append((coord, name))
+    assert sorted(report["fallback"]) == sorted(no_entry)
+    assert sorted(no_entry) == [(Coord.neuron(0, n), "e_synx")
+                                for n in (128, 256, 384)]
+    assert report["clamped"] == []
+
+    d_set = w.fg_state(0).d_set
+    for n in circuits:
+        for name, param in ROUND_TRIP_TARGETS.items():
+            if (Coord.neuron(0, n), name) in no_entry:
+                continue
+            dac = cal.to_hardware(cfg, late_db, Coord.neuron(0, n),
+                                  {name: targets[name]}).dacs[param]
+            b = n // per_block
+            cell = d_set[b, SHARED_FG_ROWS["v_reset"], 0] if param == "v_reset" \
+                else d_set[b, NEURON_FG_ROWS[param], 1 + n % per_block]
+            assert cell == dac, (n, name)
+            # the oracle reads the programmed cells, write noise included
+            got = true_parameter_array(w, 0, name)[n]
+            bound = 0.15 if name.startswith("tau_") else 0.05
+            assert abs(got / targets[name] - 1.0) < bound, (n, name)
 
 
 def test_db_rejects_entry_without_coordinate():
