@@ -104,19 +104,13 @@ REQUIRES = {
 }
 CALIBRATION_ORDER = tuple(REQUIRES)
 
-# target name -> (entry parameter, floating-gate parameter)
+# target name -> the calibrated parameter, which names both its DB entry and
+# the floating-gate cell that realizes it
 _TARGET_MAP = {
-    "e_leak": ("e_leak", "e_leak"),
-    "v_threshold": ("v_threshold", "v_threshold"),
-    "e_synx": ("e_synx", "e_synx"),
-    "e_syni": ("e_syni", "e_syni"),
-    "v_reset": ("v_reset", "v_reset"),
-    "tau_ref": ("i_pulse", "i_pulse"),
-    "tau_mem": ("i_gl", "i_gl"),
-    "tau_synx": ("v_syntcx", "v_syntcx"),
-    "tau_syni": ("v_syntci", "v_syntci"),
-    "v_convoffx": ("v_convoffx", "v_convoffx"),
-    "v_convoffi": ("v_convoffi", "v_convoffi"),
+    "e_leak": "e_leak", "v_threshold": "v_threshold", "e_synx": "e_synx",
+    "e_syni": "e_syni", "v_reset": "v_reset", "tau_ref": "i_pulse",
+    "tau_mem": "i_gl", "tau_synx": "v_syntcx", "tau_syni": "v_syntci",
+    "v_convoffx": "v_convoffx", "v_convoffi": "v_convoffi",
 }
 
 # full floating-gate context written before every sweep; per-plan settings
@@ -350,13 +344,17 @@ def _standalone_config(h: int, circuits, rows=(), synapses=()) -> HicannConfig:
                         synapses=list(synapses))
 
 
-def _rest_sweep(wafer, db, h, circuits, plan, *, side_rows=None,
+def _rest_sweep(wafer, db, h, circuits, plan, *, sign=None,
                 stimulus=(), tail=0.5, availability=None) -> np.ndarray:
-    """Resting potential per (sweep point, circuit), corrected volts."""
+    """Resting potential per (sweep point, circuit), corrected volts.
+
+    With ``sign``, each circuit receives ``stimulus`` through one synapse of
+    that sign at full weight (15) and the smallest gmax divisor.
+    """
     offsets = _offsets(db, h, circuits)
-    cfg = _standalone_config(h, circuits, rows=side_rows or [],
-                             synapses=_one_synapse_per_circuit(
-                                 wafer, circuits, side_rows) if side_rows else [])
+    cfg = _standalone_config(h, circuits) if sign is None else \
+        _standalone_config(h, circuits, rows=_psp_rows(wafer, sign, 1, 0),
+                           synapses=_psp_synapses(wafer, circuits, 15))
     runs = []
     for dac in plan.dac_values:
         _program_context(wafer, h, plan, {plan.parameter: dac})
@@ -368,14 +366,6 @@ def _rest_sweep(wafer, db, h, circuits, plan, *, side_rows=None,
                             (plan.parameter, k))
         rests[k] = v[:, int(v.shape[1] * (1.0 - tail)):].mean(axis=1)
     return rests
-
-
-def _one_synapse_per_circuit(wafer, circuits, rows):
-    cols = wafer.topology.columns_per_array
-    per_row = {r.row // wafer.topology.driven_rows_per_array: r.row
-               for r in rows}
-    return [SynapseSpec(row=per_row[n // cols], col=n % cols, weight=15,
-                        address=0) for n in circuits]
 
 
 def _psp_rows(wafer, sign, gmax_div, vgmax_sel):
@@ -491,10 +481,7 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
     if parameter == "e_syni":
         rate = 4000.0
         stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / rate)]
-        rows = [RowSpec(row=a * wafer.topology.driven_rows_per_array, sign="i",
-                        source="cal", gmax_div=1, vgmax_sel=0)
-                for a in range(wafer.topology.arrays_per_hicann)]
-        rests = _rest_sweep(wafer, db, h, scope, plan, side_rows=rows,
+        rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
                             stimulus=stim, tail=0.33, availability=availability)
         slope, icpt, red = fit_linear(np.array(plan.dac_values, float), rests.T,
                                       sigma=WRITE_SIGMA)
@@ -863,14 +850,14 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
     for name, target in targets.items():
         if name not in _TARGET_MAP:
             raise RangeError(f"unknown calibration target {name!r}")
-        entry_param, fg_name = _TARGET_MAP[name]
+        param = _TARGET_MAP[name]
         coord = neuron
-        if entry_param == "v_reset":
+        if param == "v_reset":
             coord = Coord.fg_block(neuron.indices[0],
                                    neuron.indices[1] // per_block)
-        entry = db.entry(coord, entry_param)
+        entry = db.entry(coord, param)
         if not entry.valid:
-            raise RangeError(f"no valid {entry_param!r} calibration for {coord}")
+            raise RangeError(f"no valid {param!r} calibration for {coord}")
 
         if entry.model == "constant":
             raw = entry.coeffs[0]
@@ -887,17 +874,17 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
                 raise RangeError(
                     f"{name} target {target} below the attainable range")
             x = inverse_softplus_tau(float(target), a, b, c, offset)
-            unit = dac_to_ua(cfg, 1.0) if entry_param == "i_gl" \
+            unit = dac_to_ua(cfg, 1.0) if param == "i_gl" \
                 else dac_to_volts(cfg, 1.0)
             raw = x / unit
         else:
-            raise RangeError(f"no hardware inversion for {entry_param!r}")
+            raise RangeError(f"no hardware inversion for {param!r}")
 
         dac = int(round(raw))
         if dac < 0 or dac > cfg.dac_max:
             clamped.append(name)
             dac = min(max(dac, 0), cfg.dac_max)
-        dacs[fg_name] = dac
+        dacs[param] = dac
     return HardwareValues(dacs=dacs, clamped=tuple(clamped))
 
 
@@ -919,13 +906,12 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 
     per_neuron_targets = {k: v for k, v in targets.items() if k != "v_reset"}
     for name in per_neuron_targets:
-        _, fg = _TARGET_MAP[name]
-        values[fg] = np.full(cfg.neurons_per_hicann,
-                             _nominal_dac(cfg, name, targets[name]), float)
+        values[_TARGET_MAP[name]] = np.full(
+            cfg.neurons_per_hicann, _nominal_dac(cfg, name, targets[name]), float)
     for n in scope:
         coord = Coord.neuron(h, n)
         for name, target in per_neuron_targets.items():
-            _, fg = _TARGET_MAP[name]
+            fg = _TARGET_MAP[name]
             try:
                 hw = to_hardware(cfg, db, coord, {name: target})
                 values[fg][n] = hw.dacs[fg]

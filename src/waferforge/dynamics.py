@@ -26,28 +26,17 @@ shortcut gives the full per-step expression bit for bit, for any parameter
 values, under these conditions:
 
 * a side that no event reaches, with no recurrent connection and a finite
-  decay factor, keeps ``g == +0.0``: its share of ``num`` and ``g_tot`` is
-  computed once;
+  decay factor, keeps ``g == +0.0``: its total conductance is computed once
+  and never decayed;
 * such a side's saturation test is skipped when it can fire for no unit:
   each ``i_sat`` is +inf or NaN, or is ``>= 0`` where the side's total
   conductance is zero;
-* with both sides static, ``num`` and ``g_tot`` are constant, and so are
-  ``V_inf`` and the propagator ``exp(-dt * g_tot / C)`` of every step that
-  does not saturate: they are computed once (exact for constant inputs,
-  Rotter & Diesmann 1999);
-* a step that does not saturate skips the ``g_tot > 0`` selection when
-  every ``g_tot`` is positive: each side's conductance stays in [0, inf]
-  (non-negative event and connection amounts, decay factor in (0, inf)) and
-  ``g_leak + g_base_x + g_base_i > 0``, since rounded sums are monotonic;
-* a conductance in [0, inf] is never -0.0, so adding a zero of either sign
-  leaves it unchanged: with ``g_base == 0`` a side's total is its ``g``; a
-  static inhibitory side with ``g_base_i == 0`` adds nothing to ``num``
-  unless ``g_leak_e`` holds a -0.0, and nothing to ``g_tot`` but the sign
-  of a zero, which takes the drift branch either way;
+* with both sides static and every ``g_tot`` positive, ``num``, ``g_tot``,
+  ``V_inf`` and the propagator ``exp(-dt * g_tot / C)`` are constant: they
+  are computed once (exact for constant inputs, Rotter & Diesmann 1999) and
+  each step that does not saturate runs in place;
 * the refractory clamp is skipped while the latest release time has passed
-  (never, once a release time is NaN);
-* a step that saturates, or a run whose ``g_tot`` may reach zero, takes the
-  full expression.
+  (never, once a release time is NaN).
 
 ``integrate_scan`` solves a run that provably cannot spike without a step
 loop and agrees with ``integrate`` to rounding (about 1e-14 V). The proof,
@@ -262,10 +251,9 @@ def _deliver(q: EventQueue, cursor: int, k: int, g, n_steps: int):
     return hi, int(q.boundary[hi]) if hi < q.boundary.shape[0] else n_steps
 
 
-def _stays_nonnegative(q: EventQueue, m: SynapticMatrix | None, decay) -> bool:
+def _stays_nonnegative(q: EventQueue, decay) -> bool:
     """Whether a side's conductance stays in [0, inf], never NaN."""
     return bool(np.all(q.amount >= 0.0)
-                and (m is None or np.all(m.amounts >= 0.0))
                 and np.all((decay > 0.0) & (decay < np.inf)))
 
 
@@ -332,50 +320,21 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     static_i = (next_i >= n_steps and recurrent_i is None
                 and bool(np.all(np.isfinite(decay_i))))
 
-    # whether each side's g stays in [0, inf]; such a g is never -0.0
-    nonneg_x = static_x or _stays_nonnegative(events_x, recurrent_x, decay_x)
-    nonneg_i = static_i or _stays_nonnegative(events_i, recurrent_i, decay_i)
-
-    # num = g_leak_e + gx_tot * e_synx + gi_tot * e_syni and
-    # g_tot = g_leak + gx_tot + gi_tot, split so that a static side's share
-    # is computed once
     gx_tot = g_x + p.g_base_x
     gi_tot = g_i + p.g_base_i
-    num_x = p.g_leak_e + gx_tot * p.e_synx
-    num_i = gi_tot * p.e_syni
-    gl_x = p.g_leak + gx_tot
-    num = num_x + num_i
-    g_tot = gl_x + gi_tot
+    num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
+    g_tot = p.g_leak + gx_tot + gi_tot
     check_x = has_sat and not (static_x and _never_saturates(gx_tot, p.i_sat))
     check_i = has_sat and not (static_i and _never_saturates(gi_tot, p.i_sat))
-    const = static_x and static_i
-    # g_tot > 0 on every step that does not saturate: rounded sums are
-    # monotonic, so g_tot is at least g_leak + g_base_x + g_base_i
-    positive = nonneg_x and nonneg_i \
-        and bool(np.all(p.g_leak + p.g_base_x + p.g_base_i > 0.0))
-    # exact zeros need not be added: without permanent conductance gx_tot is
-    # g_x itself, and a static inhibitory side without it adds +0.0 to g_tot
-    # (a zero g_tot drifts whatever its sign) and +-0.0 to num (num_x is
-    # never -0.0 unless g_leak_e holds one)
-    if not static_x and nonneg_x and np.all(p.g_base_x == 0.0):
-        gx_tot = g_x
-    if not static_i and nonneg_i and np.all(p.g_base_i == 0.0):
-        gi_tot = g_i
-    if static_i and np.all(p.g_base_i == 0.0):
-        g_tot = gl_x
-    if static_i and np.all(num_i == 0.0) \
-            and not np.any((p.g_leak_e == 0.0) & np.signbit(p.g_leak_e)):
-        num = num_x
-
-    v_inf = np.empty(n)
-    prop = np.empty(n)  # exp(-dt * g_tot / c)
-    if const and positive:
-        np.divide(num, g_tot, out=v_inf)
-        np.exp(-dt * g_tot / c, out=prop)
+    static = static_x and static_i
+    const = static and bool(np.all(g_tot > 0.0))
+    if const:
+        v_inf = num / g_tot
+        prop = np.exp(-dt * g_tot / c)
+        v_next = np.empty(n)
     tmp = np.empty(n)
     sat = np.empty(n, dtype=bool)
     fired = np.empty(n, dtype=bool)
-    v_next = np.empty(n)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
@@ -398,38 +357,25 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
             pending_i[:] = 0.0
 
         if not static_x:
-            if gx_tot is not g_x:
-                np.add(g_x, p.g_base_x, out=gx_tot)
-            np.multiply(gx_tot, p.e_synx, out=num_x)
-            np.add(p.g_leak_e, num_x, out=num_x)
-            np.add(p.g_leak, gx_tot, out=gl_x)
+            gx_tot = g_x + p.g_base_x
         if not static_i:
-            if gi_tot is not g_i:
-                np.add(g_i, p.g_base_i, out=gi_tot)
-            np.multiply(gi_tot, p.e_syni, out=num_i)
-        if not const:
-            if num is not num_x:
-                np.add(num_x, num_i, out=num)
-            if g_tot is not gl_x:
-                np.add(gl_x, gi_tot, out=g_tot)
+            gi_tot = g_i + p.g_base_i
+        if not static:
+            num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
+            g_tot = p.g_leak + gx_tot + gi_tot
 
         saturated = (
             check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
             or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
         if saturated:
             v_new = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt)
-        elif not positive:
-            v_new = _exp_euler(num, g_tot, v, c, dt)
-        else:
-            if not const:
-                np.divide(num, g_tot, out=v_inf)
-                np.multiply(-dt, g_tot, out=tmp)
-                np.divide(tmp, c, out=tmp)
-                np.exp(tmp, out=prop)
+        elif const:
             v_new = v_next
             np.subtract(v, v_inf, out=v_new)
             np.multiply(v_new, prop, out=v_new)
             np.add(v_inf, v_new, out=v_new)
+        else:
+            v_new = _exp_euler(num, g_tot, v, c, dt)
 
         if t_k >= release:  # no unit is refractory
             np.greater_equal(v_new, p.v_threshold, out=fired)
@@ -518,8 +464,8 @@ def cannot_spike(params: UnitParams, v0, dt: float, n_steps: int,
     # it stays below the finite sum of its amounts
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
-    if not (_stays_nonnegative(events_x, None, decay_x)
-            and _stays_nonnegative(events_i, None, decay_i)
+    if not (_stays_nonnegative(events_x, decay_x)
+            and _stays_nonnegative(events_i, decay_i)
             and np.isfinite(events_x.amount.sum() + events_i.amount.sum())):
         return False
     e_leak = p.g_leak_e / p.g_leak

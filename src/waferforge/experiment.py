@@ -343,8 +343,12 @@ def prepare(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
     if trace_circuits == "all":
         trace_units = np.arange(n, dtype=np.int64)
     else:
-        idx = sorted({net.unit_of[c] for c in trace_circuits})
-        trace_units = np.asarray(idx, dtype=np.int64)
+        idx = set()
+        for c in trace_circuits:
+            if c not in net.unit_of:
+                raise ValueError(f"{c} was not part of the simulation")
+            idx.add(net.unit_of[c])
+        trace_units = np.asarray(sorted(idx), dtype=np.int64)
 
     if isinstance(v_init, str):
         if v_init == "rest":

@@ -202,10 +202,11 @@ def test_record_subset_of_units():
 
 
 # ---- pinned traces ---------------------------------------------------------
-# Each case drives a different per-run shortcut of ``integrate``. The
-# digests cover the trace array and the spike raster; they were computed
-# with the loop as it was before the shortcuts existed, so every shortcut
-# must be bit-exact.
+# The cases cover static and live sides, signed zeros, saturation,
+# refractoriness, recurrence and each trace-write mode. The digests cover
+# the trace array and the spike raster; they were computed with the full
+# per-step expression before ``integrate`` had any shortcut, so each
+# shortcut it keeps must be bit-exact.
 
 def _queue(times, units, amounts, dt=1e-4):
     return EventQueue.from_times(np.asarray(times, float),

@@ -187,6 +187,16 @@ def test_recording_limit_is_twelve():
     assert len(res.traces) == 12
 
 
+def test_recording_a_circuit_outside_the_network_is_named():
+    w = quiet_wafer()
+    cfg = HicannConfig(hicann=0, enabled=[0, 1])
+    with pytest.raises(ValueError, match=r"neuron\[0,5\] was not part"):
+        run_experiment(w, [cfg], (), 0.01, [Coord.neuron(0, 5)])
+    with pytest.raises(ValueError, match=r"neuron\[0,5\] was not part"):
+        prepare(w, [cfg], (), 0.01,
+                trace_circuits=[Coord.neuron(0, 1), Coord.neuron(0, 5)])
+
+
 def test_validation_rejects_bad_configs():
     w = quiet_wafer()
     with pytest.raises(ValueError):  # group member not enabled
