@@ -113,6 +113,78 @@ def test_apply_calibration_round_trip(late_db):
             assert abs(got / targets[name] - 1.0) < bound, (n, name)
 
 
+def _hand_db(cfg):
+    """Hand-built entries for circuit 0 and FG blocks 1 and 2 of hicann 0."""
+    n0 = Coord.neuron(0, 0)
+    db = cal.CalibrationDb(3)
+    for coord, param, model, coeffs, valid in (
+            (n0, "e_leak", "linear", (1.8 / 1023, 0.01), True),
+            (n0, "i_pulse", "reciprocal", (0.5, 250.0), True),
+            (n0, "i_gl", "softplus", (0.05, 0.5, 10.0, 0.003), True),
+            (n0, "v_convoffx", "constant", (300.0, 290.0), True),
+            (n0, "e_syni", "linear", (1.8 / 1023, 0.0), False),
+            (Coord.fg_block(0, 1), "v_reset", "linear", (2e-3, 0.1), True),
+            (Coord.fg_block(0, 2), "v_reset", "linear", (4e-3, 0.1), True)):
+        db.add(cal.CalibrationEntry(coord, param, model, coeffs, 1.0, valid))
+    return db
+
+
+def test_to_hardware_inverts_each_model():
+    cfg = TopologyConfig()
+    hw = cal.to_hardware(cfg, _hand_db(cfg), Coord.neuron(0, 0),
+                         {"e_leak": 0.8, "tau_ref": 1e-3, "tau_mem": 0.01,
+                          "v_convoffx": None})
+    # linear: (0.8 - 0.01) / (1.8 / 1023) = 448.98
+    # reciprocal: 1 / (0.5 + 250 * 1e-3) = 4/3 uA at 2.5 uA / 1023 per LSB
+    # softplus: x = 0.5 - ln(expm1((0.01 - 0.003) * 10 / 0.05)) / 10 uA
+    # constant: the stored programming point, whatever the target
+    assert hw.dacs == {"e_leak": 449, "i_pulse": 546, "i_gl": 159,
+                       "v_convoffx": 300}
+    assert hw.clamped == ()
+
+
+def test_to_hardware_reads_v_reset_from_the_fg_block():
+    cfg = TopologyConfig()
+    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+    db = _hand_db(cfg)
+    for n in (per_block, per_block + 7, 2 * per_block - 1):
+        assert cal.to_hardware(cfg, db, Coord.neuron(0, n),
+                               {"v_reset": 0.5}).dacs == {"v_reset": 200}
+    # the next block holds its own entry
+    assert cal.to_hardware(cfg, db, Coord.neuron(0, 2 * per_block),
+                           {"v_reset": 0.5}).dacs == {"v_reset": 100}
+    with pytest.raises(KeyError, match="v_reset"):
+        cal.to_hardware(cfg, db, Coord.neuron(0, per_block - 1),
+                        {"v_reset": 0.5})
+
+
+def test_to_hardware_reports_clamped_targets():
+    cfg = TopologyConfig()
+    db = _hand_db(cfg)
+    n0 = Coord.neuron(0, 0)
+    high = cal.to_hardware(cfg, db, n0, {"e_leak": 1.9, "tau_ref": 1e-3})
+    assert high.dacs == {"e_leak": cfg.dac_max, "i_pulse": 546}
+    assert high.clamped == ("e_leak",)
+    low = cal.to_hardware(cfg, db, n0, {"e_leak": -0.1})
+    assert low.dacs == {"e_leak": 0}
+    assert low.clamped == ("e_leak",)
+
+
+def test_to_hardware_rejects_what_no_model_expresses():
+    cfg = TopologyConfig()
+    db = _hand_db(cfg)
+    n0 = Coord.neuron(0, 0)
+    with pytest.raises(cal.RangeError, match="unknown"):
+        cal.to_hardware(cfg, db, n0, {"tau_foo": 1e-3})
+    with pytest.raises(cal.RangeError, match="no valid 'e_syni'"):
+        cal.to_hardware(cfg, db, n0, {"e_syni": 0.2})
+    for tau in (0.003, 0.002):  # at and below the softplus offset
+        with pytest.raises(cal.RangeError, match="attainable"):
+            cal.to_hardware(cfg, db, n0, {"tau_mem": tau})
+    with pytest.raises(KeyError, match="e_synx"):
+        cal.to_hardware(cfg, db, n0, {"e_synx": 0.9})
+
+
 def test_db_rejects_entry_without_coordinate():
     data = cal.CalibrationDb(3).to_json()
     data["entries"] = [{"coord": None, "parameter": "e_leak", "model": "linear",
