@@ -40,10 +40,12 @@ prefix scan instead of a step loop.
 
 Results live in a CalibrationDb: one entry per (coordinate, parameter)
 with the model name, coefficients, a reduced chi-square and a validity
-flag. `to_hardware` inverts entries into DAC values for target voltages
-(hardware volts) and time constants (biological seconds), clamping to
-the DAC range and reporting it. `calibration_exclusion` folds circuits
-that failed any step back into the availability states.
+flag. v_reset's entry is keyed by the circuit's FG block, every other
+entry by the circuit itself (`_entry_coord`). `to_hardware` inverts
+entries into DAC values for target voltages (hardware volts) and time
+constants (biological seconds), clamping to the DAC range and reporting
+it. `calibration_exclusion` folds circuits that failed any step back
+into the availability states.
 """
 
 from __future__ import annotations
@@ -286,18 +288,8 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
         neurons = range(cfg.neurons_per_hicann)
     scope = list(neurons) if availability is None else [
         n for n in neurons if availability.is_usable(Coord.neuron(h, n))]
-    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-    kept = []
-    for n in scope:
-        ok = True
-        for req in REQUIRES[parameter]:
-            coord = Coord.fg_block(h, n // per_block) if req == "v_reset" \
-                else Coord.neuron(h, n)
-            if not db.has(coord, req):
-                ok = False
-                break
-        if ok:
-            kept.append(n)
+    kept = [n for n in scope if all(db.has(_entry_coord(cfg, h, n, req), req)
+                                    for req in REQUIRES[parameter])]
     if scope and not kept:
         raise CalibrationOrderError(
             f"{parameter!r} needs valid "
@@ -406,17 +398,39 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
     return np.arange(s) * dt, v
 
 
-def _add_entries(db, h, circuits, parameter, model, coeff_rows, red, valid):
-    entries = []
-    red = np.broadcast_to(np.asarray(red, dtype=float), (len(circuits),))
-    valid = np.broadcast_to(np.asarray(valid, dtype=bool), (len(circuits),))
-    for i, n in enumerate(circuits):
-        e = CalibrationEntry(Coord.neuron(h, n), parameter, model,
-                             tuple(float(c) for c in np.atleast_1d(coeff_rows[i])),
-                             float(red[i]), bool(valid[i]))
+def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
+    """The coordinate holding circuit ``n``'s ``parameter`` entry: v_reset's
+    cell is shared by an FG block, every other cell is the circuit's own."""
+    if parameter == "v_reset":
+        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+        return Coord.fg_block(h, n // per_block)
+    return Coord.neuron(h, n)
+
+
+def _add_entries(db, coords, parameter, model, coeff_rows, red, valid):
+    red = np.broadcast_to(np.asarray(red, dtype=float), (len(coords),))
+    valid = np.broadcast_to(np.asarray(valid, dtype=bool), (len(coords),))
+    entries = [CalibrationEntry(c, parameter, model,
+                                tuple(float(v) for v in np.atleast_1d(coeff_rows[i])),
+                                float(red[i]), bool(valid[i]))
+               for i, c in enumerate(coords)]
+    for e in entries:
         db.add(e)
-        entries.append(e)
     return entries
+
+
+def _linear_entries(db, coords, parameter, x, y, sigma, ok=True):
+    """Fit one line per row of ``y`` (n, points) against ``x`` and store it.
+
+    A line is valid if ``ok`` holds, it rises, its reduced chi-square is
+    below RED_CHI2_MAX and every point is finite. Non-finite coefficients
+    are stored as numbers and a NaN chi-square as inf.
+    """
+    slope, icpt, red = fit_linear(x, y, sigma=sigma)
+    valid = ok & (slope > 0) & (red < RED_CHI2_MAX) & np.isfinite(y).all(axis=1)
+    coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
+    return _add_entries(db, coords, parameter, "linear", coeffs,
+                        np.nan_to_num(red, nan=np.inf, posinf=np.inf), valid)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +464,8 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     for members in groups.values():
         idx = [pos[n] for n in members]
         offsets[idx] = m[idx] - m[idx].mean()
-    return _add_entries(db, h, scope, "readout_shift", "constant",
-                        offsets[:, None], 0.0, True)
+    return _add_entries(db, [Coord.neuron(h, n) for n in scope], "readout_shift",
+                        "constant", offsets[:, None], 0.0, True)
 
 
 def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -471,26 +485,18 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
     plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
-    if parameter == "e_leak":
-        rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
-        slope, icpt, red = fit_linear(np.array(plan.dac_values, float), rests.T,
-                                      sigma=WRITE_SIGMA)
-        valid = (slope > 0) & (red < RED_CHI2_MAX)
-        return _add_entries(db, h, scope, parameter, "linear",
-                            np.column_stack([slope, icpt]), red, valid)
-    if parameter == "e_syni":
-        rate = 4000.0
-        stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / rate)]
-        rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
-                            stimulus=stim, tail=0.33, availability=availability)
-        slope, icpt, red = fit_linear(np.array(plan.dac_values, float), rests.T,
-                                      sigma=WRITE_SIGMA)
-        valid = (slope > 0) & (red < RED_CHI2_MAX)
-        return _add_entries(db, h, scope, parameter, "linear",
-                            np.column_stack([slope, icpt]), red, valid)
     if parameter == "v_threshold":
         return _calibrate_v_threshold(wafer, db, h, scope, plan, availability)
-    return _calibrate_v_reset(wafer, db, h, scope, plan, availability)
+    if parameter == "v_reset":
+        return _calibrate_v_reset(wafer, db, h, scope, plan, availability)
+    if parameter == "e_leak":
+        rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
+    else:  # e_syni under a regular 4 kHz train
+        stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / 4000.0)]
+        rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
+                            stimulus=stim, tail=0.33, availability=availability)
+    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
+                           np.array(plan.dac_values, float), rests.T, WRITE_SIGMA)
 
 
 def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
@@ -512,8 +518,6 @@ def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
 
 
 def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
-    cfg = wafer.topology
-    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
     plateau = np.full((len(plan.dac_values), len(scope)), np.nan)
     for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
                                         availability=availability):
@@ -521,25 +525,18 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
         counts = np.array([len(ts) for ts in rasters])
         plateau[k, counts >= 5] = med[counts >= 5]
 
-    entries = []
-    blocks = sorted({n // per_block for n in scope})
+    # one fit per block on its circuits' mean plateau; a fit of all blocks at
+    # once would round differently (fit_linear's product depends on row count)
+    block_of = [_entry_coord(wafer.topology, h, n, "v_reset") for n in scope]
     x = np.array(plan.dac_values, float)
-    for b in blocks:
-        sel = [i for i, n in enumerate(scope) if n // per_block == b]
+    entries = []
+    for block in sorted(set(block_of)):
+        sel = [i for i, c in enumerate(block_of) if c == block]
         cnt = np.sum(~np.isnan(plateau[:, sel]), axis=1)
         y = np.where(cnt > 0, np.nansum(plateau[:, sel], axis=1)
                      / np.maximum(cnt, 1), np.nan)
-        if np.isnan(y).any():
-            e = CalibrationEntry(Coord.fg_block(h, b), "v_reset", "linear",
-                                 (0.0, 0.0), float("inf"), False)
-        else:
-            slope, icpt, red = fit_linear(x, y, sigma=float(np.hypot(
-                WRITE_SIGMA, 2.5e-3)))
-            e = CalibrationEntry(Coord.fg_block(h, b), "v_reset", "linear",
-                                 (float(slope), float(icpt)), float(red),
-                                 bool(slope > 0 and red < RED_CHI2_MAX))
-        db.add(e)
-        entries.append(e)
+        entries += _linear_entries(db, [block], "v_reset", x, y[None],
+                                   float(np.hypot(WRITE_SIGMA, 2.5e-3)))
     return entries
 
 
@@ -568,14 +565,9 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
             # extrapolate the last clean samples to the digital spike time
             peaks[k, i] = np.mean(vk + slope * d + 0.5 * curv * d * d)
 
-    x = np.array(plan.dac_values, float)
-    slope, icpt, red = fit_linear(x, peaks.T,
-                                  sigma=float(np.hypot(WRITE_SIGMA, 1.5e-3)))
-    valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(peaks).any(axis=0)
-    coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
-    red = np.nan_to_num(red, nan=np.inf, posinf=np.inf)
-    return _add_entries(db, h, scope, "v_threshold", "linear", coeffs, red,
-                        valid)
+    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], "v_threshold",
+                           np.array(plan.dac_values, float), peaks.T,
+                           float(np.hypot(WRITE_SIGMA, 1.5e-3)))
 
 
 def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
@@ -625,8 +617,8 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         c0 = -icpt * c1
     valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(y).any(axis=1)
     coeffs = np.column_stack([np.nan_to_num(c0), np.nan_to_num(c1)])
-    return _add_entries(db, h, scope, "i_pulse", "reciprocal", coeffs,
-                        np.nan_to_num(red, nan=np.inf), valid)
+    return _add_entries(db, [Coord.neuron(h, n) for n in scope], "i_pulse",
+                        "reciprocal", coeffs, np.nan_to_num(red, nan=np.inf), valid)
 
 
 def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -647,23 +639,20 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     sustained = np.flip(np.logical_and.accumulate(np.flip(ok, 0), 0), 0)
     idx = np.argmax(sustained, axis=0)
     valid = idx <= len(plan.dac_values) - 2  # the top point alone proves nothing
-    dacs = np.array(plan.dac_values)
-    entries = []
-    for i, n in enumerate(scope):
-        trans = int(dacs[idx[i]])
-        prog = int(dacs[min(idx[i] + CONVOFF_MARGIN_STEPS, len(dacs) - 1)])
-        e = CalibrationEntry(Coord.neuron(h, n), parameter, "constant",
-                             (float(prog), float(trans)), 0.0, bool(valid[i]))
-        db.add(e)
-        entries.append(e)
-    return entries
+    dacs = np.array(plan.dac_values, float)
+    prog = dacs[np.minimum(idx + CONVOFF_MARGIN_STEPS, len(dacs) - 1)]
+    return _add_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
+                        "constant", np.column_stack([prog, dacs[idx]]), 0.0, valid)
 
 
 def _convoff_array(wafer, db, h, parameter, scope):
+    """Programming points of the valid entries in ``scope``, the DAC ceiling
+    (amplifier off) for every other circuit."""
     cfg = wafer.topology
     out = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
     for n in scope:
-        out[n] = db.coeffs(Coord.neuron(h, n), parameter)[0]
+        if db.has(Coord.neuron(h, n), parameter):
+            out[n] = db.coeffs(Coord.neuron(h, n), parameter)[0]
     return out
 
 
@@ -717,9 +706,9 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     curve_mis = np.full(len(scope), np.nan)
     curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
     valid = fit_ok & ok_sp & (worst_mis < 0.20) & (curve_mis < 0.15)
-    return _add_entries(db, h, scope, parameter, "softplus",
-                        np.nan_to_num(coeffs), np.nan_to_num(red_sp, nan=np.inf),
-                        valid)
+    return _add_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
+                        "softplus", np.nan_to_num(coeffs),
+                        np.nan_to_num(red_sp, nan=np.inf), valid)
 
 
 def _rel_misfit(t_win, v, params) -> np.ndarray:
@@ -785,13 +774,9 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             roots[k] = -icpt / slope
 
-    x = np.array(plan.dac_values, float)
-    slope, icpt, red = fit_linear(x, roots.T, sigma=8e-3)
-    valid = slopes_ok & (slope > 0) & (red < RED_CHI2_MAX) \
-        & np.isfinite(roots).all(axis=0)
-    coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
-    return _add_entries(db, h, scope, "e_synx", "linear", coeffs,
-                        np.nan_to_num(red, nan=np.inf), valid)
+    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], "e_synx",
+                           np.array(plan.dac_values, float), roots.T, 8e-3,
+                           ok=slopes_ok)
 
 
 def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -845,16 +830,12 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
     outside the DAC range are clamped and reported in ``clamped``;
     targets that no model can express raise RangeError.
     """
-    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
     dacs, clamped = {}, []
     for name, target in targets.items():
         if name not in _TARGET_MAP:
             raise RangeError(f"unknown calibration target {name!r}")
         param = _TARGET_MAP[name]
-        coord = neuron
-        if param == "v_reset":
-            coord = Coord.fg_block(neuron.indices[0],
-                                   neuron.indices[1] // per_block)
+        coord = _entry_coord(cfg, *neuron.indices, param)
         entry = db.entry(coord, param)
         if not entry.valid:
             raise RangeError(f"no valid {param!r} calibration for {coord}")
@@ -900,51 +881,31 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
     cfg = wafer.topology
     scope = list(range(cfg.neurons_per_hicann)) if neurons is None \
         else list(neurons)
-    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
     values: dict[str, np.ndarray] = {}
     report = {"clamped": [], "fallback": []}
-
-    per_neuron_targets = {k: v for k, v in targets.items() if k != "v_reset"}
-    for name in per_neuron_targets:
-        values[_TARGET_MAP[name]] = np.full(
-            cfg.neurons_per_hicann, _nominal_dac(cfg, name, targets[name]), float)
+    for name, target in targets.items():
+        cells = cfg.fg_blocks_per_hicann if name == "v_reset" \
+            else cfg.neurons_per_hicann
+        values[_TARGET_MAP[name]] = np.full(cells, _nominal_dac(cfg, name, target))
+    seen = set()
     for n in scope:
-        coord = Coord.neuron(h, n)
-        for name, target in per_neuron_targets.items():
-            fg = _TARGET_MAP[name]
+        for name, target in targets.items():
+            param = _TARGET_MAP[name]
+            coord = _entry_coord(cfg, h, n, param)
+            if (coord, name) in seen:  # a block's v_reset goes once
+                continue
+            seen.add((coord, name))
             try:
-                hw = to_hardware(cfg, db, coord, {name: target})
-                values[fg][n] = hw.dacs[fg]
+                hw = to_hardware(cfg, db, Coord.neuron(h, n), {name: target})
+                values[param][coord.indices[1]] = hw.dacs[param]
                 if hw.clamped:
                     report["clamped"].append((coord, name))
             except (KeyError, RangeError):
                 report["fallback"].append((coord, name))
-    for side in ("x", "i"):
-        param = f"v_convoff{side}"
-        if param in per_neuron_targets:
-            continue
-        arr = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
-        present = False
-        for n in scope:
-            if db.has(Coord.neuron(h, n), param):
-                arr[n] = db.coeffs(Coord.neuron(h, n), param)[0]
-                present = True
-        if present:
-            values[param] = arr
-
-    if "v_reset" in targets:
-        arr = np.full(cfg.fg_blocks_per_hicann,
-                      _nominal_dac(cfg, "v_reset", targets["v_reset"]), float)
-        for b in sorted({n // per_block for n in scope}):
-            try:
-                hw = to_hardware(cfg, db, Coord.neuron(h, b * per_block),
-                                 {"v_reset": targets["v_reset"]})
-                arr[b] = hw.dacs["v_reset"]
-                if hw.clamped:
-                    report["clamped"].append((Coord.fg_block(h, b), "v_reset"))
-            except (KeyError, RangeError):
-                report["fallback"].append((Coord.fg_block(h, b), "v_reset"))
-        values["v_reset"] = arr
+    for param in ("v_convoffx", "v_convoffi"):
+        if param not in values and any(db.has(Coord.neuron(h, n), param)
+                                       for n in scope):
+            values[param] = _convoff_array(wafer, db, h, param, scope)
 
     program_floating_gates(wafer, h, values)
     return report
@@ -952,7 +913,8 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 
 def _nominal_dac(cfg: TopologyConfig, name: str, target) -> float:
     if name in ("tau_ref", "tau_mem", "tau_synx", "tau_syni"):
-        return 512.0  # no nominal inversion for the time-constant laws
+        # no nominal inversion for the time-constant laws: mid-range
+        return (cfg.dac_max + 1) / 2
     return min(max(float(target) / dac_to_volts(cfg, 1.0), 0.0),
                float(cfg.dac_max))
 
@@ -967,24 +929,11 @@ def calibration_exclusion(av_db: AvailabilityDb,
     effective state is recomputed through the design rules.
     """
     cfg = av_db.topology
-    per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-    bad_blocks = set()
-    verdict: dict[Coord, bool] = {}
-    for e in calib_db.entries():
-        ok = e.valid and e.red_chi2 < RED_CHI2_MAX
-        if e.coord.kind == Kind.FG_BLOCK:
-            if not ok:
-                bad_blocks.add(e.coord)
-        elif e.coord.kind == Kind.NEURON:
-            verdict[e.coord] = verdict.get(e.coord, True) and ok
-    excluded = []
-    for coord, ok in verdict.items():
-        h, n = coord.indices
-        if Coord.fg_block(h, n // per_block) in bad_blocks:
-            ok = False
-        if not ok:
-            excluded.append(coord)
-    excluded.sort()
+    entries = calib_db.entries()
+    bad = {e.coord for e in entries if not (e.valid and e.red_chi2 < RED_CHI2_MAX)}
+    circuits = {e.coord for e in entries if e.coord.kind == Kind.NEURON}
+    excluded = sorted(c for c in circuits if c in bad
+                      or _entry_coord(cfg, *c.indices, "v_reset") in bad)
 
     individual = av_db.ensure("individual")
     individual.exclude_many(excluded)

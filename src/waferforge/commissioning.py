@@ -55,20 +55,6 @@ REGION_OF_KIND = {
     Kind.NEURON: "neuron_builder_sram",
 }
 
-# largest functional unit excluded per failing region (granularity table)
-EXCLUSION_GRANULARITY = {
-    "synapse_array": Kind.SYNAPSE,
-    "driver_config": Kind.SYNAPSE_DRIVER,
-    "repeater_sram": Kind.REPEATER,
-    "switch_config": Kind.SWITCH,
-    "merger_config": Kind.MERGER,
-    "bg_config": Kind.BG_GEN,
-    "ext_merger_config": Kind.EXT_MERGER,
-    "fg_controller_sram": Kind.HICANN,  # one controller corrupts the whole die
-    "analog_out_config": Kind.ANALOG_OUT,
-    "neuron_builder_sram": Kind.NEURON,
-}
-
 # fixed reference subsets the documented component totals are quoted against
 REPORT_REFERENCE = {
     "infrastructure_hicanns": 373,  # jtag-reachable dies carrying routing fabric
@@ -188,7 +174,7 @@ def write_off_array(state: AvailabilityState, h: int, a: int) -> None:
 def _excluded_unit(d) -> Coord:
     # the component carrying the failing register goes; a fault in the FG
     # controller SRAM corrupts programming sequences for the whole die
-    if EXCLUSION_GRANULARITY[REGION_OF_KIND[d.coord.kind]] is Kind.HICANN:
+    if REGION_OF_KIND[d.coord.kind] == "fg_controller_sram":
         return Coord.hicann_(d.coord.hicann)
     return d.coord
 

@@ -276,6 +276,18 @@ def test_convoff_defaults_follow_the_dac_ceiling():
     assert np.all(np.abs(got - want) <= 10)  # FG write noise
 
 
+def test_time_constant_fallback_follows_the_dac_range():
+    # without an entry a time-constant target falls back to mid-range of the
+    # topology's DAC, not of the reference module's
+    cfg = TopologyConfig(dac_max=511)
+    w = build_wafer(3, cfg)
+    report = cal.apply_calibration(w, cal.CalibrationDb(), 0, {"tau_mem": 0.01})
+    assert report["fallback"] == [(Coord.neuron(0, n), "tau_mem")
+                                  for n in range(cfg.neurons_per_hicann)]
+    assert report["clamped"] == []
+    assert fg_dac_array(w, 0, "i_gl").max() <= 511
+
+
 def test_direct_reversal_readout_lies_between_rest_and_reversal():
     # the amplifier's limited current holds the membrane below the true
     # reversal potential, but well above the leak's rest
