@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from waferforge.availability import AvailabilityState
 from waferforge.topology import Coord
 from waferforge.variability import VariabilityConfig
 from waferforge.wafer import build_wafer, program_floating_gates
@@ -14,6 +15,7 @@ from waferforge.experiment import (
     RecordingLimitError,
     RowSpec,
     SynapseSpec,
+    UnusableComponentError,
     compile_network,
     prepare,
     readout,
@@ -195,6 +197,21 @@ def test_recording_a_circuit_outside_the_network_is_named():
     with pytest.raises(ValueError, match=r"neuron\[0,5\] was not part"):
         prepare(w, [cfg], (), 0.01,
                 trace_circuits=[Coord.neuron(0, 1), Coord.neuron(0, 5)])
+
+
+def test_excluded_circuits_cannot_be_enabled():
+    w = quiet_wafer()
+    av = AvailabilityState(w.topology, [Coord.neuron(0, 5)])
+    with pytest.raises(UnusableComponentError, match=r"neuron\[0,5\]"):
+        compile_network(w, [HicannConfig(hicann=0, enabled=[3, 5])], av)
+    with pytest.raises(UnusableComponentError, match=r"neuron\[0,5\]"):
+        simulate(w, [HicannConfig(hicann=0, enabled=[4, 5],
+                                  membrane_groups=[[4, 5]])], (), 0.01,
+                 availability=av)
+    # a circuit that is not enabled may be excluded
+    net = compile_network(w, [HicannConfig(hicann=0, enabled=[4, 6],
+                                           membrane_groups=[[4, 6]])], av)
+    assert net.params.n_units == 1
 
 
 def test_validation_rejects_bad_configs():
