@@ -875,8 +875,8 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 
     Adds the calibrated v_convoff programming point automatically when
     entries exist. Circuits without a valid model for some target fall
-    back to the nominal transfer; both fallbacks and clamps are
-    reported, not raised.
+    back to the nominal transfer (for v_convoffx/i, the DAC ceiling:
+    amplifier off); both fallbacks and clamps are reported, not raised.
     """
     cfg = wafer.topology
     scope = list(range(cfg.neurons_per_hicann)) if neurons is None \
@@ -912,6 +912,8 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 
 
 def _nominal_dac(cfg: TopologyConfig, name: str, target) -> float:
+    if name in ("v_convoffx", "v_convoffi"):  # input amplifier off
+        return float(cfg.dac_max)
     if name in ("tau_ref", "tau_mem", "tau_synx", "tau_syni"):
         # no nominal inversion for the time-constant laws: mid-range
         return (cfg.dac_max + 1) / 2

@@ -288,6 +288,28 @@ def test_time_constant_fallback_follows_the_dac_range():
     assert fg_dac_array(w, 0, "i_gl").max() <= 511
 
 
+def test_apply_calibration_takes_convoff_targets(late_db):
+    # without an entry the input amplifier is switched off: DAC ceiling,
+    # reported as a fallback
+    w = build_wafer(3)
+    report = cal.apply_calibration(w, cal.CalibrationDb(), 0,
+                                   {"v_convoffx": None}, neurons=[0])
+    assert report == {"clamped": [], "fallback": [(Coord.neuron(0, 0), "v_convoffx")]}
+    assert w.fg_state(0).d_set[0, NEURON_FG_ROWS["v_convoffx"], 1] == 1023
+    # with entries every circuit gets its calibrated programming point, the
+    # same cells the automatic v_convoff programming writes
+    circuits = [0, 128, 256, 384]
+    report = cal.apply_calibration(w, late_db, 0,
+                                   {"v_convoffx": None, "v_convoffi": None},
+                                   neurons=circuits)
+    assert report == {"clamped": [], "fallback": []}
+    d_set = w.fg_state(0).d_set
+    for param in ("v_convoffx", "v_convoffi"):
+        cells = d_set[:, NEURON_FG_ROWS[param], 1:].reshape(-1)
+        assert np.array_equal(cells, cal._convoff_array(w, late_db, 0, param,
+                                                        circuits)), param
+
+
 def test_direct_reversal_readout_lies_between_rest_and_reversal():
     # the amplifier's limited current holds the membrane below the true
     # reversal potential, but well above the leak's rest
