@@ -511,10 +511,9 @@ def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
         _program_context(wafer, h, plan, {plan.parameter: dac})
         sim = simulate(wafer, [cfg], (), plan.duration, v_init="rest",
                        availability=availability)
-        raster = sim.raster()
         yield (k, _read_corrected(wafer, sim, h, scope, offsets,
                                   (plan.parameter, k)),
-               [raster[Coord.neuron(h, n)] for n in scope])
+               [sim.trains[u] for u in sim.compiled.unit_of[h][scope]])
 
 
 def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
@@ -597,9 +596,8 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
                                 trace_circuits=[], availability=availability))
         isis = np.full((len(plan.dac_values), len(scope)), np.nan)
         for k, sim in enumerate(simulate_batch(runs)):
-            raster = sim.raster()
-            for i, n in enumerate(scope):
-                ts = raster[Coord.neuron(h, n)]
+            for i, u in enumerate(sim.compiled.unit_of[h][scope]):
+                ts = sim.trains[u]
                 if ts.size >= 6:
                     isis[k, i] = np.diff(ts).mean()
         ref = isis[anchor]

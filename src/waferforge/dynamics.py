@@ -205,9 +205,6 @@ class EngineResult:
     spike_units: np.ndarray  # time-ordered raster
     spike_times: np.ndarray
 
-    def spikes_of(self, unit: int) -> np.ndarray:
-        return self.spike_times[self.spike_units == unit]
-
 
 def _exp_euler(num, g_tot, v, c, dt):
     """One membrane step; a unit without conductance drifts on ``num``."""

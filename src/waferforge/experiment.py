@@ -22,22 +22,29 @@ own; the other runs are integrated together as one block-diagonal network by
 not depend on its batch: a calibration sweep can program and prepare all its
 points, then integrate them together. ``simulate`` is the batch of one.
 
+Units are keyed by index arrays (``CompiledNetwork.unit_hicann``,
+``unit_head``, ``unit_of``; ``SimResult.trains``). ``Coord``s appear only at
+the boundary: ``record``, ``trace_circuits``, ``raster()``, ``traces`` and
+error messages.
+
 ``readout`` digitizes up to 12 stored traces through the ADC chain;
-``run_experiment`` is the one-shot combination. Splitting integration from
-readout lets a measurement schedule reuse one integration for several 12-trace
-readout batches, exactly like re-running a deterministic hardware experiment
-with a different analog-output multiplexer setting.
+``run_experiment`` is the one-shot combination and also returns the spike
+raster. Splitting integration from readout lets a measurement schedule
+reuse one integration for several 12-trace readout batches, exactly like
+re-running a deterministic hardware experiment with a different analog-output
+multiplexer setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
                        cannot_spike, integrate, integrate_scan)
-from .topology import Coord
+from .topology import Coord, Kind
 from .wafer import (WaferModel, adc_readout, conductance_step_array,
                     efficacy_arrays, true_parameter_array)
 
@@ -98,13 +105,21 @@ class HicannConfig:
 @dataclass
 class CompiledNetwork:
     params: UnitParams
-    unit_head: list[Coord]
-    unit_members: list[list[Coord]]
-    unit_of: dict[Coord, int]
+    unit_hicann: np.ndarray  # per unit: its hicann
+    unit_head: np.ndarray  # per unit: its head circuit
+    unit_of: dict[int, np.ndarray]  # hicann -> unit per circuit, -1 if not enabled
     recurrent_x: SynapticMatrix | None
     recurrent_i: SynapticMatrix | None
     # (channel, address) -> list of (unit, sign, conductance amount)
     listeners: dict[tuple[str, int], list[tuple[int, str, float]]]
+
+    def unit(self, coord: Coord) -> int:
+        """The unit a neuron coordinate belongs to."""
+        n = coord.indices[-1]
+        units = self.unit_of.get(coord.indices[0], ()) if coord.kind == Kind.NEURON else ()
+        if not 0 <= n < len(units) or units[n] < 0:
+            raise ValueError(f"{coord} was not part of the simulation")
+        return int(units[n])
 
 
 def _validate_config(wafer: WaferModel, cfg: HicannConfig) -> None:
@@ -154,9 +169,13 @@ def _validate_config(wafer: WaferModel, cfg: HicannConfig) -> None:
             raise ValueError("address must be 4-bit")
 
 
-def _check_usable(availability, coord: Coord) -> None:
-    if availability is not None and not availability.is_usable(coord):
-        raise UnusableComponentError(f"{coord} is excluded")
+def _group_sums(x: np.ndarray, groups, heads: np.ndarray) -> np.ndarray:
+    """``x[group].sum()`` per membrane group (a group of one is its head)."""
+    out = x[heads]
+    for i, group in enumerate(groups):
+        if len(group) > 1:
+            out[i] = x[group].sum()
+    return out
 
 
 def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNetwork:
@@ -164,60 +183,49 @@ def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNe
         configs = [configs]
     top = wafer.topology
     var = wafer.variability
+    sat = var.ota_saturation_current
 
-    unit_head: list[Coord] = []
-    unit_members: list[list[Coord]] = []
-    unit_of: dict[Coord, int] = {}
-    per_unit: dict[str, list[float]] = {k: [] for k in (
-        "capacitance", "g_leak", "g_leak_e", "v_threshold", "v_reset",
-        "tau_ref", "e_synx", "e_syni", "tau_synx", "tau_syni",
-        "g_base_x", "g_base_i", "i_sat")}
+    unit_of: dict[int, np.ndarray] = {}
+    columns: list[dict[str, np.ndarray]] = []  # per config: unit columns
     listeners: dict[tuple[str, int], list[tuple[int, str, float]]] = {}
-    emit_all: list[tuple[Coord, str, int]] = []
+    emitters: list[tuple[int, EmitterSpec]] = []
+    n = 0
 
     for cfg in configs:
         _validate_config(wafer, cfg)
         h = cfg.hicann
-        e_l = true_parameter_array(wafer, h, "e_leak")
-        g_l = true_parameter_array(wafer, h, "g_leak")
-        v_th = true_parameter_array(wafer, h, "v_threshold")
-        v_rst = true_parameter_array(wafer, h, "v_reset")
-        t_ref = true_parameter_array(wafer, h, "tau_ref")
-        e_sx = true_parameter_array(wafer, h, "e_synx")
-        e_si = true_parameter_array(wafer, h, "e_syni")
-        t_sx = true_parameter_array(wafer, h, "tau_synx")
-        t_si = true_parameter_array(wafer, h, "tau_syni")
-        gp_x, eff_x = efficacy_arrays(wafer, h, "x")
-        gp_i, eff_i = efficacy_arrays(wafer, h, "i")
-
         grouped = {c for g in cfg.membrane_groups for c in g}
         groups = list(cfg.membrane_groups) \
             + [[c] for c in sorted(cfg.enabled) if c not in grouped]
-        for group in groups:
-            head = group[0]
-            coord = Coord.neuron(h, head)
-            _check_usable(availability, coord)
-            u = len(unit_head)
-            unit_head.append(coord)
-            unit_members.append([Coord.neuron(h, c) for c in group])
-            for c in group:
-                _check_usable(availability, Coord.neuron(h, c))
-                unit_of[Coord.neuron(h, c)] = u
-            mem = np.asarray(group, dtype=int)
-            per_unit["capacitance"].append(var.membrane_capacitance * len(group))
-            per_unit["g_leak"].append(float(g_l[mem].sum()))
-            per_unit["g_leak_e"].append(float((g_l[mem] * e_l[mem]).sum()))
-            per_unit["v_threshold"].append(float(v_th[head]))
-            per_unit["v_reset"].append(float(v_rst[head]))
-            per_unit["tau_ref"].append(float(t_ref[head]))
-            per_unit["e_synx"].append(float(e_sx[head]))
-            per_unit["e_syni"].append(float(e_si[head]))
-            per_unit["tau_synx"].append(float(t_sx[head]))
-            per_unit["tau_syni"].append(float(t_si[head]))
-            per_unit["g_base_x"].append(float(gp_x[mem].sum()))
-            per_unit["g_base_i"].append(float(gp_i[mem].sum()))
-            sat = var.ota_saturation_current
-            per_unit["i_sat"].append(np.inf if sat is None else sat * len(group))
+        heads = np.array([g[0] for g in groups], dtype=np.int64)
+        sizes = np.array([len(g) for g in groups], dtype=np.int64)
+        members = np.array([c for g in groups for c in g], dtype=np.int64)
+        if availability is not None:
+            bad = availability.read_mask(Kind.NEURON)[h, members]
+            if bad.any():
+                first = Coord.neuron(h, int(members[np.argmax(bad)]))
+                raise UnusableComponentError(f"{first} is excluded")
+        units = unit_of.setdefault(
+            h, np.full(top.neurons_per_hicann, -1, dtype=np.int64))
+        units[members] = n + np.repeat(np.arange(len(groups)), sizes)
+        n += len(groups)
+
+        g_l = true_parameter_array(wafer, h, "g_leak")
+        gp_x, eff_x = efficacy_arrays(wafer, h, "x")
+        gp_i, eff_i = efficacy_arrays(wafer, h, "i")
+        col = {name: true_parameter_array(wafer, h, name)[heads] for name in (
+            "v_threshold", "v_reset", "tau_ref", "e_synx", "e_syni",
+            "tau_synx", "tau_syni")}
+        col.update(
+            hicann=np.full(len(groups), h, dtype=np.int64), head=heads,
+            capacitance=var.membrane_capacitance * sizes,
+            g_leak=_group_sums(g_l, groups, heads),
+            g_leak_e=_group_sums(g_l * true_parameter_array(wafer, h, "e_leak"),
+                                 groups, heads),
+            g_base_x=_group_sums(gp_x, groups, heads),
+            g_base_i=_group_sums(gp_i, groups, heads),
+            i_sat=np.full(len(groups), np.inf) if sat is None else sat * sizes)
+        columns.append(col)
 
         rows = {r.row: r for r in cfg.rows}
         if cfg.synapses:
@@ -226,56 +234,40 @@ def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNe
             arrays = np.array([s.row // top.driven_rows_per_array
                                for s in cfg.synapses])
             circuits = arrays * top.columns_per_array + cols
+            targets = units[circuits]
+            if (targets < 0).any():
+                raise ValueError(
+                    f"synapse targets disabled circuit "
+                    f"{int(circuits[np.argmax(targets < 0)])} on hicann {h}")
             weights = np.array([s.weight for s in cfg.synapses])
             divs = np.array([r.gmax_div for r in syn_rows], dtype=float)
             sels = np.array([r.vgmax_sel for r in syn_rows])
             steps = conductance_step_array(wafer, h, circuits, weights, divs, sels)
-            for s, r, c, step in zip(cfg.synapses, syn_rows, circuits, steps):
-                coord = Coord.neuron(h, int(c))
-                if coord not in unit_of:
-                    raise ValueError(
-                        f"synapse targets disabled circuit {int(c)} on hicann {h}")
+            for s, r, c, u, step in zip(cfg.synapses, syn_rows, circuits,
+                                        targets, steps):
                 eff = eff_x[c] if r.sign == "x" else eff_i[c]
                 listeners.setdefault((r.source, s.address), []).append(
-                    (unit_of[coord], r.sign, float(step * eff)))
+                    (int(u), r.sign, float(step * eff)))
 
-        for e in cfg.emitters:
-            emit_all.append((Coord.neuron(h, e.circuit), e.channel, e.address))
+        emitters += [(h, e) for e in cfg.emitters]
 
-    n = len(unit_head)
-    params = UnitParams(**{k: np.asarray(v, dtype=float)
-                           for k, v in per_unit.items()})
+    def stacked(name, dtype=float):
+        return np.concatenate([np.empty(0, dtype)] + [c[name] for c in columns])
 
-    trip_x: list[tuple[int, int, float]] = []
-    trip_i: list[tuple[int, int, float]] = []
-    for coord, channel, address in emit_all:
-        pre = unit_of[coord]
-        for unit, sign, amount in listeners.get((channel, address), ()):
-            (trip_x if sign == "x" else trip_i).append((pre, unit, amount))
-    rec_x = rec_i = None
-    if trip_x:
-        pre, post, amt = zip(*trip_x)
-        rec_x = SynapticMatrix.from_triplets(n, pre, post, amt)
-    if trip_i:
-        pre, post, amt = zip(*trip_i)
-        rec_i = SynapticMatrix.from_triplets(n, pre, post, amt)
+    params = UnitParams(**{f.name: stacked(f.name) for f in fields(UnitParams)})
 
-    return CompiledNetwork(params=params, unit_head=unit_head,
-                           unit_members=unit_members, unit_of=unit_of,
-                           recurrent_x=rec_x, recurrent_i=rec_i,
+    trips: dict[str, list[tuple[int, int, float]]] = {"x": [], "i": []}
+    for h, e in emitters:
+        pre = int(unit_of[h][e.circuit])
+        for unit, sign, amount in listeners.get((e.channel, e.address), ()):
+            trips[sign].append((pre, unit, amount))
+    rec = {sign: SynapticMatrix.from_triplets(n, *zip(*t)) if t else None
+           for sign, t in trips.items()}
+
+    return CompiledNetwork(params=params, unit_hicann=stacked("hicann", np.int64),
+                           unit_head=stacked("head", np.int64), unit_of=unit_of,
+                           recurrent_x=rec["x"], recurrent_i=rec["i"],
                            listeners=listeners)
-
-
-def _normalize_stimulus(stimulus):
-    """Accept (source, t) with source=(channel, address), or flat triples."""
-    events = []
-    for item in stimulus or ():
-        if len(item) == 2:
-            (channel, address), t = item
-        else:
-            channel, address, t = item
-        events.append((str(channel), int(address), float(t)))
-    return events
 
 
 @dataclass
@@ -286,9 +278,20 @@ class SimResult:
     dt: float
     trace_units: np.ndarray
 
+    @cached_property
+    def trains(self) -> list[np.ndarray]:
+        """Spike times of each unit, in raster order."""
+        units = self.engine.spike_units
+        order = np.argsort(units, kind="stable")
+        ends = np.searchsorted(units[order],
+                               np.arange(1, self.compiled.params.n_units))
+        return np.split(self.engine.spike_times[order], ends)
+
     def raster(self) -> dict[Coord, np.ndarray]:
-        return {head: self.engine.spikes_of(u)
-                for u, head in enumerate(self.compiled.unit_head)}
+        """Spike times per unit head."""
+        net = self.compiled
+        return {Coord.neuron(int(h), int(n)): ts for h, n, ts
+                in zip(net.unit_hicann, net.unit_head, self.trains)}
 
 
 def resting_potential(params: UnitParams) -> np.ndarray:
@@ -317,38 +320,33 @@ def prepare(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
             availability=None, v_init="reset") -> PreparedRun:
     """Compile the configured network against the current FG state.
 
-    ``trace_circuits`` limits membrane-trace storage (not the physics) to the
-    units containing the given neuron coords; pass "all" to keep every unit.
+    ``stimulus`` holds ``((channel, address), t)`` pairs or
+    ``(channel, address, t)`` triples. ``trace_circuits`` limits
+    membrane-trace storage (not the physics) to the units containing the
+    given neuron coords; pass "all" to keep every unit.
     ``v_init`` is "reset" (power-on state), "rest" (membranes settled before
     the experiment starts, as on continuously running hardware), or an array.
     """
     net = compile_network(wafer, configs, availability)
     times, units, amounts, sides = [], [], [], []
-    for channel, address, t in _normalize_stimulus(stimulus):
-        for unit, sign, amount in net.listeners.get((channel, address), ()):
+    for item in stimulus or ():
+        (channel, address), t = (item[:2], item[2]) if len(item) == 3 else item
+        for unit, sign, amount in net.listeners.get((str(channel), int(address)), ()):
             times.append(t)
             units.append(unit)
             amounts.append(amount)
             sides.append(sign)
-    sides = np.asarray(sides, dtype=object)
-    ev = {}
-    for sign in ("x", "i"):
-        m = sides == sign if len(sides) else np.zeros(0, dtype=bool)
-        ev[sign] = EventQueue.from_times(
-            np.asarray(times, dtype=float)[m] if len(sides) else [],
-            np.asarray(units, dtype=np.int64)[m] if len(sides) else [],
-            np.asarray(amounts, dtype=float)[m] if len(sides) else [], dt)
+    times, units = np.array(times, dtype=float), np.array(units, dtype=np.int64)
+    amounts, is_x = np.array(amounts, dtype=float), np.array(sides, dtype="U1") == "x"
+    ev = {sign: EventQueue.from_times(times[m], units[m], amounts[m], dt)
+          for sign, m in (("x", is_x), ("i", ~is_x))}
 
     n = net.params.n_units
     if trace_circuits == "all":
         trace_units = np.arange(n, dtype=np.int64)
     else:
-        idx = set()
-        for c in trace_circuits:
-            if c not in net.unit_of:
-                raise ValueError(f"{c} was not part of the simulation")
-            idx.add(net.unit_of[c])
-        trace_units = np.asarray(sorted(idx), dtype=np.int64)
+        trace_units = np.asarray(sorted({net.unit(c) for c in trace_circuits}),
+                                 dtype=np.int64)
 
     if isinstance(v_init, str):
         if v_init == "rest":
@@ -492,8 +490,8 @@ class ExperimentResult:
     adc_dt: float
     t: np.ndarray  # ADC sample times, biological seconds
     traces: dict[Coord, np.ndarray]  # quantized readings, ADC volts
-    raster: dict[Coord, np.ndarray]  # spike times per unit head
-    group_stats: dict | None = None
+    # spike times per unit head; filled by run_experiment, not by readout
+    raster: dict[Coord, np.ndarray] = field(default_factory=dict)
 
 
 def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentResult:
@@ -506,29 +504,26 @@ def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentRes
     n_samples = int(np.floor(sim.duration / adc_dt)) + 1
     t_adc = np.arange(n_samples) * adc_dt
 
-    row_of_unit = {int(u): i for i, u in enumerate(sim.trace_units)}
-    by_hicann: dict[int, list[Coord]] = {}
+    by_hicann: dict[int, list[tuple[Coord, int]]] = {}
     for coord in record:
-        if coord not in sim.compiled.unit_of:
-            raise ValueError(f"{coord} was not part of the simulation")
-        by_hicann.setdefault(coord.indices[0], []).append(coord)
+        by_hicann.setdefault(coord.indices[0], []).append(
+            (coord, sim.compiled.unit(coord)))
 
     traces: dict[Coord, np.ndarray] = {}
     for h in sorted(by_hicann):
-        coords = by_hicann[h]
-        raw = np.empty((len(coords), n_samples))
-        for i, coord in enumerate(coords):
-            u = sim.compiled.unit_of[coord]
-            if u not in row_of_unit:
+        pairs = by_hicann[h]
+        raw = np.empty((len(pairs), n_samples))
+        for i, (coord, u) in enumerate(pairs):
+            row = np.flatnonzero(sim.trace_units == u)
+            if not row.size:
                 raise ValueError(f"no trace stored for {coord}")
-            raw[i] = np.interp(t_adc, sim.engine.t, sim.engine.v[row_of_unit[u]])
-        circuits = [c.indices[1] for c in coords]
+            raw[i] = np.interp(t_adc, sim.engine.t, sim.engine.v[row[0]])
+        circuits = [c.indices[1] for c, _ in pairs]
         quantized = adc_readout(wafer, h, circuits, raw, token)
-        for coord, q in zip(coords, quantized):
-            traces[coord] = q
+        traces.update(zip((c for c, _ in pairs), quantized))
 
     return ExperimentResult(duration=sim.duration, adc_dt=adc_dt, t=t_adc,
-                            traces=traces, raster=sim.raster())
+                            traces=traces)
 
 
 def run_experiment(wafer: WaferModel, configs, stimulus, duration_bio: float,
@@ -542,7 +537,9 @@ def run_experiment(wafer: WaferModel, configs, stimulus, duration_bio: float,
     sim = simulate(wafer, configs, stimulus, duration_bio, dt=dt,
                    trace_circuits=record, availability=availability,
                    v_init=v_init)
-    return readout(wafer, sim, record, token)
+    result = readout(wafer, sim, record, token)
+    result.raster = sim.raster()
+    return result
 
 
 def write_trace_csv(path, result: ExperimentResult, coord: Coord) -> None:

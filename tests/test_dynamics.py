@@ -32,6 +32,10 @@ def run(params, duration, dt=1e-4, **kw):
     return integrate(params, duration, dt, **kw)
 
 
+def spikes_of(res, unit):
+    return res.spike_times[res.spike_units == unit]
+
+
 def test_leak_relaxation_is_exact():
     # exponential Euler solves the pure leak equation exactly at any dt
     p = leak_params()
@@ -53,7 +57,7 @@ def test_isi_matches_closed_form():
     p = leak_params(e_leak=1.2, v_threshold=0.9, v_reset=0.5, tau_ref=0.0)
     dt = 1e-4
     res = run(p, 0.5, dt=dt)
-    times = res.spikes_of(0)
+    times = spikes_of(res, 0)
     isi = np.diff(times)
     analytic = tau * np.log((1.2 - 0.5) / (1.2 - 0.9))
     assert len(times) > 10
@@ -68,8 +72,8 @@ def test_refractory_period_extends_isi():
     p0 = leak_params(e_leak=1.2, v_threshold=0.9, tau_ref=0.0)
     p2 = leak_params(e_leak=1.2, v_threshold=0.9, tau_ref=2e-3)
     dt = 1e-4
-    isi0 = np.mean(np.diff(run(p0, 0.5, dt=dt).spikes_of(0)))
-    isi2 = np.mean(np.diff(run(p2, 0.5, dt=dt).spikes_of(0)))
+    isi0 = np.mean(np.diff(spikes_of(run(p0, 0.5, dt=dt), 0)))
+    isi2 = np.mean(np.diff(spikes_of(run(p2, 0.5, dt=dt), 0)))
     assert abs((isi2 - isi0) - 2e-3) < dt
     assert abs(isi2 - (analytic + 2e-3)) < 2 * dt
 
@@ -186,9 +190,9 @@ def test_spike_records_are_sorted_and_interpolated():
     p = leak_params(n=2, e_leak=1.2, v_threshold=0.9)
     res = run(p, 0.1, dt=1e-4)
     assert np.all(np.diff(res.spike_times) >= 0)
-    t0 = res.spikes_of(0)[0]
+    t0 = spikes_of(res, 0)[0]
     assert t0 % 1e-4 != 0.0  # sub-step threshold crossing time
-    assert np.array_equal(res.spikes_of(0), res.spikes_of(1))  # identical units
+    assert np.array_equal(spikes_of(res, 0), spikes_of(res, 1))  # identical units
 
 
 def test_record_subset_of_units():

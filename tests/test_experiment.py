@@ -6,7 +6,8 @@ import pytest
 from waferforge.availability import AvailabilityState
 from waferforge.topology import Coord
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import build_wafer, program_floating_gates
+from waferforge.wafer import (build_wafer, efficacy_arrays, program_floating_gates,
+                              true_parameter_array)
 from waferforge import experiment
 from waferforge.dynamics import EventQueue, cannot_spike, integrate
 from waferforge.experiment import (
@@ -137,7 +138,7 @@ def test_emitter_drives_recurrent_synapse():
     net = compile_network(w, [cfg])
     assert net.recurrent_x is not None and net.recurrent_x.n_connections == 1
     sim = simulate(w, cfg, [], 0.2)
-    v9 = sim.engine.v[sim.compiled.unit_of[Coord.neuron(0, 9)]]
+    v9 = sim.engine.v[sim.compiled.unit(Coord.neuron(0, 9))]
     spikes0 = sim.raster()[Coord.neuron(0, 0)]
     assert len(spikes0) >= 10
     # circuit 9 rests at 1.2 V (same e_leak) but v_threshold pins it: it fires
@@ -154,13 +155,13 @@ def test_merged_group_scales_psp():
     merged = HicannConfig(hicann=0, enabled=[3, 4], membrane_groups=[[3, 4]], **base)
     t1 = simulate(w, single, [("in", 0, 0.02)], 0.08, v_init="rest")
     t2 = simulate(w, merged, [("in", 0, 0.02)], 0.08, v_init="rest")
-    h1 = t1.engine.v[t1.compiled.unit_of[Coord.neuron(0, 3)]].max() - 0.7002932551319648
-    h2 = t2.engine.v[t2.compiled.unit_of[Coord.neuron(0, 3)]].max() - 0.7002932551319648
+    h1 = t1.engine.v[t1.compiled.unit(Coord.neuron(0, 3))].max() - 0.7002932551319648
+    h2 = t2.engine.v[t2.compiled.unit(Coord.neuron(0, 3))].max() - 0.7002932551319648
     # doubled capacitance and leak: same tau, half the PSP height
     assert h2 / h1 == pytest.approx(0.5, rel=0.02)
     # group members resolve to the same unit
-    assert (t2.compiled.unit_of[Coord.neuron(0, 3)]
-            == t2.compiled.unit_of[Coord.neuron(0, 4)])
+    assert (t2.compiled.unit(Coord.neuron(0, 3))
+            == t2.compiled.unit(Coord.neuron(0, 4)))
 
 
 def test_readout_token_and_determinism():
@@ -197,6 +198,9 @@ def test_recording_a_circuit_outside_the_network_is_named():
     with pytest.raises(ValueError, match=r"neuron\[0,5\] was not part"):
         prepare(w, [cfg], (), 0.01,
                 trace_circuits=[Coord.neuron(0, 1), Coord.neuron(0, 5)])
+    sim = simulate(w, [cfg], (), 0.01, trace_circuits=[Coord.neuron(0, 1)])
+    with pytest.raises(ValueError, match=r"no trace stored for neuron\[0,0\]"):
+        readout(w, sim, [Coord.neuron(0, 1), Coord.neuron(0, 0)])
 
 
 def test_excluded_circuits_cannot_be_enabled():
@@ -371,6 +375,63 @@ def test_batch_matches_separate_recurrent_runs():
     batch = simulate_batch([plain, exc, inh, exc])
     for batched, alone in zip(batch, [plain_alone, exc_alone, inh_alone, exc_alone]):
         assert_same_run(batched, alone)
+
+
+def test_trains_split_the_engine_raster_per_unit():
+    w = build_wafer(6)
+    for h in (0, 1):
+        program_floating_gates(w, h, spiking_values())
+    spiking = prepare(w, [HicannConfig(hicann=0, enabled=[0, 1, 2],
+                                       membrane_groups=[[2, 1]]),
+                          HicannConfig(hicann=1, enabled=[5])], [], 0.1)
+    recurrent = prepare(w, recurrent_config(3, 9, "x"), [], 0.1)
+    program_floating_gates(w, 0, {"v_threshold": 1023, "e_leak": 398})
+    psp = prepare(w, psp_config([4, 5]), [("in", 0, 0.02)], 0.1, v_init="rest")
+    silent = prepare(w, HicannConfig(hicann=0, enabled=[6]), [], 0.1,
+                     v_init="rest")
+    assert experiment._scanned(psp, n_steps_of(psp))
+    batch = simulate_batch([spiking, recurrent, psp, silent])
+    heads = [[(0, 2), (0, 0), (1, 5)], [(0, 3), (0, 9)], [(0, 4), (0, 5)], [(0, 6)]]
+    for sim, want in zip(batch, heads):
+        e = sim.engine
+        n = sim.compiled.params.n_units
+        assert len(sim.trains) == n
+        for u in range(n):
+            assert _bits(sim.trains[u]) == _bits(e.spike_times[e.spike_units == u])
+        raster = sim.raster()
+        assert list(raster) == [Coord.neuron(*hc) for hc in want]
+        for u, coord in enumerate(raster):
+            assert _bits(raster[coord]) == _bits(e.spike_times[e.spike_units == u])
+    # the units of the spiking run interleave in time, so the split reorders
+    assert np.any(np.diff(batch[0].engine.spike_units) < 0)
+    assert all(len(ts) >= 3 for ts in batch[0].trains)
+    assert batch[3].trains[0].shape == (0,)
+
+
+def test_group_columns_sum_their_members():
+    w = build_wafer(3)  # circuits differ, so a wrong member shows
+    program_floating_gates(w, 0, {"v_convoffx": 300, "v_convoffi": 300})
+    groups = [[10], [20, 3, 7], list(range(48, 39, -1))]
+    enabled = sorted(c for g in groups for c in g)
+    net = compile_network(w, [HicannConfig(hicann=0, enabled=enabled,
+                                           membrane_groups=groups)])
+    g_l = true_parameter_array(w, 0, "g_leak")
+    e_l = true_parameter_array(w, 0, "e_leak")
+    gp_x, _ = efficacy_arrays(w, 0, "x")
+    gp_i, _ = efficacy_arrays(w, 0, "i")
+    p = net.params
+    for got, want in ((p.g_leak, [g_l[g].sum() for g in groups]),
+                      (p.g_leak_e, [(g_l[g] * e_l[g]).sum() for g in groups]),
+                      (p.g_base_x, [gp_x[g].sum() for g in groups]),
+                      (p.g_base_i, [gp_i[g].sum() for g in groups])):
+        assert _bits(got) == _bits(np.array(want))
+    assert np.all(p.g_base_x > 0) and np.all(p.g_base_i > 0)
+    assert list(net.unit_head) == [10, 20, 48]
+    assert list(net.unit_hicann) == [0, 0, 0]
+    units = np.full(512, -1)
+    for u, g in enumerate(groups):
+        units[g] = u
+    assert np.array_equal(net.unit_of[0], units)
 
 
 def test_batch_rejects_mismatched_timing():
