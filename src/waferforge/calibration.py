@@ -18,6 +18,11 @@ reduce to an observable, and fit a small model per circuit:
   v_syntcx/i     softplus    synaptic time constant vs bias voltage (V)
   e_synx         linear      reversal from PSP-height extrapolation vs DAC
 
+Sweep plans and ``BASE_SETTINGS`` are codes of the reference module's DAC
+(``PLAN_DAC_MAX``); every op rescales them to the topology's DAC range. A
+cell's layout, block sharing and nominal unit come from ``wafer.FG_CELLS``
+and the cell behind each time constant from ``wafer.CONTROL_CELL``.
+
 Measurements respect the instrument limits: at most 12 traces per
 readout pass (one simulation is digitized in as many passes as needed)
 and repeated stimulus presentations are averaged on the ADC grid before
@@ -50,6 +55,7 @@ into the availability states.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -62,8 +68,8 @@ from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
 from .fitting import fit_linear, fit_psp_batch, fit_softplus
 from .psp import psp_model_batch, smooth3
 from .topology import Coord, Kind, TopologyConfig, check_schema
-from .wafer import (WaferModel, dac_to_ua, dac_to_volts, inverse_softplus_tau,
-                    program_floating_gates, softplus_tau)
+from .wafer import (CONTROL_CELL, FG_CELLS, WaferModel, cell_index, dac_to_unit,
+                    inverse_softplus_tau, program_floating_gates, softplus_tau)
 
 SCHEMA = "waferforge.calibration/1"
 
@@ -72,9 +78,9 @@ SCHEMA = "waferforge.calibration/1"
 # end of the time-constant extraction
 PSP_DT = 1e-4
 
-# every sweep point costs one FG write cycle, so ~2 LSB of write noise on
-# the cell dominates the per-point error budget of any voltage measurement
-WRITE_SIGMA = 2.0 * 1.8 / 1023
+# plans and base settings are codes of the reference module's DAC; an op
+# reads them as fractions of this ceiling
+PLAN_DAC_MAX = 1023
 
 # v_convoff: one grid step below the transition already leaks >100 mV, so
 # the rest tolerance only has to clear the write/readout noise of two points
@@ -83,6 +89,12 @@ CONVOFF_MARGIN_STEPS = 1
 
 # digital weight of the single synapse behind each e_synx PSP
 E_SYNX_WEIGHT = 9
+
+# every PSP sweep drives its synapses at this gmax divisor and vgmax palette
+# entry, with the first stimulus spike of each presentation at PSP_SPIKE_AT
+PSP_GMAX_DIV = 11
+PSP_VGMAX_SEL = 0
+PSP_SPIKE_AT = 0.01
 
 # a fit whose reduced chi-square reaches this limit is not valid, and
 # calibration_exclusion drops any circuit whose entries reach it
@@ -108,15 +120,13 @@ CALIBRATION_ORDER = tuple(REQUIRES)
 
 # target name -> the calibrated parameter, which names both its DB entry and
 # the floating-gate cell that realizes it
-_TARGET_MAP = {
-    "e_leak": "e_leak", "v_threshold": "v_threshold", "e_synx": "e_synx",
-    "e_syni": "e_syni", "v_reset": "v_reset", "tau_ref": "i_pulse",
-    "tau_mem": "i_gl", "tau_synx": "v_syntcx", "tau_syni": "v_syntci",
-    "v_convoffx": "v_convoffx", "v_convoffi": "v_convoffi",
-}
+_TARGET_MAP = {**{p: p for p in ("e_leak", "v_threshold", "e_synx", "e_syni",
+                                 "v_reset", "v_convoffx", "v_convoffi")},
+               **CONTROL_CELL}
 
-# full floating-gate context written before every sweep; per-plan settings
-# override individual cells. v_convoff* high = input amplifiers off.
+# full floating-gate context written before every sweep, in reference-DAC
+# codes; per-plan settings override individual cells. v_convoff* high =
+# input amplifiers off.
 BASE_SETTINGS = {
     "e_leak": 455, "v_threshold": 1023, "e_synx": 796, "e_syni": 114,
     "v_syntcx": 625, "v_syntci": 625, "v_convoffx": 1023, "v_convoffi": 1023,
@@ -280,7 +290,8 @@ def _bind(db: CalibrationDb, wafer: WaferModel) -> None:
 
 def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
               availability, neurons) -> tuple[SweepPlan, list[int]]:
-    """An op's plan and the circuits it calibrates: those of ``neurons``
+    """An op's plan, rescaled to the topology's DAC, and the circuits it
+    calibrates: those of ``neurons``
     (default: all) that ``availability`` keeps usable and that hold every
     valid prerequisite entry."""
     cfg = wafer.topology
@@ -294,7 +305,28 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
         raise CalibrationOrderError(
             f"{parameter!r} needs valid "
             f"{', '.join(REQUIRES[parameter])} entries first")
-    return DEFAULT_PLANS[parameter], kept
+    return _rescaled(cfg, DEFAULT_PLANS[parameter]), kept
+
+
+def _codes(cfg: TopologyConfig, value):
+    """Reference-DAC code(s) as codes of the topology's DAC."""
+    if isinstance(value, tuple):
+        return tuple(_codes(cfg, v) for v in value)
+    return int(round(value * cfg.dac_max / PLAN_DAC_MAX))
+
+
+def _rescaled(cfg: TopologyConfig, plan: SweepPlan) -> SweepPlan:
+    """``plan`` with every DAC code rescaled to the topology's DAC."""
+    return dataclasses.replace(
+        plan, dac_values=_codes(cfg, plan.dac_values),
+        aux_values=_codes(cfg, plan.aux_values),
+        settings={k: _codes(cfg, v) for k, v in plan.settings.items()})
+
+
+def _write_sigma(cfg: TopologyConfig) -> float:
+    """Per-point voltage error of a sweep: every point costs one FG write
+    cycle, whose ~2 LSB of noise on the cell dominates the budget."""
+    return 2.0 * cfg.dac_voltage_max / cfg.dac_max
 
 
 def _offsets(db: CalibrationDb, h: int, circuits) -> np.ndarray:
@@ -325,7 +357,9 @@ def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
 
 def _program_context(wafer: WaferModel, h: int, plan: SweepPlan,
                      extra: dict) -> None:
-    values = dict(BASE_SETTINGS)
+    """Write the base context, then the rescaled ``plan``'s settings, then
+    ``extra`` (topology codes)."""
+    values = {k: _codes(wafer.topology, v) for k, v in BASE_SETTINGS.items()}
     values.update(plan.settings)
     values.update(extra)
     program_floating_gates(wafer, h, values)
@@ -375,15 +409,14 @@ def _psp_synapses(wafer, circuits, weight):
 
 
 def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
-                 gmax_div=11, vgmax_sel=0, spike_at=0.01, token=(),
-                 availability=None):
+                 token=(), availability=None):
     """Averaged single-PSP windows: (window time base, traces (n, S))."""
     offsets = _offsets(db, h, circuits)
     _program_context(wafer, h, plan, extra)
     cfg = _standalone_config(h, circuits,
-                             rows=_psp_rows(wafer, sign, gmax_div, vgmax_sel),
+                             rows=_psp_rows(wafer, sign, PSP_GMAX_DIV, PSP_VGMAX_SEL),
                              synapses=_psp_synapses(wafer, circuits, weight))
-    stimulus = [("cal", 0, spike_at + k * plan.window)
+    stimulus = [("cal", 0, PSP_SPIKE_AT + k * plan.window)
                 for k in range(plan.presentations)]
     sim = simulate(wafer, [cfg], stimulus, plan.presentations * plan.window,
                    dt=PSP_DT, v_init="rest", availability=availability)
@@ -399,9 +432,9 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
 
 
 def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
-    """The coordinate holding circuit ``n``'s ``parameter`` entry: v_reset's
-    cell is shared by an FG block, every other cell is the circuit's own."""
-    if parameter == "v_reset":
+    """The coordinate holding circuit ``n``'s ``parameter`` entry: the FG
+    block for a cell the block shares, the circuit itself otherwise."""
+    if parameter in FG_CELLS and FG_CELLS[parameter].shared:
         per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
         return Coord.fg_block(h, n // per_block)
     return Coord.neuron(h, n)
@@ -496,7 +529,8 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
         rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
                             stimulus=stim, tail=0.33, availability=availability)
     return _linear_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
-                           np.array(plan.dac_values, float), rests.T, WRITE_SIGMA)
+                           np.array(plan.dac_values, float), rests.T,
+                           _write_sigma(wafer.topology))
 
 
 def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
@@ -535,7 +569,7 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
         y = np.where(cnt > 0, np.nansum(plateau[:, sel], axis=1)
                      / np.maximum(cnt, 1), np.nan)
         entries += _linear_entries(db, [block], "v_reset", x, y[None],
-                                   float(np.hypot(WRITE_SIGMA, 2.5e-3)))
+                                   float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
     return entries
 
 
@@ -566,7 +600,7 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
 
     return _linear_entries(db, [Coord.neuron(h, n) for n in scope], "v_threshold",
                            np.array(plan.dac_values, float), peaks.T,
-                           float(np.hypot(WRITE_SIGMA, 1.5e-3)))
+                           float(np.hypot(_write_sigma(wafer.topology), 1.5e-3)))
 
 
 def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
@@ -605,7 +639,7 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
             if k == anchor:
                 continue
             taus.append(isis[k] - ref)
-            x.append(1.0 / dac_to_ua(wafer.topology, dac))
+            x.append(1.0 / dac_to_unit(wafer.topology, "i_pulse", dac))
     y = np.stack(taus, axis=1)  # (n, points)
     x = np.array(x)
     # budget: release quantisation plus FG write noise on the current cell
@@ -672,7 +706,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     side = "i" if parameter == "v_syntci" else "x"
     convoff = "v_convoffi" if side == "i" else "v_convoffx"
     extra_conv = {convoff: _convoff_array(wafer, db, h, convoff, scope)}
-    take_larger = parameter == "i_gl"
+    take_larger = parameter == CONTROL_CELL["tau_mem"]
 
     taus = np.full((len(plan.dac_values), len(scope)), np.nan)
     fit_ok = np.ones(len(scope), dtype=bool)
@@ -686,10 +720,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
         fit_ok &= ok
         worst_mis = np.maximum(worst_mis, _rel_misfit(t_win, v, params))
 
-    if parameter == "i_gl":
-        x = np.array([dac_to_ua(wafer.topology, d) for d in plan.dac_values])
-    else:
-        x = np.array([dac_to_volts(wafer.topology, d) for d in plan.dac_values])
+    x = dac_to_unit(wafer.topology, parameter, np.array(plan.dac_values, float))
     # error budget: ~5 % relative tau extraction error per sweep point (the
     # fast end is ADC-grid limited and scatters well beyond the slow end)
     with np.errstate(all="ignore"):
@@ -766,7 +797,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
                                     weight=E_SYNX_WEIGHT,
                                     token=("e_synx", k, j),
                                     availability=availability)
-            hs[j], vr[j] = _window_peak_heights(t_win, v, 0.01)
+            hs[j], vr[j] = _window_peak_heights(t_win, v, PSP_SPIKE_AT)
         slope, icpt = _linfit_rows(vr.T, hs.T)
         slopes_ok &= slope < 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -785,8 +816,9 @@ def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
     the leak -- below the true reversal. Kept as the reference the
     indirect estimate is compared against.
     """
-    plan = SweepPlan("v_convoffx", (0,), {"e_leak": 455, "i_gl": 123,
-                                          "e_synx": 853}, duration=0.08)
+    plan = _rescaled(wafer.topology, SweepPlan(
+        "v_convoffx", (0,), {"e_leak": 455, "i_gl": 123, "e_synx": 853},
+        duration=0.08))
     return _rest_sweep(wafer, db, h, list(circuits), plan, tail=0.3,
                        availability=availability)[0]
 
@@ -846,16 +878,14 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
         elif entry.model == "reciprocal":
             c0, c1 = entry.coeffs[:2]
             i_ua = 1.0 / (c0 + c1 * max(float(target), 0.0))
-            raw = i_ua / dac_to_ua(cfg, 1.0)
+            raw = i_ua / dac_to_unit(cfg, param, 1.0)
         elif entry.model == "softplus":
             a, b, c, offset = entry.coeffs[:4]
             if target <= offset:
                 raise RangeError(
                     f"{name} target {target} below the attainable range")
             x = inverse_softplus_tau(float(target), a, b, c, offset)
-            unit = dac_to_ua(cfg, 1.0) if param == "i_gl" \
-                else dac_to_volts(cfg, 1.0)
-            raw = x / unit
+            raw = x / dac_to_unit(cfg, param, 1.0)
         else:
             raise RangeError(f"no hardware inversion for {param!r}")
 
@@ -882,9 +912,9 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
     values: dict[str, np.ndarray] = {}
     report = {"clamped": [], "fallback": []}
     for name, target in targets.items():
-        cells = cfg.fg_blocks_per_hicann if name == "v_reset" \
-            else cfg.neurons_per_hicann
-        values[_TARGET_MAP[name]] = np.full(cells, _nominal_dac(cfg, name, target))
+        param = _TARGET_MAP[name]
+        values[param] = np.full(cell_index(cfg, param)[0].shape,
+                                _nominal_dac(cfg, name, target))
     seen = set()
     for n in scope:
         for name, target in targets.items():
@@ -912,10 +942,10 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 def _nominal_dac(cfg: TopologyConfig, name: str, target) -> float:
     if name in ("v_convoffx", "v_convoffi"):  # input amplifier off
         return float(cfg.dac_max)
-    if name in ("tau_ref", "tau_mem", "tau_synx", "tau_syni"):
+    if name in CONTROL_CELL:
         # no nominal inversion for the time-constant laws: mid-range
         return (cfg.dac_max + 1) / 2
-    return min(max(float(target) / dac_to_volts(cfg, 1.0), 0.0),
+    return min(max(float(target) / dac_to_unit(cfg, name, 1.0), 0.0),
                float(cfg.dac_max))
 
 

@@ -39,6 +39,19 @@ from .wafer import WaferModel, adc_readout, dac_to_volts, program_floating_gates
 
 FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
 
+# memory test: random writes per register, and same-value rewrites in the
+# stability phase (a cell flipping with probability p escapes with (1-p)^reps)
+WRITES_PER_CELL = 10
+STABILITY_REPS = 10
+
+# analog readout test: two FG levels, each digitized as READOUT_SAMPLES
+# samples; the mean must match within READOUT_MEAN_TOL volts (after the 1:2
+# divider) and the sample noise stay below READOUT_NOISE_TOL ADC volts
+READOUT_LEVELS = (284, 682)
+READOUT_SAMPLES = 64
+READOUT_MEAN_TOL = 0.15
+READOUT_NOISE_TOL = 0.003
+
 # memory region each register-backed component lives in (discovery scope)
 REGION_OF_KIND = {
     Kind.SYNAPSE: "synapse_array",
@@ -130,10 +143,10 @@ class StabilityResult:
     unstable_cells: list[Coord] = field(default_factory=list)
 
 
-def stability_test(wafer: WaferModel, array: Coord, reps: int = 10) -> StabilityResult:
-    """Rewrite every register of one synapse array with the same value.
+def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
+    """Rewrite every register of one synapse array ``STABILITY_REPS`` times
+    with the same value.
 
-    A cell with flip probability ``p`` escapes detection with (1-p)^reps.
     Draws are keyed per cell, so the result matches the stability phase of
     ``memory_test`` and does not depend on visit order.
     """
@@ -144,7 +157,7 @@ def stability_test(wafer: WaferModel, array: Coord, reps: int = 10) -> Stability
     for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE):
         if d.coord.kind is Kind.SYNAPSE and d.coord.indices[0] == h and d.coord.indices[1] == a:
             gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
-            if bool(np.any(gen.random(reps) < d.flip_probability)):
+            if bool(np.any(gen.random(STABILITY_REPS) < d.flip_probability)):
                 bad.append(d.coord)
     bad.sort(key=Coord.sort_key)
     return StabilityResult(array, not bad, bad)
@@ -191,8 +204,7 @@ class MemoryTestResult:
     unstable_arrays: list[Coord]  # written off whole, see write_off_array
 
 
-def memory_test(wafer: WaferModel, db: AvailabilityDb,
-                writes_per_cell: int = 10, stability_reps: int = 10) -> MemoryTestResult:
+def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     """Write/read-test all reachable registers with seeded random values.
 
     Hicanns whose high-speed link failed the communication test are only
@@ -242,7 +254,7 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
                     continue
                 if d.type is DefectType.MEMORY_STUCK:
                     vals = rng.stream(wafer.master_seed, "memtest", str(d.coord)) \
-                        .integers(0, 256, size=writes_per_cell)
+                        .integers(0, 256, size=WRITES_PER_CELL)
                     if not np.any(vals != d.pattern):
                         continue  # every random value landed on the stuck pattern
                 elif d.type is DefectType.MEMORY_UNSTABLE:
@@ -251,14 +263,14 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
                         suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
                         continue
                     gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
-                    if not np.any(gen.random(stability_reps) < d.flip_probability):
+                    if not np.any(gen.random(STABILITY_REPS) < d.flip_probability):
                         continue
                 found.append(_excluded_unit(d))
         duration = max(duration, group_seconds)
 
     # an array without unstable cells reads back stable on every rewrite
     unstable = sorted((c for c in suspect
-                       if not stability_test(wafer, c, reps=stability_reps).stable),
+                       if not stability_test(wafer, c).stable),
                       key=Coord.sort_key)
     found.sort(key=Coord.sort_key)
     ind.exclude_many(found)
@@ -280,15 +292,13 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb,
 # analog readout test
 
 
-def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None,
-                        levels: tuple[int, int] = (284, 682), n_samples: int = 64,
-                        mean_tol: float = 0.15, noise_tol: float = 0.003) -> np.ndarray:
-    """Drive two FG levels onto the readout chain and digitize them.
+def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> np.ndarray:
+    """Drive the ``READOUT_LEVELS`` onto the readout chain and digitize them.
 
     Pass iff, for both levels, the mean reading matches the programmed
-    level within ``mean_tol`` (after undoing the 1:2 divider; the tolerance
-    absorbs cell variation and readout shift) and the sample noise stays
-    below ``noise_tol`` in ADC volts. Unreachable dies and dies without a
+    level within ``READOUT_MEAN_TOL`` (the tolerance absorbs cell variation
+    and readout shift) and the sample noise stays below
+    ``READOUT_NOISE_TOL``. Unreachable dies and dies without a
     usable analog output fail.
     """
     cfg = wafer.topology
@@ -303,15 +313,15 @@ def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None,
                    for o in range(cfg.analog_outs_per_hicann)):
             ok[h] = False
             continue
-        for level in levels:
+        for level in READOUT_LEVELS:
             program_floating_gates(wafer, h, {"e_leak": level})
             v = true_parameter(wafer, Coord.neuron(h, 0), "e_leak")
-            reading = adc_readout(wafer, h, [0], np.full((1, n_samples), v),
+            reading = adc_readout(wafer, h, [0], np.full((1, READOUT_SAMPLES), v),
                                   token=("analog_level", level))
             if abs(float(reading.mean()) * wafer.variability.adc_divider
-                   - dac_to_volts(cfg, level)) > mean_tol:
+                   - dac_to_volts(cfg, level)) > READOUT_MEAN_TOL:
                 ok[h] = False
-            if float(reading.std()) > noise_tol:
+            if float(reading.std()) > READOUT_NOISE_TOL:
                 ok[h] = False
     return ok
 
@@ -398,15 +408,13 @@ def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> A
     return eff
 
 
-def commission(wafer: WaferModel, db: AvailabilityDb | None = None,
-               writes_per_cell: int = 10,
-               stability_reps: int = 10) -> tuple[AvailabilityDb, MemoryTestResult]:
+def commission(wafer: WaferModel,
+               db: AvailabilityDb | None = None) -> tuple[AvailabilityDb, MemoryTestResult]:
     """Full pipeline: comm test, memory test, closure into "effective"."""
     if db is None:
         db = AvailabilityDb(wafer.topology)
     comm_test(wafer, db)
-    mem = memory_test(wafer, db, writes_per_cell=writes_per_cell,
-                      stability_reps=stability_reps)
+    mem = memory_test(wafer, db)
     db.set_state("effective", effective_exclusion(wafer.topology, db.state("individual")))
     return db, mem
 

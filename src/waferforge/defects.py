@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .topology import Coord, TopologyConfig, check_schema
+from .topology import Coord, Kind, TopologyConfig, check_schema
 
 SCHEMA = "waferforge.defects/1"
 
@@ -125,72 +125,36 @@ def _sample_indices(gen: np.random.Generator, n_units: int, rate: float) -> np.n
     return np.sort(gen.choice(n_units, size=count, replace=False))
 
 
+# random defect kinds in draw order: (rate field, stream token, defect type,
+# kind of the faulty component)
+RANDOM_KINDS = (
+    ("jtag", "jtag", DefectType.JTAG_DEAD, Kind.HICANN),
+    ("highspeed", "highspeed", DefectType.HIGHSPEED_DEAD, Kind.HICANN),
+    ("fg_controller", "fg_controller", DefectType.FG_CONTROLLER_BROKEN, Kind.HICANN),
+    ("repeater", "repeater", DefectType.REPEATER_BROKEN, Kind.REPEATER),
+    ("switch", "switch", DefectType.SWITCH_BROKEN, Kind.SWITCH),
+    ("synapse_driver", "driver", DefectType.SYNAPSE_DRIVER_BROKEN, Kind.SYNAPSE_DRIVER),
+    ("synapse_stuck", "synapse_stuck", DefectType.MEMORY_STUCK, Kind.SYNAPSE),
+    ("synapse_unstable", "synapse_unstable", DefectType.MEMORY_UNSTABLE, Kind.SYNAPSE),
+    ("merger_stuck", "merger_stuck", DefectType.MEMORY_STUCK, Kind.MERGER),
+    ("fg_block_stuck", "fg_block_stuck", DefectType.MEMORY_STUCK, Kind.FG_BLOCK),
+)
+
+
 def random_defects(seed: int, cfg: TopologyConfig, rates: DefectRates) -> DefectSet:
-    """Draw a defect set; deterministic in (seed, cfg, rates)."""
+    """Draw a defect set; deterministic in (seed, cfg, rates).
+
+    Each kind draws its faulty components from its own stream, then, from
+    the same stream and in component order, the stuck pattern or flip
+    probability of each."""
     ds = DefectSet()
-    H = cfg.n_hicanns
-
-    def per_hicann(rate, token, dtype):
+    for field_name, token, dtype, kind in RANDOM_KINDS:
         gen = rng.stream(seed, "defects", token)
-        for h in _sample_indices(gen, H, rate):
-            ds.add(Defect(dtype, Coord.hicann_(int(h))))
-
-    per_hicann(rates.jtag, "jtag", DefectType.JTAG_DEAD)
-    per_hicann(rates.highspeed, "highspeed", DefectType.HIGHSPEED_DEAD)
-    per_hicann(rates.fg_controller, "fg_controller", DefectType.FG_CONTROLLER_BROKEN)
-
-    gen = rng.stream(seed, "defects", "repeater")
-    n = H * cfg.buses_per_hicann
-    for i in _sample_indices(gen, n, rates.repeater):
-        ds.add(Defect(DefectType.REPEATER_BROKEN,
-                      Coord.repeater(int(i) // cfg.buses_per_hicann,
-                                     int(i) % cfg.buses_per_hicann)))
-
-    gen = rng.stream(seed, "defects", "switch")
-    n = H * cfg.switches_per_hicann
-    for i in _sample_indices(gen, n, rates.switch):
-        ds.add(Defect(DefectType.SWITCH_BROKEN,
-                      Coord.switch(int(i) // cfg.switches_per_hicann,
-                                   int(i) % cfg.switches_per_hicann)))
-
-    gen = rng.stream(seed, "defects", "driver")
-    per_h = cfg.arrays_per_hicann * cfg.drivers_per_array
-    for i in _sample_indices(gen, H * per_h, rates.synapse_driver):
-        h, rest = divmod(int(i), per_h)
-        ds.add(Defect(DefectType.SYNAPSE_DRIVER_BROKEN,
-                      Coord.synapse_driver(h, rest // cfg.drivers_per_array,
-                                           rest % cfg.drivers_per_array)))
-
-    def synapse_coord(i: int) -> Coord:
-        per_h = cfg.synapses_per_hicann
-        h, rest = divmod(int(i), per_h)
-        per_a = cfg.driven_rows_per_array * cfg.columns_per_array
-        a, rest = divmod(rest, per_a)
-        r, c = divmod(rest, cfg.columns_per_array)
-        return Coord.synapse(h, a, r, c)
-
-    gen = rng.stream(seed, "defects", "synapse_stuck")
-    for i in _sample_indices(gen, H * cfg.synapses_per_hicann, rates.synapse_stuck):
-        ds.add(Defect(DefectType.MEMORY_STUCK, synapse_coord(i),
-                      pattern=int(gen.integers(0, 256))))
-
-    gen = rng.stream(seed, "defects", "synapse_unstable")
-    for i in _sample_indices(gen, H * cfg.synapses_per_hicann, rates.synapse_unstable):
-        ds.add(Defect(DefectType.MEMORY_UNSTABLE, synapse_coord(i),
-                      flip_probability=float(gen.uniform(0.05, 0.5))))
-
-    gen = rng.stream(seed, "defects", "merger_stuck")
-    for i in _sample_indices(gen, H * cfg.mergers_per_hicann, rates.merger_stuck):
-        ds.add(Defect(DefectType.MEMORY_STUCK,
-                      Coord.merger(int(i) // cfg.mergers_per_hicann,
-                                   int(i) % cfg.mergers_per_hicann),
-                      pattern=int(gen.integers(0, 256))))
-
-    gen = rng.stream(seed, "defects", "fg_block_stuck")
-    for i in _sample_indices(gen, H * cfg.fg_blocks_per_hicann, rates.fg_block_stuck):
-        ds.add(Defect(DefectType.MEMORY_STUCK,
-                      Coord.fg_block(int(i) // cfg.fg_blocks_per_hicann,
-                                     int(i) % cfg.fg_blocks_per_hicann),
-                      pattern=int(gen.integers(0, 256))))
-
+        shape = cfg.index_shapes[kind]
+        for i in _sample_indices(gen, int(np.prod(shape)), getattr(rates, field_name)):
+            stuck = dtype is DefectType.MEMORY_STUCK
+            unstable = dtype is DefectType.MEMORY_UNSTABLE
+            ds.add(Defect(dtype, Coord(kind, np.unravel_index(i, shape)),
+                          pattern=int(gen.integers(0, 256)) if stuck else None,
+                          flip_probability=float(gen.uniform(0.05, 0.5)) if unstable else None))
     return ds

@@ -30,9 +30,11 @@ from .wafer import softplus_tau
 
 NOISE_FLOOR = 1e-12
 
-
-class FitError(RuntimeError):
-    """A fit did not produce usable parameters."""
+# Gauss-Newton: iteration cap, relative step that counts as converged, and
+# the initial Levenberg damping
+GN_MAX_ITER = 80
+GN_STEP_TOL = 1e-10
+GN_LAM0 = 1e-3
 
 
 def estimate_noise(y: np.ndarray) -> np.ndarray:
@@ -77,8 +79,7 @@ def fit_linear(x, y, sigma=None):
 # ---- batched damped Gauss-Newton ----------------------------------------
 
 
-def damped_gauss_newton(model, p0, y, sigma, pscale, *, max_iter=80,
-                        step_tol=1e-10, lam0=1e-3):
+def damped_gauss_newton(model, p0, y, sigma, pscale):
     """Minimize ``sum(((model(P) - y) / sigma)**2)`` per batch row.
 
     ``model`` maps parameters (m, k) of any subset of rows to predictions
@@ -110,9 +111,9 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, *, max_iter=80,
     converged = np.zeros(n, dtype=bool)
     rows = np.flatnonzero(np.isfinite(cost))
     R = R[rows]
-    lam = np.full(rows.size, lam0)
+    lam = np.full(rows.size, GN_LAM0)
     diag_idx = np.arange(k)
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         if rows.size == 0:
             break
         Pl, sl, cl = P[rows], scale[rows], cost[rows]
@@ -138,7 +139,7 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, *, max_iter=80,
         rel_step = np.max(np.abs(delta) / np.maximum(np.abs(Pl), sl), axis=1)
         # at the noise floor accepted steps stop paying: relative cost
         # improvements below ftol mean the parameters have settled
-        done = accept & ((rel_step < step_tol) | (
+        done = accept & ((rel_step < GN_STEP_TOL) | (
             cl - trial_cost <= 1e-7 * np.maximum(trial_cost, 1e-300)))
         P[rows[accept]] = trial[accept]
         cost[rows[accept]] = trial_cost[accept]
@@ -214,7 +215,7 @@ def _tau2_from_peak_gap(tau1, gap):
     return 0.5 * (lo + hi)
 
 
-def fit_psp_batch(t, V, sigma=None):
+def fit_psp_batch(t, V):
     """Fit the PSP shape to many traces sharing one time grid.
 
     Initial guesses from landmarks: baseline = median of the leading tenth
@@ -234,9 +235,7 @@ def fit_psp_batch(t, V, sigma=None):
     n, T = V.shape
     if T < 20 or t.shape[0] != T:
         raise ValueError("need at least 20 samples spanning the PSP")
-    sig = estimate_noise(V) if sigma is None else \
-        np.maximum(np.broadcast_to(np.asarray(sigma, dtype=float), (n,)),
-                   NOISE_FLOOR)
+    sig = estimate_noise(V)
 
     base0 = np.median(V[:, :max(3, T // 10)], axis=1)
     d = V - base0[:, None]
@@ -290,20 +289,3 @@ def fit_psp_batch(t, V, sigma=None):
         & (P[:, 2] > 0.0) & (P[:, 3] > 0.0)
     return P, red, ok
 
-
-def fit_psp(t, v, sigma=None):
-    """Single-trace PSP fit: returns (t0, h, tau1, tau2, e_leak, red_chi2).
-
-    ``tau1 >= tau2``. Raises :class:`FitError` on a flat trace or when the
-    optimizer fails to converge.
-    """
-    P, red, ok = fit_psp_batch(t, np.atleast_2d(v), sigma)
-    if not ok[0]:
-        base = np.median(np.atleast_2d(v)[0])
-        dev = np.max(np.abs(np.atleast_2d(v)[0] - base))
-        sig = estimate_noise(v)[0] if sigma is None else float(sigma)
-        if dev < 4.0 * sig:
-            raise FitError("flat trace: no PSP above the noise")
-        raise FitError("PSP fit did not converge")
-    t0, h, tau1, tau2, e_leak = (float(x) for x in P[0])
-    return t0, h, tau1, tau2, e_leak, float(red[0])

@@ -10,12 +10,20 @@ of the requested value and two consecutive writes of the same value differ.
 The analog membrane readout passes through a per-circuit voltage shift, a 1:2
 divider and a 12-bit ADC with input-referred noise, so a 1.8 V membrane reads
 as 0.9 V at full code.
+
+Analog parameters live in floating-gate (FG) cells. In each FG block column
+0 is shared by the block and columns 1.. belong to one circuit each.
+``FG_CELLS`` gives every cell's row, whether its block shares it and the
+unit of its nominal DAC transfer; ``CONTROL_CELL`` names the cell that sets
+each time constant; ``cell_index`` locates a cell's values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,36 +34,39 @@ from .variability import SoftplusLaw, VariabilityConfig
 
 SCHEMA = "waferforge.wafer/1"
 
-# floating-gate cell layout: per block 24 rows x 129 columns; column 0 holds
-# block-shared parameters, columns 1..128 the per-neuron parameters
-NEURON_FG_ROWS = {
-    "e_leak": 0,
-    "v_threshold": 1,
-    "e_synx": 2,
-    "e_syni": 3,
-    "v_syntcx": 4,
-    "v_syntci": 5,
-    "v_convoffx": 6,
-    "v_convoffi": 7,
-    "i_gl": 8,
-    "i_pulse": 9,
-}
-SHARED_FG_ROWS = {
-    "v_reset": 0,
-    "vgmax0": 1,
-    "vgmax1": 2,
-    "vgmax2": 3,
-    "vgmax3": 4,
-}
+
+class FgCell(NamedTuple):
+    row: int
+    shared: bool  # one cell per FG block (column 0) instead of per circuit
+    unit: str  # of the nominal DAC transfer: "V" or "uA"
 
 
-def softplus(x: np.ndarray | float) -> np.ndarray | float:
-    return np.logaddexp(0.0, x)
+FG_CELLS = {
+    "e_leak": FgCell(0, False, "V"),
+    "v_threshold": FgCell(1, False, "V"),
+    "e_synx": FgCell(2, False, "V"),
+    "e_syni": FgCell(3, False, "V"),
+    "v_syntcx": FgCell(4, False, "V"),
+    "v_syntci": FgCell(5, False, "V"),
+    "v_convoffx": FgCell(6, False, "V"),
+    "v_convoffi": FgCell(7, False, "V"),
+    "i_gl": FgCell(8, False, "uA"),
+    "i_pulse": FgCell(9, False, "uA"),
+    "v_reset": FgCell(0, True, "V"),
+    "vgmax0": FgCell(1, True, "V"),
+    "vgmax1": FgCell(2, True, "V"),
+    "vgmax2": FgCell(3, True, "V"),
+    "vgmax3": FgCell(4, True, "V"),
+}
+
+# time-constant parameter -> the cell whose current or voltage sets it
+CONTROL_CELL = {"tau_ref": "i_pulse", "tau_mem": "i_gl",
+                "tau_synx": "v_syntcx", "tau_syni": "v_syntci"}
 
 
 def softplus_tau(x, a, b, c, offset):
     """tau(x) = a * softplus(c * (b - x)) / c + offset."""
-    return a * softplus(c * (b - x)) / c + offset
+    return a * np.logaddexp(0.0, c * (b - x)) / c + offset
 
 
 def inverse_softplus_tau(tau, a, b, c, offset):
@@ -94,16 +105,21 @@ class HicannTruth:
         def draw_rel(name, shape, mean, rel):
             return draw(name, shape, mean, abs(mean) * rel)
 
+        # affine cells: value = gain * nominal volts + offset, per circuit or
+        # per FG block like the cell itself
         self.gain = {}
         self.offset = {}
         for p in ("e_leak", "v_threshold", "e_synx", "e_syni",
-                  "v_convoffx", "v_convoffi"):
-            self.gain[p] = draw(p + "_gain", N, 1.0, var.fp_gain_sigma)
-            self.offset[p] = draw(p + "_offset", N, 0.0, var.fp_offset_sigma_voltage)
-        self.v_reset_gain = draw("v_reset_gain", B, 1.0, var.fp_gain_sigma)
-        self.v_reset_offset = draw("v_reset_offset", B, 0.0, var.fp_offset_sigma_voltage)
-        self.vgmax_gain = draw("vgmax_gain", (B, P), 1.0, var.fp_gain_sigma)
-        self.vgmax_offset = draw("vgmax_offset", (B, P), 0.0, var.fp_offset_sigma_voltage)
+                  "v_convoffx", "v_convoffi", "v_reset"):
+            shape = B if FG_CELLS[p].shared else N
+            self.gain[p] = draw(p + "_gain", shape, 1.0, var.fp_gain_sigma)
+            self.offset[p] = draw(p + "_offset", shape, 0.0, var.fp_offset_sigma_voltage)
+        # the vgmax palette draws one (blocks, palette) stream per coefficient
+        vg_gain = draw("vgmax_gain", (B, P), 1.0, var.fp_gain_sigma)
+        vg_offset = draw("vgmax_offset", (B, P), 0.0, var.fp_offset_sigma_voltage)
+        for p in range(P):
+            self.gain[f"vgmax{p}"] = vg_gain[:, p]
+            self.offset[f"vgmax{p}"] = vg_offset[:, p]
         self.readout_shift = draw("readout_shift", N, 0.0, var.readout_shift_sigma)
 
         self.tau_ref_c0 = draw_rel("tau_ref_c0", N, var.tau_ref_c0_mean, var.tau_ref_rel_sigma)
@@ -117,12 +133,15 @@ class HicannTruth:
                 draw_rel(prefix + "_offset", N, law.offset, off_rel),
             )
 
-        self.tau_mem_law = law_draws("tau_mem", var.tau_mem_law,
-                                     var.tau_mem_rel_sigma, var.tau_mem_offset_rel_sigma)
-        self.tau_synx_law = law_draws("tau_synx", var.tau_syn_law,
-                                      var.tau_syn_rel_sigma, var.tau_syn_offset_rel_sigma)
-        self.tau_syni_law = law_draws("tau_syni", var.tau_syn_law,
-                                      var.tau_syn_rel_sigma, var.tau_syn_offset_rel_sigma)
+        # softplus time-constant laws (a, b, c, offset) over the control cell
+        self.laws = {
+            "tau_mem": law_draws("tau_mem", var.tau_mem_law,
+                                 var.tau_mem_rel_sigma, var.tau_mem_offset_rel_sigma),
+            "tau_synx": law_draws("tau_synx", var.tau_syn_law,
+                                  var.tau_syn_rel_sigma, var.tau_syn_offset_rel_sigma),
+            "tau_syni": law_draws("tau_syni", var.tau_syn_law,
+                                  var.tau_syn_rel_sigma, var.tau_syn_offset_rel_sigma),
+        }
 
         self.weight_scale = np.maximum(
             draw_rel("weight_scale", N, var.weight_scale_mean, var.weight_scale_rel_sigma),
@@ -214,45 +233,47 @@ def build_wafer(master_seed: int,
     )
 
 
+@lru_cache(maxsize=64)
+def cell_index(cfg: TopologyConfig, name: str) -> tuple:
+    """(block, row, column) index of cell ``name``'s values in an FG state:
+    one entry per circuit, or one per FG block for a shared cell. The index
+    arrays are cached and read-only."""
+    if name not in FG_CELLS:
+        raise ValueError(f"unknown floating-gate parameter {name!r}")
+    row, shared, _ = FG_CELLS[name]
+    if shared:
+        blocks, cols = np.arange(cfg.fg_blocks_per_hicann), np.zeros(cfg.fg_blocks_per_hicann, int)
+    else:
+        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+        n = np.arange(cfg.neurons_per_hicann)
+        blocks, cols = n // per_block, 1 + n % per_block
+    blocks.flags.writeable = cols.flags.writeable = False
+    return blocks, row, cols
+
+
 def program_floating_gates(wafer: WaferModel, h: int, values: dict) -> None:
     """Write floating-gate cells on hicann ``h``.
 
-    ``values`` maps parameter names to DAC values: per-neuron parameters
-    (``e_leak`` ... ``i_pulse``) take a scalar or an array of length 512,
-    ``v_reset`` a scalar or per-block array of length 4, ``vgmax`` a (4, 4)
-    or (4,) palette. Every write is one noisy programming cycle for the
-    whole hicann; unwritten cells keep their previous effective value.
+    ``values`` maps cell names to DAC values, a scalar or one value per
+    cell entry (per circuit, or per block for the shared cells); ``vgmax``
+    takes the whole palette as a (blocks, palette) or (palette,) array.
+    Every write is one noisy programming cycle for the whole hicann;
+    unwritten cells keep their previous effective value.
     """
     cfg = wafer.topology
     st = wafer.fg_state(h)
-    N = cfg.neurons_per_hicann
-    per_block = N // cfg.fg_blocks_per_hicann
+    if "vgmax" in values:
+        values = dict(values)
+        palette = np.broadcast_to(np.asarray(values.pop("vgmax"), dtype=float),
+                                  (cfg.fg_blocks_per_hicann, cfg.vgmax_palette_size))
+        values.update({f"vgmax{p}": palette[:, p] for p in range(cfg.vgmax_palette_size)})
 
     target = st.d_set.copy()
     mask = np.zeros_like(st.written)
     for name, val in values.items():
-        if name in NEURON_FG_ROWS:
-            row = NEURON_FG_ROWS[name]
-            arr = np.broadcast_to(np.asarray(val, dtype=float), (N,))
-            for b in range(cfg.fg_blocks_per_hicann):
-                cols = np.arange(per_block) + 1
-                target[b, row, cols] = np.round(arr[b * per_block:(b + 1) * per_block])
-                mask[b, row, cols] = True
-        elif name == "v_reset":
-            row = SHARED_FG_ROWS["v_reset"]
-            arr = np.broadcast_to(np.asarray(val, dtype=float), (cfg.fg_blocks_per_hicann,))
-            target[:, row, 0] = np.round(arr)
-            mask[:, row, 0] = True
-        elif name == "vgmax":
-            arr = np.asarray(val, dtype=float)
-            if arr.ndim == 1:
-                arr = np.broadcast_to(arr, (cfg.fg_blocks_per_hicann, cfg.vgmax_palette_size))
-            for p in range(cfg.vgmax_palette_size):
-                row = SHARED_FG_ROWS[f"vgmax{p}"]
-                target[:, row, 0] = np.round(arr[:, p])
-                mask[:, row, 0] = True
-        else:
-            raise ValueError(f"unknown floating-gate parameter {name!r}")
+        idx = cell_index(cfg, name)
+        target[idx] = np.round(np.broadcast_to(np.asarray(val, dtype=float), idx[0].shape))
+        mask[idx] = True
 
     bad = (target < 0) | (target > cfg.dac_max)
     if np.any(bad & mask):
@@ -267,39 +288,10 @@ def program_floating_gates(wafer: WaferModel, h: int, values: dict) -> None:
     st.written |= mask
 
 
-def _neuron_cell(cfg: TopologyConfig, n: int) -> tuple[int, int]:
-    return n // (cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann), \
-        1 + n % (cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann)
-
-
-def _neuron_cell_arrays(cfg: TopologyConfig) -> tuple[np.ndarray, np.ndarray]:
-    per = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-    n = np.arange(cfg.neurons_per_hicann)
-    return n // per, 1 + n % per
-
-
-def fg_dac(wafer: WaferModel, h: int, name: str, n: int | None = None) -> float:
-    """Effective (post write noise) DAC value of one cell."""
-    cfg = wafer.topology
-    st = wafer.fg_state(h)
-    if name in NEURON_FG_ROWS:
-        b, col = _neuron_cell(cfg, n)
-        return float(st.d_eff[b, NEURON_FG_ROWS[name], col])
-    if name in SHARED_FG_ROWS:
-        return float(st.d_eff[n if n is not None else 0, SHARED_FG_ROWS[name], 0])
-    raise ValueError(f"unknown floating-gate parameter {name!r}")
-
-
 def fg_dac_array(wafer: WaferModel, h: int, name: str) -> np.ndarray:
-    """Effective DAC values: per neuron (512,) or per block for shared cells."""
-    cfg = wafer.topology
-    st = wafer.fg_state(h)
-    if name in NEURON_FG_ROWS:
-        b, col = _neuron_cell_arrays(cfg)
-        return st.d_eff[b, NEURON_FG_ROWS[name], col]
-    if name in SHARED_FG_ROWS:
-        return st.d_eff[:, SHARED_FG_ROWS[name], 0]
-    raise ValueError(f"unknown floating-gate parameter {name!r}")
+    """Effective (post write noise) DAC values of cell ``name``, per circuit
+    or per block for shared cells."""
+    return wafer.fg_state(h).d_eff[cell_index(wafer.topology, name)]
 
 
 def dac_to_volts(cfg: TopologyConfig, d) -> np.ndarray | float:
@@ -310,58 +302,41 @@ def dac_to_ua(cfg: TopologyConfig, d) -> np.ndarray | float:
     return np.asarray(d) / cfg.dac_max * (cfg.dac_current_max * 1e6)
 
 
-def tau_ref_from_current(i_ua, c0, c1):
-    i = np.maximum(np.asarray(i_ua, dtype=float), 1e-9)
-    return np.maximum((1.0 / i - c0) / c1, 0.0)
+def dac_to_unit(cfg: TopologyConfig, name: str, d) -> np.ndarray | float:
+    """Nominal DAC transfer of cell ``name``, in the cell's unit."""
+    if FG_CELLS[name].unit == "uA":
+        return dac_to_ua(cfg, d)
+    return dac_to_volts(cfg, d)
 
 
 def true_parameter_array(wafer: WaferModel, h: int, name: str,
                          d_eff=None) -> np.ndarray:
     """Per-neuron physical values (512,), optionally at overridden DAC values.
 
-    ``d_eff`` may be a scalar or an array broadcastable to the parameter's
-    cell layout (per neuron, or per block for shared parameters).
+    ``d_eff`` may be a scalar or an array broadcastable to the controlling
+    cell's layout (per neuron, or per block for shared cells).
     """
     cfg, tr = wafer.topology, wafer.truth(h)
-    blocks, _ = _neuron_cell_arrays(cfg)
-
-    def cells(cell_name):
-        if d_eff is not None:
-            return np.asarray(d_eff, dtype=float)
-        return fg_dac_array(wafer, h, cell_name)
-
-    if name in ("e_leak", "v_threshold", "e_synx", "e_syni",
-                "v_convoffx", "v_convoffi"):
-        v = dac_to_volts(cfg, np.broadcast_to(cells(name), blocks.shape))
-        return tr.gain[name] * v + tr.offset[name]
-    if name == "v_reset":
-        v = dac_to_volts(cfg, np.broadcast_to(cells("v_reset"),
-                                              (cfg.fg_blocks_per_hicann,)))
-        return (tr.v_reset_gain * v + tr.v_reset_offset)[blocks]
     if name == "readout_shift":
         return tr.readout_shift.copy()
-    if name == "tau_ref":
-        i = dac_to_ua(cfg, np.broadcast_to(cells("i_pulse"), blocks.shape))
-        return tau_ref_from_current(i, tr.tau_ref_c0, tr.tau_ref_c1)
-    if name == "tau_mem":
-        i = dac_to_ua(cfg, np.broadcast_to(cells("i_gl"), blocks.shape))
-        a, b, c, off = tr.tau_mem_law
-        return softplus_tau(i, a, b, c, off)
     if name == "g_leak":
         return wafer.variability.membrane_capacitance \
             / true_parameter_array(wafer, h, "tau_mem", d_eff)
-    if name in ("tau_synx", "tau_syni"):
-        cell_name = "v_syntcx" if name.endswith("x") else "v_syntci"
-        v = dac_to_volts(cfg, np.broadcast_to(cells(cell_name), blocks.shape))
-        law = tr.tau_synx_law if name.endswith("x") else tr.tau_syni_law
-        a, b, c, off = law
-        return softplus_tau(v, a, b, c, off)
-    if name in ("vgmax0", "vgmax1", "vgmax2", "vgmax3"):
-        p = int(name[-1])
-        v = dac_to_volts(cfg, np.broadcast_to(cells(name),
-                                              (cfg.fg_blocks_per_hicann,)))
-        return (tr.vgmax_gain[:, p] * v + tr.vgmax_offset[:, p])[blocks]
-    raise ValueError(f"unknown parameter {name!r}")
+    if name not in tr.gain and name not in CONTROL_CELL:
+        raise ValueError(f"unknown parameter {name!r}")
+    cell = CONTROL_CELL.get(name, name)
+    idx = cell_index(cfg, cell)
+    d = wafer.fg_state(h).d_eff[idx] if d_eff is None else np.asarray(d_eff, dtype=float)
+    x = dac_to_unit(cfg, cell, np.broadcast_to(d, idx[0].shape))
+    if name == "tau_ref":  # tau = (1/I - c0) / c1, floored at zero
+        return np.maximum((1.0 / np.maximum(x, 1e-9) - tr.tau_ref_c0) / tr.tau_ref_c1, 0.0)
+    if name in tr.laws:
+        return softplus_tau(x, *tr.laws[name])
+    v = tr.gain[name] * x + tr.offset[name]
+    if FG_CELLS[name].shared:  # every circuit of a block sees its block's cell
+        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
+        v = v[np.arange(cfg.neurons_per_hicann) // per_block]
+    return v
 
 
 def true_parameter(wafer: WaferModel, coord: Coord, name: str,
@@ -400,14 +375,6 @@ def conductance_step_array(wafer: WaferModel, h: int, circuits, weights,
     return tr.weight_scale[circuits] * drive
 
 
-def true_conductance_step(wafer: WaferModel, h: int, n: int, weight: int,
-                          gmax_div: int, vgmax_sel: int) -> float:
-    """Synaptic conductance step (S) seen by neuron circuit ``n`` for one
-    incoming spike through a synapse with the given digital settings."""
-    return float(conductance_step_array(wafer, h, [n], [weight],
-                                        [gmax_div], [vgmax_sel])[0])
-
-
 def efficacy_arrays(wafer: WaferModel, h: int, side: str) -> tuple[np.ndarray, np.ndarray]:
     """(permanent leak conductance, efficacy factor) per neuron circuit.
 
@@ -425,12 +392,6 @@ def efficacy_arrays(wafer: WaferModel, h: int, side: str) -> tuple[np.ndarray, n
     efficacy = np.maximum(0.0, 1.0 - var.vconvoff_efficacy_slope
                           * np.maximum(0.0, v - mid))
     return g_perm, efficacy
-
-
-def synaptic_efficacy(wafer: WaferModel, h: int, n: int, side: str) -> tuple[float, float]:
-    """Scalar view of :func:`efficacy_arrays` for one circuit."""
-    g_perm, eff = efficacy_arrays(wafer, h, side)
-    return float(g_perm[n]), float(eff[n])
 
 
 def adc_readout(wafer: WaferModel, h: int, circuits, samples: np.ndarray,

@@ -6,11 +6,12 @@ import pytest
 
 from waferforge import calibration as cal
 from waferforge.availability import AvailabilityDb
-from waferforge.commissioning import effective_exclusion
+from waferforge.commissioning import commission, effective_exclusion
+from waferforge.defects import DefectRates, random_defects
 from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import (NEURON_FG_ROWS, SHARED_FG_ROWS, build_wafer,
-                              fg_dac_array, true_parameter_array)
+from waferforge.wafer import (FG_CELLS, build_wafer, fg_dac_array,
+                              true_parameter_array)
 
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
 # leave every coefficient and verdict bit-for-bit as it was
@@ -104,8 +105,8 @@ def test_apply_calibration_round_trip(late_db):
             dac = cal.to_hardware(cfg, late_db, Coord.neuron(0, n),
                                   {name: targets[name]}).dacs[param]
             b = n // per_block
-            cell = d_set[b, SHARED_FG_ROWS["v_reset"], 0] if param == "v_reset" \
-                else d_set[b, NEURON_FG_ROWS[param], 1 + n % per_block]
+            cell = d_set[b, FG_CELLS["v_reset"].row, 0] if param == "v_reset" \
+                else d_set[b, FG_CELLS[param].row, 1 + n % per_block]
             assert cell == dac, (n, name)
             # the oracle reads the programmed cells, write noise included
             got = true_parameter_array(w, 0, name)[n]
@@ -295,7 +296,7 @@ def test_apply_calibration_takes_convoff_targets(late_db):
     report = cal.apply_calibration(w, cal.CalibrationDb(), 0,
                                    {"v_convoffx": None}, neurons=[0])
     assert report == {"clamped": [], "fallback": [(Coord.neuron(0, 0), "v_convoffx")]}
-    assert w.fg_state(0).d_set[0, NEURON_FG_ROWS["v_convoffx"], 1] == 1023
+    assert w.fg_state(0).d_set[0, FG_CELLS["v_convoffx"].row, 1] == 1023
     # with entries every circuit gets its calibrated programming point, the
     # same cells the automatic v_convoff programming writes
     circuits = [0, 128, 256, 384]
@@ -305,7 +306,7 @@ def test_apply_calibration_takes_convoff_targets(late_db):
     assert report == {"clamped": [], "fallback": []}
     d_set = w.fg_state(0).d_set
     for param in ("v_convoffx", "v_convoffi"):
-        cells = d_set[:, NEURON_FG_ROWS[param], 1:].reshape(-1)
+        cells = d_set[:, FG_CELLS[param].row, 1:].reshape(-1)
         assert np.array_equal(cells, cal._convoff_array(w, late_db, 0, param,
                                                         circuits)), param
 
@@ -322,3 +323,68 @@ def test_direct_reversal_readout_lies_between_rest_and_reversal():
     e_synx = true_parameter_array(w, 0, "e_synx", d_eff=853)[circuits]
     assert reading.shape == (4,)
     assert np.all((e_leak < reading) & (reading < e_synx))
+
+
+def test_plan_rescaling_is_the_identity_at_the_reference_dac():
+    cfg = TopologyConfig()
+    for plan in cal.DEFAULT_PLANS.values():
+        assert cal._rescaled(cfg, plan) == plan, plan.parameter
+    for name, value in cal.BASE_SETTINGS.items():
+        assert cal._codes(cfg, value) == value, name
+    assert cal._write_sigma(cfg) == 2.0 * 1.8 / 1023
+
+
+def test_e_leak_calibrates_on_a_smaller_dac():
+    # plans are reference-DAC codes; a 9-bit DAC runs the same sweep over
+    # the same fraction of its range
+    cfg = TopologyConfig(dac_max=511)
+    w = build_wafer(3, cfg)
+    db = cal.CalibrationDb()
+    cal.calibrate_readout_shift(w, db, 0, neurons=[0, 8])
+    entries = cal.calibrate_voltage(w, db, 0, "e_leak", neurons=[0, 8])
+    assert [e.valid for e in entries] == [True, True]
+    assert w.fg_state(0).d_set.max() <= 511
+    for e in entries:
+        n = e.coord.indices[1]
+        slope, icpt = e.coeffs
+        lo = true_parameter_array(w, 0, "e_leak", d_eff=0)[n]
+        hi = true_parameter_array(w, 0, "e_leak", d_eff=511)[n]
+        assert abs(slope * 511 / (hi - lo) - 1.0) < 0.05
+        assert abs(icpt - lo) < 0.02
+
+
+def test_reduced_topology_end_to_end():
+    # commission, calibrate 8 usable circuits, program mid-sweep targets and
+    # score them against the oracle on a 32-die, 9-bit-DAC module
+    cfg = TopologyConfig(reticle_rows=(1, 2, 1), neuron_block_size=16, dac_max=511)
+    rates = DefectRates(highspeed=0.1, merger_stuck=0.05)
+    w = build_wafer(3, cfg, defects=random_defects(3, cfg, rates))
+    av_db, _ = commission(w)
+    effective = av_db.state("effective")
+    h = 0
+    circuits = [n for n in range(0, cfg.neurons_per_hicann, 64)
+                if effective.is_usable(Coord.neuron(h, n))]
+    assert len(circuits) == 8
+    db = cal.calibrate_hicann(w, None, h, availability=effective, neurons=circuits)
+    # 8 circuits x 11 per-circuit ops and 4 FG blocks' v_reset, less the
+    # entries whose prerequisites failed; 83 of 91 were valid when measured
+    assert sum(e.valid for e in db.entries()) >= 80
+
+    ideal = build_wafer(0, cfg, variability=VariabilityConfig().zeroed())
+    targets = {}
+    for name, param in ROUND_TRIP_TARGETS.items():
+        dacs = cal._rescaled(cfg, cal.DEFAULT_PLANS[param]).dac_values
+        mid = 0.5 * (min(dacs) + max(dacs))
+        targets[name] = float(true_parameter_array(ideal, 0, name, d_eff=mid)[0])
+    report = cal.apply_calibration(w, db, h, targets, neurons=circuits)
+    assert report["clamped"] == []
+    assert len(report["fallback"]) <= 10
+    assert w.fg_state(h).d_set.max() <= cfg.dac_max
+
+    fallback = set(report["fallback"])
+    for name, param in ROUND_TRIP_TARGETS.items():
+        got = true_parameter_array(w, h, name)
+        bound = 0.15 if name.startswith("tau_") else 0.08
+        for n in circuits:
+            if (cal._entry_coord(cfg, h, n, param), name) not in fallback:
+                assert abs(got[n] / targets[name] - 1.0) < bound, (n, name)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from waferforge import fitting
-from waferforge.fitting import (FitError, damped_gauss_newton, estimate_noise,
-                                fit_linear, fit_psp, fit_psp_batch, fit_softplus,
-                                psp_model_batch)
+from waferforge.fitting import (damped_gauss_newton, estimate_noise, fit_linear,
+                                fit_psp_batch, fit_softplus, psp_model_batch)
 from waferforge.psp import psp_analytic
 from waferforge.wafer import softplus_tau
 
@@ -28,8 +27,10 @@ def test_psp_batch_model_matches_scalar_model():
 
 def test_fit_psp_recovers_noiseless_parameters():
     t = np.linspace(0.0, 0.1, 600)
-    t0, h, tau1, tau2, e, red = fit_psp(
-        t, psp_analytic(t, 0.012, -0.03, 0.015, 0.004, 0.65))
+    P, _, ok = fit_psp_batch(
+        t, psp_analytic(t, 0.012, -0.03, 0.015, 0.004, 0.65)[None, :])
+    assert ok[0]
+    t0, h, tau1, tau2, e = P[0]
     assert abs(t0 - 0.012) < 1e-8
     assert abs(h + 0.03) < 1e-8
     assert abs(tau1 - 0.015) / 0.015 < 1e-7
@@ -40,7 +41,9 @@ def test_fit_psp_recovers_noiseless_parameters():
 def test_fit_psp_orders_time_constants():
     t = np.linspace(0.0, 0.1, 400)
     v = psp_analytic(t, 0.01, 0.02, 0.002, 0.012, 0.7)  # swapped on purpose
-    _, _, tau1, tau2, _, _ = fit_psp(t, v)
+    P, _, ok = fit_psp_batch(t, v[None, :])
+    assert ok[0]
+    _, _, tau1, tau2, _ = P[0]
     assert tau1 >= tau2
     assert abs(tau1 - 0.012) / 0.012 < 1e-6
 
@@ -48,17 +51,19 @@ def test_fit_psp_orders_time_constants():
 def test_fit_psp_alpha_branch():
     t = np.linspace(0.0, 0.1, 500)
     v = psp_analytic(t, 0.01, 0.02, 0.006, 0.006, 0.7)
-    _, h, tau1, tau2, _, _ = fit_psp(t, v)
+    P, _, ok = fit_psp_batch(t, v[None, :])
+    assert ok[0]
+    _, h, tau1, tau2, _ = P[0]
     assert abs(h - 0.02) < 1e-7
     assert abs(tau1 - 0.006) / 0.006 < 1e-3
     assert abs(tau2 - 0.006) / 0.006 < 1e-3
 
 
-def test_fit_psp_flat_trace_raises():
+def test_fit_psp_flat_trace_is_not_ok():
     t = np.linspace(0.0, 0.1, 200)
     rng = np.random.default_rng(3)
-    with pytest.raises(FitError, match="flat"):
-        fit_psp(t, 0.7 + rng.normal(0.0, 1e-3, t.shape))
+    _, _, ok = fit_psp_batch(t, 0.7 + rng.normal(0.0, 1e-3, (1, t.size)))
+    assert not ok[0]
 
 
 def test_fit_psp_batch_flags_flat_rows():
@@ -72,7 +77,7 @@ def test_fit_psp_batch_flags_flat_rows():
 
 def test_fit_psp_rejects_short_traces():
     with pytest.raises(ValueError, match="20 samples"):
-        fit_psp(np.linspace(0, 1, 10), np.zeros(10))
+        fit_psp_batch(np.linspace(0, 1, 10), np.zeros((1, 10)))
 
 
 def test_fit_linear_exact_and_batched():

@@ -4,26 +4,25 @@ import pytest
 from waferforge.topology import Coord, TopologyConfig
 from waferforge.variability import SoftplusLaw, VariabilityConfig
 from waferforge.wafer import (
-    NEURON_FG_ROWS,
-    SHARED_FG_ROWS,
+    FG_CELLS,
     WaferModel,
     adc_readout,
     build_wafer,
+    conductance_step_array,
     dac_to_ua,
     dac_to_volts,
-    fg_dac,
+    efficacy_arrays,
     fg_dac_array,
     inverse_softplus_tau,
     program_floating_gates,
     softplus_tau,
-    synaptic_efficacy,
-    true_conductance_step,
     true_parameter,
     true_parameter_array,
 )
 
 CFG = TopologyConfig()
 ZERO = VariabilityConfig().zeroed()
+PER_CIRCUIT = [name for name, cell in FG_CELLS.items() if not cell.shared]
 
 
 def d(volts):
@@ -50,8 +49,8 @@ def test_zeroed_variability_is_identity():
     for name in ("e_leak", "v_threshold", "e_synx", "e_syni", "v_convoffx", "v_convoffi"):
         assert np.all(t.gain[name] == 1.0)
         assert np.all(t.offset[name] == 0.0)
-    assert np.all(t.v_reset_gain == 1.0)
-    assert np.all(t.v_reset_offset == 0.0)
+    assert np.all(t.gain["v_reset"] == 1.0)
+    assert np.all(t.offset["v_reset"] == 0.0)
     assert np.all(t.readout_shift == 0.0)
     assert np.all(t.tau_ref_c0 == 0.5)
     assert np.all(t.tau_ref_c1 == 250.0)
@@ -81,21 +80,21 @@ def test_fg_write_without_noise_is_exact():
     program_floating_gates(w, 2, {"e_leak": 682, "v_reset": 284, "vgmax": [455, 455, 455, 455]})
     st = w.fg_state(2)
     assert st.write_cycle == 1
-    assert fg_dac(w, 2, "e_leak", 100) == 682
+    assert fg_dac_array(w, 2, "e_leak")[100] == 682
     assert np.all(fg_dac_array(w, 2, "v_reset") == 284)
     # unwritten cells stay at zero and are not marked written
-    assert fg_dac(w, 2, "i_gl", 0) == 0
-    assert not st.written[0, NEURON_FG_ROWS["i_gl"], 1]
-    assert st.written[0, SHARED_FG_ROWS["v_reset"], 0]
+    assert fg_dac_array(w, 2, "i_gl")[0] == 0
+    assert not st.written[0, FG_CELLS["i_gl"].row, 1]
+    assert st.written[0, FG_CELLS["v_reset"].row, 0]
 
 
 def test_fg_write_noise_flip_fraction():
     # P(|N(0, 2 LSB)| >= 0.5) = erfc(0.25/sqrt(2)) = 0.8026
     w = build_wafer(5)
-    program_floating_gates(w, 0, {name: 512 for name in NEURON_FG_ROWS})
+    program_floating_gates(w, 0, {name: 512 for name in PER_CIRCUIT})
     flipped = 0
     total = 0
-    for name in NEURON_FG_ROWS:
+    for name in PER_CIRCUIT:
         eff = fg_dac_array(w, 0, name)
         flipped += int(np.sum(eff != 512))
         total += eff.size
@@ -208,19 +207,17 @@ def test_g_leak_is_capacitance_over_tau():
 def test_conductance_step_value():
     w = build_wafer(16, variability=ZERO)
     program_floating_gates(w, 0, {"vgmax": [455, 0, 0, 0]})
-    g = true_conductance_step(w, 0, 4, 5, 11, 0)
+    g, g0 = conductance_step_array(w, 0, [4, 4], [5, 0], 11, 0)
     # 4e-11 * (5 * 0.8005865 V / 11 + i0 + i1 + i4), bits of 5 = {1, 4}
     assert g == pytest.approx(1.6036118368435084e-11, rel=1e-12)
-    g0 = true_conductance_step(w, 0, 4, 0, 11, 0)
     assert g0 == pytest.approx(8.0e-13, rel=1e-12)  # weight 0 leaves only i0
 
 
 def test_conductance_step_scales_with_palette_and_divisor():
     w = build_wafer(17, variability=ZERO)
     program_floating_gates(w, 0, {"vgmax": [455, 910, 0, 0]})
-    g_sel0 = true_conductance_step(w, 0, 0, 8, 11, 0)
-    g_sel1 = true_conductance_step(w, 0, 0, 8, 11, 1)
-    g_div22 = true_conductance_step(w, 0, 0, 8, 22, 0)
+    g_sel0, g_sel1, g_div22 = conductance_step_array(w, 0, [0, 0, 0], [8, 8, 8],
+                                                     [11, 11, 22], [0, 1, 0])
     base = 4e-11 * (0.02 + 0.02)  # i0 + i8
     assert (g_sel1 - base) == pytest.approx(2 * (g_sel0 - base), rel=1e-9)
     assert (g_div22 - base) == pytest.approx((g_sel0 - base) / 2, rel=1e-9)
@@ -230,9 +227,9 @@ def test_efficacy_transition():
     w = build_wafer(18, variability=ZERO)
     # at the transition midpoint: no parasitic leak, full efficacy
     program_floating_gates(w, 0, {"v_convoffx": 512, "v_convoffi": 512})
-    g_perm, eff = synaptic_efficacy(w, 0, 3, "x")
-    assert g_perm == 0.0
-    assert eff == pytest.approx(0.9990322580645161, rel=1e-12)
+    g_perm, eff = efficacy_arrays(w, 0, "x")
+    assert g_perm[3] == 0.0
+    assert eff[3] == pytest.approx(0.9990322580645161, rel=1e-12)
     # far above: synapses practically dead
     g_perm_hi, eff_hi = _efficacy_at(w, 1023)
     assert g_perm_hi == 0.0
@@ -245,7 +242,8 @@ def test_efficacy_transition():
 
 def _efficacy_at(w, dac):
     program_floating_gates(w, 0, {"v_convoffx": dac})
-    return synaptic_efficacy(w, 0, 3, "x")
+    g_perm, eff = efficacy_arrays(w, 0, "x")
+    return g_perm[3], eff[3]
 
 
 def test_adc_codes_and_grid():
@@ -299,7 +297,7 @@ def test_wafer_json_roundtrip(tmp_path):
 
 def test_true_parameter_array_matches_scalar():
     w = build_wafer(24)
-    program_floating_gates(w, 0, dict({n: 500 for n in NEURON_FG_ROWS},
+    program_floating_gates(w, 0, dict({n: 500 for n in PER_CIRCUIT},
                                       v_reset=284, vgmax=[455] * 4))
     for name in ("e_leak", "tau_mem", "tau_ref", "v_reset", "tau_synx", "vgmax0"):
         arr = true_parameter_array(w, 0, name)
