@@ -353,6 +353,18 @@ def test_e_leak_calibrates_on_a_smaller_dac():
         assert abs(icpt - lo) < 0.02
 
 
+def test_two_fg_blocks_calibrate():
+    # 256 circuits per FG block: the block's columns follow its circuit count
+    cfg = TopologyConfig(fg_blocks_per_hicann=2)
+    w = build_wafer(3, cfg)
+    db = cal.CalibrationDb()
+    circuits = [0, 8, 300]
+    cal.calibrate_readout_shift(w, db, 0, neurons=circuits)
+    entries = cal.calibrate_voltage(w, db, 0, "e_leak", neurons=circuits)
+    assert [e.coord.indices[1] for e in entries] == circuits
+    assert all(e.valid for e in entries)
+
+
 def test_reduced_topology_end_to_end():
     # commission, calibrate 8 usable circuits, program mid-sweep targets and
     # score them against the oracle on a 32-die, 9-bit-DAC module

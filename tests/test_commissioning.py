@@ -338,6 +338,22 @@ def test_reduced_topology_commissioning_byte_identical():
                     "switch": (23, 23)}
 
 
+def test_square_reticles_commission():
+    # 2x2 reticles: the group size follows the reticle, 4 groups of 4 dies
+    square = TopologyConfig(reticle_rows=(1, 2, 1), reticle_shape=(2, 2))
+    rates = DefectRates(jtag=0.1, highspeed=0.1, fg_controller=0.05, repeater=0.01,
+                        synapse_driver=1e-3, merger_stuck=0.02, fg_block_stuck=0.02)
+    defects = random_defects(5, square, rates)
+    assert len(defects.defects) > 0
+    db, mem = commission(build_wafer(5, square, defects=defects))
+    assert (square.n_hicanns, square.group_size) == (16, 4)
+    ind, eff = db.state("individual"), db.state("effective")
+    assert eff.issuperset(ind)
+    assert mem.full_passes + mem.reduced_passes + mem.skipped == 16
+    rows = {r.resource: r for r in exclusion_report(square, ind, eff)}
+    assert rows["jtag_link"].components == 16
+
+
 # ---- analog readout test ---------------------------------------------------
 
 
@@ -349,6 +365,13 @@ def test_analog_readout_flags_noisy_adc():
     noisy = dataclasses.replace(VariabilityConfig(), adc_noise_sigma=0.01)
     ok = analog_readout_test(build_wafer(7, variability=noisy))
     assert not ok.any()
+
+
+def test_analog_readout_passes_on_a_smaller_dac():
+    # the readout levels are reference-DAC codes, driven as the same
+    # fraction of a 9-bit DAC
+    small = TopologyConfig(reticle_rows=(1, 2, 1), dac_max=511)
+    assert analog_readout_test(build_wafer(3, small)).all()
 
 
 def test_analog_readout_needs_output_and_link():

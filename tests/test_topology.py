@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from waferforge.topology import (
@@ -10,6 +13,9 @@ from waferforge.topology import (
     resource_count,
     validate_coord,
 )
+from waferforge.variability import VariabilityConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "waferforge"
 
 CFG = TopologyConfig()
 
@@ -205,3 +211,11 @@ def test_reduced_wafer_config():
     assert small.n_hicanns == 16
     assert small.row_widths() == [4, 4, 4, 4]
     assert resource_count(small, Kind.NEURON, small.n_hicanns) == 16 * 512
+
+
+@pytest.mark.parametrize("config", [TopologyConfig, VariabilityConfig])
+def test_every_config_field_is_read(config):
+    # a field that no module reads is a knob that changes nothing
+    src = "".join(p.read_text() for p in SRC.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(config) if f".{f.name}" not in src]
+    assert unread == []
