@@ -19,7 +19,7 @@ reduce to an observable, and fit a small model per circuit:
   e_synx         linear      reversal from PSP-height extrapolation vs DAC
 
 Sweep plans and ``BASE_SETTINGS`` are codes of the reference module's DAC
-(``PLAN_DAC_MAX``); every op rescales them to the topology's DAC range. A
+(``wafer.REFERENCE_DAC_MAX``); every op rescales them to the topology's DAC. A
 cell's layout, block sharing and nominal unit come from ``wafer.FG_CELLS``
 and the cell behind each time constant from ``wafer.CONTROL_CELL``.
 
@@ -68,8 +68,9 @@ from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
 from .fitting import fit_linear, fit_psp_batch, fit_softplus
 from .psp import psp_model_batch, smooth3
 from .topology import Coord, Kind, TopologyConfig, check_schema
-from .wafer import (CONTROL_CELL, FG_CELLS, WaferModel, cell_index, dac_to_unit,
-                    inverse_softplus_tau, program_floating_gates, softplus_tau)
+from .wafer import (CONTROL_CELL, FG_CELLS, WaferModel, adc_sample_period, cell_index,
+                    dac_to_unit, from_reference_dac, inverse_softplus_tau,
+                    program_floating_gates, softplus_tau)
 
 SCHEMA = "waferforge.calibration/1"
 
@@ -77,10 +78,6 @@ SCHEMA = "waferforge.calibration/1"
 # bought nothing — the ADC sampling grid, not the solver, limits the fast
 # end of the time-constant extraction
 PSP_DT = 1e-4
-
-# plans and base settings are codes of the reference module's DAC; an op
-# reads them as fractions of this ceiling
-PLAN_DAC_MAX = 1023
 
 # v_convoff: one grid step below the transition already leaks >100 mV, so
 # the rest tolerance only has to clear the write/readout noise of two points
@@ -233,10 +230,10 @@ class CalibrationDb:
     def add(self, entry: CalibrationEntry) -> None:
         self._entries[(entry.coord, entry.parameter)] = entry
 
-    def has(self, coord: Coord, parameter: str,
-            valid_only: bool = True) -> bool:
+    def has(self, coord: Coord, parameter: str) -> bool:
+        """Whether a valid entry exists."""
         e = self._entries.get((coord, parameter))
-        return e is not None and (e.valid or not valid_only)
+        return e is not None and e.valid
 
     def entry(self, coord: Coord, parameter: str) -> CalibrationEntry:
         key = (coord, parameter)
@@ -308,19 +305,12 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
     return _rescaled(cfg, DEFAULT_PLANS[parameter]), kept
 
 
-def _codes(cfg: TopologyConfig, value):
-    """Reference-DAC code(s) as codes of the topology's DAC."""
-    if isinstance(value, tuple):
-        return tuple(_codes(cfg, v) for v in value)
-    return int(round(value * cfg.dac_max / PLAN_DAC_MAX))
-
-
 def _rescaled(cfg: TopologyConfig, plan: SweepPlan) -> SweepPlan:
     """``plan`` with every DAC code rescaled to the topology's DAC."""
     return dataclasses.replace(
-        plan, dac_values=_codes(cfg, plan.dac_values),
-        aux_values=_codes(cfg, plan.aux_values),
-        settings={k: _codes(cfg, v) for k, v in plan.settings.items()})
+        plan, dac_values=from_reference_dac(cfg, plan.dac_values),
+        aux_values=from_reference_dac(cfg, plan.aux_values),
+        settings={k: from_reference_dac(cfg, v) for k, v in plan.settings.items()})
 
 
 def _write_sigma(cfg: TopologyConfig) -> float:
@@ -334,15 +324,11 @@ def _offsets(db: CalibrationDb, h: int, circuits) -> np.ndarray:
                      for n in circuits])
 
 
-def _adc_dt(wafer: WaferModel) -> float:
-    return wafer.topology.speedup / wafer.variability.adc_sample_rate_hw
-
-
 def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
                     token) -> np.ndarray:
     """Digitized membrane traces in membrane volts, readout shift removed."""
     coords = [Coord.neuron(h, n) for n in circuits]
-    n_samples = int(np.floor(sim.duration / _adc_dt(wafer))) + 1
+    n_samples = int(np.floor(sim.duration / adc_sample_period(wafer))) + 1
     out = np.empty((len(coords), n_samples))
     for b in range(0, len(coords), READOUT_TRACES):
         block = coords[b:b + READOUT_TRACES]
@@ -359,7 +345,7 @@ def _program_context(wafer: WaferModel, h: int, plan: SweepPlan,
                      extra: dict) -> None:
     """Write the base context, then the rescaled ``plan``'s settings, then
     ``extra`` (topology codes)."""
-    values = {k: _codes(wafer.topology, v) for k, v in BASE_SETTINGS.items()}
+    values = {k: from_reference_dac(wafer.topology, v) for k, v in BASE_SETTINGS.items()}
     values.update(plan.settings)
     values.update(extra)
     program_floating_gates(wafer, h, values)
@@ -421,7 +407,7 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
     sim = simulate(wafer, [cfg], stimulus, plan.presentations * plan.window,
                    dt=PSP_DT, v_init="rest", availability=availability)
     v = _read_corrected(wafer, sim, h, circuits, offsets, token)
-    dt = _adc_dt(wafer)
+    dt = adc_sample_period(wafer)
     s = plan.window / dt
     if abs(s - round(s)) > 1e-9:
         raise ValueError("presentation window must align with the ADC grid")
@@ -435,8 +421,7 @@ def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
     """The coordinate holding circuit ``n``'s ``parameter`` entry: the FG
     block for a cell the block shares, the circuit itself otherwise."""
     if parameter in FG_CELLS and FG_CELLS[parameter].shared:
-        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-        return Coord.fg_block(h, n // per_block)
+        return Coord.fg_block(h, n // cfg.neurons_per_fg_block)
     return Coord.neuron(h, n)
 
 
@@ -576,7 +561,7 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
 def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
     from .experiment import DEFAULT_DT
 
-    dt_adc = _adc_dt(wafer)
+    dt_adc = adc_sample_period(wafer)
     peaks = np.full((len(plan.dac_values), len(scope)), np.nan)
     for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
                                         availability=availability):

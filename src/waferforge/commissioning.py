@@ -35,7 +35,8 @@ from . import rng
 from .availability import AvailabilityDb, AvailabilityState
 from .defects import DefectType
 from .topology import Coord, Direction, Kind, TopologyConfig, group_members, resource_count
-from .wafer import WaferModel, adc_readout, dac_to_volts, program_floating_gates, true_parameter
+from .wafer import (WaferModel, adc_readout, dac_to_volts, from_reference_dac,
+                    program_floating_gates, true_parameter)
 
 FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
 
@@ -44,9 +45,9 @@ FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
 WRITES_PER_CELL = 10
 STABILITY_REPS = 10
 
-# analog readout test: two FG levels, each digitized as READOUT_SAMPLES
-# samples; the mean must match within READOUT_MEAN_TOL volts (after the 1:2
-# divider) and the sample noise stay below READOUT_NOISE_TOL ADC volts
+# analog readout test: two FG levels in reference-DAC codes, each digitized as
+# READOUT_SAMPLES samples; the mean must match within READOUT_MEAN_TOL volts
+# (after the 1:2 divider) and the sample noise stay below READOUT_NOISE_TOL
 READOUT_LEVELS = (284, 682)
 READOUT_SAMPLES = 64
 READOUT_MEAN_TOL = 0.15
@@ -143,6 +144,12 @@ class StabilityResult:
     unstable_cells: list[Coord] = field(default_factory=list)
 
 
+def _flips(wafer: WaferModel, defect) -> bool:
+    """Whether an unstable cell flips within ``STABILITY_REPS`` same-value rewrites."""
+    gen = rng.stream(wafer.master_seed, "stability", str(defect.coord))
+    return bool(np.any(gen.random(STABILITY_REPS) < defect.flip_probability))
+
+
 def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
     """Rewrite every register of one synapse array ``STABILITY_REPS`` times
     with the same value.
@@ -155,10 +162,8 @@ def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
     h, a = array.indices
     bad = []
     for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE):
-        if d.coord.kind is Kind.SYNAPSE and d.coord.indices[0] == h and d.coord.indices[1] == a:
-            gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
-            if bool(np.any(gen.random(STABILITY_REPS) < d.flip_probability)):
-                bad.append(d.coord)
+        if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a) and _flips(wafer, d):
+            bad.append(d.coord)
     bad.sort(key=Coord.sort_key)
     return StabilityResult(array, not bad, bad)
 
@@ -262,8 +267,7 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
                         # the per-array stability phase below covers it
                         suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
                         continue
-                    gen = rng.stream(wafer.master_seed, "stability", str(d.coord))
-                    if not np.any(gen.random(STABILITY_REPS) < d.flip_probability):
+                    if not _flips(wafer, d):
                         continue
                 found.append(_excluded_unit(d))
         duration = max(duration, group_seconds)
@@ -313,7 +317,7 @@ def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> 
                    for o in range(cfg.analog_outs_per_hicann)):
             ok[h] = False
             continue
-        for level in READOUT_LEVELS:
+        for level in from_reference_dac(cfg, READOUT_LEVELS):
             program_floating_gates(wafer, h, {"e_leak": level})
             v = true_parameter(wafer, Coord.neuron(h, 0), "e_leak")
             reading = adc_readout(wafer, h, [0], np.full((1, READOUT_SAMPLES), v),

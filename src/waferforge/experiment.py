@@ -45,8 +45,8 @@ import numpy as np
 from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
                        cannot_spike, integrate, integrate_scan)
 from .topology import Coord, Kind
-from .wafer import (WaferModel, adc_readout, conductance_step_array,
-                    efficacy_arrays, true_parameter_array)
+from .wafer import (VGMAX_PALETTE, WaferModel, adc_readout, adc_sample_period,
+                    conductance_step_array, efficacy_arrays, true_parameter_array)
 
 DEFAULT_DT = 1e-4  # biological seconds per integration step
 ADDRESS_BITS = 4
@@ -150,7 +150,7 @@ def _validate_config(wafer: WaferModel, cfg: HicannConfig) -> None:
             raise ValueError("row sign must be 'x' or 'i'")
         if r.gmax_div < 1:
             raise ValueError("gmax_div must be >= 1")
-        if not 0 <= r.vgmax_sel < wafer.topology.vgmax_palette_size:
+        if not 0 <= r.vgmax_sel < VGMAX_PALETTE:
             raise ValueError("vgmax_sel out of range")
         rows[r.row] = r
     for s in cfg.synapses:
@@ -500,7 +500,7 @@ def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentRes
     if len(record) > READOUT_TRACES:
         raise RecordingLimitError(f"{len(record)} recordings requested, "
                                   f"readout supports {READOUT_TRACES}")
-    adc_dt = wafer.topology.speedup / wafer.variability.adc_sample_rate_hw
+    adc_dt = adc_sample_period(wafer)
     n_samples = int(np.floor(sim.duration / adc_dt)) + 1
     t_adc = np.arange(n_samples) * adc_dt
 

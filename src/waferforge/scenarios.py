@@ -28,7 +28,7 @@ GOLDEN_FILE = "golden_defects.json"
 
 
 def _column_range(cfg: TopologyConfig, y: int) -> range:
-    xs = [x for x in range(64) if cfg.hicann_at(x, y) is not None]
+    xs = [x for x in range(cfg.grid_width) if cfg.hicann_at(x, y) is not None]
     return range(min(xs), max(xs) + 1)
 
 

@@ -133,10 +133,6 @@ class Coord:
         return cls(Kind.HICANN, (h,))
 
     @classmethod
-    def group(cls, g):
-        return cls(Kind.HICANN_GROUP, (g,))
-
-    @classmethod
     def neuron(cls, h, n):
         return cls(Kind.NEURON, (h, n))
 
@@ -163,10 +159,6 @@ class Coord:
     @classmethod
     def ext_merger(cls, h, m):
         return cls(Kind.EXT_MERGER, (h, m))
-
-    @classmethod
-    def bg_gen(cls, h, m):
-        return cls(Kind.BG_GEN, (h, m))
 
     @classmethod
     def merger(cls, h, m):
@@ -197,17 +189,16 @@ class Coord:
 class TopologyConfig:
     """Counts and layout of one wafer module.
 
-    Defaults describe the reference module; every count is configurable so
-    reduced systems can be modeled. ``reticle_rows`` gives the number of
-    reticles per reticle row on the (round) wafer; each reticle is a 4x2 block
-    of hicanns and one hicann group. ``no_highspeed_groups`` are the central
-    groups wired without a high-speed connection by design. ``edge_hicanns``
-    are the dies adjacent to unconnected edge dies from an earlier
-    post-processing version; their off-grid bus groups are excluded during
+    Defaults describe the reference module. The fields are the counts that can be set,
+    so reduced systems can be modeled; the group size, FG columns and merger-tree size
+    are derived from them. ``reticle_rows`` gives the number of reticles per reticle row
+    on the (round) wafer; each reticle is a ``reticle_shape`` block of hicanns and one
+    hicann group. ``no_highspeed_groups`` are the central groups wired without a high-speed
+    connection by design. ``edge_hicanns`` are the dies adjacent to unconnected edge dies
+    from an earlier post-processing version; their off-grid bus groups are excluded during
     commissioning. The default (``None``) resolves to the bottom grid row.
     """
 
-    group_size: int = 8
     reticle_rows: tuple[int, ...] = (3, 5, 7, 9, 9, 7, 5, 3)
     reticle_shape: tuple[int, int] = (4, 2)  # hicanns per reticle: 4 wide, 2 tall
     neurons_per_hicann: int = 512
@@ -218,10 +209,8 @@ class TopologyConfig:
     columns_per_array: int = 256
     fg_blocks_per_hicann: int = 4
     fg_rows: int = 24
-    fg_columns: int = 129  # column 0 holds block-shared parameters
     ext_mergers_per_hicann: int = 8
     bg_gens_per_hicann: int = 8
-    mergers_per_hicann: int = 15
     analog_outs_per_hicann: int = 2
     bus_groups: int = 4
     lanes_per_group: int = 80
@@ -233,10 +222,6 @@ class TopologyConfig:
     dac_max: int = 1023
     dac_current_max: float = 2.5e-6  # A at full scale
     dac_voltage_max: float = 1.8  # V at full scale
-    weight_max: int = 15
-    gmax_divisor_min: int = 1
-    gmax_divisor_max: int = 30
-    vgmax_palette_size: int = 4
     speedup: float = 1.0e4
 
     def __post_init__(self):
@@ -248,6 +233,26 @@ class TopologyConfig:
             object.__setattr__(self, "edge_hicanns", tuple(sorted(self.edge_hicanns)))
 
     # ---- derived counts -------------------------------------------------
+    @cached_property
+    def group_size(self) -> int:
+        """Hicanns per group: one group per reticle."""
+        return math.prod(self.reticle_shape)
+
+    @cached_property
+    def neurons_per_fg_block(self) -> int:
+        """Neuron circuits served by one FG block, one column each."""
+        return self.neurons_per_hicann // self.fg_blocks_per_hicann
+
+    @property
+    def fg_columns(self) -> int:
+        """FG columns per block: column 0 holds block-shared parameters."""
+        return 1 + self.neurons_per_fg_block
+
+    @property
+    def mergers_per_hicann(self) -> int:
+        """Nodes of the binary merger tree over the leaf mergers."""
+        return 2 * self.ext_mergers_per_hicann - 1
+
     @property
     def n_groups(self) -> int:
         return sum(self.reticle_rows)
@@ -399,12 +404,9 @@ class TopologyConfig:
     def select_switch(self, b: int, driver_flat: int) -> int | None:
         return _fabric(self).switch_ids.get((b, "d", driver_flat))
 
-    def injection_bus(self, channel: int) -> int:
-        return (self.buses_per_hicann // self.ext_mergers_per_hicann) * channel
-
     def injection_buses(self, channel: int) -> tuple[int, int]:
         """Primary and fallback buses a sending channel can drive."""
-        primary = self.injection_bus(channel)
+        primary = (self.buses_per_hicann // self.ext_mergers_per_hicann) * channel
         half = self.bus_groups // 2 * self.lanes_per_group
         return primary, (primary + half) % self.buses_per_hicann
 
@@ -499,12 +501,11 @@ class _Fabric:
 
 @lru_cache(maxsize=8)
 def _grid_cached(key: tuple) -> _Grid:
-    return _Grid(TopologyConfig(reticle_rows=key[0], reticle_shape=key[1],
-                                group_size=key[2], edge_hicanns=()))
+    return _Grid(TopologyConfig(reticle_rows=key[0], reticle_shape=key[1], edge_hicanns=()))
 
 
 def _grid(cfg: TopologyConfig) -> _Grid:
-    return _grid_cached((cfg.reticle_rows, cfg.reticle_shape, cfg.group_size))
+    return _grid_cached((cfg.reticle_rows, cfg.reticle_shape))
 
 
 @lru_cache(maxsize=8)

@@ -34,6 +34,9 @@ from .variability import SoftplusLaw, VariabilityConfig
 
 SCHEMA = "waferforge.wafer/1"
 
+VGMAX_PALETTE = 4  # shared conductance-scale (vgmax) cells per FG block
+REFERENCE_DAC_MAX = 1023  # plans and test levels are codes of this DAC
+
 
 class FgCell(NamedTuple):
     row: int
@@ -53,10 +56,7 @@ FG_CELLS = {
     "i_gl": FgCell(8, False, "uA"),
     "i_pulse": FgCell(9, False, "uA"),
     "v_reset": FgCell(0, True, "V"),
-    "vgmax0": FgCell(1, True, "V"),
-    "vgmax1": FgCell(2, True, "V"),
-    "vgmax2": FgCell(3, True, "V"),
-    "vgmax3": FgCell(4, True, "V"),
+    **{f"vgmax{p}": FgCell(1 + p, True, "V") for p in range(VGMAX_PALETTE)},
 }
 
 # time-constant parameter -> the cell whose current or voltage sets it
@@ -96,7 +96,7 @@ class HicannTruth:
     def __init__(self, seed: int, h: int, var: VariabilityConfig, cfg: TopologyConfig):
         N = cfg.neurons_per_hicann
         B = cfg.fg_blocks_per_hicann
-        P = cfg.vgmax_palette_size
+        P = VGMAX_PALETTE
 
         def draw(name, shape, mean, sigma):
             z = rng.stream(seed, "truth", h, name).standard_normal(shape)
@@ -244,9 +244,8 @@ def cell_index(cfg: TopologyConfig, name: str) -> tuple:
     if shared:
         blocks, cols = np.arange(cfg.fg_blocks_per_hicann), np.zeros(cfg.fg_blocks_per_hicann, int)
     else:
-        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-        n = np.arange(cfg.neurons_per_hicann)
-        blocks, cols = n // per_block, 1 + n % per_block
+        blocks, cols = np.divmod(np.arange(cfg.neurons_per_hicann), cfg.neurons_per_fg_block)
+        cols += 1
     blocks.flags.writeable = cols.flags.writeable = False
     return blocks, row, cols
 
@@ -265,8 +264,8 @@ def program_floating_gates(wafer: WaferModel, h: int, values: dict) -> None:
     if "vgmax" in values:
         values = dict(values)
         palette = np.broadcast_to(np.asarray(values.pop("vgmax"), dtype=float),
-                                  (cfg.fg_blocks_per_hicann, cfg.vgmax_palette_size))
-        values.update({f"vgmax{p}": palette[:, p] for p in range(cfg.vgmax_palette_size)})
+                                  (cfg.fg_blocks_per_hicann, VGMAX_PALETTE))
+        values.update({f"vgmax{p}": palette[:, p] for p in range(VGMAX_PALETTE)})
 
     target = st.d_set.copy()
     mask = np.zeros_like(st.written)
@@ -292,6 +291,13 @@ def fg_dac_array(wafer: WaferModel, h: int, name: str) -> np.ndarray:
     """Effective (post write noise) DAC values of cell ``name``, per circuit
     or per block for shared cells."""
     return wafer.fg_state(h).d_eff[cell_index(wafer.topology, name)]
+
+
+def from_reference_dac(cfg: TopologyConfig, value):
+    """Reference-DAC code(s), an int or nested tuples, as codes of the topology's DAC."""
+    if isinstance(value, tuple):
+        return tuple(from_reference_dac(cfg, v) for v in value)
+    return int(round(value * cfg.dac_max / REFERENCE_DAC_MAX))
 
 
 def dac_to_volts(cfg: TopologyConfig, d) -> np.ndarray | float:
@@ -334,8 +340,7 @@ def true_parameter_array(wafer: WaferModel, h: int, name: str,
         return softplus_tau(x, *tr.laws[name])
     v = tr.gain[name] * x + tr.offset[name]
     if FG_CELLS[name].shared:  # every circuit of a block sees its block's cell
-        per_block = cfg.neurons_per_hicann // cfg.fg_blocks_per_hicann
-        v = v[np.arange(cfg.neurons_per_hicann) // per_block]
+        v = v[np.arange(cfg.neurons_per_hicann) // cfg.neurons_per_fg_block]
     return v
 
 
@@ -363,7 +368,7 @@ def conductance_step_array(wafer: WaferModel, h: int, circuits, weights,
     gmax_div = np.broadcast_to(np.asarray(gmax_div, dtype=float), circuits.shape)
     vgmax_sel = np.broadcast_to(np.asarray(vgmax_sel, dtype=int), circuits.shape)
     vg = np.empty(circuits.shape)
-    for p in range(wafer.topology.vgmax_palette_size):
+    for p in range(VGMAX_PALETTE):
         m = vgmax_sel == p
         if m.any():
             vg[m] = true_parameter_array(wafer, h, f"vgmax{p}")[circuits[m]]
@@ -392,6 +397,11 @@ def efficacy_arrays(wafer: WaferModel, h: int, side: str) -> tuple[np.ndarray, n
     efficacy = np.maximum(0.0, 1.0 - var.vconvoff_efficacy_slope
                           * np.maximum(0.0, v - mid))
     return g_perm, efficacy
+
+
+def adc_sample_period(wafer: WaferModel) -> float:
+    """Biological seconds between two ADC samples."""
+    return wafer.topology.speedup / wafer.variability.adc_sample_rate_hw
 
 
 def adc_readout(wafer: WaferModel, h: int, circuits, samples: np.ndarray,

@@ -10,7 +10,7 @@ from waferforge.commissioning import commission, effective_exclusion
 from waferforge.defects import DefectRates, random_defects
 from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import (FG_CELLS, build_wafer, fg_dac_array,
+from waferforge.wafer import (FG_CELLS, build_wafer, fg_dac_array, from_reference_dac,
                               true_parameter_array)
 
 # sha256 of the sorted-key JSON of the DB below; batching the sweeps must
@@ -330,7 +330,7 @@ def test_plan_rescaling_is_the_identity_at_the_reference_dac():
     for plan in cal.DEFAULT_PLANS.values():
         assert cal._rescaled(cfg, plan) == plan, plan.parameter
     for name, value in cal.BASE_SETTINGS.items():
-        assert cal._codes(cfg, value) == value, name
+        assert from_reference_dac(cfg, value) == value, name
     assert cal._write_sigma(cfg) == 2.0 * 1.8 / 1023
 
 
