@@ -21,22 +21,32 @@ Exponential-Euler scheme with per-step frozen conductances:
 A simulation "unit" is one membrane: either a single neuron circuit or a
 group of interconnected circuits whose leak terms are summed.
 
-``integrate`` does once per run what cannot change during the run. Each
-shortcut gives the full per-step expression bit for bit, for any parameter
-values, under these conditions:
+``integrate`` steps a run with the full per-step expression. It serves the
+runs that the two solvers below do not take: runs with events that cannot
+be scanned, with recurrent input, or with a side that may saturate.
 
-* a side that no event reaches, with no recurrent connection and a finite
-  decay factor, keeps ``g == +0.0``: its total conductance is computed once
-  and never decayed;
-* such a side's saturation test is skipped when it can fire for no unit:
-  each ``i_sat`` is +inf or NaN, or is ``>= 0`` where the side's total
-  conductance is zero;
-* with both sides static and every ``g_tot`` positive, ``num``, ``g_tot``,
-  ``V_inf`` and the propagator ``exp(-dt * g_tot / C)`` are constant: they
-  are computed once (exact for constant inputs, Rotter & Diesmann 1999) and
-  each step that does not saturate runs in place;
-* the refractory clamp is skipped while the latest release time has passed
-  (never, once a release time is NaN).
+``integrate_constant`` solves a run with constant inputs and equals
+``integrate`` bit for bit. ``inputs_constant`` accepts a run without
+recurrent input when no event lands before its last step, both decay
+factors are finite, every ``g_tot`` is positive and neither side can
+saturate (each ``i_sat`` is +inf or NaN, or is ``>= 0`` where the side's
+conductance is zero). Then both conductances stay ``+0.0``, and ``V_inf``
+and the propagator ``P = exp(-dt * g_tot / C)`` are the same at every step
+(exact for constant inputs, Rotter & Diesmann 1999). The run is solved one
+period at a time:
+
+* between spikes a step is ``V' = V_inf + (V - V_inf) * P``, a function of V
+  alone; iterating the loop's own expression, vectorised over units, gives
+  its values bit for bit;
+* a spiking unit is clamped at exactly ``v_reset`` and restarts from it at
+  release, so every stretch after a release repeats the same values, the
+  same crossing and the same interpolated spike offset bit for bit; only
+  the refractory length can change from one spike to the next;
+* the release step is the first step k after the spike with
+  ``k * dt >= t_spike + tau_ref``, decided by the loop's own comparison of
+  the loop's own values (spike times off the grid, Hanuschkin et al. 2010);
+* a sequence that reaches a bitwise fixed point (``V' == V``) repeats it at
+  every later step, so its iteration stops there.
 
 ``integrate_scan`` solves a run that provably cannot spike without a step
 loop and agrees with ``integrate`` to rounding (about 1e-14 V). The proof,
@@ -267,6 +277,29 @@ def _saturates(g_side, e_side, v, i_sat, tmp, sat) -> bool:
     return bool(np.greater(tmp, i_sat, out=sat).any())
 
 
+def _totals(p: UnitParams, g_x, g_i):
+    """Each side's total conductance, then the step's ``num`` and ``g_tot``."""
+    gx_tot = g_x + p.g_base_x
+    gi_tot = g_i + p.g_base_i
+    num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
+    g_tot = p.g_leak + gx_tot + gi_tot
+    return gx_tot, gi_tot, num, g_tot
+
+
+def _spike_offset(v, v_new, v_threshold, dt):
+    """Time from a step's start to the crossing interpolated in it."""
+    dv = v_new - v
+    rising = dv > 0.0
+    frac = np.where(rising, (v_threshold - v) / np.where(rising, dv, 1.0), 1.0)
+    return np.clip(frac, 0.0, 1.0) * dt
+
+
+def _record_units(record_units, n: int) -> np.ndarray:
+    if record_units is None:
+        return np.arange(n, dtype=np.int64)
+    return np.asarray(record_units, dtype=np.int64)
+
+
 def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
               events_x: EventQueue | None = None,
               events_i: EventQueue | None = None,
@@ -281,12 +314,8 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     p = params
     n = p.n_units
     n_steps = int(round(duration / dt))
-    if record_units is None:
-        record_units = np.arange(n, dtype=np.int64)
-    else:
-        record_units = np.asarray(record_units, dtype=np.int64)
+    record_units = _record_units(record_units, n)
     record_all = np.array_equal(record_units, np.arange(n))
-    record_any = record_units.shape[0] > 0
     events_x = events_x or EventQueue.empty()
     events_i = events_i or EventQueue.empty()
     # a matrix without connections never delivers anything
@@ -301,37 +330,15 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     pending_x = np.zeros(n)
     pending_i = np.zeros(n)
     refrac_until = np.full(n, -np.inf)
-    release = -np.inf  # latest release time, NaN once any is NaN
 
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
     c = p.capacitance
     has_sat = np.any(np.isfinite(p.i_sat))
-
     next_x = _first_boundary(events_x, n_steps)
     next_i = _first_boundary(events_i, n_steps)
-    # a side that no event reaches, with no recurrent input and a finite
-    # decay, keeps g == +0.0 for the whole run
-    static_x = (next_x >= n_steps and recurrent_x is None
-                and bool(np.all(np.isfinite(decay_x))))
-    static_i = (next_i >= n_steps and recurrent_i is None
-                and bool(np.all(np.isfinite(decay_i))))
-
-    gx_tot = g_x + p.g_base_x
-    gi_tot = g_i + p.g_base_i
-    num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
-    g_tot = p.g_leak + gx_tot + gi_tot
-    check_x = has_sat and not (static_x and _never_saturates(gx_tot, p.i_sat))
-    check_i = has_sat and not (static_i and _never_saturates(gi_tot, p.i_sat))
-    static = static_x and static_i
-    const = static and bool(np.all(g_tot > 0.0))
-    if const:
-        v_inf = num / g_tot
-        prop = np.exp(-dt * g_tot / c)
-        v_next = np.empty(n)
     tmp = np.empty(n)
     sat = np.empty(n, dtype=bool)
-    fired = np.empty(n, dtype=bool)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
@@ -353,73 +360,50 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
             g_i += pending_i
             pending_i[:] = 0.0
 
-        if not static_x:
-            gx_tot = g_x + p.g_base_x
-        if not static_i:
-            gi_tot = g_i + p.g_base_i
-        if not static:
-            num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
-            g_tot = p.g_leak + gx_tot + gi_tot
-
-        saturated = (
-            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
+        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
+        saturated = has_sat and (
+            _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
+            or _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
         if saturated:
             v_new = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt)
-        elif const:
-            v_new = v_next
-            np.subtract(v, v_inf, out=v_new)
-            np.multiply(v_new, prop, out=v_new)
-            np.add(v_inf, v_new, out=v_new)
         else:
             v_new = _exp_euler(num, g_tot, v, c, dt)
 
-        if t_k >= release:  # no unit is refractory
-            np.greater_equal(v_new, p.v_threshold, out=fired)
-            firing = fired
-        else:
-            active = t_k >= refrac_until
-            v_new = np.where(active, v_new, p.v_reset)
-            firing = active & (v_new >= p.v_threshold)
+        active = t_k >= refrac_until
+        v_new = np.where(active, v_new, p.v_reset)
+        firing = active & (v_new >= p.v_threshold)
         if firing.any():
             idx = np.nonzero(firing)[0]
-            dv = v_new[idx] - v[idx]
-            rising = dv > 0.0
-            frac = np.where(rising,
-                            (p.v_threshold[idx] - v[idx])
-                            / np.where(rising, dv, 1.0),
-                            1.0)
-            t_s = t_k + np.clip(frac, 0.0, 1.0) * dt
+            t_s = t_k + _spike_offset(v[idx], v_new[idx], p.v_threshold[idx], dt)
             spike_unit_chunks.append(idx)
             spike_time_chunks.append(t_s)
             v_new[idx] = p.v_reset[idx]
             refrac_until[idx] = t_s + p.tau_ref[idx]
-            release = float(np.maximum(release, refrac_until[idx].max()))
             if recurrent_x is not None:
                 recurrent_x.accumulate(idx, pending_x)
             if recurrent_i is not None:
                 recurrent_i.accumulate(idx, pending_i)
 
-        v, v_next = v_new, v
-        if not static_x:
-            g_x *= decay_x
-        if not static_i:
-            g_i *= decay_i
-        if record_all:
-            traces[:, k + 1] = v
-        elif record_any:
-            traces[:, k + 1] = v[record_units]
+        v = v_new
+        g_x *= decay_x
+        g_i *= decay_i
+        traces[:, k + 1] = v if record_all else v[record_units]
 
-    if spike_unit_chunks:
-        units_all = np.concatenate(spike_unit_chunks)
-        times_all = np.concatenate(spike_time_chunks)
-        del spike_unit_chunks, spike_time_chunks
+    return _result(dt, n_steps, record_units, traces, spike_unit_chunks,
+                   spike_time_chunks)
+
+
+def _result(dt, n_steps, record_units, traces, unit_chunks,
+            time_chunks) -> EngineResult:
+    """The run's result, its raster sorted by time, then unit."""
+    if unit_chunks:
+        units_all = np.concatenate(unit_chunks)
+        times_all = np.concatenate(time_chunks)
         order = np.lexsort((units_all, times_all))
         units_all, times_all = units_all[order], times_all[order]
     else:
         units_all = np.empty(0, dtype=np.int64)
         times_all = np.empty(0)
-
     return EngineResult(
         dt=dt,
         n_steps=n_steps,
@@ -429,6 +413,181 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
         spike_units=units_all,
         spike_times=times_all,
     )
+
+
+# ---- runs with constant inputs ---------------------------------------------
+
+_RELAX_STEPS = 32  # steps between the stop tests of ``_relax``; 8 to 128 time
+                   # the same on the calibration sweeps, whose relaxations
+                   # are a small share of ``integrate_constant``
+
+
+def inputs_constant(params: UnitParams, dt: float, n_steps: int,
+                    events_x: EventQueue, events_i: EventQueue) -> bool:
+    """Whether a run without recurrent input steps with constant inputs.
+
+    No event lands before ``n_steps``, both decay factors are finite, every
+    ``g_tot`` is positive and neither side can saturate; see the module
+    docstring.
+    """
+    p = params
+    if min(_first_boundary(events_x, n_steps),
+           _first_boundary(events_i, n_steps)) < n_steps:
+        return False
+    decay_x = np.exp(-dt / p.tau_synx)
+    decay_i = np.exp(-dt / p.tau_syni)
+    gx_tot, gi_tot, _, g_tot = _totals(p, np.zeros(p.n_units), np.zeros(p.n_units))
+    return bool(np.all(np.isfinite(decay_x)) and np.all(np.isfinite(decay_i))
+                and np.all(g_tot > 0.0)
+                and _never_saturates(gx_tot, p.i_sat)
+                and _never_saturates(gi_tot, p.i_sat))
+
+
+def _relax(v0, v_inf, prop, v_threshold, n_max: int):
+    """The loop's update ``v_inf + (v - v_inf) * prop`` iterated from ``v0``.
+
+    Returns ``(seq, cross)``: ``seq[j]`` holds each unit's membrane after j
+    steps, and ``cross`` the first j >= 1 at which it reaches threshold (0
+    when it does not). Rows past a unit's crossing are not its membrane;
+    the other units run until each has settled on a bitwise fixed point,
+    which every later row then repeats, or for ``n_max`` steps.
+    """
+    n = v0.shape[0]
+    chunks = [v0[None, :]]
+    cross = np.zeros(n, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    prev = v0
+    j = 0
+    while j < n_max and not done.all():
+        m = min(_RELAX_STEPS, n_max - j)
+        block = np.empty((m, n))
+        for w in block:
+            np.subtract(prev, v_inf, out=w)
+            np.multiply(w, prop, out=w)
+            np.add(v_inf, w, out=w)
+            prev = w
+        bits = block.view(np.uint64)
+        hit = block >= v_threshold
+        same = np.empty_like(hit)
+        same[0] = bits[0] == chunks[-1][-1].view(np.uint64)
+        np.equal(bits[1:], bits[:-1], out=same[1:])
+        first_hit = np.where(hit.any(axis=0), hit.argmax(axis=0), m)
+        first_same = np.where(same.any(axis=0), same.argmax(axis=0), m)
+        new = ~done & (first_hit < m) & (first_hit <= first_same)
+        cross[new] = j + 1 + first_hit[new]
+        done |= (first_hit < m) | (first_same < m)
+        chunks.append(block)
+        j += m
+        prev = np.where(cross > 0, v_inf, prev)  # a fixed point of the update
+    return np.concatenate(chunks), cross
+
+
+def _release_step(k, until, dt: float, n_steps: int):
+    """The first step k' > k with ``k' * dt >= until``, or ``n_steps``.
+
+    The loop's own comparison decides: ``ceil(until / dt)`` is moved while
+    it disagrees, as ``k * dt`` does not decrease with k. A NaN ``until``
+    never releases, as in the loop.
+    """
+    est = np.ceil(np.fmax(np.fmin(until, (n_steps + 1) * dt), 0.0) / dt)
+    est = np.minimum(np.maximum(est.astype(np.int64), k + 1), n_steps)
+    while True:
+        down = (est - 1 > k) & ((est - 1) * dt >= until)
+        if not down.any():
+            break
+        est -= down
+    while True:
+        up = (est < n_steps) & (est * dt < until)
+        if not up.any():
+            break
+        est += up
+    return est
+
+
+def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
+                       events_x: EventQueue | None = None,
+                       events_i: EventQueue | None = None,
+                       record_units=None, v_init=None) -> EngineResult:
+    """Integrate a run that ``inputs_constant`` accepts one period at a time.
+
+    The result equals ``integrate``'s bit for bit (see the module
+    docstring). ``_relax`` iterates the loop's update from ``v0`` and from
+    ``v_reset`` until each unit crosses threshold or settles. The spikes
+    then follow as a chain over spike index, vectorised over units: spike
+    time, refractory end and release step, each with the loop's own
+    expressions and comparisons, and the loop's raster order. Each
+    recorded row is then written from its spike steps, one row's index at
+    a time, so no temporary has the size of the trace array.
+    """
+    p = params
+    n = p.n_units
+    n_steps = int(round(duration / dt))
+    record_units = _record_units(record_units, n)
+    events_x = events_x or EventQueue.empty()
+    events_i = events_i or EventQueue.empty()
+    if not inputs_constant(p, dt, n_steps, events_x, events_i):
+        raise ValueError("the run's inputs change: integrate it step by step")
+    v0 = p.v_reset.copy() if v_init is None else _as_f64(v_init, n)
+    _, _, num, g_tot = _totals(p, np.zeros(n), np.zeros(n))
+    v_inf = num / g_tot
+    prop = np.exp(-dt * g_tot / p.capacitance)
+
+    traces = np.empty((record_units.shape[0], n_steps + 1))
+    seq, cross = _relax(v0, v_inf, prop, p.v_threshold, n_steps)
+    # every trace up to its first spike; the steps after it are rewritten
+    last = seq.shape[0] - 1
+    traces[:, :last + 1] = seq[:, record_units].T
+    traces[:, last + 1:] = seq[last, record_units][:, None]
+    spiking = np.flatnonzero(cross)
+    if not spiking.size:
+        return _result(dt, n_steps, record_units, traces, [], [])
+
+    th = p.v_threshold[spiking]
+    k = cross[spiking] - 1  # step of each unit's first spike
+    offset = _spike_offset(seq[k, spiking], seq[k + 1, spiking], th, dt)
+    del seq
+    # a released unit restarts from v_reset: every stretch after a release
+    # is the same sequence, up to the next crossing
+    rel, rel_cross = _relax(p.v_reset[spiking], v_inf[spiking], prop[spiking],
+                            th, max(n_steps - int(k.min()) - 1, 1))
+    cols = np.arange(spiking.shape[0])
+    c = np.maximum(rel_cross, 1)
+    rel_offset = _spike_offset(rel[c - 1, cols], rel[c, cols], th, dt)
+    # steps from a release to the next spike; none without a crossing
+    rise = np.where(rel_cross > 0, c - 1, n_steps)
+
+    live, tau = cols, p.tau_ref[spiking]
+    chunks = []  # (positions in ``spiking``, spike steps, times, releases)
+    while live.size:
+        t_s = k * dt + offset
+        release = _release_step(k, t_s + tau, dt, n_steps)
+        chunks.append((live, k, t_s, release))
+        k = release + rise
+        keep = k < n_steps
+        live, k, tau, rise = live[keep], k[keep], tau[keep], rise[keep]
+        offset = rel_offset[live]
+    pos, ks, times, releases = (np.concatenate(a) for a in zip(*chunks))
+
+    # each recorded spiking row: after its spike at ks[s], v_reset until the
+    # release, then the stretch from v_reset
+    pos_of = np.full(n, -1)
+    pos_of[spiking] = cols
+    row_pos = pos_of[record_units]
+    rows = np.flatnonzero(row_pos >= 0)
+    if rows.size:
+        order = np.argsort(pos, kind="stable")
+        bounds = np.searchsorted(pos[order], np.arange(cols.shape[0] + 1))
+        ks, releases = ks[order], releases[order]
+        rel_t = np.ascontiguousarray(rel.T)
+        for row in rows:
+            u = row_pos[row]
+            k_u = ks[bounds[u]:bounds[u + 1]]
+            at = np.arange(k_u[0] + 1, n_steps + 1)
+            since = at - releases[bounds[u]:bounds[u + 1]][
+                np.searchsorted(k_u, at) - 1]
+            np.clip(since, 0, rel_t.shape[1] - 1, out=since)
+            traces[row, k_u[0] + 1:] = rel_t[u, since]
+    return _result(dt, n_steps, record_units, traces, [spiking[pos]], [times])
 
 
 # ---- prefix scan for runs that cannot spike ---------------------------------
@@ -512,10 +671,7 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     p = params
     n = p.n_units
     n_steps = int(round(duration / dt))
-    if record_units is None:
-        record_units = np.arange(n, dtype=np.int64)
-    else:
-        record_units = np.asarray(record_units, dtype=np.int64)
+    record_units = _record_units(record_units, n)
     record_all = np.array_equal(record_units, np.arange(n))
     events_x = events_x or EventQueue.empty()
     events_i = events_i or EventQueue.empty()
@@ -572,8 +728,7 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
             px, next_x = _deliver(events_x, px, k, g_x, n_steps)
         if k >= next_i:
             pi, next_i = _deliver(events_i, pi, k, g_i, n_steps)
-        gx_tot = g_x + p.g_base_x
-        gi_tot = g_i + p.g_base_i
+        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
         saturated = (
             check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
             or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
@@ -581,8 +736,6 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
         m = min(next_x, next_i, n_steps) - k
         m = min(m, cap, m_max, int(_SCAN_SPAN / rate) if rate > 0.0 else m)
         if saturated or m < 2:  # one step of integrate's expression
-            num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
-            g_tot = p.g_leak + gx_tot + gi_tot
             v = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt) \
                 if saturated else _exp_euler(num, g_tot, v, p.capacitance, dt)
             g_x *= decay_x
@@ -640,12 +793,4 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
             g_i *= pow_i[:, keep]
         k += keep
 
-    return EngineResult(
-        dt=dt,
-        n_steps=n_steps,
-        record_units=record_units,
-        t=np.arange(n_steps + 1) * dt,
-        v=traces,
-        spike_units=np.empty(0, dtype=np.int64),
-        spike_times=np.empty(0),
-    )
+    return _result(dt, n_steps, record_units, traces, [], [])

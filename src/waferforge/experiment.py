@@ -14,13 +14,15 @@ external stimuli inject events on channels directly.
 ``prepare`` compiles the network against the floating-gate state of the
 moment and builds its event queues, trace selection and initial voltages.
 ``simulate_batch`` integrates prepared runs of one duration and step and
-returns one ``SimResult`` per run. It decides per run, from properties of the
-run alone: a run that provably cannot spike and whose events are sparse
-(every single-PSP calibration run) is solved by ``integrate_scan`` on its
-own; the other runs are integrated together as one block-diagonal network by
-``integrate``, whose per-unit updates are elementwise. So a run's result does
-not depend on its batch: a calibration sweep can program and prepare all its
-points, then integrate them together. ``simulate`` is the batch of one.
+returns one ``SimResult`` per run. It decides from properties of the runs
+alone: a run that provably cannot spike and whose events are sparse (every
+single-PSP calibration run) is solved by ``integrate_scan`` on its own; the
+other runs become one block-diagonal network, solved by
+``integrate_constant`` when its inputs are constant (the spiking and rest
+sweeps) and stepped by ``integrate`` otherwise. Both equal the step loop bit
+for bit and update each unit elementwise, so a run's result does not depend
+on its batch: a calibration sweep can program and prepare all its points,
+then integrate them together. ``simulate`` is the batch of one.
 
 Units are keyed by index arrays (``CompiledNetwork.unit_hicann``,
 ``unit_head``, ``unit_of``; ``SimResult.trains``). ``Coord``s appear only at
@@ -43,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
-                       cannot_spike, integrate, integrate_scan)
+                       cannot_spike, inputs_constant, integrate,
+                       integrate_constant, integrate_scan)
 from .topology import Coord, Kind
 from .wafer import (VGMAX_PALETTE, WaferModel, adc_readout, adc_sample_period,
                     conductance_step_array, efficacy_arrays, true_parameter_array)
@@ -389,8 +392,8 @@ def _scanned(run: PreparedRun, n_steps: int) -> bool:
 
     Only properties of the run decide: it has no recurrent connection,
     ``cannot_spike`` holds, and its event boundaries leave segments of at
-    least ``SCAN_MIN_SEGMENT`` steps on average (a run without events keeps
-    ``integrate``'s constant path).
+    least ``SCAN_MIN_SEGMENT`` steps on average (a run without events is
+    left to ``integrate_constant``).
     """
     net = run.compiled
     if any(m is not None and m.n_connections
@@ -404,32 +407,45 @@ def _scanned(run: PreparedRun, n_steps: int) -> bool:
 
 
 def _integrate_stacked(runs, duration: float, dt: float) -> EngineResult:
-    """Integrate runs as one block-diagonal network (one ``integrate`` call)."""
+    """Integrate runs as one block-diagonal network.
+
+    Without recurrent connections and with ``inputs_constant``, one
+    ``integrate_constant`` call solves the network; otherwise one
+    ``integrate`` call steps it.
+    """
     starts = np.cumsum([0] + [r.compiled.params.n_units for r in runs])
     n = int(starts[-1])
     params = UnitParams(**{f.name: np.concatenate(
         [getattr(r.compiled.params, f.name) for r in runs])
         for f in fields(UnitParams)})
-    return integrate(
-        params, duration, dt,
-        events_x=_stack_events([r.events_x for r in runs], starts),
-        events_i=_stack_events([r.events_i for r in runs], starts),
-        recurrent_x=_stack_matrices([r.compiled.recurrent_x for r in runs],
-                                    starts, n),
-        recurrent_i=_stack_matrices([r.compiled.recurrent_i for r in runs],
-                                    starts, n),
-        record_units=np.concatenate([r.trace_units + s
-                                     for r, s in zip(runs, starts)]),
-        v_init=np.concatenate([r.v0 for r in runs]))
+    events_x = _stack_events([r.events_x for r in runs], starts)
+    events_i = _stack_events([r.events_i for r in runs], starts)
+    recurrent_x = _stack_matrices([r.compiled.recurrent_x for r in runs],
+                                  starts, n)
+    recurrent_i = _stack_matrices([r.compiled.recurrent_i for r in runs],
+                                  starts, n)
+    kw = dict(events_x=events_x, events_i=events_i,
+              record_units=np.concatenate([r.trace_units + s
+                                           for r, s in zip(runs, starts)]),
+              v_init=np.concatenate([r.v0 for r in runs]))
+    if (recurrent_x is None and recurrent_i is None
+            and inputs_constant(params, dt, int(round(duration / dt)),
+                                events_x, events_i)):
+        return integrate_constant(params, duration, dt, **kw)
+    return integrate(params, duration, dt, recurrent_x=recurrent_x,
+                     recurrent_i=recurrent_i, **kw)
 
 
 def simulate_batch(runs) -> list[SimResult]:
-    """Integrate prepared runs of one duration and step.
+    """Integrate prepared runs of one duration and step, on three paths.
 
-    Runs that ``_scanned`` selects are integrated one at a time by
-    ``integrate_scan``; the others become one block-diagonal network for
-    ``integrate``: unit parameters are concatenated, event, connection and
-    trace units are offset, and the result is split back. Either way each
+    * ``integrate_scan``: each run that ``_scanned`` selects, on its own;
+    * ``integrate_constant``: the other runs as one block-diagonal network,
+      when it has no recurrent connection and ``inputs_constant`` holds;
+    * ``integrate``: that network otherwise.
+
+    For the network, unit parameters are concatenated, event, connection and
+    trace units are offset, and the result is split back. On every path each
     ``SimResult``'s unit numbering is the run's own, and its trace rows are
     views into one trace array of the batch.
     """

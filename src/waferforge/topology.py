@@ -225,6 +225,12 @@ class TopologyConfig:
     speedup: float = 1.0e4
 
     def __post_init__(self):
+        # every circuit has its column in exactly one FG block
+        if not (self.fg_blocks_per_hicann > 0
+                and self.neurons_per_hicann % self.fg_blocks_per_hicann == 0):
+            raise ValueError(
+                f"fg_blocks_per_hicann={self.fg_blocks_per_hicann} must be positive "
+                f"and divide neurons_per_hicann={self.neurons_per_hicann}")
         if self.edge_hicanns is None:
             ids = tuple(sorted(h for h, (x, y) in enumerate(_grid(self).xy)
                                if y == _grid(self).height - 1))

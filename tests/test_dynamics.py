@@ -9,7 +9,9 @@ from waferforge.dynamics import (
     SynapticMatrix,
     UnitParams,
     cannot_spike,
+    inputs_constant,
     integrate,
+    integrate_constant,
     integrate_scan,
 )
 from waferforge.psp import psp_analytic, psp_peak_factor, psp_peak_time
@@ -527,3 +529,194 @@ def test_scan_refuses_runs_that_may_spike():
     assert not cannot_spike(p, np.array([0.7]), dt, 300, psp, EventQueue.empty())
     assert cannot_spike(leak_params(), np.array([0.7]), dt, 300, psp,
                         EventQueue.empty())
+
+
+# ---- constant inputs -------------------------------------------------------
+# integrate_constant solves runs without events, recurrence or saturation one
+# period at a time; it must equal the step loop bit for bit: traces, spike
+# units and spike times. The loop's general branch is the reference.
+
+def _same_bits(a, b):
+    for name in ("v", "spike_units", "spike_times", "t", "record_units"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def _constant_and_loop(p, duration, **kw):
+    const = integrate_constant(p, duration, **kw)
+    loop = integrate(p, duration, **kw)
+    _same_bits(const, loop)
+    return loop
+
+
+def _random_constant_run(rng):
+    n = int(rng.integers(1, 12))
+    dt = 1e-4
+    base = rng.random() < 0.3
+    p = leak_params(
+        n=n, e_leak=rng.uniform(0.3, 2.0, n), g_leak=rng.uniform(2e-11, 5e-10, n),
+        v_threshold=rng.uniform(0.6, 1.2, n), v_reset=rng.uniform(0.2, 1.0, n),
+        tau_ref=np.where(rng.random(n) < 0.5, rng.integers(0, 30, n) * dt,
+                         rng.uniform(0.0, 3e-3, n)),
+        e_synx=rng.uniform(1.0, 1.5, n), e_syni=rng.uniform(0.1, 0.5, n),
+        g_base_x=rng.choice([0.0, 3e-11], n) if base else 0.0,
+        g_base_i=rng.choice([0.0, 2e-11], n) if base else 0.0,
+        # with permanent conductances only an unlimited amplifier is static
+        i_sat=np.inf if base else rng.choice([np.inf, 5e-11]))
+    kw = dict(v_init=rng.uniform(0.2, 1.5, n))
+    mode = rng.integers(3)
+    if mode == 1:
+        kw["record_units"] = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+    elif mode == 2:
+        kw["record_units"] = []
+    return p, int(rng.integers(1, 1500)) * dt, kw
+
+
+def test_constant_inputs_match_loop_randomized():
+    rng = np.random.default_rng(15)
+    spikes = settled = 0
+    for _ in range(40):
+        p, duration, kw = _random_constant_run(rng)
+        loop = _constant_and_loop(p, duration, **kw)
+        spikes += loop.spike_units.shape[0]
+        settled += loop.v.shape[0] > 0 and loop.v[0, -1] == loop.v[0, -2]
+    assert spikes > 1000 and settled >= 5
+
+
+def test_constant_inputs_without_refractory_time():
+    p = leak_params(n=3, e_leak=1.5, v_threshold=0.9,
+                    g_leak=np.array([6e-11, 1.2e-10, 4e-10]))
+    loop = _constant_and_loop(p, 0.3)
+    assert np.all(np.bincount(loop.spike_units) >= 10)
+
+
+def _clamp_lengths(trace, v_reset):
+    """Lengths of the runs of v_reset after each spike of one trace."""
+    at = np.concatenate([[False], trace == v_reset, [False]])
+    edges = np.flatnonzero(np.diff(at.astype(int)))
+    return edges[1::2] - edges[::2]
+
+
+def test_constant_inputs_release_on_rounding():
+    # refractory times within a few ulp of (multiple of dt) - offset, where
+    # offset is the crossing's place in its step: t_s + tau_ref lands on a
+    # step boundary up to rounding, which decides the release step
+    dt = 1e-4
+    probe = leak_params(e_leak=1.5, v_threshold=0.9, v_reset=0.5)
+    first = integrate(probe, 0.05, v_init=[0.5])
+    k1 = int(np.flatnonzero(first.v[0, 1:] == 0.5)[0])  # step of the spike
+    offset = first.spike_times[0] - k1 * dt
+    tau = np.array([7 * dt - offset])
+    for _ in range(6):
+        tau = np.concatenate([[np.nextafter(tau[0], -1.0)], tau,
+                              [np.nextafter(tau[-1], 1.0)]])
+    n = tau.shape[0]
+    p = leak_params(n=n, e_leak=1.5, v_threshold=0.9, v_reset=0.5, tau_ref=tau)
+    loop = _constant_and_loop(p, 0.3, v_init=np.full(n, 0.5))
+    lengths = [set(_clamp_lengths(row[1:], 0.5)) for row in loop.v]
+    assert np.all(np.bincount(loop.spike_units) > 10)
+    # rounding moves the release step between the spikes of one unit
+    assert all(s <= {7, 8} for s in lengths)
+    assert any(s == {7, 8} for s in lengths)
+
+
+def test_constant_inputs_settle_without_spiking():
+    p = leak_params(n=2, e_leak=np.array([0.7, 0.8]), v_threshold=2.0)
+    loop = _constant_and_loop(p, 0.8, v_init=np.array([0.2, 1.9]))
+    assert loop.spike_units.shape == (0,)
+    # both membranes reach a fixed point of the update well before the end
+    for row in loop.v:
+        last = np.flatnonzero(row != row[-1])[-1]
+        assert 0 < last < row.shape[0] - 100
+
+
+def test_constant_inputs_start_above_threshold():
+    # the first step falls but stays above threshold: frac is 1
+    p = leak_params(n=2, e_leak=0.5, v_threshold=1.0, tau_ref=1e-3,
+                    g_leak=np.array([1.2e-10, 1e-11]))
+    loop = _constant_and_loop(p, 0.01, v_init=np.array([2.0, 1.2]))
+    assert loop.spike_times[0] == 1e-4 and list(loop.spike_units) == [0, 1]
+
+
+def test_constant_inputs_cross_on_the_first_step_after_release():
+    # v_reset sits just below threshold under a strong drive: every release
+    # crosses at once, so after the first spike the trace never leaves reset
+    p = leak_params(n=2, e_leak=3.0, g_leak=1e-9, v_threshold=0.9,
+                    v_reset=0.89, tau_ref=np.array([0.0, 2e-3]))
+    loop = _constant_and_loop(p, 0.05)
+    for u in range(2):
+        row = loop.v[u]
+        assert np.all(row[1:] == 0.89)
+    assert np.count_nonzero(loop.spike_units == 0) > 200
+
+
+@pytest.mark.parametrize("record", [None, [3, 1, 3, 0], [2], []])
+def test_constant_inputs_record_sets(record):
+    p = leak_params(n=4, e_leak=np.array([0.7, 1.4, 1.8, 2.4]), v_threshold=0.9,
+                    tau_ref=np.array([0.0, 1e-3, 2.5e-3, 4e-4]))
+    _constant_and_loop(p, 0.2, record_units=record,
+                       v_init=np.array([0.3, 0.95, 0.5, 0.6]))
+
+
+def test_constant_inputs_stacked_runs_match_each_run_alone():
+    rng = np.random.default_rng(7)
+    runs = [_random_constant_run(rng) for _ in range(4)]
+    n_steps = 900
+    stacked = UnitParams(**{f.name: np.concatenate(
+        [getattr(p, f.name) for p, _, _ in runs])
+        for f in dataclasses.fields(UnitParams)})
+    both = integrate_constant(stacked, n_steps * 1e-4, v_init=np.concatenate(
+        [kw["v_init"] for _, _, kw in runs]))
+    lo = 0
+    for p, _, kw in runs:
+        alone = _constant_and_loop(p, n_steps * 1e-4, v_init=kw["v_init"])
+        hi = lo + p.n_units
+        assert both.v[lo:hi].tobytes() == alone.v.tobytes()
+        own = (both.spike_units >= lo) & (both.spike_units < hi)
+        assert np.array_equal(both.spike_units[own] - lo, alone.spike_units)
+        assert both.spike_times[own].tobytes() == alone.spike_times.tobytes()
+        lo = hi
+    assert both.spike_units.shape[0] > 100
+
+
+def test_constant_inputs_match_pinned_cases():
+    accepted = set()
+    for name, (build, digest) in sorted(PINNED_CASES.items()):
+        p, kw = build()
+        if "recurrent_x" in kw or not inputs_constant(
+                p, 1e-4, 300, kw.get("events_x", EventQueue.empty()),
+                kw.get("events_i", EventQueue.empty())):
+            continue
+        assert _trace_digest(integrate_constant(p, 0.03, **kw)) == digest
+        accepted.add(name)
+    assert accepted == {"record_none", "spiking_refractory", "tau_ref_not_finite"}
+
+
+def test_runs_without_constant_inputs_are_refused():
+    dt, n_steps = 1e-4, 300
+    none = EventQueue.empty()
+    p = leak_params(n=2, e_leak=1.5, v_threshold=0.9)
+    assert inputs_constant(p, dt, n_steps, none, none)
+    # an event that lands before the end; one that lands after it is inert
+    late = EventQueue.from_boundaries(np.array([n_steps]), np.array([0]),
+                                      np.array([3e-12]))
+    early = EventQueue.from_boundaries(np.array([n_steps - 1]), np.array([0]),
+                                       np.array([3e-12]))
+    assert inputs_constant(p, dt, n_steps, late, late)
+    _constant_and_loop(p, n_steps * dt, events_x=late)
+    refused = [(p, dict(events_x=early)), (p, dict(events_i=early))]
+    # a static side that can saturate: permanent conductance, finite i_sat,
+    # or a negative i_sat
+    refused += [(build()[0], {}) for build in (_case_permanent_saturation,
+                                               _case_negative_i_sat)]
+    # no conductance at all, or a decay factor that is not finite
+    refused.append((_case_nonconductive_static()[0], {}))
+    refused += [(leak_params(n=2, e_leak=1.5, v_threshold=0.9, **{tau: bad}), {})
+                for tau in ("tau_synx", "tau_syni") for bad in (-1e-7, np.nan)]
+    for params, kw in refused:
+        with np.errstate(over="ignore"):
+            assert not inputs_constant(params, dt, n_steps,
+                                       kw.get("events_x", none),
+                                       kw.get("events_i", none))
+            with pytest.raises(ValueError):
+                integrate_constant(params, n_steps * dt, **kw)

@@ -522,3 +522,72 @@ def test_runs_the_scan_cannot_take_stay_on_the_loop():
         assert not experiment._scanned(run, n_steps_of(run))
         assert_same_engine(simulate_batch([run])[0].engine, loop_alone(run))
     assert len(simulate_batch([spiking])[0].raster()[Coord.neuron(0, 3)]) > 0
+
+
+# ---------------------------------------------------------------------------
+# runs with constant inputs are solved without the step loop
+
+
+def with_params(run, **changes):
+    params = dataclasses.replace(run.compiled.params, **changes)
+    return dataclasses.replace(
+        run, compiled=dataclasses.replace(run.compiled, params=params))
+
+
+def loop_calls(monkeypatch):
+    """Record the runs that reach the step loop from ``simulate_batch``."""
+    calls = []
+
+    def counted(params, *args, **kw):
+        calls.append(params.n_units)
+        return integrate(params, *args, **kw)
+
+    monkeypatch.setattr(experiment, "integrate", counted)
+    return calls
+
+
+def amplifiers_off():
+    # v_convoff at the DAC ceiling: no permanent synaptic conductance
+    return dict(spiking_values(), v_convoffx=1023, v_convoffi=1023)
+
+
+def test_constant_input_runs_skip_the_loop(monkeypatch):
+    w = build_wafer(6)
+    program_floating_gates(w, 0, amplifiers_off())
+    spiking = prepare(w, HicannConfig(hicann=0, enabled=[3, 4, 5]), [], 0.1,
+                      v_init="rest", trace_circuits=[Coord.neuron(0, 4)])
+    program_floating_gates(w, 0, {"v_threshold": 1023})
+    quiet = prepare(w, HicannConfig(hicann=0, enabled=[6, 7]), [], 0.1)
+    # an event that lands after the last step changes nothing
+    late = prepare(w, psp_config([8]), [("in", 0, 0.2)], 0.1)
+    calls = loop_calls(monkeypatch)
+    runs = [spiking, quiet, late, spiking]
+    batch = simulate_batch(runs)
+    assert calls == []
+    for run, res in zip(runs, batch):
+        assert_same_engine(res.engine, loop_alone(run))
+    assert len(batch[0].trains[0]) >= 3
+
+
+def test_runs_without_constant_inputs_stay_on_the_loop(monkeypatch):
+    w = build_wafer(6)
+    program_floating_gates(w, 0, amplifiers_off())
+    plain = prepare(w, HicannConfig(hicann=0, enabled=[3, 4]), [], 0.05)
+    n = plain.compiled.params.n_units
+    # it receives an event (and can spike, so it is not scanned)
+    evented = prepare(w, psp_config([3, 4]), [("in", 0, 0.02)], 0.05)
+    # it has a recurrent connection
+    recurrent = prepare(w, recurrent_config(0, 9, "x"), [], 0.05)
+    # a permanent conductance with a finite amplifier limit can saturate
+    saturable = with_params(plain, g_base_x=np.full(n, 3e-11))
+    # a decay factor that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverging = with_params(plain, tau_syni=np.full(n, -1e-7))
+        calls = loop_calls(monkeypatch)
+        for run in (evented, recurrent, saturable, diverging):
+            before = len(calls)
+            res = simulate_batch([run, plain])[0]
+            assert len(calls) == before + 1
+            assert_same_engine(res.engine, loop_alone(run))
+    assert len(simulate_batch([plain])[0].trains[0]) >= 3
+    assert len(calls) == 4

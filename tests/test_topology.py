@@ -14,6 +14,7 @@ from waferforge.topology import (
     validate_coord,
 )
 from waferforge.variability import VariabilityConfig
+from waferforge.wafer import build_wafer, program_floating_gates
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "waferforge"
 
@@ -211,6 +212,21 @@ def test_reduced_wafer_config():
     assert small.n_hicanns == 16
     assert small.row_widths() == [4, 4, 4, 4]
     assert resource_count(small, Kind.NEURON, small.n_hicanns) == 16 * 512
+
+
+@pytest.mark.parametrize("blocks", [0, -4, 3, 5])
+def test_fg_block_count_must_divide_the_circuits(blocks):
+    # a block count that leaves circuits without a column is refused when
+    # the config is built, not at the first FG write
+    with pytest.raises(ValueError, match="fg_blocks_per_hicann"):
+        TopologyConfig(fg_blocks_per_hicann=blocks)
+    with pytest.raises(ValueError, match="fg_blocks_per_hicann"):
+        program_floating_gates(
+            build_wafer(3, TopologyConfig(fg_blocks_per_hicann=blocks)), 0,
+            {"e_leak": 300})
+    with pytest.raises(ValueError, match="fg_blocks_per_hicann"):
+        TopologyConfig.from_json(dict(CFG.to_json(), fg_blocks_per_hicann=blocks))
+    assert TopologyConfig(fg_blocks_per_hicann=8).neurons_per_fg_block == 64
 
 
 @pytest.mark.parametrize("config", [TopologyConfig, VariabilityConfig])
