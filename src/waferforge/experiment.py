@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,16 @@ class HicannConfig:
     emitters: list[EmitterSpec] = field(default_factory=list)
 
 
+class Listeners(NamedTuple):
+    """The synapses one (channel, address) reaches, in configuration order."""
+    unit: np.ndarray  # int64
+    is_x: np.ndarray  # bool: excitatory side
+    amount: np.ndarray  # conductance amount
+
+
+_NO_LISTENERS = Listeners(np.empty(0, np.int64), np.empty(0, bool), np.empty(0))
+
+
 @dataclass
 class CompiledNetwork:
     params: UnitParams
@@ -113,8 +124,7 @@ class CompiledNetwork:
     unit_of: dict[int, np.ndarray]  # hicann -> unit per circuit, -1 if not enabled
     recurrent_x: SynapticMatrix | None
     recurrent_i: SynapticMatrix | None
-    # (channel, address) -> list of (unit, sign, conductance amount)
-    listeners: dict[tuple[str, int], list[tuple[int, str, float]]]
+    listeners: dict[tuple[str, int], Listeners]
 
     def unit(self, coord: Coord) -> int:
         """The unit a neuron coordinate belongs to."""
@@ -190,7 +200,8 @@ def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNe
 
     unit_of: dict[int, np.ndarray] = {}
     columns: list[dict[str, np.ndarray]] = []  # per config: unit columns
-    listeners: dict[tuple[str, int], list[tuple[int, str, float]]] = {}
+    # (channel, address) -> list of (unit, is_x, conductance amount)
+    listeners: dict[tuple[str, int], list[tuple[int, bool, float]]] = {}
     emitters: list[tuple[int, EmitterSpec]] = []
     n = 0
 
@@ -250,7 +261,7 @@ def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNe
                                         targets, steps):
                 eff = eff_x[c] if r.sign == "x" else eff_i[c]
                 listeners.setdefault((r.source, s.address), []).append(
-                    (int(u), r.sign, float(step * eff)))
+                    (int(u), r.sign == "x", float(step * eff)))
 
         emitters += [(h, e) for e in cfg.emitters]
 
@@ -259,18 +270,27 @@ def compile_network(wafer: WaferModel, configs, availability=None) -> CompiledNe
 
     params = UnitParams(**{f.name: stacked(f.name) for f in fields(UnitParams)})
 
-    trips: dict[str, list[tuple[int, int, float]]] = {"x": [], "i": []}
-    for h, e in emitters:
-        pre = int(unit_of[h][e.circuit])
-        for unit, sign, amount in listeners.get((e.channel, e.address), ()):
-            trips[sign].append((pre, unit, amount))
-    rec = {sign: SynapticMatrix.from_triplets(n, *zip(*t)) if t else None
-           for sign, t in trips.items()}
+    listeners = {key: Listeners(np.array([u for u, _, _ in ls], dtype=np.int64),
+                                np.array([x for _, x, _ in ls], dtype=bool),
+                                np.array([a for _, _, a in ls], dtype=float))
+                 for key, ls in listeners.items()}
+    fed = [(int(unit_of[h][e.circuit]),
+            listeners.get((e.channel, e.address), _NO_LISTENERS)) for h, e in emitters]
+    pre = np.repeat(np.array([u for u, _ in fed], dtype=np.int64),
+                    [ls.unit.shape[0] for _, ls in fed])
+    post, is_x, amount = _concat_listeners([ls for _, ls in fed])
+    rec = {sign: SynapticMatrix.from_triplets(n, pre[m], post[m], amount[m])
+           if m.any() else None for sign, m in (("x", is_x), ("i", ~is_x))}
 
     return CompiledNetwork(params=params, unit_hicann=stacked("hicann", np.int64),
                            unit_head=stacked("head", np.int64), unit_of=unit_of,
                            recurrent_x=rec["x"], recurrent_i=rec["i"],
                            listeners=listeners)
+
+
+def _concat_listeners(lists) -> Listeners:
+    """Listener arrays one after another."""
+    return Listeners(*(np.concatenate(cols) for cols in zip(_NO_LISTENERS, *lists)))
 
 
 @dataclass
@@ -331,16 +351,13 @@ def prepare(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
     the experiment starts, as on continuously running hardware), or an array.
     """
     net = compile_network(wafer, configs, availability)
-    times, units, amounts, sides = [], [], [], []
+    lists, times = [], []
     for item in stimulus or ():
         (channel, address), t = (item[:2], item[2]) if len(item) == 3 else item
-        for unit, sign, amount in net.listeners.get((str(channel), int(address)), ()):
-            times.append(t)
-            units.append(unit)
-            amounts.append(amount)
-            sides.append(sign)
-    times, units = np.array(times, dtype=float), np.array(units, dtype=np.int64)
-    amounts, is_x = np.array(amounts, dtype=float), np.array(sides, dtype="U1") == "x"
+        lists.append(net.listeners.get((str(channel), int(address)), _NO_LISTENERS))
+        times.append(t)
+    units, is_x, amounts = _concat_listeners(lists)
+    times = np.repeat(np.array(times, dtype=float), [ls.unit.shape[0] for ls in lists])
     ev = {sign: EventQueue.from_times(times[m], units[m], amounts[m], dt)
           for sign, m in (("x", is_x), ("i", ~is_x))}
 

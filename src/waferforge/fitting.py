@@ -8,7 +8,11 @@ Fit strategy per model family:
 * the softplus laws and the PSP shape are fitted by Gauss-Newton with
   multiplicative (Levenberg) damping, numeric central-difference Jacobians
   and initial guesses read off trace landmarks (documented on each fit
-  function). Many traces are fitted at once: parameters, Jacobians and
+  function). A model may supply its own central differences: the PSP's
+  (``psp.psp_central_differences``) equal the generic per-column
+  differences bit for bit but share what a step leaves unchanged. The
+  normal matrix is summed over samples in sequential order, one einsum per
+  column pair. Many traces are fitted at once: parameters, Jacobians and
   normal equations carry a leading batch axis, which keeps per-trace Python
   overhead off the hot path when a full HICANN is calibrated. Only rows
   still iterating are evaluated: converged and infeasible rows leave the
@@ -25,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .psp import psp_model_batch, psp_peak_time, smooth3
+from .psp import (psp_central_differences, psp_model_batch, psp_peak_time,
+                  smooth3)
 from .wafer import softplus_tau
 
 NOISE_FLOOR = 1e-12
@@ -79,13 +84,46 @@ def fit_linear(x, y, sigma=None):
 # ---- batched damped Gauss-Newton ----------------------------------------
 
 
-def damped_gauss_newton(model, p0, y, sigma, pscale):
+def central_differences(model):
+    """Jacobian ``jac(P, dp)`` of shape (m, T, k) from central differences
+    of ``model``: column j is ``(model(P + step) - model(P - step)) /
+    (2 dp_j)`` with ``step`` holding ``dp[:, j]`` in column j."""
+    def jac(P, dp):
+        cols = []
+        for j in range(P.shape[1]):
+            step = np.zeros_like(P)
+            step[:, j] = dp[:, j]
+            with np.errstate(all="ignore"):
+                cols.append((model(P + step) - model(P - step))
+                            / (2.0 * dp[:, j])[:, None])
+        return np.stack(cols, axis=2)
+    return jac
+
+
+def normal_matrix(J):
+    """``J^T J`` per row, shape (m, k, k), summed over t in sequential order.
+
+    Each upper-triangle entry is one two-operand einsum on strided column
+    views, which adds the products in the same order as
+    ``np.einsum("ntk,ntl->nkl", J, J)`` at a fraction of its cost.
+    """
+    m, _, k = J.shape
+    H = np.empty((m, k, k))
+    for a in range(k):
+        for b in range(a, k):
+            H[:, a, b] = H[:, b, a] = np.einsum("nt,nt->n", J[:, :, a], J[:, :, b])
+    return H
+
+
+def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
     """Minimize ``sum(((model(P) - y) / sigma)**2)`` per batch row.
 
     ``model`` maps parameters (m, k) of any subset of rows to predictions
     (m, T); non-finite predictions mark a trial point as infeasible and the
     step is rejected. ``pscale`` (k,) or (n, k) gives the magnitude floor
     used for difference steps and the relative-step convergence test.
+    ``jac(P, dp)`` gives the (m, T, k) Jacobian for difference steps ``dp``
+    (m, k); by default :func:`central_differences` of ``model``.
 
     Only live rows are iterated: a row leaves once converged and a row with
     an infeasible start never enters, so each row gets the arithmetic it
@@ -100,6 +138,7 @@ def damped_gauss_newton(model, p0, y, sigma, pscale):
     sig = np.maximum(np.broadcast_to(np.asarray(sigma, dtype=float), (n,)),
                      NOISE_FLOOR)
     scale = np.broadcast_to(np.asarray(pscale, dtype=float), (n, k))
+    jac = central_differences(model) if jac is None else jac
 
     def chi2(Pc, rows):
         with np.errstate(all="ignore"):
@@ -117,15 +156,10 @@ def damped_gauss_newton(model, p0, y, sigma, pscale):
         if rows.size == 0:
             break
         Pl, sl, cl = P[rows], scale[rows], cost[rows]
-        J = np.empty((rows.size, T, k))
-        for j in range(k):
-            step = np.zeros_like(Pl)
-            step[:, j] = dp = 1e-6 * np.maximum(np.abs(Pl[:, j]), sl[:, j])
-            with np.errstate(all="ignore"):
-                J[:, :, j] = (model(Pl + step) - model(Pl - step)) / (2.0 * dp)[:, None]
+        J = jac(Pl, 1e-6 * np.maximum(np.abs(Pl), sl))
         J = np.where(np.isfinite(J), J, 0.0) / sig[rows, None, None]
         g = np.einsum("ntk,nt->nk", J, R)
-        H = np.einsum("ntk,ntl->nkl", J, J)
+        H = normal_matrix(J)
         diag = H[:, diag_idx, diag_idx]
         damp = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True) + 1e-300)
         H[:, diag_idx, diag_idx] += lam[:, None] * damp
@@ -281,7 +315,8 @@ def fit_psp_batch(t, V):
         np.full(n, span / T), np.abs(h0) + 4.0 * sig, tau1_0, tau2_0,
         np.maximum(np.abs(base0), 4.0 * sig)])
     P, red, conv = damped_gauss_newton(
-        lambda Pc: psp_model_batch(t, Pc), P0, V, sig, pscale)
+        lambda Pc: psp_model_batch(t, Pc), P0, V, sig, pscale,
+        jac=lambda Pc, dp: psp_central_differences(t, Pc, dp))
 
     swap = P[:, 2] < P[:, 3]
     P[swap, 2], P[swap, 3] = P[swap, 3].copy(), P[swap, 2].copy()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from waferforge import fitting
-from waferforge.fitting import (damped_gauss_newton, estimate_noise, fit_linear,
-                                fit_psp_batch, fit_softplus, psp_model_batch)
-from waferforge.psp import psp_analytic
+from waferforge.fitting import (central_differences, damped_gauss_newton,
+                                estimate_noise, fit_linear, fit_psp_batch,
+                                fit_softplus, normal_matrix, psp_model_batch)
+from waferforge.psp import ALPHA_SWITCH, psp_analytic, psp_central_differences
 from waferforge.wafer import softplus_tau
 
 
@@ -194,28 +195,64 @@ def test_fit_softplus_rows_are_independent():
     _assert_rows_independent(fit_softplus, x, Y, flat)
 
 
-@pytest.mark.parametrize("name, data, fit", [
-    ("psp_model_batch", _psp_traces, fit_psp_batch),
-    ("softplus_model", _softplus_curves, fit_softplus)], ids=["psp", "softplus"])
-def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, name, data, fit):
+@pytest.mark.parametrize("names, data, fit", [
+    (("psp_model_batch", "psp_central_differences"), _psp_traces, fit_psp_batch),
+    (("softplus_model",), _softplus_curves, fit_softplus)], ids=["psp", "softplus"])
+def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, names, data, fit):
     # converged and infeasible rows leave the working set, so a batch
     # evaluates exactly the rows its members would evaluate alone
     x, Y, flat = data()
     Y = np.vstack([Y, flat, np.full_like(flat, np.nan)])
-    model = getattr(fitting, name)
     rows = []
 
-    def counting(x, params):
-        rows.append(np.atleast_2d(params).shape[0])
-        return model(x, params)
+    def counting(model):
+        def counted(x, params, *rest):
+            rows.append(np.atleast_2d(params).shape[0])
+            return model(x, params, *rest)
+        return counted
 
-    monkeypatch.setattr(fitting, name, counting)
+    for name in names:
+        monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
     fit(x, Y)
     batch = sum(rows)
     rows.clear()
     for y in Y:
         fit(x, y[None, :])
     assert batch == sum(rows) > len(Y)
+
+
+def test_psp_central_differences_equal_model_differences():
+    t = np.linspace(0.0, 0.07, 672)
+    P = np.array([
+        (0.010, 0.020, 0.012, 0.002, 0.70),
+        (0.010, 0.020, 0.005, 0.005, 0.70),  # alpha
+        (0.010, -0.02, 0.005, 0.005 * (1.0 + 0.5 * ALPHA_SWITCH), 0.70),  # alpha
+        (0.010, 0.020, 0.005, 0.005 * (1.0 + 3.0 * ALPHA_SWITCH), 0.70),
+        (0.010, 0.020, 0.005, 0.005 * (1.0 + 1e-3), 0.70),
+        (0.010, 0.020, -0.005, 0.002, 0.70),  # tau <= 0
+        (0.010, 0.020, 0.005, 0.0, 0.70),
+        (0.010, 0.020, 1e-9, 0.002, 0.70),  # tau - dp <= 0
+        (0.010, 0.0, 0.012, 0.002, 0.70),  # h = 0
+        (0.010, 0.0, 0.012, 0.002, 0.0),
+        (0.010, -0.0, 0.012, 0.002, -0.0),  # signed zeros
+        (-0.0, -0.0, 0.012, 0.002, -0.0),
+        (0.060, 0.020, 0.012, 1e-5, 0.70),  # overflowing exponentials
+    ])
+    dp = 1e-6 * np.maximum(np.abs(P), 1e-3)
+    dp[2:4, 3] = 2.5 * ALPHA_SWITCH * 0.005  # steps cross ALPHA_SWITCH
+    dp[1, 2] = 0.5 * ALPHA_SWITCH * 0.005  # steps stay on the alpha branch
+    dp[7, 2] = 2e-9
+    ref = central_differences(lambda Pc: psp_model_batch(t, Pc))(P, dp)
+    got = psp_central_differences(t, P, dp)
+    assert np.isnan(got).any() and got.shape == (len(P), t.size, 5)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+@pytest.mark.parametrize("T", [576, 672, 768])
+def test_normal_matrix_equals_einsum(n, T):
+    J = np.random.default_rng(n * T).normal(size=(n, T, 5))
+    assert normal_matrix(J).tobytes() == np.einsum("ntk,ntl->nkl", J, J).tobytes()
 
 
 def test_infeasible_start_stays_at_p0_without_warnings():
