@@ -693,17 +693,24 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     extra_conv = {convoff: _convoff_array(wafer, db, h, convoff, scope)}
     take_larger = parameter == CONTROL_CELL["tau_mem"]
 
-    taus = np.full((len(plan.dac_values), len(scope)), np.nan)
-    fit_ok = np.ones(len(scope), dtype=bool)
-    worst_mis = np.zeros(len(scope))
+    n_points = len(plan.dac_values)
     for k, dac in enumerate(plan.dac_values):
         extra = {plan.parameter: dac, **extra_conv}
         t_win, v = _psp_windows(wafer, db, h, scope, plan, extra, sign=side,
                                 token=(parameter, k), availability=availability)
-        params, _, ok = fit_psp_batch(t_win, v)
-        taus[k] = np.where(ok, params[:, 2 if take_larger else 3], np.nan)
-        fit_ok &= ok
-        worst_mis = np.maximum(worst_mis, _rel_misfit(t_win, v, params))
+        if k == 0:
+            windows = np.empty((n_points,) + v.shape)
+        windows[k] = v
+    # one fit for every sweep point: row k * len(scope) + i is point k of
+    # circuit i
+    params, _, ok = fit_psp_batch(t_win, windows.reshape(-1, t_win.size))
+    params = params.reshape(n_points, len(scope), -1)
+    ok = ok.reshape(n_points, len(scope))
+    taus = np.where(ok, params[:, :, 2 if take_larger else 3], np.nan)
+    fit_ok = ok.all(axis=0)
+    worst_mis = np.zeros(len(scope))
+    for v, params_k in zip(windows, params):
+        worst_mis = np.maximum(worst_mis, _rel_misfit(t_win, v, params_k))
 
     x = dac_to_unit(wafer.topology, parameter, np.array(plan.dac_values, float))
     # error budget: ~5 % relative tau extraction error per sweep point (the

@@ -269,6 +269,15 @@ def _never_saturates(gx_tot, i_sat) -> bool:
     return bool(np.all(~(i_sat < np.inf) | ((gx_tot == 0.0) & (i_sat >= 0.0))))
 
 
+def _saturation_checks(p: UnitParams, live_x: bool, live_i: bool):
+    """Whether each side's saturation test can fire. A side without input
+    keeps its permanent conductance, and one that ``_never_saturates``
+    needs no test."""
+    has_sat = np.any(np.isfinite(p.i_sat))
+    return tuple(bool(has_sat and (live or not _never_saturates(g_base, p.i_sat)))
+                 for live, g_base in ((live_x, p.g_base_x), (live_i, p.g_base_i)))
+
+
 def _saturates(g_side, e_side, v, i_sat, tmp, sat) -> bool:
     """Whether |g_side * (e_side - v)| > i_sat for some unit."""
     np.subtract(e_side, v, out=tmp)
@@ -334,7 +343,9 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
     c = p.capacitance
-    has_sat = np.any(np.isfinite(p.i_sat))
+    check_x, check_i = _saturation_checks(
+        p, recurrent_x is not None or bool(np.any(events_x.boundary < n_steps)),
+        recurrent_i is not None or bool(np.any(events_i.boundary < n_steps)))
     next_x = _first_boundary(events_x, n_steps)
     next_i = _first_boundary(events_i, n_steps)
     tmp = np.empty(n)
@@ -361,9 +372,9 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
             pending_i[:] = 0.0
 
         gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
-        saturated = has_sat and (
-            _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-            or _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
+        saturated = (
+            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
+            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
         if saturated:
             v_new = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt)
         else:
@@ -687,9 +698,7 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     bx, bi = events_x.boundary, events_i.boundary
     live_x = bool(np.any(bx < n_steps))
     live_i = bool(np.any(bi < n_steps))
-    has_sat = np.any(np.isfinite(p.i_sat))
-    check_x = has_sat and (live_x or not _never_saturates(p.g_base_x, p.i_sat))
-    check_i = has_sat and (live_i or not _never_saturates(p.g_base_i, p.i_sat))
+    check_x, check_i = _saturation_checks(p, live_x, live_i)
     sat_limit = p.i_sat * (1.0 - _SAT_MARGIN)
 
     # no chunk is longer than the longest stretch between boundaries

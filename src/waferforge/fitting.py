@@ -14,9 +14,14 @@ Fit strategy per model family:
   normal matrix is summed over samples in sequential order, one einsum per
   column pair. Many traces are fitted at once: parameters, Jacobians and
   normal equations carry a leading batch axis, which keeps per-trace Python
-  overhead off the hot path when a full HICANN is calibrated. Only rows
-  still iterating are evaluated: converged and infeasible rows leave the
-  working set, so a row's result is the same alone or in any batch.
+  overhead off the hot path when a full HICANN is calibrated. At most
+  ``GN_WORKING_SET`` rows iterate at once, so a fit of thousands of rows
+  keeps its (rows, T, k) Jacobians small; converged rows and rows out of
+  iterations leave, infeasible starts never enter, and pending rows refill
+  the set in order. A rejected step leaves a row's point and residual as
+  they were, so its gradient and normal matrix are kept and only rows that
+  entered or moved get a new Jacobian (MINPACK's Levenberg-Marquardt does
+  the same, More 1978). A row's result is the same alone or in any batch.
 
 Unless an explicit noise level is passed, each trace's noise is estimated
 from the median absolute first difference (white noise inflates successive
@@ -35,11 +40,12 @@ from .wafer import softplus_tau
 
 NOISE_FLOOR = 1e-12
 
-# Gauss-Newton: iteration cap, relative step that counts as converged, and
-# the initial Levenberg damping
+# Gauss-Newton: iteration cap per row, relative step that counts as
+# converged, the initial Levenberg damping, and the most rows iterated at once
 GN_MAX_ITER = 80
 GN_STEP_TOL = 1e-10
 GN_LAM0 = 1e-3
+GN_WORKING_SET = 64
 
 
 def estimate_noise(y: np.ndarray) -> np.ndarray:
@@ -125,11 +131,13 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
     ``jac(P, dp)`` gives the (m, T, k) Jacobian for difference steps ``dp``
     (m, k); by default :func:`central_differences` of ``model``.
 
-    Only live rows are iterated: a row leaves once converged and a row with
-    an infeasible start never enters, so each row gets the arithmetic it
-    would get fitted alone. The residual of each row's last accepted point
-    is reused by the next step. Returns ``(params, reduced chi-square,
-    converged mask)``.
+    At most ``GN_WORKING_SET`` rows iterate at once. Rows enter in order,
+    each with its start residual; a row with an infeasible start never
+    enters, and a row leaves once converged or after ``GN_MAX_ITER`` of
+    its own iterations. Each row keeps its damping, its residual and the
+    gradient and undamped normal matrix of its last linearisation, which
+    only a new point replaces. So each row gets the arithmetic it would get
+    fitted alone. Returns ``(params, reduced chi-square, converged mask)``.
     """
     P = np.array(p0, dtype=float)
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -146,21 +154,42 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
         c = np.einsum("nt,nt->n", r, r)
         return np.where(np.isfinite(c), c, np.inf), r
 
-    cost, R = chi2(P, slice(None))
+    def entering(idx, r):
+        """Live-row state of rows that enter: index, residual, damping,
+        iterations done, whether the point moved since the last Jacobian,
+        and the gradient and undamped normal matrix of that Jacobian."""
+        m = idx.size
+        return (idx, r, np.full(m, GN_LAM0), np.zeros(m, dtype=np.intp),
+                np.ones(m, dtype=bool), np.empty((m, k)), np.empty((m, k, k)))
+
+    cost = np.full(n, np.inf)
     converged = np.zeros(n, dtype=bool)
-    rows = np.flatnonzero(np.isfinite(cost))
-    R = R[rows]
-    lam = np.full(rows.size, GN_LAM0)
+    live = entering(np.empty(0, dtype=np.intp), np.empty((0, T)))
+    pending = 0
     diag_idx = np.arange(k)
-    for _ in range(GN_MAX_ITER):
+    while True:
+        while live[0].size < GN_WORKING_SET and pending < n:
+            new = np.arange(pending, min(n, pending + GN_WORKING_SET - live[0].size))
+            pending += new.size
+            cost[new], r = chi2(P[new], new)
+            enter = np.isfinite(cost[new])
+            live = tuple(np.concatenate(pair) for pair in
+                         zip(live, entering(new[enter], r[enter])))
+        rows, R, lam, done_iter, moved, g, H0 = live
         if rows.size == 0:
             break
         Pl, sl, cl = P[rows], scale[rows], cost[rows]
-        J = jac(Pl, 1e-6 * np.maximum(np.abs(Pl), sl))
-        J = np.where(np.isfinite(J), J, 0.0) / sig[rows, None, None]
-        g = np.einsum("ntk,nt->nk", J, R)
-        H = normal_matrix(J)
-        diag = H[:, diag_idx, diag_idx]
+        # a rejected step leaves P, dp, R and sig as they were, and with
+        # them the gradient and normal matrix
+        if moved.any():
+            fm = np.flatnonzero(moved)
+            Pm = Pl[fm]
+            J = jac(Pm, 1e-6 * np.maximum(np.abs(Pm), sl[fm]))
+            J = np.where(np.isfinite(J), J, 0.0) / sig[rows[fm], None, None]
+            g[fm] = np.einsum("ntk,nt->nk", J, R[fm])
+            H0[fm] = normal_matrix(J)
+        H = H0.copy()
+        diag = H0[:, diag_idx, diag_idx]
         damp = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True) + 1e-300)
         H[:, diag_idx, diag_idx] += lam[:, None] * damp
         try:
@@ -179,8 +208,10 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
         cost[rows[accept]] = trial_cost[accept]
         R[accept] = trial_R[accept]
         lam = np.where(accept, lam * 0.35, lam * 6.0)
+        done_iter += 1
         converged[rows[done]] = True
-        rows, R, lam = rows[~done], R[~done], lam[~done]
+        stay = ~done & (done_iter < GN_MAX_ITER)
+        live = tuple(a[stay] for a in (rows, R, lam, done_iter, accept, g, H0))
     dof = max(T - k, 1)
     return P, cost / dof, converged
 
@@ -249,26 +280,10 @@ def _tau2_from_peak_gap(tau1, gap):
     return 0.5 * (lo + hi)
 
 
-def fit_psp_batch(t, V):
-    """Fit the PSP shape to many traces sharing one time grid.
-
-    Initial guesses from landmarks: baseline = median of the leading tenth
-    of the trace, height and peak position from the 3-sample-smoothed
-    deviation, onset = last pre-peak sample below a tenth of the height,
-    the slow time constant from a log-linear fit of the decay flank and the
-    fast one by inverting the onset-to-peak gap.
-
-    Returns ``(params (n, 5), reduced chi-square (n,), ok (n,))`` with
-    parameter columns (t0, h, tau1, tau2, e_leak), ``tau1 >= tau2`` (the
-    membrane constant is typically the larger of the two). Rows whose
-    deviation never clears four noise sigmas are flagged not-ok (flat
-    trace) and left at their landmark guesses.
-    """
-    t = np.asarray(t, dtype=float)
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+def _psp_start(t, V):
+    """Landmark start of :func:`fit_psp_batch` for the rows of ``V``:
+    ``(P0, pscale, sigma, flat)``."""
     n, T = V.shape
-    if T < 20 or t.shape[0] != T:
-        raise ValueError("need at least 20 samples spanning the PSP")
     sig = estimate_noise(V)
 
     base0 = np.median(V[:, :max(3, T // 10)], axis=1)
@@ -314,6 +329,34 @@ def fit_psp_batch(t, V):
     pscale = np.column_stack([
         np.full(n, span / T), np.abs(h0) + 4.0 * sig, tau1_0, tau2_0,
         np.maximum(np.abs(base0), 4.0 * sig)])
+    return P0, pscale, sig, flat
+
+
+def fit_psp_batch(t, V):
+    """Fit the PSP shape to many traces sharing one time grid.
+
+    Initial guesses from landmarks: baseline = median of the leading tenth
+    of the trace, height and peak position from the 3-sample-smoothed
+    deviation, onset = last pre-peak sample below a tenth of the height,
+    the slow time constant from a log-linear fit of the decay flank and the
+    fast one by inverting the onset-to-peak gap. The landmarks are read in
+    blocks of ``GN_WORKING_SET`` rows, which bounds their (rows, T)
+    temporaries.
+
+    Returns ``(params (n, 5), reduced chi-square (n,), ok (n,))`` with
+    parameter columns (t0, h, tau1, tau2, e_leak), ``tau1 >= tau2`` (the
+    membrane constant is typically the larger of the two). Rows whose
+    deviation never clears four noise sigmas are flagged not-ok (flat
+    trace) and left at their landmark guesses.
+    """
+    t = np.asarray(t, dtype=float)
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    n, T = V.shape
+    if T < 20 or t.shape[0] != T:
+        raise ValueError("need at least 20 samples spanning the PSP")
+    starts = [_psp_start(t, V[a:a + GN_WORKING_SET])  # one block if no rows
+              for a in range(0, max(n, 1), GN_WORKING_SET)]
+    P0, pscale, sig, flat = (np.concatenate(c) for c in zip(*starts))
     P, red, conv = damped_gauss_newton(
         lambda Pc: psp_model_batch(t, Pc), P0, V, sig, pscale,
         jac=lambda Pc, dp: psp_central_differences(t, Pc, dp))
@@ -323,4 +366,3 @@ def fit_psp_batch(t, V):
     ok = ~flat & conv & np.isfinite(P).all(axis=1) \
         & (P[:, 2] > 0.0) & (P[:, 3] > 0.0)
     return P, red, ok
-

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from waferforge import dynamics
 from waferforge.dynamics import (
     EventQueue,
     SynapticMatrix,
@@ -186,6 +187,30 @@ def test_saturation_limits_charge_rate():
     assert np.allclose(rate, i_sat / cap, rtol=1e-6)
     # and never overshoots the excitatory reversal potential
     assert np.max(v) <= 1.4 + 1e-12
+
+
+@pytest.mark.parametrize("g_base_i, recurrent_i, tested", [
+    (0.0, False, "x"), (3e-11, False, "xi"), (0.0, True, "xi")])
+def test_loop_tests_saturation_only_where_it_can_fire(monkeypatch, g_base_i,
+                                                      recurrent_i, tested):
+    # a side without events or recurrence whose permanent conductance
+    # cannot saturate skips its test on every step
+    p = leak_params(i_sat=5e-11, g_base_i=g_base_i)
+    q = EventQueue.from_times(np.array([0.001]), np.array([0]),
+                              np.array([1e-11]), 1e-4)  # never saturates
+    kw = dict(events_x=q)
+    if recurrent_i:
+        kw["recurrent_i"] = SynapticMatrix.from_triplets(1, [0], [0], [1e-12])
+    seen = set()
+    real = dynamics._saturates
+
+    def spy(g_side, e_side, *rest):
+        seen.add("x" if e_side is p.e_synx else "i")
+        return real(g_side, e_side, *rest)
+
+    monkeypatch.setattr(dynamics, "_saturates", spy)
+    run(p, 0.01, **kw)
+    assert seen == set(tested)
 
 
 def test_spike_records_are_sorted_and_interpolated():

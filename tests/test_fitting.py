@@ -221,6 +221,72 @@ def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, names, data
     assert batch == sum(rows) > len(Y)
 
 
+@pytest.mark.parametrize("max_iter", [None, 8])
+def test_fit_psp_batch_refills_its_working_set(monkeypatch, max_iter):
+    # more rows than the working set: rows enter as others leave, each with
+    # its own damping and iteration count (a cap of 8 makes some rows leave
+    # unconverged), and every row still gets the bytes it gets alone
+    if max_iter is not None:
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", max_iter)
+    t, V, flat = _psp_traces()
+    rng = np.random.default_rng(8)
+    base = np.median(V[:, :30], axis=1, keepdims=True)
+    Y = np.vstack([base + (V - base) * rng.uniform(0.3, 1.5, (len(V), 1))
+                   + rng.normal(0.0, 3e-4, V.shape) for _ in range(38)])
+    nan = np.full_like(flat, np.nan)
+    batch = np.vstack([flat, Y[:70], nan, Y[70:], flat, nan])
+    assert len(Y) >= 150 and len(batch) > 2 * fitting.GN_WORKING_SET
+    out = fit_psp_batch(t, batch)
+    for i, y in enumerate(batch):
+        for got, ref in zip(out, fit_psp_batch(t, y[None, :])):
+            assert got[i].tobytes() == ref[0].tobytes()
+    converged = int(out[2].sum())
+    assert converged == len(Y) if max_iter is None else 0 < converged < len(Y)
+
+
+def test_rejected_steps_reuse_the_jacobian(monkeypatch):
+    # a row's Jacobian is computed where it enters and after each accepted
+    # step that keeps it iterating, never again at a rejected step's point
+    t, V, flat = _psp_traces()
+    models, jacs = [], []
+
+    def model(t, P):
+        models.append(np.array(P))
+        return psp_model_batch(t, P)
+
+    def jac(t, P, dp):
+        jacs.append(np.array(P))
+        return psp_central_differences(t, P, dp)
+
+    monkeypatch.setattr(fitting, "psp_model_batch", model)
+    monkeypatch.setattr(fitting, "psp_central_differences", jac)
+    rejected = 0
+    for y in np.vstack([V, flat]):
+        models.clear()
+        jacs.clear()
+        fit_psp_batch(t, y[None, :])
+        sig = np.maximum(estimate_noise(y), fitting.NOISE_FLOOR)
+
+        def cost(P):  # the engine's chi-square, bit for bit
+            with np.errstate(all="ignore"):
+                r = (psp_model_batch(t, P) - y[None, :]) / sig[:, None]
+            c = np.einsum("nt,nt->n", r, r)[0]
+            return c if np.isfinite(c) else np.inf
+
+        best, points, accepted = cost(models[0]), [models[0]], False
+        for P in models[1:]:
+            c = cost(P)
+            accepted = c <= best
+            if accepted:
+                best = c
+                points.append(P)
+            rejected += not accepted
+        if accepted:  # the last step ended the fit
+            points.pop()
+        assert [p.tobytes() for p in jacs] == [p.tobytes() for p in points]
+    assert rejected > 0
+
+
 def test_psp_central_differences_equal_model_differences():
     t = np.linspace(0.0, 0.07, 672)
     P = np.array([
