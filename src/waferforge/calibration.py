@@ -26,15 +26,17 @@ and the cell behind each time constant from ``wafer.CONTROL_CELL``.
 Measurements respect the instrument limits: at most 12 traces per
 readout pass (one simulation is digitized in as many passes as needed)
 and repeated stimulus presentations are averaged on the ADC grid before
-fitting. Ops must run in dependency order -- e.g. refractory times need
-calibrated reset/threshold/leak voltages first; violating the order
-raises CalibrationOrderError.
+fitting. ADC noise is keyed per circuit and every line is fitted per row,
+so an entry depends on the rest of an op's scope only where the op
+measures against it: readout_shift (readout group), v_reset (FG block).
+An op raises CalibrationOrderError unless the ops it depends on ran first
+(``REQUIRES``: e.g. refractory times need reset, threshold and leak).
 
 Sweeps whose points store few or no traces (the rest sweeps of e_leak,
 e_syni, v_convoffx/i and the direct reversal readout; each i_pulse
 repetition) integrate once per sweep pass: every point is programmed and
 prepared in the usual write order, all points run as one block-diagonal
-network, and each point is read out with its usual noise token, so the
+network, and each point is read out under its own noise token, so the
 results are those of one integration per point. The PSP sweeps (i_gl,
 v_syntcx/i, e_synx) and the spiking sweeps (v_reset, v_threshold) keep
 one integration per point and reduce each point before the next runs:
@@ -332,9 +334,8 @@ def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
     out = np.empty((len(coords), n_samples))
     for b in range(0, len(coords), READOUT_TRACES):
         block = coords[b:b + READOUT_TRACES]
-        res = readout(wafer, sim, block, token=(token, b // READOUT_TRACES))
-        for i, c in enumerate(block):
-            out[b + i] = res.traces[c]
+        traces = readout(wafer, sim, block, token=token).traces
+        out[b:b + len(block)] = [traces[c] for c in block]
     out *= wafer.variability.adc_divider
     if offsets is not None:
         out -= np.asarray(offsets)[:, None]
@@ -543,19 +544,16 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
         counts = np.array([len(ts) for ts in rasters])
         plateau[k, counts >= 5] = med[counts >= 5]
 
-    # one fit per block on its circuits' mean plateau; a fit of all blocks at
-    # once would round differently (fit_linear's product depends on row count)
     block_of = [_entry_coord(wafer.topology, h, n, "v_reset") for n in scope]
-    x = np.array(plan.dac_values, float)
-    entries = []
-    for block in sorted(set(block_of)):
-        sel = [i for i, c in enumerate(block_of) if c == block]
-        cnt = np.sum(~np.isnan(plateau[:, sel]), axis=1)
-        y = np.where(cnt > 0, np.nansum(plateau[:, sel], axis=1)
-                     / np.maximum(cnt, 1), np.nan)
-        entries += _linear_entries(db, [block], "v_reset", x, y[None],
-                                   float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
-    return entries
+    blocks = sorted(set(block_of))
+    member = [blocks.index(c) for c in block_of]
+    total, count = np.zeros((2, len(blocks), len(plan.dac_values)))
+    np.add.at(total, member, np.nan_to_num(plateau.T))
+    np.add.at(count, member, ~np.isnan(plateau.T))
+    with np.errstate(invalid="ignore"):
+        y = total / count  # each block's mean plateau, NaN if none spiked
+    return _linear_entries(db, blocks, "v_reset", np.array(plan.dac_values, float), y,
+                           float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
 
 
 def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
@@ -740,18 +738,6 @@ def _rel_misfit(t_win, v, params) -> np.ndarray:
     return rms / np.maximum(np.abs(params[:, 1]), 1e-12)
 
 
-def _linfit_rows(x: np.ndarray, y: np.ndarray):
-    """Row-wise least squares where each row has its own x."""
-    xm = x.mean(axis=1, keepdims=True)
-    ym = y.mean(axis=1, keepdims=True)
-    var = ((x - xm) ** 2).sum(axis=1)
-    cov = ((x - xm) * (y - ym)).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = cov / var
-    icpt = ym[:, 0] - slope * xm[:, 0]
-    return slope, icpt
-
-
 def _window_peak_heights(t_win, v, spike_at):
     """Signed PSP peak height and baseline per averaged window."""
     base_n = max(int(np.searchsorted(t_win, spike_at)) - 2, 4)
@@ -790,7 +776,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
                                     token=("e_synx", k, j),
                                     availability=availability)
             hs[j], vr[j] = _window_peak_heights(t_win, v, PSP_SPIKE_AT)
-        slope, icpt = _linfit_rows(vr.T, hs.T)
+        slope, icpt, _ = fit_linear(vr.T, hs.T)
         slopes_ok &= slope < 0
         with np.errstate(divide="ignore", invalid="ignore"):
             roots[k] = -icpt / slope

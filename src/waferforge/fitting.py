@@ -32,6 +32,8 @@ readings without a separate noise measurement.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .psp import (psp_central_differences, psp_model_batch, psp_peak_time,
@@ -58,30 +60,40 @@ def estimate_noise(y: np.ndarray) -> np.ndarray:
 # ---- closed-form fits --------------------------------------------------
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``a`` (n, m), its columns added in order."""
+    return functools.reduce(np.add, a.T)
+
+
 def fit_linear(x, y, sigma=None):
     """Least-squares line ``y = slope * x + intercept`` per trace.
 
-    ``x`` has shape (m,), ``y`` (m,) or (n, m). Returns (slope, intercept,
-    reduced chi-square), each scalar or shape (n,) matching ``y``.
+    ``y`` has shape (m,) or (n, m), ``x`` (m,) or per row (n, m). Returns
+    (slope, intercept, reduced chi-square), each scalar or shape (n,)
+    matching ``y``. Each row sums its points in order, so it gets the same
+    bytes alone, in any batch and in any memory layout. Equal values in a
+    shared ``x`` raise; in a per-row ``x`` they make that slope non-finite.
     """
     x = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 1
     Y = np.atleast_2d(y_arr)
-    m = x.shape[0]
+    m = Y.shape[1]
     if m < 2:
         raise ValueError("need at least two points for a line")
-    xc = x - x.mean()
-    var = float(xc @ xc)
-    if var <= 0.0:
+    if x.ndim == 1 and np.ptp(x) == 0.0:
         raise ValueError("x values are all identical")
-    slope = (Y @ xc) / var
-    intercept = Y.mean(axis=1) - slope * x.mean()
-    resid = Y - slope[:, None] * x - intercept[:, None]
+    X = np.broadcast_to(x, Y.shape)
+    xm = _row_sums(X) / m
+    xc = X - xm[:, None]
     sig = estimate_noise(Y) if sigma is None else \
         np.broadcast_to(np.asarray(sigma, dtype=float), (Y.shape[0],))
     sig = np.maximum(sig, NOISE_FLOOR)
-    red = np.einsum("nm,nm->n", resid, resid) / sig ** 2 / max(m - 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = _row_sums(Y * xc) / _row_sums(xc * xc)
+        intercept = _row_sums(Y) / m - slope * xm
+        resid = Y - slope[:, None] * X - intercept[:, None]
+        red = _row_sums(resid * resid) / sig ** 2 / max(m - 2, 1)
     if scalar:
         return float(slope[0]), float(intercept[0]), float(red[0])
     return slope, intercept, red

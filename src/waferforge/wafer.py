@@ -376,7 +376,8 @@ def conductance_step_array(wafer: WaferModel, h: int, circuits, weights,
                      (weights & 1).astype(float), ((weights >> 1) & 1).astype(float),
                      ((weights >> 2) & 1).astype(float), ((weights >> 3) & 1).astype(float)])
     parasitic = np.einsum("bn,bn->n", tr.parasitics[:, circuits], bits)
-    drive = weights * vg / gmax_div + parasitic
+    # a palette voltage below zero (an unprogrammed cell) drives no current
+    drive = weights * np.maximum(vg, 0.0) / gmax_div + parasitic
     return tr.weight_scale[circuits] * drive
 
 
@@ -411,8 +412,8 @@ def adc_readout(wafer: WaferModel, h: int, circuits, samples: np.ndarray,
     ``samples`` has shape (len(circuits), T) in membrane volts. The chain
     applies the per-circuit readout shift, the 1:2 divider and quantizes to
     ``adc_bits`` over the full scale; the return value is in ADC volts
-    (full scale 0.9 V). ``token`` keys the noise stream so repeated readouts
-    of the same trace differ realistically.
+    (full scale 0.9 V). Each row's noise is keyed by ``(token, circuit)``: a
+    new token re-draws it, the other circuits read with it never change it.
     """
     var, tr = wafer.variability, wafer.truth(h)
     circuits = np.asarray(circuits, dtype=int)
@@ -420,9 +421,9 @@ def adc_readout(wafer: WaferModel, h: int, circuits, samples: np.ndarray,
     shift = tr.readout_shift[circuits][:, None]
     v = (samples + shift) / var.adc_divider
     if var.adc_noise_sigma > 0.0:
-        noise = rng.stream(wafer.master_seed, "adc", h, token) \
-            .standard_normal(v.shape) * var.adc_noise_sigma
-        v = v + noise
+        noise = np.stack([rng.stream(wafer.master_seed, "adc", h, token, c)
+                          .standard_normal(v.shape[1]) for c in circuits.tolist()])
+        v = v + noise * var.adc_noise_sigma
     codes = np.clip(np.rint(v / var.adc_fullscale * (2 ** var.adc_bits - 1)),
                     0, 2 ** var.adc_bits - 1)
     return codes * (var.adc_fullscale / (2 ** var.adc_bits - 1))

@@ -114,6 +114,20 @@ def test_row_array_determines_target_circuits():
     assert tr.max() - tr[0] > 5e-3
 
 
+def test_unprogrammed_vgmax_cell_drives_no_negative_step():
+    # right after build_wafer the vgmax cells hold their offsets, and palette
+    # entry 1 of hicann 0 sits below zero volts on seed 3
+    w = build_wafer(3)
+    assert true_parameter_array(w, 0, "vgmax1")[0] < 0.0
+    cfg = HicannConfig(
+        hicann=0, enabled=[0],
+        rows=[RowSpec(row=0, sign="x", source="in", gmax_div=1, vgmax_sel=1)],
+        synapses=[SynapseSpec(row=0, col=0, weight=15, address=0)])
+    run = prepare(w, [cfg], [("in", 0, 0.02)], 0.04, v_init="rest")
+    res = simulate_batch([run])[0]
+    assert np.isfinite(res.engine.v).all()
+
+
 def test_spiking_and_raster():
     w = build_wafer(5, variability=ZERO)
     program_floating_gates(w, 0, spiking_values())

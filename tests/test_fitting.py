@@ -89,6 +89,35 @@ def test_fit_linear_exact_and_batched():
     assert np.allclose(s, [3.0, 0.0]) and np.allclose(i, [-1.0, 2.0])
 
 
+def test_fit_linear_rows_are_exact_in_any_batch_and_layout():
+    rng = np.random.default_rng(11)
+    x = np.array([398.0, 512.0, 625.0, 739.0])
+    # stored point-major, so .T is a strided (rows, points) view
+    y = rng.normal(0.5, 0.2, (4, 64))
+    per_row_x = (x[:, None] + rng.normal(0.0, 30.0, (4, 64))).T
+    for xa in (x, per_row_x):
+        batch = fit_linear(xa, y.T)
+        dense = fit_linear(np.ascontiguousarray(xa), np.ascontiguousarray(y.T))
+        for a, b in zip(batch, dense):
+            assert a.tobytes() == b.tobytes()
+        for i in range(64):
+            alone = fit_linear(xa if xa.ndim == 1 else xa[i], y[:, i])
+            assert alone == tuple(float(a[i]) for a in batch), i
+
+
+def test_fit_linear_degenerate_x():
+    x = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 2.0, 4.0]])
+    y = np.array([[1.0, 3.0, 5.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, icpt, _ = fit_linear(x, y)
+    # only the row whose own x values are all equal loses its line
+    assert np.isfinite(slope).tolist() == [True, False, True]
+    assert (slope[0], icpt[0], slope[2], icpt[2]) == (2.0, 1.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match="identical"):
+        fit_linear(np.ones(3), y)
+
+
 def test_fit_softplus_recovers_law():
     x = np.linspace(0.15, 1.0, 8)
     truth = np.array([[0.05, 0.5, 10.0, 0.003], [0.04, 0.55, 9.0, 0.002]])
