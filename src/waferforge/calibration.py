@@ -26,8 +26,10 @@ and the cell behind each time constant from ``wafer.CONTROL_CELL``.
 Measurements respect the instrument limits: at most 12 traces per
 readout pass (one simulation is digitized in as many passes as needed)
 and repeated stimulus presentations are averaged on the ADC grid before
-fitting. ADC noise is keyed per circuit and every line is fitted per row,
-so an entry depends on the rest of an op's scope only where the op
+fitting. A PSP is fitted with its onset pinned to the integration
+boundary that delivers the stimulus spike, which the op knows from its
+schedule. ADC noise is keyed per circuit and every line is fitted per
+row, so an entry depends on the rest of an op's scope only where the op
 measures against it: readout_shift (readout group), v_reset (FG block).
 An op raises CalibrationOrderError unless the ops it depends on ran first
 (``REQUIRES``: e.g. refractory times need reset, threshold and leak).
@@ -65,6 +67,7 @@ import numpy as np
 
 from .availability import AvailabilityDb
 from .commissioning import effective_exclusion
+from .dynamics import EventQueue
 from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
                          prepare, readout, simulate, simulate_batch)
 from .fitting import fit_linear, fit_psp_batch, fit_softplus
@@ -90,7 +93,8 @@ CONVOFF_MARGIN_STEPS = 1
 E_SYNX_WEIGHT = 9
 
 # every PSP sweep drives its synapses at this gmax divisor and vgmax palette
-# entry, with the first stimulus spike of each presentation at PSP_SPIKE_AT
+# entry, with the stimulus spike of each presentation half an integration
+# step past PSP_SPIKE_AT into its window
 PSP_GMAX_DIV = 11
 PSP_VGMAX_SEL = 0
 PSP_SPIKE_AT = 0.01
@@ -397,25 +401,35 @@ def _psp_synapses(wafer, circuits, weight):
 
 def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
                  token=(), availability=None):
-    """Averaged single-PSP windows: (window time base, traces (n, S))."""
+    """Averaged single-PSP windows: (window time base, traces (n, S), PSP
+    onset in a window: the boundary ``EventQueue.from_times`` delivers the
+    spike at). Each spike sits half a step past a boundary, so no rounding
+    moves it; presentations at different offsets would blur the average."""
+    dt = adc_sample_period(wafer)
+    steps, s = plan.window / PSP_DT, plan.window / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError("presentation window must be whole integration steps")
+    if abs(s - round(s)) > 1e-9:
+        raise ValueError("presentation window must align with the ADC grid")
+    steps, s = int(round(steps)), int(round(s))
+    k = np.arange(plan.presentations)
+    times = (round(PSP_SPIKE_AT / PSP_DT) + k * steps + 0.5) * PSP_DT
+    offset = EventQueue.from_times(times, k, np.ones(k.size), PSP_DT).boundary \
+        - k * steps
+    if np.any(offset != offset[0]):
+        raise ValueError("PSP presentations land at different window offsets")
     offsets = _offsets(db, h, circuits)
     _program_context(wafer, h, plan, extra)
     cfg = _standalone_config(h, circuits,
                              rows=_psp_rows(wafer, sign, PSP_GMAX_DIV, PSP_VGMAX_SEL),
                              synapses=_psp_synapses(wafer, circuits, weight))
-    stimulus = [("cal", 0, PSP_SPIKE_AT + k * plan.window)
-                for k in range(plan.presentations)]
+    stimulus = [("cal", 0, float(t)) for t in times]
     sim = simulate(wafer, [cfg], stimulus, plan.presentations * plan.window,
                    dt=PSP_DT, v_init="rest", availability=availability)
     v = _read_corrected(wafer, sim, h, circuits, offsets, token)
-    dt = adc_sample_period(wafer)
-    s = plan.window / dt
-    if abs(s - round(s)) > 1e-9:
-        raise ValueError("presentation window must align with the ADC grid")
-    s = int(round(s))
     v = v[:, :plan.presentations * s]
     v = v.reshape(len(circuits), plan.presentations, s).mean(axis=1)
-    return np.arange(s) * dt, v
+    return np.arange(s) * dt, v, offset[0] * PSP_DT
 
 
 def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
@@ -694,14 +708,15 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     n_points = len(plan.dac_values)
     for k, dac in enumerate(plan.dac_values):
         extra = {plan.parameter: dac, **extra_conv}
-        t_win, v = _psp_windows(wafer, db, h, scope, plan, extra, sign=side,
-                                token=(parameter, k), availability=availability)
+        t_win, v, onset = _psp_windows(wafer, db, h, scope, plan, extra,
+                                       sign=side, token=(parameter, k),
+                                       availability=availability)
         if k == 0:
             windows = np.empty((n_points,) + v.shape)
         windows[k] = v
     # one fit for every sweep point: row k * len(scope) + i is point k of
     # circuit i
-    params, _, ok = fit_psp_batch(t_win, windows.reshape(-1, t_win.size))
+    params, _, ok = fit_psp_batch(t_win, windows.reshape(-1, t_win.size), onset)
     params = params.reshape(n_points, len(scope), -1)
     ok = ok.reshape(n_points, len(scope))
     taus = np.where(ok, params[:, :, 2 if take_larger else 3], np.nan)
@@ -769,12 +784,12 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         hs = np.empty((len(plan.aux_values), len(scope)))
         vr = np.empty_like(hs)
         for j, rest_dac in enumerate(plan.aux_values):
-            t_win, v = _psp_windows(wafer, db, h, scope, plan,
-                                    {"e_synx": dac, "e_leak": rest_dac,
-                                     **extra_conv},
-                                    weight=E_SYNX_WEIGHT,
-                                    token=("e_synx", k, j),
-                                    availability=availability)
+            t_win, v, _ = _psp_windows(wafer, db, h, scope, plan,
+                                       {"e_synx": dac, "e_leak": rest_dac,
+                                        **extra_conv},
+                                       weight=E_SYNX_WEIGHT,
+                                       token=("e_synx", k, j),
+                                       availability=availability)
             hs[j], vr[j] = _window_peak_heights(t_win, v, PSP_SPIKE_AT)
         slope, icpt, _ = fit_linear(vr.T, hs.T)
         slopes_ok &= slope < 0

@@ -1,27 +1,26 @@
 """Model fitting for calibration: closed-form lines plus a batched
-damped Gauss-Newton engine for the nonlinear transfer laws.
+separable Gauss-Newton engine for the nonlinear transfer laws.
 
 Fit strategy per model family:
 
 * straight lines (voltage-parameter transfer, reversal-potential
   extrapolation) are solved in closed form;
-* the softplus laws and the PSP shape are fitted by Gauss-Newton with
-  multiplicative (Levenberg) damping, numeric central-difference Jacobians
-  and initial guesses read off trace landmarks (documented on each fit
-  function). A model may supply its own central differences: the PSP's
-  (``psp.psp_central_differences``) equal the generic per-column
-  differences bit for bit but share what a step leaves unchanged. The
-  normal matrix is summed over samples in sequential order, one einsum per
+* the softplus laws and the PSP shape are both "height x shape + offset":
+  height and offset are solved per row by linear least squares for the
+  current shape parameters, and only those iterate (variable projection),
+  by Gauss-Newton with multiplicative (Levenberg) damping on closed-form
+  shape derivatives, from initial guesses read off trace landmarks
+  (documented on each fit function). The PSP onset is not fitted: the
+  caller knows when it stimulated. The normal matrix is one einsum per
   column pair. Many traces are fitted at once: parameters, Jacobians and
-  normal equations carry a leading batch axis, which keeps per-trace Python
-  overhead off the hot path when a full HICANN is calibrated. At most
-  ``GN_WORKING_SET`` rows iterate at once, so a fit of thousands of rows
-  keeps its (rows, T, k) Jacobians small; converged rows and rows out of
-  iterations leave, infeasible starts never enter, and pending rows refill
-  the set in order. A rejected step leaves a row's point and residual as
-  they were, so its gradient and normal matrix are kept and only rows that
-  entered or moved get a new Jacobian (MINPACK's Levenberg-Marquardt does
-  the same, More 1978). A row's result is the same alone or in any batch.
+  normal equations carry a leading batch axis, which keeps per-trace
+  Python overhead off the hot path when a full HICANN is calibrated. At
+  most ``GN_WORKING_SET`` rows iterate at once, so a fit of thousands of
+  rows keeps its (rows, k, T) Jacobians small; converged rows and rows out
+  of iterations leave, infeasible starts never enter, and pending rows
+  refill the set in order. A rejected step leaves a row's point and
+  linearisation as they were, so each iteration evaluates the shape once,
+  at the trial points. A row's result is the same alone or in any batch.
 
 Unless an explicit noise level is passed, each trace's noise is estimated
 from the median absolute first difference (white noise inflates successive
@@ -36,9 +35,7 @@ import functools
 
 import numpy as np
 
-from .psp import (psp_central_differences, psp_model_batch, psp_peak_time,
-                  smooth3)
-from .wafer import softplus_tau
+from .psp import psp_peak_time, psp_shape, smooth3
 
 NOISE_FLOOR = 1e-12
 
@@ -99,107 +96,102 @@ def fit_linear(x, y, sigma=None):
     return slope, intercept, red
 
 
-# ---- batched damped Gauss-Newton ----------------------------------------
-
-
-def central_differences(model):
-    """Jacobian ``jac(P, dp)`` of shape (m, T, k) from central differences
-    of ``model``: column j is ``(model(P + step) - model(P - step)) /
-    (2 dp_j)`` with ``step`` holding ``dp[:, j]`` in column j."""
-    def jac(P, dp):
-        cols = []
-        for j in range(P.shape[1]):
-            step = np.zeros_like(P)
-            step[:, j] = dp[:, j]
-            with np.errstate(all="ignore"):
-                cols.append((model(P + step) - model(P - step))
-                            / (2.0 * dp[:, j])[:, None])
-        return np.stack(cols, axis=2)
-    return jac
+# ---- separable damped Gauss-Newton ---------------------------------------
 
 
 def normal_matrix(J):
-    """``J^T J`` per row, shape (m, k, k), summed over t in sequential order.
+    """``J J^T`` per row of a Jacobian ``J`` (m, k, T), shape (m, k, k).
 
-    Each upper-triangle entry is one two-operand einsum on strided column
-    views, which adds the products in the same order as
-    ``np.einsum("ntk,ntl->nkl", J, J)`` at a fraction of its cost.
+    Each upper-triangle entry is one two-operand einsum on contiguous rows,
+    which adds the products in the same order as
+    ``np.einsum("nkt,nlt->nkl", J, J)`` at a fraction of its cost.
     """
-    m, _, k = J.shape
+    m, k, _ = J.shape
     H = np.empty((m, k, k))
     for a in range(k):
         for b in range(a, k):
-            H[:, a, b] = H[:, b, a] = np.einsum("nt,nt->n", J[:, :, a], J[:, :, b])
+            H[:, a, b] = H[:, b, a] = np.einsum("nt,nt->n", J[:, a], J[:, b])
     return H
 
 
-def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
-    """Minimize ``sum(((model(P) - y) / sigma)**2)`` per batch row.
+def separable_gauss_newton(shape, theta0, y, sigma, pscale):
+    """Minimize ``sum(((a * g(theta) + b - y) / sigma)**2)`` per batch row.
 
-    ``model`` maps parameters (m, k) of any subset of rows to predictions
-    (m, T); non-finite predictions mark a trial point as infeasible and the
-    step is rejected. ``pscale`` (k,) or (n, k) gives the magnitude floor
-    used for difference steps and the relative-step convergence test.
-    ``jac(P, dp)`` gives the (m, T, k) Jacobian for difference steps ``dp``
-    (m, k); by default :func:`central_differences` of ``model``.
+    ``shape`` maps nonlinear parameters (m, k) of any subset of rows to the
+    basis function and its derivatives, ``(g (m, T), dg/dtheta (m, k, T))``.
+    For every theta the height ``a`` and offset ``b`` are the row's linear
+    least-squares solution, so only theta iterates (variable projection,
+    Golub & Pereyra 1973) on Kaufman's (1975) Jacobian ``J_j = (a / sigma)
+    P dg/dtheta_j``, where ``P`` projects off ``span{1, g}``. A non-finite
+    cost marks a trial point as infeasible and its step is rejected.
+    ``pscale`` (k,) or (n, k) is the magnitude floor of the relative-step
+    convergence test.
 
     At most ``GN_WORKING_SET`` rows iterate at once. Rows enter in order,
-    each with its start residual; a row with an infeasible start never
-    enters, and a row leaves once converged or after ``GN_MAX_ITER`` of
-    its own iterations. Each row keeps its damping, its residual and the
-    gradient and undamped normal matrix of its last linearisation, which
-    only a new point replaces. So each row gets the arithmetic it would get
-    fitted alone. Returns ``(params, reduced chi-square, converged mask)``.
+    each with its start point evaluated; a row with an infeasible start
+    never enters, and a row leaves once converged or after ``GN_MAX_ITER``
+    of its own iterations. Each iteration makes one ``shape`` call, at the
+    trial points; an accepted point's basis, projection and derivatives
+    become the row's linearisation, and a rejected step keeps the last one
+    (MINPACK's Levenberg-Marquardt does the same, More 1978). So each row
+    gets the arithmetic it would get fitted alone. Returns ``(theta, (a, b)
+    (n, 2), reduced chi-square, converged mask)``.
     """
-    P = np.array(p0, dtype=float)
+    theta = np.array(theta0, dtype=float)
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, k = P.shape
+    n, k = theta.shape
     T = y.shape[1]
     sig = np.maximum(np.broadcast_to(np.asarray(sigma, dtype=float), (n,)),
                      NOISE_FLOOR)
     scale = np.broadcast_to(np.asarray(pscale, dtype=float), (n, k))
-    jac = central_differences(model) if jac is None else jac
 
-    def chi2(Pc, rows):
+    def evaluate(th, rows):
+        """Cost, linear parameters and what a linearisation needs, of
+        ``rows`` at ``th``."""
+        g, dg = shape(th)
         with np.errstate(all="ignore"):
-            r = (model(Pc) - y[rows]) / sig[rows, None]
-        c = np.einsum("nt,nt->n", r, r)
-        return np.where(np.isfinite(c), c, np.inf), r
+            yr = y[rows]
+            gm, ym = g.mean(axis=1), yr.mean(axis=1)
+            gc, yc = g - gm[:, None], yr - ym[:, None]
+            gg = np.einsum("nt,nt->n", gc, gc)
+            a = np.einsum("nt,nt->n", gc, yc) / gg
+            r = (a[:, None] * gc - yc) / sig[rows, None]
+            c = np.einsum("nt,nt->n", r, r)
+        lin = np.column_stack([a, ym - a * gm])
+        return np.where(np.isfinite(c), c, np.inf), lin, (r, a, gc, gg, dg)
 
-    def entering(idx, r):
-        """Live-row state of rows that enter: index, residual, damping,
-        iterations done, whether the point moved since the last Jacobian,
-        and the gradient and undamped normal matrix of that Jacobian."""
-        m = idx.size
-        return (idx, r, np.full(m, GN_LAM0), np.zeros(m, dtype=np.intp),
-                np.ones(m, dtype=bool), np.empty((m, k)), np.empty((m, k, k)))
+    def linearise(rows, r, a, gc, gg, dg):
+        """Gradient and undamped normal matrix of Kaufman's Jacobian."""
+        with np.errstate(all="ignore"):
+            dgc = dg - dg.mean(axis=2)[:, :, None]
+            coef = np.einsum("nt,nkt->nk", gc, dgc) / gg[:, None]
+            J = (a / sig[rows])[:, None, None] * (dgc - coef[:, :, None] * gc[:, None, :])
+        J = np.where(np.isfinite(J), J, 0.0)
+        return np.einsum("nkt,nt->nk", J, r), normal_matrix(J)
 
+    lin = np.full((n, 2), np.nan)
     cost = np.full(n, np.inf)
     converged = np.zeros(n, dtype=bool)
-    live = entering(np.empty(0, dtype=np.intp), np.empty((0, T)))
+    # live rows: index, damping, iterations done, and the gradient and
+    # undamped normal matrix of the last linearisation
+    live = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp),
+            np.empty((0, k)), np.empty((0, k, k)))
     pending = 0
     diag_idx = np.arange(k)
     while True:
         while live[0].size < GN_WORKING_SET and pending < n:
             new = np.arange(pending, min(n, pending + GN_WORKING_SET - live[0].size))
             pending += new.size
-            cost[new], r = chi2(P[new], new)
+            cost[new], lin[new], proj = evaluate(theta[new], new)
             enter = np.isfinite(cost[new])
-            live = tuple(np.concatenate(pair) for pair in
-                         zip(live, entering(new[enter], r[enter])))
-        rows, R, lam, done_iter, moved, g, H0 = live
+            idx = new[enter]
+            entering = (idx, np.full(idx.size, GN_LAM0), np.zeros(idx.size, dtype=np.intp),
+                        *linearise(idx, *(p[enter] for p in proj)))
+            live = tuple(np.concatenate(pair) for pair in zip(live, entering))
+        rows, lam, done_iter, g, H0 = live
         if rows.size == 0:
             break
-        Pl, sl, cl = P[rows], scale[rows], cost[rows]
-        # a rejected step leaves P, dp, R and sig as they were, and with
-        # them the gradient and normal matrix
-        if moved.any():
-            fm = np.flatnonzero(moved)
-            Pm = Pl[fm]
-            J = jac(Pm, 1e-6 * np.maximum(np.abs(Pm), sl[fm]))
-            J = np.where(np.isfinite(J), J, 0.0) / sig[rows[fm], None, None]
-            g[fm] = np.einsum("ntk,nt->nk", J, R[fm])
-            H0[fm] = normal_matrix(J)
+        th, sl, cl = theta[rows], scale[rows], cost[rows]
         H = H0.copy()
         diag = H0[:, diag_idx, diag_idx]
         damp = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True) + 1e-300)
@@ -208,47 +200,59 @@ def damped_gauss_newton(model, p0, y, sigma, pscale, jac=None):
             delta = np.linalg.solve(H, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             delta = -(np.linalg.pinv(H) @ g[..., None])[..., 0]
-        trial = Pl + delta
-        trial_cost, trial_R = chi2(trial, rows)
+        trial = th + delta
+        trial_cost, trial_lin, proj = evaluate(trial, rows)
         accept = trial_cost <= cl
-        rel_step = np.max(np.abs(delta) / np.maximum(np.abs(Pl), sl), axis=1)
+        rel_step = np.max(np.abs(delta) / np.maximum(np.abs(th), sl), axis=1)
         # at the noise floor accepted steps stop paying: relative cost
         # improvements below ftol mean the parameters have settled
         done = accept & ((rel_step < GN_STEP_TOL) | (
             cl - trial_cost <= 1e-7 * np.maximum(trial_cost, 1e-300)))
-        P[rows[accept]] = trial[accept]
+        theta[rows[accept]] = trial[accept]
         cost[rows[accept]] = trial_cost[accept]
-        R[accept] = trial_R[accept]
+        lin[rows[accept]] = trial_lin[accept]
         lam = np.where(accept, lam * 0.35, lam * 6.0)
         done_iter += 1
         converged[rows[done]] = True
         stay = ~done & (done_iter < GN_MAX_ITER)
-        live = tuple(a[stay] for a in (rows, R, lam, done_iter, accept, g, H0))
-    dof = max(T - k, 1)
-    return P, cost / dof, converged
+        moved = accept & stay
+        if moved.any():
+            g[moved], H0[moved] = linearise(rows[moved], *(p[moved] for p in proj))
+        live = tuple(a[stay] for a in (rows, lam, done_iter, g, H0))
+    dof = max(T - k - 2, 1)
+    return theta, lin, cost / dof, converged
 
 
 # ---- softplus law --------------------------------------------------------
 
 
-def softplus_model(x, coeffs):
-    """Batched ``tau(x) = a * softplus(c * (b - x)) / c + offset``."""
+def softplus_shape(x, theta):
+    """Basis ``softplus(c * (b - x)) / c`` of the softplus law for rows
+    ``theta = (b, c)`` and its derivatives in b and c, shapes (m, T) and
+    (m, 2, T); the law is ``a`` times the basis plus ``offset``."""
     x = np.asarray(x, dtype=float)
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    a, b, c, off = (coeffs[:, j:j + 1] for j in range(4))
-    return softplus_tau(x[None, :], a, b, c, off)
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    b, c = theta[:, :1], theta[:, 1:2]
+    with np.errstate(all="ignore"):
+        u = c * (b - x[None, :])
+        sp = np.logaddexp(0.0, u)
+        g = sp / c
+        logistic = np.exp(u - sp)
+        return g, np.stack([logistic, (logistic * (b - x) - g) / c], axis=1)
 
 
 def fit_softplus(x, y, sigma=None):
     """Fit the softplus transfer law per trace.
 
-    Initial guesses from landmarks: the steepest (left) end of the sorted
-    sweep is on the linear asymptote ``a * (b - x) + offset``, so its slope
-    gives ``a`` and its crossing with the floor ``offset = min(y)`` gives
-    ``b``; the remaining curvature scale follows from the law's value at
-    ``b`` being ``a * ln 2 / c + offset``.
+    ``a`` and ``offset`` are linear, so :func:`separable_gauss_newton`
+    iterates only ``b`` and ``c``. Initial guesses from landmarks: the
+    steepest (left) end of the sorted sweep is on the linear asymptote
+    ``a * (b - x) + offset``, so its slope gives ``a`` and its crossing
+    with the floor ``offset = min(y)`` gives ``b``; the curvature scale
+    follows from the law's value at ``b`` being ``a * ln 2 / c + offset``.
 
-    Returns (coeffs (n, 4), reduced chi-square (n,), ok (n,)).
+    Returns (coeffs (n, 4) = (a, b, c, offset), reduced chi-square (n,),
+    ok (n,)).
     """
     x = np.asarray(x, dtype=float)
     order = np.argsort(x)
@@ -267,11 +271,10 @@ def fit_softplus(x, y, sigma=None):
     y_at_b = np.array([np.interp(b, x, Y[i]) for i, b in enumerate(b0)])
     c0 = a0 * np.log(2.0) / np.maximum(y_at_b - off0, NOISE_FLOOR)
     c0 = np.clip(c0, 0.1 / (x[-1] - x[0]), 1e3 / (x[-1] - x[0]))
-    P0 = np.column_stack([a0, b0, c0, np.maximum(off0, NOISE_FLOOR)])
-    pscale = np.column_stack([a0, np.full(n, x[-1] - x[0]), c0,
-                              np.maximum(off0, a0 / c0)])
-    P, red, conv = damped_gauss_newton(
-        lambda Pc: softplus_model(x, Pc), P0, Y, sig, pscale)
+    theta, lin, red, conv = separable_gauss_newton(
+        lambda th: softplus_shape(x, th), np.column_stack([b0, c0]), Y, sig,
+        np.column_stack([np.full(n, x[-1] - x[0]), c0]))
+    P = np.column_stack([lin[:, 0], theta, lin[:, 1]])
     ok = conv & np.isfinite(P).all(axis=1) & (P[:, 0] > 0.0) & (P[:, 2] > 0.0)
     return P, red, ok
 
@@ -292,9 +295,9 @@ def _tau2_from_peak_gap(tau1, gap):
     return 0.5 * (lo + hi)
 
 
-def _psp_start(t, V):
+def _psp_start(t, V, onset):
     """Landmark start of :func:`fit_psp_batch` for the rows of ``V``:
-    ``(P0, pscale, sigma, flat)``."""
+    ``(taus0, sigma, flat)``; the start also scales the step test."""
     n, T = V.shape
     sig = estimate_noise(V)
 
@@ -302,15 +305,8 @@ def _psp_start(t, V):
     d = V - base0[:, None]
     dsm = smooth3(d)
     k_peak = np.argmax(np.abs(dsm), axis=1)
-    rows = np.arange(n)
-    h0 = dsm[rows, k_peak]
+    h0 = dsm[np.arange(n), k_peak]
     flat = np.abs(h0) < 4.0 * sig
-
-    # onset: last sample before the peak still below a tenth of the height
-    small = np.abs(dsm) < 0.1 * np.abs(h0)[:, None]
-    before = np.arange(T)[None, :] < k_peak[:, None]
-    onset_idx = np.where(small & before, np.arange(T)[None, :], -1).max(axis=1)
-    t0_0 = t[np.maximum(onset_idx, 0)]
 
     # slow constant from the decay flank between 60% and 5% of the height;
     # the flank ends at the first crossing below 5%, otherwise the noise
@@ -333,48 +329,44 @@ def _psp_start(t, V):
                           (t[-1] - t[k_peak]) / 3.0)
     span = t[-1] - t[0]
     tau1_0 = np.clip(tau1_0, span / T, span)
-    gap = np.maximum(t[k_peak] - t0_0, span / T)
+    gap = np.maximum(t[k_peak] - onset, span / T)
     tau1_0 = np.maximum(tau1_0, 1.05 * gap)
-    tau2_0 = _tau2_from_peak_gap(tau1_0, gap)
-
-    P0 = np.column_stack([t0_0, h0, tau1_0, tau2_0, base0])
-    pscale = np.column_stack([
-        np.full(n, span / T), np.abs(h0) + 4.0 * sig, tau1_0, tau2_0,
-        np.maximum(np.abs(base0), 4.0 * sig)])
-    return P0, pscale, sig, flat
+    taus0 = np.column_stack([tau1_0, _tau2_from_peak_gap(tau1_0, gap)])
+    return taus0, sig, flat
 
 
-def fit_psp_batch(t, V):
-    """Fit the PSP shape to many traces sharing one time grid.
+def fit_psp_batch(t, V, onset):
+    """Fit the PSP shape with its onset at ``onset`` to many traces sharing
+    one time grid.
 
-    Initial guesses from landmarks: baseline = median of the leading tenth
-    of the trace, height and peak position from the 3-sample-smoothed
-    deviation, onset = last pre-peak sample below a tenth of the height,
-    the slow time constant from a log-linear fit of the decay flank and the
-    fast one by inverting the onset-to-peak gap. The landmarks are read in
-    blocks of ``GN_WORKING_SET`` rows, which bounds their (rows, T)
-    temporaries.
+    Height and baseline are linear, so :func:`separable_gauss_newton`
+    iterates only the two time constants. They start from landmarks:
+    baseline = median of the leading tenth of the trace, height and peak
+    position from the 3-sample-smoothed deviation, the slow time constant
+    from a log-linear fit of the decay flank and the fast one by inverting
+    the onset-to-peak gap. The landmarks are read in blocks of
+    ``GN_WORKING_SET`` rows, which bounds their (rows, T) temporaries.
 
     Returns ``(params (n, 5), reduced chi-square (n,), ok (n,))`` with
-    parameter columns (t0, h, tau1, tau2, e_leak), ``tau1 >= tau2`` (the
-    membrane constant is typically the larger of the two). Rows whose
-    deviation never clears four noise sigmas are flagged not-ok (flat
-    trace) and left at their landmark guesses.
+    parameter columns (t0 = onset, h, tau1, tau2, e_leak), ``tau1 >= tau2``
+    (the membrane constant is typically the larger of the two). Rows whose
+    deviation never clears four noise sigmas are fitted like the others
+    and flagged not-ok (flat trace).
     """
     t = np.asarray(t, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, T = V.shape
     if T < 20 or t.shape[0] != T:
         raise ValueError("need at least 20 samples spanning the PSP")
-    starts = [_psp_start(t, V[a:a + GN_WORKING_SET])  # one block if no rows
+    starts = [_psp_start(t, V[a:a + GN_WORKING_SET], onset)  # one block if no rows
               for a in range(0, max(n, 1), GN_WORKING_SET)]
-    P0, pscale, sig, flat = (np.concatenate(c) for c in zip(*starts))
-    P, red, conv = damped_gauss_newton(
-        lambda Pc: psp_model_batch(t, Pc), P0, V, sig, pscale,
-        jac=lambda Pc, dp: psp_central_differences(t, Pc, dp))
+    taus0, sig, flat = (np.concatenate(c) for c in zip(*starts))
+    taus, lin, red, conv = separable_gauss_newton(
+        lambda th: psp_shape(t, onset, th), taus0, V, sig, taus0)
 
-    swap = P[:, 2] < P[:, 3]
-    P[swap, 2], P[swap, 3] = P[swap, 3].copy(), P[swap, 2].copy()
+    taus.sort(axis=1)
+    P = np.column_stack([np.full(n, float(onset)), lin[:, 0], taus[:, ::-1],
+                         lin[:, 1]])
     ok = ~flat & conv & np.isfinite(P).all(axis=1) \
         & (P[:, 2] > 0.0) & (P[:, 3] > 0.0)
     return P, red, ok

@@ -4,7 +4,12 @@ The membrane response to a single synaptic event is a difference of
 exponentials in the two time constants (membrane and synaptic), normalized so
 its peak equals the height parameter exactly; when the constants coincide the
 shape degenerates to an alpha function peaking at ``t0 + tau``.
-The fitting engine and the calibration ops share the batched forms here.
+
+The onset is not a fit parameter: the calibration ops know when they
+stimulate, and a free onset would make the fit objective kinked at every
+sample time. ``psp_shape`` gives the fitting engine the shape and its
+closed-form derivatives in the two time constants at a given onset;
+``psp_model_batch`` adds height and baseline for the calibration ops.
 """
 
 from __future__ import annotations
@@ -43,89 +48,67 @@ def psp_peak_time(tau1, tau2):
     return np.where(alpha, 0.5 * (tau1 + tau2), gap)[()]
 
 
-def _shape(s, tau1, tau2, x1, x2):
-    """Peak-normalized shape from ``x1 = exp(-s/tau1)`` and
-    ``x2 = exp(-s/tau2)``; rows whose constants nearly coincide take the
-    alpha-function branch."""
-    f = (x1 - x2) / peak_factor(tau1, tau2)
-    alpha = is_alpha(tau1, tau2)[:, 0]
-    if alpha.any():
-        x = s[alpha] / (0.5 * (tau1[alpha] + tau2[alpha]))
-        f[alpha] = x * np.exp(1.0 - x)
-    return f
+def _shape(t, onset, taus):
+    """:func:`psp_shape`'s ``f``, its alpha-branch rows and the terms its
+    derivatives reuse, ``(s, ts, tf, tp, x, E(s), E(tp), (x E)(tp))``."""
+    ts, tf = taus.max(axis=1)[:, None], taus.min(axis=1)[:, None]
+    s = np.maximum(np.asarray(t, dtype=float)[None, :] - onset, 0.0)
+    with np.errstate(all="ignore"):
+        tp = psp_peak_time(ts, tf)
+        rate = 1.0 / tf - 1.0 / ts
+        x, e_s = np.exp(-s / ts), np.expm1(-rate * s)
+        e_p = np.expm1(-rate * tp)
+        xp = np.exp(-tp / ts) * e_p
+        f = x * e_s / xp
+        alpha = is_alpha(ts, tf)[:, 0]
+        if alpha.any():
+            u = (s if s.shape[0] == 1 else s[alpha]) / (0.5 * (ts[alpha] + tf[alpha]))
+            f[alpha] = u * np.exp(1.0 - u)
+    f[~(taus > 0.0).all(axis=1)] = np.nan
+    return f, alpha, (s, ts, tf, tp, x, e_s, e_p, xp)
 
 
-def _voltage(e, hf, active, tau1, tau2):
-    """``e + h f`` on the active samples; NaN rows where a constant is not
-    positive."""
-    out = e + hf * active
-    out[((tau1 <= 0.0) | (tau2 <= 0.0))[:, 0]] = np.nan
-    return out
+def psp_shape(t, onset, taus):
+    """Peak-normalized PSP shape ``f`` (m, T) and its closed-form
+    derivatives ``df[:, j] = df/dtau_j`` (m, 2, T) for rows ``taus`` (m, 2)
+    and an ``onset``, scalar or (m, 1). With ``s = max(t - onset, 0)`` both
+    are exactly zero up to the onset.
+
+    With ``x = exp(-s/ts)`` of the slower constant and ``E(s) = expm1(-(1/tf
+    - 1/ts) s)``, ``f = x E(s) / (x E)(tp)`` at the peak time ``tp``, which
+    keeps near-equal constants accurate. The peak normaliser's derivative
+    follows from the envelope theorem, e.g. ``exp(-tp/ts) tp / ts**2``.
+    Near-equal constants take the alpha branch ``f = u exp(1 - u)``, ``u =
+    s / taubar``, where both derivatives are ``f (u - 1) / (2 taubar)``;
+    rows with a non-positive constant are NaN.
+    """
+    taus = np.atleast_2d(np.asarray(taus, dtype=float))
+    f, alpha, (s, ts, tf, tp, x, e_s, e_p, xp) = _shape(t, onset, taus)
+    swap = taus[:, 0] < taus[:, 1]
+    with np.errstate(all="ignore"):
+        # s - tp E(s) / E(tp) vanishes to first order in 1/tf - 1/ts; it is
+        # formed once and shared by both derivatives
+        lead = s - tp * (e_s / e_p)
+        df = np.stack([-x * lead / (ts * ts * xp),
+                       x * (lead - e_s * (tp - s)) / (tf * tf * xp)], axis=1)
+        df[swap] = df[swap, ::-1]
+        if alpha.any():
+            tbar = 0.5 * (ts[alpha] + tf[alpha])
+            u = (s if s.shape[0] == 1 else s[alpha]) / tbar
+            df[alpha] = (0.5 * f[alpha] * (u - 1.0) / tbar)[:, None, :]
+    df[~(taus > 0.0).all(axis=1)] = np.nan
+    return f, df
 
 
 def psp_model_batch(t, params):
     """Batched peak-normalized PSP on one time grid, shape (n, T).
 
-    ``params`` columns are (t0, h, tau1, tau2, e_leak); rows whose time
-    constants nearly coincide use the alpha-function branch, and rows with
-    a non-positive time constant are NaN.
+    ``params`` columns are (t0, h, tau1, tau2, e_leak); the shape is
+    :func:`psp_shape`'s, so near-equal constants take the alpha branch and
+    a non-positive constant makes its row NaN.
     """
-    t = np.asarray(t, dtype=float)
     P = np.atleast_2d(np.asarray(params, dtype=float))
-    t0, h, tau1, tau2, e = (P[:, j:j + 1] for j in range(5))
-    s = t[None, :] - t0
-    with np.errstate(all="ignore"):
-        f = _shape(s, tau1, tau2, np.exp(-s / tau1), np.exp(-s / tau2))
-        return _voltage(e, h * f, s > 0.0, tau1, tau2)
-
-
-def psp_central_differences(t, params, dp):
-    """Central differences of :func:`psp_model_batch`, shape (n, T, 5).
-
-    Column j is exactly ``(model(P + step_j) - model(P - step_j)) /
-    (2 dp_j)`` with ``step_j`` holding ``dp[:, j]`` in column j, computed
-    by the model's own expressions. Only what a step leaves unchanged is
-    shared: the height and baseline steps reuse the shape at ``P``, a time
-    constant step recomputes only its own exponential, and only the onset
-    steps need both afresh (10 exponentials instead of 20).
-    """
-    t = np.asarray(t, dtype=float)
-    P = np.atleast_2d(np.asarray(params, dtype=float))
-    t0, h, tau1, tau2, e = (P[:, j:j + 1] for j in range(5))
-    dp = np.asarray(dp, dtype=float)
-    s = t[None, :] - t0
-    ns = -s
-    active = s > 0.0
-    with np.errstate(all="ignore"):
-        x1, x2 = np.exp(ns / tau1), np.exp(ns / tau2)
-        f = _shape(s, tau1, tau2, x1, x2)
-        hf = h * f
-
-    def stepped(j, pj, ex):
-        """The model with column j at ``pj`` and the baseline at ``ex``."""
-        if j == 0:
-            sx = t[None, :] - pj
-            fx = _shape(sx, tau1, tau2, np.exp(-sx / tau1), np.exp(-sx / tau2))
-            return _voltage(ex, h * fx, sx > 0.0, tau1, tau2)
-        if j == 1:
-            return _voltage(ex, pj * f, active, tau1, tau2)
-        if j == 2:
-            fx = _shape(s, pj, tau2, np.exp(ns / pj), x2)
-            return _voltage(ex, h * fx, active, pj, tau2)
-        if j == 3:
-            fx = _shape(s, tau1, pj, x1, np.exp(ns / pj))
-            return _voltage(ex, h * fx, active, tau1, pj)
-        return _voltage(pj, hf, active, tau1, tau2)
-
-    J = np.empty(s.shape + (5,))
-    with np.errstate(all="ignore"):
-        for j in range(5):
-            pj, d = P[:, j:j + 1], dp[:, j:j + 1]
-            # P + step adds +0.0 to the other columns, which turns -0.0
-            # into +0.0; of those signs only the baseline's reaches the output
-            J[:, :, j] = (stepped(j, pj + d, e + 0.0)
-                          - stepped(j, pj - d, e)) / (2.0 * d)
-    return J
+    return P[:, 4:5] + P[:, 1:2] * _shape(t, P[:, :1], P[:, 2:4])[0]
 
 
 def psp_analytic(t, t0: float, h: float, tau1: float, tau2: float,

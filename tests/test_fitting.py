@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from waferforge import fitting
-from waferforge.fitting import (central_differences, damped_gauss_newton,
-                                estimate_noise, fit_linear, fit_psp_batch,
-                                fit_softplus, normal_matrix, psp_model_batch)
-from waferforge.psp import ALPHA_SWITCH, psp_analytic, psp_central_differences
+from waferforge.fitting import (estimate_noise, fit_linear, fit_psp_batch,
+                                fit_softplus, normal_matrix,
+                                separable_gauss_newton, softplus_shape)
+from waferforge.psp import ALPHA_SWITCH, psp_analytic, psp_model_batch, psp_shape
 from waferforge.wafer import softplus_tau
+
+# the PSP onset every fit here is given: the stimulus time of the traces
+ONSET = 0.010
+
+
+def _fit_psp(t, V):
+    return fit_psp_batch(t, V, ONSET)
 
 
 def test_psp_batch_model_matches_scalar_model():
@@ -29,7 +36,7 @@ def test_psp_batch_model_matches_scalar_model():
 def test_fit_psp_recovers_noiseless_parameters():
     t = np.linspace(0.0, 0.1, 600)
     P, _, ok = fit_psp_batch(
-        t, psp_analytic(t, 0.012, -0.03, 0.015, 0.004, 0.65)[None, :])
+        t, psp_analytic(t, 0.012, -0.03, 0.015, 0.004, 0.65)[None, :], 0.012)
     assert ok[0]
     t0, h, tau1, tau2, e = P[0]
     assert abs(t0 - 0.012) < 1e-8
@@ -42,7 +49,7 @@ def test_fit_psp_recovers_noiseless_parameters():
 def test_fit_psp_orders_time_constants():
     t = np.linspace(0.0, 0.1, 400)
     v = psp_analytic(t, 0.01, 0.02, 0.002, 0.012, 0.7)  # swapped on purpose
-    P, _, ok = fit_psp_batch(t, v[None, :])
+    P, _, ok = _fit_psp(t, v[None, :])
     assert ok[0]
     _, _, tau1, tau2, _ = P[0]
     assert tau1 >= tau2
@@ -52,7 +59,7 @@ def test_fit_psp_orders_time_constants():
 def test_fit_psp_alpha_branch():
     t = np.linspace(0.0, 0.1, 500)
     v = psp_analytic(t, 0.01, 0.02, 0.006, 0.006, 0.7)
-    P, _, ok = fit_psp_batch(t, v[None, :])
+    P, _, ok = _fit_psp(t, v[None, :])
     assert ok[0]
     _, h, tau1, tau2, _ = P[0]
     assert abs(h - 0.02) < 1e-7
@@ -63,7 +70,7 @@ def test_fit_psp_alpha_branch():
 def test_fit_psp_flat_trace_is_not_ok():
     t = np.linspace(0.0, 0.1, 200)
     rng = np.random.default_rng(3)
-    _, _, ok = fit_psp_batch(t, 0.7 + rng.normal(0.0, 1e-3, (1, t.size)))
+    _, _, ok = _fit_psp(t, 0.7 + rng.normal(0.0, 1e-3, (1, t.size)))
     assert not ok[0]
 
 
@@ -72,13 +79,13 @@ def test_fit_psp_batch_flags_flat_rows():
     rng = np.random.default_rng(4)
     good = psp_analytic(t, 0.01, 0.02, 0.01, 0.002, 0.7)
     flat = 0.7 + rng.normal(0.0, 1e-3, t.shape)
-    _, _, ok = fit_psp_batch(t, np.stack([good, flat]))
+    _, _, ok = _fit_psp(t, np.stack([good, flat]))
     assert ok.tolist() == [True, False]
 
 
 def test_fit_psp_rejects_short_traces():
     with pytest.raises(ValueError, match="20 samples"):
-        fit_psp_batch(np.linspace(0, 1, 10), np.zeros((1, 10)))
+        _fit_psp(np.linspace(0, 1, 10), np.zeros((1, 10)))
 
 
 def test_fit_linear_exact_and_batched():
@@ -139,22 +146,22 @@ def test_fit_softplus_tolerates_noise():
 
 
 def test_psp_fit_agrees_with_scipy_least_squares():
-    # independent optimizer on the same model and data
+    # independent optimizer on the same model, data and fixed onset
     from scipy.optimize import least_squares
 
     rng = np.random.default_rng(21)
     t = np.linspace(0.0, 0.08, 768)
-    v = psp_analytic(t, 0.01, 0.025, 0.0136, 0.0028, 0.72)
+    v = psp_analytic(t, ONSET, 0.025, 0.0136, 0.0028, 0.72)
     v = v + rng.normal(0.0, 5e-4, t.shape)
-    params, red, ok = fit_psp_batch(t, v[None, :])
-    assert ok[0]
+    params, red, ok = _fit_psp(t, v[None, :])
+    assert ok[0] and params[0, 0] == ONSET
 
     ref = least_squares(
-        lambda p: psp_analytic(t, *p) - v,
-        x0=[0.008, 0.02, 0.02, 0.002, 0.7], method="lm").x
-    if ref[2] < ref[3]:
-        ref[[2, 3]] = ref[[3, 2]]
-    assert np.allclose(params[0], ref, rtol=1e-4, atol=1e-7)
+        lambda p: psp_analytic(t, ONSET, *p) - v,
+        x0=[0.02, 0.02, 0.002, 0.7], method="lm").x
+    if ref[1] < ref[2]:
+        ref[[1, 2]] = ref[[2, 1]]
+    assert np.allclose(params[0, 1:], ref, rtol=1e-4, atol=1e-7)
 
 
 def test_softplus_fit_agrees_with_scipy_least_squares():
@@ -183,9 +190,9 @@ def test_estimate_noise_tracks_white_noise():
 def _psp_traces():
     rng = np.random.default_rng(5)
     t = np.linspace(0.0, 0.08, 300)
-    truth = [(0.010, 0.020, 0.012, 0.002, 0.70), (0.012, -0.015, 0.008, 0.003, 0.65),
-             (0.008, 0.030, 0.020, 0.001, 0.72), (0.011, 0.010, 0.005, 0.005, 0.68)]
-    V = np.stack([psp_analytic(t, *p) for p in truth])
+    truth = [(0.020, 0.012, 0.002, 0.70), (-0.015, 0.008, 0.003, 0.65),
+             (0.030, 0.020, 0.001, 0.72), (0.010, 0.005, 0.005, 0.68)]
+    V = np.stack([psp_analytic(t, ONSET, *p) for p in truth])
     return t, V + rng.normal(0.0, 5e-4, V.shape), 0.7 + rng.normal(0.0, 1e-3, t.size)
 
 
@@ -216,7 +223,7 @@ def _assert_rows_independent(fit, x, Y, flat):
 
 def test_fit_psp_batch_rows_are_independent():
     t, V, flat = _psp_traces()
-    _assert_rows_independent(fit_psp_batch, t, V, flat)
+    _assert_rows_independent(_fit_psp, t, V, flat)
 
 
 def test_fit_softplus_rows_are_independent():
@@ -224,24 +231,22 @@ def test_fit_softplus_rows_are_independent():
     _assert_rows_independent(fit_softplus, x, Y, flat)
 
 
-@pytest.mark.parametrize("names, data, fit", [
-    (("psp_model_batch", "psp_central_differences"), _psp_traces, fit_psp_batch),
-    (("softplus_model",), _softplus_curves, fit_softplus)], ids=["psp", "softplus"])
-def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, names, data, fit):
+@pytest.mark.parametrize("name, data, fit", [
+    ("psp_shape", _psp_traces, _fit_psp),
+    ("softplus_shape", _softplus_curves, fit_softplus)], ids=["psp", "softplus"])
+def test_batch_does_no_more_model_work_than_single_fits(monkeypatch, name, data, fit):
     # converged and infeasible rows leave the working set, so a batch
     # evaluates exactly the rows its members would evaluate alone
     x, Y, flat = data()
     Y = np.vstack([Y, flat, np.full_like(flat, np.nan)])
     rows = []
+    shape = getattr(fitting, name)
 
-    def counting(model):
-        def counted(x, params, *rest):
-            rows.append(np.atleast_2d(params).shape[0])
-            return model(x, params, *rest)
-        return counted
+    def counted(*args):
+        rows.append(np.atleast_2d(args[-1]).shape[0])
+        return shape(*args)
 
-    for name in names:
-        monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
+    monkeypatch.setattr(fitting, name, counted)
     fit(x, Y)
     batch = sum(rows)
     rows.clear()
@@ -265,58 +270,75 @@ def test_fit_psp_batch_refills_its_working_set(monkeypatch, max_iter):
     nan = np.full_like(flat, np.nan)
     batch = np.vstack([flat, Y[:70], nan, Y[70:], flat, nan])
     assert len(Y) >= 150 and len(batch) > 2 * fitting.GN_WORKING_SET
-    out = fit_psp_batch(t, batch)
+    out = _fit_psp(t, batch)
     for i, y in enumerate(batch):
-        for got, ref in zip(out, fit_psp_batch(t, y[None, :])):
+        for got, ref in zip(out, _fit_psp(t, y[None, :])):
             assert got[i].tobytes() == ref[0].tobytes()
     converged = int(out[2].sum())
     assert converged == len(Y) if max_iter is None else 0 < converged < len(Y)
 
 
+def _varpro_cost(t, y, sig, taus):
+    """The engine's chi-square of one row at ``taus``, bit for bit."""
+    g = psp_shape(t, ONSET, taus)[0]
+    with np.errstate(all="ignore"):
+        yr = y[None, :]
+        gm, ym = g.mean(axis=1), yr.mean(axis=1)
+        gc, yc = g - gm[:, None], yr - ym[:, None]
+        a = np.einsum("nt,nt->n", gc, yc) / np.einsum("nt,nt->n", gc, gc)
+        r = (a[:, None] * gc - yc) / sig[:, None]
+        c = np.einsum("nt,nt->n", r, r)[0]
+    return c if np.isfinite(c) else np.inf
+
+
 def test_rejected_steps_reuse_the_jacobian(monkeypatch):
-    # a row's Jacobian is computed where it enters and after each accepted
-    # step that keeps it iterating, never again at a rejected step's point
+    # one shape call where a row enters and one per iteration, at the trial
+    # point; an accepted point's shape becomes the linearisation (one normal
+    # matrix per accepted step that keeps the row iterating), and a rejected
+    # step re-evaluates nothing. A cap of 3 iterations makes rows leave
+    # unconverged after exactly 4 calls.
     t, V, flat = _psp_traces()
-    models, jacs = [], []
+    points, normals = [], []
 
-    def model(t, P):
-        models.append(np.array(P))
-        return psp_model_batch(t, P)
+    def shape(t, onset, taus):
+        points.append(np.array(taus))
+        return psp_shape(t, onset, taus)
 
-    def jac(t, P, dp):
-        jacs.append(np.array(P))
-        return psp_central_differences(t, P, dp)
+    def normal(J):
+        normals.append(J.shape[0])
+        return normal_matrix(J)
 
-    monkeypatch.setattr(fitting, "psp_model_batch", model)
-    monkeypatch.setattr(fitting, "psp_central_differences", jac)
+    monkeypatch.setattr(fitting, "psp_shape", shape)
+    monkeypatch.setattr(fitting, "normal_matrix", normal)
     rejected = 0
-    for y in np.vstack([V, flat]):
-        models.clear()
-        jacs.clear()
-        fit_psp_batch(t, y[None, :])
-        sig = np.maximum(estimate_noise(y), fitting.NOISE_FLOOR)
-
-        def cost(P):  # the engine's chi-square, bit for bit
-            with np.errstate(all="ignore"):
-                r = (psp_model_batch(t, P) - y[None, :]) / sig[:, None]
-            c = np.einsum("nt,nt->n", r, r)[0]
-            return c if np.isfinite(c) else np.inf
-
-        best, points, accepted = cost(models[0]), [models[0]], False
-        for P in models[1:]:
-            c = cost(P)
-            accepted = c <= best
-            if accepted:
-                best = c
-                points.append(P)
-            rejected += not accepted
-        if accepted:  # the last step ended the fit
-            points.pop()
-        assert [p.tobytes() for p in jacs] == [p.tobytes() for p in points]
+    for max_iter in (fitting.GN_MAX_ITER, 3):
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", max_iter)
+        for i, y in enumerate(np.vstack([V, flat])):
+            points.clear()
+            normals.clear()
+            _, _, ok = _fit_psp(t, y[None, :])
+            assert all(p.shape == (1, 2) for p in points)
+            assert len({p.tobytes() for p in points}) == len(points) <= 1 + max_iter
+            # the flat row is never ok, converged or not
+            assert ok[0] or i == len(V) or len(points) == 1 + max_iter
+            sig = np.maximum(estimate_noise(y), fitting.NOISE_FLOOR)
+            best, accepted = _varpro_cost(t, y, sig, points[0]), []
+            for P in points[1:]:
+                c = _varpro_cost(t, y, sig, P)
+                accepted.append(c <= best)
+                best = min(best, c)
+            rejected += accepted.count(False)
+            # every accepted step relinearises unless it ended the fit
+            assert sum(normals) == 1 + sum(accepted) - accepted[-1]
     assert rejected > 0
 
 
-def test_psp_central_differences_equal_model_differences():
+def test_psp_shape_derivatives_match_model_differences():
+    # closed-form df/dtau against central differences of psp_model_batch
+    # (h = 1, e = 0) with steps of 1e-4 tau. Columns agree within 1e-4 of
+    # their largest magnitude: ordinary rows within 1e-8, the near-alpha row
+    # within 3e-7 and the (1e-9, 2e-3) row, whose fast derivative loses
+    # digits to cancellation, within 2e-5.
     t = np.linspace(0.0, 0.07, 672)
     P = np.array([
         (0.010, 0.020, 0.012, 0.002, 0.70),
@@ -326,41 +348,70 @@ def test_psp_central_differences_equal_model_differences():
         (0.010, 0.020, 0.005, 0.005 * (1.0 + 1e-3), 0.70),
         (0.010, 0.020, -0.005, 0.002, 0.70),  # tau <= 0
         (0.010, 0.020, 0.005, 0.0, 0.70),
-        (0.010, 0.020, 1e-9, 0.002, 0.70),  # tau - dp <= 0
+        (0.010, 0.020, 1e-9, 0.002, 0.70),
         (0.010, 0.0, 0.012, 0.002, 0.70),  # h = 0
         (0.010, 0.0, 0.012, 0.002, 0.0),
         (0.010, -0.0, 0.012, 0.002, -0.0),  # signed zeros
         (-0.0, -0.0, 0.012, 0.002, -0.0),
-        (0.060, 0.020, 0.012, 1e-5, 0.70),  # overflowing exponentials
+        (0.060, 0.020, 0.012, 1e-5, 0.70),  # exponentials that overflowed before the onset
+        (0.010, 0.020, 0.002, 0.012, 0.70),  # the fast constant first
     ])
-    dp = 1e-6 * np.maximum(np.abs(P), 1e-3)
-    dp[2:4, 3] = 2.5 * ALPHA_SWITCH * 0.005  # steps cross ALPHA_SWITCH
-    dp[1, 2] = 0.5 * ALPHA_SWITCH * 0.005  # steps stay on the alpha branch
-    dp[7, 2] = 2e-9
-    ref = central_differences(lambda Pc: psp_model_batch(t, Pc))(P, dp)
-    got = psp_central_differences(t, P, dp)
-    assert np.isnan(got).any() and got.shape == (len(P), t.size, 5)
-    assert got.tobytes() == ref.tobytes()
+    for p in P:
+        f, df = psp_shape(t, p[0], p[None, 2:4])
+        assert f.shape == (1, t.size) and df.shape == (1, 2, t.size)
+        if not (p[2:4] > 0.0).all():
+            assert np.isnan(f).all() and np.isnan(df).all()
+            continue
+        unit = np.array([p[0], 1.0, p[2], p[3], 0.0])
+        assert np.array_equal(f, psp_model_batch(t, unit))
+        assert not (f[0, t <= p[0]].any() or df[0, :, t <= p[0]].any())
+        for j in range(2):
+            d = 1e-4 * p[2 + j]
+            hi, lo = unit.copy(), unit.copy()
+            hi[2 + j] += d
+            lo[2 + j] -= d
+            ref = (psp_model_batch(t, hi) - psp_model_batch(t, lo))[0] / (2.0 * d)
+            err = np.abs(df[0, j] - ref).max() / np.abs(ref).max()
+            assert err < 1e-4, (p, j, err)
+
+
+def test_softplus_shape_derivatives_match_law_differences():
+    # within 1e-7 of each row's largest derivative (measured: at most 3e-9)
+    x = np.linspace(0.15, 1.0, 8)
+    theta = np.array([[0.5, 10.0], [0.45, 12.0], [0.9, 40.0], [0.1, 0.5]])
+    g, dg = softplus_shape(x, theta)
+    assert np.allclose(g, softplus_tau(x, 1.0, theta[:, :1], theta[:, 1:], 0.0),
+                       rtol=1e-15, atol=0.0)
+    for j in range(2):
+        d = np.zeros_like(theta)
+        d[:, j] = 1e-6 * theta[:, j]
+        ref = (softplus_shape(x, theta + d)[0] - softplus_shape(x, theta - d)[0]) \
+            / (2.0 * d[:, j:j + 1])
+        err = np.abs(dg[:, j] - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert (err < 1e-7).all(), (j, err)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
 @pytest.mark.parametrize("T", [576, 672, 768])
 def test_normal_matrix_equals_einsum(n, T):
-    J = np.random.default_rng(n * T).normal(size=(n, T, 5))
-    assert normal_matrix(J).tobytes() == np.einsum("ntk,ntl->nkl", J, J).tobytes()
+    J = np.random.default_rng(n * T).normal(size=(n, 5, T))
+    assert normal_matrix(J).tobytes() == np.einsum("nkt,nlt->nkl", J, J).tobytes()
 
 
 def test_infeasible_start_stays_at_p0_without_warnings():
     x = np.linspace(0.0, 1.0, 20)
 
-    def line(P):  # infeasible (NaN) for a non-positive slope
-        return np.where(P[:, :1] > 0.0, P[:, :1] * x + P[:, 1:], np.nan)
+    def growth(theta):  # infeasible (NaN) for a non-positive rate
+        rate = np.where(theta > 0.0, theta, np.nan)
+        g = np.exp(rate * x)
+        return g, (x * g)[:, None, :]
 
-    p0 = np.array([[1.0, 0.0], [-1.0, 0.5]])
+    p0 = np.array([[1.0], [-1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        P, red, conv = damped_gauss_newton(line, p0, np.tile(2.0 * x + 1.0, (2, 1)),
-                                           1e-3, [1.0, 1.0])
+        theta, lin, red, conv = separable_gauss_newton(
+            growth, p0, np.tile(2.0 * np.exp(0.5 * x) + 1.0, (2, 1)), 1e-3, [1.0])
     assert conv.tolist() == [True, False]
-    assert np.allclose(P[0], [2.0, 1.0])
-    assert P[1].tobytes() == p0[1].tobytes() and red[1] == np.inf
+    assert np.allclose(theta[0], [0.5]) and np.allclose(lin[0], [2.0, 1.0])
+    assert theta[1].tobytes() == p0[1].tobytes() and red[1] == np.inf
+    assert np.isnan(lin[1]).all()
