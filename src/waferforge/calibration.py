@@ -414,9 +414,9 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
     steps, s = int(round(steps)), int(round(s))
     k = np.arange(plan.presentations)
     times = (round(PSP_SPIKE_AT / PSP_DT) + k * steps + 0.5) * PSP_DT
-    offset = EventQueue.from_times(times, k, np.ones(k.size), PSP_DT).boundary \
+    onset_step = EventQueue.from_times(times, k, np.ones(k.size), PSP_DT).boundary \
         - k * steps
-    if np.any(offset != offset[0]):
+    if np.any(onset_step != onset_step[0]):
         raise ValueError("PSP presentations land at different window offsets")
     offsets = _offsets(db, h, circuits)
     _program_context(wafer, h, plan, extra)
@@ -429,7 +429,7 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
     v = _read_corrected(wafer, sim, h, circuits, offsets, token)
     v = v[:, :plan.presentations * s]
     v = v.reshape(len(circuits), plan.presentations, s).mean(axis=1)
-    return np.arange(s) * dt, v, offset[0] * PSP_DT
+    return np.arange(s) * dt, v, onset_step[0] * PSP_DT
 
 
 def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
