@@ -31,6 +31,8 @@ boundary that delivers the stimulus spike, which the op knows from its
 schedule. ADC noise is keyed per circuit and every line is fitted per
 row, so an entry depends on the rest of an op's scope only where the op
 measures against it: readout_shift (readout group), v_reset (FG block).
+``calibrate_hicann`` splits each op's scope along those groups and runs
+the parts in forked worker processes.
 An op raises CalibrationOrderError unless the ops it depends on ran first
 (``REQUIRES``: e.g. refractory times need reset, threshold and leak).
 
@@ -61,7 +63,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -298,17 +307,23 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
     (default: all) that ``availability`` keeps usable and that hold every
     valid prerequisite entry."""
     cfg = wafer.topology
-    if neurons is None:
-        neurons = range(cfg.neurons_per_hicann)
-    scope = list(neurons) if availability is None else [
-        n for n in neurons if availability.is_usable(Coord.neuron(h, n))]
-    kept = [n for n in scope if all(db.has(_entry_coord(cfg, h, n, req), req)
-                                    for req in REQUIRES[parameter])]
-    if scope and not kept:
+    scope = np.arange(cfg.neurons_per_hicann) if neurons is None \
+        else np.fromiter(neurons, dtype=np.int64)
+    if np.any((scope < 0) | (scope >= cfg.neurons_per_hicann)):
+        raise ValueError(f"circuits of a hicann are 0..{cfg.neurons_per_hicann - 1}")
+    if availability is not None:
+        scope = scope[~availability.read_mask(Kind.NEURON)[h, scope]]
+    kept = scope
+    for req in REQUIRES[parameter]:
+        entries = _hicann_entries(db, h, req)
+        at = kept // cfg.neurons_per_fg_block if _block_keyed(req) else kept
+        kept = kept[np.array([i in entries and entries[i].valid for i in at.tolist()],
+                             dtype=bool)]
+    if scope.size and not kept.size:
         raise CalibrationOrderError(
             f"{parameter!r} needs valid "
             f"{', '.join(REQUIRES[parameter])} entries first")
-    return _rescaled(cfg, DEFAULT_PLANS[parameter]), kept
+    return _rescaled(cfg, DEFAULT_PLANS[parameter]), kept.tolist()
 
 
 def _rescaled(cfg: TopologyConfig, plan: SweepPlan) -> SweepPlan:
@@ -325,9 +340,20 @@ def _write_sigma(cfg: TopologyConfig) -> float:
     return 2.0 * cfg.dac_voltage_max / cfg.dac_max
 
 
+def _hicann_entries(db: CalibrationDb, h: int,
+                    parameter: str) -> dict[int, CalibrationEntry]:
+    """``parameter``'s entries on hicann ``h``, keyed by circuit, or by FG
+    block for a block-keyed parameter."""
+    return {c.indices[1]: e for (c, p), e in db._entries.items()
+            if p == parameter and c.indices[0] == h}
+
+
 def _offsets(db: CalibrationDb, h: int, circuits) -> np.ndarray:
-    return np.array([db.coeffs(Coord.neuron(h, n), "readout_shift")[0]
-                     for n in circuits])
+    shift = _hicann_entries(db, h, "readout_shift")
+    for n in circuits:
+        if n not in shift:
+            raise KeyError(f"no calibration of 'readout_shift' for {Coord.neuron(h, n)}")
+    return np.array([shift[n].coeffs[0] for n in circuits])
 
 
 def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
@@ -432,27 +458,36 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
     return np.arange(s) * dt, v, onset_step[0] * PSP_DT
 
 
+def _block_keyed(parameter: str) -> bool:
+    """Whether ``parameter`` is a cell its FG block shares, so that its
+    entries are keyed by block."""
+    return parameter in FG_CELLS and FG_CELLS[parameter].shared
+
+
 def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
     """The coordinate holding circuit ``n``'s ``parameter`` entry: the FG
     block for a cell the block shares, the circuit itself otherwise."""
-    if parameter in FG_CELLS and FG_CELLS[parameter].shared:
+    if _block_keyed(parameter):
         return Coord.fg_block(h, n // cfg.neurons_per_fg_block)
     return Coord.neuron(h, n)
 
 
-def _add_entries(db, coords, parameter, model, coeff_rows, red, valid):
-    red = np.broadcast_to(np.asarray(red, dtype=float), (len(coords),))
-    valid = np.broadcast_to(np.asarray(valid, dtype=bool), (len(coords),))
-    entries = [CalibrationEntry(c, parameter, model,
+def _add_entries(db, h, indices, parameter, model, coeff_rows, red, valid):
+    """Store one entry per circuit of ``indices`` on hicann ``h`` (per FG
+    block for a block-keyed parameter)."""
+    coord = Coord.fg_block if _block_keyed(parameter) else Coord.neuron
+    red = np.broadcast_to(np.asarray(red, dtype=float), (len(indices),))
+    valid = np.broadcast_to(np.asarray(valid, dtype=bool), (len(indices),))
+    entries = [CalibrationEntry(coord(h, n), parameter, model,
                                 tuple(float(v) for v in np.atleast_1d(coeff_rows[i])),
                                 float(red[i]), bool(valid[i]))
-               for i, c in enumerate(coords)]
+               for i, n in enumerate(indices)]
     for e in entries:
         db.add(e)
     return entries
 
 
-def _linear_entries(db, coords, parameter, x, y, sigma, ok=True):
+def _linear_entries(db, h, indices, parameter, x, y, sigma, ok=True):
     """Fit one line per row of ``y`` (n, points) against ``x`` and store it.
 
     A line is valid if ``ok`` holds, it rises, its reduced chi-square is
@@ -462,7 +497,7 @@ def _linear_entries(db, coords, parameter, x, y, sigma, ok=True):
     slope, icpt, red = fit_linear(x, y, sigma=sigma)
     valid = ok & (slope > 0) & (red < RED_CHI2_MAX) & np.isfinite(y).all(axis=1)
     coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
-    return _add_entries(db, coords, parameter, "linear", coeffs,
+    return _add_entries(db, h, indices, parameter, "linear", coeffs,
                         np.nan_to_num(red, nan=np.inf, posinf=np.inf), valid)
 
 
@@ -497,8 +532,8 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     for members in groups.values():
         idx = [pos[n] for n in members]
         offsets[idx] = m[idx] - m[idx].mean()
-    return _add_entries(db, [Coord.neuron(h, n) for n in scope], "readout_shift",
-                        "constant", offsets[:, None], 0.0, True)
+    return _add_entries(db, h, scope, "readout_shift", "constant",
+                        offsets[:, None], 0.0, True)
 
 
 def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -528,7 +563,7 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
         stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / 4000.0)]
         rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
                             stimulus=stim, tail=0.33, availability=availability)
-    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
+    return _linear_entries(db, h, scope, parameter,
                            np.array(plan.dac_values, float), rests.T,
                            _write_sigma(wafer.topology))
 
@@ -558,15 +593,14 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
         counts = np.array([len(ts) for ts in rasters])
         plateau[k, counts >= 5] = med[counts >= 5]
 
-    block_of = [_entry_coord(wafer.topology, h, n, "v_reset") for n in scope]
-    blocks = sorted(set(block_of))
-    member = [blocks.index(c) for c in block_of]
+    blocks, member = np.unique(np.asarray(scope) // wafer.topology.neurons_per_fg_block,
+                               return_inverse=True)
     total, count = np.zeros((2, len(blocks), len(plan.dac_values)))
     np.add.at(total, member, np.nan_to_num(plateau.T))
     np.add.at(count, member, ~np.isnan(plateau.T))
     with np.errstate(invalid="ignore"):
         y = total / count  # each block's mean plateau, NaN if none spiked
-    return _linear_entries(db, blocks, "v_reset", np.array(plan.dac_values, float), y,
+    return _linear_entries(db, h, blocks, "v_reset", np.array(plan.dac_values, float), y,
                            float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
 
 
@@ -595,7 +629,7 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
             # extrapolate the last clean samples to the digital spike time
             peaks[k, i] = np.mean(vk + slope * d + 0.5 * curv * d * d)
 
-    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], "v_threshold",
+    return _linear_entries(db, h, scope, "v_threshold",
                            np.array(plan.dac_values, float), peaks.T,
                            float(np.hypot(_write_sigma(wafer.topology), 1.5e-3)))
 
@@ -646,8 +680,8 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         c0 = -icpt * c1
     valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(y).any(axis=1)
     coeffs = np.column_stack([np.nan_to_num(c0), np.nan_to_num(c1)])
-    return _add_entries(db, [Coord.neuron(h, n) for n in scope], "i_pulse",
-                        "reciprocal", coeffs, np.nan_to_num(red, nan=np.inf), valid)
+    return _add_entries(db, h, scope, "i_pulse", "reciprocal", coeffs,
+                        np.nan_to_num(red, nan=np.inf), valid)
 
 
 def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -670,8 +704,8 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     valid = idx <= len(plan.dac_values) - 2  # the top point alone proves nothing
     dacs = np.array(plan.dac_values, float)
     prog = dacs[np.minimum(idx + CONVOFF_MARGIN_STEPS, len(dacs) - 1)]
-    return _add_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
-                        "constant", np.column_stack([prog, dacs[idx]]), 0.0, valid)
+    return _add_entries(db, h, scope, parameter, "constant",
+                        np.column_stack([prog, dacs[idx]]), 0.0, valid)
 
 
 def _convoff_array(wafer, db, h, parameter, scope):
@@ -679,9 +713,10 @@ def _convoff_array(wafer, db, h, parameter, scope):
     (amplifier off) for every other circuit."""
     cfg = wafer.topology
     out = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
+    entries = _hicann_entries(db, h, parameter)
     for n in scope:
-        if db.has(Coord.neuron(h, n), parameter):
-            out[n] = db.coeffs(Coord.neuron(h, n), parameter)[0]
+        if n in entries and entries[n].valid:
+            out[n] = entries[n].coeffs[0]
     return out
 
 
@@ -740,8 +775,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     curve_mis = np.full(len(scope), np.nan)
     curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
     valid = fit_ok & ok_sp & (worst_mis < 0.20) & (curve_mis < 0.15)
-    return _add_entries(db, [Coord.neuron(h, n) for n in scope], parameter,
-                        "softplus", np.nan_to_num(coeffs),
+    return _add_entries(db, h, scope, parameter, "softplus", np.nan_to_num(coeffs),
                         np.nan_to_num(red_sp, nan=np.inf), valid)
 
 
@@ -796,7 +830,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             roots[k] = -icpt / slope
 
-    return _linear_entries(db, [Coord.neuron(h, n) for n in scope], "e_synx",
+    return _linear_entries(db, h, scope, "e_synx",
                            np.array(plan.dac_values, float), roots.T, 8e-3,
                            ok=slopes_ok)
 
@@ -821,21 +855,164 @@ def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
 
 def calibrate_hicann(wafer: WaferModel, db: CalibrationDb | None, h: int, *,
                      availability=None, neurons=None) -> CalibrationDb:
-    """Run the full per-hicann suite in dependency order."""
+    """Run the full per-hicann suite in dependency order.
+
+    Each op's eligible circuits are split into at most one part per CPU
+    this process may run on. A part is a whole number of split units, each
+    ``lcm(neurons_per_fg_block, neuron_block_size)`` consecutive circuits,
+    so every FG block (v_reset) and readout group (readout_shift) lies in
+    one part. The first part runs in this process, which so makes every FG
+    write of a serial run; each other part runs in a forked worker, which
+    sends back its entries and the cells of its FG blocks. The split falls
+    back to one part in this process when the affinity set has one CPU,
+    when ``os.fork`` or ``os.sched_getaffinity`` is missing, or while
+    another thread is alive (a forked child gets none of its threads but
+    every lock they hold).
+
+    A circuit's entries do not depend on the other circuits of its part,
+    and an op writes the same FG values for any scope except the v_convoff
+    points of the circuits in it, which lie in the part's own blocks. So
+    the DB and the hicann's FG state are the same, byte for byte, for any
+    worker count.
+    """
     db = db if db is not None else CalibrationDb()
     _bind(db, wafer)
-    kw = dict(availability=availability, neurons=neurons)
-
-    calibrate_readout_shift(wafer, db, h, **kw)
-    for p in ("v_reset", "v_threshold", "e_leak", "e_syni"):
-        calibrate_voltage(wafer, db, h, p, **kw)
-    calibrate_i_pulse(wafer, db, h, **kw)
-    for side in ("x", "i"):
-        calibrate_v_convoff(wafer, db, h, side, **kw)
-    for p in ("i_gl", "v_syntcx", "v_syntci"):
-        calibrate_tau(wafer, db, h, p, **kw)
-    calibrate_e_synx(wafer, db, h, **kw)
+    workers = _worker_count()
+    for op in CALIBRATION_ORDER:
+        _, eligible = _op_scope(wafer, db, h, op, availability, neurons)
+        if eligible:
+            _run_parts(wafer, db, h, op, availability, eligible,
+                       _split_scope(wafer.topology, eligible, workers))
     return db
+
+
+def _worker_count() -> int:
+    """Parts an op may be split into: the CPUs of this process's affinity
+    set, or 1 where forking is unavailable or another thread is alive."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_scope(cfg: TopologyConfig, circuits: list, parts: int) -> list[list]:
+    """``circuits`` in at most ``parts`` non-empty parts of whole split units,
+    each part in the order of ``circuits``."""
+    size = math.lcm(cfg.neurons_per_fg_block, cfg.neuron_block_size)
+    units = sorted({n // size for n in circuits})
+    groups = np.array_split(units, min(parts, len(units)))
+    part_of = {u: i for i, group in enumerate(groups) for u in group.tolist()}
+    out = [[] for _ in groups]
+    for n in circuits:
+        out[part_of[n // size]].append(n)
+    return out
+
+
+def _run_op(wafer, db, h, op, availability, neurons) -> list[CalibrationEntry]:
+    """Run calibration op ``op`` through its public function."""
+    kw = dict(availability=availability, neurons=neurons)
+    if op == "readout_shift":
+        return calibrate_readout_shift(wafer, db, h, **kw)
+    if op in ("v_reset", "v_threshold", "e_leak", "e_syni"):
+        return calibrate_voltage(wafer, db, h, op, **kw)
+    if op == "i_pulse":
+        return calibrate_i_pulse(wafer, db, h, **kw)
+    if op in ("v_convoffx", "v_convoffi"):
+        return calibrate_v_convoff(wafer, db, h, op[-1], **kw)
+    if op in ("i_gl", "v_syntcx", "v_syntci"):
+        return calibrate_tau(wafer, db, h, op, **kw)
+    return calibrate_e_synx(wafer, db, h, **kw)
+
+
+def _run_part(wafer, db, h, op, availability, part) -> list[CalibrationEntry]:
+    """``op``'s entries for the circuits of ``part``, measured against the
+    entries of ``db`` but not added to it."""
+    view = CalibrationDb(db.master_seed)
+    view._entries = dict(db._entries)
+    return _run_op(wafer, view, h, op, availability, part)
+
+
+@dataclass
+class _Worker:
+    """A forked worker running one part of an op."""
+
+    pid: int
+    pipe: BinaryIO  # read end of the pipe the worker writes its result to
+    status: int | None = None  # wait status, once reaped
+
+
+def _run_parts(wafer, db, h, op, availability, eligible, parts) -> None:
+    """Run ``op`` on each part of ``eligible``, the first in this process and
+    the others in forked workers, and add every entry to ``db`` in the order
+    a serial run adds them. No worker outlives the call."""
+    workers = []
+    try:
+        for part in parts[1:]:
+            workers.append(_fork(wafer, db, h, op, availability, part))
+        entries = _run_part(wafer, db, h, op, availability, parts[0])
+        st = wafer.fg_state(h)
+        for w in workers:
+            got, blocks, d_set, d_eff, written = _result(w)
+            entries += got
+            st.d_set[blocks], st.d_eff[blocks], st.written[blocks] = d_set, d_eff, written
+    finally:
+        for w in workers:
+            w.pipe.close()
+            if w.status is None:  # not reaped, so the pid is still this worker's
+                os.kill(w.pid, signal.SIGKILL)
+                _, w.status = os.waitpid(w.pid, 0)
+    if _block_keyed(op):  # a serial run adds its blocks in order
+        entries.sort(key=lambda e: e.coord.indices[1])
+    else:
+        pos = {n: i for i, n in enumerate(eligible)}
+        entries.sort(key=lambda e: pos[e.coord.indices[1]])
+    for e in entries:
+        db.add(e)
+
+
+def _fork(wafer, db, h, op, availability, part) -> _Worker:
+    """Start a worker that runs ``part`` and writes to a pipe its pickled
+    result, or the exception it raised with its traceback text. A worker
+    that cannot pickle what it has to send exits without a result."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return _Worker(pid, os.fdopen(read, "rb"))
+    code = 1
+    try:  # in the worker: whatever happens, leave through os._exit
+        os.close(read)
+        try:
+            entries = _run_part(wafer, db, h, op, availability, part)
+            st = wafer.fg_state(h)
+            blocks = np.unique(np.asarray(part) // wafer.topology.neurons_per_fg_block)
+            data = pickle.dumps((None, (entries, blocks, st.d_set[blocks],
+                                        st.d_eff[blocks], st.written[blocks])))
+        except Exception as exc:  # sent to the caller, who raises it
+            data = pickle.dumps((exc, traceback.format_exc()))
+        with os.fdopen(write, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _result(w: _Worker) -> tuple:
+    """Wait for worker ``w`` and return its result; raise what it raised."""
+    data = w.pipe.read()
+    _, w.status = os.waitpid(w.pid, 0)
+    if not data:
+        raise RuntimeError(f"calibration worker {w.pid} exited without a result "
+                           f"(wait status {w.status})")
+    exc, result = pickle.loads(data)
+    if exc is not None:
+        raise exc from RuntimeError("in a calibration worker:\n" + result)
+    return result
 
 
 @dataclass

@@ -310,6 +310,11 @@ class SimResult:
                                np.arange(1, self.compiled.params.n_units))
         return np.split(self.engine.spike_times[order], ends)
 
+    @cached_property
+    def trace_row(self) -> dict[int, int]:
+        """Row of ``engine.v`` that holds each recorded unit's trace."""
+        return {u: row for row, u in enumerate(self.trace_units.tolist())}
+
     def raster(self) -> dict[Coord, np.ndarray]:
         """Spike times per unit head."""
         net = self.compiled
@@ -547,10 +552,10 @@ def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentRes
         pairs = by_hicann[h]
         raw = np.empty((len(pairs), n_samples))
         for i, (coord, u) in enumerate(pairs):
-            row = np.flatnonzero(sim.trace_units == u)
-            if not row.size:
+            row = sim.trace_row.get(u)
+            if row is None:
                 raise ValueError(f"no trace stored for {coord}")
-            raw[i] = np.interp(t_adc, sim.engine.t, sim.engine.v[row[0]])
+            raw[i] = np.interp(t_adc, sim.engine.t, sim.engine.v[row])
         circuits = [c.indices[1] for c, _ in pairs]
         quantized = adc_readout(wafer, h, circuits, raw, token)
         traces.update(zip((c for c, _ in pairs), quantized))

@@ -418,12 +418,18 @@ def adc_readout(wafer: WaferModel, h: int, circuits, samples: np.ndarray,
     var, tr = wafer.variability, wafer.truth(h)
     circuits = np.asarray(circuits, dtype=int)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    shift = tr.readout_shift[circuits][:, None]
-    v = (samples + shift) / var.adc_divider
+    top = 2 ** var.adc_bits - 1
+    v = samples + tr.readout_shift[circuits][:, None]
+    v /= var.adc_divider
     if var.adc_noise_sigma > 0.0:
-        noise = np.stack([rng.stream(wafer.master_seed, "adc", h, token, c)
-                          .standard_normal(v.shape[1]) for c in circuits.tolist()])
-        v = v + noise * var.adc_noise_sigma
-    codes = np.clip(np.rint(v / var.adc_fullscale * (2 ** var.adc_bits - 1)),
-                    0, 2 ** var.adc_bits - 1)
-    return codes * (var.adc_fullscale / (2 ** var.adc_bits - 1))
+        noise = rng.stream_normals(wafer.master_seed,
+                                   [("adc", h, token, c) for c in circuits.tolist()],
+                                   v.shape[1])
+        noise *= var.adc_noise_sigma
+        v += noise
+    v /= var.adc_fullscale
+    v *= top
+    np.rint(v, out=v)
+    np.clip(v, 0, top, out=v)
+    v *= var.adc_fullscale / top
+    return v

@@ -2,12 +2,14 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from waferforge import calibration as cal
-from waferforge.availability import AvailabilityDb
+from waferforge.availability import AvailabilityDb, AvailabilityState
 from waferforge.commissioning import commission, effective_exclusion
 from waferforge.defects import DefectRates, random_defects
 from waferforge.dynamics import EventQueue
@@ -64,21 +66,6 @@ def test_db_save_load_round_trip(late_db, tmp_path):
     assert _digest(loaded) == LATE_OPS_DIGEST
 
 
-def _run_op(wafer, db, op, neurons):
-    if op == "readout_shift":
-        cal.calibrate_readout_shift(wafer, db, 0, neurons=neurons)
-    elif op in ("v_reset", "v_threshold", "e_leak", "e_syni"):
-        cal.calibrate_voltage(wafer, db, 0, op, neurons=neurons)
-    elif op == "i_pulse":
-        cal.calibrate_i_pulse(wafer, db, 0, neurons=neurons)
-    elif op in ("v_convoffx", "v_convoffi"):
-        cal.calibrate_v_convoff(wafer, db, 0, op[-1], neurons=neurons)
-    elif op in ("i_gl", "v_syntcx", "v_syntci"):
-        cal.calibrate_tau(wafer, db, 0, op, neurons=neurons)
-    else:
-        cal.calibrate_e_synx(wafer, db, 0, neurons=neurons)
-
-
 def test_a_circuit_calibrates_the_same_in_any_scope():
     # each op runs on the scope, on sub-scopes of it and on the scope
     # reversed, every run from the same wafer and DB state; a circuit's entry
@@ -90,15 +77,148 @@ def test_a_circuit_calibrates_the_same_in_any_scope():
     w, db = build_wafer(3), cal.CalibrationDb()
     for op in cal.CALIBRATION_ORDER:
         state = copy.deepcopy((w, db))
-        _run_op(w, db, op, scope)
+        cal._run_op(w, db, 0, op, None, scope)
         if op in ("readout_shift", "v_reset"):
             continue
         for sub in subs:
             w_sub, db_sub = copy.deepcopy(state)
-            _run_op(w_sub, db_sub, op, sub)
+            cal._run_op(w_sub, db_sub, 0, op, None, sub)
             for n in sub:
                 c = Coord.neuron(0, n)
                 assert db_sub.entry(c, op) == db.entry(c, op), (op, sub, n)
+
+
+# scope, topology and FG block excluded by availability of each split case
+SPLIT_CASES = {
+    # one circuit in each FG block
+    "every_block": ([3, 130, 260, 400], TopologyConfig(), None),
+    # block 2 is unusable, and circuit 142 fails i_gl, so the ops after
+    # i_gl find eligible circuits in block 0 alone
+    "later_ops_in_one_part": ([5, 142, 300, 301], TopologyConfig(), 2),
+    "descending": ([450, 300, 140, 10], TopologyConfig(), None),
+    "two_blocks_small_groups": ([3, 100, 300, 500], TopologyConfig(
+        fg_blocks_per_hicann=2, neuron_block_size=16), None),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_any_worker_count_gives_the_same_db_and_floating_gates(monkeypatch, case):
+    neurons, cfg, excluded_block = SPLIT_CASES[case]
+    availability = None
+    if excluded_block is not None:
+        per = cfg.neurons_per_fg_block
+        availability = AvailabilityState(cfg, [
+            Coord.neuron(0, n) for n in range(excluded_block * per, (excluded_block + 1) * per)])
+    got = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(cal, "_worker_count", lambda: workers)
+        w = build_wafer(3, cfg)
+        db = cal.calibrate_hicann(w, None, 0, availability=availability, neurons=neurons)
+        st = w.fg_state(0)
+        got[workers] = (list(db._entries), _digest(db), st.d_set.tobytes(),
+                        st.d_eff.tobytes(), st.written.tobytes(), st.write_cycle)
+    assert got[2] == got[1]
+    assert got[4] == got[1]
+    if case == "later_ops_in_one_part":
+        assert not db.entry(Coord.neuron(0, 142), "i_gl").valid
+        assert [e.coord.indices[1] for e in db.entries("v_syntcx")] == [5]
+
+
+class _WorkerFault(RuntimeError):
+    """Raised by a calibration op in a worker process."""
+
+
+def _split_run(monkeypatch, fault):
+    """Make calibrate_hicann run readout_shift and e_leak in two parts,
+    with ``fault(caller_pid)`` called at the start of every e_leak part.
+    Returns the list the pids of forked workers are appended to."""
+    caller, fork, voltage = os.getpid(), os.fork, cal.calibrate_voltage
+    forked = []
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def faulty_voltage(*args, **kw):
+        fault(caller)
+        return voltage(*args, **kw)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(cal, "_worker_count", lambda: 2)
+    monkeypatch.setattr(cal, "CALIBRATION_ORDER", ("readout_shift", "e_leak"))
+    monkeypatch.setattr(cal, "calibrate_voltage", faulty_voltage)
+    return forked
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    def fault(caller):
+        if os.getpid() != caller:
+            raise _WorkerFault("in the worker")
+
+    forked = _split_run(monkeypatch, fault)
+    with pytest.raises(_WorkerFault, match="in the worker"):
+        cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    assert len(forked) == 2 and all(map(_reaped, forked))
+
+
+def test_a_worker_without_a_result_raises(monkeypatch):
+    def fault(caller):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    forked = _split_run(monkeypatch, fault)
+    with pytest.raises(RuntimeError, match="without a result"):
+        cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    assert len(forked) == 2 and all(map(_reaped, forked))
+
+
+def test_no_worker_outlives_a_call(monkeypatch):
+    forked = _split_run(monkeypatch, lambda caller: None)
+    db = cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    assert len(db) == 4
+    assert len(forked) == 2 and all(map(_reaped, forked))
+
+    def fault(caller):  # the caller's own part fails while the worker runs
+        if os.getpid() == caller:
+            raise _WorkerFault("in the caller")
+
+    forked = _split_run(monkeypatch, fault)
+    with pytest.raises(_WorkerFault, match="in the caller"):
+        cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    assert len(forked) == 2 and all(map(_reaped, forked))
+
+
+@pytest.mark.parametrize("blocker", ["one_cpu", "live_thread"])
+def test_no_fork_on_one_cpu_or_beside_another_thread(monkeypatch, blocker):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0} if blocker == "one_cpu" else {0, 1, 2, 3})
+    monkeypatch.setattr(cal, "CALIBRATION_ORDER", ("readout_shift", "e_leak"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if blocker == "live_thread":
+        thread.start()
+    try:
+        db = cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    finally:
+        release.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(db) == 4
 
 
 # to_hardware target -> the calibrated floating-gate parameter behind it; the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from waferforge import rng
 from waferforge.topology import Coord, TopologyConfig
 from waferforge.variability import SoftplusLaw, VariabilityConfig
 from waferforge.wafer import (
@@ -279,6 +280,18 @@ def test_adc_noise_keyed_by_token():
     assert not np.array_equal(a, c)
     # 1 mV ADC noise is about 4.6 LSB after the divider: readings spread
     assert a.std() > 0
+
+
+def test_stream_normals_match_their_keyed_streams():
+    # one reused bit generator draws what a fresh stream per row draws
+    paths = [("adc", 0, ("i_gl", 3), 17), ("adc", 2, 0, 5), ("truth", 1), ()]
+    for seed in (0, 3, 2**40 + 7):
+        for n in (0, 1, 5, 400, 1001):
+            got = rng.stream_normals(seed, paths, n)
+            assert got.shape == (len(paths), n)
+            for row, tokens in zip(got, paths):
+                assert np.array_equal(row, rng.stream(seed, *tokens).standard_normal(n))
+    assert rng.stream_normals(3, [], 8).shape == (0, 8)
 
 
 def test_wafer_json_roundtrip(tmp_path):
