@@ -18,11 +18,27 @@ read, not scanned. ``mask()`` hands out the raw writable array and forgets
 its kind's count, which the next ``count_excluded`` recomputes once: write
 through a mask before the next count of its kind, as a mask must not be
 held across a ``copy()``.
+
+A mask of ``PAGED_MASK_BYTES`` (4 MiB) or more, such as the reference
+module's 43 MB synapse mask, is a zero-filled private anonymous mapping
+advised against huge pages, not an ``np.zeros`` array. numpy advises huge
+pages from 4 MiB on, and then the first write into a 2 MiB page zeroes
+the whole page: the few dozen stuck synapses a memory test finds, spread
+over the wafer, cost more than the rest of commissioning. The mapping
+makes a 4 KiB page resident on its first write and never maps a page
+that is not written, so a mask costs about what is excluded. A read of a
+whole large mask (``to_json``, ``_indices``, a recount) reads the kernel's
+shared zero page where nothing was written, not resident zeroed pages.
+Smaller masks, which numpy would not advise, stay ``np.zeros``, as do all
+masks where ``mmap.MAP_PRIVATE`` does not exist. The mapping is private,
+so writes in a forked process stay in that process.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 
 import numpy as np
 
@@ -30,6 +46,21 @@ from .topology import (Coord, Kind, TopologyConfig, check_schema,
                        validate_coord)
 
 SCHEMA = "waferforge.availability/1"
+# numpy's own huge-page cutoff: only arrays numpy would advise are mapped
+PAGED_MASK_BYTES = 1 << 22
+
+
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed boolean mask; from ``PAGED_MASK_BYTES`` on, a private
+    anonymous mapping whose 4 KiB pages become resident on first write."""
+    n = math.prod(shape)
+    if n < PAGED_MASK_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype=bool)
+    # private, so a forked process's writes stay its own
+    buf = mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=bool).reshape(shape)
 
 
 class AvailabilityState:
@@ -44,7 +75,10 @@ class AvailabilityState:
             self.exclude_many(excluded)
 
     def mask(self, kind: Kind) -> np.ndarray:
-        """Writable exclusion mask of ``kind``, allocated on first use.
+        """Writable exclusion mask of ``kind``, allocated on first use:
+        from ``PAGED_MASK_BYTES`` on as a private mapping whose pages
+        become resident only where they are written (see the module
+        docstring), else as ``np.zeros``.
 
         Do not hold it across a ``copy()``: both states share their masks
         until one of them asks for a mask to write. The kind's count is
@@ -67,7 +101,7 @@ class AvailabilityState:
     def _writable(self, kind: Kind) -> np.ndarray:
         m = self._masks.get(kind)
         if m is None:
-            m = self._masks[kind] = np.zeros(self.topology.index_shapes[kind], dtype=bool)
+            m = self._masks[kind] = _zeros(self.topology.index_shapes[kind])
             self._counts[kind] = 0
         elif kind in self._shared:
             m = self._masks[kind] = m.copy()

@@ -144,9 +144,9 @@ class StabilityResult:
     unstable_cells: list[Coord] = field(default_factory=list)
 
 
-def _flips(wafer: WaferModel, defect) -> bool:
+def _flips(keyed: rng.Rekeyed, wafer: WaferModel, defect) -> bool:
     """Whether an unstable cell flips within ``STABILITY_REPS`` same-value rewrites."""
-    gen = rng.stream(wafer.master_seed, "stability", str(defect.coord))
+    gen = keyed.stream(wafer.master_seed, "stability", str(defect.coord))
     return bool(np.any(gen.random(STABILITY_REPS) < defect.flip_probability))
 
 
@@ -160,9 +160,11 @@ def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
     if array.kind is not Kind.SYNAPSE_ARRAY:
         raise ValueError(f"expected a synapse array coordinate, got {array}")
     h, a = array.indices
+    keyed = rng.Rekeyed()
     bad = []
     for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE):
-        if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a) and _flips(wafer, d):
+        if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a) \
+                and _flips(keyed, wafer, d):
             bad.append(d.coord)
     bad.sort(key=Coord.sort_key)
     return StabilityResult(array, not bad, bad)
@@ -232,6 +234,7 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
         defects_at.setdefault(d.coord.hicann, []).append(d)
     no_jtag = ind.read_mask(Kind.JTAG_LINK).tolist()
     no_highspeed = ind.read_mask(Kind.HIGHSPEED_LINK).tolist()
+    keyed = rng.Rekeyed()
 
     bytes_by_region = dict.fromkeys(mm, 0)
     duration = 0.0
@@ -258,7 +261,7 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
                 if region not in regions:
                     continue
                 if d.type is DefectType.MEMORY_STUCK:
-                    vals = rng.stream(wafer.master_seed, "memtest", str(d.coord)) \
+                    vals = keyed.stream(wafer.master_seed, "memtest", str(d.coord)) \
                         .integers(0, 256, size=WRITES_PER_CELL)
                     if not np.any(vals != d.pattern):
                         continue  # every random value landed on the stuck pattern
@@ -267,7 +270,7 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
                         # the per-array stability phase below covers it
                         suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
                         continue
-                    if not _flips(wafer, d):
+                    if not _flips(keyed, wafer, d):
                         continue
                 found.append(_excluded_unit(d))
         duration = max(duration, group_seconds)

@@ -30,22 +30,40 @@ def stream(master_seed: int, *tokens) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *tokens)))
 
 
+class Rekeyed:
+    """One Philox bit generator re-keyed per token path.
+
+    ``keyed.stream(master_seed, *tokens)`` returns a generator that draws
+    exactly what ``stream(master_seed, *tokens)`` draws, and stays valid
+    until the next ``stream`` call re-keys it. Setting the key and zeroing
+    the counter and buffer takes about a microsecond; building a Philox
+    takes about 20, most of it a seed sequence drawn from OS entropy and
+    then discarded. The Philox is built on the first ``stream`` call, so a
+    caller that draws nothing (a wafer without memory faults) never builds
+    it or imports ``numpy.random``. Not for use from several threads at once.
+    """
+
+    def __init__(self):
+        self._bitgen = None
+
+    def stream(self, master_seed: int, *tokens) -> np.random.Generator:
+        if self._bitgen is None:
+            self._bitgen = np.random.Philox(key=0)
+            self._gen = np.random.Generator(self._bitgen)
+            self._state = self._bitgen.state  # as built: counter 0, nothing buffered
+        key = stream_key(master_seed, *tokens)
+        self._state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+        self._bitgen.state = self._state
+        return self._gen
+
+
 def stream_normals(master_seed: int, token_paths, n: int) -> np.ndarray:
     """Standard normals with one row per token path: row i is
-    ``stream(master_seed, *token_paths[i]).standard_normal(n)``.
-
-    One bit generator draws every row. Setting its key and zeroing its
-    counter takes about a microsecond; building a Philox takes about 20,
-    most of it a seed sequence drawn from OS entropy and then discarded.
-    """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # as built: counter 0, nothing buffered
+    ``stream(master_seed, *token_paths[i]).standard_normal(n)``, drawn by
+    one ``Rekeyed`` generator."""
+    keyed = Rekeyed()
     token_paths = list(token_paths)
     out = np.empty((len(token_paths), n))
     for row, tokens in zip(out, token_paths):
-        key = stream_key(master_seed, *tokens)
-        state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
-        bitgen.state = state
-        gen.standard_normal(out=row)
+        keyed.stream(master_seed, *tokens).standard_normal(out=row)
     return out

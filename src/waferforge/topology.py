@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -237,6 +237,11 @@ class TopologyConfig:
             object.__setattr__(self, "edge_hicanns", ids)
         else:
             object.__setattr__(self, "edge_hicanns", tuple(sorted(self.edge_hicanns)))
+
+    def __getstate__(self) -> dict:
+        # the fields only: derived values are cached on first use, and a
+        # cached MappingProxyType (index_shapes) cannot be pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ---- derived counts -------------------------------------------------
     @cached_property

@@ -1,10 +1,15 @@
 import json
+import os
+import pickle
 import re
+import signal
+import time
 
+import numpy as np
 import pytest
 
-from waferforge.availability import (AvailabilityDb, AvailabilityState, load_state,
-                                     save_state)
+from waferforge.availability import (PAGED_MASK_BYTES, AvailabilityDb, AvailabilityState,
+                                     load_state, save_state)
 from waferforge.topology import Coord, Kind, TopologyConfig
 
 CFG = TopologyConfig()
@@ -36,6 +41,57 @@ def test_copy_is_independent():
     c = b.copy()
     b.mask(Kind.NEURON)[3, 7] = True
     assert c.is_usable(Coord.neuron(3, 7)) and not b.is_usable(Coord.neuron(3, 7))
+    # the same on the synapse mask, which is above the paged-mask size
+    s = [Coord.synapse(1, 0, 2, k) for k in range(4)]
+    a = AvailabilityState(CFG, s[:1])
+    b = a.copy()
+    b.exclude(s[1])
+    a.exclude(s[2])
+    b.mask(Kind.SYNAPSE)[s[3].indices] = True
+    assert [a.is_usable(c) for c in s] == [False, True, False, True]
+    assert [b.is_usable(c) for c in s] == [False, False, True, False]
+    assert (a.count_excluded(Kind.SYNAPSE), b.count_excluded(Kind.SYNAPSE)) == (2, 3)
+
+
+def test_reference_synapse_mask_is_paged():
+    st = AvailabilityState(CFG, [Coord.synapse(1, 0, 2, 3)])
+    assert st.read_mask(Kind.SYNAPSE).nbytes >= PAGED_MASK_BYTES
+    assert st.read_mask(Kind.NEURON).nbytes < PAGED_MASK_BYTES
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_synapse_write_in_forked_child_stays_in_child():
+    st = AvailabilityState(CFG, [Coord.synapse(1, 0, 2, 3)])
+    pid = os.fork()
+    if pid == 0:  # child: write, then leave without running the parent's cleanup
+        code = 1
+        try:
+            st.exclude(Coord.synapse(1, 0, 2, 4))
+            st.mask(Kind.SYNAPSE)[200, 1, 0, :] = True
+            code = 0 if st.count_excluded(Kind.SYNAPSE) == 258 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    assert st.is_usable(Coord.synapse(1, 0, 2, 4))
+    assert st.count_excluded(Kind.SYNAPSE) == 1
+    assert int(np.count_nonzero(st.read_mask(Kind.SYNAPSE))) == 1
+
+
+def test_paged_mask_survives_pickle_and_json():
+    st = AvailabilityState(CFG, [Coord.synapse(383, 1, 219, 255), Coord.neuron(2, 3)])
+    back = pickle.loads(pickle.dumps(st))
+    assert back == st and back.to_json() == st.to_json()
+    assert back.count_excluded(Kind.SYNAPSE) == 1
+    back.exclude(Coord.synapse(0, 0, 0, 0))  # the unpickled mask is writable
+    assert back.count_excluded(Kind.SYNAPSE) == 2 and st.count_excluded(Kind.SYNAPSE) == 1
+    loaded = AvailabilityState.from_json(st.to_json(), CFG)
+    assert loaded == st and loaded.to_json() == st.to_json()
 
 
 def test_superset_and_equality():

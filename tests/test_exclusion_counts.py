@@ -1,6 +1,8 @@
 """The per-kind excluded counts a state keeps must equal a scan of its masks."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 
@@ -45,6 +47,14 @@ def test_counts_after_dense_commissioning():
     db = dense_db()
     for name in ("individual", "effective"):
         assert_counts_exact(db.state(name))
+
+
+def test_dense_commissioning_state_digest():
+    # the commission_dense bench workload's DIGEST: sha256 of both states' to_json()
+    db = dense_db()
+    data = {name: db.state(name).to_json() for name in ("individual", "effective")}
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() \
+        == "96465270f3c49363a78d60a9ef56d7f56bd723761904dbc15564c3a0c51a830d"
 
 
 def test_counts_on_reduced_topology():

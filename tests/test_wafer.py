@@ -294,6 +294,23 @@ def test_stream_normals_match_their_keyed_streams():
     assert rng.stream_normals(3, [], 8).shape == (0, 8)
 
 
+def test_rekeyed_draws_match_their_keyed_streams():
+    # every re-keyed draw starts as a fresh stream does, also right after an
+    # odd-sized integers draw left half of a 64-bit word buffered
+    keyed = rng.Rekeyed()
+    paths = [("memtest", "synapse(1,0,2,3)"), ("stability", 7, ("a", 2)), ()]
+    draws = [lambda g: g.integers(0, 256, size=5), lambda g: g.integers(0, 256, size=1),
+             lambda g: g.random(9), lambda g: g.standard_normal(7)]
+    for seed in (0, 3, 2**40 + 7):
+        for tokens in paths:
+            for draw in draws:
+                earlier = keyed.stream(seed, "earlier", *tokens)
+                earlier.integers(0, 256, size=3)
+                assert earlier.bit_generator.state["has_uint32"]
+                got = draw(keyed.stream(seed, *tokens))
+                assert np.array_equal(got, draw(rng.stream(seed, *tokens)))
+
+
 def test_wafer_json_roundtrip(tmp_path):
     w = build_wafer(23)
     program_floating_gates(w, 2, {"e_leak": 400, "v_reset": 300})
