@@ -103,8 +103,10 @@ class AvailabilityState:
         if m is None:
             m = self._masks[kind] = _zeros(self.topology.index_shapes[kind])
             self._counts[kind] = 0
-        elif kind in self._shared:
-            m = self._masks[kind] = m.copy()
+        elif kind in self._shared:  # written where set, so a paged copy stays sparse
+            out = _zeros(m.shape)
+            np.copyto(out, m, where=m)
+            m = self._masks[kind] = out
             self._shared.discard(kind)
         return m
 

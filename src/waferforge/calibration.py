@@ -5,18 +5,9 @@ transfer (voltage gain/offset, current-to-time laws, amplifier bias
 points), so each circuit gets a measured transfer model instead of the
 design equation. The ops in this module each run one sweep: program the
 floating gates, run the network, digitize traces or collect spikes,
-reduce to an observable, and fit a small model per circuit:
-
-  readout_shift  constant    per-circuit offset of the analog readout chain
-  v_reset        linear      per FG block (the cell is shared by 128 circuits)
-  v_threshold    linear      spike peak voltage vs DAC
-  e_leak         linear      resting potential vs DAC
-  e_syni         linear      saturation-railed rest under bombardment vs DAC
-  i_pulse        reciprocal  refractory time vs pulse current
-  v_convoffx/i   constant    first DAC past the input-amplifier transition
-  i_gl           softplus    membrane time constant vs leak current (uA)
-  v_syntcx/i     softplus    synaptic time constant vs bias voltage (V)
-  e_synx         linear      reversal from PSP-height extrapolation vs DAC
+reduce to an observable, and fit a small model per circuit. ``OPS``
+declares each op once, in the order ``calibrate_hicann`` runs them;
+``CALIBRATION_ORDER``, ``REQUIRES`` and ``DEFAULT_PLANS`` come from it.
 
 Sweep plans and ``BASE_SETTINGS`` are codes of the reference module's DAC
 (``wafer.REFERENCE_DAC_MAX``); every op rescales them to the topology's DAC. A
@@ -33,8 +24,8 @@ row, so an entry depends on the rest of an op's scope only where the op
 measures against it: readout_shift (readout group), v_reset (FG block).
 ``calibrate_hicann`` splits each op's scope along those groups and runs
 the parts in forked worker processes.
-An op raises CalibrationOrderError unless the ops it depends on ran first
-(``REQUIRES``: e.g. refractory times need reset, threshold and leak).
+An op raises CalibrationOrderError unless the ops it requires ran first
+(e.g. refractory times need reset, threshold and leak).
 
 Sweeps whose points store few or no traces (the rest sweeps of e_leak,
 e_syni, v_convoffx/i and the direct reversal readout; each i_pulse
@@ -112,30 +103,6 @@ PSP_SPIKE_AT = 0.01
 # calibration_exclusion drops any circuit whose entries reach it
 RED_CHI2_MAX = 10.0
 
-# prerequisite entries a circuit must hold before an op may use it, with the
-# ops in the order calibrate_hicann runs them
-REQUIRES = {
-    "readout_shift": (),
-    "v_reset": ("readout_shift",),
-    "v_threshold": ("readout_shift",),
-    "e_leak": ("readout_shift",),
-    "e_syni": ("readout_shift",),
-    "i_pulse": ("readout_shift", "v_reset", "v_threshold", "e_leak"),
-    "v_convoffx": ("readout_shift", "e_leak"),
-    "v_convoffi": ("readout_shift", "e_leak"),
-    "i_gl": ("readout_shift", "e_leak", "v_convoffx"),
-    "v_syntcx": ("readout_shift", "e_leak", "v_convoffx", "i_gl"),
-    "v_syntci": ("readout_shift", "e_leak", "v_convoffi", "i_gl"),
-    "e_synx": ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx"),
-}
-CALIBRATION_ORDER = tuple(REQUIRES)
-
-# target name -> the calibrated parameter, which names both its DB entry and
-# the floating-gate cell that realizes it
-_TARGET_MAP = {**{p: p for p in ("e_leak", "v_threshold", "e_synx", "e_syni",
-                                 "v_reset", "v_convoffx", "v_convoffi")},
-               **CONTROL_CELL}
-
 # full floating-gate context written before every sweep, in reference-DAC
 # codes; per-plan settings override individual cells. v_convoff* high =
 # input amplifiers off.
@@ -192,47 +159,101 @@ class SweepPlan:
     aux_values: tuple = ()  # secondary sweep axis where an op needs one
 
 
-DEFAULT_PLANS = {
-    "readout_shift": SweepPlan("readout_shift", (455,), duration=0.04),
-    # refractory-dominated spiking: the trace median sits on the reset plateau
-    "v_reset": SweepPlan("v_reset", (150, 280, 410, 540),
-                         {"e_leak": 940, "v_threshold": 620, "i_pulse": 100,
-                          "i_gl": 400}, duration=0.5),
-    "v_threshold": SweepPlan("v_threshold", (400, 520, 640, 760, 880),
-                             {"e_leak": 1023, "v_reset": 220, "i_pulse": 341,
-                              "i_gl": 400}, duration=0.4),
-    "e_leak": SweepPlan("e_leak", (398, 512, 625), {}, duration=0.05),
-    # strong regular bombardment rails the membrane onto the reversal
-    "e_syni": SweepPlan("e_syni", (100, 200, 300),
-                        {"e_leak": 313, "i_gl": 30, "v_syntci": 170,
-                         "v_convoffi": 511, "vgmax": (1023, 1023, 1023, 1023)},
-                        duration=0.12),
-    "i_pulse": SweepPlan("i_pulse", (136, 170, 227, 341, 546, 728, 1023),
-                         {"e_leak": 910, "v_threshold": 550, "v_reset": 355,
-                          "i_gl": 400}, duration=0.5, repetitions=4),
-    "v_convoffx": SweepPlan(
-        "v_convoffx", tuple(int(round(k * 1023 / 24)) for k in range(25)),
-        {"e_leak": 512, "e_synx": 796, "i_gl": 400}, duration=0.04),
-    "v_convoffi": SweepPlan(
-        "v_convoffi", tuple(int(round(k * 1023 / 24)) for k in range(25)),
-        {"e_leak": 512, "e_syni": 114, "i_gl": 400}, duration=0.04),
-    "i_gl": SweepPlan("i_gl", (82, 123, 164, 205, 246, 307, 368, 430),
-                      {"e_leak": 455, "v_syntcx": 625, "e_synx": 796},
-                      presentations=6, window=0.08),
-    "v_syntcx": SweepPlan("v_syntcx", (341, 398, 455, 512, 568, 625, 682,
-                                       739, 796, 853),
-                          {"e_leak": 455, "i_gl": 123, "e_synx": 796},
-                          presentations=6, window=0.07),
-    "v_syntci": SweepPlan("v_syntci", (341, 398, 455, 512, 568, 625, 682,
-                                       739, 796, 853),
-                          {"e_leak": 455, "i_gl": 123, "e_syni": 114},
-                          presentations=6, window=0.07),
-    # PSP height vs measured rest, extrapolated to the zero crossing
-    "e_synx": SweepPlan("e_synx", (682, 739, 796, 853),
-                        {"i_gl": 123, "v_syntcx": 454},
-                        presentations=8, window=0.06,
-                        aux_values=(341, 398, 455, 512)),
-}
+@dataclass(frozen=True)
+class CalibrationOp:
+    """One calibration op, declared once in ``OPS``."""
+
+    name: str  # names its entries, and its plan's parameter
+    function: str  # the public function that runs it
+    arg: str | None  # passed to ``function`` after ``h``, unless None
+    requires: tuple  # ops whose valid entries a circuit needs first
+    model: str  # of its entries: constant | linear | reciprocal | softplus
+    plan: SweepPlan
+    invertible: bool = True  # whether to_hardware inverts its entries
+
+
+# every op, in the order calibrate_hicann runs them
+OPS = (
+    # per-circuit offset of the analog readout chain
+    CalibrationOp("readout_shift", "calibrate_readout_shift", None, (), "constant",
+                  SweepPlan("readout_shift", (455,), duration=0.04), invertible=False),
+    # reset plateau (median of a refractory-dominated trace) vs DAC, per FG block
+    CalibrationOp("v_reset", "calibrate_voltage", "v_reset", ("readout_shift",), "linear",
+                  SweepPlan("v_reset", (150, 280, 410, 540),
+                            {"e_leak": 940, "v_threshold": 620, "i_pulse": 100,
+                             "i_gl": 400}, duration=0.5)),
+    # spike peak voltage vs DAC
+    CalibrationOp("v_threshold", "calibrate_voltage", "v_threshold", ("readout_shift",),
+                  "linear", SweepPlan("v_threshold", (400, 520, 640, 760, 880),
+                                      {"e_leak": 1023, "v_reset": 220, "i_pulse": 341,
+                                       "i_gl": 400}, duration=0.4)),
+    # resting potential vs DAC
+    CalibrationOp("e_leak", "calibrate_voltage", "e_leak", ("readout_shift",), "linear",
+                  SweepPlan("e_leak", (398, 512, 625), {}, duration=0.05)),
+    # rest railed onto the reversal by strong regular bombardment vs DAC
+    CalibrationOp("e_syni", "calibrate_voltage", "e_syni", ("readout_shift",), "linear",
+                  SweepPlan("e_syni", (100, 200, 300),
+                            {"e_leak": 313, "i_gl": 30, "v_syntci": 170,
+                             "v_convoffi": 511, "vgmax": (1023, 1023, 1023, 1023)},
+                            duration=0.12)),
+    # refractory time vs pulse current
+    CalibrationOp("i_pulse", "calibrate_i_pulse", None,
+                  ("readout_shift", "v_reset", "v_threshold", "e_leak"), "reciprocal",
+                  SweepPlan("i_pulse", (136, 170, 227, 341, 546, 728, 1023),
+                            {"e_leak": 910, "v_threshold": 550, "v_reset": 355,
+                             "i_gl": 400}, duration=0.5, repetitions=4)),
+    # first DAC past the excitatory input amplifier's transition
+    CalibrationOp("v_convoffx", "calibrate_v_convoff", "x", ("readout_shift", "e_leak"),
+                  "constant", SweepPlan(
+                      "v_convoffx", tuple(int(round(k * 1023 / 24)) for k in range(25)),
+                      {"e_leak": 512, "e_synx": 796, "i_gl": 400}, duration=0.04)),
+    # the same for the inhibitory input amplifier
+    CalibrationOp("v_convoffi", "calibrate_v_convoff", "i", ("readout_shift", "e_leak"),
+                  "constant", SweepPlan(
+                      "v_convoffi", tuple(int(round(k * 1023 / 24)) for k in range(25)),
+                      {"e_leak": 512, "e_syni": 114, "i_gl": 400}, duration=0.04)),
+    # membrane time constant vs leak current (uA)
+    CalibrationOp("i_gl", "calibrate_tau", "i_gl", ("readout_shift", "e_leak", "v_convoffx"),
+                  "softplus", SweepPlan("i_gl", (82, 123, 164, 205, 246, 307, 368, 430),
+                                        {"e_leak": 455, "v_syntcx": 625, "e_synx": 796},
+                                        presentations=6, window=0.08)),
+    # excitatory synaptic time constant vs bias voltage (V)
+    CalibrationOp("v_syntcx", "calibrate_tau", "v_syntcx",
+                  ("readout_shift", "e_leak", "v_convoffx", "i_gl"), "softplus",
+                  SweepPlan("v_syntcx", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
+                            {"e_leak": 455, "i_gl": 123, "e_synx": 796},
+                            presentations=6, window=0.07)),
+    # inhibitory synaptic time constant vs bias voltage (V)
+    CalibrationOp("v_syntci", "calibrate_tau", "v_syntci",
+                  ("readout_shift", "e_leak", "v_convoffi", "i_gl"), "softplus",
+                  SweepPlan("v_syntci", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
+                            {"e_leak": 455, "i_gl": 123, "e_syni": 114},
+                            presentations=6, window=0.07)),
+    # reversal vs DAC: PSP height vs measured rest, extrapolated to zero height
+    CalibrationOp("e_synx", "calibrate_e_synx", None,
+                  ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx"), "linear",
+                  SweepPlan("e_synx", (682, 739, 796, 853), {"i_gl": 123, "v_syntcx": 454},
+                            presentations=8, window=0.06, aux_values=(341, 398, 455, 512))),
+)
+_OP = {op.name: op for op in OPS}
+CALIBRATION_ORDER = tuple(_OP)
+REQUIRES = {op.name: op.requires for op in OPS}
+DEFAULT_PLANS = {op.name: op.plan for op in OPS}
+# the input-amplifier ops; a cell without a valid entry sits at the DAC ceiling (off)
+_CONVOFF_OPS = tuple(op.name for op in OPS if op.function == "calibrate_v_convoff")
+
+# target name -> the calibrated parameter, which names its DB entry and the FG
+# cell that realizes it: a time constant's control cell, or an invertible op
+_TAU_OF_CELL = {cell: tau for tau, cell in CONTROL_CELL.items()}
+_TARGET_MAP = {_TAU_OF_CELL.get(op.name, op.name): op.name for op in OPS if op.invertible}
+
+
+def _op_of_call(function: str, arg: str | None) -> CalibrationOp:
+    """The op that public ``function`` runs when called with ``arg``."""
+    for op in OPS:
+        if op.function == function and op.arg == arg:
+            return op
+    raise ValueError(f"{function} runs no calibration op for {arg!r}")
 
 
 class CalibrationDb:
@@ -313,17 +334,16 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
         raise ValueError(f"circuits of a hicann are 0..{cfg.neurons_per_hicann - 1}")
     if availability is not None:
         scope = scope[~availability.read_mask(Kind.NEURON)[h, scope]]
+    op = _OP[parameter]
     kept = scope
-    for req in REQUIRES[parameter]:
-        entries = _hicann_entries(db, h, req)
-        at = kept // cfg.neurons_per_fg_block if _block_keyed(req) else kept
-        kept = kept[np.array([i in entries and entries[i].valid for i in at.tolist()],
-                             dtype=bool)]
+    for req in op.requires:
+        has = [db.has(_entry_coord(cfg, h, n, req), req) for n in kept.tolist()]
+        kept = kept[np.array(has, dtype=bool)]
     if scope.size and not kept.size:
         raise CalibrationOrderError(
             f"{parameter!r} needs valid "
-            f"{', '.join(REQUIRES[parameter])} entries first")
-    return _rescaled(cfg, DEFAULT_PLANS[parameter]), kept.tolist()
+            f"{', '.join(op.requires)} entries first")
+    return _rescaled(cfg, op.plan), kept.tolist()
 
 
 def _rescaled(cfg: TopologyConfig, plan: SweepPlan) -> SweepPlan:
@@ -340,20 +360,8 @@ def _write_sigma(cfg: TopologyConfig) -> float:
     return 2.0 * cfg.dac_voltage_max / cfg.dac_max
 
 
-def _hicann_entries(db: CalibrationDb, h: int,
-                    parameter: str) -> dict[int, CalibrationEntry]:
-    """``parameter``'s entries on hicann ``h``, keyed by circuit, or by FG
-    block for a block-keyed parameter."""
-    return {c.indices[1]: e for (c, p), e in db._entries.items()
-            if p == parameter and c.indices[0] == h}
-
-
 def _offsets(db: CalibrationDb, h: int, circuits) -> np.ndarray:
-    shift = _hicann_entries(db, h, "readout_shift")
-    for n in circuits:
-        if n not in shift:
-            raise KeyError(f"no calibration of 'readout_shift' for {Coord.neuron(h, n)}")
-    return np.array([shift[n].coeffs[0] for n in circuits])
+    return np.array([db.coeffs(Coord.neuron(h, n), "readout_shift")[0] for n in circuits])
 
 
 def _read_corrected(wafer: WaferModel, sim, h: int, circuits, offsets,
@@ -472,13 +480,13 @@ def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
     return Coord.neuron(h, n)
 
 
-def _add_entries(db, h, indices, parameter, model, coeff_rows, red, valid):
-    """Store one entry per circuit of ``indices`` on hicann ``h`` (per FG
-    block for a block-keyed parameter)."""
-    coord = Coord.fg_block if _block_keyed(parameter) else Coord.neuron
+def _add_entries(db, h, indices, op, coeff_rows, red, valid):
+    """Store one entry of ``op`` per circuit of ``indices`` on hicann ``h``
+    (per FG block for a block-keyed op)."""
+    coord = Coord.fg_block if _block_keyed(op.name) else Coord.neuron
     red = np.broadcast_to(np.asarray(red, dtype=float), (len(indices),))
     valid = np.broadcast_to(np.asarray(valid, dtype=bool), (len(indices),))
-    entries = [CalibrationEntry(coord(h, n), parameter, model,
+    entries = [CalibrationEntry(coord(h, n), op.name, op.model,
                                 tuple(float(v) for v in np.atleast_1d(coeff_rows[i])),
                                 float(red[i]), bool(valid[i]))
                for i, n in enumerate(indices)]
@@ -487,7 +495,7 @@ def _add_entries(db, h, indices, parameter, model, coeff_rows, red, valid):
     return entries
 
 
-def _linear_entries(db, h, indices, parameter, x, y, sigma, ok=True):
+def _linear_entries(db, h, indices, op, x, y, sigma, ok=True):
     """Fit one line per row of ``y`` (n, points) against ``x`` and store it.
 
     A line is valid if ``ok`` holds, it rises, its reduced chi-square is
@@ -497,7 +505,7 @@ def _linear_entries(db, h, indices, parameter, x, y, sigma, ok=True):
     slope, icpt, red = fit_linear(x, y, sigma=sigma)
     valid = ok & (slope > 0) & (red < RED_CHI2_MAX) & np.isfinite(y).all(axis=1)
     coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
-    return _add_entries(db, h, indices, parameter, "linear", coeffs,
+    return _add_entries(db, h, indices, op, coeffs,
                         np.nan_to_num(red, nan=np.inf, posinf=np.inf), valid)
 
 
@@ -513,8 +521,8 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     the block mean are pure readout offsets (up to the unknowable common
     mode of each block).
     """
-    plan, scope = _op_scope(wafer, db, h, "readout_shift", availability,
-                            neurons)
+    op = _OP["readout_shift"]
+    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
     if not scope:
         return []
     groups: dict[int, list[int]] = {}
@@ -525,15 +533,14 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
                        membrane_groups=[g for g in groups.values()])
     sim = simulate(wafer, [cfg], (), plan.duration, v_init="rest",
                    availability=availability)
-    v = _read_corrected(wafer, sim, h, scope, None, ("readout_shift",))
+    v = _read_corrected(wafer, sim, h, scope, None, (op.name,))
     m = v[:, int(v.shape[1] * 0.4):].mean(axis=1)
     offsets = np.empty(len(scope))
     pos = {n: i for i, n in enumerate(scope)}
     for members in groups.values():
         idx = [pos[n] for n in members]
         offsets[idx] = m[idx] - m[idx].mean()
-    return _add_entries(db, h, scope, "readout_shift", "constant",
-                        offsets[:, None], 0.0, True)
+    return _add_entries(db, h, scope, op, offsets[:, None], 0.0, True)
 
 
 def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -548,23 +555,21 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
     (the reset plateau dominates a refractory-heavy cycle) and fits per
     FG block, since the cell is shared.
     """
-    if parameter not in ("e_leak", "e_syni", "v_threshold", "v_reset"):
-        raise ValueError(f"not a direct voltage parameter: {parameter!r}")
+    op = _op_of_call("calibrate_voltage", parameter)
     plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
     if parameter == "v_threshold":
-        return _calibrate_v_threshold(wafer, db, h, scope, plan, availability)
+        return _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability)
     if parameter == "v_reset":
-        return _calibrate_v_reset(wafer, db, h, scope, plan, availability)
+        return _calibrate_v_reset(wafer, db, h, op, scope, plan, availability)
     if parameter == "e_leak":
         rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
     else:  # e_syni under a regular 4 kHz train
         stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / 4000.0)]
         rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
                             stimulus=stim, tail=0.33, availability=availability)
-    return _linear_entries(db, h, scope, parameter,
-                           np.array(plan.dac_values, float), rests.T,
+    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), rests.T,
                            _write_sigma(wafer.topology))
 
 
@@ -585,7 +590,7 @@ def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
                [sim.trains[u] for u in sim.compiled.unit_of[h][scope]])
 
 
-def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
+def _calibrate_v_reset(wafer, db, h, op, scope, plan, availability):
     plateau = np.full((len(plan.dac_values), len(scope)), np.nan)
     for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
                                         availability=availability):
@@ -600,11 +605,11 @@ def _calibrate_v_reset(wafer, db, h, scope, plan, availability):
     np.add.at(count, member, ~np.isnan(plateau.T))
     with np.errstate(invalid="ignore"):
         y = total / count  # each block's mean plateau, NaN if none spiked
-    return _linear_entries(db, h, blocks, "v_reset", np.array(plan.dac_values, float), y,
+    return _linear_entries(db, h, blocks, op, np.array(plan.dac_values, float), y,
                            float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
 
 
-def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
+def _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability):
     from .experiment import DEFAULT_DT
 
     dt_adc = adc_sample_period(wafer)
@@ -629,8 +634,7 @@ def _calibrate_v_threshold(wafer, db, h, scope, plan, availability):
             # extrapolate the last clean samples to the digital spike time
             peaks[k, i] = np.mean(vk + slope * d + 0.5 * curv * d * d)
 
-    return _linear_entries(db, h, scope, "v_threshold",
-                           np.array(plan.dac_values, float), peaks.T,
+    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), peaks.T,
                            float(np.hypot(_write_sigma(wafer.topology), 1.5e-3)))
 
 
@@ -644,7 +648,8 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
     which is identical across the sweep. The maximum-current point
     anchors each rewrite repetition and is excluded from the fit.
     """
-    plan, scope = _op_scope(wafer, db, h, "i_pulse", availability, neurons)
+    op = _OP["i_pulse"]
+    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
     if not scope:
         return []
     anchor = int(np.argmax(plan.dac_values))
@@ -654,9 +659,9 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         runs = []
         for k, dac in enumerate(plan.dac_values):
             if k == 0:
-                _program_context(wafer, h, plan, {"i_pulse": dac})
+                _program_context(wafer, h, plan, {op.name: dac})
             else:  # only the swept cells move within one repetition
-                program_floating_gates(wafer, h, {"i_pulse": dac})
+                program_floating_gates(wafer, h, {op.name: dac})
             runs.append(prepare(wafer, [cfg], (), plan.duration, v_init="rest",
                                 trace_circuits=[], availability=availability))
         isis = np.full((len(plan.dac_values), len(scope)), np.nan)
@@ -670,7 +675,7 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
             if k == anchor:
                 continue
             taus.append(isis[k] - ref)
-            x.append(1.0 / dac_to_unit(wafer.topology, "i_pulse", dac))
+            x.append(1.0 / dac_to_unit(wafer.topology, op.name, dac))
     y = np.stack(taus, axis=1)  # (n, points)
     x = np.array(x)
     # budget: release quantisation plus FG write noise on the current cell
@@ -680,8 +685,7 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         c0 = -icpt * c1
     valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(y).any(axis=1)
     coeffs = np.column_stack([np.nan_to_num(c0), np.nan_to_num(c1)])
-    return _add_entries(db, h, scope, "i_pulse", "reciprocal", coeffs,
-                        np.nan_to_num(red, nan=np.inf), valid)
+    return _add_entries(db, h, scope, op, coeffs, np.nan_to_num(red, nan=np.inf), valid)
 
 
 def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -693,8 +697,8 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     above the detected transition so that FG write noise cannot push a
     circuit back below it. Entry coefficients: (programming DAC, transition DAC).
     """
-    parameter = "v_convoffx" if side == "x" else "v_convoffi"
-    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
+    op = _op_of_call("calibrate_v_convoff", side)
+    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
     if not scope:
         return []
     rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
@@ -704,8 +708,7 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     valid = idx <= len(plan.dac_values) - 2  # the top point alone proves nothing
     dacs = np.array(plan.dac_values, float)
     prog = dacs[np.minimum(idx + CONVOFF_MARGIN_STEPS, len(dacs) - 1)]
-    return _add_entries(db, h, scope, parameter, "constant",
-                        np.column_stack([prog, dacs[idx]]), 0.0, valid)
+    return _add_entries(db, h, scope, op, np.column_stack([prog, dacs[idx]]), 0.0, valid)
 
 
 def _convoff_array(wafer, db, h, parameter, scope):
@@ -713,11 +716,17 @@ def _convoff_array(wafer, db, h, parameter, scope):
     (amplifier off) for every other circuit."""
     cfg = wafer.topology
     out = np.full(cfg.neurons_per_hicann, float(cfg.dac_max))
-    entries = _hicann_entries(db, h, parameter)
     for n in scope:
-        if n in entries and entries[n].valid:
-            out[n] = entries[n].coeffs[0]
+        if db.has(Coord.neuron(h, n), parameter):
+            out[n] = db.coeffs(Coord.neuron(h, n), parameter)[0]
     return out
+
+
+def _input_amplifier(wafer, db, h, op, scope) -> tuple[str, dict]:
+    """The side of the input amplifier ``op`` requires calibrated, and the
+    FG context that programs that amplifier for ``scope``."""
+    convoff = next(r for r in op.requires if r in _CONVOFF_OPS)
+    return _OP[convoff].arg, {convoff: _convoff_array(wafer, db, h, convoff, scope)}
 
 
 def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -730,14 +739,11 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     is fitted against the nominal DAC transfer of the swept cell (uA for
     i_gl, volts for v_syntc), so inversion needs no second hop.
     """
-    if parameter not in ("i_gl", "v_syntcx", "v_syntci"):
-        raise ValueError(f"not a time-constant parameter: {parameter!r}")
+    op = _op_of_call("calibrate_tau", parameter)
     plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
-    side = "i" if parameter == "v_syntci" else "x"
-    convoff = "v_convoffi" if side == "i" else "v_convoffx"
-    extra_conv = {convoff: _convoff_array(wafer, db, h, convoff, scope)}
+    side, extra_conv = _input_amplifier(wafer, db, h, op, scope)
     take_larger = parameter == CONTROL_CELL["tau_mem"]
 
     n_points = len(plan.dac_values)
@@ -775,7 +781,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     curve_mis = np.full(len(scope), np.nan)
     curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
     valid = fit_ok & ok_sp & (worst_mis < 0.20) & (curve_mis < 0.15)
-    return _add_entries(db, h, scope, parameter, "softplus", np.nan_to_num(coeffs),
+    return _add_entries(db, h, scope, op, np.nan_to_num(coeffs),
                         np.nan_to_num(red_sp, nan=np.inf), valid)
 
 
@@ -807,11 +813,11 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
     extrapolates the height to zero: the rest where a PSP vanishes IS
     the reversal. One linear DAC model per circuit over the main sweep.
     """
-    plan, scope = _op_scope(wafer, db, h, "e_synx", availability, neurons)
+    op = _OP["e_synx"]
+    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
     if not scope:
         return []
-    extra_conv = {"v_convoffx": _convoff_array(wafer, db, h, "v_convoffx",
-                                               scope)}
+    side, extra_conv = _input_amplifier(wafer, db, h, op, scope)
     roots = np.empty((len(plan.dac_values), len(scope)))
     slopes_ok = np.ones(len(scope), dtype=bool)
     for k, dac in enumerate(plan.dac_values):
@@ -819,10 +825,10 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         vr = np.empty_like(hs)
         for j, rest_dac in enumerate(plan.aux_values):
             t_win, v, _ = _psp_windows(wafer, db, h, scope, plan,
-                                       {"e_synx": dac, "e_leak": rest_dac,
+                                       {op.name: dac, "e_leak": rest_dac,
                                         **extra_conv},
-                                       weight=E_SYNX_WEIGHT,
-                                       token=("e_synx", k, j),
+                                       sign=side, weight=E_SYNX_WEIGHT,
+                                       token=(op.name, k, j),
                                        availability=availability)
             hs[j], vr[j] = _window_peak_heights(t_win, v, PSP_SPIKE_AT)
         slope, icpt, _ = fit_linear(vr.T, hs.T)
@@ -830,9 +836,8 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             roots[k] = -icpt / slope
 
-    return _linear_entries(db, h, scope, "e_synx",
-                           np.array(plan.dac_values, float), roots.T, 8e-3,
-                           ok=slopes_ok)
+    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), roots.T,
+                           8e-3, ok=slopes_ok)
 
 
 def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -909,19 +914,12 @@ def _split_scope(cfg: TopologyConfig, circuits: list, parts: int) -> list[list]:
 
 
 def _run_op(wafer, db, h, op, availability, neurons) -> list[CalibrationEntry]:
-    """Run calibration op ``op`` through its public function."""
-    kw = dict(availability=availability, neurons=neurons)
-    if op == "readout_shift":
-        return calibrate_readout_shift(wafer, db, h, **kw)
-    if op in ("v_reset", "v_threshold", "e_leak", "e_syni"):
-        return calibrate_voltage(wafer, db, h, op, **kw)
-    if op == "i_pulse":
-        return calibrate_i_pulse(wafer, db, h, **kw)
-    if op in ("v_convoffx", "v_convoffi"):
-        return calibrate_v_convoff(wafer, db, h, op[-1], **kw)
-    if op in ("i_gl", "v_syntcx", "v_syntci"):
-        return calibrate_tau(wafer, db, h, op, **kw)
-    return calibrate_e_synx(wafer, db, h, **kw)
+    """Run calibration op ``op`` through its public function, looked up in
+    the module at call time so that a wrapper set on the module runs."""
+    rec = _OP[op]
+    args = () if rec.arg is None else (rec.arg,)
+    return globals()[rec.function](wafer, db, h, *args, availability=availability,
+                                   neurons=neurons)
 
 
 def _run_part(wafer, db, h, op, availability, part) -> list[CalibrationEntry]:
@@ -1100,7 +1098,7 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
                     report["clamped"].append((coord, name))
             except (KeyError, RangeError):
                 report["fallback"].append((coord, name))
-    for param in ("v_convoffx", "v_convoffi"):
+    for param in _CONVOFF_OPS:
         if param not in values and any(db.has(Coord.neuron(h, n), param)
                                        for n in scope):
             values[param] = _convoff_array(wafer, db, h, param, scope)
@@ -1110,7 +1108,7 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
 
 
 def _nominal_dac(cfg: TopologyConfig, name: str, target) -> float:
-    if name in ("v_convoffx", "v_convoffi"):  # input amplifier off
+    if name in _CONVOFF_OPS:  # input amplifier off
         return float(cfg.dac_max)
     if name in CONTROL_CELL:
         # no nominal inversion for the time-constant laws: mid-range

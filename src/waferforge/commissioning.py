@@ -236,7 +236,6 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     no_highspeed = ind.read_mask(Kind.HIGHSPEED_LINK).tolist()
     keyed = rng.Rekeyed()
 
-    bytes_by_region = dict.fromkeys(mm, 0)
     duration = 0.0
     full_passes = reduced_passes = skipped = 0
     found: list[Coord] = []
@@ -250,8 +249,6 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
             reduced = no_highspeed[h]
             regions = routing if reduced else tuple(mm)
             group_seconds += FULL_TEST_SECONDS * (reduced_bytes / full_bytes if reduced else 1.0)
-            for region in regions:
-                bytes_by_region[region] += mm[region]
             reduced_passes += reduced
             full_passes += not reduced
             for d in defects_at.get(h, ()):
@@ -283,6 +280,8 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     ind.exclude_many(found)
     for array in unstable:
         write_off_array(ind, *array.indices)
+    bytes_by_region = {r: mm[r] * (full_passes + (reduced_passes if r in routing else 0))
+                       for r in mm}
     return MemoryTestResult(
         bytes_tested=sum(bytes_by_region.values()),
         bytes_by_region=bytes_by_region,

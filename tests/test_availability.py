@@ -1,4 +1,5 @@
 import json
+import mmap
 import os
 import pickle
 import re
@@ -57,6 +58,26 @@ def test_reference_synapse_mask_is_paged():
     st = AvailabilityState(CFG, [Coord.synapse(1, 0, 2, 3)])
     assert st.read_mask(Kind.SYNAPSE).nbytes >= PAGED_MASK_BYTES
     assert st.read_mask(Kind.NEURON).nbytes < PAGED_MASK_BYTES
+
+
+def _owner(a):
+    """The object that owns the memory behind array ``a``."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="needs mmap.MAP_PRIVATE")
+def test_copy_writes_a_large_mask_into_its_own_mapping():
+    # the first write into a copy's shared synapse mask makes a mapping of
+    # its own, as a fresh mask is, not a resident copy of the whole mask
+    a = AvailabilityState(CFG, [Coord.synapse(1, 0, 2, 3)])
+    b = a.copy()
+    b.exclude(Coord.synapse(1, 0, 2, 4))
+    owners = [_owner(st.read_mask(Kind.SYNAPSE)) for st in (a, b)]
+    assert all(isinstance(o, mmap.mmap) for o in owners)
+    assert owners[0] is not owners[1]
+    assert (a.count_excluded(Kind.SYNAPSE), b.count_excluded(Kind.SYNAPSE)) == (1, 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

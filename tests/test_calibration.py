@@ -15,8 +15,8 @@ from waferforge.defects import DefectRates, random_defects
 from waferforge.dynamics import EventQueue
 from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import (FG_CELLS, build_wafer, fg_dac_array, from_reference_dac,
-                              true_parameter_array)
+from waferforge.wafer import (CONTROL_CELL, FG_CELLS, build_wafer, fg_dac_array,
+                              from_reference_dac, true_parameter_array)
 
 # sha256 of the sorted-key JSON of the DB below, which pins every coefficient
 # and verdict bit for bit
@@ -355,13 +355,29 @@ def test_db_rejects_entry_without_coordinate():
 
 
 def test_op_tables_agree():
-    assert list(cal.CALIBRATION_ORDER) == list(cal.REQUIRES)
-    assert set(cal.DEFAULT_PLANS) == set(cal.CALIBRATION_ORDER)
-    for op, plan in cal.DEFAULT_PLANS.items():
-        assert plan.parameter == op
-    for i, op in enumerate(cal.CALIBRATION_ORDER):
-        for req in cal.REQUIRES[op]:
-            assert cal.CALIBRATION_ORDER.index(req) < i, (op, req)
+    names = [op.name for op in cal.OPS]
+    assert len(set(names)) == len(names)
+    assert cal.CALIBRATION_ORDER == tuple(names)
+    for i, op in enumerate(cal.OPS):
+        assert op.plan.parameter == op.name
+        assert callable(getattr(cal, op.function)), op.function
+        assert cal.REQUIRES[op.name] == op.requires
+        assert cal.DEFAULT_PLANS[op.name] is op.plan
+        for req in op.requires:
+            assert req in names[:i], (op.name, req)
+    # to_hardware: each time constant through its control cell, every other
+    # invertible op by its own name
+    assert [op.name for op in cal.OPS if not op.invertible] == ["readout_shift"]
+    others = {op.name for op in cal.OPS if op.invertible} - set(CONTROL_CELL.values())
+    assert cal._TARGET_MAP == {**{n: n for n in others}, **CONTROL_CELL}
+
+
+@pytest.mark.parametrize("function, arg", [("calibrate_voltage", "i_gl"),
+                                           ("calibrate_tau", "e_leak"),
+                                           ("calibrate_v_convoff", "y")])
+def test_a_public_op_function_refuses_another_op(function, arg):
+    with pytest.raises(ValueError, match=function):
+        getattr(cal, function)(None, None, 0, arg)
 
 
 def test_calibration_exclusion_drops_failed_circuits():

@@ -92,6 +92,10 @@ def test_memory_test_reduced_pass_on_failed_highspeed():
     res = memory_test(w, db)
     assert (res.full_passes, res.reduced_passes, res.skipped) == (383, 1, 0)
     assert res.bytes_tested == 383 * FULL_BYTES + 640 + 960  # routing regions only
+    mm, routing = CFG.memory_map(), CFG.routing_regions()
+    assert list(res.bytes_by_region) == list(mm)
+    for region, size in mm.items():
+        assert res.bytes_by_region[region] == size * (384 if region in routing else 383)
 
 
 def test_memory_test_skips_unreachable_die():
