@@ -23,7 +23,9 @@ schedule. ADC noise is keyed per circuit and every line is fitted per
 row, so an entry depends on the rest of an op's scope only where the op
 measures against it: readout_shift (readout group), v_reset (FG block).
 ``calibrate_hicann`` splits each op's scope along those groups and runs
-the parts in forked worker processes.
+the parts in forked worker processes. An op's FG writes are the same for
+any scope, so every part makes the same writes and a worker sends back
+its entries only.
 An op raises CalibrationOrderError unless the ops it requires ran first
 (e.g. refractory times need reset, threshold and leak).
 
@@ -68,8 +70,8 @@ import numpy as np
 from .availability import AvailabilityDb
 from .commissioning import effective_exclusion
 from .dynamics import EventQueue
-from .experiment import (READOUT_TRACES, HicannConfig, RowSpec, SynapseSpec,
-                         prepare, readout, simulate, simulate_batch)
+from .experiment import (DEFAULT_DT, READOUT_TRACES, HicannConfig, RowSpec,
+                         SynapseSpec, prepare, readout, simulate, simulate_batch)
 from .fitting import fit_linear, fit_psp_batch, fit_softplus
 from .psp import psp_model_batch, smooth3
 from .topology import Coord, Kind, TopologyConfig, check_schema
@@ -328,10 +330,7 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
     (default: all) that ``availability`` keeps usable and that hold every
     valid prerequisite entry."""
     cfg = wafer.topology
-    scope = np.arange(cfg.neurons_per_hicann) if neurons is None \
-        else np.fromiter(neurons, dtype=np.int64)
-    if np.any((scope < 0) | (scope >= cfg.neurons_per_hicann)):
-        raise ValueError(f"circuits of a hicann are 0..{cfg.neurons_per_hicann - 1}")
+    scope = _circuits(cfg, neurons)
     if availability is not None:
         scope = scope[~availability.read_mask(Kind.NEURON)[h, scope]]
     op = _OP[parameter]
@@ -344,6 +343,16 @@ def _op_scope(wafer: WaferModel, db: CalibrationDb, h: int, parameter: str,
             f"{parameter!r} needs valid "
             f"{', '.join(op.requires)} entries first")
     return _rescaled(cfg, op.plan), kept.tolist()
+
+
+def _circuits(cfg: TopologyConfig, neurons) -> np.ndarray:
+    """``neurons`` (default: all) as circuit indices of a hicann; raises
+    ValueError for one outside it."""
+    scope = np.arange(cfg.neurons_per_hicann) if neurons is None \
+        else np.fromiter(neurons, dtype=np.int64)
+    if np.any((scope < 0) | (scope >= cfg.neurons_per_hicann)):
+        raise ValueError(f"circuits of a hicann are 0..{cfg.neurons_per_hicann - 1}")
+    return scope
 
 
 def _rescaled(cfg: TopologyConfig, plan: SweepPlan) -> SweepPlan:
@@ -433,8 +442,8 @@ def _psp_synapses(wafer, circuits, weight):
                         address=0) for n in circuits]
 
 
-def _psp_windows(wafer, db, h, circuits, plan, extra, *, sign="x", weight=12,
-                 token=(), availability=None):
+def _psp_windows(wafer, db, h, circuits, plan, extra, *, token, sign="x", weight=12,
+                 availability=None):
     """Averaged single-PSP windows: (window time base, traces (n, S), PSP
     onset in a window: the boundary ``EventQueue.from_times`` delivers the
     spike at). Each spike sits half a step past a boundary, so no rounding
@@ -610,8 +619,6 @@ def _calibrate_v_reset(wafer, db, h, op, scope, plan, availability):
 
 
 def _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability):
-    from .experiment import DEFAULT_DT
-
     dt_adc = adc_sample_period(wafer)
     peaks = np.full((len(plan.dac_values), len(scope)), np.nan)
     for k, v, rasters in _spiking_sweep(wafer, db, h, scope, plan,
@@ -722,11 +729,13 @@ def _convoff_array(wafer, db, h, parameter, scope):
     return out
 
 
-def _input_amplifier(wafer, db, h, op, scope) -> tuple[str, dict]:
+def _input_amplifier(wafer, db, h, op) -> tuple[str, dict]:
     """The side of the input amplifier ``op`` requires calibrated, and the
-    FG context that programs that amplifier for ``scope``."""
+    FG context that programs that amplifier from every valid entry of the
+    hicann, so that the write is the same for any scope of ``op``."""
     convoff = next(r for r in op.requires if r in _CONVOFF_OPS)
-    return _OP[convoff].arg, {convoff: _convoff_array(wafer, db, h, convoff, scope)}
+    return _OP[convoff].arg, {convoff: _convoff_array(
+        wafer, db, h, convoff, range(wafer.topology.neurons_per_hicann))}
 
 
 def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -743,7 +752,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
     if not scope:
         return []
-    side, extra_conv = _input_amplifier(wafer, db, h, op, scope)
+    side, extra_conv = _input_amplifier(wafer, db, h, op)
     take_larger = parameter == CONTROL_CELL["tau_mem"]
 
     n_points = len(plan.dac_values)
@@ -817,7 +826,7 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
     plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
     if not scope:
         return []
-    side, extra_conv = _input_amplifier(wafer, db, h, op, scope)
+    side, extra_conv = _input_amplifier(wafer, db, h, op)
     roots = np.empty((len(plan.dac_values), len(scope)))
     slopes_ok = np.ones(len(scope), dtype=bool)
     for k, dac in enumerate(plan.dac_values):
@@ -862,23 +871,23 @@ def calibrate_hicann(wafer: WaferModel, db: CalibrationDb | None, h: int, *,
                      availability=None, neurons=None) -> CalibrationDb:
     """Run the full per-hicann suite in dependency order.
 
-    Each op's eligible circuits are split into at most one part per CPU
-    this process may run on. A part is a whole number of split units, each
-    ``lcm(neurons_per_fg_block, neuron_block_size)`` consecutive circuits,
-    so every FG block (v_reset) and readout group (readout_shift) lies in
-    one part. The first part runs in this process, which so makes every FG
-    write of a serial run; each other part runs in a forked worker, which
-    sends back its entries and the cells of its FG blocks. The split falls
-    back to one part in this process when the affinity set has one CPU,
-    when ``os.fork`` or ``os.sched_getaffinity`` is missing, or while
-    another thread is alive (a forked child gets none of its threads but
-    every lock they hold).
+    Each op's eligible circuits are split, in ascending order, into at
+    most one part per CPU this process may run on. A part is a whole number
+    of split units, each ``lcm(neurons_per_fg_block, neuron_block_size)``
+    consecutive circuits, so every FG block (v_reset) and readout group
+    (readout_shift) lies in one part. The first part runs in this process,
+    straight into ``db``; each other part runs in a forked worker, which
+    sends back its entries only, and they are added to ``db`` in part order.
+    The split falls back to one part in this process when the affinity set
+    has one CPU, when ``os.fork`` or ``os.sched_getaffinity`` is missing, or
+    while another thread is alive (a forked child gets none of its threads
+    but every lock they hold).
 
     A circuit's entries do not depend on the other circuits of its part,
-    and an op writes the same FG values for any scope except the v_convoff
-    points of the circuits in it, which lie in the part's own blocks. So
-    the DB and the hicann's FG state are the same, byte for byte, for any
-    worker count.
+    and every part makes the same FG writes: an op writes the same values
+    for any scope, the input amplifiers from every valid v_convoff entry of
+    the hicann. So the DB, its insertion order and the hicann's FG state
+    are the same, byte for byte, for any worker count.
     """
     db = db if db is not None else CalibrationDb()
     _bind(db, wafer)
@@ -886,7 +895,7 @@ def calibrate_hicann(wafer: WaferModel, db: CalibrationDb | None, h: int, *,
     for op in CALIBRATION_ORDER:
         _, eligible = _op_scope(wafer, db, h, op, availability, neurons)
         if eligible:
-            _run_parts(wafer, db, h, op, availability, eligible,
+            _run_parts(wafer, db, h, op, availability,
                        _split_scope(wafer.topology, eligible, workers))
     return db
 
@@ -901,16 +910,13 @@ def _worker_count() -> int:
 
 
 def _split_scope(cfg: TopologyConfig, circuits: list, parts: int) -> list[list]:
-    """``circuits`` in at most ``parts`` non-empty parts of whole split units,
-    each part in the order of ``circuits``."""
+    """``circuits`` in ascending order, cut into at most ``parts`` non-empty
+    parts of whole split units."""
     size = math.lcm(cfg.neurons_per_fg_block, cfg.neuron_block_size)
-    units = sorted({n // size for n in circuits})
-    groups = np.array_split(units, min(parts, len(units)))
-    part_of = {u: i for i, group in enumerate(groups) for u in group.tolist()}
-    out = [[] for _ in groups]
-    for n in circuits:
-        out[part_of[n // size]].append(n)
-    return out
+    circuits = np.sort(circuits)
+    _, first = np.unique(circuits // size, return_index=True)
+    cuts = [g[0] for g in np.array_split(first, min(parts, len(first)))[1:]]
+    return [part.tolist() for part in np.split(circuits, cuts)]
 
 
 def _run_op(wafer, db, h, op, availability, neurons) -> list[CalibrationEntry]:
@@ -922,14 +928,6 @@ def _run_op(wafer, db, h, op, availability, neurons) -> list[CalibrationEntry]:
                                    neurons=neurons)
 
 
-def _run_part(wafer, db, h, op, availability, part) -> list[CalibrationEntry]:
-    """``op``'s entries for the circuits of ``part``, measured against the
-    entries of ``db`` but not added to it."""
-    view = CalibrationDb(db.master_seed)
-    view._entries = dict(db._entries)
-    return _run_op(wafer, view, h, op, availability, part)
-
-
 @dataclass
 class _Worker:
     """A forked worker running one part of an op."""
@@ -939,39 +937,31 @@ class _Worker:
     status: int | None = None  # wait status, once reaped
 
 
-def _run_parts(wafer, db, h, op, availability, eligible, parts) -> None:
-    """Run ``op`` on each part of ``eligible``, the first in this process and
-    the others in forked workers, and add every entry to ``db`` in the order
-    a serial run adds them. No worker outlives the call."""
+def _run_parts(wafer, db, h, op, availability, parts) -> None:
+    """Run ``op`` on each part, the first in this process straight into
+    ``db`` and the others in forked workers, whose entries are added to
+    ``db`` in part order. No worker outlives the call."""
     workers = []
     try:
         for part in parts[1:]:
             workers.append(_fork(wafer, db, h, op, availability, part))
-        entries = _run_part(wafer, db, h, op, availability, parts[0])
-        st = wafer.fg_state(h)
+        _run_op(wafer, db, h, op, availability, parts[0])
         for w in workers:
-            got, blocks, d_set, d_eff, written = _result(w)
-            entries += got
-            st.d_set[blocks], st.d_eff[blocks], st.written[blocks] = d_set, d_eff, written
+            for e in _result(w):
+                db.add(e)
     finally:
         for w in workers:
             w.pipe.close()
             if w.status is None:  # not reaped, so the pid is still this worker's
                 os.kill(w.pid, signal.SIGKILL)
                 _, w.status = os.waitpid(w.pid, 0)
-    if _block_keyed(op):  # a serial run adds its blocks in order
-        entries.sort(key=lambda e: e.coord.indices[1])
-    else:
-        pos = {n: i for i, n in enumerate(eligible)}
-        entries.sort(key=lambda e: pos[e.coord.indices[1]])
-    for e in entries:
-        db.add(e)
 
 
 def _fork(wafer, db, h, op, availability, part) -> _Worker:
-    """Start a worker that runs ``part`` and writes to a pipe its pickled
-    result, or the exception it raised with its traceback text. A worker
-    that cannot pickle what it has to send exits without a result."""
+    """Start a worker that runs ``part`` into its own copy of ``db`` and
+    writes to a pipe its pickled entries, or the exception it raised with
+    its traceback text. A worker that cannot pickle what it has to send
+    exits without a result."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -986,11 +976,7 @@ def _fork(wafer, db, h, op, availability, part) -> _Worker:
     try:  # in the worker: whatever happens, leave through os._exit
         os.close(read)
         try:
-            entries = _run_part(wafer, db, h, op, availability, part)
-            st = wafer.fg_state(h)
-            blocks = np.unique(np.asarray(part) // wafer.topology.neurons_per_fg_block)
-            data = pickle.dumps((None, (entries, blocks, st.d_set[blocks],
-                                        st.d_eff[blocks], st.written[blocks])))
+            data = pickle.dumps((None, _run_op(wafer, db, h, op, availability, part)))
         except Exception as exc:  # sent to the caller, who raises it
             data = pickle.dumps((exc, traceback.format_exc()))
         with os.fdopen(write, "wb") as f:
@@ -1000,8 +986,8 @@ def _fork(wafer, db, h, op, availability, part) -> _Worker:
         os._exit(code)
 
 
-def _result(w: _Worker) -> tuple:
-    """Wait for worker ``w`` and return its result; raise what it raised."""
+def _result(w: _Worker) -> list[CalibrationEntry]:
+    """Wait for worker ``w`` and return its entries; raise what it raised."""
     data = w.pipe.read()
     _, w.status = os.waitpid(w.pid, 0)
     if not data:
@@ -1021,13 +1007,15 @@ class HardwareValues:
 
 def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
                 targets: dict) -> HardwareValues:
-    """Invert calibrated models into DAC values for one circuit.
+    """Invert calibrated models into DAC values for one circuit, ``neuron``.
 
     Voltage targets are hardware volts, time constants biological
     seconds. v_convoffx/i take no target value (pass None). Values
     outside the DAC range are clamped and reported in ``clamped``;
     targets that no model can express raise RangeError.
     """
+    if neuron.kind != Kind.NEURON:
+        raise ValueError(f"{neuron} is not a neuron circuit")
     dacs, clamped = {}, []
     for name, target in targets.items():
         if name not in _TARGET_MAP:
@@ -1072,11 +1060,11 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
     Adds the calibrated v_convoff programming point automatically when
     entries exist. Circuits without a valid model for some target fall
     back to the nominal transfer (for v_convoffx/i, the DAC ceiling:
-    amplifier off); both fallbacks and clamps are reported, not raised.
+    amplifier off); both fallbacks and clamps are reported, not raised. A
+    circuit outside the hicann raises ValueError.
     """
     cfg = wafer.topology
-    scope = list(range(cfg.neurons_per_hicann)) if neurons is None \
-        else list(neurons)
+    scope = _circuits(cfg, neurons).tolist()
     values: dict[str, np.ndarray] = {}
     report = {"clamped": [], "fallback": []}
     for name, target in targets.items():

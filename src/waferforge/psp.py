@@ -27,18 +27,14 @@ def is_alpha(tau1, tau2):
                                                             np.abs(tau2))
 
 
-def peak_factor(tau1, tau2):
-    """Batched signed peak of exp(-s/tau1) - exp(-s/tau2); NaN if equal."""
-    r = tau2 / tau1
-    log_r = np.log(r)
-    return np.exp(r * log_r / (1.0 - r)) - np.exp(log_r / (1.0 - r))
-
-
 def psp_peak_factor(tau1: float, tau2: float) -> float:
-    """Scalar :func:`peak_factor` that rejects non-positive constants."""
-    if tau2 / tau1 <= 0.0:
+    """Signed peak of exp(-s/tau1) - exp(-s/tau2); NaN if the constants are
+    equal, ValueError if one is not positive."""
+    r = tau2 / tau1
+    if r <= 0.0:
         raise ValueError("time constants must be positive")
-    return float(peak_factor(tau1, tau2))
+    log_r = np.log(r)
+    return float(np.exp(r * log_r / (1.0 - r)) - np.exp(log_r / (1.0 - r)))
 
 
 def psp_peak_time(tau1, tau2):

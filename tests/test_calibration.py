@@ -68,21 +68,29 @@ def test_db_save_load_round_trip(late_db, tmp_path):
 
 def test_a_circuit_calibrates_the_same_in_any_scope():
     # each op runs on the scope, on sub-scopes of it and on the scope
-    # reversed, every run from the same wafer and DB state; a circuit's entry
-    # may not depend on which other circuits share its run. readout_shift and
-    # v_reset are exempt by design: they measure relative to the circuit's
-    # readout group and its FG block, so their scope is part of the result.
+    # reversed, every run from the same wafer and DB state. Every op leaves
+    # the same FG state whatever its scope, and a circuit's entry may not
+    # depend on which other circuits share its run. readout_shift and v_reset
+    # are exempt from the entry check by design: they measure relative to the
+    # circuit's readout group and its FG block, so their scope is part of the
+    # result.
     scope = [3, 40, 128, 129, 200, 300, 390, 505]
     subs = ([128], [505, 40, 3], scope[::-1])
     w, db = build_wafer(3), cal.CalibrationDb()
     for op in cal.CALIBRATION_ORDER:
         state = copy.deepcopy((w, db))
         cal._run_op(w, db, 0, op, None, scope)
-        if op in ("readout_shift", "v_reset"):
-            continue
+        st = w.fg_state(0)
         for sub in subs:
             w_sub, db_sub = copy.deepcopy(state)
             cal._run_op(w_sub, db_sub, 0, op, None, sub)
+            st_sub = w_sub.fg_state(0)
+            for cells in ("d_set", "d_eff", "written"):
+                assert np.array_equal(getattr(st_sub, cells), getattr(st, cells)), \
+                    (op, sub, cells)
+            assert st_sub.write_cycle == st.write_cycle, (op, sub)
+            if op in ("readout_shift", "v_reset"):
+                continue
             for n in sub:
                 c = Coord.neuron(0, n)
                 assert db_sub.entry(c, op) == db.entry(c, op), (op, sub, n)
@@ -221,13 +229,11 @@ def test_no_fork_on_one_cpu_or_beside_another_thread(monkeypatch, blocker):
     assert len(db) == 4
 
 
-# to_hardware target -> the calibrated floating-gate parameter behind it; the
-# oracle parameter of each target has the target's own name
-ROUND_TRIP_TARGETS = {
-    "e_leak": "e_leak", "v_threshold": "v_threshold", "e_syni": "e_syni",
-    "e_synx": "e_synx", "v_reset": "v_reset", "tau_ref": "i_pulse",
-    "tau_mem": "i_gl", "tau_synx": "v_syntcx", "tau_syni": "v_syntci",
-}
+# to_hardware target -> the calibrated floating-gate parameter behind it, for
+# every target with a value; the oracle parameter of each target has the
+# target's own name
+ROUND_TRIP_TARGETS = {name: param for name, param in cal._TARGET_MAP.items()
+                      if param not in cal._CONVOFF_OPS}
 
 
 def test_apply_calibration_round_trip(late_db):
@@ -248,8 +254,7 @@ def test_apply_calibration_round_trip(late_db):
     no_entry = []
     for n in circuits:
         for name, param in ROUND_TRIP_TARGETS.items():
-            coord = Coord.fg_block(0, n // per_block) if param == "v_reset" \
-                else Coord.neuron(0, n)
+            coord = cal._entry_coord(cfg, 0, n, param)
             if not late_db.has(coord, param):  # valid entries only
                 no_entry.append((coord, name))
     assert sorted(report["fallback"]) == sorted(no_entry)
@@ -317,6 +322,18 @@ def test_to_hardware_reads_v_reset_from_the_fg_block():
     with pytest.raises(KeyError, match="v_reset"):
         cal.to_hardware(cfg, db, Coord.neuron(0, per_block - 1),
                         {"v_reset": 0.5})
+
+
+def test_to_hardware_takes_a_neuron_coordinate_only():
+    cfg = TopologyConfig()
+    db = _hand_db(cfg)
+    db.add(cal.CalibrationEntry(Coord.neuron(0, 1), "e_leak", "linear",
+                                (1.8 / 1023, 0.0), 1.0, True))
+    assert cal.to_hardware(cfg, db, Coord.neuron(0, 1), {"e_leak": 0.8}).dacs \
+        == {"e_leak": 455}
+    # an FG block's indices (0, 1) are not circuit 1
+    with pytest.raises(ValueError, match="not a neuron"):
+        cal.to_hardware(cfg, db, Coord.fg_block(0, 1), {"e_leak": 0.8})
 
 
 def test_to_hardware_reports_clamped_targets():
@@ -453,6 +470,14 @@ def test_convoff_defaults_follow_the_dac_ceiling():
     assert np.all(np.abs(got - want) <= 10)  # FG write noise
 
 
+def test_apply_calibration_rejects_circuits_outside_the_hicann():
+    w = build_wafer(3)
+    for neurons in ([600], [-1], [0, 512]):
+        with pytest.raises(ValueError, match="circuits of a hicann are 0..511"):
+            cal.apply_calibration(w, cal.CalibrationDb(), 0, {"e_leak": 0.8},
+                                  neurons=neurons)
+
+
 def test_time_constant_fallback_follows_the_dac_range():
     # without an entry a time-constant target falls back to mid-range of the
     # topology's DAC, not of the reference module's
@@ -501,7 +526,7 @@ def _psp_stimulus(monkeypatch, plan):
     db.add(cal.CalibrationEntry(Coord.neuron(0, 0), "readout_shift", "constant",
                                 (0.0,), 1.0, True))
     with pytest.raises(_Stimulus) as sent:
-        cal._psp_windows(w, db, 0, [0], plan, {})
+        cal._psp_windows(w, db, 0, [0], plan, {}, token=(plan.parameter, 0))
     return sent.value.args
 
 
