@@ -789,7 +789,8 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     seen = np.isfinite(sq).any(axis=1)
     curve_mis = np.full(len(scope), np.nan)
     curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
-    valid = fit_ok & ok_sp & (worst_mis < 0.20) & (curve_mis < 0.15)
+    valid = (fit_ok & ok_sp & (red_sp < RED_CHI2_MAX) & (worst_mis < 0.20)
+             & (curve_mis < 0.15))
     return _add_entries(db, h, scope, op, np.nan_to_num(coeffs),
                         np.nan_to_num(red_sp, nan=np.inf), valid)
 

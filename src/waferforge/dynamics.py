@@ -21,9 +21,14 @@ Exponential-Euler scheme with per-step frozen conductances:
 A simulation "unit" is one membrane: either a single neuron circuit or a
 group of interconnected circuits whose leak terms are summed.
 
-``integrate`` steps a run with the full per-step expression. It serves the
-runs that the two solvers below do not take: runs with events that cannot
-be scanned, with recurrent input, or with a side that may saturate.
+All three solvers read their arguments through one preamble
+(``_preamble``: step count, recorded units, event queues, start voltages),
+and the membrane step of the list above is written once (``_stepper``:
+the totals, the saturation test and the choice of update).
+
+``integrate`` steps a run with that step. It serves the runs that the two
+solvers below do not take: runs with events that cannot be scanned, with
+recurrent input, or with a side that may saturate.
 
 ``integrate_constant`` solves a run with constant inputs and equals
 ``integrate`` bit for bit. ``inputs_constant`` accepts a run without
@@ -60,7 +65,10 @@ g_leak_e / g_leak)`` by more than the rounding of every step is never
 reached. Such a run has no spikes, refractory clamps or recurrent
 deliveries; between two event boundaries its conductances decay
 geometrically and the membrane update is a linear recurrence, solved in
-chunks with cumulative sums in the log domain.
+chunks with cumulative sums in the log domain. Where a step may saturate,
+the scan hands over to the loop's own step, one step at a time.
+
+Each solver returns its own ``EngineResult`` with a trace array of its own.
 """
 
 from __future__ import annotations
@@ -244,15 +252,14 @@ def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt):
     return np.where(saturated, np.clip(v_new, lo, hi), v_new)
 
 
-def _first_boundary(q: EventQueue, n_steps: int) -> int:
-    return int(q.boundary[0]) if q.boundary.shape[0] else n_steps
+def _deliver(q: EventQueue, cursor: int, due: int, k: int, g, n_steps: int):
+    """Add the events landing by boundary ``k`` to ``g`` once ``k`` reaches
+    ``due``, the next boundary with events (0 before the first call).
 
-
-def _deliver(q: EventQueue, cursor: int, k: int, g, n_steps: int):
-    """Add the events landing by boundary ``k`` to ``g``.
-
-    Returns the new cursor and the next boundary (``n_steps`` when none).
+    Returns the new cursor and next boundary (``n_steps`` when none).
     """
+    if k < due:
+        return cursor, due
     hi = cursor + int(np.searchsorted(q.boundary[cursor:], k, side="right"))
     np.add.at(g, q.unit[cursor:hi], q.amount[cursor:hi])
     return hi, int(q.boundary[hi]) if hi < q.boundary.shape[0] else n_steps
@@ -267,15 +274,6 @@ def _stays_nonnegative(q: EventQueue, decay) -> bool:
 def _never_saturates(gx_tot, i_sat) -> bool:
     """Whether |gx_tot * (e - v)| > i_sat is false for every membrane v."""
     return bool(np.all(~(i_sat < np.inf) | ((gx_tot == 0.0) & (i_sat >= 0.0))))
-
-
-def _saturation_checks(p: UnitParams, live_x: bool, live_i: bool):
-    """Whether each side's saturation test can fire. A side without input
-    keeps its permanent conductance, and one that ``_never_saturates``
-    needs no test."""
-    has_sat = np.any(np.isfinite(p.i_sat))
-    return tuple(bool(has_sat and (live or not _never_saturates(g_base, p.i_sat)))
-                 for live, g_base in ((live_x, p.g_base_x), (live_i, p.g_base_i)))
 
 
 def _saturates(g_side, e_side, v, i_sat, tmp, sat) -> bool:
@@ -295,6 +293,36 @@ def _totals(p: UnitParams, g_x, g_i):
     return gx_tot, gi_tot, num, g_tot
 
 
+def _stepper(p: UnitParams, dt: float, live_x: bool, live_i: bool):
+    """The loop's membrane step ``step(g_x, g_i, v) -> (v', saturated)``
+    from the synaptic conductances, and whether each side's saturation test
+    can fire. A side without input (not ``live``) keeps its permanent
+    conductance, and one that ``_never_saturates`` needs no test."""
+    has_sat = np.any(np.isfinite(p.i_sat))
+    check_x, check_i = checks = tuple(
+        bool(has_sat and (live or not _never_saturates(g_base, p.i_sat)))
+        for live, g_base in ((live_x, p.g_base_x), (live_i, p.g_base_i)))
+    tmp = np.empty(p.n_units)
+    sat = np.empty(p.n_units, dtype=bool)
+
+    def step(g_x, g_i, v):
+        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
+        if (check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
+                or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat)):
+            return _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt), True
+        return _exp_euler(num, g_tot, v, p.capacitance, dt), False
+
+    return step, checks
+
+
+def resting_potential(params: UnitParams) -> np.ndarray:
+    """Settled membrane voltage per unit: the loop's ``V_inf`` without
+    synaptic input (leak and permanent conductances), ``v_reset`` where no
+    conductance is left."""
+    _, _, num, g = _totals(params, 0.0, 0.0)
+    return np.where(g > 0.0, num / np.where(g > 0.0, g, 1.0), params.v_reset)
+
+
 def _spike_offset(v, v_new, v_threshold, dt):
     """Time from a step's start to the crossing interpolated in it."""
     dv = v_new - v
@@ -303,10 +331,22 @@ def _spike_offset(v, v_new, v_threshold, dt):
     return np.clip(frac, 0.0, 1.0) * dt
 
 
-def _record_units(record_units, n: int) -> np.ndarray:
-    if record_units is None:
-        return np.arange(n, dtype=np.int64)
-    return np.asarray(record_units, dtype=np.int64)
+def _preamble(params: UnitParams, duration: float, dt: float, events_x,
+              events_i, record_units, v_init):
+    """A run's ``(n_steps, record_units, events_x, events_i, v0)``; by
+    default every unit is recorded, no event arrives and each membrane
+    starts at ``v_reset``."""
+    n = params.n_units
+    return (int(round(duration / dt)),
+            np.arange(n, dtype=np.int64) if record_units is None
+            else np.asarray(record_units, dtype=np.int64),
+            events_x or EventQueue.empty(), events_i or EventQueue.empty(),
+            params.v_reset.copy() if v_init is None else _as_f64(v_init, n))
+
+
+def _live(q: EventQueue, n_steps: int) -> bool:
+    """Whether an event of ``q`` lands before the run's last step."""
+    return bool(np.any(q.boundary < n_steps))
 
 
 def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
@@ -322,18 +362,15 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
     """
     p = params
     n = p.n_units
-    n_steps = int(round(duration / dt))
-    record_units = _record_units(record_units, n)
+    n_steps, record_units, events_x, events_i, v = _preamble(
+        p, duration, dt, events_x, events_i, record_units, v_init)
     record_all = np.array_equal(record_units, np.arange(n))
-    events_x = events_x or EventQueue.empty()
-    events_i = events_i or EventQueue.empty()
     # a matrix without connections never delivers anything
     if recurrent_x is not None and not recurrent_x.n_connections:
         recurrent_x = None
     if recurrent_i is not None and not recurrent_i.n_connections:
         recurrent_i = None
 
-    v = p.v_reset.copy() if v_init is None else _as_f64(v_init, n)
     g_x = np.zeros(n)
     g_i = np.zeros(n)
     pending_x = np.zeros(n)
@@ -342,28 +379,20 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
 
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
-    c = p.capacitance
-    check_x, check_i = _saturation_checks(
-        p, recurrent_x is not None or bool(np.any(events_x.boundary < n_steps)),
-        recurrent_i is not None or bool(np.any(events_i.boundary < n_steps)))
-    next_x = _first_boundary(events_x, n_steps)
-    next_i = _first_boundary(events_i, n_steps)
-    tmp = np.empty(n)
-    sat = np.empty(n, dtype=bool)
+    step, _ = _stepper(p, dt, recurrent_x is not None or _live(events_x, n_steps),
+                       recurrent_i is not None or _live(events_i, n_steps))
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
     spike_unit_chunks: list[np.ndarray] = []
     spike_time_chunks: list[np.ndarray] = []
-    px, pi = 0, 0  # event cursors
+    px = pi = next_x = next_i = 0  # event cursors and next boundaries
 
     for k in range(n_steps):
         t_k = k * dt
         # conductance increments landing on this boundary
-        if k >= next_x:
-            px, next_x = _deliver(events_x, px, k, g_x, n_steps)
-        if k >= next_i:
-            pi, next_i = _deliver(events_i, pi, k, g_i, n_steps)
+        px, next_x = _deliver(events_x, px, next_x, k, g_x, n_steps)
+        pi, next_i = _deliver(events_i, pi, next_i, k, g_i, n_steps)
         if recurrent_x is not None and pending_x.any():
             g_x += pending_x
             pending_x[:] = 0.0
@@ -371,15 +400,7 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
             g_i += pending_i
             pending_i[:] = 0.0
 
-        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
-        saturated = (
-            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
-        if saturated:
-            v_new = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt)
-        else:
-            v_new = _exp_euler(num, g_tot, v, c, dt)
-
+        v_new, _ = step(g_x, g_i, v)
         active = t_k >= refrac_until
         v_new = np.where(active, v_new, p.v_reset)
         firing = active & (v_new >= p.v_threshold)
@@ -442,12 +463,11 @@ def inputs_constant(params: UnitParams, dt: float, n_steps: int,
     docstring.
     """
     p = params
-    if min(_first_boundary(events_x, n_steps),
-           _first_boundary(events_i, n_steps)) < n_steps:
+    if _live(events_x, n_steps) or _live(events_i, n_steps):
         return False
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
-    gx_tot, gi_tot, _, g_tot = _totals(p, np.zeros(p.n_units), np.zeros(p.n_units))
+    gx_tot, gi_tot, _, g_tot = _totals(p, 0.0, 0.0)
     return bool(np.all(np.isfinite(decay_x)) and np.all(np.isfinite(decay_i))
                 and np.all(g_tot > 0.0)
                 and _never_saturates(gx_tot, p.i_sat)
@@ -532,16 +552,12 @@ def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
     """
     p = params
     n = p.n_units
-    n_steps = int(round(duration / dt))
-    record_units = _record_units(record_units, n)
-    events_x = events_x or EventQueue.empty()
-    events_i = events_i or EventQueue.empty()
+    n_steps, record_units, events_x, events_i, v0 = _preamble(
+        p, duration, dt, events_x, events_i, record_units, v_init)
     if not inputs_constant(p, dt, n_steps, events_x, events_i):
         raise ValueError("the run's inputs change: integrate it step by step")
-    v0 = p.v_reset.copy() if v_init is None else _as_f64(v_init, n)
-    _, _, num, g_tot = _totals(p, np.zeros(n), np.zeros(n))
-    v_inf = num / g_tot
-    prop = np.exp(-dt * g_tot / p.capacitance)
+    v_inf = resting_potential(p)  # every g_tot is positive
+    prop = np.exp(-dt * _totals(p, 0.0, 0.0)[3] / p.capacitance)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     seq, cross = _relax(v0, v_inf, prop, p.v_threshold, n_steps)
@@ -658,7 +674,7 @@ def _powers(decay, m: int):
 def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
                    events_x: EventQueue | None = None,
                    events_i: EventQueue | None = None,
-                   record_units=None, v_init=None, out=None) -> EngineResult:
+                   record_units=None, v_init=None) -> EngineResult:
     """Integrate a run that ``cannot_spike`` with whole-array prefix scans.
 
     The result agrees with ``integrate`` of the same run to rounding (about
@@ -673,43 +689,38 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
 
     Saturation is tested after the fact on every scanned step with a small
     relative margin; the scan keeps the steps before the first flagged one,
-    and ``integrate``'s own expression takes over from there while its exact
-    test fires. After a cut the next chunk is at most twice the steps kept,
-    so a run that keeps saturating scans about as many steps as it keeps.
-    ``out``, if given, receives the traces (shape ``(len(record_units),
-    n_steps + 1)``).
+    and the loop's own step (``_stepper``) takes over from there while its
+    exact test fires. After a cut the next chunk is at most twice the steps
+    kept, so a run that keeps saturating scans about as many steps as it
+    keeps.
     """
     p = params
     n = p.n_units
-    n_steps = int(round(duration / dt))
-    record_units = _record_units(record_units, n)
+    n_steps, record_units, events_x, events_i, v = _preamble(
+        p, duration, dt, events_x, events_i, record_units, v_init)
     record_all = np.array_equal(record_units, np.arange(n))
-    events_x = events_x or EventQueue.empty()
-    events_i = events_i or EventQueue.empty()
-    v = p.v_reset.copy() if v_init is None else _as_f64(v_init, n)
     if not cannot_spike(p, v, dt, n_steps, events_x, events_i):
         raise ValueError("the run may spike: integrate it step by step")
-    traces = np.empty((record_units.shape[0], n_steps + 1)) if out is None \
-        else out
+    traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
 
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
-    bx, bi = events_x.boundary, events_i.boundary
-    live_x = bool(np.any(bx < n_steps))
-    live_i = bool(np.any(bi < n_steps))
-    check_x, check_i = _saturation_checks(p, live_x, live_i)
+    live_x, live_i = _live(events_x, n_steps), _live(events_i, n_steps)
+    step, (check_x, check_i) = _stepper(p, dt, live_x, live_i)
     sat_limit = p.i_sat * (1.0 - _SAT_MARGIN)
 
     # no chunk is longer than the longest stretch between boundaries
-    landing = np.unique(np.clip(np.concatenate([bx, bi]), 0, n_steps))
+    landing = np.unique(np.clip(np.concatenate(
+        [events_x.boundary, events_i.boundary]), 0, n_steps))
     edges = np.concatenate([[0], landing, [n_steps]])
     longest = int(np.diff(edges).max()) if n_steps else 0
     m_max = max(1, min(longest, _SCAN_STEPS))
     # V_inf - R = (g_x (e_synx - R) + g_i (e_syni - R)) / g_tot, with R the
-    # rest of the permanent conductances alone (the loop's V_inf at g == 0)
-    g0 = p.g_leak + p.g_base_x + p.g_base_i
-    rest = (p.g_leak_e + p.g_base_x * p.e_synx + p.g_base_i * p.e_syni) / g0
+    # rest of the permanent conductances alone and g0 the loop's g_tot at
+    # g == 0
+    g0 = _totals(p, 0.0, 0.0)[3]
+    rest = resting_potential(p)
     dex = (p.e_synx - rest)[:, None]
     dei = (p.e_syni - rest)[:, None]
     # cumulative rate dt / C * sum_{i<=j} g_tot_i over a chunk's steps j:
@@ -725,28 +736,20 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
 
     g_x = np.zeros(n)
     g_i = np.zeros(n)
-    tmp = np.empty(n)
-    sat = np.empty(n, dtype=bool)
-    px, pi = 0, 0
-    next_x = _first_boundary(events_x, n_steps)
-    next_i = _first_boundary(events_i, n_steps)
+    px = pi = next_x = next_i = 0
     cap = n_steps
     k = 0
     while k < n_steps:
-        if k >= next_x:
-            px, next_x = _deliver(events_x, px, k, g_x, n_steps)
-        if k >= next_i:
-            pi, next_i = _deliver(events_i, pi, k, g_i, n_steps)
-        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
-        saturated = (
-            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
+        px, next_x = _deliver(events_x, px, next_x, k, g_x, n_steps)
+        pi, next_i = _deliver(events_i, pi, next_i, k, g_i, n_steps)
         rate = float(np.max(rc * (g0 + g_x + g_i)))  # no later step is faster
         m = min(next_x, next_i, n_steps) - k
         m = min(m, cap, m_max, int(_SCAN_SPAN / rate) if rate > 0.0 else m)
-        if saturated or m < 2:  # one step of integrate's expression
-            v = _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt) \
-                if saturated else _exp_euler(num, g_tot, v, p.capacitance, dt)
+        # the loop's step carries its exact saturation test; a scanned chunk
+        # starts from v again and drops it
+        v_step, saturated = step(g_x, g_i, v)
+        if saturated or m < 2:  # one step of the loop
+            v = v_step
             g_x *= decay_x
             g_i *= decay_i
             traces[:, k + 1] = v[record_units]

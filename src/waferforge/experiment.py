@@ -22,7 +22,9 @@ other runs become one block-diagonal network, solved by
 sweeps) and stepped by ``integrate`` otherwise. Both equal the step loop bit
 for bit and update each unit elementwise, so a run's result does not depend
 on its batch: a calibration sweep can program and prepare all its points,
-then integrate them together. ``simulate`` is the batch of one.
+then integrate them together. ``simulate`` is the batch of one. Each run's
+``SimResult`` holds its solver's own result; the batch keeps no trace array
+of its own.
 
 Units are keyed by index arrays (``CompiledNetwork.unit_hicann``,
 ``unit_head``, ``unit_of``; ``SimResult.trains``). ``Coord``s appear only at
@@ -47,7 +49,7 @@ import numpy as np
 
 from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
                        cannot_spike, inputs_constant, integrate,
-                       integrate_constant, integrate_scan)
+                       integrate_constant, integrate_scan, resting_potential)
 from .topology import Coord, Kind
 from .wafer import (VGMAX_PALETTE, WaferModel, adc_readout, adc_sample_period,
                     conductance_step_array, efficacy_arrays, true_parameter_array)
@@ -298,8 +300,6 @@ class SimResult:
     compiled: CompiledNetwork
     engine: EngineResult
     duration: float
-    dt: float
-    trace_units: np.ndarray
 
     @cached_property
     def trains(self) -> list[np.ndarray]:
@@ -313,21 +313,13 @@ class SimResult:
     @cached_property
     def trace_row(self) -> dict[int, int]:
         """Row of ``engine.v`` that holds each recorded unit's trace."""
-        return {u: row for row, u in enumerate(self.trace_units.tolist())}
+        return {u: row for row, u in enumerate(self.engine.record_units.tolist())}
 
     def raster(self) -> dict[Coord, np.ndarray]:
         """Spike times per unit head."""
         net = self.compiled
         return {Coord.neuron(int(h), int(n)): ts for h, n, ts
                 in zip(net.unit_hicann, net.unit_head, self.trains)}
-
-
-def resting_potential(params: UnitParams) -> np.ndarray:
-    """Settled membrane voltage per unit (leak and permanent conductances)."""
-    g = params.g_leak + params.g_base_x + params.g_base_i
-    num = params.g_leak_e + params.g_base_x * params.e_synx \
-        + params.g_base_i * params.e_syni
-    return np.where(g > 0.0, num / np.where(g > 0.0, g, 1.0), params.v_reset)
 
 
 @dataclass
@@ -466,10 +458,12 @@ def simulate_batch(runs) -> list[SimResult]:
       when it has no recurrent connection and ``inputs_constant`` holds;
     * ``integrate``: that network otherwise.
 
-    For the network, unit parameters are concatenated, event, connection and
-    trace units are offset, and the result is split back. On every path each
-    ``SimResult``'s unit numbering is the run's own, and its trace rows are
-    views into one trace array of the batch.
+    For the network, unit parameters are concatenated, and event,
+    connection and trace units are offset. Each ``SimResult`` holds its
+    solver's own result in the run's own unit numbering: a scanned run's
+    trace array is the one ``integrate_scan`` built, and a stacked run's
+    rows and raster are cut from the network's result (its rows are views
+    of the network's trace array).
     """
     runs = list(runs)
     duration, dt = runs[0].duration, runs[0].dt
@@ -479,36 +473,25 @@ def simulate_batch(runs) -> list[SimResult]:
     scanned = [_scanned(r, n_steps) for r in runs]
     looped = [r for r, s in zip(runs, scanned) if not s]
     stacked = _integrate_stacked(looped, duration, dt) if looped else None
-    if not any(scanned):
-        traces = stacked.v
-    else:
-        traces = np.empty((sum(r.trace_units.shape[0] for r in runs),
-                           n_steps + 1))
 
     out = []
-    row = lo = s_row = 0  # lo, s_row: unit and trace row in the loop's network
+    lo = row = 0  # the next looped run's first unit and trace row
     for r, scan in zip(runs, scanned):
-        rows = r.trace_units.shape[0]
-        v = traces[row:row + rows]
         if scan:
-            part = integrate_scan(r.compiled.params, duration, dt,
-                                  events_x=r.events_x, events_i=r.events_i,
-                                  record_units=r.trace_units, v_init=r.v0,
-                                  out=v)
+            engine = integrate_scan(r.compiled.params, duration, dt,
+                                    events_x=r.events_x, events_i=r.events_i,
+                                    record_units=r.trace_units, v_init=r.v0)
         else:
-            if traces is not stacked.v:
-                v[:] = stacked.v[s_row:s_row + rows]
-            hi = lo + r.compiled.params.n_units
+            hi, rows = lo + r.compiled.params.n_units, row + r.trace_units.shape[0]
             own = (stacked.spike_units >= lo) & (stacked.spike_units < hi)
-            part = EngineResult(dt=dt, n_steps=n_steps,
-                                record_units=r.trace_units, t=stacked.t, v=v,
-                                spike_units=stacked.spike_units[own] - lo,
-                                spike_times=stacked.spike_times[own])
-            lo, s_row = hi, s_row + rows
-        row += rows
-        out.append(SimResult(compiled=r.compiled, engine=part,
-                             duration=duration, dt=dt,
-                             trace_units=r.trace_units))
+            engine = EngineResult(dt=dt, n_steps=n_steps,
+                                  record_units=r.trace_units, t=stacked.t,
+                                  v=stacked.v[row:rows],
+                                  spike_units=stacked.spike_units[own] - lo,
+                                  spike_times=stacked.spike_times[own])
+            lo, row = hi, rows
+        out.append(SimResult(compiled=r.compiled, engine=engine,
+                             duration=duration))
     return out
 
 
@@ -532,12 +515,18 @@ class ExperimentResult:
     raster: dict[Coord, np.ndarray] = field(default_factory=dict)
 
 
-def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentResult:
-    """Digitize up to 12 membrane traces of a finished simulation."""
+def _recordings(record) -> list:
+    """``record`` as a list, if the readout can sample that many traces."""
     record = list(record)
     if len(record) > READOUT_TRACES:
         raise RecordingLimitError(f"{len(record)} recordings requested, "
                                   f"readout supports {READOUT_TRACES}")
+    return record
+
+
+def readout(wafer: WaferModel, sim: SimResult, record, token=0) -> ExperimentResult:
+    """Digitize up to 12 membrane traces of a finished simulation."""
+    record = _recordings(record)
     adc_dt = adc_sample_period(wafer)
     n_samples = int(np.floor(sim.duration / adc_dt)) + 1
     t_adc = np.arange(n_samples) * adc_dt
@@ -568,10 +557,7 @@ def run_experiment(wafer: WaferModel, configs, stimulus, duration_bio: float,
                    record, *, dt: float = DEFAULT_DT, token=0,
                    availability=None, v_init="reset") -> ExperimentResult:
     """One-shot experiment: integrate, then read out ``record`` (≤ 12)."""
-    record = list(record)
-    if len(record) > READOUT_TRACES:
-        raise RecordingLimitError(f"{len(record)} recordings requested, "
-                                  f"readout supports {READOUT_TRACES}")
+    record = _recordings(record)  # refused before integrating
     sim = simulate(wafer, configs, stimulus, duration_bio, dt=dt,
                    trace_circuits=record, availability=availability,
                    v_init=v_init)

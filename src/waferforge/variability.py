@@ -29,7 +29,7 @@ Transfer-function models:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,7 @@ class VariabilityConfig:
 
     def zeroed(self) -> "VariabilityConfig":
         """Copy with every random spread set to zero (ideal wafer)."""
-        return replace(
-            self,
-            fp_gain_sigma=0.0,
-            fp_offset_sigma_voltage=0.0,
-            readout_shift_sigma=0.0,
-            adc_noise_sigma=0.0,
-            fg_write_sigma=0.0,
-            tau_ref_rel_sigma=0.0,
-            tau_mem_rel_sigma=0.0,
-            tau_mem_offset_rel_sigma=0.0,
-            tau_syn_rel_sigma=0.0,
-            tau_syn_offset_rel_sigma=0.0,
-            weight_scale_rel_sigma=0.0,
-            weight_parasitic_rel_sigma=0.0,
-        )
+        return replace(self, **{f.name: 0.0 for f in fields(self) if "sigma" in f.name})
 
     def to_json(self) -> dict:
         d = asdict(self)

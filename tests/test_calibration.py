@@ -433,6 +433,25 @@ def test_calibration_exclusion_drops_failed_circuits():
     assert effective.is_usable(Coord.neuron(0, 7))
 
 
+def test_time_constant_fit_at_the_chi2_limit_is_not_valid(monkeypatch):
+    # a softplus law whose reduced chi-square reaches RED_CHI2_MAX is stored
+    # invalid, so neither to_hardware nor a later op's scope accepts it
+    w, db = build_wafer(3), cal.CalibrationDb()
+    for op in ("readout_shift", "e_leak", "v_convoffx"):
+        cal._run_op(w, db, 0, op, None, [0, 8])
+    fit = cal.fit_softplus
+
+    def at_limit(*args, **kw):
+        coeffs, red, ok = fit(*args, **kw)
+        return coeffs, np.full_like(red, cal.RED_CHI2_MAX), ok
+
+    monkeypatch.setattr(cal, "fit_softplus", at_limit)
+    entries = cal.calibrate_tau(w, db, 0, "i_gl", neurons=[0, 8])
+    assert [(e.valid, e.red_chi2) for e in entries] == [(False, cal.RED_CHI2_MAX)] * 2
+    with pytest.raises(cal.RangeError):
+        cal.to_hardware(w.topology, db, Coord.neuron(0, 0), {"tau_mem": 0.01})
+
+
 def test_i_pulse_needs_its_prerequisites():
     w = build_wafer(3)
     with pytest.raises(cal.CalibrationOrderError):
@@ -552,23 +571,32 @@ def test_psp_window_off_the_step_grid_raises(monkeypatch):
 
 
 def test_time_constants_recover_with_zero_variability():
-    # an ideal wafer: each tau law, inverted at the design value at the middle
-    # of its sweep, lands within the error measured for the fitter (-0.063,
-    # -0.028 and -0.0072 on every circuit; the fitter with a free onset gave
-    # -0.068, -0.035 and -0.014)
+    # an ideal wafer: each target, inverted at the design value at the middle
+    # of its sweep, lands within the error measured for the fitter. The tau
+    # laws are bounded in relative error (-0.063, -0.028 and -0.0072 on every
+    # circuit; the fitter with a free onset gave -0.068, -0.035 and -0.014),
+    # the other targets in DAC steps from the middle of the sweep: v_reset,
+    # v_threshold and e_syni come back exactly, e_leak half a step off (its
+    # middle is 511.5), e_synx 2.5 and tau_ref 3.5 steps off
     w = build_wafer(3, variability=VariabilityConfig().zeroed())
     circuits = range(0, 512, 64)
     db = cal.calibrate_hicann(w, None, 0, neurons=circuits)
-    for name, bound in (("tau_mem", 0.065), ("tau_synx", 0.03), ("tau_syni", 0.008)):
-        param = ROUND_TRIP_TARGETS[name]
+    rel_bound = {"tau_mem": 0.065, "tau_synx": 0.03, "tau_syni": 0.008}
+    dac_bound = {"v_reset": 0.0, "v_threshold": 0.0, "e_syni": 0.0,
+                 "e_leak": 0.5, "e_synx": 2.5, "tau_ref": 3.5}
+    assert rel_bound.keys() | dac_bound.keys() == ROUND_TRIP_TARGETS.keys()
+    for name, param in ROUND_TRIP_TARGETS.items():
         dacs = cal.DEFAULT_PLANS[param].dac_values
-        target = float(true_parameter_array(
-            w, 0, name, d_eff=0.5 * (min(dacs) + max(dacs)))[0])
+        mid = 0.5 * (min(dacs) + max(dacs))
+        target = float(true_parameter_array(w, 0, name, d_eff=mid)[0])
         for n in circuits:
             dac = cal.to_hardware(w.topology, db, Coord.neuron(0, n),
                                   {name: target}).dacs[param]
+            if name in dac_bound:
+                assert abs(dac - mid) <= dac_bound[name], (name, n, dac)
+                continue
             err = true_parameter_array(w, 0, name, d_eff=dac)[n] / target - 1.0
-            assert abs(err) < bound, (name, n, err)
+            assert abs(err) < rel_bound[name], (name, n, err)
 
 
 def test_direct_reversal_readout_lies_between_rest_and_reversal():

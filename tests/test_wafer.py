@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,17 @@ def test_truth_deterministic_per_seed():
         assert not np.array_equal(ta.gain["e_leak"], tc.gain["e_leak"])
     # per-HICANN streams are independent
     assert not np.array_equal(a.truth(0).gain["e_leak"], a.truth(1).gain["e_leak"])
+
+
+def test_zeroed_sets_every_spread_and_nothing_else():
+    base = VariabilityConfig(adc_bits=10, membrane_capacitance=1e-12,
+                             tau_mem_rel_sigma=0.3)
+    zero = base.zeroed()
+    spreads = [f.name for f in dataclasses.fields(base) if "sigma" in f.name]
+    assert all(getattr(base, name) > 0.0 for name in spreads)
+    for f in dataclasses.fields(base):
+        want = 0.0 if f.name in spreads else getattr(base, f.name)
+        assert getattr(zero, f.name) == want, f.name
 
 
 def test_zeroed_variability_is_identity():
