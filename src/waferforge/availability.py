@@ -178,7 +178,7 @@ class AvailabilityState:
         if m is None:
             return 0
         if hicanns is not None:
-            return int(np.count_nonzero(m[np.fromiter(hicanns, dtype=np.intp)]))
+            return int(np.count_nonzero(m[np.asarray(hicanns, dtype=np.intp)]))
         n = self._counts.get(kind)
         if n is None:
             n = self._counts[kind] = int(np.count_nonzero(m))

@@ -34,7 +34,7 @@ import numpy as np
 from . import rng
 from .availability import AvailabilityDb, AvailabilityState
 from .defects import DefectType
-from .topology import Coord, Direction, Kind, TopologyConfig, group_members, resource_count
+from .topology import Coord, Direction, Kind, TopologyConfig, resource_count
 from .wafer import (WaferModel, adc_readout, dac_to_volts, from_reference_dac,
                     program_floating_gates, true_parameter)
 
@@ -116,20 +116,19 @@ def comm_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> CommResult
     well, but only genuine failures are recorded as individual exclusions.
     """
     cfg = wafer.topology
-    H = cfg.n_hicanns
-    jtag_ok = np.ones(H, dtype=bool)
-    highspeed_ok = np.ones(H, dtype=bool)
+    jtag_ok = np.ones(cfg.n_hicanns, dtype=bool)
+    highspeed_ok = np.ones(cfg.n_hicanns, dtype=bool)
     highspeed_ok[list(cfg.no_highspeed_hicanns())] = False
-    for d in wafer.defects.of_type(DefectType.JTAG_DEAD):
-        jtag_ok[d.coord.hicann] = False
-    for d in wafer.defects.of_type(DefectType.HIGHSPEED_DEAD):
-        highspeed_ok[d.coord.hicann] = False
+    failed = []  # genuine high-speed failures
+    for d in wafer.defects:
+        if d.type is DefectType.JTAG_DEAD:
+            jtag_ok[d.coord.hicann] = False
+        elif d.type is DefectType.HIGHSPEED_DEAD:
+            highspeed_ok[d.coord.hicann] = False
+            failed.append(_highspeed(d.coord.hicann))
     if db is not None:
-        ind = db.ensure("individual")
-        for h in np.flatnonzero(~jtag_ok):
-            ind.exclude(_jtag(int(h)))
-        for d in wafer.defects.of_type(DefectType.HIGHSPEED_DEAD):
-            ind.exclude(_highspeed(d.coord.hicann))
+        db.ensure("individual").exclude_many(
+            [_jtag(h) for h in np.flatnonzero(~jtag_ok).tolist()] + failed)
     return CommResult(jtag_ok, highspeed_ok)
 
 
@@ -217,9 +216,11 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     Hicanns whose high-speed link failed the communication test are only
     reachable over the slow control link and get the reduced routing test;
     by-design unbonded dies still get the full pass, their routing fabric
-    stays in service. One die takes a reported 70 s; groups run in
-    parallel, dies within a group in sequence. All random draws are keyed
-    by cell coordinate, so the outcome is independent of visit order;
+    stays in service. Passes and skips come from the individual link masks.
+    One die takes a reported 70 s; groups run in parallel, dies within a
+    group in sequence, their seconds added in member order. One pass over
+    the defect set classifies the defects; all random draws are keyed by
+    cell coordinate, so the outcome is independent of visit order;
     discovered exclusions merge in coordinate order.
     """
     cfg = wafer.topology
@@ -229,48 +230,42 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     full_bytes = sum(mm.values())
     reduced_bytes = sum(mm[r] for r in routing)
 
-    defects_at: dict[int, list] = {}
-    for d in wafer.defects:
-        defects_at.setdefault(d.coord.hicann, []).append(d)
-    no_jtag = ind.read_mask(Kind.JTAG_LINK).tolist()
-    no_highspeed = ind.read_mask(Kind.HIGHSPEED_LINK).tolist()
-    keyed = rng.Rekeyed()
+    no_jtag = ind.read_mask(Kind.JTAG_LINK)
+    no_highspeed = ind.read_mask(Kind.HIGHSPEED_LINK)
+    reduced = no_highspeed & ~no_jtag
+    skipped = int(np.count_nonzero(no_jtag))
+    reduced_passes = int(np.count_nonzero(reduced))
+    full_passes = cfg.n_hicanns - skipped - reduced_passes
+    seconds = np.where(no_jtag, 0.0, np.where(
+        reduced, FULL_TEST_SECONDS * (reduced_bytes / full_bytes), FULL_TEST_SECONDS))
+    # cumsum adds in member order, as the dies of a group run
+    group_seconds = np.cumsum(seconds.reshape(cfg.n_groups, cfg.group_size), axis=1)[:, -1]
+    duration = float(group_seconds.max(initial=0.0))
 
-    duration = 0.0
-    full_passes = reduced_passes = skipped = 0
+    no_jtag, no_highspeed = no_jtag.tolist(), no_highspeed.tolist()
+    keyed = rng.Rekeyed()
     found: list[Coord] = []
     suspect: set[Coord] = set()  # arrays holding an unstable cell
-    for g in range(cfg.n_groups):
-        group_seconds = 0.0
-        for h in group_members(cfg, g):
-            if no_jtag[h]:
-                skipped += 1
+    for d in wafer.defects:
+        if d.type is DefectType.JTAG_DEAD or d.type is DefectType.HIGHSPEED_DEAD:
+            continue  # link faults, not memory faults
+        h = d.coord.hicann
+        if no_jtag[h] or REGION_OF_KIND.get(d.coord.kind) not in (
+                routing if no_highspeed[h] else mm):
+            continue
+        if d.type is DefectType.MEMORY_STUCK:
+            vals = keyed.stream(wafer.master_seed, "memtest", str(d.coord)) \
+                .integers(0, 256, size=WRITES_PER_CELL)
+            if not np.any(vals != d.pattern):
+                continue  # every random value landed on the stuck pattern
+        elif d.type is DefectType.MEMORY_UNSTABLE:
+            if d.coord.kind is Kind.SYNAPSE:
+                # the per-array stability phase below covers it
+                suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
                 continue
-            reduced = no_highspeed[h]
-            regions = routing if reduced else tuple(mm)
-            group_seconds += FULL_TEST_SECONDS * (reduced_bytes / full_bytes if reduced else 1.0)
-            reduced_passes += reduced
-            full_passes += not reduced
-            for d in defects_at.get(h, ()):
-                if d.type in (DefectType.JTAG_DEAD, DefectType.HIGHSPEED_DEAD):
-                    continue  # link faults, not memory faults
-                region = REGION_OF_KIND.get(d.coord.kind)
-                if region not in regions:
-                    continue
-                if d.type is DefectType.MEMORY_STUCK:
-                    vals = keyed.stream(wafer.master_seed, "memtest", str(d.coord)) \
-                        .integers(0, 256, size=WRITES_PER_CELL)
-                    if not np.any(vals != d.pattern):
-                        continue  # every random value landed on the stuck pattern
-                elif d.type is DefectType.MEMORY_UNSTABLE:
-                    if d.coord.kind is Kind.SYNAPSE:
-                        # the per-array stability phase below covers it
-                        suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
-                        continue
-                    if not _flips(keyed, wafer, d):
-                        continue
-                found.append(_excluded_unit(d))
-        duration = max(duration, group_seconds)
+            if not _flips(keyed, wafer, d):
+                continue
+        found.append(_excluded_unit(d))
 
     # an array without unstable cells reads back stable on every rewrite
     unstable = sorted((c for c in suspect
@@ -310,15 +305,10 @@ def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> 
     cfg = wafer.topology
     ind = db.state("individual") if db is not None and db.has_state("individual") \
         else AvailabilityState(cfg)
-    ok = np.ones(cfg.n_hicanns, dtype=bool)
-    for h in range(cfg.n_hicanns):
-        if not (ind.is_usable(_jtag(h)) and ind.is_usable(Coord.hicann_(h))):
-            ok[h] = False
-            continue
-        if not any(ind.is_usable(Coord.analog_out(h, o))
-                   for o in range(cfg.analog_outs_per_hicann)):
-            ok[h] = False
-            continue
+    # reachable, programmable and with at least one usable analog output
+    ok = ~(ind.read_mask(Kind.JTAG_LINK) | ind.read_mask(Kind.HICANN)
+           | ind.read_mask(Kind.ANALOG_OUT).all(axis=1))
+    for h in np.flatnonzero(ok).tolist():
         for level in from_reference_dac(cfg, READOUT_LEVELS):
             program_floating_gates(wafer, h, {"e_leak": level})
             v = true_parameter(wafer, Coord.neuron(h, 0), "e_leak")
@@ -372,12 +362,16 @@ def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> A
     no_jtag |= dead
     dead |= no_jtag
 
-    # R1: two broken repeaters in one block point at the shared controller
-    blocks = mask(Kind.REPEATER).reshape(H, cfg.repeater_blocks_per_hicann,
-                                         cfg.repeaters_per_block)
-    closed = mask(Kind.REPEATER_BLOCK)
-    closed |= blocks.sum(axis=-1) >= 2
-    blocks |= closed[:, :, None]
+    # R1: two broken repeaters in one block point at the shared controller;
+    # a block's repeaters are consecutive, so flat index // block size is
+    # the flat block index
+    per_block = cfg.repeaters_per_block
+    closed = mask(Kind.REPEATER_BLOCK).reshape(-1)
+    broken = np.flatnonzero(eff.read_mask(Kind.REPEATER)) // per_block
+    closed[np.bincount(broken, minlength=closed.size) >= 2] = True
+    shut = np.flatnonzero(closed)
+    if shut.size:
+        mask(Kind.REPEATER).reshape(-1, per_block)[shut] = True
 
     # R4: no high-speed traffic, no experiments on this die
     no_hs = mask(Kind.HIGHSPEED_LINK)
@@ -396,7 +390,7 @@ def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> A
 
     # R2: a bus goes with its own repeater, with the facing repeater that
     # drives it from the neighbor, and when it faces an unreachable die
-    repeater = mask(Kind.REPEATER).reshape(H, G, lanes)
+    repeater = eff.read_mask(Kind.REPEATER).reshape(H, G, lanes)
     opposite = [d.opposite for d in Direction]
     facing = repeater[nbr, opposite] | no_jtag[nbr][:, :, None]
     bus |= repeater | (has_nbr[:, :, None] & facing)
@@ -454,7 +448,7 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
     if reference:
         ref.update(reference)
     H = cfg.n_hicanns
-    unreachable = [c.hicann for c in individual.excluded_of(Kind.JTAG_LINK)]
+    unreachable = np.flatnonzero(individual.read_mask(Kind.JTAG_LINK))
 
     def counted(state: AvailabilityState, kind: Kind, reachable_only: bool) -> int:
         n = state.count_excluded(kind)

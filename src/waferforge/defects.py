@@ -30,6 +30,8 @@ class DefectType(enum.Enum):
     SYNAPSE_DRIVER_BROKEN = "synapse_driver_broken"
     SWITCH_BROKEN = "switch_broken"
 
+    __hash__ = object.__hash__  # identity, as for Kind
+
 
 @dataclass(frozen=True)
 class Defect:
@@ -86,12 +88,6 @@ class DefectSet:
 
     def of_type(self, t: DefectType) -> list[Defect]:
         return [d for d in self.defects if d.type is t]
-
-    def hicanns_with(self, t: DefectType) -> set[int]:
-        return {d.coord.hicann for d in self.of_type(t)}
-
-    def coords_of(self, t: DefectType) -> set[Coord]:
-        return {d.coord for d in self.of_type(t)}
 
     def to_json(self) -> dict:
         return {

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams,
+from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams, _as_f64,
                        cannot_spike, inputs_constant, integrate,
                        integrate_constant, integrate_scan, resting_potential)
 from .topology import Coord, Kind
@@ -373,7 +373,7 @@ def prepare(wafer: WaferModel, configs, stimulus, duration_bio: float, *,
         else:
             raise ValueError(f"unknown v_init {v_init!r}")
     else:
-        v0 = np.broadcast_to(np.asarray(v_init, dtype=float), (n,)).copy()
+        v0 = _as_f64(v_init, n)
     return PreparedRun(compiled=net, duration=duration_bio, dt=dt,
                        events_x=ev["x"], events_i=ev["i"],
                        trace_units=trace_units, v0=v0)

@@ -72,6 +72,9 @@ class Kind(enum.Enum):
     REPEATER_BLOCK = "repeater_block"
     SWITCH = "switch"
 
+    # members are singletons: Enum's own hash of the name runs Python code
+    __hash__ = object.__hash__
+
 
 _KIND_ORDER = {k: i for i, k in enumerate(Kind)}
 
@@ -370,6 +373,10 @@ class TopologyConfig:
         return widths
 
     def no_highspeed_hicanns(self) -> tuple[int, ...]:
+        return self._no_highspeed_hicanns
+
+    @cached_property
+    def _no_highspeed_hicanns(self) -> tuple[int, ...]:
         return tuple(h for h in range(self.n_hicanns)
                      if h // self.group_size in self.no_highspeed_groups)
 

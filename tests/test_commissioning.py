@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from waferforge.commissioning import (CommResult, analog_readout_test, array_exc
                                       exclusion_report, individual_from_defects,
                                       memory_test, stability_test, write_report_csv)
 from waferforge.defects import Defect, DefectRates, DefectSet, DefectType, random_defects
+from waferforge.scenarios import golden_defect_set
 from waferforge.topology import Coord, Direction, Kind, TopologyConfig
 from waferforge.variability import VariabilityConfig
 from waferforge.wafer import build_wafer
@@ -20,6 +22,11 @@ FULL_BYTES = 117250  # sum of the per-hicann memory map
 CLOSURE_RATES = DefectRates(jtag=0.02, highspeed=0.03, fg_controller=0.004,
                             repeater=0.001, switch=3e-5, synapse_driver=1e-4,
                             synapse_stuck=1e-6, merger_stuck=3e-4, fg_block_stuck=3e-4)
+# 32 dies, 16-circuit neuron blocks, and rates that put faults on most of them
+SMALL = TopologyConfig(reticle_rows=(1, 2, 1), neuron_block_size=16)
+SMALL_RATES = DefectRates(jtag=0.1, highspeed=0.1, fg_controller=0.05, repeater=0.01,
+                          switch=1e-4, synapse_driver=1e-3, synapse_stuck=1e-5,
+                          synapse_unstable=1.5e-6, merger_stuck=0.02, fg_block_stuck=0.02)
 
 
 def jtag(h):
@@ -96,6 +103,20 @@ def test_memory_test_reduced_pass_on_failed_highspeed():
     assert list(res.bytes_by_region) == list(mm)
     for region, size in mm.items():
         assert res.bytes_by_region[region] == size * (384 if region in routing else 383)
+
+
+def test_memory_test_adds_a_groups_seconds_in_member_order():
+    # one group: five unreachable dies, two full passes, then a reduced one;
+    # numpy's pairwise sum of the same seconds ends in ...b8, not ...b7
+    one_group = TopologyConfig(reticle_rows=(1,))
+    db = AvailabilityDb(one_group)
+    w = build_wafer(11, one_group, defects=DefectSet(
+        [Defect(DefectType.JTAG_DEAD, Coord.hicann_(h)) for h in range(5)]
+        + [Defect(DefectType.HIGHSPEED_DEAD, Coord.hicann_(7))]))
+    comm_test(w, db)
+    res = memory_test(w, db)
+    assert (res.full_passes, res.reduced_passes, res.skipped) == (2, 1, 5)
+    assert res.duration_s.hex() == "0x1.19e9131abf0b7p+7"  # 70 + 70 + 70 * 1600 / 117250
 
 
 def test_memory_test_skips_unreachable_die():
@@ -232,6 +253,24 @@ def test_two_repeaters_close_the_block():
     assert len(added) == 80  # 40 own + 40 partner-side
 
 
+@pytest.mark.parametrize("block", [0, CFG.repeater_blocks_per_hicann - 1])
+def test_two_repeaters_close_a_block_of_the_last_die(block):
+    h, per = CFG.n_hicanns - 1, CFG.repeaters_per_block
+    first, last = block * per, (block + 1) * per - 1
+    outside = last + 1 if block == 0 else first - 1  # in the adjacent block
+
+    def closed(*repeaters):
+        eff = effective_exclusion(CFG, AvailabilityState(
+            CFG, [Coord.repeater(h, r) for r in repeaters]))
+        return eff.excluded_of(Kind.REPEATER_BLOCK), eff.excluded_of(Kind.REPEATER)
+
+    assert closed(last) == (set(), {Coord.repeater(h, last)})
+    assert closed(first, outside) == (set(), {Coord.repeater(h, first),
+                                             Coord.repeater(h, outside)})
+    assert closed(first, last) == ({Coord.repeater_block(h, block)},
+                                   {Coord.repeater(h, r) for r in range(first, last + 1)})
+
+
 def test_rim_facing_repeater_has_one_bus():
     h = CFG.hicann_at(13, 0)  # top row, northern group faces off-grid
     ind = AvailabilityState(CFG, [Coord.repeater(h, 7)])
@@ -322,19 +361,15 @@ def test_closure_states_byte_identical():
 
 
 def test_reduced_topology_commissioning_byte_identical():
-    # 32 dies, 16-circuit neuron blocks: R5 covers only the blocks that own
-    # a sending channel; two unstable arrays are written off
-    small = TopologyConfig(reticle_rows=(1, 2, 1), neuron_block_size=16)
-    rates = DefectRates(jtag=0.1, highspeed=0.1, fg_controller=0.05, repeater=0.01,
-                        switch=1e-4, synapse_driver=1e-3, synapse_stuck=1e-5,
-                        synapse_unstable=1.5e-6, merger_stuck=0.02, fg_block_stuck=0.02)
-    db, mem = commission(build_wafer(5, small, defects=random_defects(5, small, rates)))
+    # R5 covers only the neuron blocks that own a sending channel; two
+    # unstable arrays are written off
+    db, mem = commission(build_wafer(5, SMALL, defects=random_defects(5, SMALL, SMALL_RATES)))
     ind, eff = db.state("individual"), db.state("effective")
     assert mem.unstable_arrays == [Coord.synapse_array(7, 0), Coord.synapse_array(8, 1)]
     assert state_digest(ind) == "a4062380d40b0471dd8b3afabaa758168a900fe8dfa46178ec373fc9555476be"
     assert state_digest(eff) == "ee3a243f81a69e58c234db68635a4d4692ad5e56cae2ed180d1f539f27335aca"
     rows = {r.resource: (r.individual, r.effective)
-            for r in exclusion_report(small, ind, eff) if r.individual or r.effective}
+            for r in exclusion_report(SMALL, ind, eff) if r.individual or r.effective}
     assert rows == {"jtag_link": (4, 7), "highspeed_link": (2, 9), "neuron": (0, 2720),
                     "merger": (1, 1), "synapse_array": (2, 2), "synapse_row": (448, 448),
                     "synapse_driver": (221, 221), "synapse": (112672, 112672),
@@ -356,6 +391,76 @@ def test_square_reticles_commission():
     assert mem.full_passes + mem.reduced_passes + mem.skipped == 16
     rows = {r.resource: r for r in exclusion_report(square, ind, eff)}
     assert rows["jtag_link"].components == 16
+
+
+# ---- whole-wafer memory test pins ------------------------------------------
+
+DENSE_RATES = dataclasses.replace(CLOSURE_RATES, synapse_unstable=1e-7)
+
+
+def dense_defects():
+    # the commission_dense bench set: every unstable cell flips on every rewrite
+    return DefectSet([dataclasses.replace(d, flip_probability=1.0)
+                      if d.type is DefectType.MEMORY_UNSTABLE else d
+                      for d in random_defects(0, CFG, DENSE_RATES)])
+
+
+PINNED_WAFERS = {
+    "golden": lambda: build_wafer(4242, defects=golden_defect_set()),
+    "dense": lambda: build_wafer(1, CFG, defects=dense_defects()),
+    "reduced": lambda: build_wafer(5, SMALL, defects=random_defects(5, SMALL, SMALL_RATES)),
+}
+
+
+def region_bytes(*sizes):
+    return list(zip(CFG.memory_map(), sizes))
+
+
+# every MemoryTestResult field: (full, reduced, skipped) passes, duration_s
+# as float.hex, bytes_by_region in region order, the number and the sha256 of
+# the discovered coordinates' JSON, and the unstable arrays
+MEMORY_PINS = {
+    "golden": ((371, 1, 12), "0x1.1800000000000p+9",
+               region_bytes(41789440, 238080, 357120, 326480, 11130, 11872, 5936,
+                            379904, 1484, 379904),
+               188, "d91b9429671896743a09faae83331fe686317513da6667296604fe6144f810b0", []),
+    "dense": ((361, 18, 5), "0x1.1800000000000p+9",
+              region_bytes(40663040, 242560, 363840, 317680, 10830, 11552, 5776,
+                           369664, 1444, 369664),
+              259, "e6eb2cdcf473c14132ecbb8f850fb05bdc78cba4b830c76921afe4c2e7417cc4",
+              [(75, 0), (173, 1), (210, 0), (235, 0), (255, 0), (360, 0)]),
+    "reduced": ((26, 2, 4), "0x1.eaf4898d5f85cp+8",
+                region_bytes(2928640, 17920, 26880, 22880, 780, 832, 416, 26624, 104, 26624),
+                166, "770495d5093feb59a74e2c0c5f71fd32456e0b9cf0fdb8b5c4e7fc90144d226d",
+                [(7, 0), (8, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_WAFERS)
+def test_memory_test_result_pinned(name):
+    passes, duration, by_region, n_found, found_digest, unstable = MEMORY_PINS[name]
+    _, mem = commission(PINNED_WAFERS[name]())
+    assert (mem.full_passes, mem.reduced_passes, mem.skipped) == passes
+    assert mem.duration_s.hex() == duration
+    assert list(mem.bytes_by_region.items()) == by_region
+    assert mem.bytes_tested == sum(b for _, b in by_region)
+    assert len(mem.discovered) == n_found
+    assert hashlib.sha256(json.dumps([c.to_json() for c in mem.discovered]).encode()) \
+        .hexdigest() == found_digest
+    assert mem.unstable_arrays == [Coord.synapse_array(h, a) for h, a in unstable]
+
+
+@pytest.mark.parametrize("name", PINNED_WAFERS)
+def test_defect_order_does_not_change_commissioning(name):
+    wafer = PINNED_WAFERS[name]()
+    db, mem = commission(wafer)
+    shuffled = list(wafer.defects)
+    random.Random(0).shuffle(shuffled)
+    wafer.defects = DefectSet(shuffled)
+    db_shuffled, mem_shuffled = commission(wafer)
+    assert mem_shuffled == mem
+    for state in ("individual", "effective"):
+        assert state_digest(db_shuffled.state(state)) == state_digest(db.state(state))
 
 
 # ---- analog readout test ---------------------------------------------------

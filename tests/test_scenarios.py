@@ -25,8 +25,8 @@ def test_golden_composition():
     assert len(ds.defects) == 212
     # 11 of the 12 failed high-speed links sit on dies that are also
     # unreachable over the control link; exactly one is a genuine fault
-    jtag_dies = ds.hicanns_with(DefectType.JTAG_DEAD)
-    hs_dies = ds.hicanns_with(DefectType.HIGHSPEED_DEAD)
+    jtag_dies = {d.coord.hicann for d in ds.of_type(DefectType.JTAG_DEAD)}
+    hs_dies = {d.coord.hicann for d in ds.of_type(DefectType.HIGHSPEED_DEAD)}
     assert len(hs_dies & jtag_dies) == 11
     assert len(hs_dies - jtag_dies) == 1
 
@@ -38,9 +38,8 @@ def test_shipped_file_matches_generator():
 
 def test_golden_repeater_placement():
     ds = golden_defect_set()
-    reps = ds.coords_of(DefectType.REPEATER_BROKEN)
     per_block = {}
-    for c in reps:
+    for c in (d.coord for d in ds.of_type(DefectType.REPEATER_BROKEN)):
         per_block.setdefault((c.hicann, c.indices[1] // 40), []).append(c)
     pairs = {k: v for k, v in per_block.items() if len(v) > 1}
     # exactly two blocks take a second hit and get written off whole
