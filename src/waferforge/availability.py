@@ -264,22 +264,6 @@ class AvailabilityDb:
     def set_state(self, name: str, state: AvailabilityState) -> None:
         self._states[name] = state
 
-    def diff(self, a: str, b: str) -> list[tuple[Coord, bool, bool]]:
-        """All coords excluded in either state, with per-state usability."""
-        sa, sb = self.state(a), self.state(b)
-        coords = set(sa.all_excluded()) | set(sb.all_excluded())
-        return [(c, sa.is_usable(c), sb.is_usable(c))
-                for c in sorted(coords, key=Coord.sort_key)]
-
-    def write_diff_csv(self, path, a: str = "individual",
-                       b: str = "effective") -> None:
-        rows = self.diff(a, b)
-        with open(path, "w") as f:
-            f.write(f"coord,kind,usable_{a},usable_{b}\n")
-            for coord, ua, ub in rows:
-                idx = ":".join(str(i) for i in coord.indices)
-                f.write(f"{idx},{coord.kind.value},{int(ua)},{int(ub)}\n")
-
 
 def save_state(db: AvailabilityDb, name: str, path) -> None:
     data = db.state(name).to_json()

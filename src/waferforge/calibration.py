@@ -850,21 +850,6 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
                            8e-3, ok=slopes_ok)
 
 
-def direct_reversal_readout(wafer: WaferModel, db: CalibrationDb, h: int,
-                            circuits, *, availability=None) -> np.ndarray:
-    """Rest with the excitatory amplifier forced permanently open.
-
-    The membrane settles where the amplifier's limited current balances
-    the leak -- below the true reversal. Kept as the reference the
-    indirect estimate is compared against.
-    """
-    plan = _rescaled(wafer.topology, SweepPlan(
-        "v_convoffx", (0,), {"e_leak": 455, "i_gl": 123, "e_synx": 853},
-        duration=0.08))
-    return _rest_sweep(wafer, db, h, list(circuits), plan, tail=0.3,
-                       availability=availability)[0]
-
-
 # ---------------------------------------------------------------------------
 # orchestration, inversion, exclusion
 

@@ -98,14 +98,6 @@ class CommResult:
     jtag_ok: np.ndarray
     highspeed_ok: np.ndarray
 
-    @property
-    def n_jtag_ok(self) -> int:
-        return int(self.jtag_ok.sum())
-
-    @property
-    def n_highspeed_ok(self) -> int:
-        return int(self.highspeed_ok.sum())
-
 
 def comm_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> CommResult:
     """Probe JTAG and high-speed links of every hicann.
@@ -435,8 +427,7 @@ class ReportRow:
 
 
 def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
-                     effective: AvailabilityState,
-                     reference: dict | None = None) -> list[ReportRow]:
+                     effective: AvailabilityState) -> list[ReportRow]:
     """Per-resource exclusion counts and percentages.
 
     Sub-hicann resources are counted on dies whose control link passed the
@@ -444,9 +435,6 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
     and quoted against the fixed reference totals, so numbers stay
     comparable between wafers.
     """
-    ref = dict(REPORT_REFERENCE)
-    if reference:
-        ref.update(reference)
     H = cfg.n_hicanns
     unreachable = np.flatnonzero(individual.read_mask(Kind.JTAG_LINK))
 
@@ -466,10 +454,10 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
         row("highspeed_link", kind=Kind.HIGHSPEED_LINK, components=H, tested=hs_tested),
     ]
     for kind in _EXPERIMENT_KINDS:
-        n = resource_count(cfg, kind, ref["experiment_hicanns"])
+        n = resource_count(cfg, kind, REPORT_REFERENCE["experiment_hicanns"])
         rows.append(row(kind.value, kind, n, n, reachable_only=True))
     for kind in _INFRA_KINDS:
-        n = resource_count(cfg, kind, ref["infrastructure_hicanns"])
+        n = resource_count(cfg, kind, REPORT_REFERENCE["infrastructure_hicanns"])
         rows.append(row(kind.value, kind, n, n, reachable_only=True))
     return rows
 

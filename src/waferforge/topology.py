@@ -9,8 +9,9 @@ wiring pattern; it holds no state.
 
 Fabric model
 ------------
-The routing fabric is modeled explicitly so that availability and routing are
-well defined:
+The routing fabric's wiring pattern is stated here; availability sizes its
+per-kind masks from the counts, and no closure rule reads an individual
+switch, so switches are not mapped to the bus pairs they join:
 
 * 320 buses per hicann = 4 border groups (N, E, S, W) x 80 lanes. Bus ``b``
   belongs to group ``b // 80`` with lane ``b % 80``.
@@ -292,10 +293,6 @@ class TopologyConfig:
         return self.buses_per_hicann // self.repeater_blocks_per_hicann
 
     @property
-    def fg_cells_per_hicann(self) -> int:
-        return self.fg_blocks_per_hicann * self.fg_rows * self.fg_columns
-
-    @property
     def switches_per_hicann(self) -> int:
         per_pair = self.lanes_per_group * (self.lanes_per_group // self.crossbar_lane_modulus)
         n_pairs = self.bus_groups * (self.bus_groups - 1) // 2
@@ -366,12 +363,6 @@ class TopologyConfig:
         """Read-only ``(n_hicanns, 4)`` neighbor ids by ``Direction``, -1 off-grid."""
         return _grid(self).neighbor_table
 
-    def row_widths(self) -> list[int]:
-        widths = [0] * self.grid_height
-        for x, y in _grid(self).xy:
-            widths[y] += 1
-        return widths
-
     def no_highspeed_hicanns(self) -> tuple[int, ...]:
         return self._no_highspeed_hicanns
 
@@ -380,7 +371,7 @@ class TopologyConfig:
         return tuple(h for h in range(self.n_hicanns)
                      if h // self.group_size in self.no_highspeed_groups)
 
-    # ---- fabric ----------------------------------------------------------
+    # ---- fabric: the wiring pattern of the module docstring ---------------
     def bus_direction(self, b: int) -> Direction:
         return Direction(b // self.lanes_per_group)
 
@@ -413,14 +404,10 @@ class TopologyConfig:
         return [(7 * driver_flat + 13 * t) % n for t in range(self.select_fanin)]
 
     def drivers_on_bus(self, b: int) -> list[int]:
-        """Flat driver indices selectable from bus ``b`` (inverse of select_buses)."""
-        return _fabric(self).drivers_by_bus[b]
-
-    def crossbar_switch(self, b1: int, b2: int) -> int | None:
-        return _fabric(self).switch_ids.get((min(b1, b2), max(b1, b2)))
-
-    def select_switch(self, b: int, driver_flat: int) -> int | None:
-        return _fabric(self).switch_ids.get((b, "d", driver_flat))
+        """Flat driver indices selectable from bus ``b``, ascending: the
+        inverse of :meth:`select_buses`."""
+        n_drivers = self.arrays_per_hicann * self.drivers_per_array
+        return [d for d in range(n_drivers) if b in self.select_buses(d)]
 
     def injection_buses(self, channel: int) -> tuple[int, int]:
         """Primary and fallback buses a sending channel can drive."""
@@ -494,29 +481,6 @@ class _Grid:
         self.neighbor_table.setflags(write=False)
 
 
-class _Fabric:
-    """Precomputed switch pattern (identical on every hicann)."""
-
-    def __init__(self, cfg: TopologyConfig):
-        pairs: list[tuple] = []
-        n = cfg.buses_per_hicann
-        for b1 in range(n):
-            for b2 in cfg.crossbar_partners(b1):
-                if b2 > b1:
-                    pairs.append((b1, b2))
-        pairs.sort()
-        n_drivers = cfg.arrays_per_hicann * cfg.drivers_per_array
-        select = sorted((b, "d", d) for d in range(n_drivers) for b in set(cfg.select_buses(d)))
-        self.switch_ids: dict[tuple, int] = {}
-        for i, p in enumerate(pairs + select):
-            self.switch_ids[p] = i
-        assert len(self.switch_ids) == cfg.switches_per_hicann
-        self.drivers_by_bus: list[list[int]] = [[] for _ in range(n)]
-        for d in range(n_drivers):
-            for b in sorted(set(cfg.select_buses(d))):
-                self.drivers_by_bus[b].append(d)
-
-
 @lru_cache(maxsize=8)
 def _grid_cached(key: tuple) -> _Grid:
     return _Grid(TopologyConfig(reticle_rows=key[0], reticle_shape=key[1], edge_hicanns=()))
@@ -524,20 +488,6 @@ def _grid_cached(key: tuple) -> _Grid:
 
 def _grid(cfg: TopologyConfig) -> _Grid:
     return _grid_cached((cfg.reticle_rows, cfg.reticle_shape))
-
-
-@lru_cache(maxsize=8)
-def _fabric_cached(key: tuple) -> _Fabric:
-    return _Fabric(TopologyConfig(bus_groups=key[0], lanes_per_group=key[1],
-                                  crossbar_lane_modulus=key[2], select_fanin=key[3],
-                                  arrays_per_hicann=key[4], rows_per_array=key[5],
-                                  driven_rows_per_array=key[6], edge_hicanns=()))
-
-
-def _fabric(cfg: TopologyConfig) -> _Fabric:
-    return _fabric_cached((cfg.bus_groups, cfg.lanes_per_group, cfg.crossbar_lane_modulus,
-                           cfg.select_fanin, cfg.arrays_per_hicann, cfg.rows_per_array,
-                           cfg.driven_rows_per_array))
 
 
 def hicann_group(cfg: TopologyConfig, h: int) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .defects import DefectSet
-from .topology import Coord, Kind, TopologyConfig, check_schema
+from .topology import Coord, Kind, TopologyConfig, check_schema, validate_coord
 from .variability import SoftplusLaw, VariabilityConfig
 
 SCHEMA = "waferforge.wafer/1"
@@ -161,6 +161,15 @@ class WaferModel:
     fg: dict[int, FgState] = field(default_factory=dict)
     _truth: dict[int, HicannTruth] = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # a defect outside the topology is refused here, not as an
+        # IndexError deep inside commissioning
+        for d in self.defects:
+            try:
+                validate_coord(self.topology, d.coord)
+            except ValueError as e:
+                raise ValueError(f"defect {d.type.value}: {e}") from None
+
     def truth(self, h: int) -> HicannTruth:
         if h not in self._truth:
             self._truth[h] = HicannTruth(self.master_seed, h, self.variability, self.topology)
@@ -201,13 +210,19 @@ class WaferModel:
             variability=VariabilityConfig.from_json(data["variability"]),
             defects=DefectSet.from_json(data["defects"]),
         )
+        shape = FgState.blank(wafer.topology).d_set.shape
         for h, st in data.get("fg", {}).items():
-            wafer.fg[int(h)] = FgState(
+            fg = FgState(
                 d_set=np.array(st["d_set"], dtype=np.int32),
                 d_eff=np.array(st["d_eff"], dtype=float),
                 written=np.array(st["written"], dtype=bool),
                 write_cycle=int(st["write_cycle"]),
             )
+            for name in ("d_set", "d_eff", "written"):
+                if getattr(fg, name).shape != shape:
+                    raise ValueError(f"fg state of hicann {h}: {name} has shape "
+                                     f"{getattr(fg, name).shape}, expected {shape}")
+            wafer.fg[int(h)] = fg
         return wafer
 
     def save(self, path) -> None:

@@ -214,32 +214,3 @@ def test_load_state_rejects_malformed_file(tmp_path):
     path.write_text(json.dumps({"schema": "waferforge.wafer/1", "excluded": {}}))
     with pytest.raises(ValueError, match="schema"):
         load_state(AvailabilityDb(CFG), "individual", path)
-
-
-def test_diff_lists_union_with_flags():
-    db = AvailabilityDb(CFG)
-    ind = db.ensure("individual")
-    eff = db.ensure("effective")
-    ind.exclude(Coord.repeater(4, 10))
-    eff.exclude(Coord.repeater(4, 10))
-    eff.exclude(Coord.bus(4, 10))
-    rows = db.diff("individual", "effective")
-    assert [(str(c), a, b) for c, a, b in rows] == [
-        ("bus[4,10]", True, False),  # closure-added
-        ("repeater[4,10]", False, False),
-    ]
-
-
-def test_diff_csv(tmp_path):
-    db = AvailabilityDb(CFG)
-    db.ensure("individual").exclude(Coord.neuron(2, 7))
-    eff = db.ensure("effective")
-    eff.exclude(Coord.neuron(2, 7))
-    eff.exclude(Coord.ext_merger(2, 1))
-    path = tmp_path / "diff.csv"
-    db.write_diff_csv(path)
-    assert path.read_text() == (
-        "coord,kind,usable_individual,usable_effective\n"
-        "2:7,neuron,0,0\n"
-        "2:1,ext_merger,1,0\n"
-    )

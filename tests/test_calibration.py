@@ -599,6 +599,18 @@ def test_time_constants_recover_with_zero_variability():
             assert abs(err) < rel_bound[name], (name, n, err)
 
 
+def direct_reversal_readout(wafer, db, h, circuits):
+    """Rest with the excitatory amplifier forced permanently open.
+
+    The membrane settles where the amplifier's limited current balances
+    the leak -- below the true reversal.
+    """
+    plan = cal._rescaled(wafer.topology, cal.SweepPlan(
+        "v_convoffx", (0,), {"e_leak": 455, "i_gl": 123, "e_synx": 853},
+        duration=0.08))
+    return cal._rest_sweep(wafer, db, h, list(circuits), plan, tail=0.3)[0]
+
+
 def test_direct_reversal_readout_lies_between_rest_and_reversal():
     # the amplifier's limited current holds the membrane below the true
     # reversal potential, but well above the leak's rest
@@ -606,7 +618,7 @@ def test_direct_reversal_readout_lies_between_rest_and_reversal():
     db = cal.CalibrationDb()
     circuits = [0, 128, 256, 384]
     cal.calibrate_readout_shift(w, db, 0, neurons=circuits)
-    reading = cal.direct_reversal_readout(w, db, 0, circuits)
+    reading = direct_reversal_readout(w, db, 0, circuits)
     e_leak = true_parameter_array(w, 0, "e_leak", d_eff=455)[circuits]
     e_synx = true_parameter_array(w, 0, "e_synx", d_eff=853)[circuits]
     assert reading.shape == (4,)

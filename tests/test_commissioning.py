@@ -55,8 +55,8 @@ def baseline_effective():
 def test_comm_test_defect_free():
     db = AvailabilityDb(CFG)
     res = comm_test(wafer_with(), db)
-    assert res.n_jtag_ok == 384
-    assert res.n_highspeed_ok == 368  # center groups unbonded by design
+    assert res.jtag_ok.sum() == 384
+    assert res.highspeed_ok.sum() == 368  # center groups unbonded by design
     assert not res.highspeed_ok[list(CFG.no_highspeed_hicanns())].any()
     assert len(db.state("individual")) == 0  # by-design gaps are not failures
 
@@ -461,6 +461,19 @@ def test_defect_order_does_not_change_commissioning(name):
     assert mem_shuffled == mem
     for state in ("individual", "effective"):
         assert state_digest(db_shuffled.state(state)) == state_digest(db.state(state))
+
+
+@pytest.mark.parametrize("name", ["golden", "reduced"])
+def test_closure_is_idempotent(name):
+    # closing the effective state again changes no byte, and no individual
+    # exclusion is lost on the way
+    wafer = PINNED_WAFERS[name]()
+    db, _ = commission(wafer)
+    ind, eff = db.state("individual"), db.state("effective")
+    assert effective_exclusion(wafer.topology, eff).to_json() == eff.to_json()
+    for kind in ind.kinds():
+        excluded = np.flatnonzero(ind.read_mask(kind))
+        assert eff.read_mask(kind).reshape(-1)[excluded].all(), kind
 
 
 # ---- analog readout test ---------------------------------------------------

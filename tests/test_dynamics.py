@@ -15,7 +15,9 @@ from waferforge.dynamics import (
     integrate_constant,
     integrate_scan,
 )
-from waferforge.psp import psp_analytic, psp_peak_factor, psp_peak_time
+from waferforge.psp import psp_peak_time
+
+from psp_reference import psp_analytic, psp_peak_factor
 
 
 def leak_params(n=1, e_leak=0.7, g_leak=1.2e-10, v_threshold=2.0, v_reset=0.5,

@@ -7,8 +7,10 @@ from waferforge import fitting
 from waferforge.fitting import (estimate_noise, fit_linear, fit_psp_batch,
                                 fit_softplus, normal_matrix,
                                 separable_gauss_newton, softplus_shape)
-from waferforge.psp import ALPHA_SWITCH, psp_analytic, psp_model_batch, psp_shape
+from waferforge.psp import ALPHA_SWITCH, psp_model_batch, psp_shape
 from waferforge.wafer import softplus_tau
+
+from psp_reference import psp_analytic
 
 # the PSP onset every fit here is given: the stimulus time of the traces
 ONSET = 0.010

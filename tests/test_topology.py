@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,11 +17,17 @@ from waferforge.topology import (
     validate_coord,
 )
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import build_wafer, program_floating_gates
+from waferforge.wafer import FgState, build_wafer, program_floating_gates
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "waferforge"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CFG = TopologyConfig()
+# a reduced fabric on the 32-die wafer: 128 buses, a modulus of 8 and 12
+# select switches per driver
+SMALL_FABRIC = TopologyConfig(reticle_rows=(1, 2, 1), lanes_per_group=32,
+                              crossbar_lane_modulus=8, select_fanin=12,
+                              rows_per_array=104, driven_rows_per_array=100)
 
 # Reference wafer totals: (kind, hicann subset size, expected count).
 # 356 is the experiment subset, 373 the JTAG-reachable subset of the
@@ -49,7 +58,7 @@ def test_wafer_constants():
     assert CFG.n_hicanns == 384
     assert CFG.n_groups == 48
     assert CFG.neurons_per_hicann == 512
-    assert CFG.fg_cells_per_hicann == 12384
+    assert FgState.blank(CFG).d_set.size == 12384
     assert CFG.buses_per_hicann == 320
     assert CFG.switches_per_hicann == 7680
     assert CFG.synapses_per_hicann == 112640
@@ -75,9 +84,14 @@ def test_group_arithmetic():
         hicann_group(CFG, 384)
 
 
+def row_widths(cfg):
+    rows = Counter(cfg.hicann_xy(h)[1] for h in range(cfg.n_hicanns))
+    return [rows[y] for y in range(cfg.grid_height)]
+
+
 def test_grid_row_widths():
-    assert CFG.row_widths() == [12, 12, 20, 20, 28, 28, 36, 36, 36, 36, 28, 28, 20, 20, 12, 12]
-    assert sum(CFG.row_widths()) == 384
+    assert row_widths(CFG) == [12, 12, 20, 20, 28, 28, 36, 36, 36, 36, 28, 28, 20, 20, 12, 12]
+    assert sum(row_widths(CFG)) == 384
 
 
 def test_grid_roundtrip_and_neighbors():
@@ -144,27 +158,26 @@ def test_bus_partner_pairing():
 
 
 def test_switch_pattern_counts():
-    crossbar = sum(1 for b1 in range(320) for b2 in CFG.crossbar_partners(b1) if b2 > b1)
-    assert crossbar == 2400
-    select = sum(len(CFG.select_buses(d)) for d in range(220))
-    assert select == 5280
-    assert crossbar + select == CFG.switches_per_hicann
-    # every switch has a dense id
-    ids = set()
-    for b1 in range(320):
-        for b2 in CFG.crossbar_partners(b1):
-            if b2 > b1:
-                ids.add(CFG.crossbar_switch(b1, b2))
-    for d in range(220):
-        for b in CFG.select_buses(d):
-            ids.add(CFG.select_switch(b, d))
-    assert ids == set(range(7680))
+    # the Kind.SWITCH mask is sized by switches_per_hicann: the wiring
+    # pattern must have exactly that many distinct switches
+    for cfg, crossbar, select in ((CFG, 2400, 5280), (SMALL_FABRIC, 768, 1200)):
+        n_drivers = cfg.arrays_per_hicann * cfg.drivers_per_array
+        pairs = {(min(b1, b2), max(b1, b2)) for b1 in range(cfg.buses_per_hicann)
+                 for b2 in cfg.crossbar_partners(b1)}
+        selects = {(b, d) for d in range(n_drivers) for b in cfg.select_buses(d)}
+        assert (len(pairs), len(selects)) == (crossbar, select)
+        assert len(pairs) + len(selects) == cfg.switches_per_hicann
+        assert cfg.index_shapes[Kind.SWITCH][1] == cfg.switches_per_hicann
 
 
 def test_drivers_on_bus_inverse():
-    for b in range(0, 320, 37):
-        for d in CFG.drivers_on_bus(b):
-            assert b in CFG.select_buses(d)
+    for cfg in (CFG, SMALL_FABRIC):
+        by_bus = [set() for _ in range(cfg.buses_per_hicann)]
+        for d in range(cfg.arrays_per_hicann * cfg.drivers_per_array):
+            for b in cfg.select_buses(d):
+                by_bus[b].add(d)
+        for b in range(cfg.buses_per_hicann):
+            assert cfg.drivers_on_bus(b) == sorted(by_bus[b])
 
 
 def test_injection_buses_cover_two_groups():
@@ -210,7 +223,7 @@ def test_config_json_roundtrip():
 def test_reduced_wafer_config():
     small = TopologyConfig(reticle_rows=(1, 1))
     assert small.n_hicanns == 16
-    assert small.row_widths() == [4, 4, 4, 4]
+    assert row_widths(small) == [4, 4, 4, 4]
     assert resource_count(small, Kind.NEURON, small.n_hicanns) == 16 * 512
 
 
@@ -235,3 +248,36 @@ def test_every_config_field_is_read(config):
     src = "".join(p.read_text() for p in SRC.glob("*.py"))
     unread = [f.name for f in dataclasses.fields(config) if f".{f.name}" not in src]
     assert unread == []
+
+
+# public names that nothing in src/ or bench/ has to call
+ENTRY_POINTS = (
+    # the package's user-facing calls and state queries
+    "load_golden_defects", "jtag_fault_sample", "analog_readout_test",
+    "apply_calibration", "save", "save_state", "load_state", "write_report_csv",
+    "write_trace_csv", "excluded_of", "all_excluded", "build",
+    # oracles that see past the tests: the hidden FG values, the flags a
+    # fully transparent test suite would record
+    "fg_dac_array", "individual_from_defects",
+    # the grid and the fabric wiring pattern the module docstring states
+    "hicann_xy", "bus_partner", "crossbar_partners",
+)
+
+
+def test_every_public_name_is_used():
+    # a public name that appears nowhere but in its own definition is API
+    # that only tests call
+    src = [p.read_text() for p in SRC.glob("*.py")]
+    bench = [p.read_text() for p in BENCH.glob("*.py")]
+    words = Counter(re.findall(r"\w+", "\n".join(src + bench)))
+    defined = Counter()
+    for tree in map(ast.parse, src):
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *members):
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                    defined[d.name] += 1
+    assert set(ENTRY_POINTS) <= set(defined)
+    unused = [name for name, n in sorted(defined.items())
+              if name not in ENTRY_POINTS and words[name] <= n]
+    assert unused == []

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
 
 from waferforge import rng
+from waferforge.defects import Defect, DefectSet, DefectType
 from waferforge.topology import Coord, TopologyConfig
 from waferforge.variability import SoftplusLaw, VariabilityConfig
 from waferforge.wafer import (
@@ -336,6 +339,47 @@ def test_wafer_json_roundtrip(tmp_path):
     assert w2.variability == w.variability
     # truth is derived from the seed, so unwritten HICANNs need no stored state
     assert np.array_equal(w2.truth(100).offset["e_syni"], w.truth(100).offset["e_syni"])
+
+
+# one coordinate per defect type with one index past its bound (or negative)
+OUT_OF_RANGE_DEFECTS = [
+    Defect(DefectType.JTAG_DEAD, Coord.hicann_(384)),
+    Defect(DefectType.HIGHSPEED_DEAD, Coord.hicann_(-1)),
+    Defect(DefectType.MEMORY_STUCK, Coord.synapse(0, 1, 220, 0), pattern=3),
+    Defect(DefectType.MEMORY_UNSTABLE, Coord.synapse(0, 2, 0, 0), flip_probability=0.1),
+    Defect(DefectType.FG_CONTROLLER_BROKEN, Coord.hicann_(400)),
+    Defect(DefectType.REPEATER_BROKEN, Coord.repeater(400, 5)),
+    Defect(DefectType.SYNAPSE_DRIVER_BROKEN, Coord.synapse_driver(3, 0, 110)),
+    Defect(DefectType.SWITCH_BROKEN, Coord.switch(3, 7680)),
+]
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE_DEFECTS, ids=lambda d: d.type.value)
+def test_out_of_range_defect_fails_when_the_wafer_is_built(bad, tmp_path):
+    assert {d.type for d in OUT_OF_RANGE_DEFECTS} == set(DefectType)
+    # the first bad defect is named, after a good one of the same type
+    good = dataclasses.replace(bad, coord=Coord(bad.coord.kind, (0,) * len(bad.coord.indices)))
+    defects = DefectSet([good, bad])
+    message = f"defect {bad.type.value}: {re.escape(str(bad.coord))}"
+    with pytest.raises(ValueError, match=message):
+        build_wafer(1, defects=defects)
+    data = dict(build_wafer(1).to_json(), defects=defects.to_json())
+    path = tmp_path / "wafer.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        WaferModel.load(path)
+
+
+def test_load_rejects_a_wrongly_shaped_fg_array(tmp_path):
+    w = build_wafer(23)
+    program_floating_gates(w, 2, {"e_leak": 400})
+    for name in ("d_set", "d_eff", "written"):
+        data = w.to_json()
+        data["fg"]["2"][name] = data["fg"]["2"][name][:-1]
+        path = tmp_path / "wafer.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"hicann 2: {name} has shape"):
+            WaferModel.load(path)
 
 
 def test_true_parameter_array_matches_scalar():
