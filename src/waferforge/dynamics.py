@@ -24,11 +24,20 @@ group of interconnected circuits whose leak terms are summed.
 All three solvers read their arguments through one preamble
 (``_preamble``: step count, recorded units, event queues, start voltages),
 and the membrane step of the list above is written once (``_stepper``:
-the totals, the saturation test and the choice of update).
+the saturation test, then the update it chooses).
 
 ``integrate`` steps a run with that step. It serves the runs that the two
 solvers below do not take: runs with events that cannot be scanned, with
-recurrent input, or with a side that may saturate.
+recurrent input, or with a side that may saturate. Its shortcuts give the
+bytes of the full per-step expression:
+
+* a static side (no event before the last step, no recurrent input and a
+  finite decay factor) keeps a conductance of ``+0.0``, so its total is
+  computed once and it is not decayed; with both sides static, ``num``,
+  ``g_tot``, ``V_inf``, the propagator and the drift are computed once too;
+* a static side that cannot saturate is not tested, and a saturated step
+  computes nothing for it: its masks would be all false;
+* before the first spike no unit is refractory, so the clamp is skipped.
 
 ``integrate_constant`` solves a run with constant inputs and equals
 ``integrate`` bit for bit. ``inputs_constant`` accepts a run without
@@ -50,6 +59,11 @@ period at a time:
 * the release step is the first step k after the spike with
   ``k * dt >= t_spike + tau_ref``, decided by the loop's own comparison of
   the loop's own values (spike times off the grid, Hanuschkin et al. 2010);
+* so after its first release a unit's train is periodic until rounding
+  moves a release step: each pass takes one exact release, guesses the
+  next ``_CYCLES`` cycles to repeat its refractory steps, checks every
+  guessed release with those comparisons in whole-array operations and
+  resumes from the first one the guess gets wrong;
 * a sequence that reaches a bitwise fixed point (``V' == V``) repeats it at
   every later step, so its iteration stops there.
 
@@ -66,13 +80,17 @@ reached. Such a run has no spikes, refractory clamps or recurrent
 deliveries; between two event boundaries its conductances decay
 geometrically and the membrane update is a linear recurrence, solved in
 chunks with cumulative sums in the log domain. Where a step may saturate,
-the scan hands over to the loop's own step, one step at a time.
+the scan hands over to the loop's own step, one step at a time. A side's
+current is at most its conductance times its largest ``|e - V|`` over that
+hull, so after a kick it can saturate only until its decaying conductance
+falls within a per-unit room: past that horizon no step needs a test.
 
 Each solver returns its own ``EngineResult`` with a trace array of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,32 +242,47 @@ class EngineResult:
     spike_times: np.ndarray
 
 
+def _propagator(num, g_tot, c, dt):
+    """The membrane step ``v -> v'`` for fixed ``num`` and ``g_tot``: to
+    ``V_inf`` by the propagator, or drifting on ``num`` for a unit without
+    conductance."""
+    conductive = g_tot > 0.0
+    prop = np.exp(-dt * g_tot / c)
+    if conductive.all():
+        v_inf = num / g_tot
+        return lambda v: v_inf + (v - v_inf) * prop
+    v_inf = num / np.where(conductive, g_tot, 1.0)
+    drift = dt * num / c
+    return lambda v: np.where(conductive, v_inf + (v - v_inf) * prop, v + drift)
+
+
 def _exp_euler(num, g_tot, v, c, dt):
     """One membrane step; a unit without conductance drifts on ``num``."""
-    conductive = g_tot > 0.0
-    v_inf = num / np.where(conductive, g_tot, 1.0)
-    return np.where(
-        conductive,
-        v_inf + (v - v_inf) * np.exp(-dt * g_tot / c),
-        v + dt * num / c,
-    )
+    return _propagator(num, g_tot, c, dt)(v)
 
 
-def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt):
-    """One membrane step in which some synaptic side saturates."""
-    ix_lin = gx_tot * (p.e_synx - v)
-    ii_lin = gi_tot * (p.e_syni - v)
-    sat_x = np.abs(ix_lin) > p.i_sat
-    sat_i = np.abs(ii_lin) > p.i_sat
-    saturated = sat_x | sat_i
-    adj_num = np.where(sat_x, np.sign(ix_lin) * p.i_sat - gx_tot * p.e_synx, 0.0)
-    adj_num += np.where(sat_i, np.sign(ii_lin) * p.i_sat - gi_tot * p.e_syni, 0.0)
-    num = num + adj_num
-    g_tot = g_tot - np.where(sat_x, gx_tot, 0.0) - np.where(sat_i, gi_tot, 0.0)
-    v_new = _exp_euler(num, g_tot, v, p.capacitance, dt)
+def _saturation(g_side, e_side, v, i_sat):
+    """Where a side saturates, what it adds to ``num`` there and the
+    conductance it takes out of ``g_tot``."""
+    i_lin = g_side * (e_side - v)
+    sat = np.abs(i_lin) > i_sat
+    return (sat, np.where(sat, np.sign(i_lin) * i_sat - g_side * e_side, 0.0),
+            np.where(sat, g_side, 0.0))
+
+
+def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt, checks):
+    """One membrane step in which some synaptic side saturates. A side
+    whose test cannot fire (``checks``) saturates nowhere: it adds ``+0.0``
+    to ``num`` and takes nothing out of ``g_tot``, as its all-false masks
+    would."""
+    none = (False, 0.0, 0.0)
+    sat_x, adj_x, cut_x = _saturation(gx_tot, p.e_synx, v, p.i_sat) if checks[0] else none
+    sat_i, adj_i, cut_i = _saturation(gi_tot, p.e_syni, v, p.i_sat) if checks[1] else none
+    v_new = _exp_euler(num + (adj_x + adj_i), g_tot - cut_x - cut_i, v,
+                       p.capacitance, dt)
     lo = np.minimum(p.e_syni, v)
     hi = np.maximum(p.e_synx, v)
-    return np.where(saturated, np.clip(v_new, lo, hi), v_new)
+    return np.where(sat_x | sat_i, np.clip(v_new, lo, hi), v_new)
 
 
 def _deliver(q: EventQueue, cursor: int, due: int, k: int, g, n_steps: int):
@@ -288,31 +321,52 @@ def _totals(p: UnitParams, g_x, g_i):
     """Each side's total conductance, then the step's ``num`` and ``g_tot``."""
     gx_tot = g_x + p.g_base_x
     gi_tot = g_i + p.g_base_i
-    num = p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni
-    g_tot = p.g_leak + gx_tot + gi_tot
-    return gx_tot, gi_tot, num, g_tot
+    return (gx_tot, gi_tot) + _combine(p, gx_tot, gi_tot)
 
 
-def _stepper(p: UnitParams, dt: float, live_x: bool, live_i: bool):
-    """The loop's membrane step ``step(g_x, g_i, v) -> (v', saturated)``
-    from the synaptic conductances, and whether each side's saturation test
-    can fire. A side without input (not ``live``) keeps its permanent
-    conductance, and one that ``_never_saturates`` needs no test."""
+def _combine(p: UnitParams, gx_tot, gi_tot):
+    """A step's ``num`` and ``g_tot`` from each side's total conductance."""
+    return (p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni,
+            p.g_leak + gx_tot + gi_tot)
+
+
+def _stepper(p: UnitParams, dt: float, static_x: bool, static_i: bool):
+    """The loop's membrane step in two halves, ``test(g_x, g_i, v) ->
+    (sides, saturated)`` and ``update(sides, saturated, v) -> v'``, and
+    whether each side's saturation test can fire.
+
+    ``sides`` are the sides' total conductances; the test needs nothing
+    else. A static side's conductance stays ``+0.0`` (no input and a finite
+    decay factor), so its total is computed here once, and with both sides
+    static so are ``num``, ``g_tot``, ``V_inf``, the propagator and the
+    drift; a static side that ``_never_saturates`` needs no test.
+    """
     has_sat = np.any(np.isfinite(p.i_sat))
     check_x, check_i = checks = tuple(
-        bool(has_sat and (live or not _never_saturates(g_base, p.i_sat)))
-        for live, g_base in ((live_x, p.g_base_x), (live_i, p.g_base_i)))
+        bool(has_sat and not (static and _never_saturates(g_base, p.i_sat)))
+        for static, g_base in ((static_x, p.g_base_x), (static_i, p.g_base_i)))
     tmp = np.empty(p.n_units)
     sat = np.empty(p.n_units, dtype=bool)
+    gx0, gi0, num0, g0 = _totals(p, 0.0, 0.0)
+    # with both sides static, the update without saturation is fixed
+    free = _propagator(num0, g0, p.capacitance, dt) if static_x and static_i else None
 
-    def step(g_x, g_i, v):
-        gx_tot, gi_tot, num, g_tot = _totals(p, g_x, g_i)
-        if (check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-                or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat)):
-            return _saturated_step(p, gx_tot, gi_tot, num, g_tot, v, dt), True
-        return _exp_euler(num, g_tot, v, p.capacitance, dt), False
+    def test(g_x, g_i, v):
+        gx_tot = gx0 if static_x else g_x + p.g_base_x
+        gi_tot = gi0 if static_i else g_i + p.g_base_i
+        return (gx_tot, gi_tot), bool(
+            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
+            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
 
-    return step, checks
+    def update(sides, saturated, v):
+        if free is not None and not saturated:
+            return free(v)
+        num, g_tot = (num0, g0) if free is not None else _combine(p, *sides)
+        if saturated:
+            return _saturated_step(p, *sides, num, g_tot, v, dt, checks)
+        return _exp_euler(num, g_tot, v, p.capacitance, dt)
+
+    return test, update, checks
 
 
 def resting_potential(params: UnitParams) -> np.ndarray:
@@ -379,14 +433,19 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
 
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
-    step, _ = _stepper(p, dt, recurrent_x is not None or _live(events_x, n_steps),
-                       recurrent_i is not None or _live(events_i, n_steps))
+    static_x, static_i = (
+        recurrent is None and not _live(events, n_steps)
+        and bool(np.all(np.isfinite(decay)))
+        for recurrent, events, decay in ((recurrent_x, events_x, decay_x),
+                                         (recurrent_i, events_i, decay_i)))
+    test, update, _ = _stepper(p, dt, static_x, static_i)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
     spike_unit_chunks: list[np.ndarray] = []
     spike_time_chunks: list[np.ndarray] = []
     px = pi = next_x = next_i = 0  # event cursors and next boundaries
+    spiked = False
 
     for k in range(n_steps):
         t_k = k * dt
@@ -400,11 +459,15 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
             g_i += pending_i
             pending_i[:] = 0.0
 
-        v_new, _ = step(g_x, g_i, v)
-        active = t_k >= refrac_until
-        v_new = np.where(active, v_new, p.v_reset)
-        firing = active & (v_new >= p.v_threshold)
+        v_new = update(*test(g_x, g_i, v), v)
+        if spiked:  # before the first spike every unit is active
+            active = t_k >= refrac_until
+            v_new = np.where(active, v_new, p.v_reset)
+            firing = active & (v_new >= p.v_threshold)
+        else:
+            firing = v_new >= p.v_threshold
         if firing.any():
+            spiked = True
             idx = np.nonzero(firing)[0]
             t_s = t_k + _spike_offset(v[idx], v_new[idx], p.v_threshold[idx], dt)
             spike_unit_chunks.append(idx)
@@ -417,8 +480,10 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
                 recurrent_i.accumulate(idx, pending_i)
 
         v = v_new
-        g_x *= decay_x
-        g_i *= decay_i
+        if not static_x:
+            g_x *= decay_x
+        if not static_i:
+            g_i *= decay_i
         traces[:, k + 1] = v if record_all else v[record_units]
 
     return _result(dt, n_steps, record_units, traces, spike_unit_chunks,
@@ -452,6 +517,9 @@ def _result(dt, n_steps, record_units, traces, unit_chunks,
 _RELAX_STEPS = 32  # steps between the stop tests of ``_relax``; 8 to 128 time
                    # the same on the calibration sweeps, whose relaxations
                    # are a small share of ``integrate_constant``
+_CYCLES = 64  # guessed spike cycles per unit checked in one pass, so a
+              # pass's arrays have at most this many rows; 32 to 128 time
+              # the same on the calibration sweeps
 
 
 def inputs_constant(params: UnitParams, dt: float, n_steps: int,
@@ -544,11 +612,11 @@ def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
     The result equals ``integrate``'s bit for bit (see the module
     docstring). ``_relax`` iterates the loop's update from ``v0`` and from
     ``v_reset`` until each unit crosses threshold or settles. The spikes
-    then follow as a chain over spike index, vectorised over units: spike
-    time, refractory end and release step, each with the loop's own
-    expressions and comparisons, and the loop's raster order. Each
-    recorded row is then written from its spike steps, one row's index at
-    a time, so no temporary has the size of the trace array.
+    then follow as a chain, vectorised over units: spike time, refractory
+    end and release step, each with the loop's own expressions and
+    comparisons, in blocks of guessed cycles, and the loop's raster order.
+    Each recorded row is then written from its spike steps, one row's
+    index at a time, so no temporary has the size of the trace array.
     """
     p = params
     n = p.n_units
@@ -586,10 +654,27 @@ def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
     live, tau = cols, p.tau_ref[spiking]
     chunks = []  # (positions in ``spiking``, spike steps, times, releases)
     while live.size:
+        # the spike at k, its release exact; the cycles after it guessed
+        # to repeat its refractory steps, each checked with the loop's
+        # comparisons, and kept up to the first the guess gets wrong
         t_s = k * dt + offset
         release = _release_step(k, t_s + tau, dt, n_steps)
         chunks.append((live, k, t_s, release))
-        k = release + rise
+        hold = release - k
+        period = hold + rise
+        first = release + rise
+        m = int(np.clip(np.max((n_steps - first) // period) + 1, 1, _CYCLES))
+        guess = first + np.arange(m)[:, None] * period
+        t_g = guess * dt + rel_offset[live]
+        until = t_g + tau
+        r_g = np.minimum(guess + hold, n_steps)
+        ok = (guess < n_steps) & ((r_g == n_steps) | (r_g * dt >= until)) \
+            & ((r_g - 1 == guess) | ((r_g - 1) * dt < until))
+        good = np.where(ok.all(axis=0), m, ok.argmin(axis=0))
+        taken = np.arange(m)[:, None] < good
+        chunks.append((np.broadcast_to(live, taken.shape)[taken], guess[taken],
+                       t_g[taken], r_g[taken]))
+        k = first + good * period
         keep = k < n_steps
         live, k, tau, rise = live[keep], k[keep], tau[keep], rise[keep]
         offset = rel_offset[live]
@@ -605,15 +690,21 @@ def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
         order = np.argsort(pos, kind="stable")
         bounds = np.searchsorted(pos[order], np.arange(cols.shape[0] + 1))
         ks, releases = ks[order], releases[order]
+        # steps from each spike to its unit's next one, or to the end
+        seg = np.append(ks[1:] - ks[:-1], 0)
+        last = bounds[1:] - 1
+        seg[last] = n_steps - ks[last]
         rel_t = np.ascontiguousarray(rel.T)
+        top = rel_t.shape[1] - 1
+        steps = np.arange(n_steps + 1)
         for row in rows:
             u = row_pos[row]
-            k_u = ks[bounds[u]:bounds[u + 1]]
-            at = np.arange(k_u[0] + 1, n_steps + 1)
-            since = at - releases[bounds[u]:bounds[u + 1]][
-                np.searchsorted(k_u, at) - 1]
-            np.clip(since, 0, rel_t.shape[1] - 1, out=since)
-            traces[row, k_u[0] + 1:] = rel_t[u, since]
+            lo, hi = bounds[u], bounds[u + 1]
+            # the release in force at each step after the first spike
+            since = steps[ks[lo] + 1:] - np.repeat(releases[lo:hi], seg[lo:hi])
+            np.maximum(since, 0, out=since)
+            np.minimum(since, top, out=since)
+            traces[row, ks[lo] + 1:] = rel_t[u, since]
     return _result(dt, n_steps, record_units, traces, [spiking[pos]], [times])
 
 
@@ -671,6 +762,20 @@ def _powers(decay, m: int):
     return power, prefix
 
 
+def _horizon(g, log_room, inv_lam, m: int) -> int:
+    """The steps 1 .. h of a chunk whose saturation test may fire, h <= m.
+
+    A unit's test cannot fire once ``g d**j <= room``, from ``j = (log g -
+    log room) / lam`` on; the horizon tests that j as well, which absorbs
+    the rounding of ``d**j``.
+    """
+    j = np.maximum(g, np.finfo(float).tiny)  # a unit without g never fires
+    np.log(j, out=j)
+    j -= log_room
+    j *= inv_lam
+    return min(m, math.ceil(j.max(initial=0.0)))
+
+
 def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
                    events_x: EventQueue | None = None,
                    events_i: EventQueue | None = None,
@@ -687,12 +792,13 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     cumulative propagator neither overflows nor underflows, and within
     ``_SCAN_STEPS``, so its temporaries stay small.
 
-    Saturation is tested after the fact on every scanned step with a small
-    relative margin; the scan keeps the steps before the first flagged one,
-    and the loop's own step (``_stepper``) takes over from there while its
-    exact test fires. After a cut the next chunk is at most twice the steps
-    kept, so a run that keeps saturating scans about as many steps as it
-    keeps.
+    Saturation is tested after the fact, with a small relative margin, on
+    the scanned steps before each side's horizon (``_horizon``); the scan
+    keeps the steps before the first flagged one, and the loop's own step
+    (``_stepper``) takes over from there while its exact test fires. Each
+    chunk starts with that exact test, and only a step the loop keeps is
+    updated. After a cut the next chunk is at most twice the steps kept, so
+    a run that keeps saturating scans about as many steps as it keeps.
     """
     p = params
     n = p.n_units
@@ -707,8 +813,27 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     decay_x = np.exp(-dt / p.tau_synx)
     decay_i = np.exp(-dt / p.tau_syni)
     live_x, live_i = _live(events_x, n_steps), _live(events_i, n_steps)
-    step, (check_x, check_i) = _stepper(p, dt, live_x, live_i)
+    test, update, (check_x, check_i) = _stepper(p, dt, not live_x, not live_i)
     sat_limit = p.i_sat * (1.0 - _SAT_MARGIN)
+    # |e - V| stays within a side's distance to the hull V stays in (see
+    # ``cannot_spike``), so a side's test cannot fire once (g d**j + g_base)
+    # times that distance is within the limit, i.e. once g d**j <= room; a
+    # side without a positive room for every unit, or without decay, is
+    # tested on every scanned step
+    hull = (v, p.e_synx, p.e_syni, p.g_leak_e / p.g_leak)
+    lo, hi = np.minimum.reduce(hull), np.maximum.reduce(hull)
+    slack = 16.0 * np.finfo(float).eps * (n_steps + 1) \
+        * np.maximum(np.abs(lo), np.abs(hi))
+    horizons = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for e_side, g_base, decay in ((p.e_synx, p.g_base_x, decay_x),
+                                      (p.e_syni, p.g_base_i, decay_i)):
+            dist = np.maximum(hi - e_side, e_side - lo) + slack
+            spare = sat_limit * (1.0 - _SAT_MARGIN) - g_base * dist  # room * dist
+            lam = -np.log(decay)
+            horizons.append(
+                (np.clip(np.log(spare) - np.log(dist), -1e4, 1e4), 1.0 / lam)
+                if np.all(spare > 0.0) and np.all(lam > 0.0) else None)
 
     # no chunk is longer than the longest stretch between boundaries
     landing = np.unique(np.clip(np.concatenate(
@@ -745,52 +870,68 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
         rate = float(np.max(rc * (g0 + g_x + g_i)))  # no later step is faster
         m = min(next_x, next_i, n_steps) - k
         m = min(m, cap, m_max, int(_SCAN_SPAN / rate) if rate > 0.0 else m)
-        # the loop's step carries its exact saturation test; a scanned chunk
-        # starts from v again and drops it
-        v_step, saturated = step(g_x, g_i, v)
+        # the loop's exact saturation test; only a step kept is updated
+        sides, saturated = test(g_x, g_i, v)
         if saturated or m < 2:  # one step of the loop
-            v = v_step
+            v = update(sides, saturated, v)
             g_x *= decay_x
             g_i *= decay_i
             traces[:, k + 1] = v[record_units]
             k += 1
             continue
 
-        # steps k .. k + m - 1: conductances, cumulative rate, V_inf - R
+        # steps k .. k + m - 1: g_tot, (V_inf - R) g_tot and the cumulative
+        # rate, summed in the loop's order; in place where a sum allows, as
+        # each n x m temporary costs more than the arithmetic on it
         g_tot, dev, cum = g0[:, None], 0.0, cum0[:, :m]
-        gx = gi = None
         if live_x:
             gx = g_x[:, None] * pow_x[:, :m]
-            g_tot = g_tot + gx
-            dev = gx * dex
-            cum = cum + g_x[:, None] * pre_x[:, :m]
+            g_tot = gx + g_tot
+            dev = np.multiply(gx, dex, out=gx)
+            cum = g_x[:, None] * pre_x[:, :m]
+            cum += cum0[:, :m]
         if live_i:
             gi = g_i[:, None] * pow_i[:, :m]
-            g_tot = g_tot + gi
-            dev = dev + gi * dei
-            cum = cum + g_i[:, None] * pre_i[:, :m]
+            if live_x:
+                g_tot += gi
+                dev += np.multiply(gi, dei, out=gi)
+                cum += g_i[:, None] * pre_i[:, :m]
+            else:
+                g_tot = gi + g_tot
+                dev = np.multiply(gi, dei, out=gi)
+                dev += 0.0
+                cum = g_i[:, None] * pre_i[:, :m]
+                cum += cum0[:, :m]
         # V[k+1+j] - R = (V[k] - R + sum_{i<=j} (1 - a_i) dev_i / A_i) A_j
         # with A_j = 1 / w_j = exp(-cum_j) the product of the propagators
         # a_i, and (1 - a_i) / A_i = w_i - w_{i-1}
-        w = np.exp(cum)
-        vs = np.empty((n, m))
+        if live_x or live_i:
+            w = np.exp(cum, out=cum)
+            np.divide(dev, g_tot, out=dev)
+            vs = g_tot  # its buffer holds V from here on
+        else:
+            w = np.exp(cum)
+            dev, vs = dev / g_tot, np.empty((n, m))
         np.subtract(w[:, 0], 1.0, out=vs[:, 0])
         np.subtract(w[:, 1:], w[:, :-1], out=vs[:, 1:])
-        vs *= dev / g_tot
+        vs *= dev
         vs[:, 0] += v - rest
         np.cumsum(vs, axis=1, out=vs)
         vs /= w
         vs += rest[:, None]  # V at steps k + 1 .. k + m
 
-        # keep the steps before the first j >= 1 whose test may fire
+        # keep the steps before the first j >= 1 whose test may fire,
+        # testing only the steps j <= h before the horizon
         keep = m
-        for g_side, e_side, g_base, check in (
-                (gx, p.e_synx, p.g_base_x, check_x),
-                (gi, p.e_syni, p.g_base_i, check_i)):
-            if check:
-                g_now = g_base[:, None] if g_side is None \
-                    else g_side[:, 1:] + g_base[:, None]
-                cur = np.abs(g_now * (e_side[:, None] - vs[:, :-1]))
+        for live, g, powers, horizon, e_side, g_base, check in (
+                (live_x, g_x, pow_x, horizons[0], p.e_synx, p.g_base_x, check_x),
+                (live_i, g_i, pow_i, horizons[1], p.e_syni, p.g_base_i, check_i)):
+            h = 0 if not check else m - 1 if horizon is None \
+                else _horizon(g, *horizon, m - 1)
+            if h:
+                g_now = g_base[:, None] if not live \
+                    else g[:, None] * powers[:, 1:h + 1] + g_base[:, None]
+                cur = np.abs(g_now * (e_side[:, None] - vs[:, :h]))
                 hit = np.flatnonzero(np.any(cur > sat_limit[:, None], axis=0))
                 if hit.size:
                     keep = min(keep, int(hit[0]) + 1)

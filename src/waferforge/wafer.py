@@ -172,11 +172,13 @@ class WaferModel:
 
     def truth(self, h: int) -> HicannTruth:
         if h not in self._truth:
+            validate_coord(self.topology, Coord.hicann_(h))
             self._truth[h] = HicannTruth(self.master_seed, h, self.variability, self.topology)
         return self._truth[h]
 
     def fg_state(self, h: int) -> FgState:
         if h not in self.fg:
+            validate_coord(self.topology, Coord.hicann_(h))
             self.fg[h] = FgState.blank(self.topology)
         return self.fg[h]
 
@@ -222,6 +224,7 @@ class WaferModel:
                 if getattr(fg, name).shape != shape:
                     raise ValueError(f"fg state of hicann {h}: {name} has shape "
                                      f"{getattr(fg, name).shape}, expected {shape}")
+            validate_coord(wafer.topology, Coord.hicann_(int(h)))
             wafer.fg[int(h)] = fg
         return wafer
 

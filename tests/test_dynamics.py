@@ -391,6 +391,14 @@ def _case_decay_not_finite():
     return p, dict(events_i=_queue([0.003], [1], [2e-12]))
 
 
+def _case_decay_nan_static():
+    # the excitatory side has no input but a NaN time constant on unit 0:
+    # its conductance turns NaN after the first step, so the side is not
+    # static and unit 0's trace is NaN from the second step on
+    p = leak_params(n=2, tau_synx=np.array([np.nan, 1.1e-3]))
+    return p, dict(events_i=_queue([0.003], [1], [2e-12]))
+
+
 PINNED_CASES = {
     "psp_x_saturates": (_case_psp_x_saturates,
         "080789e9f9b4bfdb9f65b3a8050e082635854ac69d905a1c9715122d8d8776ac"),
@@ -428,6 +436,9 @@ PINNED_CASES = {
         "7d16a9923d436fd2f76ff8a41cc1d0376b8950b83dc2e40e7591d946cecfbda8"),
     "decay_not_finite": (_case_decay_not_finite,
         "f5b627c38812ab9d7ce9b12689be0e754fd72f950342a4dc55ac2d7bd78816c3"),
+    # computed with the loop's full per-step expression for its static side
+    "decay_nan_static": (_case_decay_nan_static,
+        "7bc8fb357a6ad5920887a7bb08bfc56265277ac7153634437661867023fc3feb"),
 }
 
 
@@ -445,6 +456,39 @@ def test_pinned_traces(name):
     with np.errstate(invalid="ignore", over="ignore"):
         res = run(params, 0.03, **kw)
     assert _trace_digest(res) == digest
+
+
+def test_nan_decay_side_is_not_static():
+    p, kw = _case_decay_nan_static()
+    with np.errstate(invalid="ignore"):
+        res = run(p, 0.03, **kw)
+    assert np.all(np.isnan(res.v[0, 2:])) and not np.isnan(res.v[1]).any()
+
+
+def _made_live(kw, n_steps=300):
+    """``kw`` with a zero-amount event at the last boundary on each static
+    side, None if no side is static."""
+    live, made = dict(kw), False
+    for side in ("x", "i"):
+        q = kw.get("events_" + side, EventQueue.empty())
+        if "recurrent_" + side in kw or np.any(q.boundary < n_steps):
+            continue
+        live["events_" + side] = EventQueue.from_boundaries(
+            np.append(q.boundary, n_steps - 1), np.append(q.unit, 0),
+            np.append(q.amount, 0.0))
+        made = True
+    return live if made else None
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (build, _) in PINNED_CASES.items() if _made_live(build()[1])))
+def test_static_sides_match_the_same_run_made_live(name):
+    # a zero-amount event makes a side live without changing its
+    # conductance, so the loop takes its general step there; the shortcuts
+    # of a static side must give the same bytes
+    p, kw = PINNED_CASES[name][0]()
+    with np.errstate(invalid="ignore", over="ignore"):
+        _same_bits(run(p, 0.03, **kw), run(p, 0.03, **_made_live(kw)))
 
 
 # ---- prefix scan -----------------------------------------------------------
@@ -516,22 +560,102 @@ def test_scan_matches_pinned_cases():
                        "record_subset"}
 
 
-def test_scan_hands_over_when_saturation_starts_after_the_event():
+def _saturation_onset_static():
     # at rest the permanent excitatory current is just below i_sat; an
     # inhibitory kick pulls the membrane away from e_synx, so that side
     # saturates only from a few steps after the kick on, inside a chunk
     p = leak_params(n=2, e_leak=0.5, g_leak=1e-10, e_synx=1.4, e_syni=0.95,
                     g_base_x=1.2e-10, i_sat=5e-11)
     rest = (0.5e-10 + 1.2e-10 * 1.4) / 2.2e-10
-    kw = dict(events_i=EventQueue.from_boundaries(
+    return p, dict(events_i=EventQueue.from_boundaries(
         np.array([50, 50, 170]), np.array([0, 1, 0]),
-        np.array([1e-9, 2e-10, 6e-10])), v_init=np.full(2, rest))
+        np.array([1e-9, 2e-10, 6e-10])), v_init=np.full(2, rest)), 50
+
+
+def _saturation_onset_live():
+    # a slow excitatory kick lands while the membrane is near e_synx; the
+    # leak pulls it away, so the kicked side saturates only once its current
+    # has grown, inside a chunk, and stays saturated until g has decayed to
+    # within 0.1 % of its room (i_sat over the side's largest |e - V|)
+    p = leak_params(e_leak=0.0, g_leak=1e-9, e_synx=1.4, tau_synx=0.05,
+                    i_sat=1e-12)
+    return p, dict(events_x=EventQueue.from_boundaries(
+        np.array([0]), np.array([0]), np.array([1.2e-12])),
+        v_init=np.array([1.35])), 0
+
+
+def _hands_over(case):
+    p, kw, kick = case()
     loop = run(p, 0.03, **kw)
-    free = run(dataclasses.replace(p, i_sat=np.full(2, np.inf)), 0.03, **kw)
+    free = run(dataclasses.replace(p, i_sat=np.full(p.n_units, np.inf)), 0.03, **kw)
     first = np.flatnonzero(loop.v[0] != free.v[0])[0]
-    assert first > 52  # the step after the kick's is not yet saturated
+    assert first > kick + 2  # the step after the kick's is not yet saturated
     scan = integrate_scan(p, 0.03, **kw)
     assert np.max(np.abs(scan.v - loop.v)) <= SCAN_TOL
+
+
+def test_scan_hands_over_when_saturation_starts_after_the_event():
+    _hands_over(_saturation_onset_static)
+
+
+def test_scan_hands_over_when_the_kicked_side_starts_to_saturate():
+    _hands_over(_saturation_onset_live)
+
+
+@pytest.mark.parametrize("i_sat", [np.inf, 5e-11])
+def test_scan_updates_only_the_steps_it_keeps(monkeypatch, i_sat):
+    # kicks 100 steps apart on both sides; with a finite i_sat each one
+    # saturates for a few tens of steps, and every step the scan hands over
+    # is a saturated one, so the membrane update runs once per such step
+    # (inside the saturated step) and never for a chunk it scans
+    n = 3
+    p = leak_params(n=n, i_sat=i_sat)
+    steps = np.arange(20, 280, 100)
+    kw = dict(v_init=np.full(n, 0.7))
+    for side, amount in (("x", 1e-9), ("i", 2e-9)):
+        kw["events_" + side] = EventQueue.from_boundaries(
+            np.repeat(steps + (side == "i") * 50, n), np.tile(np.arange(n), steps.size),
+            np.full(steps.size * n, amount))
+    calls = {"_exp_euler": 0, "_saturated_step": 0}
+    for name in calls:
+        def spy(*a, _real=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _real(*a)
+        monkeypatch.setattr(dynamics, name, spy)
+    scan = integrate_scan(p, 0.03, **kw)
+    assert calls["_exp_euler"] == calls["_saturated_step"]
+    assert (calls["_saturated_step"] > 20) == (i_sat < np.inf)
+    monkeypatch.undo()
+    assert np.max(np.abs(scan.v - run(p, 0.03, **kw).v)) <= SCAN_TOL
+
+
+def test_scan_horizon_bounds_every_later_step():
+    # past the horizon every unit's decaying conductance is within its room;
+    # one step earlier some unit's is not
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 20)), int(rng.integers(1, 400))
+        g = rng.uniform(0.0, 1e-9, n) * (rng.random(n) < 0.8)
+        lam = -np.log(rng.uniform(0.5, 0.9999, n))
+        room = rng.uniform(1e-12, 1e-10, n)
+        h = dynamics._horizon(g, np.log(room), 1.0 / lam, m)
+        assert 0 <= h <= m
+        if h < m:  # at m every step of the chunk is tested
+            later = np.arange(h + 1, m + 1)
+            assert np.all(g[:, None] * np.exp(-lam[:, None] * later) <= room[:, None])
+        if h > 0:
+            assert np.any(g * np.exp(-lam * (h - 1)) > room * (1.0 - 1e-9))
+
+
+def test_scan_horizon_changes_no_result(monkeypatch):
+    # testing every scanned step for saturation keeps the same steps as
+    # testing those before each chunk's horizon
+    rng = np.random.default_rng(99)
+    runs = [_random_psp_run(rng, sides) for sides in ("x", "i", "xi") * 6]
+    fast = [integrate_scan(p, duration, **kw) for p, duration, kw in runs]
+    monkeypatch.setattr(dynamics, "_horizon", lambda g, log_room, inv_lam, m: m)
+    for (p, duration, kw), res in zip(runs, fast):
+        _same_bits(res, integrate_scan(p, duration, **kw))
 
 
 def test_scan_refuses_runs_that_may_spike():
@@ -643,6 +767,23 @@ def test_constant_inputs_release_on_rounding():
     # rounding moves the release step between the spikes of one unit
     assert all(s <= {7, 8} for s in lengths)
     assert any(s == {7, 8} for s in lengths)
+
+
+def test_constant_inputs_trains_longer_than_a_block_of_cycles():
+    # hundreds of spikes per unit, several blocks of guessed cycles; the
+    # refractory times sit within a few ulp of a release-step boundary, so
+    # a guess is wrong now and then and the chain resumes from there
+    dt = 1e-4
+    probe = leak_params(e_leak=1.5, v_threshold=0.9, v_reset=0.5)
+    first = integrate(probe, 0.05, v_init=[0.5])
+    k1 = int(np.flatnonzero(first.v[0, 1:] == 0.5)[0])
+    offset = first.spike_times[0] - k1 * dt
+    tau = 3 * dt - offset + np.array([-2e-19, 0.0, 2e-19, 1e-4])
+    p = leak_params(n=4, e_leak=1.5, v_threshold=0.9, v_reset=0.5, tau_ref=tau)
+    loop = _constant_and_loop(p, 2.5, v_init=np.full(4, 0.5))
+    assert np.all(np.bincount(loop.spike_units) > 3 * dynamics._CYCLES)
+    lengths = [set(_clamp_lengths(row[1:], 0.5)) for row in loop.v]
+    assert any(len(s) > 1 for s in lengths)
 
 
 def test_constant_inputs_settle_without_spiking():

@@ -382,6 +382,26 @@ def test_load_rejects_a_wrongly_shaped_fg_array(tmp_path):
             WaferModel.load(path)
 
 
+@pytest.mark.parametrize("h", [400, -1])
+def test_hicann_outside_the_topology_is_refused(h, tmp_path):
+    w = build_wafer(1)
+    message = rf"hicann\[{h}\]: index 0 out of range \(0\.\.383\)"
+    for call in (lambda: program_floating_gates(w, h, {"e_leak": 300}),
+                 lambda: w.fg_state(h), lambda: w.truth(h),
+                 lambda: fg_dac_array(w, h, "e_leak")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert w.fg == {} and w._truth == {}
+    # nor can a stored state name one
+    program_floating_gates(w, 2, {"e_leak": 400})
+    data = w.to_json()
+    data["fg"][str(h)] = data["fg"].pop("2")
+    path = tmp_path / "wafer.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        WaferModel.load(path)
+
+
 def test_true_parameter_array_matches_scalar():
     w = build_wafer(24)
     program_floating_gates(w, 0, dict({n: 500 for n in PER_CIRCUIT},
