@@ -81,11 +81,6 @@ from .wafer import (CONTROL_CELL, FG_CELLS, WaferModel, adc_sample_period, cell_
 
 SCHEMA = "waferforge.calibration/1"
 
-# integration step for PSP-shape measurements; a finer step was tried and
-# bought nothing — the ADC sampling grid, not the solver, limits the fast
-# end of the time-constant extraction
-PSP_DT = 1e-4
-
 # v_convoff: one grid step below the transition already leaks >100 mV, so
 # the rest tolerance only has to clear the write/readout noise of two points
 CONVOFF_TOL = 2.5e-2
@@ -449,15 +444,15 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, token, sign="x", weight
     spike at). Each spike sits half a step past a boundary, so no rounding
     moves it; presentations at different offsets would blur the average."""
     dt = adc_sample_period(wafer)
-    steps, s = plan.window / PSP_DT, plan.window / dt
+    steps, s = plan.window / DEFAULT_DT, plan.window / dt
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError("presentation window must be whole integration steps")
     if abs(s - round(s)) > 1e-9:
         raise ValueError("presentation window must align with the ADC grid")
     steps, s = int(round(steps)), int(round(s))
     k = np.arange(plan.presentations)
-    times = (round(PSP_SPIKE_AT / PSP_DT) + k * steps + 0.5) * PSP_DT
-    onset_step = EventQueue.from_times(times, k, np.ones(k.size), PSP_DT).boundary \
+    times = (round(PSP_SPIKE_AT / DEFAULT_DT) + k * steps + 0.5) * DEFAULT_DT
+    onset_step = EventQueue.from_times(times, k, np.ones(k.size), DEFAULT_DT).boundary \
         - k * steps
     if np.any(onset_step != onset_step[0]):
         raise ValueError("PSP presentations land at different window offsets")
@@ -468,11 +463,11 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, token, sign="x", weight
                              synapses=_psp_synapses(wafer, circuits, weight))
     stimulus = [("cal", 0, float(t)) for t in times]
     sim = simulate(wafer, [cfg], stimulus, plan.presentations * plan.window,
-                   dt=PSP_DT, v_init="rest", availability=availability)
+                   v_init="rest", availability=availability)
     v = _read_corrected(wafer, sim, h, circuits, offsets, token)
     v = v[:, :plan.presentations * s]
     v = v.reshape(len(circuits), plan.presentations, s).mean(axis=1)
-    return np.arange(s) * dt, v, onset_step[0] * PSP_DT
+    return np.arange(s) * dt, v, onset_step[0] * DEFAULT_DT
 
 
 def _block_keyed(parameter: str) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .availability import AvailabilityDb, AvailabilityState
-from .defects import DefectType
+from .defects import DefectType, check_defects
 from .topology import Coord, Direction, Kind, TopologyConfig, resource_count
 from .wafer import (WaferModel, adc_readout, dac_to_volts, from_reference_dac,
                     program_floating_gates, true_parameter)
@@ -402,7 +402,11 @@ def effective_exclusion(cfg: TopologyConfig, individual: AvailabilityState) -> A
 
 def commission(wafer: WaferModel,
                db: AvailabilityDb | None = None) -> tuple[AvailabilityDb, MemoryTestResult]:
-    """Full pipeline: comm test, memory test, closure into "effective"."""
+    """Full pipeline: comm test, memory test, closure into "effective".
+
+    The defect set is checked against the topology again: it may have
+    changed since the wafer was built."""
+    check_defects(wafer.topology, wafer.defects)
     if db is None:
         db = AvailabilityDb(wafer.topology)
     comm_test(wafer, db)

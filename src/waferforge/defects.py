@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .topology import Coord, Kind, TopologyConfig, check_schema
+from .topology import Coord, Kind, TopologyConfig, check_schema, validate_coord
 
 SCHEMA = "waferforge.defects/1"
 
@@ -110,6 +110,29 @@ class DefectSet:
     def load(cls, path) -> "DefectSet":
         with open(path) as f:
             return cls.from_json(json.load(f))
+
+
+def check_defects(cfg: TopologyConfig, defects) -> None:
+    """Raise ValueError naming the first defect whose coordinate lies
+    outside the topology. Each kind's coordinates are tested at once, one
+    index column at a time against ``cfg.index_shapes``; only a set that
+    fails is searched for its first bad defect."""
+    defects = list(defects)
+    by_kind: dict[Kind, list[tuple[int, ...]]] = {}
+    for d in defects:
+        by_kind.setdefault(d.coord.kind, []).append(d.coord.indices)
+    for kind, indices in by_kind.items():
+        shape = cfg.index_shapes[kind]
+        if set(map(len, indices)) != {len(shape)} or not all(
+                min(col) >= 0 and max(col) < b for col, b in zip(zip(*indices), shape)):
+            break
+    else:
+        return
+    for d in defects:
+        try:
+            validate_coord(cfg, d.coord)
+        except ValueError as e:
+            raise ValueError(f"defect {d.type.value}: {e}") from None
 
 
 def _sample_indices(gen: np.random.Generator, n_units: int, rate: float) -> np.ndarray:

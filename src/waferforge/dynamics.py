@@ -21,33 +21,39 @@ Exponential-Euler scheme with per-step frozen conductances:
 A simulation "unit" is one membrane: either a single neuron circuit or a
 group of interconnected circuits whose leak terms are summed.
 
-All three solvers read their arguments through one preamble
-(``_preamble``: step count, recorded units, event queues, start voltages),
-and the membrane step of the list above is written once (``_stepper``:
-the saturation test, then the update it chooses).
+Every solver reads its run through one preamble (``_preamble``), which
+derives each synaptic side's facts once: its decay factor; whether it is
+static (no event before the last step, no recurrent input and a finite
+decay factor, so its conductance stays ``+0.0``); and whether it is tested
+for saturation (some ``i_sat`` is finite, and the side is live or its
+permanent conductance can saturate). It also forms ``num`` and ``g_tot``
+at zero synaptic conductance. The membrane step of the list above is
+written once (``_stepper``: the saturation test, then the update it
+chooses).
 
-``integrate`` steps a run with that step. It serves the runs that the two
-solvers below do not take: runs with events that cannot be scanned, with
-recurrent input, or with a side that may saturate. Its shortcuts give the
-bytes of the full per-step expression:
+Which solver a run gets. ``integrate`` takes any run and chooses from those
+facts: a run whose sides are both static and untested and whose every
+``g_tot`` is positive has constant inputs and goes to ``_constant``; every
+other run is stepped by ``_loop``. The two give the same bytes; the loop is
+the reference. ``integrate_scan`` solves a run that ``scannable`` accepts:
+no recurrent connection, event boundaries ``_SCAN_MIN_SEGMENT`` steps apart
+on average, and ``cannot_spike``. It agrees with the loop to rounding, and
+its chunks follow every unit it solves; so a caller solves such a run on
+its own, and ``integrate`` never picks the scan.
 
-* a static side (no event before the last step, no recurrent input and a
-  finite decay factor) keeps a conductance of ``+0.0``, so its total is
-  computed once and it is not decayed; with both sides static, ``num``,
-  ``g_tot``, ``V_inf``, the propagator and the drift are computed once too;
-* a static side that cannot saturate is not tested, and a saturated step
-  computes nothing for it: its masks would be all false;
+``_loop``'s shortcuts give the bytes of the full per-step expression:
+
+* a static side's total is computed once and it is not decayed; with both
+  sides static, ``num``, ``g_tot``, ``V_inf``, the propagator and the drift
+  are computed once too;
+* an untested side computes nothing in a saturated step: its masks would be
+  all false;
 * before the first spike no unit is refractory, so the clamp is skipped.
 
-``integrate_constant`` solves a run with constant inputs and equals
-``integrate`` bit for bit. ``inputs_constant`` accepts a run without
-recurrent input when no event lands before its last step, both decay
-factors are finite, every ``g_tot`` is positive and neither side can
-saturate (each ``i_sat`` is +inf or NaN, or is ``>= 0`` where the side's
-conductance is zero). Then both conductances stay ``+0.0``, and ``V_inf``
-and the propagator ``P = exp(-dt * g_tot / C)`` are the same at every step
-(exact for constant inputs, Rotter & Diesmann 1999). The run is solved one
-period at a time:
+``_constant``: with constant inputs both conductances stay ``+0.0``, and
+``V_inf`` and the propagator ``P = exp(-dt * g_tot / C)`` are the same at
+every step (exact for constant inputs, Rotter & Diesmann 1999). The run is
+solved one period at a time:
 
 * between spikes a step is ``V' = V_inf + (V - V_inf) * P``, a function of V
   alone; iterating the loop's own expression, vectorised over units, gives
@@ -68,20 +74,15 @@ period at a time:
   every later step, so its iteration stops there.
 
 ``integrate_scan`` solves a run that provably cannot spike without a step
-loop and agrees with ``integrate`` to rounding (about 1e-14 V). The proof,
-``cannot_spike``: without recurrent input, with ``g_leak > 0``, permanent
-conductances ``>= 0``, positive synaptic time constants and finite
-non-negative event amounts, each step that does not saturate moves the
-membrane towards ``V_inf``, a convex combination of ``g_leak_e / g_leak``,
-``e_synx`` and ``e_syni``, and a saturating step is clipped to
-``max(e_synx, v)``. So a threshold above ``max(v0, e_synx, e_syni,
-g_leak_e / g_leak)`` by more than the rounding of every step is never
-reached. Such a run has no spikes, refractory clamps or recurrent
-deliveries; between two event boundaries its conductances decay
-geometrically and the membrane update is a linear recurrence, solved in
-chunks with cumulative sums in the log domain. Where a step may saturate,
-the scan hands over to the loop's own step, one step at a time. A side's
-current is at most its conductance times its largest ``|e - V|`` over that
+loop (about 1e-14 V from the loop). The proof, ``cannot_spike``: without
+recurrent input, with ``g_leak > 0``, permanent conductances ``>= 0``,
+positive synaptic time constants and finite non-negative event amounts,
+each step that does not saturate moves the membrane towards ``V_inf``, a
+convex combination of ``g_leak_e / g_leak``, ``e_synx`` and ``e_syni``, and
+a saturating step is clipped to ``max(e_synx, v)``. So the membrane stays in
+the hull of ``v0`` and those potentials (``_hull``), and a threshold above
+it by more than the rounding of every step is never reached. A side's
+current is at most its conductance times its largest ``|e - V|`` over the
 hull, so after a kick it can saturate only until its decaying conductance
 falls within a per-unit room: past that horizon no step needs a test.
 
@@ -92,6 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,11 +258,6 @@ def _propagator(num, g_tot, c, dt):
     return lambda v: np.where(conductive, v_inf + (v - v_inf) * prop, v + drift)
 
 
-def _exp_euler(num, g_tot, v, c, dt):
-    """One membrane step; a unit without conductance drifts on ``num``."""
-    return _propagator(num, g_tot, c, dt)(v)
-
-
 def _saturation(g_side, e_side, v, i_sat):
     """Where a side saturates, what it adds to ``num`` there and the
     conductance it takes out of ``g_tot``."""
@@ -271,15 +268,14 @@ def _saturation(g_side, e_side, v, i_sat):
 
 
 def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt, checks):
-    """One membrane step in which some synaptic side saturates. A side
-    whose test cannot fire (``checks``) saturates nowhere: it adds ``+0.0``
-    to ``num`` and takes nothing out of ``g_tot``, as its all-false masks
-    would."""
+    """One membrane step in which some synaptic side saturates. An untested
+    side (``checks``) saturates nowhere: it adds ``+0.0`` to ``num`` and
+    takes nothing out of ``g_tot``, as its all-false masks would."""
     none = (False, 0.0, 0.0)
     sat_x, adj_x, cut_x = _saturation(gx_tot, p.e_synx, v, p.i_sat) if checks[0] else none
     sat_i, adj_i, cut_i = _saturation(gi_tot, p.e_syni, v, p.i_sat) if checks[1] else none
-    v_new = _exp_euler(num + (adj_x + adj_i), g_tot - cut_x - cut_i, v,
-                       p.capacitance, dt)
+    v_new = _propagator(num + (adj_x + adj_i), g_tot - cut_x - cut_i,
+                        p.capacitance, dt)(v)
     lo = np.minimum(p.e_syni, v)
     hi = np.maximum(p.e_synx, v)
     return np.where(sat_x | sat_i, np.clip(v_new, lo, hi), v_new)
@@ -296,12 +292,6 @@ def _deliver(q: EventQueue, cursor: int, due: int, k: int, g, n_steps: int):
     hi = cursor + int(np.searchsorted(q.boundary[cursor:], k, side="right"))
     np.add.at(g, q.unit[cursor:hi], q.amount[cursor:hi])
     return hi, int(q.boundary[hi]) if hi < q.boundary.shape[0] else n_steps
-
-
-def _stays_nonnegative(q: EventQueue, decay) -> bool:
-    """Whether a side's conductance stays in [0, inf], never NaN."""
-    return bool(np.all(q.amount >= 0.0)
-                and np.all((decay > 0.0) & (decay < np.inf)))
 
 
 def _never_saturates(gx_tot, i_sat) -> bool:
@@ -330,24 +320,87 @@ def _combine(p: UnitParams, gx_tot, gi_tot):
             p.g_leak + gx_tot + gi_tot)
 
 
-def _stepper(p: UnitParams, dt: float, static_x: bool, static_i: bool):
-    """The loop's membrane step in two halves, ``test(g_x, g_i, v) ->
-    (sides, saturated)`` and ``update(sides, saturated, v) -> v'``, and
-    whether each side's saturation test can fire.
+def _decays(p: UnitParams, dt: float):
+    """Each side's conductance decay factor over one step."""
+    return np.exp(-dt / p.tau_synx), np.exp(-dt / p.tau_syni)
 
-    ``sides`` are the sides' total conductances; the test needs nothing
-    else. A static side's conductance stays ``+0.0`` (no input and a finite
-    decay factor), so its total is computed here once, and with both sides
-    static so are ``num``, ``g_tot``, ``V_inf``, the propagator and the
-    drift; a static side that ``_never_saturates`` needs no test.
-    """
+
+class _Run(NamedTuple):
+    """A run's arguments, defaults filled in, and its sides' facts."""
+
+    params: UnitParams
+    dt: float
+    n_steps: int
+    record_units: np.ndarray
+    events_x: EventQueue
+    events_i: EventQueue
+    recurrent_x: SynapticMatrix | None  # None: no connection
+    recurrent_i: SynapticMatrix | None
+    v0: np.ndarray
+    decay_x: np.ndarray
+    decay_i: np.ndarray
+    static_x: bool  # the side's conductance stays +0.0
+    static_i: bool
+    checks: tuple[bool, bool]  # whether each side is tested for saturation
+    zero: tuple  # ``_totals`` at zero synaptic conductance
+
+    @property
+    def constant(self) -> bool:
+        """Whether the run steps with constant inputs (``_constant``)."""
+        return (self.static_x and self.static_i and not any(self.checks)
+                and bool(np.all(self.zero[3] > 0.0)))
+
+
+def _preamble(params: UnitParams, duration: float, dt: float, events_x=None,
+              events_i=None, recurrent_x=None, recurrent_i=None,
+              record_units=None, v_init=None) -> _Run:
+    """A run with its defaults (every unit recorded, no event or recurrent
+    connection, each membrane starting at ``v_reset``) and its sides' facts
+    (see the module docstring)."""
+    p = params
+    n = p.n_units
+    n_steps = int(round(duration / dt))
+    events_x = events_x or EventQueue.empty()
+    events_i = events_i or EventQueue.empty()
+    # a matrix without connections never delivers anything
+    recurrent_x, recurrent_i = (m if m is not None and m.n_connections else None
+                                for m in (recurrent_x, recurrent_i))
+    decay_x, decay_i = _decays(p, dt)
+    static_x, static_i = (
+        recurrent is None and bool(np.all(events.boundary >= n_steps))
+        and bool(np.all(np.isfinite(decay)))
+        for recurrent, events, decay in ((recurrent_x, events_x, decay_x),
+                                         (recurrent_i, events_i, decay_i)))
+    # without a finite i_sat no side is tested, nor is a static side whose
+    # permanent conductance cannot saturate
     has_sat = np.any(np.isfinite(p.i_sat))
-    check_x, check_i = checks = tuple(
+    checks = tuple(
         bool(has_sat and not (static and _never_saturates(g_base, p.i_sat)))
         for static, g_base in ((static_x, p.g_base_x), (static_i, p.g_base_i)))
+    return _Run(p, dt, n_steps,
+                np.arange(n, dtype=np.int64) if record_units is None
+                else np.asarray(record_units, dtype=np.int64),
+                events_x, events_i, recurrent_x, recurrent_i,
+                p.v_reset.copy() if v_init is None else _as_f64(v_init, n),
+                decay_x, decay_i, static_x, static_i, checks,
+                _totals(p, 0.0, 0.0))
+
+
+def _stepper(run: _Run):
+    """The loop's membrane step in two halves, ``test(g_x, g_i, v) ->
+    (sides, saturated)`` and ``update(sides, saturated, v) -> v'``.
+
+    ``sides`` are the sides' total conductances; the test needs nothing
+    else. A static side's total is its total at zero conductance, and with
+    both sides static so are ``num``, ``g_tot``, ``V_inf``, the propagator
+    and the drift; an untested side is not tested.
+    """
+    p, dt = run.params, run.dt
+    static_x, static_i = run.static_x, run.static_i
+    check_x, check_i = checks = run.checks
     tmp = np.empty(p.n_units)
     sat = np.empty(p.n_units, dtype=bool)
-    gx0, gi0, num0, g0 = _totals(p, 0.0, 0.0)
+    gx0, gi0, num0, g0 = run.zero
     # with both sides static, the update without saturation is fixed
     free = _propagator(num0, g0, p.capacitance, dt) if static_x and static_i else None
 
@@ -364,9 +417,9 @@ def _stepper(p: UnitParams, dt: float, static_x: bool, static_i: bool):
         num, g_tot = (num0, g0) if free is not None else _combine(p, *sides)
         if saturated:
             return _saturated_step(p, *sides, num, g_tot, v, dt, checks)
-        return _exp_euler(num, g_tot, v, p.capacitance, dt)
+        return _propagator(num, g_tot, p.capacitance, dt)(v)
 
-    return test, update, checks
+    return test, update
 
 
 def resting_potential(params: UnitParams) -> np.ndarray:
@@ -385,60 +438,38 @@ def _spike_offset(v, v_new, v_threshold, dt):
     return np.clip(frac, 0.0, 1.0) * dt
 
 
-def _preamble(params: UnitParams, duration: float, dt: float, events_x,
-              events_i, record_units, v_init):
-    """A run's ``(n_steps, record_units, events_x, events_i, v0)``; by
-    default every unit is recorded, no event arrives and each membrane
-    starts at ``v_reset``."""
-    n = params.n_units
-    return (int(round(duration / dt)),
-            np.arange(n, dtype=np.int64) if record_units is None
-            else np.asarray(record_units, dtype=np.int64),
-            events_x or EventQueue.empty(), events_i or EventQueue.empty(),
-            params.v_reset.copy() if v_init is None else _as_f64(v_init, n))
-
-
-def _live(q: EventQueue, n_steps: int) -> bool:
-    """Whether an event of ``q`` lands before the run's last step."""
-    return bool(np.any(q.boundary < n_steps))
-
-
 def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
               events_x: EventQueue | None = None,
               events_i: EventQueue | None = None,
               recurrent_x: SynapticMatrix | None = None,
               recurrent_i: SynapticMatrix | None = None,
               record_units=None, v_init=None) -> EngineResult:
-    """Integrate ``duration`` seconds of biological time.
+    """Integrate ``duration`` seconds of biological time: by ``_constant``
+    where the run's inputs are constant, by ``_loop`` otherwise.
 
     Unrecorded units are fully simulated; only trace storage is restricted
     to ``record_units`` (default: all units).
     """
-    p = params
+    run = _preamble(params, duration, dt, events_x, events_i, recurrent_x,
+                    recurrent_i, record_units, v_init)
+    return _constant(run) if run.constant else _loop(run)
+
+
+def _loop(run: _Run) -> EngineResult:
+    """Step ``run`` one step at a time; the other solvers' reference."""
+    p, dt, n_steps, record_units = run.params, run.dt, run.n_steps, run.record_units
+    events_x, events_i = run.events_x, run.events_i
+    recurrent_x, recurrent_i = run.recurrent_x, run.recurrent_i
     n = p.n_units
-    n_steps, record_units, events_x, events_i, v = _preamble(
-        p, duration, dt, events_x, events_i, record_units, v_init)
+    v = run.v0
     record_all = np.array_equal(record_units, np.arange(n))
-    # a matrix without connections never delivers anything
-    if recurrent_x is not None and not recurrent_x.n_connections:
-        recurrent_x = None
-    if recurrent_i is not None and not recurrent_i.n_connections:
-        recurrent_i = None
 
     g_x = np.zeros(n)
     g_i = np.zeros(n)
     pending_x = np.zeros(n)
     pending_i = np.zeros(n)
     refrac_until = np.full(n, -np.inf)
-
-    decay_x = np.exp(-dt / p.tau_synx)
-    decay_i = np.exp(-dt / p.tau_syni)
-    static_x, static_i = (
-        recurrent is None and not _live(events, n_steps)
-        and bool(np.all(np.isfinite(decay)))
-        for recurrent, events, decay in ((recurrent_x, events_x, decay_x),
-                                         (recurrent_i, events_i, decay_i)))
-    test, update, _ = _stepper(p, dt, static_x, static_i)
+    test, update = _stepper(run)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
@@ -480,10 +511,10 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
                 recurrent_i.accumulate(idx, pending_i)
 
         v = v_new
-        if not static_x:
-            g_x *= decay_x
-        if not static_i:
-            g_i *= decay_i
+        if not run.static_x:
+            g_x *= run.decay_x
+        if not run.static_i:
+            g_i *= run.decay_i
         traces[:, k + 1] = v if record_all else v[record_units]
 
     return _result(dt, n_steps, record_units, traces, spike_unit_chunks,
@@ -516,30 +547,10 @@ def _result(dt, n_steps, record_units, traces, unit_chunks,
 
 _RELAX_STEPS = 32  # steps between the stop tests of ``_relax``; 8 to 128 time
                    # the same on the calibration sweeps, whose relaxations
-                   # are a small share of ``integrate_constant``
+                   # are a small share of ``_constant``
 _CYCLES = 64  # guessed spike cycles per unit checked in one pass, so a
               # pass's arrays have at most this many rows; 32 to 128 time
               # the same on the calibration sweeps
-
-
-def inputs_constant(params: UnitParams, dt: float, n_steps: int,
-                    events_x: EventQueue, events_i: EventQueue) -> bool:
-    """Whether a run without recurrent input steps with constant inputs.
-
-    No event lands before ``n_steps``, both decay factors are finite, every
-    ``g_tot`` is positive and neither side can saturate; see the module
-    docstring.
-    """
-    p = params
-    if _live(events_x, n_steps) or _live(events_i, n_steps):
-        return False
-    decay_x = np.exp(-dt / p.tau_synx)
-    decay_i = np.exp(-dt / p.tau_syni)
-    gx_tot, gi_tot, _, g_tot = _totals(p, 0.0, 0.0)
-    return bool(np.all(np.isfinite(decay_x)) and np.all(np.isfinite(decay_i))
-                and np.all(g_tot > 0.0)
-                and _never_saturates(gx_tot, p.i_sat)
-                and _never_saturates(gi_tot, p.i_sat))
 
 
 def _relax(v0, v_inf, prop, v_threshold, n_max: int):
@@ -603,32 +614,21 @@ def _release_step(k, until, dt: float, n_steps: int):
     return est
 
 
-def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
-                       events_x: EventQueue | None = None,
-                       events_i: EventQueue | None = None,
-                       record_units=None, v_init=None) -> EngineResult:
-    """Integrate a run that ``inputs_constant`` accepts one period at a time.
-
-    The result equals ``integrate``'s bit for bit (see the module
-    docstring). ``_relax`` iterates the loop's update from ``v0`` and from
-    ``v_reset`` until each unit crosses threshold or settles. The spikes
-    then follow as a chain, vectorised over units: spike time, refractory
-    end and release step, each with the loop's own expressions and
-    comparisons, in blocks of guessed cycles, and the loop's raster order.
-    Each recorded row is then written from its spike steps, one row's
-    index at a time, so no temporary has the size of the trace array.
-    """
-    p = params
+def _constant(run: _Run) -> EngineResult:
+    """Solve a run with constant inputs one period at a time (see the
+    module docstring): ``_relax`` from ``v0`` and from ``v_reset``, then the
+    spike chain vectorised over units, and each recorded row written from
+    its spike steps, one row's index at a time, so no temporary has the
+    size of the trace array."""
+    p, dt, n_steps, record_units = run.params, run.dt, run.n_steps, run.record_units
     n = p.n_units
-    n_steps, record_units, events_x, events_i, v0 = _preamble(
-        p, duration, dt, events_x, events_i, record_units, v_init)
-    if not inputs_constant(p, dt, n_steps, events_x, events_i):
-        raise ValueError("the run's inputs change: integrate it step by step")
-    v_inf = resting_potential(p)  # every g_tot is positive
-    prop = np.exp(-dt * _totals(p, 0.0, 0.0)[3] / p.capacitance)
+    # the loop's fixed update; every g_tot is positive
+    _, _, num, g_tot = run.zero
+    v_inf = num / g_tot
+    prop = np.exp(-dt * g_tot / p.capacitance)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
-    seq, cross = _relax(v0, v_inf, prop, p.v_threshold, n_steps)
+    seq, cross = _relax(run.v0, v_inf, prop, p.v_threshold, n_steps)
     # every trace up to its first spike; the steps after it are rewritten
     last = seq.shape[0] - 1
     traces[:, :last + 1] = seq[:, record_units].T
@@ -710,6 +710,7 @@ def integrate_constant(params: UnitParams, duration: float, dt: float = 1e-4, *,
 
 # ---- prefix scan for runs that cannot spike ---------------------------------
 
+_SCAN_MIN_SEGMENT = 8  # mean steps between event boundaries of a scanned run
 _SCAN_SPAN = 64.0  # largest cumulative rate of a chunk: exp(+-64) is far from
                    # overflow and underflow
 _SCAN_STEPS = 256  # longest chunk; as fast as any of 32-2048 steps on 64- and
@@ -718,12 +719,14 @@ _SCAN_STEPS = 256  # longest chunk; as fast as any of 32-2048 steps on 64- and
 _SAT_MARGIN = 1e-6  # relative margin of the after-the-fact saturation test
 
 
-def cannot_spike(params: UnitParams, v0, dt: float, n_steps: int,
-                 events_x: EventQueue, events_i: EventQueue) -> bool:
-    """Whether a run without recurrent input provably never reaches threshold.
+def _hull(params: UnitParams, v0, dt: float, n_steps: int,
+          events_x: EventQueue, events_i: EventQueue):
+    """``(lo, hi, slack)`` for a run without recurrent input that provably
+    never reaches threshold, None for any other run.
 
-    See the module docstring; the rounding of each step adds at most a few
-    ulp of the largest magnitude involved, which the threshold must clear.
+    The membrane stays within ``[lo, hi]`` up to ``slack``, the rounding of
+    every step: at most a few ulp of the largest magnitude involved. The
+    thresholds lie above ``hi + slack``. See the module docstring.
     """
     p = params
     v0 = np.asarray(v0, dtype=float)
@@ -733,21 +736,43 @@ def cannot_spike(params: UnitParams, v0, dt: float, n_steps: int,
             and np.all(p.capacitance > 0.0) and np.all(p.g_leak > 0.0)
             and np.all(p.g_base_x >= 0.0) and np.all(p.g_base_i >= 0.0)
             and np.all(p.tau_synx > 0.0) and np.all(p.tau_syni > 0.0)):
-        return False
+        return None
     # decay factors in (0, 1]: a conductance only decays between events, and
-    # it stays below the finite sum of its amounts
-    decay_x = np.exp(-dt / p.tau_synx)
-    decay_i = np.exp(-dt / p.tau_syni)
-    if not (_stays_nonnegative(events_x, decay_x)
-            and _stays_nonnegative(events_i, decay_i)
+    # it stays within [0, the finite sum of its amounts]
+    decays = _decays(p, dt)
+    if not (all(np.all(q.amount >= 0.0) for q in (events_x, events_i))
+            and all(np.all(d > 0.0) for d in decays)
             and np.isfinite(events_x.amount.sum() + events_i.amount.sum())):
+        return None
+    hull = (v0, p.e_synx, p.e_syni, p.g_leak_e / p.g_leak)
+    lo, hi = np.minimum.reduce(hull), np.maximum.reduce(hull)
+    slack = 16.0 * np.finfo(float).eps * (n_steps + 1) \
+        * np.maximum(np.abs(lo), np.abs(hi))
+    return (lo, hi, slack) if np.all(p.v_threshold > hi + slack) else None
+
+
+def cannot_spike(params: UnitParams, v0, dt: float, n_steps: int,
+                 events_x: EventQueue, events_i: EventQueue) -> bool:
+    """Whether a run without recurrent input provably never reaches threshold."""
+    return _hull(params, v0, dt, n_steps, events_x, events_i) is not None
+
+
+def scannable(params: UnitParams, v0, dt: float, n_steps: int,
+              events_x: EventQueue, events_i: EventQueue,
+              recurrent_x: SynapticMatrix | None = None,
+              recurrent_i: SynapticMatrix | None = None) -> bool:
+    """Whether ``integrate_scan`` takes a run rather than ``integrate``.
+
+    The run has no recurrent connection, its event boundaries leave
+    segments of at least ``_SCAN_MIN_SEGMENT`` steps on average (a run
+    without events has constant inputs), and it ``cannot_spike``.
+    """
+    if any(m is not None and m.n_connections for m in (recurrent_x, recurrent_i)):
         return False
-    e_leak = p.g_leak_e / p.g_leak
-    top = np.maximum.reduce([v0, p.e_synx, p.e_syni, e_leak])
-    scale = np.maximum.reduce([np.abs(v0), np.abs(p.e_synx),
-                               np.abs(p.e_syni), np.abs(e_leak)])
-    rounding = 16.0 * np.finfo(float).eps * (n_steps + 1) * scale
-    return bool(np.all(p.v_threshold > top + rounding))
+    bounds = np.concatenate([events_x.boundary, events_i.boundary])
+    landing = np.unique(np.maximum(bounds[bounds < n_steps], 0))
+    return (0 < landing.shape[0] * _SCAN_MIN_SEGMENT <= n_steps
+            and cannot_spike(params, v0, dt, n_steps, events_x, events_i))
 
 
 def _powers(decay, m: int):
@@ -800,30 +825,28 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     updated. After a cut the next chunk is at most twice the steps kept, so
     a run that keeps saturating scans about as many steps as it keeps.
     """
-    p = params
+    run = _preamble(params, duration, dt, events_x, events_i,
+                    record_units=record_units, v_init=v_init)
+    p, n_steps, record_units, v = run.params, run.n_steps, run.record_units, run.v0
+    events_x, events_i = run.events_x, run.events_i
     n = p.n_units
-    n_steps, record_units, events_x, events_i, v = _preamble(
-        p, duration, dt, events_x, events_i, record_units, v_init)
-    record_all = np.array_equal(record_units, np.arange(n))
-    if not cannot_spike(p, v, dt, n_steps, events_x, events_i):
+    hull = _hull(p, v, dt, n_steps, events_x, events_i)
+    if hull is None:
         raise ValueError("the run may spike: integrate it step by step")
+    lo, hi, slack = hull
+    record_all = np.array_equal(record_units, np.arange(n))
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
 
-    decay_x = np.exp(-dt / p.tau_synx)
-    decay_i = np.exp(-dt / p.tau_syni)
-    live_x, live_i = _live(events_x, n_steps), _live(events_i, n_steps)
-    test, update, (check_x, check_i) = _stepper(p, dt, not live_x, not live_i)
+    decay_x, decay_i = run.decay_x, run.decay_i
+    live_x, live_i = not run.static_x, not run.static_i
+    test, update = _stepper(run)
+    check_x, check_i = run.checks
     sat_limit = p.i_sat * (1.0 - _SAT_MARGIN)
-    # |e - V| stays within a side's distance to the hull V stays in (see
-    # ``cannot_spike``), so a side's test cannot fire once (g d**j + g_base)
-    # times that distance is within the limit, i.e. once g d**j <= room; a
-    # side without a positive room for every unit, or without decay, is
-    # tested on every scanned step
-    hull = (v, p.e_synx, p.e_syni, p.g_leak_e / p.g_leak)
-    lo, hi = np.minimum.reduce(hull), np.maximum.reduce(hull)
-    slack = 16.0 * np.finfo(float).eps * (n_steps + 1) \
-        * np.maximum(np.abs(lo), np.abs(hi))
+    # |e - V| stays within a side's distance to the hull V stays in, so a
+    # side's test cannot fire once (g d**j + g_base) times that distance is
+    # within the limit, i.e. once g d**j <= room; a side without a positive
+    # room for every unit, or without decay, is tested on every scanned step
     horizons = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for e_side, g_base, decay in ((p.e_synx, p.g_base_x, decay_x),
@@ -844,8 +867,8 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     # V_inf - R = (g_x (e_synx - R) + g_i (e_syni - R)) / g_tot, with R the
     # rest of the permanent conductances alone and g0 the loop's g_tot at
     # g == 0
-    g0 = _totals(p, 0.0, 0.0)[3]
-    rest = resting_potential(p)
+    _, _, num0, g0 = run.zero
+    rest = num0 / g0  # resting_potential: every g_tot is positive
     dex = (p.e_synx - rest)[:, None]
     dei = (p.e_syni - rest)[:, None]
     # cumulative rate dt / C * sum_{i<=j} g_tot_i over a chunk's steps j:

@@ -14,17 +14,14 @@ external stimuli inject events on channels directly.
 ``prepare`` compiles the network against the floating-gate state of the
 moment and builds its event queues, trace selection and initial voltages.
 ``simulate_batch`` integrates prepared runs of one duration and step and
-returns one ``SimResult`` per run. It decides from properties of the runs
-alone: a run that provably cannot spike and whose events are sparse (every
-single-PSP calibration run) is solved by ``integrate_scan`` on its own; the
-other runs become one block-diagonal network, solved by
-``integrate_constant`` when its inputs are constant (the spiking and rest
-sweeps) and stepped by ``integrate`` otherwise. Both equal the step loop bit
-for bit and update each unit elementwise, so a run's result does not depend
-on its batch: a calibration sweep can program and prepare all its points,
-then integrate them together. ``simulate`` is the batch of one. Each run's
-``SimResult`` holds its solver's own result; the batch keeps no trace array
-of its own.
+returns one ``SimResult`` per run. A run that ``dynamics.scannable`` accepts
+(every single-PSP calibration run) is solved alone by ``integrate_scan``,
+whose bytes would otherwise depend on its batch-mates; the other runs
+become one block-diagonal network and one ``integrate`` call, whose solvers
+update each unit elementwise (``dynamics`` says which solver a run gets).
+So a run's result does not depend on its batch: a calibration sweep can
+program and prepare all its points, then integrate them together.
+``simulate`` is the batch of one.
 
 Units are keyed by index arrays (``CompiledNetwork.unit_hicann``,
 ``unit_head``, ``unit_of``; ``SimResult.trains``). ``Coord``s appear only at
@@ -48,16 +45,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (EngineResult, EventQueue, SynapticMatrix, UnitParams, _as_f64,
-                       cannot_spike, inputs_constant, integrate,
-                       integrate_constant, integrate_scan, resting_potential)
+                       integrate, integrate_scan, resting_potential, scannable)
 from .topology import Coord, Kind
 from .wafer import (VGMAX_PALETTE, WaferModel, adc_readout, adc_sample_period,
                     conductance_step_array, efficacy_arrays, true_parameter_array)
 
-DEFAULT_DT = 1e-4  # biological seconds per integration step
+# biological seconds per integration step, every calibration run's too; a
+# finer step bought the PSP fits nothing: the ADC sampling grid, not the
+# solver, limits the fast end of the time-constant extraction
+DEFAULT_DT = 1e-4
 ADDRESS_BITS = 4
 READOUT_TRACES = 12  # membrane traces the analog readout samples at once
-SCAN_MIN_SEGMENT = 8  # mean steps between event boundaries of a scanned run
 
 
 class RecordingLimitError(ValueError):
@@ -401,81 +399,48 @@ def _stack_matrices(matrices, starts, n: int) -> SynapticMatrix | None:
                                         np.concatenate(amount))
 
 
-def _scanned(run: PreparedRun, n_steps: int) -> bool:
-    """Whether a run goes through ``integrate_scan`` rather than the loop.
-
-    Only properties of the run decide: it has no recurrent connection,
-    ``cannot_spike`` holds, and its event boundaries leave segments of at
-    least ``SCAN_MIN_SEGMENT`` steps on average (a run without events is
-    left to ``integrate_constant``).
-    """
-    net = run.compiled
-    if any(m is not None and m.n_connections
-           for m in (net.recurrent_x, net.recurrent_i)):
-        return False
-    bounds = np.concatenate([run.events_x.boundary, run.events_i.boundary])
-    landing = np.unique(np.maximum(bounds[bounds < n_steps], 0))
-    return (0 < landing.shape[0] * SCAN_MIN_SEGMENT <= n_steps
-            and cannot_spike(net.params, run.v0, run.dt, n_steps,
-                             run.events_x, run.events_i))
-
-
 def _integrate_stacked(runs, duration: float, dt: float) -> EngineResult:
-    """Integrate runs as one block-diagonal network.
-
-    Without recurrent connections and with ``inputs_constant``, one
-    ``integrate_constant`` call solves the network; otherwise one
-    ``integrate`` call steps it.
-    """
+    """Integrate runs as one block-diagonal network in one ``integrate``
+    call: unit parameters concatenated, event, connection and trace units
+    offset."""
     starts = np.cumsum([0] + [r.compiled.params.n_units for r in runs])
     n = int(starts[-1])
     params = UnitParams(**{f.name: np.concatenate(
         [getattr(r.compiled.params, f.name) for r in runs])
         for f in fields(UnitParams)})
-    events_x = _stack_events([r.events_x for r in runs], starts)
-    events_i = _stack_events([r.events_i for r in runs], starts)
-    recurrent_x = _stack_matrices([r.compiled.recurrent_x for r in runs],
-                                  starts, n)
-    recurrent_i = _stack_matrices([r.compiled.recurrent_i for r in runs],
-                                  starts, n)
-    kw = dict(events_x=events_x, events_i=events_i,
-              record_units=np.concatenate([r.trace_units + s
-                                           for r, s in zip(runs, starts)]),
-              v_init=np.concatenate([r.v0 for r in runs]))
-    if (recurrent_x is None and recurrent_i is None
-            and inputs_constant(params, dt, int(round(duration / dt)),
-                                events_x, events_i)):
-        return integrate_constant(params, duration, dt, **kw)
-    return integrate(params, duration, dt, recurrent_x=recurrent_x,
-                     recurrent_i=recurrent_i, **kw)
+    return integrate(
+        params, duration, dt,
+        events_x=_stack_events([r.events_x for r in runs], starts),
+        events_i=_stack_events([r.events_i for r in runs], starts),
+        recurrent_x=_stack_matrices([r.compiled.recurrent_x for r in runs], starts, n),
+        recurrent_i=_stack_matrices([r.compiled.recurrent_i for r in runs], starts, n),
+        record_units=np.concatenate([r.trace_units + s for r, s in zip(runs, starts)]),
+        v_init=np.concatenate([r.v0 for r in runs]))
 
 
 def simulate_batch(runs) -> list[SimResult]:
-    """Integrate prepared runs of one duration and step, on three paths.
+    """Integrate prepared runs of one duration and step.
 
-    * ``integrate_scan``: each run that ``_scanned`` selects, on its own;
-    * ``integrate_constant``: the other runs as one block-diagonal network,
-      when it has no recurrent connection and ``inputs_constant`` holds;
-    * ``integrate``: that network otherwise.
-
-    For the network, unit parameters are concatenated, and event,
-    connection and trace units are offset. Each ``SimResult`` holds its
-    solver's own result in the run's own unit numbering: a scanned run's
-    trace array is the one ``integrate_scan`` built, and a stacked run's
-    rows and raster are cut from the network's result (its rows are views
-    of the network's trace array).
+    Each run that ``scannable`` accepts goes through ``integrate_scan`` on
+    its own; the others through ``_integrate_stacked``. Each ``SimResult``
+    holds its solver's own result in the run's own unit numbering: a
+    scanned run's trace array is the one ``integrate_scan`` built, and a
+    stacked run's rows and raster are cut from the network's result (its
+    rows are views of the network's trace array).
     """
     runs = list(runs)
     duration, dt = runs[0].duration, runs[0].dt
     if any(r.duration != duration or r.dt != dt for r in runs):
         raise ValueError("runs in one batch must share duration and dt")
     n_steps = int(round(duration / dt))
-    scanned = [_scanned(r, n_steps) for r in runs]
-    looped = [r for r, s in zip(runs, scanned) if not s]
-    stacked = _integrate_stacked(looped, duration, dt) if looped else None
+    scanned = [scannable(r.compiled.params, r.v0, dt, n_steps, r.events_x,
+                         r.events_i, r.compiled.recurrent_x, r.compiled.recurrent_i)
+               for r in runs]
+    stacked = [r for r, s in zip(runs, scanned) if not s]
+    network = _integrate_stacked(stacked, duration, dt) if stacked else None
 
     out = []
-    lo = row = 0  # the next looped run's first unit and trace row
+    lo = row = 0  # the next stacked run's first unit and trace row
     for r, scan in zip(runs, scanned):
         if scan:
             engine = integrate_scan(r.compiled.params, duration, dt,
@@ -483,12 +448,12 @@ def simulate_batch(runs) -> list[SimResult]:
                                     record_units=r.trace_units, v_init=r.v0)
         else:
             hi, rows = lo + r.compiled.params.n_units, row + r.trace_units.shape[0]
-            own = (stacked.spike_units >= lo) & (stacked.spike_units < hi)
+            own = (network.spike_units >= lo) & (network.spike_units < hi)
             engine = EngineResult(dt=dt, n_steps=n_steps,
-                                  record_units=r.trace_units, t=stacked.t,
-                                  v=stacked.v[row:rows],
-                                  spike_units=stacked.spike_units[own] - lo,
-                                  spike_times=stacked.spike_times[own])
+                                  record_units=r.trace_units, t=network.t,
+                                  v=network.v[row:rows],
+                                  spike_units=network.spike_units[own] - lo,
+                                  spike_times=network.spike_times[own])
             lo, row = hi, rows
         out.append(SimResult(compiled=r.compiled, engine=engine,
                              duration=duration))

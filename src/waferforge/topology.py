@@ -161,32 +161,8 @@ class Coord:
         return cls(Kind.FG_BLOCK, (h, b))
 
     @classmethod
-    def ext_merger(cls, h, m):
-        return cls(Kind.EXT_MERGER, (h, m))
-
-    @classmethod
-    def merger(cls, h, m):
-        return cls(Kind.MERGER, (h, m))
-
-    @classmethod
-    def analog_out(cls, h, o):
-        return cls(Kind.ANALOG_OUT, (h, o))
-
-    @classmethod
-    def bus(cls, h, b):
-        return cls(Kind.BUS, (h, b))
-
-    @classmethod
     def repeater(cls, h, r):
         return cls(Kind.REPEATER, (h, r))
-
-    @classmethod
-    def repeater_block(cls, h, rb):
-        return cls(Kind.REPEATER_BLOCK, (h, rb))
-
-    @classmethod
-    def switch(cls, h, s):
-        return cls(Kind.SWITCH, (h, s))
 
 
 @dataclass(frozen=True)

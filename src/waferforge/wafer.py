@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .defects import DefectSet
+from .defects import DefectSet, check_defects
 from .topology import Coord, Kind, TopologyConfig, check_schema, validate_coord
 from .variability import SoftplusLaw, VariabilityConfig
 
@@ -164,11 +164,7 @@ class WaferModel:
     def __post_init__(self):
         # a defect outside the topology is refused here, not as an
         # IndexError deep inside commissioning
-        for d in self.defects:
-            try:
-                validate_coord(self.topology, d.coord)
-            except ValueError as e:
-                raise ValueError(f"defect {d.type.value}: {e}") from None
+        check_defects(self.topology, self.defects)
 
     def truth(self, h: int) -> HicannTruth:
         if h not in self._truth:

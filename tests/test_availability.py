@@ -24,7 +24,7 @@ def test_exclude_and_usable():
     st.exclude(c)  # re-excluding is a no-op
     assert not st.is_usable(c)
     assert st.is_usable(Coord.repeater(7, 86))
-    assert st.is_usable(Coord.bus(7, 85))  # same indices, different kind
+    assert st.is_usable(Coord(Kind.BUS, (7, 85)))  # same indices, different kind
     assert st.count_excluded(Kind.REPEATER) == 1
     assert st.count_excluded(Kind.BUS) == 0
     assert len(st) == 1
@@ -116,23 +116,23 @@ def test_paged_mask_survives_pickle_and_json():
 
 
 def test_superset_and_equality():
-    a = AvailabilityState(CFG, [Coord.bus(0, 1), Coord.neuron(2, 3)])
-    b = AvailabilityState(CFG, [Coord.bus(0, 1)])
+    a = AvailabilityState(CFG, [Coord(Kind.BUS, (0, 1)), Coord.neuron(2, 3)])
+    b = AvailabilityState(CFG, [Coord(Kind.BUS, (0, 1))])
     assert a.issuperset(b) and not b.issuperset(a)
     assert a.issuperset(a)
     assert a != b
-    assert a == AvailabilityState(CFG, [Coord.neuron(2, 3), Coord.bus(0, 1)])
+    assert a == AvailabilityState(CFG, [Coord.neuron(2, 3), Coord(Kind.BUS, (0, 1))])
 
 
 def test_all_excluded_sorted():
-    st = AvailabilityState(CFG, [Coord.bus(5, 9), Coord.bus(5, 2), Coord.hicann_(1)])
+    st = AvailabilityState(CFG, [Coord(Kind.BUS, (5, 9)), Coord(Kind.BUS, (5, 2)), Coord.hicann_(1)])
     coords = st.all_excluded()
     assert coords == sorted(coords, key=Coord.sort_key)
     assert coords[0] == Coord.hicann_(1)  # hicann kind orders before bus
 
 
 def test_json_roundtrip_canonical():
-    st = AvailabilityState(CFG, [Coord.bus(5, 9), Coord.bus(5, 2),
+    st = AvailabilityState(CFG, [Coord(Kind.BUS, (5, 9)), Coord(Kind.BUS, (5, 2)),
                             Coord.synapse(1, 0, 10, 20)])
     data = st.to_json()
     assert data["schema"] == "waferforge.availability/1"
@@ -162,7 +162,7 @@ def test_out_of_range_coordinates_rejected():
     # a batch is checked whole before any of it is written; the error names
     # the batch's first bad coordinate, whatever its kind
     for batch, name in (([Coord.neuron(3, 5), Coord.neuron(3, -1)], "neuron[3,-1]"),
-                        ([Coord.bus(0, 1), Coord.neuron(3, 512), Coord.bus(0, 10 ** 6)],
+                        ([Coord(Kind.BUS, (0, 1)), Coord.neuron(3, 512), Coord(Kind.BUS, (0, 10 ** 6))],
                          "neuron[3,512]"),
                         ([Coord.synapse(0, 0, 1, 1), Coord(Kind.NEURON, (3,))], "neuron[3]")):
         with pytest.raises(ValueError, match=re.escape(name)):
@@ -196,7 +196,7 @@ def test_db_named_states():
 def test_save_load_state_roundtrip(tmp_path):
     db = AvailabilityDb(CFG)
     st = db.ensure("individual")
-    st.exclude_many([Coord.bus(3, 77), Coord.hicann_(9),
+    st.exclude_many([Coord(Kind.BUS, (3, 77)), Coord.hicann_(9),
                      Coord(Kind.JTAG_LINK, (4,))])
     path = tmp_path / "individual.json"
     save_state(db, "individual", path)

@@ -35,3 +35,29 @@ def test_every_op_reaches_its_probe_under_its_own_key(monkeypatch):
         assert args == ("wafer", "db", 0) + (() if op.arg is None else (op.arg,))
         assert kwargs == {"availability": "availability", "neurons": [5]}
         assert probes[op.function].key(args, kwargs) == f"calibration.{op.name}"
+
+
+def test_the_integrate_probe_sees_constant_input_runs(monkeypatch):
+    # e_leak's rest sweep is one stacked run with constant inputs; it reaches
+    # the bench's probe on the integrator as simulate_batch calls it
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Stats, Tracer
+
+    from waferforge.wafer import build_wafer
+
+    w, db, neurons = build_wafer(3), cal.CalibrationDb(), [0, 128, 256, 384]
+    cal.calibrate_readout_shift(w, db, 0, neurons=neurons)
+    tracer = Tracer([p for p in layers.PROBES if p.layer == "dynamics"])
+    tracer.install()
+    stats = Stats()
+    try:
+        assert tracer.missing == set()
+        entries = tracer.run(stats, cal.calibrate_voltage, w, db, 0, "e_leak",
+                             neurons=neurons)
+    finally:
+        tracer.uninstall()
+    assert len(entries) == 4
+    assert tracer.absent == set()
+    assert stats.get("dynamics.integrate", "calls") >= 1
+    assert stats.get("dynamics.integrate", "steps") > 0

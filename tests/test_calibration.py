@@ -537,7 +537,7 @@ class _Stimulus(Exception):
 
 def _psp_stimulus(monkeypatch, plan):
     """Spike times and step of one PSP sweep point, captured before it runs."""
-    def capture(wafer, configs, stimulus, duration, *, dt, **kw):
+    def capture(wafer, configs, stimulus, duration, *, dt=cal.DEFAULT_DT, **kw):
         raise _Stimulus([t for _, _, t in stimulus], dt)
 
     monkeypatch.setattr(cal, "simulate", capture)
@@ -564,8 +564,8 @@ def test_psp_presentations_land_at_one_window_offset(monkeypatch):
 
 
 def test_psp_window_off_the_step_grid_raises(monkeypatch):
-    plan = dataclasses.replace(cal.DEFAULT_PLANS["v_syntcx"],
-                               window=cal.DEFAULT_PLANS["v_syntcx"].window + 0.5 * cal.PSP_DT)
+    plan = cal.DEFAULT_PLANS["v_syntcx"]
+    plan = dataclasses.replace(plan, window=plan.window + 0.5 * cal.DEFAULT_DT)
     with pytest.raises(ValueError, match="whole integration steps"):
         _psp_stimulus(monkeypatch, plan)
 

@@ -139,7 +139,7 @@ def test_memory_test_granularity():
         Defect(DefectType.MEMORY_STUCK, Coord.synapse(10, 1, 30, 40), pattern=0xA5),
         Defect(DefectType.MEMORY_STUCK, Coord.fg_block(11, 2), pattern=0x00),
         Defect(DefectType.SYNAPSE_DRIVER_BROKEN, Coord.synapse_driver(12, 0, 55)),
-        Defect(DefectType.SWITCH_BROKEN, Coord.switch(13, 600)),
+        Defect(DefectType.SWITCH_BROKEN, Coord(Kind.SWITCH, (13, 600))),
         Defect(DefectType.FG_CONTROLLER_BROKEN, Coord.hicann_(14)),
         Defect(DefectType.REPEATER_BROKEN, Coord.repeater(15, 300)),
     ])
@@ -150,7 +150,7 @@ def test_memory_test_granularity():
     # a stuck FG-controller SRAM cell corrupts programming for the whole die
     assert ind.excluded_of(Kind.HICANN) == {Coord.hicann_(11), Coord.hicann_(14)}
     assert ind.excluded_of(Kind.SYNAPSE_DRIVER) == {Coord.synapse_driver(12, 0, 55)}
-    assert ind.excluded_of(Kind.SWITCH) == {Coord.switch(13, 600)}
+    assert ind.excluded_of(Kind.SWITCH) == {Coord(Kind.SWITCH, (13, 600))}
     assert ind.excluded_of(Kind.REPEATER) == {Coord.repeater(15, 300)}
     assert res.discovered == ind.all_excluded()
 
@@ -162,14 +162,14 @@ def test_reduced_pass_still_finds_routing_faults():
     w = wafer_with([
         Defect(DefectType.HIGHSPEED_DEAD, Coord.hicann_(60)),
         Defect(DefectType.REPEATER_BROKEN, Coord.repeater(60, 5)),
-        Defect(DefectType.SWITCH_BROKEN, Coord.switch(60, 100)),
+        Defect(DefectType.SWITCH_BROKEN, Coord(Kind.SWITCH, (60, 100))),
         Defect(DefectType.SYNAPSE_DRIVER_BROKEN, Coord.synapse_driver(60, 0, 10)),
     ])
     comm_test(w, db)
     memory_test(w, db)
     ind = db.state("individual")
     assert ind.excluded_of(Kind.REPEATER) == {Coord.repeater(60, 5)}
-    assert ind.excluded_of(Kind.SWITCH) == {Coord.switch(60, 100)}
+    assert ind.excluded_of(Kind.SWITCH) == {Coord(Kind.SWITCH, (60, 100))}
     assert ind.excluded_of(Kind.SYNAPSE_DRIVER) == set()
 
 
@@ -220,9 +220,9 @@ def test_defect_free_closure_is_design_plus_edge():
     assert eff.excluded_of(Kind.HIGHSPEED_LINK) == {highspeed(h) for h in center}
     assert eff.excluded_of(Kind.NEURON) == {Coord.neuron(h, n)
                                             for h in center for n in range(512)}
-    assert eff.excluded_of(Kind.EXT_MERGER) == {Coord.ext_merger(h, m)
+    assert eff.excluded_of(Kind.EXT_MERGER) == {Coord(Kind.EXT_MERGER, (h, m))
                                                 for h in center for m in range(8)}
-    edge_buses = {Coord.bus(h, d * 80 + lane)
+    edge_buses = {Coord(Kind.BUS, (h, d * 80 + lane))
                   for h in CFG.edge_hicanns for d in Direction for lane in range(80)
                   if CFG.neighbor(h, d) is None}
     assert eff.excluded_of(Kind.BUS) == edge_buses
@@ -239,7 +239,7 @@ def test_single_repeater_takes_its_two_buses():
     assert eff.excluded_of(Kind.REPEATER) == {Coord.repeater(h, 85)}
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
     partner = CFG.bus_partner(h, 85)
-    assert added == {Coord.bus(h, 85), Coord.bus(*partner)}
+    assert added == {Coord(Kind.BUS, (h, 85)), Coord(Kind.BUS, partner)}
 
 
 def test_two_repeaters_close_the_block():
@@ -248,7 +248,7 @@ def test_two_repeaters_close_the_block():
     eff = effective_exclusion(CFG, ind)
     reps = eff.excluded_of(Kind.REPEATER)
     assert reps == {Coord.repeater(h, r) for r in range(80, 120)}
-    assert eff.excluded_of(Kind.REPEATER_BLOCK) == {Coord.repeater_block(h, 2)}
+    assert eff.excluded_of(Kind.REPEATER_BLOCK) == {Coord(Kind.REPEATER_BLOCK, (h, 2))}
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
     assert len(added) == 80  # 40 own + 40 partner-side
 
@@ -267,7 +267,7 @@ def test_two_repeaters_close_a_block_of_the_last_die(block):
     assert closed(last) == (set(), {Coord.repeater(h, last)})
     assert closed(first, outside) == (set(), {Coord.repeater(h, first),
                                              Coord.repeater(h, outside)})
-    assert closed(first, last) == ({Coord.repeater_block(h, block)},
+    assert closed(first, last) == ({Coord(Kind.REPEATER_BLOCK, (h, block))},
                                    {Coord.repeater(h, r) for r in range(first, last + 1)})
 
 
@@ -276,7 +276,7 @@ def test_rim_facing_repeater_has_one_bus():
     ind = AvailabilityState(CFG, [Coord.repeater(h, 7)])
     eff = effective_exclusion(CFG, ind)
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
-    assert added == {Coord.bus(h, 7)}
+    assert added == {Coord(Kind.BUS, (h, 7))}
 
 
 def test_fg_controller_acts_like_dead_jtag():
@@ -289,8 +289,8 @@ def test_fg_controller_acts_like_dead_jtag():
         == set(CFG.no_highspeed_hicanns()) | {f}
     added = eff.excluded_of(Kind.BUS) - baseline_effective().excluded_of(Kind.BUS)
     east, south = CFG.neighbor(f, Direction.E), CFG.neighbor(f, Direction.S)
-    expected = {Coord.bus(east, Direction.W * 80 + lane) for lane in range(80)}
-    expected |= {Coord.bus(south, Direction.N * 80 + lane) for lane in range(80)}
+    expected = {Coord(Kind.BUS, (east, Direction.W * 80 + lane)) for lane in range(80)}
+    expected |= {Coord(Kind.BUS, (south, Direction.N * 80 + lane)) for lane in range(80)}
     assert added == expected  # neighbors lose their facing groups, not f its own
 
 
@@ -308,7 +308,7 @@ def test_no_route_excludes_neurons_and_ext_mergers():
 
 def test_broken_leaf_merger_strands_its_neurons():
     h = CFG.hicann_at(18, 4)
-    eff = effective_exclusion(CFG, AvailabilityState(CFG, [Coord.merger(h, 3)]))
+    eff = effective_exclusion(CFG, AvailabilityState(CFG, [Coord(Kind.MERGER, (h, 3))]))
     neurons = {c.indices[1] for c in eff.excluded_of(Kind.NEURON) if c.hicann == h}
     assert neurons == set(range(3 * 64, 4 * 64))
     # external input does not pass the leaf merger
@@ -463,6 +463,24 @@ def test_defect_order_does_not_change_commissioning(name):
         assert state_digest(db_shuffled.state(state)) == state_digest(db.state(state))
 
 
+def test_a_defect_added_to_a_built_wafer_is_checked():
+    # a negative hicann index would otherwise kill die 381 without a word
+    w = build_wafer(1, defects=DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(5))]))
+    w.defects.add(Defect(DefectType.JTAG_DEAD, Coord.hicann_(-3)))
+    with pytest.raises(ValueError, match=r"defect jtag_dead: hicann\[-3\]: index 0"):
+        commission(w)
+
+
+def test_a_reassigned_defect_set_is_checked():
+    # the first bad defect is named; the memory test would raise IndexError
+    w = build_wafer(1)
+    w.defects = DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(5)),
+                           Defect(DefectType.REPEATER_BROKEN, Coord.repeater(400, 5)),
+                           Defect(DefectType.SWITCH_BROKEN, Coord(Kind.SWITCH, (3, 10 ** 6)))])
+    with pytest.raises(ValueError, match=r"defect repeater_broken: repeater\[400,5\]"):
+        commission(w)
+
+
 @pytest.mark.parametrize("name", ["golden", "reduced"])
 def test_closure_is_idempotent(name):
     # closing the effective state again changes no byte, and no individual
@@ -500,9 +518,9 @@ def test_analog_readout_needs_output_and_link():
     db = AvailabilityDb(CFG)
     ind = db.ensure("individual")
     ind.exclude(jtag(5))
-    ind.exclude(Coord.analog_out(9, 0))
-    ind.exclude(Coord.analog_out(9, 1))
-    ind.exclude(Coord.analog_out(10, 0))  # second output still works
+    ind.exclude(Coord(Kind.ANALOG_OUT, (9, 0)))
+    ind.exclude(Coord(Kind.ANALOG_OUT, (9, 1)))
+    ind.exclude(Coord(Kind.ANALOG_OUT, (10, 0)))  # second output still works
     ok = analog_readout_test(wafer_with(seed=7), db)
     assert not ok[5] and not ok[9]
     assert ok[10] and ok[0]
@@ -516,7 +534,7 @@ def test_commission_pipeline_builds_both_states():
     db, res = commission(w)
     assert db.names() == ["effective", "individual"]
     assert db.state("effective").issuperset(db.state("individual"))
-    assert not db.state("effective").is_usable(Coord.bus(33, 50))
+    assert not db.state("effective").is_usable(Coord(Kind.BUS, (33, 50)))
 
 
 def test_report_reference_totals():

@@ -10,9 +10,7 @@ from waferforge.dynamics import (
     SynapticMatrix,
     UnitParams,
     cannot_spike,
-    inputs_constant,
     integrate,
-    integrate_constant,
     integrate_scan,
 )
 from waferforge.psp import psp_peak_time
@@ -35,6 +33,12 @@ def run(params, duration, dt=1e-4, **kw):
     kw.setdefault("events_x", EventQueue.empty())
     kw.setdefault("events_i", EventQueue.empty())
     return integrate(params, duration, dt, **kw)
+
+
+def loop(params, duration, dt=1e-4, **kw):
+    """The step loop alone, whichever solver ``integrate`` would pick: the
+    bitwise reference of the other solvers."""
+    return dynamics._loop(dynamics._preamble(params, duration, dt, **kw))
 
 
 def spikes_of(res, unit):
@@ -441,6 +445,11 @@ PINNED_CASES = {
         "7bc8fb357a6ad5920887a7bb08bfc56265277ac7153634437661867023fc3feb"),
 }
 
+# the loop's bytes, recorded before integrate chose between solvers; the same
+# run with an unlimited amplifier gives them too
+NEGATIVE_INF_I_SAT_DIGEST = \
+    "9a39023eb0e55072265804e0faef3cf49840f442aa0e8d1cc29ba189b35797cc"
+
 
 def _trace_digest(res) -> str:
     h = hashlib.sha256()
@@ -453,9 +462,10 @@ def _trace_digest(res) -> str:
 def test_pinned_traces(name):
     build, digest = PINNED_CASES[name]
     params, kw = build()
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = run(params, 0.03, **kw)
-    assert _trace_digest(res) == digest
+    for solve in (loop, run):  # the loop, and the solver integrate picks
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = solve(params, 0.03, **kw)
+        assert _trace_digest(res) == digest
 
 
 def test_nan_decay_side_is_not_static():
@@ -488,7 +498,7 @@ def test_static_sides_match_the_same_run_made_live(name):
     # of a static side must give the same bytes
     p, kw = PINNED_CASES[name][0]()
     with np.errstate(invalid="ignore", over="ignore"):
-        _same_bits(run(p, 0.03, **kw), run(p, 0.03, **_made_live(kw)))
+        _same_bits(loop(p, 0.03, **kw), loop(p, 0.03, **_made_live(kw)))
 
 
 # ---- prefix scan -----------------------------------------------------------
@@ -616,14 +626,14 @@ def test_scan_updates_only_the_steps_it_keeps(monkeypatch, i_sat):
         kw["events_" + side] = EventQueue.from_boundaries(
             np.repeat(steps + (side == "i") * 50, n), np.tile(np.arange(n), steps.size),
             np.full(steps.size * n, amount))
-    calls = {"_exp_euler": 0, "_saturated_step": 0}
+    calls = {"_propagator": 0, "_saturated_step": 0}
     for name in calls:
         def spy(*a, _real=getattr(dynamics, name), _name=name):
             calls[_name] += 1
             return _real(*a)
         monkeypatch.setattr(dynamics, name, spy)
     scan = integrate_scan(p, 0.03, **kw)
-    assert calls["_exp_euler"] == calls["_saturated_step"]
+    assert calls["_propagator"] == calls["_saturated_step"]
     assert (calls["_saturated_step"] > 20) == (i_sat < np.inf)
     monkeypatch.undo()
     assert np.max(np.abs(scan.v - run(p, 0.03, **kw).v)) <= SCAN_TOL
@@ -681,9 +691,9 @@ def test_scan_refuses_runs_that_may_spike():
 
 
 # ---- constant inputs -------------------------------------------------------
-# integrate_constant solves runs without events, recurrence or saturation one
-# period at a time; it must equal the step loop bit for bit: traces, spike
-# units and spike times. The loop's general branch is the reference.
+# integrate solves runs without events, recurrence or saturation one period
+# at a time; it must equal the step loop bit for bit: traces, spike units
+# and spike times. The loop's general branch is the reference.
 
 def _same_bits(a, b):
     for name in ("v", "spike_units", "spike_times", "t", "record_units"):
@@ -691,11 +701,16 @@ def _same_bits(a, b):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
+def _constant(p, duration, dt=1e-4, **kw) -> bool:
+    """Whether ``integrate`` solves the run with constant inputs."""
+    return dynamics._preamble(p, duration, dt, **kw).constant
+
+
 def _constant_and_loop(p, duration, **kw):
-    const = integrate_constant(p, duration, **kw)
-    loop = integrate(p, duration, **kw)
-    _same_bits(const, loop)
-    return loop
+    assert _constant(p, duration, **kw)
+    ref = loop(p, duration, **kw)
+    _same_bits(integrate(p, duration, **kw), ref)
+    return ref
 
 
 def _random_constant_run(rng):
@@ -831,8 +846,9 @@ def test_constant_inputs_stacked_runs_match_each_run_alone():
     stacked = UnitParams(**{f.name: np.concatenate(
         [getattr(p, f.name) for p, _, _ in runs])
         for f in dataclasses.fields(UnitParams)})
-    both = integrate_constant(stacked, n_steps * 1e-4, v_init=np.concatenate(
-        [kw["v_init"] for _, _, kw in runs]))
+    v_init = np.concatenate([kw["v_init"] for _, _, kw in runs])
+    assert _constant(stacked, n_steps * 1e-4, v_init=v_init)
+    both = integrate(stacked, n_steps * 1e-4, v_init=v_init)
     lo = 0
     for p, _, kw in runs:
         alone = _constant_and_loop(p, n_steps * 1e-4, v_init=kw["v_init"])
@@ -849,26 +865,38 @@ def test_constant_inputs_match_pinned_cases():
     accepted = set()
     for name, (build, digest) in sorted(PINNED_CASES.items()):
         p, kw = build()
-        if "recurrent_x" in kw or not inputs_constant(
-                p, 1e-4, 300, kw.get("events_x", EventQueue.empty()),
-                kw.get("events_i", EventQueue.empty())):
-            continue
-        assert _trace_digest(integrate_constant(p, 0.03, **kw)) == digest
+        with np.errstate(over="ignore"):
+            if not _constant(p, 0.03, **kw):
+                continue
+        assert _trace_digest(integrate(p, 0.03, **kw)) == digest
         accepted.add(name)
     assert accepted == {"record_none", "spiking_refractory", "tau_ref_not_finite"}
 
 
+def test_negative_infinite_i_sat_keeps_the_loop_bytes():
+    # no finite i_sat: the loop tests no side for saturation, although a
+    # limit of -inf would count every side saturated; so the run has
+    # constant inputs, and integrate gives the bytes the loop gave before it
+    # chose any other solver
+    p = leak_params(n=3, e_leak=1.5, v_threshold=0.9, tau_ref=1e-3,
+                    g_base_x=np.array([0.0, 2e-11, 0.0]),
+                    g_base_i=np.array([0.0, 0.0, 1e-11]), i_sat=-np.inf)
+    assert dynamics._preamble(p, 0.03, 1e-4).checks == (False, False)
+    res = _constant_and_loop(p, 0.03)
+    assert res.spike_units.shape[0] >= 6
+    assert _trace_digest(res) == NEGATIVE_INF_I_SAT_DIGEST
+
+
 def test_runs_without_constant_inputs_are_refused():
     dt, n_steps = 1e-4, 300
-    none = EventQueue.empty()
     p = leak_params(n=2, e_leak=1.5, v_threshold=0.9)
-    assert inputs_constant(p, dt, n_steps, none, none)
+    assert _constant(p, n_steps * dt)
     # an event that lands before the end; one that lands after it is inert
     late = EventQueue.from_boundaries(np.array([n_steps]), np.array([0]),
                                       np.array([3e-12]))
     early = EventQueue.from_boundaries(np.array([n_steps - 1]), np.array([0]),
                                        np.array([3e-12]))
-    assert inputs_constant(p, dt, n_steps, late, late)
+    assert _constant(p, n_steps * dt, events_x=late, events_i=late)
     _constant_and_loop(p, n_steps * dt, events_x=late)
     refused = [(p, dict(events_x=early)), (p, dict(events_i=early))]
     # a static side that can saturate: permanent conductance, finite i_sat,
@@ -881,8 +909,4 @@ def test_runs_without_constant_inputs_are_refused():
                 for tau in ("tau_synx", "tau_syni") for bad in (-1e-7, np.nan)]
     for params, kw in refused:
         with np.errstate(over="ignore"):
-            assert not inputs_constant(params, dt, n_steps,
-                                       kw.get("events_x", none),
-                                       kw.get("events_i", none))
-            with pytest.raises(ValueError):
-                integrate_constant(params, n_steps * dt, **kw)
+            assert not _constant(params, n_steps * dt, **kw)

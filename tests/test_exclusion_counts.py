@@ -74,7 +74,7 @@ def test_counts_after_copy_and_writes_on_either_side():
     assert_counts_exact(a)
     assert_counts_exact(b)
     b.exclude(Coord.neuron(3, 5))
-    a.exclude_many([Coord.synapse(1, 0, 2, 4), Coord.bus(0, 1)])
+    a.exclude_many([Coord.synapse(1, 0, 2, 4), Coord(Kind.BUS, (0, 1))])
     write_off_array(b, 2, 1)
     b.mask(Kind.SYNAPSE)[0, 0, 0, :10] = True  # raw write through the mask
     for st in (a, b):
@@ -89,7 +89,7 @@ def test_counts_after_copy_and_writes_on_either_side():
 
 
 def test_counts_after_json_round_trip():
-    st = AvailabilityState(CFG, [Coord.bus(5, 9), Coord.bus(5, 2), Coord.hicann_(1)])
+    st = AvailabilityState(CFG, [Coord(Kind.BUS, (5, 9)), Coord(Kind.BUS, (5, 2)), Coord.hicann_(1)])
     write_off_array(st, 4, 0)
     loaded = AvailabilityState.from_json(st.to_json(), CFG)
     assert loaded == st
@@ -102,8 +102,8 @@ def test_counts_with_repeated_and_duplicate_coordinates():
     st.exclude(Coord.repeater(7, 85))
     st.exclude(Coord.repeater(7, 85))
     assert_counts_exact(st)
-    batch = [Coord.repeater(7, 85), Coord.bus(2, 3), Coord.bus(2, 3),
-             Coord.repeater(7, 86), Coord.bus(2, 3)]
+    batch = [Coord.repeater(7, 85), Coord(Kind.BUS, (2, 3)), Coord(Kind.BUS, (2, 3)),
+             Coord.repeater(7, 86), Coord(Kind.BUS, (2, 3))]
     st.exclude_many(batch)
     assert_counts_exact(st)
     looped = AvailabilityState(CFG)

@@ -8,8 +8,8 @@ from waferforge.topology import Coord
 from waferforge.variability import VariabilityConfig
 from waferforge.wafer import (build_wafer, efficacy_arrays, program_floating_gates,
                               true_parameter_array)
-from waferforge import experiment
-from waferforge.dynamics import EventQueue, cannot_spike, integrate
+from waferforge import dynamics
+from waferforge.dynamics import EventQueue, cannot_spike
 from waferforge.experiment import (
     EmitterSpec,
     HicannConfig,
@@ -401,7 +401,7 @@ def test_trains_split_the_engine_raster_per_unit():
     psp = prepare(w, psp_config([4, 5]), [("in", 0, 0.02)], 0.1, v_init="rest")
     silent = prepare(w, HicannConfig(hicann=0, enabled=[6]), [], 0.1,
                      v_init="rest")
-    assert experiment._scanned(psp, n_steps_of(psp))
+    assert scanned(psp)
     batch = simulate_batch([spiking, recurrent, psp, silent])
     heads = [[(0, 2), (0, 0), (1, 5)], [(0, 3), (0, 9)], [(0, 4), (0, 5)], [(0, 6)]]
     for sim, want in zip(batch, heads):
@@ -464,13 +464,24 @@ def n_steps_of(run):
     return int(round(run.duration / run.dt))
 
 
+def scanned(run):
+    """Whether ``simulate_batch`` solves the run by the prefix scan."""
+    net = run.compiled
+    return dynamics.scannable(net.params, run.v0, run.dt, n_steps_of(run),
+                              run.events_x, run.events_i, net.recurrent_x,
+                              net.recurrent_i)
+
+
+LOOP = dynamics._loop  # the step loop, whatever a test patches
+
+
 def loop_alone(run):
     """The run through the step loop, whichever path it would take."""
-    return integrate(run.compiled.params, run.duration, run.dt,
-                     events_x=run.events_x, events_i=run.events_i,
-                     recurrent_x=run.compiled.recurrent_x,
-                     recurrent_i=run.compiled.recurrent_i,
-                     record_units=run.trace_units, v_init=run.v0)
+    return LOOP(dynamics._preamble(
+        run.compiled.params, run.duration, run.dt, events_x=run.events_x,
+        events_i=run.events_i, recurrent_x=run.compiled.recurrent_x,
+        recurrent_i=run.compiled.recurrent_i, record_units=run.trace_units,
+        v_init=run.v0))
 
 
 def assert_same_engine(a, b):
@@ -492,9 +503,8 @@ def test_mixed_batch_matches_separate_runs():
     rest, rest_alone = prepare_and_simulate(
         w, HicannConfig(hicann=0, enabled=[9]), [], 0.05, v_init="rest")
     assert saturates(strong)
-    scanned = [experiment._scanned(r, n_steps_of(r))
-               for r in (strong, inh, spiking, rest)]
-    assert scanned == [True, True, False, False]
+    assert [scanned(r) for r in (strong, inh, spiking, rest)] == [
+        True, True, False, False]
     assert len(spiking_alone.raster()[Coord.neuron(0, 7)]) >= 3
 
     order = [spiking, strong, rest, inh, strong]
@@ -529,7 +539,7 @@ def test_runs_the_scan_cannot_take_stay_on_the_loop():
         assert cannot_spike(run.compiled.params, run.v0, run.dt,
                             n_steps_of(run), run.events_x, run.events_i)
     for run in (spiking, recurrent, negative, dense):
-        assert not experiment._scanned(run, n_steps_of(run))
+        assert not scanned(run)
         assert_same_engine(simulate_batch([run])[0].engine, loop_alone(run))
     assert len(simulate_batch([spiking])[0].raster()[Coord.neuron(0, 3)]) > 0
 
@@ -548,11 +558,11 @@ def loop_calls(monkeypatch):
     """Record the runs that reach the step loop from ``simulate_batch``."""
     calls = []
 
-    def counted(params, *args, **kw):
-        calls.append(params.n_units)
-        return integrate(params, *args, **kw)
+    def counted(run):
+        calls.append(run.params.n_units)
+        return LOOP(run)
 
-    monkeypatch.setattr(experiment, "integrate", counted)
+    monkeypatch.setattr(dynamics, "_loop", counted)
     return calls
 
 

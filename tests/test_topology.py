@@ -198,7 +198,7 @@ def test_memory_map_sizes():
 def test_coord_ordering_and_json():
     a = Coord.neuron(3, 17)
     b = Coord.neuron(3, 18)
-    c = Coord.bus(0, 0)
+    c = Coord(Kind.BUS, (0, 0))
     assert a < b < c  # bus kind enumerates after neuron kind
     assert sorted([c, b, a]) == [a, b, c]
     assert Coord.from_json(a.to_json()) == a
@@ -255,7 +255,7 @@ ENTRY_POINTS = (
     # the package's user-facing calls and state queries
     "load_golden_defects", "jtag_fault_sample", "analog_readout_test",
     "apply_calibration", "save", "save_state", "load_state", "write_report_csv",
-    "write_trace_csv", "excluded_of", "all_excluded", "build",
+    "write_trace_csv", "excluded_of", "all_excluded", "build", "kinds", "names",
     # oracles that see past the tests: the hidden FG values, the flags a
     # fully transparent test suite would record
     "fg_dac_array", "individual_from_defects",
@@ -265,19 +265,24 @@ ENTRY_POINTS = (
 
 
 def test_every_public_name_is_used():
-    # a public name that appears nowhere but in its own definition is API
-    # that only tests call
-    src = [p.read_text() for p in SRC.glob("*.py")]
-    bench = [p.read_text() for p in BENCH.glob("*.py")]
-    words = Counter(re.findall(r"\w+", "\n".join(src + bench)))
-    defined = Counter()
-    for tree in map(ast.parse, src):
+    # a public name that appears nowhere but in its own definition, or a
+    # class member that nothing reads as an attribute, is API that only
+    # tests call
+    text = "\n".join(p.read_text() for d in (SRC, BENCH) for p in d.glob("*.py"))
+    words = Counter(re.findall(r"\w+", text))
+    attributes = Counter(re.findall(r"\.(\w+)", text))
+    defined, members = Counter(), set()
+    for tree in (ast.parse(p.read_text()) for p in SRC.glob("*.py")):
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in (node, *members):
+            inside = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *inside):
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
                     defined[d.name] += 1
+                    if d is not node:
+                        members.add(d.name)
     assert set(ENTRY_POINTS) <= set(defined)
     unused = [name for name, n in sorted(defined.items())
               if name not in ENTRY_POINTS and words[name] <= n]
+    unused += ["." + name for name in sorted(members)
+               if name not in ENTRY_POINTS and not attributes[name]]
     assert unused == []

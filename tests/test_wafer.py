@@ -7,7 +7,7 @@ import pytest
 
 from waferforge import rng
 from waferforge.defects import Defect, DefectSet, DefectType
-from waferforge.topology import Coord, TopologyConfig
+from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.variability import SoftplusLaw, VariabilityConfig
 from waferforge.wafer import (
     FG_CELLS,
@@ -350,7 +350,7 @@ OUT_OF_RANGE_DEFECTS = [
     Defect(DefectType.FG_CONTROLLER_BROKEN, Coord.hicann_(400)),
     Defect(DefectType.REPEATER_BROKEN, Coord.repeater(400, 5)),
     Defect(DefectType.SYNAPSE_DRIVER_BROKEN, Coord.synapse_driver(3, 0, 110)),
-    Defect(DefectType.SWITCH_BROKEN, Coord.switch(3, 7680)),
+    Defect(DefectType.SWITCH_BROKEN, Coord(Kind.SWITCH, (3, 7680))),
 ]
 
 
