@@ -30,17 +30,17 @@ An op raises CalibrationOrderError unless the ops it requires ran first
 (e.g. refractory times need reset, threshold and leak).
 
 Sweeps whose points store few or no traces (the rest sweeps of e_leak,
-e_syni, v_convoffx/i and the direct reversal readout; each i_pulse
-repetition) integrate once per sweep pass: every point is programmed and
-prepared in the usual write order, all points run as one block-diagonal
-network, and each point is read out under its own noise token, so the
-results are those of one integration per point. The PSP sweeps (i_gl,
-v_syntcx/i, e_synx) and the spiking sweeps (v_reset, v_threshold) keep
-one integration per point and reduce each point before the next runs:
-their full-length traces would make a batched sweep hold K times the
-memory of one point. A PSP point's threshold sits above every reversal
-potential, so it cannot spike and ``simulate_batch`` solves it as a
-prefix scan instead of a step loop.
+e_syni and v_convoffx/i; each i_pulse repetition) integrate once per
+sweep pass: every point is programmed and prepared in the usual write
+order, all points run as one block-diagonal network, and each point is
+read out under its own noise token, so the results are those of one
+integration per point. The PSP sweeps (i_gl, v_syntcx/i, e_synx) and
+the spiking sweeps (v_reset, v_threshold) keep one integration per point
+and reduce each point before the next runs: their full-length traces
+would make a batched sweep hold K times the memory of one point. A PSP
+point's threshold sits above every reversal potential, so it cannot
+spike and ``simulate_batch`` solves it as a prefix scan instead of a
+step loop.
 
 Results live in a CalibrationDb: one entry per (coordinate, parameter)
 with the model name, coefficients, a reduced chi-square and a validity

@@ -22,14 +22,17 @@ A simulation "unit" is one membrane: either a single neuron circuit or a
 group of interconnected circuits whose leak terms are summed.
 
 Every solver reads its run through one preamble (``_preamble``), which
-derives each synaptic side's facts once: its decay factor; whether it is
-static (no event before the last step, no recurrent input and a finite
-decay factor, so its conductance stays ``+0.0``); and whether it is tested
-for saturation (some ``i_sat`` is finite, and the side is live or its
-permanent conductance can saturate). It also forms ``num`` and ``g_tot``
-at zero synaptic conductance. The membrane step of the list above is
-written once (``_stepper``: the saturation test, then the update it
-chooses).
+builds one record per synaptic side (``_Side``; excitatory, then
+inhibitory) holding its event queue, recurrent matrix, reversal potential,
+permanent conductance and decay factor, and the facts derived from them:
+whether the side is static (no event before the last step, no recurrent
+input and a finite decay factor, so its conductance stays ``+0.0``);
+whether it is tested for saturation (some ``i_sat`` is finite, and the
+side is live or its permanent conductance can saturate); and its total
+conductance at zero synaptic input. It also forms ``num`` and ``g_tot`` at
+zero synaptic conductance. The solvers loop over the records, so each
+per-side line is written once, and so is the membrane step of the list
+above (``_stepper``: the saturation test, then the update it chooses).
 
 Which solver a run gets. ``integrate`` takes any run and chooses from those
 facts: a run whose sides are both static and untested and whose every
@@ -267,18 +270,20 @@ def _saturation(g_side, e_side, v, i_sat):
             np.where(sat, g_side, 0.0))
 
 
-def _saturated_step(p: UnitParams, gx_tot, gi_tot, num, g_tot, v, dt, checks):
+def _saturated_step(p: UnitParams, sides, totals, num, g_tot, v, dt):
     """One membrane step in which some synaptic side saturates. An untested
-    side (``checks``) saturates nowhere: it adds ``+0.0`` to ``num`` and
+    side (``check``) saturates nowhere: it adds ``+0.0`` to ``num`` and
     takes nothing out of ``g_tot``, as its all-false masks would."""
-    none = (False, 0.0, 0.0)
-    sat_x, adj_x, cut_x = _saturation(gx_tot, p.e_synx, v, p.i_sat) if checks[0] else none
-    sat_i, adj_i, cut_i = _saturation(gi_tot, p.e_syni, v, p.i_sat) if checks[1] else none
-    v_new = _propagator(num + (adj_x + adj_i), g_tot - cut_x - cut_i,
-                        p.capacitance, dt)(v)
+    sat, adj = False, []
+    for side, tot in zip(sides, totals):
+        hit, a, cut = (_saturation(tot, side.e, v, p.i_sat) if side.check
+                       else (False, 0.0, 0.0))
+        sat, g_tot = sat | hit, g_tot - cut
+        adj.append(a)
+    v_new = _propagator(num + (adj[0] + adj[1]), g_tot, p.capacitance, dt)(v)
     lo = np.minimum(p.e_syni, v)
     hi = np.maximum(p.e_synx, v)
-    return np.where(sat_x | sat_i, np.clip(v_new, lo, hi), v_new)
+    return np.where(sat, np.clip(v_new, lo, hi), v_new)
 
 
 def _deliver(q: EventQueue, cursor: int, due: int, k: int, g, n_steps: int):
@@ -307,116 +312,109 @@ def _saturates(g_side, e_side, v, i_sat, tmp, sat) -> bool:
     return bool(np.greater(tmp, i_sat, out=sat).any())
 
 
-def _totals(p: UnitParams, g_x, g_i):
-    """Each side's total conductance, then the step's ``num`` and ``g_tot``."""
-    gx_tot = g_x + p.g_base_x
-    gi_tot = g_i + p.g_base_i
-    return (gx_tot, gi_tot) + _combine(p, gx_tot, gi_tot)
-
-
 def _combine(p: UnitParams, gx_tot, gi_tot):
     """A step's ``num`` and ``g_tot`` from each side's total conductance."""
     return (p.g_leak_e + gx_tot * p.e_synx + gi_tot * p.e_syni,
             p.g_leak + gx_tot + gi_tot)
 
 
-def _decays(p: UnitParams, dt: float):
-    """Each side's conductance decay factor over one step."""
-    return np.exp(-dt / p.tau_synx), np.exp(-dt / p.tau_syni)
+class _Side(NamedTuple):
+    """One synaptic side of a run and its facts (see the module docstring)."""
+
+    events: EventQueue
+    recurrent: SynapticMatrix | None  # None: no connection
+    e: np.ndarray  # reversal potential
+    g_base: np.ndarray  # permanent conductance
+    decay: np.ndarray
+    static: bool  # the side's conductance stays +0.0
+    check: bool  # whether the side is tested for saturation
+    total0: np.ndarray  # total conductance at zero synaptic conductance
 
 
 class _Run(NamedTuple):
-    """A run's arguments, defaults filled in, and its sides' facts."""
+    """A run's arguments, defaults filled in, and its sides' records."""
 
     params: UnitParams
     dt: float
     n_steps: int
     record_units: np.ndarray
-    events_x: EventQueue
-    events_i: EventQueue
-    recurrent_x: SynapticMatrix | None  # None: no connection
-    recurrent_i: SynapticMatrix | None
     v0: np.ndarray
-    decay_x: np.ndarray
-    decay_i: np.ndarray
-    static_x: bool  # the side's conductance stays +0.0
-    static_i: bool
-    checks: tuple[bool, bool]  # whether each side is tested for saturation
-    zero: tuple  # ``_totals`` at zero synaptic conductance
+    sides: tuple[_Side, _Side]  # excitatory, inhibitory
+    num0: np.ndarray  # ``num`` and ``g_tot`` at zero synaptic conductance
+    g0: np.ndarray
 
     @property
     def constant(self) -> bool:
         """Whether the run steps with constant inputs (``_constant``)."""
-        return (self.static_x and self.static_i and not any(self.checks)
-                and bool(np.all(self.zero[3] > 0.0)))
+        return (all(s.static and not s.check for s in self.sides)
+                and bool(np.all(self.g0 > 0.0)))
 
 
 def _preamble(params: UnitParams, duration: float, dt: float, events_x=None,
               events_i=None, recurrent_x=None, recurrent_i=None,
               record_units=None, v_init=None) -> _Run:
     """A run with its defaults (every unit recorded, no event or recurrent
-    connection, each membrane starting at ``v_reset``) and its sides' facts
-    (see the module docstring)."""
+    connection, each membrane starting at ``v_reset``) and its sides'
+    records (see the module docstring)."""
     p = params
     n = p.n_units
     n_steps = int(round(duration / dt))
-    events_x = events_x or EventQueue.empty()
-    events_i = events_i or EventQueue.empty()
-    # a matrix without connections never delivers anything
-    recurrent_x, recurrent_i = (m if m is not None and m.n_connections else None
-                                for m in (recurrent_x, recurrent_i))
-    decay_x, decay_i = _decays(p, dt)
-    static_x, static_i = (
-        recurrent is None and bool(np.all(events.boundary >= n_steps))
-        and bool(np.all(np.isfinite(decay)))
-        for recurrent, events, decay in ((recurrent_x, events_x, decay_x),
-                                         (recurrent_i, events_i, decay_i)))
+    record_units = (np.arange(n, dtype=np.int64) if record_units is None
+                    else np.asarray(record_units, dtype=np.int64))
+    bad = record_units[(record_units < 0) | (record_units >= n)]
+    if bad.size:
+        raise ValueError(f"record unit {bad[0]} is not one of units 0..{n - 1}")
     # without a finite i_sat no side is tested, nor is a static side whose
     # permanent conductance cannot saturate
     has_sat = np.any(np.isfinite(p.i_sat))
-    checks = tuple(
-        bool(has_sat and not (static and _never_saturates(g_base, p.i_sat)))
-        for static, g_base in ((static_x, p.g_base_x), (static_i, p.g_base_i)))
-    return _Run(p, dt, n_steps,
-                np.arange(n, dtype=np.int64) if record_units is None
-                else np.asarray(record_units, dtype=np.int64),
-                events_x, events_i, recurrent_x, recurrent_i,
+    sides = []
+    for events, recurrent, e, g_base, tau in zip(
+            (events_x, events_i), (recurrent_x, recurrent_i),
+            (p.e_synx, p.e_syni), (p.g_base_x, p.g_base_i),
+            (p.tau_synx, p.tau_syni)):
+        events = events or EventQueue.empty()
+        decay = np.exp(-dt / tau)  # over one step
+        if recurrent is not None and not recurrent.n_connections:
+            recurrent = None  # a matrix without connections delivers nothing
+        static = (recurrent is None and bool(np.all(events.boundary >= n_steps))
+                  and bool(np.all(np.isfinite(decay))))
+        check = bool(has_sat and not (static and _never_saturates(g_base, p.i_sat)))
+        sides.append(_Side(events, recurrent, e, g_base, decay, static, check,
+                           0.0 + g_base))
+    return _Run(p, dt, n_steps, record_units,
                 p.v_reset.copy() if v_init is None else _as_f64(v_init, n),
-                decay_x, decay_i, static_x, static_i, checks,
-                _totals(p, 0.0, 0.0))
+                tuple(sides), *_combine(p, *(s.total0 for s in sides)))
 
 
 def _stepper(run: _Run):
-    """The loop's membrane step in two halves, ``test(g_x, g_i, v) ->
-    (sides, saturated)`` and ``update(sides, saturated, v) -> v'``.
+    """The loop's membrane step in two halves, ``test(g, v) -> (totals,
+    saturated)`` and ``update(totals, saturated, v) -> v'``, with ``g``
+    each side's synaptic conductance.
 
-    ``sides`` are the sides' total conductances; the test needs nothing
+    ``totals`` are the sides' total conductances; the test needs nothing
     else. A static side's total is its total at zero conductance, and with
     both sides static so are ``num``, ``g_tot``, ``V_inf``, the propagator
     and the drift; an untested side is not tested.
     """
-    p, dt = run.params, run.dt
-    static_x, static_i = run.static_x, run.static_i
-    check_x, check_i = checks = run.checks
+    p, dt, sides = run.params, run.dt, run.sides
     tmp = np.empty(p.n_units)
     sat = np.empty(p.n_units, dtype=bool)
-    gx0, gi0, num0, g0 = run.zero
     # with both sides static, the update without saturation is fixed
-    free = _propagator(num0, g0, p.capacitance, dt) if static_x and static_i else None
+    free = (_propagator(run.num0, run.g0, p.capacitance, dt)
+            if all(s.static for s in sides) else None)
 
-    def test(g_x, g_i, v):
-        gx_tot = gx0 if static_x else g_x + p.g_base_x
-        gi_tot = gi0 if static_i else g_i + p.g_base_i
-        return (gx_tot, gi_tot), bool(
-            check_x and _saturates(gx_tot, p.e_synx, v, p.i_sat, tmp, sat)
-            or check_i and _saturates(gi_tot, p.e_syni, v, p.i_sat, tmp, sat))
+    def test(g, v):
+        totals = tuple(s.total0 if s.static else g_s + s.g_base
+                       for s, g_s in zip(sides, g))
+        return totals, any(s.check and _saturates(tot, s.e, v, p.i_sat, tmp, sat)
+                           for s, tot in zip(sides, totals))
 
-    def update(sides, saturated, v):
+    def update(totals, saturated, v):
         if free is not None and not saturated:
             return free(v)
-        num, g_tot = (num0, g0) if free is not None else _combine(p, *sides)
+        num, g_tot = (run.num0, run.g0) if free is not None else _combine(p, *totals)
         if saturated:
-            return _saturated_step(p, *sides, num, g_tot, v, dt, checks)
+            return _saturated_step(p, sides, totals, num, g_tot, v, dt)
         return _propagator(num, g_tot, p.capacitance, dt)(v)
 
     return test, update
@@ -426,7 +424,7 @@ def resting_potential(params: UnitParams) -> np.ndarray:
     """Settled membrane voltage per unit: the loop's ``V_inf`` without
     synaptic input (leak and permanent conductances), ``v_reset`` where no
     conductance is left."""
-    _, _, num, g = _totals(params, 0.0, 0.0)
+    num, g = _combine(params, 0.0 + params.g_base_x, 0.0 + params.g_base_i)
     return np.where(g > 0.0, num / np.where(g > 0.0, g, 1.0), params.v_reset)
 
 
@@ -458,16 +456,14 @@ def integrate(params: UnitParams, duration: float, dt: float = 1e-4, *,
 def _loop(run: _Run) -> EngineResult:
     """Step ``run`` one step at a time; the other solvers' reference."""
     p, dt, n_steps, record_units = run.params, run.dt, run.n_steps, run.record_units
-    events_x, events_i = run.events_x, run.events_i
-    recurrent_x, recurrent_i = run.recurrent_x, run.recurrent_i
+    sides = run.sides
     n = p.n_units
     v = run.v0
     record_all = np.array_equal(record_units, np.arange(n))
 
-    g_x = np.zeros(n)
-    g_i = np.zeros(n)
-    pending_x = np.zeros(n)
-    pending_i = np.zeros(n)
+    g = [np.zeros(n) for _ in sides]  # each side's synaptic conductance
+    pending = [np.zeros(n) for _ in sides]  # its recurrent input for the next step
+    cursors = [(0, 0) for _ in sides]  # its event cursor and next boundary
     refrac_until = np.full(n, -np.inf)
     test, update = _stepper(run)
 
@@ -475,22 +471,18 @@ def _loop(run: _Run) -> EngineResult:
     traces[:, 0] = v[record_units]
     spike_unit_chunks: list[np.ndarray] = []
     spike_time_chunks: list[np.ndarray] = []
-    px = pi = next_x = next_i = 0  # event cursors and next boundaries
     spiked = False
 
     for k in range(n_steps):
         t_k = k * dt
         # conductance increments landing on this boundary
-        px, next_x = _deliver(events_x, px, next_x, k, g_x, n_steps)
-        pi, next_i = _deliver(events_i, pi, next_i, k, g_i, n_steps)
-        if recurrent_x is not None and pending_x.any():
-            g_x += pending_x
-            pending_x[:] = 0.0
-        if recurrent_i is not None and pending_i.any():
-            g_i += pending_i
-            pending_i[:] = 0.0
+        for j, side in enumerate(sides):
+            cursors[j] = _deliver(side.events, *cursors[j], k, g[j], n_steps)
+            if side.recurrent is not None and pending[j].any():
+                g[j] += pending[j]
+                pending[j][:] = 0.0
 
-        v_new = update(*test(g_x, g_i, v), v)
+        v_new = update(*test(g, v), v)
         if spiked:  # before the first spike every unit is active
             active = t_k >= refrac_until
             v_new = np.where(active, v_new, p.v_reset)
@@ -505,16 +497,14 @@ def _loop(run: _Run) -> EngineResult:
             spike_time_chunks.append(t_s)
             v_new[idx] = p.v_reset[idx]
             refrac_until[idx] = t_s + p.tau_ref[idx]
-            if recurrent_x is not None:
-                recurrent_x.accumulate(idx, pending_x)
-            if recurrent_i is not None:
-                recurrent_i.accumulate(idx, pending_i)
+            for side, pend in zip(sides, pending):
+                if side.recurrent is not None:
+                    side.recurrent.accumulate(idx, pend)
 
         v = v_new
-        if not run.static_x:
-            g_x *= run.decay_x
-        if not run.static_i:
-            g_i *= run.decay_i
+        for side, g_s in zip(sides, g):
+            if not side.static:
+                g_s *= side.decay
         traces[:, k + 1] = v if record_all else v[record_units]
 
     return _result(dt, n_steps, record_units, traces, spike_unit_chunks,
@@ -623,9 +613,8 @@ def _constant(run: _Run) -> EngineResult:
     p, dt, n_steps, record_units = run.params, run.dt, run.n_steps, run.record_units
     n = p.n_units
     # the loop's fixed update; every g_tot is positive
-    _, _, num, g_tot = run.zero
-    v_inf = num / g_tot
-    prop = np.exp(-dt * g_tot / p.capacitance)
+    v_inf = run.num0 / run.g0
+    prop = np.exp(-dt * run.g0 / p.capacitance)
 
     traces = np.empty((record_units.shape[0], n_steps + 1))
     seq, cross = _relax(run.v0, v_inf, prop, p.v_threshold, n_steps)
@@ -739,9 +728,9 @@ def _hull(params: UnitParams, v0, dt: float, n_steps: int,
         return None
     # decay factors in (0, 1]: a conductance only decays between events, and
     # it stays within [0, the finite sum of its amounts]
-    decays = _decays(p, dt)
     if not (all(np.all(q.amount >= 0.0) for q in (events_x, events_i))
-            and all(np.all(d > 0.0) for d in decays)
+            and all(np.all(np.exp(-dt / tau) > 0.0)
+                    for tau in (p.tau_synx, p.tau_syni))
             and np.isfinite(events_x.amount.sum() + events_i.amount.sum())):
         return None
     hull = (v0, p.e_synx, p.e_syni, p.g_leak_e / p.g_leak)
@@ -775,8 +764,9 @@ def scannable(params: UnitParams, v0, dt: float, n_steps: int,
             and cannot_spike(params, v0, dt, n_steps, events_x, events_i))
 
 
-def _powers(decay, m: int):
-    """decay**j and its prefix sums sum_{i<=j} decay**i, j < m, per unit."""
+def _powers(decay, m: int, scale):
+    """decay**j and ``scale`` times its prefix sums sum_{i<=j} decay**i,
+    j < m, per unit."""
     lam = -np.log(decay)[:, None]
     j = np.arange(m, dtype=float)
     power = np.exp(-lam * j)
@@ -784,6 +774,7 @@ def _powers(decay, m: int):
     prefix = np.broadcast_to(j + 1.0, power.shape).copy()
     np.divide(np.expm1(-lam * (j + 1.0)), np.expm1(-lam), out=prefix,
               where=lam > 0.0)
+    prefix *= scale[:, None]
     return power, prefix
 
 
@@ -828,9 +819,9 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     run = _preamble(params, duration, dt, events_x, events_i,
                     record_units=record_units, v_init=v_init)
     p, n_steps, record_units, v = run.params, run.n_steps, run.record_units, run.v0
-    events_x, events_i = run.events_x, run.events_i
+    sides = run.sides
     n = p.n_units
-    hull = _hull(p, v, dt, n_steps, events_x, events_i)
+    hull = _hull(p, v, dt, n_steps, *(s.events for s in sides))
     if hull is None:
         raise ValueError("the run may spike: integrate it step by step")
     lo, hi, slack = hull
@@ -838,10 +829,7 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     traces = np.empty((record_units.shape[0], n_steps + 1))
     traces[:, 0] = v[record_units]
 
-    decay_x, decay_i = run.decay_x, run.decay_i
-    live_x, live_i = not run.static_x, not run.static_i
     test, update = _stepper(run)
-    check_x, check_i = run.checks
     sat_limit = p.i_sat * (1.0 - _SAT_MARGIN)
     # |e - V| stays within a side's distance to the hull V stays in, so a
     # side's test cannot fire once (g d**j + g_base) times that distance is
@@ -849,92 +837,83 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
     # room for every unit, or without decay, is tested on every scanned step
     horizons = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for e_side, g_base, decay in ((p.e_synx, p.g_base_x, decay_x),
-                                      (p.e_syni, p.g_base_i, decay_i)):
-            dist = np.maximum(hi - e_side, e_side - lo) + slack
-            spare = sat_limit * (1.0 - _SAT_MARGIN) - g_base * dist  # room * dist
-            lam = -np.log(decay)
+        for s in sides:
+            dist = np.maximum(hi - s.e, s.e - lo) + slack
+            spare = sat_limit * (1.0 - _SAT_MARGIN) - s.g_base * dist  # room * dist
+            lam = -np.log(s.decay)
             horizons.append(
                 (np.clip(np.log(spare) - np.log(dist), -1e4, 1e4), 1.0 / lam)
                 if np.all(spare > 0.0) and np.all(lam > 0.0) else None)
 
     # no chunk is longer than the longest stretch between boundaries
     landing = np.unique(np.clip(np.concatenate(
-        [events_x.boundary, events_i.boundary]), 0, n_steps))
+        [s.events.boundary for s in sides]), 0, n_steps))
     edges = np.concatenate([[0], landing, [n_steps]])
     longest = int(np.diff(edges).max()) if n_steps else 0
     m_max = max(1, min(longest, _SCAN_STEPS))
-    # V_inf - R = (g_x (e_synx - R) + g_i (e_syni - R)) / g_tot, with R the
+    # V_inf - R = sum over the sides of g (e - R), over g_tot, with R the
     # rest of the permanent conductances alone and g0 the loop's g_tot at
     # g == 0
-    _, _, num0, g0 = run.zero
-    rest = num0 / g0  # resting_potential: every g_tot is positive
-    dex = (p.e_synx - rest)[:, None]
-    dei = (p.e_syni - rest)[:, None]
+    g0 = run.g0
+    rest = run.num0 / g0  # resting_potential: every g_tot is positive
     # cumulative rate dt / C * sum_{i<=j} g_tot_i over a chunk's steps j:
     # rc g0 (j + 1) plus each side's g times rc (1 + d + ... + d**j)
     rc = dt / p.capacitance
     cum0 = (rc * g0)[:, None] * np.arange(1, m_max + 1, dtype=float)
-    pow_x, pre_x = _powers(decay_x, m_max + 1) if live_x else (None, None)
-    pow_i, pre_i = _powers(decay_i, m_max + 1) if live_i else (None, None)
-    if live_x:
-        pre_x *= rc[:, None]
-    if live_i:
-        pre_i *= rc[:, None]
+    # each live side's d**j, rc (1 + d + ... + d**j) and e - R
+    scans = [None if s.static
+             else (*_powers(s.decay, m_max + 1, rc), (s.e - rest)[:, None])
+             for s in sides]
 
-    g_x = np.zeros(n)
-    g_i = np.zeros(n)
-    px = pi = next_x = next_i = 0
+    g = [np.zeros(n) for _ in sides]  # each side's synaptic conductance
+    cursors = [(0, 0) for _ in sides]  # its event cursor and next boundary
     cap = n_steps
     k = 0
     while k < n_steps:
-        px, next_x = _deliver(events_x, px, next_x, k, g_x, n_steps)
-        pi, next_i = _deliver(events_i, pi, next_i, k, g_i, n_steps)
-        rate = float(np.max(rc * (g0 + g_x + g_i)))  # no later step is faster
-        m = min(next_x, next_i, n_steps) - k
+        for j, s in enumerate(sides):
+            cursors[j] = _deliver(s.events, *cursors[j], k, g[j], n_steps)
+        rate = float(np.max(rc * sum(g, g0)))  # no later step is faster
+        m = min(*(due for _, due in cursors), n_steps) - k
         m = min(m, cap, m_max, int(_SCAN_SPAN / rate) if rate > 0.0 else m)
         # the loop's exact saturation test; only a step kept is updated
-        sides, saturated = test(g_x, g_i, v)
+        totals, saturated = test(g, v)
         if saturated or m < 2:  # one step of the loop
-            v = update(sides, saturated, v)
-            g_x *= decay_x
-            g_i *= decay_i
+            v = update(totals, saturated, v)
+            for s, g_s in zip(sides, g):
+                g_s *= s.decay
             traces[:, k + 1] = v[record_units]
             k += 1
             continue
 
         # steps k .. k + m - 1: g_tot, (V_inf - R) g_tot and the cumulative
-        # rate, summed in the loop's order; in place where a sum allows, as
-        # each n x m temporary costs more than the arithmetic on it
-        g_tot, dev, cum = g0[:, None], 0.0, cum0[:, :m]
-        if live_x:
-            gx = g_x[:, None] * pow_x[:, :m]
-            g_tot = gx + g_tot
-            dev = np.multiply(gx, dex, out=gx)
-            cum = g_x[:, None] * pre_x[:, :m]
-            cum += cum0[:, :m]
-        if live_i:
-            gi = g_i[:, None] * pow_i[:, :m]
-            if live_x:
-                g_tot += gi
-                dev += np.multiply(gi, dei, out=gi)
-                cum += g_i[:, None] * pre_i[:, :m]
-            else:
-                g_tot = gi + g_tot
-                dev = np.multiply(gi, dei, out=gi)
-                dev += 0.0
-                cum = g_i[:, None] * pre_i[:, :m]
+        # rate, summed in the loop's order; the first live side starts each
+        # sum and the second adds to it in place, as each n x m temporary
+        # costs more than the arithmetic on it
+        g_tot, dev, cum = g0[:, None], None, cum0[:, :m]
+        for g_s, scan in zip(g, scans):
+            if scan is None:
+                continue
+            power, prefix, de = scan
+            gm = g_s[:, None] * power[:, :m]
+            if dev is None:
+                g_tot = gm + g_tot
+                dev = np.multiply(gm, de, out=gm)
+                cum = g_s[:, None] * prefix[:, :m]
                 cum += cum0[:, :m]
+            else:
+                g_tot += gm
+                dev += np.multiply(gm, de, out=gm)
+                cum += g_s[:, None] * prefix[:, :m]
         # V[k+1+j] - R = (V[k] - R + sum_{i<=j} (1 - a_i) dev_i / A_i) A_j
         # with A_j = 1 / w_j = exp(-cum_j) the product of the propagators
         # a_i, and (1 - a_i) / A_i = w_i - w_{i-1}
-        if live_x or live_i:
+        if dev is not None:
             w = np.exp(cum, out=cum)
             np.divide(dev, g_tot, out=dev)
             vs = g_tot  # its buffer holds V from here on
         else:
             w = np.exp(cum)
-            dev, vs = dev / g_tot, np.empty((n, m))
+            dev, vs = 0.0 / g_tot, np.empty((n, m))
         np.subtract(w[:, 0], 1.0, out=vs[:, 0])
         np.subtract(w[:, 1:], w[:, :-1], out=vs[:, 1:])
         vs *= dev
@@ -946,15 +925,13 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
         # keep the steps before the first j >= 1 whose test may fire,
         # testing only the steps j <= h before the horizon
         keep = m
-        for live, g, powers, horizon, e_side, g_base, check in (
-                (live_x, g_x, pow_x, horizons[0], p.e_synx, p.g_base_x, check_x),
-                (live_i, g_i, pow_i, horizons[1], p.e_syni, p.g_base_i, check_i)):
-            h = 0 if not check else m - 1 if horizon is None \
-                else _horizon(g, *horizon, m - 1)
+        for s, g_s, scan, horizon in zip(sides, g, scans, horizons):
+            h = 0 if not s.check else m - 1 if horizon is None \
+                else _horizon(g_s, *horizon, m - 1)
             if h:
-                g_now = g_base[:, None] if not live \
-                    else g[:, None] * powers[:, 1:h + 1] + g_base[:, None]
-                cur = np.abs(g_now * (e_side[:, None] - vs[:, :h]))
+                g_now = s.g_base[:, None] if scan is None \
+                    else g_s[:, None] * scan[0][:, 1:h + 1] + s.g_base[:, None]
+                cur = np.abs(g_now * (s.e[:, None] - vs[:, :h]))
                 hit = np.flatnonzero(np.any(cur > sat_limit[:, None], axis=0))
                 if hit.size:
                     keep = min(keep, int(hit[0]) + 1)
@@ -963,10 +940,9 @@ def integrate_scan(params: UnitParams, duration: float, dt: float = 1e-4, *,
         traces[:, k + 1:k + 1 + keep] = vs[:, :keep] if record_all \
             else vs[record_units, :keep]
         v = vs[:, keep - 1].copy()
-        if live_x:
-            g_x *= pow_x[:, keep]
-        if live_i:
-            g_i *= pow_i[:, keep]
+        for g_s, scan in zip(g, scans):
+            if scan is not None:
+                g_s *= scan[0][:, keep]
         k += keep
 
     return _result(dt, n_steps, record_units, traces, [], [])

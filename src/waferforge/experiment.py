@@ -429,6 +429,8 @@ def simulate_batch(runs) -> list[SimResult]:
     rows are views of the network's trace array).
     """
     runs = list(runs)
+    if not runs:
+        return []
     duration, dt = runs[0].duration, runs[0].dt
     if any(r.duration != duration or r.dt != dt for r in runs):
         raise ValueError("runs in one batch must share duration and dt")

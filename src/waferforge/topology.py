@@ -46,8 +46,6 @@ __all__ = [
     "Coord",
     "TopologyConfig",
     "resource_count",
-    "hicann_group",
-    "group_members",
 ]
 
 
@@ -464,19 +462,6 @@ def _grid_cached(key: tuple) -> _Grid:
 
 def _grid(cfg: TopologyConfig) -> _Grid:
     return _grid_cached((cfg.reticle_rows, cfg.reticle_shape))
-
-
-def hicann_group(cfg: TopologyConfig, h: int) -> int:
-    """Group (reticle) index of a hicann."""
-    if not 0 <= h < cfg.n_hicanns:
-        raise ValueError(f"hicann index {h} out of range")
-    return h // cfg.group_size
-
-
-def group_members(cfg: TopologyConfig, g: int) -> tuple[int, ...]:
-    if not 0 <= g < cfg.n_groups:
-        raise ValueError(f"group index {g} out of range")
-    return tuple(range(g * cfg.group_size, (g + 1) * cfg.group_size))
 
 
 def resource_count(cfg: TopologyConfig, kind: Kind, subset_size: int) -> int:

@@ -228,6 +228,20 @@ def test_spike_records_are_sorted_and_interpolated():
     assert np.array_equal(spikes_of(res, 0), spikes_of(res, 1))  # identical units
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_record_units_outside_the_run_are_refused(bad):
+    # numpy would read unit 2 for -1 and label it -1; 3 would fail inside
+    # the solver. Every solver refuses both, naming the unit
+    p = leak_params(n=3)
+    kw = dict(record_units=[0, bad], v_init=[0.1, 0.2, 0.3])
+    psp = dict(events_x=_queue([0.002], [0], [3e-12]))
+    assert dynamics._preamble(p, 0.01, 1e-4).constant
+    assert not dynamics._preamble(p, 0.01, 1e-4, **psp).constant
+    for solve, inputs in ((integrate, {}), (integrate, psp), (integrate_scan, psp)):
+        with pytest.raises(ValueError, match=f"record unit {bad} "):
+            solve(p, 0.01, **inputs, **kw)
+
+
 def test_record_subset_of_units():
     p = leak_params(n=5)
     res = run(p, 0.01, record_units=[3, 1])
@@ -507,6 +521,34 @@ def test_static_sides_match_the_same_run_made_live(name):
 
 SCAN_TOL = 1e-12  # volts
 
+# integrate_scan's own bytes, which SCAN_TOL cannot see: one digest of the
+# scanned traces per side set of the randomized runs, and one per pinned
+# case it scans
+SCAN_RANDOM_DIGESTS = {
+    "": "0720f3c7ff3d071fdc49c4ef417f43076a2d8d4307201b99a9c4b5d74c74e14c",
+    "x": "7ba9d37a7ac600b624fb0777921f329bfc0831e3a61d9794a6be6cf2a28235dd",
+    "i": "a3d76ad4dc93983786044c805e04d63f3b02b9f4adb94d54b6ab644826234f8e",
+    "xi": "89beca93d59a50b7f22c881663126b0a9d6755b4c23d53076b6648016a305800",
+}
+SCAN_PINNED_DIGESTS = {
+    "inhibitory_only":
+        "e65633e3a379085dea38f6eb7e7cdc7b5a0cde2be86e8702636d7cea0a883330",
+    "negative_i_sat":
+        "9fe7d790e2f981cdaa78c151243f752b03a4b776aa6417a817d2eb92e605c1c5",
+    "permanent_saturation":
+        "87946469f632fe6c504dff00cb97140b7d30fea87f17475138e2658393bee4b2",
+    "psp_i_saturates":
+        "f325868a755b491708162a0510627035d879079acbd252285fb915f4ca4e8abb",
+    "psp_on_permanent":
+        "f8b4c712467215fe4ad5ca32f9d75b298d8034ac9e356f4609a51ef131aa814a",
+    "psp_x_saturates":
+        "084eec6fb6bb23a806c72d607ca9b58099da4b6d44fb7ce2d769478ef91e16ef",
+    "record_permuted":
+        "7a6e08be1128ffc0f5c2945337299949fbdea0e76f1f099158c93e51d383688c",
+    "record_subset":
+        "af4f9274e54ca0b76ee073ddaa94b487ee7b1dcaddf62f06420ccad8d76484df",
+}
+
 
 def _random_psp_run(rng, sides):
     n = int(rng.integers(1, 10))
@@ -533,10 +575,12 @@ def _random_psp_run(rng, sides):
 def test_scan_matches_loop_randomized(sides):
     rng = np.random.default_rng(2024 + len(sides) + 7 * sides.count("i"))
     saturated = 0
+    scanned = hashlib.sha256()
     for _ in range(16):
         p, duration, kw = _random_psp_run(rng, sides)
         loop = integrate(p, duration, **kw)
         scan = integrate_scan(p, duration, **kw)
+        scanned.update(_trace_digest(scan).encode())
         assert np.max(np.abs(scan.v - loop.v)) <= SCAN_TOL
         assert loop.spike_units.shape == scan.spike_units.shape == (0,)
         assert loop.spike_times.shape == scan.spike_times.shape == (0,)
@@ -546,6 +590,7 @@ def test_scan_matches_loop_randomized(sides):
         saturated += not np.array_equal(loop.v, integrate(free, duration, **kw).v)
     if sides:  # the saturation hand-over is exercised
         assert saturated >= 5
+    assert scanned.hexdigest() == SCAN_RANDOM_DIGESTS[sides]
 
 
 def test_scan_matches_pinned_cases():
@@ -563,11 +608,9 @@ def test_scan_matches_pinned_cases():
         scan = integrate_scan(p, 0.03, **kw)
         assert np.max(np.abs(scan.v - loop.v)) <= SCAN_TOL
         assert np.array_equal(scan.record_units, loop.record_units)
+        assert _trace_digest(scan) == SCAN_PINNED_DIGESTS[name]
         scanned.add(name)
-    assert scanned == {"inhibitory_only", "negative_i_sat",
-                       "permanent_saturation", "psp_i_saturates",
-                       "psp_on_permanent", "psp_x_saturates", "record_permuted",
-                       "record_subset"}
+    assert scanned == set(SCAN_PINNED_DIGESTS)
 
 
 def _saturation_onset_static():
@@ -881,7 +924,7 @@ def test_negative_infinite_i_sat_keeps_the_loop_bytes():
     p = leak_params(n=3, e_leak=1.5, v_threshold=0.9, tau_ref=1e-3,
                     g_base_x=np.array([0.0, 2e-11, 0.0]),
                     g_base_i=np.array([0.0, 0.0, 1e-11]), i_sat=-np.inf)
-    assert dynamics._preamble(p, 0.03, 1e-4).checks == (False, False)
+    assert [s.check for s in dynamics._preamble(p, 0.03, 1e-4).sides] == [False, False]
     res = _constant_and_loop(p, 0.03)
     assert res.spike_units.shape[0] >= 6
     assert _trace_digest(res) == NEGATIVE_INF_I_SAT_DIGEST

@@ -365,6 +365,11 @@ def test_batch_matches_separate_spiking_runs():
         assert_same_run(batched, alone)
 
 
+def test_an_empty_batch_simulates_nothing():
+    assert simulate_batch([]) == []
+    assert simulate_batch(iter([])) == []
+
+
 def recurrent_config(pre, post, sign):
     return HicannConfig(
         hicann=0, enabled=[pre, post],
