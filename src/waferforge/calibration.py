@@ -452,10 +452,9 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, token, sign="x", weight
     steps, s = int(round(steps)), int(round(s))
     k = np.arange(plan.presentations)
     times = (round(PSP_SPIKE_AT / DEFAULT_DT) + k * steps + 0.5) * DEFAULT_DT
-    onset_step = EventQueue.from_times(times, k, np.ones(k.size), DEFAULT_DT).boundary \
-        - k * steps
-    if np.any(onset_step != onset_step[0]):
-        raise ValueError("PSP presentations land at different window offsets")
+    # presentation k sits k * steps boundaries after the first, so it lands
+    # at the first one's offset of its window
+    onset_step = EventQueue.from_times(times[:1], [0], [1.0], DEFAULT_DT).boundary[0]
     offsets = _offsets(db, h, circuits)
     _program_context(wafer, h, plan, extra)
     cfg = _standalone_config(h, circuits,
@@ -467,7 +466,7 @@ def _psp_windows(wafer, db, h, circuits, plan, extra, *, token, sign="x", weight
     v = _read_corrected(wafer, sim, h, circuits, offsets, token)
     v = v[:, :plan.presentations * s]
     v = v.reshape(len(circuits), plan.presentations, s).mean(axis=1)
-    return np.arange(s) * dt, v, onset_step[0] * DEFAULT_DT
+    return np.arange(s) * dt, v, onset_step * DEFAULT_DT
 
 
 def _block_keyed(parameter: str) -> bool:
@@ -620,10 +619,7 @@ def _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability):
                                         availability=availability):
         t_adc = np.arange(v.shape[1]) * dt_adc
         for i in range(len(scope)):
-            ts = rasters[i]
-            if len(ts) < 5:
-                continue
-            ts = ts[2:]  # skip the settling spikes
+            ts = rasters[i][2:]  # skip the settling spikes
             ks = np.searchsorted(t_adc, ts - DEFAULT_DT) - 1
             good = ks >= 2
             ks, tsg = ks[good], ts[good]
@@ -999,9 +995,7 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
         raise ValueError(f"{neuron} is not a neuron circuit")
     dacs, clamped = {}, []
     for name, target in targets.items():
-        if name not in _TARGET_MAP:
-            raise RangeError(f"unknown calibration target {name!r}")
-        param = _TARGET_MAP[name]
+        param = _target_param(name)
         coord = _entry_coord(cfg, *neuron.indices, param)
         entry = db.entry(coord, param)
         if not entry.valid:
@@ -1034,6 +1028,13 @@ def to_hardware(cfg: TopologyConfig, db: CalibrationDb, neuron: Coord,
     return HardwareValues(dacs=dacs, clamped=tuple(clamped))
 
 
+def _target_param(name: str) -> str:
+    """The calibrated parameter that realizes target ``name``."""
+    if name not in _TARGET_MAP:
+        raise RangeError(f"unknown calibration target {name!r}")
+    return _TARGET_MAP[name]
+
+
 def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
                       targets: dict, *, neurons=None) -> dict:
     """Program one hicann so every circuit realizes the shared targets.
@@ -1042,14 +1043,15 @@ def apply_calibration(wafer: WaferModel, db: CalibrationDb, h: int,
     entries exist. Circuits without a valid model for some target fall
     back to the nominal transfer (for v_convoffx/i, the DAC ceiling:
     amplifier off); both fallbacks and clamps are reported, not raised. A
-    circuit outside the hicann raises ValueError.
+    circuit outside the hicann raises ValueError, an unknown target
+    RangeError, before any cell is written.
     """
     cfg = wafer.topology
     scope = _circuits(cfg, neurons).tolist()
     values: dict[str, np.ndarray] = {}
     report = {"clamped": [], "fallback": []}
     for name, target in targets.items():
-        param = _TARGET_MAP[name]
+        param = _target_param(name)
         values[param] = np.full(cell_index(cfg, param)[0].shape,
                                 _nominal_dac(cfg, name, target))
     seen = set()

@@ -9,7 +9,6 @@ database is built from.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,15 +62,6 @@ class DefectRates:
     merger_stuck: float = 0.0
     fg_block_stuck: float = 0.0
 
-    def to_json(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DefectRates":
-        return cls(**data)
-
 
 @dataclass
 class DefectSet:
@@ -100,16 +90,6 @@ class DefectSet:
     def from_json(cls, data: dict) -> "DefectSet":
         check_schema(data.get("schema", SCHEMA), SCHEMA)
         return cls([Defect.from_json(d) for d in data["defects"]])
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "DefectSet":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 def check_defects(cfg: TopologyConfig, defects) -> None:

@@ -150,9 +150,10 @@ def _validate_config(wafer: WaferModel, cfg: HicannConfig) -> None:
     for group in cfg.membrane_groups:
         if not group or not set(group) <= enabled:
             raise ValueError("membrane group must consist of enabled circuits")
-        if set(group) & seen:
-            raise ValueError("circuit in more than one membrane group")
-        seen |= set(group)
+        for c in group:
+            if c in seen:
+                raise ValueError(f"circuit {c} is listed twice in the membrane groups")
+            seen.add(c)
     rows = {}
     for r in cfg.rows:
         if not 0 <= r.row < n_rows:

@@ -71,7 +71,7 @@ def golden_defect_set(cfg: TopologyConfig | None = None) -> DefectSet:
         singles.append((h, lanes + 7))
 
     if len(singles) != 183 or len(set(h for h, _ in singles)) != 183:
-        raise AssertionError("golden scenario placement drifted")
+        raise ValueError("the golden scenario's placement needs the default wafer layout")
 
     ds = DefectSet()
     for h in jtag_ids:

@@ -53,7 +53,6 @@ class Kind(enum.Enum):
     """Resource kinds with a dense per-hicann enumeration."""
 
     HICANN = "hicann"
-    HICANN_GROUP = "hicann_group"
     JTAG_LINK = "jtag_link"
     HIGHSPEED_LINK = "highspeed_link"
     NEURON = "neuron"
@@ -98,7 +97,7 @@ class Coord:
     """Typed coordinate: a resource kind plus its index tuple.
 
     ``TopologyConfig.index_shapes`` gives each kind's index layout and
-    bounds; the first index is the hicann (the group for ``HICANN_GROUP``).
+    bounds; the first index is the hicann.
     """
 
     kind: Kind
@@ -109,8 +108,6 @@ class Coord:
 
     @property
     def hicann(self) -> int:
-        if self.kind in (Kind.HICANN_GROUP,):
-            raise ValueError("group coordinate has no single hicann")
         return self.indices[0]
 
     def sort_key(self) -> tuple:
@@ -281,7 +278,6 @@ class TopologyConfig:
         per_array = (H, self.arrays_per_hicann)
         return MappingProxyType({
             Kind.HICANN: (H,),
-            Kind.HICANN_GROUP: (self.n_groups,),
             Kind.JTAG_LINK: (H,),
             Kind.HIGHSPEED_LINK: (H,),
             Kind.NEURON: (H, self.neurons_per_hicann),
@@ -301,8 +297,6 @@ class TopologyConfig:
         })
 
     def units_per_hicann(self, kind: Kind) -> int:
-        if kind is Kind.HICANN_GROUP:
-            raise ValueError(f"no per-hicann unit count for {kind}")
         return math.prod(self.index_shapes[kind][1:])
 
     # ---- grid ------------------------------------------------------------
@@ -465,17 +459,11 @@ def _grid(cfg: TopologyConfig) -> _Grid:
 
 
 def resource_count(cfg: TopologyConfig, kind: Kind, subset_size: int) -> int:
-    """Number of ``kind`` resources on ``subset_size`` hicanns.
-
-    ``HICANN`` counts the subset itself; ``HICANN_GROUP`` counts whole groups
-    contained in it. Everything else is per-hicann units times subset size.
-    """
+    """Number of ``kind`` resources on ``subset_size`` hicanns: the
+    per-hicann units times the subset size (one unit per hicann for
+    ``HICANN``)."""
     if subset_size < 0:
         raise ValueError("subset_size must be non-negative")
-    if kind is Kind.HICANN:
-        return subset_size
-    if kind is Kind.HICANN_GROUP:
-        return subset_size // cfg.group_size
     return cfg.units_per_hicann(kind) * subset_size
 
 

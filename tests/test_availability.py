@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from waferforge import availability
 from waferforge.availability import (PAGED_MASK_BYTES, AvailabilityDb, AvailabilityState,
                                      load_state, save_state)
 from waferforge.topology import Coord, Kind, TopologyConfig
@@ -120,7 +121,9 @@ def test_superset_and_equality():
     b = AvailabilityState(CFG, [Coord(Kind.BUS, (0, 1))])
     assert a.issuperset(b) and not b.issuperset(a)
     assert a.issuperset(a)
+    assert not a.issuperset(AvailabilityState(CFG, [Coord.neuron(2, 4)]))
     assert a != b
+    assert a != "neuron[2,3]" and a.__eq__(None) is NotImplemented
     assert a == AvailabilityState(CFG, [Coord.neuron(2, 3), Coord(Kind.BUS, (0, 1))])
 
 
@@ -178,6 +181,16 @@ def test_out_of_range_coordinates_rejected():
             AvailabilityState.from_json({"excluded": {"neuron": coords}}, CFG)
     with pytest.raises(ValueError, match="2 indices"):
         AvailabilityState.from_json({"excluded": {"neuron": [[3]]}}, CFG)
+
+
+def test_a_batch_error_that_no_coordinate_explains_propagates(monkeypatch):
+    # a failing batch is re-checked coordinate by coordinate to name its
+    # first bad one; an error that check does not reproduce is raised as is
+    monkeypatch.setattr(availability, "validate_coord", lambda cfg, coord: None)
+    st = AvailabilityState(CFG, [Coord.neuron(3, 511)])
+    with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+        st.exclude_many([Coord.neuron(3, 5), Coord.neuron(3, 512)])
+    assert st.all_excluded() == [Coord.neuron(3, 511)] and len(st) == 1
 
 
 def test_db_named_states():

@@ -206,6 +206,27 @@ def test_no_worker_outlives_a_call(monkeypatch):
     assert len(forked) == 2 and all(map(_reaped, forked))
 
 
+def test_a_failed_fork_closes_its_pipe_and_raises(monkeypatch):
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cal, "_worker_count", lambda: 2)
+    with pytest.raises(OSError, match="no process left"):
+        cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[0, 200])
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 @pytest.mark.parametrize("blocker", ["one_cpu", "live_thread"])
 def test_no_fork_on_one_cpu_or_beside_another_thread(monkeypatch, blocker):
     def fork():
@@ -346,6 +367,11 @@ def test_to_hardware_reports_clamped_targets():
     low = cal.to_hardware(cfg, db, n0, {"e_leak": -0.1})
     assert low.dacs == {"e_leak": 0}
     assert low.clamped == ("e_leak",)
+    # apply_calibration programs the clamped code and reports it
+    w = build_wafer(3)
+    report = cal.apply_calibration(w, db, 0, {"e_leak": 1.9}, neurons=[0])
+    assert report == {"clamped": [(n0, "e_leak")], "fallback": []}
+    assert fg_dac_array(w, 0, "e_leak")[0] == pytest.approx(cfg.dac_max, abs=10)
 
 
 def test_to_hardware_rejects_what_no_model_expresses():
@@ -361,6 +387,12 @@ def test_to_hardware_rejects_what_no_model_expresses():
             cal.to_hardware(cfg, db, n0, {"tau_mem": tau})
     with pytest.raises(KeyError, match="e_synx"):
         cal.to_hardware(cfg, db, n0, {"e_synx": 0.9})
+    # a stored document may name a model that no inversion knows
+    data = db.to_json()
+    data["entries"] = [dict(e, model="cubic") for e in data["entries"]
+                       if e["parameter"] == "e_leak"]
+    with pytest.raises(cal.RangeError, match="no hardware inversion for 'e_leak'"):
+        cal.to_hardware(cfg, cal.CalibrationDb.from_json(data), n0, {"e_leak": 0.8})
 
 
 def test_db_rejects_entry_without_coordinate():
@@ -458,6 +490,55 @@ def test_i_pulse_needs_its_prerequisites():
         cal.calibrate_i_pulse(w, cal.CalibrationDb(), 0, neurons=[0, 8])
 
 
+@pytest.mark.parametrize("op", cal.CALIBRATION_ORDER)
+def test_an_op_over_no_circuits_measures_nothing(op):
+    w = build_wafer(3)
+    rec = cal._OP[op]
+    args = () if rec.arg is None else (rec.arg,)
+    db = cal.CalibrationDb()
+    assert getattr(cal, rec.function)(w, db, 0, *args, neurons=[]) == []
+    assert len(db) == 0 and w.fg_state(0).write_cycle == 0
+
+
+def test_a_db_takes_the_calibration_of_one_wafer_only():
+    db = cal.calibrate_hicann(build_wafer(3), None, 0, neurons=[])
+    assert db.master_seed == 3
+    with pytest.raises(ValueError, match="belongs to a different wafer"):
+        cal.calibrate_hicann(build_wafer(7), db, 0, neurons=[0])
+
+
+def test_a_circuit_below_its_threshold_has_no_valid_v_threshold():
+    # wide FP offsets leave circuits 224 and 480 resting below their
+    # threshold at the top of the sweep: no spike, no valid line
+    var = dataclasses.replace(VariabilityConfig(), fp_offset_sigma_voltage=0.1)
+    w = build_wafer(3, variability=var)
+    scope = list(range(0, 512, 16))
+    plan = cal.DEFAULT_PLANS["v_threshold"]
+    rest = true_parameter_array(w, 0, "e_leak", d_eff=plan.settings["e_leak"])
+    top = true_parameter_array(w, 0, "v_threshold", d_eff=max(plan.dac_values))
+    silent = [n for n in scope if rest[n] < top[n]]
+    assert silent == [224, 480]
+    db = cal.CalibrationDb()
+    cal.calibrate_readout_shift(w, db, 0, neurons=scope)
+    entries = cal.calibrate_voltage(w, db, 0, "v_threshold", neurons=scope)
+    assert [e.coord.indices[1] for e in entries if not e.valid] == silent
+
+
+def test_readout_shift_matches_the_oracle():
+    # each entry is the circuit's true shift less the mean true shift of its
+    # readout group in scope; at seed 3 over two groups the residual reads
+    # 0.38 mV at most and 0.13 mV rms, against a 4.6 mV spread of the shifts
+    w = build_wafer(3)
+    scope = list(range(128))
+    db = cal.CalibrationDb()
+    cal.calibrate_readout_shift(w, db, 0, neurons=scope)
+    got = np.array([db.coeffs(Coord.neuron(0, n), "readout_shift")[0] for n in scope])
+    true = true_parameter_array(w, 0, "readout_shift")[scope].reshape(2, 64)
+    residual = got - (true - true.mean(axis=1, keepdims=True)).ravel()
+    assert np.abs(residual).max() < 0.45e-3
+    assert np.sqrt(np.mean(residual ** 2)) < 0.15e-3
+
+
 def test_readout_shift_groups_by_neuron_block():
     # shorted membranes span one neuron block, whatever its size: the
     # offsets of a block are deviations from the block mean
@@ -495,6 +576,16 @@ def test_apply_calibration_rejects_circuits_outside_the_hicann():
         with pytest.raises(ValueError, match="circuits of a hicann are 0..511"):
             cal.apply_calibration(w, cal.CalibrationDb(), 0, {"e_leak": 0.8},
                                   neurons=neurons)
+
+
+def test_apply_calibration_refuses_an_unknown_target_before_writing():
+    w = build_wafer(3)
+    cal.apply_calibration(w, _hand_db(w.topology), 0, {"e_leak": 0.8})
+    cycle = w.fg_state(0).write_cycle
+    with pytest.raises(cal.RangeError, match="unknown calibration target 'tau_foo'"):
+        cal.apply_calibration(w, _hand_db(w.topology), 0,
+                              {"e_leak": 0.8, "tau_foo": 1e-3})
+    assert w.fg_state(0).write_cycle == cycle
 
 
 def test_time_constant_fallback_follows_the_dac_range():
@@ -565,9 +656,11 @@ def test_psp_presentations_land_at_one_window_offset(monkeypatch):
 
 def test_psp_window_off_the_step_grid_raises(monkeypatch):
     plan = cal.DEFAULT_PLANS["v_syntcx"]
-    plan = dataclasses.replace(plan, window=plan.window + 0.5 * cal.DEFAULT_DT)
-    with pytest.raises(ValueError, match="whole integration steps"):
-        _psp_stimulus(monkeypatch, plan)
+    for extra, match in ((0.5, "whole integration steps"), (1.0, "align with the ADC grid")):
+        # one more step is 0.96 of an ADC sample
+        off = dataclasses.replace(plan, window=plan.window + extra * cal.DEFAULT_DT)
+        with pytest.raises(ValueError, match=match):
+            _psp_stimulus(monkeypatch, off)
 
 
 def test_time_constants_recover_with_zero_variability():

@@ -6,16 +6,18 @@ import random
 import numpy as np
 import pytest
 
+from waferforge import rng
 from waferforge.availability import AvailabilityDb, AvailabilityState
-from waferforge.commissioning import (CommResult, analog_readout_test, array_exclusion,
-                                      comm_test, commission, effective_exclusion,
-                                      exclusion_report, individual_from_defects,
-                                      memory_test, stability_test, write_report_csv)
+from waferforge.commissioning import (READOUT_MEAN_TOL, CommResult, analog_readout_test,
+                                      array_exclusion, comm_test, commission,
+                                      effective_exclusion, exclusion_report,
+                                      individual_from_defects, memory_test,
+                                      stability_test, write_report_csv)
 from waferforge.defects import Defect, DefectRates, DefectSet, DefectType, random_defects
 from waferforge.scenarios import golden_defect_set
 from waferforge.topology import Coord, Direction, Kind, TopologyConfig
 from waferforge.variability import VariabilityConfig
-from waferforge.wafer import build_wafer
+from waferforge.wafer import build_wafer, true_parameter_array
 
 CFG = TopologyConfig()
 FULL_BYTES = 117250  # sum of the per-hicann memory map
@@ -155,6 +157,33 @@ def test_memory_test_granularity():
     assert res.discovered == ind.all_excluded()
 
 
+def test_a_stuck_cell_that_every_write_matches_escapes(monkeypatch):
+    # the test sees a stuck cell only through a write it cannot take: when
+    # every random value equals the stuck pattern, the cell reads back right
+    class Constant:
+        def integers(self, low, high, size):
+            return np.full(size, 0x5A)
+
+    monkeypatch.setattr(rng.Rekeyed, "stream", lambda self, *tokens: Constant())
+    db = AvailabilityDb(CFG)
+    w = wafer_with([
+        Defect(DefectType.MEMORY_STUCK, Coord.synapse(10, 1, 30, 40), pattern=0x5A),
+        Defect(DefectType.MEMORY_STUCK, Coord.repeater(15, 300), pattern=0xA5),
+    ])
+    comm_test(w, db)
+    assert memory_test(w, db).discovered == [Coord.repeater(15, 300)]
+
+
+def test_an_unstable_register_shows_only_when_it_flips():
+    db = AvailabilityDb(CFG)
+    w = wafer_with([
+        Defect(DefectType.MEMORY_UNSTABLE, Coord.repeater(15, 300), flip_probability=0.0),
+        Defect(DefectType.MEMORY_UNSTABLE, Coord.repeater(16, 300), flip_probability=1.0),
+    ])
+    comm_test(w, db)
+    assert memory_test(w, db).discovered == [Coord.repeater(16, 300)]
+
+
 def test_reduced_pass_still_finds_routing_faults():
     # a die reachable only over the control link gets repeater/switch tests,
     # but its driver registers stay untested
@@ -209,6 +238,8 @@ def test_unstable_cell_takes_whole_array():
     assert ind.excluded_of(Kind.SYNAPSE_ARRAY) == {Coord.synapse_array(7, 1)}
     assert all(c.indices[1] == 1 for c in ind.excluded_of(Kind.SYNAPSE_ROW))
     assert set(array_exclusion(CFG, 7, 1)) == set(ind.all_excluded())
+    # the transparent translation writes the array off the same way
+    assert individual_from_defects(CFG, w.defects) == ind
 
 
 # ---- effective exclusion ---------------------------------------------------
@@ -505,6 +536,18 @@ def test_analog_readout_flags_noisy_adc():
     noisy = dataclasses.replace(VariabilityConfig(), adc_noise_sigma=0.01)
     ok = analog_readout_test(build_wafer(7, variability=noisy))
     assert not ok.any()
+
+
+def test_analog_readout_flags_a_shifted_readout_chain():
+    # on an otherwise ideal wafer a die passes iff its readout shift stays
+    # within the mean tolerance (the nearest die sits 0.26 mV from it)
+    var = dataclasses.replace(VariabilityConfig().zeroed(), readout_shift_sigma=0.1)
+    w = build_wafer(7, variability=var)
+    ok = analog_readout_test(w)
+    shift = np.array([true_parameter_array(w, h, "readout_shift")[0]
+                      for h in range(CFG.n_hicanns)])
+    assert np.array_equal(ok, np.abs(shift) <= READOUT_MEAN_TOL)
+    assert 0 < ok.sum() < CFG.n_hicanns
 
 
 def test_analog_readout_passes_on_a_smaller_dac():

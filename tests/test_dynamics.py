@@ -797,6 +797,20 @@ def test_constant_inputs_without_refractory_time():
     assert np.all(np.bincount(loop.spike_units) >= 10)
 
 
+def test_a_recurrent_matrix_without_connections_keeps_inputs_constant():
+    p = leak_params(n=3, e_leak=1.5, v_threshold=0.9,
+                    g_leak=np.array([6e-11, 1.2e-10, 4e-10]))
+    empty = SynapticMatrix.from_triplets(3, [], [], [])
+    assert empty.n_connections == 0
+    ref = _constant_and_loop(p, 0.3)
+    _same_bits(_constant_and_loop(p, 0.3, recurrent_x=empty, recurrent_i=empty), ref)
+
+
+def test_unit_params_need_a_leak_reversal():
+    with pytest.raises(ValueError, match="need e_leak or g_leak_e"):
+        UnitParams.build(2, capacitance=2.16e-12, g_leak=1.2e-10)
+
+
 def _clamp_lengths(trace, v_reset):
     """Lengths of the runs of v_reset after each spike of one trace."""
     at = np.concatenate([[False], trace == v_reset, [False]])

@@ -234,35 +234,44 @@ def test_excluded_circuits_cannot_be_enabled():
 
 def test_validation_rejects_bad_configs():
     w = quiet_wafer()
-    with pytest.raises(ValueError):  # group member not enabled
-        compile_network(w, [HicannConfig(hicann=0, enabled=[1], membrane_groups=[[1, 2]])])
-    with pytest.raises(ValueError):  # overlapping groups
-        compile_network(w, [HicannConfig(hicann=0, enabled=[1, 2, 3],
-                                         membrane_groups=[[1, 2], [2, 3]])])
-    with pytest.raises(ValueError):  # row configured twice
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(0, "x", "a"), RowSpec(0, "i", "b")])])
-    with pytest.raises(ValueError):  # synapse on an unconfigured row
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         synapses=[SynapseSpec(0, 0, 1, 0)])])
-    with pytest.raises(ValueError):  # synapse target circuit not enabled
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(0, "x", "a")],
-                                         synapses=[SynapseSpec(0, 5, 1, 0)])])
-    with pytest.raises(ValueError):  # weight beyond 4 bits
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(0, "x", "a")],
-                                         synapses=[SynapseSpec(0, 0, 16, 0)])])
-    with pytest.raises(ValueError):  # address beyond 4 bits
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(0, "x", "a")],
-                                         synapses=[SynapseSpec(0, 0, 1, 16)])])
-    with pytest.raises(ValueError):  # bad row id
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(440, "x", "a")])])
-    with pytest.raises(ValueError):  # bad sign
-        compile_network(w, [HicannConfig(hicann=0, enabled=[0],
-                                         rows=[RowSpec(0, "z", "a")])])
+    row0 = [RowSpec(0, "x", "a")]
+    for kw, match in (
+            (dict(hicann=384), "hicann 384 out of range"),
+            (dict(enabled=[1, 1]), "duplicate enabled circuits"),
+            (dict(enabled=[512]), "circuit 512 out of range"),
+            (dict(enabled=[1], membrane_groups=[[1, 2]]), "enabled circuits"),
+            (dict(enabled=[1, 2, 3], membrane_groups=[[1, 2], [2, 3]]),
+             "circuit 2 is listed twice"),
+            (dict(rows=[RowSpec(0, "x", "a"), RowSpec(0, "i", "b")]), "configured twice"),
+            (dict(synapses=[SynapseSpec(0, 0, 1, 0)]), "unconfigured row 0"),
+            (dict(rows=row0, synapses=[SynapseSpec(0, 256, 1, 0)]), "column out of range"),
+            (dict(rows=row0, synapses=[SynapseSpec(0, 5, 1, 0)]), "disabled circuit 5"),
+            (dict(rows=row0, synapses=[SynapseSpec(0, 0, 16, 0)]), "weight must be 4-bit"),
+            (dict(rows=row0, synapses=[SynapseSpec(0, 0, 1, 16)]), "address must be 4-bit"),
+            (dict(rows=[RowSpec(440, "x", "a")]), "row 440 out of range"),
+            (dict(rows=[RowSpec(0, "z", "a")]), "row sign"),
+            (dict(rows=[RowSpec(0, "x", "a", gmax_div=0)]), "gmax_div"),
+            (dict(rows=[RowSpec(0, "x", "a", vgmax_sel=4)]), "vgmax_sel"),
+            (dict(emitters=[EmitterSpec(1, "a", 0)]), "emitter circuit not enabled"),
+            (dict(emitters=[EmitterSpec(0, "a", 16)]), "address must be 4-bit")):
+        cfg = HicannConfig(**{"hicann": 0, "enabled": [0], **kw})
+        with pytest.raises(ValueError, match=match):
+            compile_network(w, [cfg])
+    with pytest.raises(ValueError, match="unknown v_init 'cold'"):
+        prepare(w, HicannConfig(hicann=0, enabled=[0]), [], 0.01, v_init="cold")
+
+
+def test_a_circuit_joins_one_membrane_group_once():
+    # listed twice, a circuit would count twice: [[3, 3, 4]] compiled to 1.5
+    # times the capacitance and leak of [[3, 4]]
+    w = quiet_wafer()
+    for groups in ([[3, 3, 4]], [[3, 4], [4]]):
+        cfg = HicannConfig(hicann=0, enabled=[3, 4], membrane_groups=groups)
+        with pytest.raises(ValueError, match="circuit [34] is listed twice"):
+            compile_network(w, [cfg])
+    net = compile_network(w, [HicannConfig(hicann=0, enabled=[3, 4],
+                                           membrane_groups=[[3, 4]])])
+    assert net.params.capacitance.tolist() == [2 * ZERO.membrane_capacitance]
 
 
 def test_trace_csv_roundtrip(tmp_path):

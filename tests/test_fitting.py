@@ -125,6 +125,8 @@ def test_fit_linear_degenerate_x():
     assert (slope[0], icpt[0], slope[2], icpt[2]) == (2.0, 1.0, 0.5, 0.0)
     with pytest.raises(ValueError, match="identical"):
         fit_linear(np.ones(3), y)
+    with pytest.raises(ValueError, match="at least two points"):
+        fit_linear([1.0], [2.0])
 
 
 def test_fit_softplus_recovers_law():
@@ -134,6 +136,8 @@ def test_fit_softplus_recovers_law():
     coeffs, red, ok = fit_softplus(x, y)
     assert ok.all()
     assert np.abs(coeffs / truth - 1.0).max() < 1e-6
+    with pytest.raises(ValueError, match="at least five points"):
+        fit_softplus(x[:4], y[:, :4])
 
 
 def test_fit_softplus_tolerates_noise():
@@ -417,3 +421,32 @@ def test_infeasible_start_stays_at_p0_without_warnings():
     assert np.allclose(theta[0], [0.5]) and np.allclose(lin[0], [2.0, 1.0])
     assert theta[1].tobytes() == p0[1].tobytes() and red[1] == np.inf
     assert np.isnan(lin[1]).all()
+
+
+def test_a_singular_damped_step_falls_back_to_the_pseudo_inverse(monkeypatch):
+    # two parameters that enter only through their sum: once the damping
+    # has shrunk below rounding, the damped normal matrix is singular, and
+    # the step comes from its pseudo-inverse; the fit still reaches the
+    # optimum of the one-parameter model
+    t = np.linspace(0.0, 1.0, 50)
+    y = np.exp(-3.0 * t) + 0.5 * np.sin(7.0 * t)
+
+    def summed(theta):
+        g = np.exp(-t * (theta[:, :1] + theta[:, 1:2]))
+        return g, np.repeat((-t * g)[:, None, :], 2, axis=1)
+
+    def single(theta):
+        g = np.exp(-t * theta[:, :1])
+        return g, (-t * g)[:, None, :]
+
+    pinv, calls = np.linalg.pinv, []
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
+    theta, lin, red, conv = separable_gauss_newton(summed, np.array([[0.5, 0.5]]), y,
+                                                   0.1, [1e-3, 1e-3])
+    assert calls and conv.all()
+    ref_theta, ref_lin, ref_red, _ = separable_gauss_newton(single, np.array([[1.0]]), y,
+                                                            0.1, [1e-3])
+    assert theta.sum() == pytest.approx(ref_theta[0, 0], rel=1e-5)
+    assert lin == pytest.approx(ref_lin, rel=1e-5)
+    # the same cost: the reduced chi-square divides by one degree of freedom less
+    assert red[0] * (t.size - 4) == pytest.approx(ref_red[0] * (t.size - 3), rel=1e-9)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from waferforge.availability import AvailabilityDb
 from waferforge.commissioning import (comm_test, commission, exclusion_report,
                                       individual_from_defects, memory_test)
@@ -29,6 +31,12 @@ def test_golden_composition():
     hs_dies = {d.coord.hicann for d in ds.of_type(DefectType.HIGHSPEED_DEAD)}
     assert len(hs_dies & jtag_dies) == 11
     assert len(hs_dies - jtag_dies) == 1
+
+
+def test_golden_placement_needs_the_default_layout():
+    # a reduced wafer cannot hold the 183 repeater singles
+    with pytest.raises(ValueError, match="default wafer layout"):
+        golden_defect_set(TopologyConfig(reticle_rows=(1, 2, 1)))
 
 
 def test_shipped_file_matches_generator():

@@ -68,7 +68,6 @@ def test_wafer_constants():
 def test_resource_count_edges():
     assert resource_count(CFG, Kind.NEURON, 0) == 0
     assert resource_count(CFG, Kind.HICANN, 356) == 356
-    assert resource_count(CFG, Kind.HICANN_GROUP, 384) == 48
     with pytest.raises(ValueError):
         resource_count(CFG, Kind.NEURON, -1)
 

@@ -339,6 +339,9 @@ def test_wafer_json_roundtrip(tmp_path):
     assert w2.variability == w.variability
     # truth is derived from the seed, so unwritten HICANNs need no stored state
     assert np.array_equal(w2.truth(100).offset["e_syni"], w.truth(100).offset["e_syni"])
+    # nor does one whose FG state was read but never written
+    assert w.fg_state(100).write_cycle == 0
+    assert w.to_json() == w2.to_json()
 
 
 # one coordinate per defect type with one index past its bound (or negative)
@@ -411,6 +414,10 @@ def test_true_parameter_array_matches_scalar():
         picks = [true_parameter(w, Coord.neuron(0, n), name) for n in (0, 127, 128, 511)]
         assert arr.shape == (512,)
         assert picks == [arr[0], arr[127], arr[128], arr[511]]
+    with pytest.raises(ValueError, match="unknown parameter 'tau_foo'"):
+        true_parameter_array(w, 0, "tau_foo")
+    with pytest.raises(ValueError, match="expects a neuron coordinate"):
+        true_parameter(w, Coord.fg_block(0, 0), "e_leak")
 
 
 def test_v_reset_and_vgmax_are_per_block():
