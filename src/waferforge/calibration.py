@@ -136,10 +136,23 @@ class CalibrationEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "CalibrationEntry":
+        """Refuse an entry that no op writes: an unknown parameter, another
+        model than its op's, or a coordinate of another kind than
+        :func:`_entry_coord`'s."""
+        param, model = data["parameter"], data["model"]
         if data["coord"] is None:
-            raise ValueError(f"{data['parameter']!r} entry without a coordinate")
-        return cls(Coord.from_json(data["coord"]), data["parameter"], data["model"],
-                   tuple(data["coeffs"]), data["red_chi2"], data["valid"])
+            raise ValueError(f"{param!r} entry without a coordinate")
+        if param not in _OP:
+            raise ValueError(f"unknown calibration parameter {param!r}")
+        if model != _OP[param].model:
+            raise ValueError(f"{param!r} entry with model {model!r}, "
+                             f"not {_OP[param].model!r}")
+        coord = Coord.from_json(data["coord"])
+        kind = Kind.FG_BLOCK if _block_keyed(param) else Kind.NEURON
+        if coord.kind != kind:
+            raise ValueError(f"{param!r} entry at {coord}, not at a {kind.value}")
+        return cls(coord, param, model, tuple(data["coeffs"]), data["red_chi2"],
+                   data["valid"])
 
 
 @dataclass

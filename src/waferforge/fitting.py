@@ -15,12 +15,16 @@ Fit strategy per model family:
   column pair. Many traces are fitted at once: parameters, Jacobians and
   normal equations carry a leading batch axis, which keeps per-trace
   Python overhead off the hot path when a full HICANN is calibrated. At
-  most ``GN_WORKING_SET`` rows iterate at once, so a fit of thousands of
-  rows keeps its (rows, k, T) Jacobians small; converged rows and rows out
-  of iterations leave, infeasible starts never enter, and pending rows
-  refill the set in order. A rejected step leaves a row's point and
-  linearisation as they were, so each iteration evaluates the shape once,
-  at the trial points. A row's result is the same alone or in any batch.
+  most ``GN_WORKING_SET`` rows iterate at once; converged rows and rows
+  out of iterations leave, infeasible starts never enter, and pending rows
+  refill the set in order. Each fit allocates one workspace, sized to the
+  working set, and iterates in it: the centred data, basis and residual,
+  and one (rows, k, T) array for the derivatives, then the Jacobian. The
+  shape callbacks write into it and build their terms in its free rows, so
+  an iteration allocates no (rows, T) array. A rejected step leaves a
+  row's point and linearisation as they were, so each iteration evaluates
+  the shape once, at the trial points. A row's result is the same alone or
+  in any batch.
 
 Unless an explicit noise level is passed, each trace's noise is estimated
 from the median absolute first difference (white noise inflates successive
@@ -50,7 +54,8 @@ GN_WORKING_SET = 64
 def estimate_noise(y: np.ndarray) -> np.ndarray:
     """Robust per-trace noise sigma from first differences, shape (n,)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    mad = np.median(np.abs(np.diff(y, axis=1)), axis=1)
+    dy = np.diff(y, axis=1)
+    mad = np.median(np.abs(dy, out=dy), axis=1, overwrite_input=True)
     return np.maximum(mad * 1.4826 / np.sqrt(2.0), NOISE_FLOOR)
 
 
@@ -117,15 +122,16 @@ def normal_matrix(J):
 def separable_gauss_newton(shape, theta0, y, sigma, pscale):
     """Minimize ``sum(((a * g(theta) + b - y) / sigma)**2)`` per batch row.
 
-    ``shape`` maps nonlinear parameters (m, k) of any subset of rows to the
-    basis function and its derivatives, ``(g (m, T), dg/dtheta (m, k, T))``.
-    For every theta the height ``a`` and offset ``b`` are the row's linear
-    least-squares solution, so only theta iterates (variable projection,
-    Golub & Pereyra 1973) on Kaufman's (1975) Jacobian ``J_j = (a / sigma)
-    P dg/dtheta_j``, where ``P`` projects off ``span{1, g}``. A non-finite
-    cost marks a trial point as infeasible and its step is rejected.
-    ``pscale`` (k,) or (n, k) is the magnitude floor of the relative-step
-    convergence test.
+    ``shape(theta, out, scratch)`` writes, for nonlinear parameters
+    ``theta`` (m, k) of any subset of rows, the basis function and its
+    derivatives into ``out = (g (m, T), dg/dtheta (m, k, T))``, and may
+    build its terms in ``scratch`` (2, m, T). For every theta the height
+    ``a`` and offset ``b`` are the row's linear least-squares solution, so
+    only theta iterates (variable projection, Golub & Pereyra 1973) on
+    Kaufman's (1975) Jacobian ``J_j = (a / sigma) P dg/dtheta_j``, where
+    ``P`` projects off ``span{1, g}``. A non-finite cost marks a trial
+    point as infeasible and its step is rejected. ``pscale`` (k,) or (n, k)
+    is the magnitude floor of the relative-step convergence test.
 
     At most ``GN_WORKING_SET`` rows iterate at once. Rows enter in order,
     each with its start point evaluated; a row with an infeasible start
@@ -134,7 +140,11 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
     trial points; an accepted point's basis, projection and derivatives
     become the row's linearisation, and a rejected step keeps the last one
     (MINPACK's Levenberg-Marquardt does the same, More 1978). So each row
-    gets the arithmetic it would get fitted alone. Returns ``(theta, (a, b)
+    gets the arithmetic it would get fitted alone. All of it runs in one
+    workspace allocated per call, with ``min(n, GN_WORKING_SET)`` rows of
+    the centred data and the residual (the shape's scratch until then), the
+    centred basis, and one (rows, k, T) array that holds the derivatives,
+    then their centred form, then the Jacobian. Returns ``(theta, (a, b)
     (n, 2), reduced chi-square, converged mask)``.
     """
     theta = np.array(theta0, dtype=float)
@@ -144,29 +154,49 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
     sig = np.maximum(np.broadcast_to(np.asarray(sigma, dtype=float), (n,)),
                      NOISE_FLOOR)
     scale = np.broadcast_to(np.asarray(pscale, dtype=float), (n, k))
+    rows_max = min(n, GN_WORKING_SET)
+    ws = np.empty((3, rows_max, T))
+    yc_ws, r_ws, gc_ws = ws
+    dg_ws = np.empty((rows_max, k, T))
 
     def evaluate(th, rows):
-        """Cost, linear parameters and what a linearisation needs, of
-        ``rows`` at ``th``."""
-        g, dg = shape(th)
+        """Cost, linear parameters, height and basis norm of ``rows`` at
+        ``th``; leaves their centred basis, residual and derivatives in the
+        workspace's leading rows."""
+        m = rows.size
+        gc, yc, r = gc_ws[:m], yc_ws[:m], r_ws[:m]
+        shape(th, (gc, dg_ws[:m]), ws[:2, :m])
+        np.take(y, rows, axis=0, out=yc, mode="clip")
         with np.errstate(all="ignore"):
-            yr = y[rows]
-            gm, ym = g.mean(axis=1), yr.mean(axis=1)
-            gc, yc = g - gm[:, None], yr - ym[:, None]
+            gm, ym = gc.mean(axis=1), yc.mean(axis=1)
+            gc -= gm[:, None]
+            yc -= ym[:, None]
             gg = np.einsum("nt,nt->n", gc, gc)
             a = np.einsum("nt,nt->n", gc, yc) / gg
-            r = (a[:, None] * gc - yc) / sig[rows, None]
+            np.multiply(a[:, None], gc, out=r)
+            r -= yc
+            r /= sig[rows, None]
             c = np.einsum("nt,nt->n", r, r)
         lin = np.column_stack([a, ym - a * gm])
-        return np.where(np.isfinite(c), c, np.inf), lin, (r, a, gc, gg, dg)
+        return np.where(np.isfinite(c), c, np.inf), lin, a, gg
 
-    def linearise(rows, r, a, gc, gg, dg):
-        """Gradient and undamped normal matrix of Kaufman's Jacobian."""
+    def linearise(rows, keep, a, gg):
+        """Gradient and undamped normal matrix of Kaufman's Jacobian at the
+        last evaluated rows where ``keep`` holds."""
+        idx = np.flatnonzero(keep)
+        for dst, src in enumerate(idx):  # the kept rows move up, in order
+            if dst != src:
+                gc_ws[dst], r_ws[dst], dg_ws[dst] = gc_ws[src], r_ws[src], dg_ws[src]
+        m = idx.size
+        gc, r, J, tmp = gc_ws[:m], r_ws[:m], dg_ws[:m], yc_ws[:m]
         with np.errstate(all="ignore"):
-            dgc = dg - dg.mean(axis=2)[:, :, None]
-            coef = np.einsum("nt,nkt->nk", gc, dgc) / gg[:, None]
-            J = (a / sig[rows])[:, None, None] * (dgc - coef[:, :, None] * gc[:, None, :])
-        J = np.where(np.isfinite(J), J, 0.0)
+            J -= J.mean(axis=2)[:, :, None]
+            coef = np.einsum("nt,nkt->nk", gc, J) / gg[idx, None]
+            weight = (a[idx] / sig[rows[idx]])[:, None]
+            for j in range(k):
+                J[:, j] -= np.multiply(coef[:, j, None], gc, out=tmp)
+                J[:, j] *= weight
+        np.copyto(J, 0.0, where=~np.isfinite(J))
         return np.einsum("nkt,nt->nk", J, r), normal_matrix(J)
 
     lin = np.full((n, 2), np.nan)
@@ -182,11 +212,11 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
         while live[0].size < GN_WORKING_SET and pending < n:
             new = np.arange(pending, min(n, pending + GN_WORKING_SET - live[0].size))
             pending += new.size
-            cost[new], lin[new], proj = evaluate(theta[new], new)
+            cost[new], lin[new], height, gg = evaluate(theta[new], new)
             enter = np.isfinite(cost[new])
             idx = new[enter]
             entering = (idx, np.full(idx.size, GN_LAM0), np.zeros(idx.size, dtype=np.intp),
-                        *linearise(idx, *(p[enter] for p in proj)))
+                        *linearise(new, enter, height, gg))
             live = tuple(np.concatenate(pair) for pair in zip(live, entering))
         rows, lam, done_iter, g, H0 = live
         if rows.size == 0:
@@ -201,7 +231,7 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
         except np.linalg.LinAlgError:
             delta = -(np.linalg.pinv(H) @ g[..., None])[..., 0]
         trial = th + delta
-        trial_cost, trial_lin, proj = evaluate(trial, rows)
+        trial_cost, trial_lin, height, gg = evaluate(trial, rows)
         accept = trial_cost <= cl
         rel_step = np.max(np.abs(delta) / np.maximum(np.abs(th), sl), axis=1)
         # at the noise floor accepted steps stop paying: relative cost
@@ -217,7 +247,7 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
         stay = ~done & (done_iter < GN_MAX_ITER)
         moved = accept & stay
         if moved.any():
-            g[moved], H0[moved] = linearise(rows[moved], *(p[moved] for p in proj))
+            g[moved], H0[moved] = linearise(rows, moved, height, gg)
         live = tuple(a[stay] for a in (rows, lam, done_iter, g, H0))
     dof = max(T - k - 2, 1)
     return theta, lin, cost / dof, converged
@@ -226,19 +256,26 @@ def separable_gauss_newton(shape, theta0, y, sigma, pscale):
 # ---- softplus law --------------------------------------------------------
 
 
-def softplus_shape(x, theta):
+def softplus_shape(x, theta, out=None, scratch=None):
     """Basis ``softplus(c * (b - x)) / c`` of the softplus law for rows
     ``theta = (b, c)`` and its derivatives in b and c, shapes (m, T) and
-    (m, 2, T); the law is ``a`` times the basis plus ``offset``."""
+    (m, 2, T), written into ``out = (g, dg)`` if given; one term is built
+    in ``scratch[0]`` if given. The law is ``a`` times the basis plus
+    ``offset``."""
     x = np.asarray(x, dtype=float)
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     b, c = theta[:, :1], theta[:, 1:2]
+    m, T = theta.shape[0], x.size
+    g, dg = (np.empty((m, T)), np.empty((m, 2, T))) if out is None else out
+    logistic, dc = dg[:, 0], dg[:, 1]
     with np.errstate(all="ignore"):
-        u = c * (b - x[None, :])
-        sp = np.logaddexp(0.0, u)
-        g = sp / c
-        logistic = np.exp(u - sp)
-        return g, np.stack([logistic, (logistic * (b - x) - g) / c], axis=1)
+        b_x = np.subtract(b, x[None, :], out=None if scratch is None else scratch[0])
+        u = np.multiply(c, b_x, out=dc)
+        sp = np.logaddexp(0.0, u, out=g)
+        np.exp(np.subtract(u, sp, out=logistic), out=logistic)
+        g /= c
+        np.divide(np.subtract(np.multiply(logistic, b_x, out=dc), g, out=dc), c, out=dc)
+    return g, dg
 
 
 def fit_softplus(x, y, sigma=None):
@@ -272,7 +309,7 @@ def fit_softplus(x, y, sigma=None):
     c0 = a0 * np.log(2.0) / np.maximum(y_at_b - off0, NOISE_FLOOR)
     c0 = np.clip(c0, 0.1 / (x[-1] - x[0]), 1e3 / (x[-1] - x[0]))
     theta, lin, red, conv = separable_gauss_newton(
-        lambda th: softplus_shape(x, th), np.column_stack([b0, c0]), Y, sig,
+        functools.partial(softplus_shape, x), np.column_stack([b0, c0]), Y, sig,
         np.column_stack([np.full(n, x[-1] - x[0]), c0]))
     P = np.column_stack([lin[:, 0], theta, lin[:, 1]])
     ok = conv & np.isfinite(P).all(axis=1) & (P[:, 0] > 0.0) & (P[:, 2] > 0.0)
@@ -297,39 +334,62 @@ def _tau2_from_peak_gap(tau1, gap):
 
 def _psp_start(t, V, onset):
     """Landmark start of :func:`fit_psp_batch` for the rows of ``V``:
-    ``(taus0, sigma, flat)``; the start also scales the step test."""
+    ``(taus0, sigma, flat)``; the start also scales the step test. The
+    landmarks are read in blocks of ``GN_WORKING_SET`` rows, in three
+    (rows, T) arrays allocated once, and the fast constants of all rows are
+    then inverted at once."""
     n, T = V.shape
-    sig = estimate_noise(V)
+    work = np.empty((3, min(n, GN_WORKING_SET), T))
+    tau1_0, gap, sig = np.empty((3, n))
+    flat = np.empty(n, dtype=bool)
+    for start in range(0, n, GN_WORKING_SET):
+        blk = slice(start, start + GN_WORKING_SET)
+        Vb = V[blk]
+        m = Vb.shape[0]
+        d, dsm, frac = work[:, :m]
+        sig[blk] = estimate_noise(Vb)
 
-    base0 = np.median(V[:, :max(3, T // 10)], axis=1)
-    d = V - base0[:, None]
-    dsm = smooth3(d)
-    k_peak = np.argmax(np.abs(dsm), axis=1)
-    h0 = dsm[np.arange(n), k_peak]
-    flat = np.abs(h0) < 4.0 * sig
+        base0 = np.median(Vb[:, :max(3, T // 10)], axis=1)
+        np.subtract(Vb, base0[:, None], out=d)
+        smooth3(d, out=dsm)
+        k_peak = np.argmax(np.abs(dsm, out=frac), axis=1)
+        h0 = dsm[np.arange(m), k_peak]
+        flat[blk] = np.abs(h0) < 4.0 * sig[blk]
 
-    # slow constant from the decay flank between 60% and 5% of the height;
-    # the flank ends at the first crossing below 5%, otherwise the noise
-    # floor after a fast PSP would swamp the regression and stretch the seed
-    frac = np.abs(dsm) / np.maximum(np.abs(h0), NOISE_FLOOR)[:, None]
-    after = np.arange(T)[None, :] > k_peak[:, None]
-    below = after & (frac < 0.05)
-    end = np.where(below.any(axis=1), np.argmax(below, axis=1), T)
-    tail = after & (frac < 0.6) & (np.arange(T)[None, :] < end[:, None])
-    cnt = tail.sum(axis=1)
-    logd = np.where(tail, np.log(np.maximum(np.abs(d), NOISE_FLOOR)), 0.0)
-    tx = np.where(tail, t[None, :], 0.0)
-    mx = tx.sum(axis=1) / np.maximum(cnt, 1)
-    my = logd.sum(axis=1) / np.maximum(cnt, 1)
-    sxx = np.where(tail, (t[None, :] - mx[:, None]) ** 2, 0.0).sum(axis=1)
-    sxy = np.where(tail, (t[None, :] - mx[:, None])
-                   * (logd - my[:, None]), 0.0).sum(axis=1)
-    with np.errstate(all="ignore"):
-        tau1_0 = np.where((cnt >= 3) & (sxy < 0.0), -sxx / sxy,
-                          (t[-1] - t[k_peak]) / 3.0)
+        # slow constant from the decay flank between 60% and 5% of the
+        # height; the flank ends at the first crossing below 5%, otherwise
+        # the noise floor after a fast PSP would swamp the regression and
+        # stretch the seed
+        frac /= np.maximum(np.abs(h0), NOISE_FLOOR)[:, None]
+        after = np.arange(T)[None, :] > k_peak[:, None]
+        below = after & (frac < 0.05)
+        end = np.where(below.any(axis=1), np.argmax(below, axis=1), T)
+        tail = after & (frac < 0.6) & (np.arange(T)[None, :] < end[:, None])
+        off, cnt = ~tail, tail.sum(axis=1)
+        # the regression's terms, each zero off the flank, go into the
+        # buffers that are free by then
+        logd = np.log(np.maximum(np.abs(d, out=dsm), NOISE_FLOOR, out=dsm), out=dsm)
+        np.copyto(logd, 0.0, where=off)
+        tx = frac
+        np.copyto(tx, t)
+        np.copyto(tx, 0.0, where=off)
+        mx = tx.sum(axis=1) / np.maximum(cnt, 1)
+        my = logd.sum(axis=1) / np.maximum(cnt, 1)
+        dt = np.subtract(t, mx[:, None], out=frac)
+        sq = np.square(dt, out=d)
+        np.copyto(sq, 0.0, where=off)
+        sxx = sq.sum(axis=1)
+        logd -= my[:, None]
+        prod = np.multiply(dt, logd, out=dt)
+        np.copyto(prod, 0.0, where=off)
+        sxy = prod.sum(axis=1)
+        with np.errstate(all="ignore"):
+            tau1_0[blk] = np.where((cnt >= 3) & (sxy < 0.0), -sxx / sxy,
+                                   (t[-1] - t[k_peak]) / 3.0)
+        gap[blk] = t[k_peak] - onset
     span = t[-1] - t[0]
     tau1_0 = np.clip(tau1_0, span / T, span)
-    gap = np.maximum(t[k_peak] - onset, span / T)
+    gap = np.maximum(gap, span / T)
     tau1_0 = np.maximum(tau1_0, 1.05 * gap)
     taus0 = np.column_stack([tau1_0, _tau2_from_peak_gap(tau1_0, gap)])
     return taus0, sig, flat
@@ -345,7 +405,7 @@ def fit_psp_batch(t, V, onset):
     position from the 3-sample-smoothed deviation, the slow time constant
     from a log-linear fit of the decay flank and the fast one by inverting
     the onset-to-peak gap. The landmarks are read in blocks of
-    ``GN_WORKING_SET`` rows, which bounds their (rows, T) temporaries.
+    ``GN_WORKING_SET`` rows, which bounds their (rows, T) arrays.
 
     Returns ``(params (n, 5), reduced chi-square (n,), ok (n,))`` with
     parameter columns (t0 = onset, h, tau1, tau2, e_leak), ``tau1 >= tau2``
@@ -358,11 +418,9 @@ def fit_psp_batch(t, V, onset):
     n, T = V.shape
     if T < 20 or t.shape[0] != T:
         raise ValueError("need at least 20 samples spanning the PSP")
-    starts = [_psp_start(t, V[a:a + GN_WORKING_SET], onset)  # one block if no rows
-              for a in range(0, max(n, 1), GN_WORKING_SET)]
-    taus0, sig, flat = (np.concatenate(c) for c in zip(*starts))
+    taus0, sig, flat = _psp_start(t, V, onset)
     taus, lin, red, conv = separable_gauss_newton(
-        lambda th: psp_shape(t, onset, th), taus0, V, sig, taus0)
+        functools.partial(psp_shape, t, onset), taus0, V, sig, taus0)
 
     taus.sort(axis=1)
     P = np.column_stack([np.full(n, float(onset)), lin[:, 0], taus[:, ::-1],

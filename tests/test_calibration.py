@@ -387,12 +387,16 @@ def test_to_hardware_rejects_what_no_model_expresses():
             cal.to_hardware(cfg, db, n0, {"tau_mem": tau})
     with pytest.raises(KeyError, match="e_synx"):
         cal.to_hardware(cfg, db, n0, {"e_synx": 0.9})
-    # a stored document may name a model that no inversion knows
+    # a stored document that names another model fails to load
     data = db.to_json()
     data["entries"] = [dict(e, model="cubic") for e in data["entries"]
                        if e["parameter"] == "e_leak"]
+    with pytest.raises(ValueError, match="'e_leak' entry with model 'cubic', not 'linear'"):
+        cal.CalibrationDb.from_json(data)
+    # an entry built in memory can still name a model that no inversion knows
+    db.add(cal.CalibrationEntry(n0, "e_leak", "cubic", (1.0, 0.0), 1.0, True))
     with pytest.raises(cal.RangeError, match="no hardware inversion for 'e_leak'"):
-        cal.to_hardware(cfg, cal.CalibrationDb.from_json(data), n0, {"e_leak": 0.8})
+        cal.to_hardware(cfg, db, n0, {"e_leak": 0.8})
 
 
 def test_db_rejects_entry_without_coordinate():
@@ -401,6 +405,24 @@ def test_db_rejects_entry_without_coordinate():
                         "coeffs": [1.0, 0.0], "red_chi2": 1.0, "valid": True}]
     with pytest.raises(ValueError, match="coordinate"):
         cal.CalibrationDb.from_json(data)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"parameter": "e_foo"}, "unknown calibration parameter 'e_foo'"),
+    ({"model": "softplus"}, "'e_leak' entry with model 'softplus', not 'linear'"),
+    ({"coord": Coord.fg_block(0, 1).to_json()}, "'e_leak' entry at .* not at a neuron"),
+    ({"parameter": "v_reset"}, "'v_reset' entry at .* not at a fg_block"),
+])
+def test_db_rejects_an_entry_no_op_writes(change, message):
+    entry = {"coord": Coord.neuron(0, 0).to_json(), "parameter": "e_leak",
+             "model": "linear", "coeffs": [1.0, 0.0], "red_chi2": 1.0, "valid": True}
+    data = cal.CalibrationDb(3).to_json()
+    data["entries"] = [dict(entry, **change)]
+    with pytest.raises(ValueError, match=message):
+        cal.CalibrationDb.from_json(data)
+    # the unchanged entry loads
+    data["entries"] = [entry]
+    assert len(cal.CalibrationDb.from_json(data)) == 1
 
 
 def test_op_tables_agree():
