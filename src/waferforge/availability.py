@@ -178,7 +178,10 @@ class AvailabilityState:
         if m is None:
             return 0
         if hicanns is not None:
-            return int(np.count_nonzero(m[np.asarray(hicanns, dtype=np.intp)]))
+            if m.nbytes < PAGED_MASK_BYTES:
+                return int(np.count_nonzero(m[np.asarray(hicanns, dtype=np.intp)]))
+            # a paged mask die by die: a gather would copy out every listed die's rows
+            return sum(int(np.count_nonzero(m[h])) for h in hicanns)
         n = self._counts.get(kind)
         if n is None:
             n = self._counts[kind] = int(np.count_nonzero(m))

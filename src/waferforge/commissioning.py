@@ -7,6 +7,16 @@ array), and ``effective_exclusion`` closes the discovered individual
 failures over the hardware dependencies. Reports compare both states
 against fixed reference component totals.
 
+The memory test keys its random values per cell: a stuck cell's writes
+come from the stream ``("memtest", cell)``, an unstable cell's rewrites
+from ``("stability", cell)``. It draws the raw Philox words of all the
+cells it decides in one ``rng.stream_words`` call and decides them in one
+array pass. These are the values ``Generator.integers(0, 256)`` and
+``Generator.random`` draw from the same streams: for a range of 256,
+Lemire's method keeps the top byte of each 32-bit half of a word, low
+half first, and never rejects, since its threshold ``(2**32 - 256) % 256``
+is 0; a uniform is ``(w >> 11) * 2**-53``.
+
 Closure rules, applied in dependency order:
   R3  broken FG controller => whole hicann out, treated like a dead JTAG link
   R1  >1 broken repeater in one block => the whole block is untrustworthy
@@ -135,10 +145,23 @@ class StabilityResult:
     unstable_cells: list[Coord] = field(default_factory=list)
 
 
-def _flips(keyed: rng.Rekeyed, wafer: WaferModel, defect) -> bool:
-    """Whether an unstable cell flips within ``STABILITY_REPS`` same-value rewrites."""
-    gen = keyed.stream(wafer.master_seed, "stability", str(defect.coord))
-    return bool(np.any(gen.random(STABILITY_REPS) < defect.flip_probability))
+def _write_values(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` values ``Generator.integers(0, 256)`` draws from each
+    row of raw words: the top byte of each 32-bit half, low half first."""
+    halves = np.stack((words >> 24 & 0xFF, words >> 56), axis=-1)
+    return halves.reshape(len(words), 2 * words.shape[1])[:, :n]
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random`` draws from raw words: ``(w >> 11) * 2**-53``."""
+    return (words >> 11) * 2.0 ** -53
+
+
+def _flips(words: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Which unstable cells flip within ``STABILITY_REPS`` same-value
+    rewrites, cell i with probability ``p[i]`` on row i of at least
+    ``STABILITY_REPS`` raw words."""
+    return np.any(_uniforms(words[:, :STABILITY_REPS]) < p[:, None], axis=1)
 
 
 def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
@@ -151,13 +174,12 @@ def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
     if array.kind is not Kind.SYNAPSE_ARRAY:
         raise ValueError(f"expected a synapse array coordinate, got {array}")
     h, a = array.indices
-    keyed = rng.Rekeyed()
-    bad = []
-    for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE):
-        if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a) \
-                and _flips(keyed, wafer, d):
-            bad.append(d.coord)
-    bad.sort(key=Coord.sort_key)
+    cells = [d for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE)
+             if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a)]
+    words = rng.stream_words(wafer.master_seed,
+                             [("stability", str(d.coord)) for d in cells], STABILITY_REPS)
+    flips = _flips(words, np.array([d.flip_probability for d in cells], dtype=float))
+    bad = sorted((d.coord for d, f in zip(cells, flips.tolist()) if f), key=Coord.sort_key)
     return StabilityResult(array, not bad, bad)
 
 
@@ -211,9 +233,11 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     stays in service. Passes and skips come from the individual link masks.
     One die takes a reported 70 s; groups run in parallel, dies within a
     group in sequence, their seconds added in member order. One pass over
-    the defect set classifies the defects; all random draws are keyed by
-    cell coordinate, so the outcome is independent of visit order;
-    discovered exclusions merge in coordinate order.
+    the defect set classifies the defects and collects the stuck cells and
+    the unstable cells outside synapse arrays; one ``rng.stream_words``
+    call draws their words and one array pass decides them. All random
+    draws are keyed by cell coordinate, so the outcome is independent of
+    visit order; discovered exclusions merge in coordinate order.
     """
     cfg = wafer.topology
     ind = db.ensure("individual")
@@ -235,8 +259,8 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     duration = float(group_seconds.max(initial=0.0))
 
     no_jtag, no_highspeed = no_jtag.tolist(), no_highspeed.tolist()
-    keyed = rng.Rekeyed()
     found: list[Coord] = []
+    drawn = []  # stuck cells and unstable non-synapse cells, decided by their draws
     suspect: set[Coord] = set()  # arrays holding an unstable cell
     for d in wafer.defects:
         if d.type is DefectType.JTAG_DEAD or d.type is DefectType.HIGHSPEED_DEAD:
@@ -246,18 +270,29 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
                 routing if no_highspeed[h] else mm):
             continue
         if d.type is DefectType.MEMORY_STUCK:
-            vals = keyed.stream(wafer.master_seed, "memtest", str(d.coord)) \
-                .integers(0, 256, size=WRITES_PER_CELL)
-            if not np.any(vals != d.pattern):
-                continue  # every random value landed on the stuck pattern
+            drawn.append(d)
         elif d.type is DefectType.MEMORY_UNSTABLE:
             if d.coord.kind is Kind.SYNAPSE:
                 # the per-array stability phase below covers it
                 suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
-                continue
-            if not _flips(keyed, wafer, d):
-                continue
-        found.append(_excluded_unit(d))
+            else:
+                drawn.append(d)
+        else:
+            found.append(_excluded_unit(d))
+    if drawn:
+        stuck = [d.type is DefectType.MEMORY_STUCK for d in drawn]
+        words = rng.stream_words(  # two writes per word, one rewrite per word
+            wafer.master_seed,
+            [("memtest" if s else "stability", str(d.coord)) for d, s in zip(drawn, stuck)],
+            max(-(-WRITES_PER_CELL // 2), STABILITY_REPS))
+        # a stuck pattern, or an unstable cell's flip probability
+        limit = np.array([d.pattern if s else d.flip_probability
+                          for d, s in zip(drawn, stuck)], dtype=float)
+        # a stuck cell escapes when every random value lands on its pattern
+        seen = np.where(stuck,
+                        np.any(_write_values(words, WRITES_PER_CELL) != limit[:, None], axis=1),
+                        _flips(words, limit))
+        found += [_excluded_unit(d) for d, s in zip(drawn, seen.tolist()) if s]
 
     # an array without unstable cells reads back stable on every rewrite
     unstable = sorted((c for c in suspect
@@ -293,6 +328,11 @@ def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> 
     and readout shift) and the sample noise stays below
     ``READOUT_NOISE_TOL``. Unreachable dies and dies without a
     usable analog output fail.
+
+    Each die is judged by circuit 0's readout chain alone: the model gives
+    every circuit its own readout shift, but only circuit 0's is read, so a
+    die passes when circuit 0's shift is within tolerance, whatever its
+    other circuits read.
     """
     cfg = wafer.topology
     ind = db.state("individual") if db is not None and db.has_state("individual") \
@@ -444,7 +484,8 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
 
     def counted(state: AvailabilityState, kind: Kind, reachable_only: bool) -> int:
         n = state.count_excluded(kind)
-        return n - state.count_excluded(kind, unreachable) if reachable_only else n
+        # a kind without exclusions has none on the unreachable dies either
+        return n - state.count_excluded(kind, unreachable) if reachable_only and n else n
 
     def row(resource, kind, components, tested, reachable_only=False) -> ReportRow:
         ind = counted(individual, kind, reachable_only)

@@ -50,9 +50,13 @@ class Rekeyed:
         if self._bitgen is None:
             self._bitgen = np.random.Philox(key=0)
             self._gen = np.random.Generator(self._bitgen)
-            self._state = self._bitgen.state  # as built: counter 0, nothing buffered
+            # as built: counter 0, nothing buffered; held as lists of ints,
+            # which the state setter reads faster than uint64 arrays
+            state = self._bitgen.state
+            self._state = {**state, "buffer": state["buffer"].tolist(),
+                           "state": {k: v.tolist() for k, v in state["state"].items()}}
         key = stream_key(master_seed, *tokens)
-        self._state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+        self._state["state"]["key"] = [key & _WORD, key >> 64]
         self._bitgen.state = self._state
         return self._gen
 
@@ -66,4 +70,16 @@ def stream_normals(master_seed: int, token_paths, n: int) -> np.ndarray:
     out = np.empty((len(token_paths), n))
     for row, tokens in zip(out, token_paths):
         keyed.stream(master_seed, *tokens).standard_normal(out=row)
+    return out
+
+
+def stream_words(master_seed: int, token_paths, n: int) -> np.ndarray:
+    """Raw 64-bit Philox words with one row per token path: row i is
+    ``stream(master_seed, *token_paths[i]).bit_generator.random_raw(n)``,
+    drawn by one ``Rekeyed`` generator."""
+    keyed = Rekeyed()
+    token_paths = list(token_paths)
+    out = np.empty((len(token_paths), n), dtype=np.uint64)
+    for row, tokens in zip(out, token_paths):
+        row[:] = keyed.stream(master_seed, *tokens).bit_generator.random_raw(n)
     return out

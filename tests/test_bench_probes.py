@@ -61,3 +61,29 @@ def test_the_integrate_probe_sees_constant_input_runs(monkeypatch):
     assert tracer.absent == set()
     assert stats.get("dynamics.integrate", "calls") >= 1
     assert stats.get("dynamics.integrate", "steps") > 0
+
+
+def test_commissioning_counts_measure_the_same_work(monkeypatch):
+    # the dense workload's per-layer counts: one stability test per unstable
+    # array, and the coordinates that reach exclude/exclude_many
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from tracer import Stats, Tracer
+
+    from waferforge import commissioning
+
+    wl = workloads.CommissionDense(workloads.DEFAULT_SEEDS["commission_dense"])
+    wafer = wl.setup(0)
+    tracer = Tracer([p for p in layers.PROBES
+                     if p.layer in ("commissioning", "availability")])
+    tracer.install()
+    stats = Stats()
+    try:
+        assert tracer.missing == set()
+        tracer.run(stats, commissioning.commission, wafer)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == set()
+    assert stats.get("commissioning.stability_test", "calls") == 6
+    assert stats.get("availability.exclude", "coords") == 288

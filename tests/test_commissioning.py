@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from waferforge import rng
+from waferforge import commissioning, rng
 from waferforge.availability import AvailabilityDb, AvailabilityState
 from waferforge.commissioning import (READOUT_MEAN_TOL, CommResult, analog_readout_test,
                                       array_exclusion, comm_test, commission,
@@ -160,11 +160,9 @@ def test_memory_test_granularity():
 def test_a_stuck_cell_that_every_write_matches_escapes(monkeypatch):
     # the test sees a stuck cell only through a write it cannot take: when
     # every random value equals the stuck pattern, the cell reads back right
-    class Constant:
-        def integers(self, low, high, size):
-            return np.full(size, 0x5A)
-
-    monkeypatch.setattr(rng.Rekeyed, "stream", lambda self, *tokens: Constant())
+    # words whose every 32-bit half has the top byte 0x5A: every write value is 0x5A
+    monkeypatch.setattr(rng, "stream_words", lambda seed, paths, n: np.full(
+        (len(paths), n), 0x5A5A5A5A5A5A5A5A, dtype=np.uint64))
     db = AvailabilityDb(CFG)
     w = wafer_with([
         Defect(DefectType.MEMORY_STUCK, Coord.synapse(10, 1, 30, 40), pattern=0x5A),
@@ -172,6 +170,34 @@ def test_a_stuck_cell_that_every_write_matches_escapes(monkeypatch):
     ])
     comm_test(w, db)
     assert memory_test(w, db).discovered == [Coord.repeater(15, 300)]
+
+
+def test_memory_test_words_give_what_the_keyed_generators_draw():
+    # the memory test reads its write values and stability uniforms off raw
+    # Philox words; they must be what Generator.integers(0, 256) and
+    # Generator.random draw from the same keyed stream, odd counts included
+    gen = np.random.default_rng(5)
+    coords = [Coord.synapse(300, 1, 219, 255), Coord(Kind.MERGER, (383, 0))]
+    for _ in range(340):
+        for kind in (Kind.SYNAPSE, Kind.MERGER, Kind.REPEATER):
+            shape = CFG.index_shapes[kind]
+            coords.append(Coord(kind, tuple(int(i) for i in gen.integers(0, shape))))
+    seed = 2**40 + 11
+    stuck = [("memtest", str(c)) for c in coords]
+    unstable = [("stability", str(c)) for c in coords]
+    assert len(stuck) >= 1000
+    wide = rng.stream_words(seed, stuck, commissioning.STABILITY_REPS)
+    for n in (commissioning.WRITES_PER_CELL, 7, 1):
+        values = commissioning._write_values(rng.stream_words(seed, stuck, -(-n // 2)), n)
+        want = np.array([rng.stream(seed, *t).integers(0, 256, size=n) for t in stuck])
+        assert np.array_equal(values, want)
+        # drawing more words than the writes need does not move them
+        assert np.array_equal(commissioning._write_values(wide, n), want)
+    doubles = commissioning._uniforms(
+        rng.stream_words(seed, unstable, commissioning.STABILITY_REPS))
+    want = np.array([rng.stream(seed, *t).random(commissioning.STABILITY_REPS)
+                     for t in unstable])
+    assert np.array_equal(doubles, want)
 
 
 def test_an_unstable_register_shows_only_when_it_flips():

@@ -790,6 +790,36 @@ def test_constant_inputs_match_loop_randomized():
     assert spikes > 1000 and settled >= 5
 
 
+def test_rasters_sort_as_lexsort_does(monkeypatch):
+    # _result sorts by time, then puts runs of equal times in unit order; it
+    # must give np.lexsort's bytes, on both solvers and with ties
+    real, seen = dynamics._result, {"spikes": 0, "ties": 0}
+
+    def spy(dt, n_steps, record_units, traces, unit_chunks, time_chunks):
+        res = real(dt, n_steps, record_units, traces, unit_chunks, time_chunks)
+        if unit_chunks:
+            units, times = np.concatenate(unit_chunks), np.concatenate(time_chunks)
+            order = np.lexsort((units, times))
+            assert res.spike_units.tobytes() == units[order].tobytes()
+            assert res.spike_times.tobytes() == times[order].tobytes()
+            seen["spikes"] += units.size
+            seen["ties"] += int(np.count_nonzero(np.diff(times[order]) == 0))
+        return res
+
+    monkeypatch.setattr(dynamics, "_result", spy)
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        p, duration, kw = _random_constant_run(rng)
+        # every unit twice over: each spike has a partner at the same time
+        twice = dataclasses.replace(p, **{f.name: np.tile(getattr(p, f.name), 2)
+                                          for f in dataclasses.fields(p)})
+        kw2 = dict(kw, v_init=np.tile(kw["v_init"], 2))
+        for params, args in ((p, kw), (twice, kw2)):
+            integrate(params, duration, **args)
+            loop(params, duration, **args)
+    assert seen["spikes"] > 5000 and seen["ties"] > 1000
+
+
 def test_constant_inputs_without_refractory_time():
     p = leak_params(n=3, e_leak=1.5, v_threshold=0.9,
                     g_leak=np.array([6e-11, 1.2e-10, 4e-10]))

@@ -310,6 +310,17 @@ def test_stream_normals_match_their_keyed_streams():
     assert rng.stream_normals(3, [], 8).shape == (0, 8)
 
 
+def test_stream_words_match_their_keyed_streams():
+    paths = [("memtest", "synapse(300,1,2,3)"), ("stability", 7, ("a", 2)), ()]
+    for seed in (0, 3, 2**40 + 7):
+        for n in (0, 1, 5, 10):
+            got = rng.stream_words(seed, paths, n)
+            assert got.shape == (len(paths), n) and got.dtype == np.uint64
+            for row, tokens in zip(got, paths):
+                assert np.array_equal(row, rng.stream(seed, *tokens).bit_generator.random_raw(n))
+    assert rng.stream_words(3, [], 8).shape == (0, 8)
+
+
 def test_rekeyed_draws_match_their_keyed_streams():
     # every re-keyed draw starts as a fresh stream does, also right after an
     # odd-sized integers draw left half of a 64-bit word buffered
