@@ -6,8 +6,12 @@ points), so each circuit gets a measured transfer model instead of the
 design equation. The ops in this module each run one sweep: program the
 floating gates, run the network, digitize traces or collect spikes,
 reduce to an observable, and fit a small model per circuit. ``OPS``
-declares each op once, in the order ``calibrate_hicann`` runs them;
-``CALIBRATION_ORDER``, ``REQUIRES`` and ``DEFAULT_PLANS`` come from it.
+declares each op once, in the order ``calibrate_hicann`` runs them, and
+names its body: the private function that measures and fits the op over a
+scope and returns its entry rows. One driver, ``_calibrate``, runs every
+op: each public op function is one call to it, which takes the op's scope,
+runs the body and stores the rows. ``CALIBRATION_ORDER``, ``REQUIRES`` and
+``DEFAULT_PLANS`` come from ``OPS``.
 
 Sweep plans and ``BASE_SETTINGS`` are codes of the reference module's DAC
 (``wafer.REFERENCE_DAC_MAX``); every op rescales them to the topology's DAC. A
@@ -63,7 +67,7 @@ import signal
 import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -179,91 +183,10 @@ class CalibrationOp:
     requires: tuple  # ops whose valid entries a circuit needs first
     model: str  # of its entries: constant | linear | reciprocal | softplus
     plan: SweepPlan
+    # measures and fits the op: (wafer, db, h, op, scope, plan, availability)
+    # -> its entry rows (indices, coeffs, red_chi2, valid), which _calibrate stores
+    body: Callable
     invertible: bool = True  # whether to_hardware inverts its entries
-
-
-# every op, in the order calibrate_hicann runs them
-OPS = (
-    # per-circuit offset of the analog readout chain
-    CalibrationOp("readout_shift", "calibrate_readout_shift", None, (), "constant",
-                  SweepPlan("readout_shift", (455,), duration=0.04), invertible=False),
-    # reset plateau (median of a refractory-dominated trace) vs DAC, per FG block
-    CalibrationOp("v_reset", "calibrate_voltage", "v_reset", ("readout_shift",), "linear",
-                  SweepPlan("v_reset", (150, 280, 410, 540),
-                            {"e_leak": 940, "v_threshold": 620, "i_pulse": 100,
-                             "i_gl": 400}, duration=0.5)),
-    # spike peak voltage vs DAC
-    CalibrationOp("v_threshold", "calibrate_voltage", "v_threshold", ("readout_shift",),
-                  "linear", SweepPlan("v_threshold", (400, 520, 640, 760, 880),
-                                      {"e_leak": 1023, "v_reset": 220, "i_pulse": 341,
-                                       "i_gl": 400}, duration=0.4)),
-    # resting potential vs DAC
-    CalibrationOp("e_leak", "calibrate_voltage", "e_leak", ("readout_shift",), "linear",
-                  SweepPlan("e_leak", (398, 512, 625), {}, duration=0.05)),
-    # rest railed onto the reversal by strong regular bombardment vs DAC
-    CalibrationOp("e_syni", "calibrate_voltage", "e_syni", ("readout_shift",), "linear",
-                  SweepPlan("e_syni", (100, 200, 300),
-                            {"e_leak": 313, "i_gl": 30, "v_syntci": 170,
-                             "v_convoffi": 511, "vgmax": (1023, 1023, 1023, 1023)},
-                            duration=0.12)),
-    # refractory time vs pulse current
-    CalibrationOp("i_pulse", "calibrate_i_pulse", None,
-                  ("readout_shift", "v_reset", "v_threshold", "e_leak"), "reciprocal",
-                  SweepPlan("i_pulse", (136, 170, 227, 341, 546, 728, 1023),
-                            {"e_leak": 910, "v_threshold": 550, "v_reset": 355,
-                             "i_gl": 400}, duration=0.5, repetitions=4)),
-    # first DAC past the excitatory input amplifier's transition
-    CalibrationOp("v_convoffx", "calibrate_v_convoff", "x", ("readout_shift", "e_leak"),
-                  "constant", SweepPlan(
-                      "v_convoffx", tuple(int(round(k * 1023 / 24)) for k in range(25)),
-                      {"e_leak": 512, "e_synx": 796, "i_gl": 400}, duration=0.04)),
-    # the same for the inhibitory input amplifier
-    CalibrationOp("v_convoffi", "calibrate_v_convoff", "i", ("readout_shift", "e_leak"),
-                  "constant", SweepPlan(
-                      "v_convoffi", tuple(int(round(k * 1023 / 24)) for k in range(25)),
-                      {"e_leak": 512, "e_syni": 114, "i_gl": 400}, duration=0.04)),
-    # membrane time constant vs leak current (uA)
-    CalibrationOp("i_gl", "calibrate_tau", "i_gl", ("readout_shift", "e_leak", "v_convoffx"),
-                  "softplus", SweepPlan("i_gl", (82, 123, 164, 205, 246, 307, 368, 430),
-                                        {"e_leak": 455, "v_syntcx": 625, "e_synx": 796},
-                                        presentations=6, window=0.08)),
-    # excitatory synaptic time constant vs bias voltage (V)
-    CalibrationOp("v_syntcx", "calibrate_tau", "v_syntcx",
-                  ("readout_shift", "e_leak", "v_convoffx", "i_gl"), "softplus",
-                  SweepPlan("v_syntcx", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
-                            {"e_leak": 455, "i_gl": 123, "e_synx": 796},
-                            presentations=6, window=0.07)),
-    # inhibitory synaptic time constant vs bias voltage (V)
-    CalibrationOp("v_syntci", "calibrate_tau", "v_syntci",
-                  ("readout_shift", "e_leak", "v_convoffi", "i_gl"), "softplus",
-                  SweepPlan("v_syntci", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
-                            {"e_leak": 455, "i_gl": 123, "e_syni": 114},
-                            presentations=6, window=0.07)),
-    # reversal vs DAC: PSP height vs measured rest, extrapolated to zero height
-    CalibrationOp("e_synx", "calibrate_e_synx", None,
-                  ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx"), "linear",
-                  SweepPlan("e_synx", (682, 739, 796, 853), {"i_gl": 123, "v_syntcx": 454},
-                            presentations=8, window=0.06, aux_values=(341, 398, 455, 512))),
-)
-_OP = {op.name: op for op in OPS}
-CALIBRATION_ORDER = tuple(_OP)
-REQUIRES = {op.name: op.requires for op in OPS}
-DEFAULT_PLANS = {op.name: op.plan for op in OPS}
-# the input-amplifier ops; a cell without a valid entry sits at the DAC ceiling (off)
-_CONVOFF_OPS = tuple(op.name for op in OPS if op.function == "calibrate_v_convoff")
-
-# target name -> the calibrated parameter, which names its DB entry and the FG
-# cell that realizes it: a time constant's control cell, or an invertible op
-_TAU_OF_CELL = {cell: tau for tau, cell in CONTROL_CELL.items()}
-_TARGET_MAP = {_TAU_OF_CELL.get(op.name, op.name): op.name for op in OPS if op.invertible}
-
-
-def _op_of_call(function: str, arg: str | None) -> CalibrationOp:
-    """The op that public ``function`` runs when called with ``arg``."""
-    for op in OPS:
-        if op.function == function and op.arg == arg:
-            return op
-    raise ValueError(f"{function} runs no calibration op for {arg!r}")
 
 
 class CalibrationDb:
@@ -496,7 +419,7 @@ def _entry_coord(cfg: TopologyConfig, h: int, n: int, parameter: str) -> Coord:
     return Coord.neuron(h, n)
 
 
-def _add_entries(db, h, indices, op, coeff_rows, red, valid):
+def _add_entries(db, h, op, indices, coeff_rows, red, valid):
     """Store one entry of ``op`` per circuit of ``indices`` on hicann ``h``
     (per FG block for a block-keyed op)."""
     coord = Coord.fg_block if _block_keyed(op.name) else Coord.neuron
@@ -511,22 +434,23 @@ def _add_entries(db, h, indices, op, coeff_rows, red, valid):
     return entries
 
 
-def _linear_entries(db, h, indices, op, x, y, sigma, ok=True):
-    """Fit one line per row of ``y`` (n, points) against ``x`` and store it.
+def _line_fit(indices, plan, y, sigma, ok=True):
+    """Entry rows of one line per row of ``y`` (n, points) against the
+    plan's DAC codes.
 
     A line is valid if ``ok`` holds, it rises, its reduced chi-square is
     below RED_CHI2_MAX and every point is finite. Non-finite coefficients
     are stored as numbers and a NaN chi-square as inf.
     """
-    slope, icpt, red = fit_linear(x, y, sigma=sigma)
+    slope, icpt, red = fit_linear(np.array(plan.dac_values, float), y, sigma=sigma)
     valid = ok & (slope > 0) & (red < RED_CHI2_MAX) & np.isfinite(y).all(axis=1)
-    coeffs = np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)])
-    return _add_entries(db, h, indices, op, coeffs,
-                        np.nan_to_num(red, nan=np.inf, posinf=np.inf), valid)
+    return (indices, np.column_stack([np.nan_to_num(slope), np.nan_to_num(icpt)]),
+            np.nan_to_num(red, nan=np.inf, posinf=np.inf), valid)
 
 
 # ---------------------------------------------------------------------------
-# per-parameter ops
+# per-parameter ops: each public function is one _calibrate call, which runs
+# the body that its OPS record names
 
 def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
                             availability=None, neurons=None):
@@ -537,13 +461,13 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     the block mean are pure readout offsets (up to the unknowable common
     mode of each block).
     """
-    op = _OP["readout_shift"]
-    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
-    if not scope:
-        return []
+    return _calibrate(wafer, db, h, "calibrate_readout_shift", None, availability, neurons)
+
+
+def _calibrate_readout_shift(wafer, db, h, op, scope, plan, availability):
     groups: dict[int, list[int]] = {}
     for n in scope:
-        groups.setdefault(wafer.topology.channel_of_neuron(n), []).append(n)
+        groups.setdefault(n // wafer.topology.neuron_block_size, []).append(n)
     _program_context(wafer, h, plan, {"e_leak": plan.dac_values[0]})
     cfg = HicannConfig(hicann=h, enabled=scope,
                        membrane_groups=[g for g in groups.values()])
@@ -556,7 +480,7 @@ def calibrate_readout_shift(wafer: WaferModel, db: CalibrationDb, h: int, *,
     for members in groups.values():
         idx = [pos[n] for n in members]
         offsets[idx] = m[idx] - m[idx].mean()
-    return _add_entries(db, h, scope, op, offsets[:, None], 0.0, True)
+    return scope, offsets[:, None], 0.0, True
 
 
 def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -571,22 +495,7 @@ def calibrate_voltage(wafer: WaferModel, db: CalibrationDb, h: int,
     (the reset plateau dominates a refractory-heavy cycle) and fits per
     FG block, since the cell is shared.
     """
-    op = _op_of_call("calibrate_voltage", parameter)
-    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
-    if not scope:
-        return []
-    if parameter == "v_threshold":
-        return _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability)
-    if parameter == "v_reset":
-        return _calibrate_v_reset(wafer, db, h, op, scope, plan, availability)
-    if parameter == "e_leak":
-        rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
-    else:  # e_syni under a regular 4 kHz train
-        stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / 4000.0)]
-        rests = _rest_sweep(wafer, db, h, scope, plan, sign="i",
-                            stimulus=stim, tail=0.33, availability=availability)
-    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), rests.T,
-                           _write_sigma(wafer.topology))
+    return _calibrate(wafer, db, h, "calibrate_voltage", parameter, availability, neurons)
 
 
 def _spiking_sweep(wafer, db, h, scope, plan, *, availability):
@@ -621,8 +530,7 @@ def _calibrate_v_reset(wafer, db, h, op, scope, plan, availability):
     np.add.at(count, member, ~np.isnan(plateau.T))
     with np.errstate(invalid="ignore"):
         y = total / count  # each block's mean plateau, NaN if none spiked
-    return _linear_entries(db, h, blocks, op, np.array(plan.dac_values, float), y,
-                           float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
+    return _line_fit(blocks, plan, y, float(np.hypot(_write_sigma(wafer.topology), 2.5e-3)))
 
 
 def _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability):
@@ -645,8 +553,20 @@ def _calibrate_v_threshold(wafer, db, h, op, scope, plan, availability):
             # extrapolate the last clean samples to the digital spike time
             peaks[k, i] = np.mean(vk + slope * d + 0.5 * curv * d * d)
 
-    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), peaks.T,
-                           float(np.hypot(_write_sigma(wafer.topology), 1.5e-3)))
+    return _line_fit(scope, plan, peaks.T, float(np.hypot(_write_sigma(wafer.topology), 1.5e-3)))
+
+
+def _calibrate_e_leak(wafer, db, h, op, scope, plan, availability):
+    rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
+    return _line_fit(scope, plan, rests.T, _write_sigma(wafer.topology))
+
+
+def _calibrate_e_syni(wafer, db, h, op, scope, plan, availability):
+    # the rest under a regular 4 kHz train
+    stim = [("cal", 0, t) for t in np.arange(5e-4, plan.duration, 1 / 4000.0)]
+    rests = _rest_sweep(wafer, db, h, scope, plan, sign="i", stimulus=stim, tail=0.33,
+                        availability=availability)
+    return _line_fit(scope, plan, rests.T, _write_sigma(wafer.topology))
 
 
 def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
@@ -659,10 +579,10 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
     which is identical across the sweep. The maximum-current point
     anchors each rewrite repetition and is excluded from the fit.
     """
-    op = _OP["i_pulse"]
-    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
-    if not scope:
-        return []
+    return _calibrate(wafer, db, h, "calibrate_i_pulse", None, availability, neurons)
+
+
+def _calibrate_i_pulse(wafer, db, h, op, scope, plan, availability):
     anchor = int(np.argmax(plan.dac_values))
     cfg = _standalone_config(h, scope)
     taus, x = [], []
@@ -696,7 +616,7 @@ def calibrate_i_pulse(wafer: WaferModel, db: CalibrationDb, h: int, *,
         c0 = -icpt * c1
     valid = (slope > 0) & (red < RED_CHI2_MAX) & ~np.isnan(y).any(axis=1)
     coeffs = np.column_stack([np.nan_to_num(c0), np.nan_to_num(c1)])
-    return _add_entries(db, h, scope, op, coeffs, np.nan_to_num(red, nan=np.inf), valid)
+    return scope, coeffs, np.nan_to_num(red, nan=np.inf), valid
 
 
 def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
@@ -708,10 +628,10 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     above the detected transition so that FG write noise cannot push a
     circuit back below it. Entry coefficients: (programming DAC, transition DAC).
     """
-    op = _op_of_call("calibrate_v_convoff", side)
-    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
-    if not scope:
-        return []
+    return _calibrate(wafer, db, h, "calibrate_v_convoff", side, availability, neurons)
+
+
+def _calibrate_v_convoff(wafer, db, h, op, scope, plan, availability):
     rests = _rest_sweep(wafer, db, h, scope, plan, availability=availability)
     ok = np.abs(rests - rests[-1]) < CONVOFF_TOL
     sustained = np.flip(np.logical_and.accumulate(np.flip(ok, 0), 0), 0)
@@ -719,7 +639,7 @@ def calibrate_v_convoff(wafer: WaferModel, db: CalibrationDb, h: int,
     valid = idx <= len(plan.dac_values) - 2  # the top point alone proves nothing
     dacs = np.array(plan.dac_values, float)
     prog = dacs[np.minimum(idx + CONVOFF_MARGIN_STEPS, len(dacs) - 1)]
-    return _add_entries(db, h, scope, op, np.column_stack([prog, dacs[idx]]), 0.0, valid)
+    return scope, np.column_stack([prog, dacs[idx]]), 0.0, valid
 
 
 def _convoff_array(wafer, db, h, parameter, scope):
@@ -752,18 +672,18 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     is fitted against the nominal DAC transfer of the swept cell (uA for
     i_gl, volts for v_syntc), so inversion needs no second hop.
     """
-    op = _op_of_call("calibrate_tau", parameter)
-    plan, scope = _op_scope(wafer, db, h, parameter, availability, neurons)
-    if not scope:
-        return []
+    return _calibrate(wafer, db, h, "calibrate_tau", parameter, availability, neurons)
+
+
+def _calibrate_tau(wafer, db, h, op, scope, plan, availability):
     side, extra_conv = _input_amplifier(wafer, db, h, op)
-    take_larger = parameter == CONTROL_CELL["tau_mem"]
+    take_larger = op.name == CONTROL_CELL["tau_mem"]
 
     n_points = len(plan.dac_values)
     for k, dac in enumerate(plan.dac_values):
         extra = {plan.parameter: dac, **extra_conv}
         t_win, v, onset = _psp_windows(wafer, db, h, scope, plan, extra,
-                                       sign=side, token=(parameter, k),
+                                       sign=side, token=(op.name, k),
                                        availability=availability)
         if k == 0:
             windows = np.empty((n_points,) + v.shape)
@@ -779,7 +699,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     for v, params_k in zip(windows, params):
         worst_mis = np.maximum(worst_mis, _rel_misfit(t_win, v, params_k))
 
-    x = dac_to_unit(wafer.topology, parameter, np.array(plan.dac_values, float))
+    x = dac_to_unit(wafer.topology, op.name, np.array(plan.dac_values, float))
     # error budget: ~5 % relative tau extraction error per sweep point (the
     # fast end is ADC-grid limited and scatters well beyond the slow end)
     with np.errstate(all="ignore"):
@@ -795,8 +715,7 @@ def calibrate_tau(wafer: WaferModel, db: CalibrationDb, h: int,
     curve_mis[seen] = np.sqrt(np.nanmean(sq[seen], axis=1))
     valid = (fit_ok & ok_sp & (red_sp < RED_CHI2_MAX) & (worst_mis < 0.20)
              & (curve_mis < 0.15))
-    return _add_entries(db, h, scope, op, np.nan_to_num(coeffs),
-                        np.nan_to_num(red_sp, nan=np.inf), valid)
+    return scope, np.nan_to_num(coeffs), np.nan_to_num(red_sp, nan=np.inf), valid
 
 
 def _rel_misfit(t_win, v, params) -> np.ndarray:
@@ -827,10 +746,10 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
     extrapolates the height to zero: the rest where a PSP vanishes IS
     the reversal. One linear DAC model per circuit over the main sweep.
     """
-    op = _OP["e_synx"]
-    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
-    if not scope:
-        return []
+    return _calibrate(wafer, db, h, "calibrate_e_synx", None, availability, neurons)
+
+
+def _calibrate_e_synx(wafer, db, h, op, scope, plan, availability):
     side, extra_conv = _input_amplifier(wafer, db, h, op)
     roots = np.empty((len(plan.dac_values), len(scope)))
     slopes_ok = np.ones(len(scope), dtype=bool)
@@ -850,8 +769,101 @@ def calibrate_e_synx(wafer: WaferModel, db: CalibrationDb, h: int, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             roots[k] = -icpt / slope
 
-    return _linear_entries(db, h, scope, op, np.array(plan.dac_values, float), roots.T,
-                           8e-3, ok=slopes_ok)
+    return _line_fit(scope, plan, roots.T, 8e-3, ok=slopes_ok)
+
+
+# every op, in the order calibrate_hicann runs them
+OPS = (
+    # per-circuit offset of the analog readout chain
+    CalibrationOp("readout_shift", "calibrate_readout_shift", None, (), "constant",
+                  SweepPlan("readout_shift", (455,), duration=0.04),
+                  _calibrate_readout_shift, invertible=False),
+    # reset plateau (median of a refractory-dominated trace) vs DAC, per FG block
+    CalibrationOp("v_reset", "calibrate_voltage", "v_reset", ("readout_shift",), "linear",
+                  SweepPlan("v_reset", (150, 280, 410, 540),
+                            {"e_leak": 940, "v_threshold": 620, "i_pulse": 100,
+                             "i_gl": 400}, duration=0.5), _calibrate_v_reset),
+    # spike peak voltage vs DAC
+    CalibrationOp("v_threshold", "calibrate_voltage", "v_threshold", ("readout_shift",),
+                  "linear", SweepPlan("v_threshold", (400, 520, 640, 760, 880),
+                                      {"e_leak": 1023, "v_reset": 220, "i_pulse": 341,
+                                       "i_gl": 400}, duration=0.4), _calibrate_v_threshold),
+    # resting potential vs DAC
+    CalibrationOp("e_leak", "calibrate_voltage", "e_leak", ("readout_shift",), "linear",
+                  SweepPlan("e_leak", (398, 512, 625), {}, duration=0.05), _calibrate_e_leak),
+    # rest railed onto the reversal by strong regular bombardment vs DAC
+    CalibrationOp("e_syni", "calibrate_voltage", "e_syni", ("readout_shift",), "linear",
+                  SweepPlan("e_syni", (100, 200, 300),
+                            {"e_leak": 313, "i_gl": 30, "v_syntci": 170,
+                             "v_convoffi": 511, "vgmax": (1023, 1023, 1023, 1023)},
+                            duration=0.12), _calibrate_e_syni),
+    # refractory time vs pulse current
+    CalibrationOp("i_pulse", "calibrate_i_pulse", None,
+                  ("readout_shift", "v_reset", "v_threshold", "e_leak"), "reciprocal",
+                  SweepPlan("i_pulse", (136, 170, 227, 341, 546, 728, 1023),
+                            {"e_leak": 910, "v_threshold": 550, "v_reset": 355,
+                             "i_gl": 400}, duration=0.5, repetitions=4), _calibrate_i_pulse),
+    # first DAC past the excitatory input amplifier's transition
+    CalibrationOp("v_convoffx", "calibrate_v_convoff", "x", ("readout_shift", "e_leak"),
+                  "constant", SweepPlan(
+                      "v_convoffx", tuple(int(round(k * 1023 / 24)) for k in range(25)),
+                      {"e_leak": 512, "e_synx": 796, "i_gl": 400}, duration=0.04),
+                  _calibrate_v_convoff),
+    # the same for the inhibitory input amplifier
+    CalibrationOp("v_convoffi", "calibrate_v_convoff", "i", ("readout_shift", "e_leak"),
+                  "constant", SweepPlan(
+                      "v_convoffi", tuple(int(round(k * 1023 / 24)) for k in range(25)),
+                      {"e_leak": 512, "e_syni": 114, "i_gl": 400}, duration=0.04),
+                  _calibrate_v_convoff),
+    # membrane time constant vs leak current (uA)
+    CalibrationOp("i_gl", "calibrate_tau", "i_gl", ("readout_shift", "e_leak", "v_convoffx"),
+                  "softplus", SweepPlan("i_gl", (82, 123, 164, 205, 246, 307, 368, 430),
+                                        {"e_leak": 455, "v_syntcx": 625, "e_synx": 796},
+                                        presentations=6, window=0.08), _calibrate_tau),
+    # excitatory synaptic time constant vs bias voltage (V)
+    CalibrationOp("v_syntcx", "calibrate_tau", "v_syntcx",
+                  ("readout_shift", "e_leak", "v_convoffx", "i_gl"), "softplus",
+                  SweepPlan("v_syntcx", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
+                            {"e_leak": 455, "i_gl": 123, "e_synx": 796},
+                            presentations=6, window=0.07), _calibrate_tau),
+    # inhibitory synaptic time constant vs bias voltage (V)
+    CalibrationOp("v_syntci", "calibrate_tau", "v_syntci",
+                  ("readout_shift", "e_leak", "v_convoffi", "i_gl"), "softplus",
+                  SweepPlan("v_syntci", (341, 398, 455, 512, 568, 625, 682, 739, 796, 853),
+                            {"e_leak": 455, "i_gl": 123, "e_syni": 114},
+                            presentations=6, window=0.07), _calibrate_tau),
+    # reversal vs DAC: PSP height vs measured rest, extrapolated to zero height
+    CalibrationOp("e_synx", "calibrate_e_synx", None,
+                  ("readout_shift", "e_leak", "v_convoffx", "i_gl", "v_syntcx"), "linear",
+                  SweepPlan("e_synx", (682, 739, 796, 853), {"i_gl": 123, "v_syntcx": 454},
+                            presentations=8, window=0.06, aux_values=(341, 398, 455, 512)),
+                  _calibrate_e_synx),
+)
+_OP = {op.name: op for op in OPS}
+CALIBRATION_ORDER = tuple(_OP)
+REQUIRES = {op.name: op.requires for op in OPS}
+DEFAULT_PLANS = {op.name: op.plan for op in OPS}
+# the input-amplifier ops; a cell without a valid entry sits at the DAC ceiling (off)
+_CONVOFF_OPS = tuple(op.name for op in OPS if op.function == "calibrate_v_convoff")
+
+# target name -> the calibrated parameter, which names its DB entry and the FG
+# cell that realizes it: a time constant's control cell, or an invertible op
+_TAU_OF_CELL = {cell: tau for tau, cell in CONTROL_CELL.items()}
+_TARGET_MAP = {_TAU_OF_CELL.get(op.name, op.name): op.name for op in OPS if op.invertible}
+
+
+def _calibrate(wafer, db, h, function, arg, availability, neurons) -> list[CalibrationEntry]:
+    """Run the op that public ``function`` runs when called with ``arg``:
+    its body measures and fits the op's scope (see :func:`_op_scope`), whose
+    entry rows are stored in ``db`` and returned. An empty scope measures
+    nothing."""
+    op = next((op for op in OPS if op.function == function and op.arg == arg), None)
+    if op is None:
+        raise ValueError(f"{function} runs no calibration op for {arg!r}")
+    plan, scope = _op_scope(wafer, db, h, op.name, availability, neurons)
+    if not scope:
+        return []
+    return _add_entries(db, h, op, *op.body(wafer, db, h, op, scope, plan, availability))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ switch, so switches are not mapped to the bus pairs they join:
 * 7680 switches per hicann: 2400 crossbar switches join buses of different
   groups whose lanes agree modulo 16; 5280 select switches join synapse driver
   ``D`` (0..219) to the 24 buses ``(7*D + 13*t) % 320``, ``t`` in 0..23.
-* Spike sources leave a hicann on 8 sending channels. Neuron block ``b``
-  (64 circuits) and background generator ``b`` feed leaf merger ``b``; the
-  channel is shared with external-input merger ``b``. Channel ``c`` injects
-  onto bus ``40*c`` and, as a fallback, onto the opposite-group bus
+* Spike sources leave a hicann on 8 sending channels. Circuit ``n`` sends on
+  channel ``n // neuron_block_size % 8``: neuron block ``b`` feeds leaf merger
+  ``b % 8``, so on the reference module (64-circuit blocks) every block has a
+  channel of its own. Background generator ``c`` feeds leaf merger ``c`` too,
+  and channel ``c`` is shared with external-input merger ``c``. Channel ``c``
+  injects onto bus ``40*c`` and, as a fallback, onto the opposite-group bus
   ``(40*c + 160) % 320``.
 """
 
@@ -384,7 +386,8 @@ class TopologyConfig:
         return primary, (primary + half) % self.buses_per_hicann
 
     def channel_of_neuron(self, n: int) -> int:
-        return n // self.neuron_block_size
+        """The sending channel of circuit ``n`` (see the module docstring)."""
+        return n // self.neuron_block_size % self.ext_mergers_per_hicann
 
     def leaf_merger(self, channel: int) -> int:
         return channel

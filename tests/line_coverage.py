@@ -9,10 +9,11 @@ It needs Python 3.11 or later, for ``co_qualname``.
 It runs every test under ``tests/`` in this process under a ``sys.settrace`` /
 ``threading.settrace`` line tracer and counts as executable every line
 that the compiled code of a ``src/`` module maps an instruction to
-(``co_lines``). It prints the executed and total counts, per module and in
-all, and every line that did not run. It exits non-zero when the suite
-fails, when a function has more lines that did not run than its
-``ALLOWED`` entry counts, or when it has fewer (the entry is stale).
+(``co_lines``). It prints the executed and total counts and the physical
+line count, per module and in all, and every line that did not run. It
+exits non-zero when the suite fails, when a function has more lines that
+did not run than its ``ALLOWED`` entry counts, or when it has fewer (the
+entry is stale).
 
 The tracer follows no child process: a forked child stops tracing, so what
 runs only in one must be allowed below. The file name does not match
@@ -87,16 +88,19 @@ def main() -> int:
         threading.settrace(None)
 
     missed: dict[tuple[str, str], list[int]] = {}
-    total = ran = 0
+    total = ran = physical = 0
+    print(f"{'module':18s} {'ran':>5s} / {'executable':>10s} {'physical':>8s}")
     for name, path in files.items():
         owner = executable_lines(path)
         run_here = sorted(ln for ln in owner if (name, ln) in hits)
+        n_lines = len(path.read_text().splitlines())
         total += len(owner)
         ran += len(run_here)
-        print(f"{path.name:18s} {len(run_here):5d} / {len(owner):5d}")
+        physical += n_lines
+        print(f"{path.name:18s} {len(run_here):5d} / {len(owner):10d} {n_lines:8d}")
         for ln in sorted(set(owner) - set(run_here)):
             missed.setdefault((path.name, owner[ln]), []).append(ln)
-    print(f"{'src/':18s} {ran:5d} / {total:5d} executable lines ran")
+    print(f"{'src/':18s} {ran:5d} / {total:10d} {physical:8d}")
 
     failed = status != 0
     for (module, func), lines in sorted(missed.items()):

@@ -432,6 +432,10 @@ def test_op_tables_agree():
     for i, op in enumerate(cal.OPS):
         assert op.plan.parameter == op.name
         assert callable(getattr(cal, op.function)), op.function
+        # its body is a private function of the module
+        name = op.body.__name__
+        assert name.startswith("_") and getattr(cal, name) is op.body, name
+        assert op.body.__module__ == cal.__name__, name
         assert cal.REQUIRES[op.name] == op.requires
         assert cal.DEFAULT_PLANS[op.name] is op.plan
         for req in op.requires:
@@ -449,6 +453,44 @@ def test_op_tables_agree():
 def test_a_public_op_function_refuses_another_op(function, arg):
     with pytest.raises(ValueError, match=function):
         getattr(cal, function)(None, None, 0, arg)
+
+
+def test_each_public_op_function_runs_its_own_body_once(monkeypatch):
+    # every record's body logs its calls: an op's public function called with
+    # its arg runs that record's body once, on the record and the scope that
+    # _op_scope gives, and stores the rows it returns; no body runs on an
+    # empty scope
+    w, calls = build_wafer(3), []
+
+    def logging_body(name):
+        def body(wafer, db, h, op, scope, plan, availability):
+            calls.append((name, op, scope, plan, availability))
+            return scope[:1], [(1.0, 2.0)], 0.5, True
+        return body
+
+    records = tuple(dataclasses.replace(op, body=logging_body(op.name)) for op in cal.OPS)
+    monkeypatch.setattr(cal, "OPS", records)
+    cfg, neurons = w.topology, [0, 8, 200]
+    availability = AvailabilityState(cfg, [Coord.neuron(0, 8)])
+    db = cal.CalibrationDb()
+    for op in records:  # every prerequisite valid
+        for n in neurons:
+            db.add(cal.CalibrationEntry(cal._entry_coord(cfg, 0, n, op.name), op.name,
+                                        op.model, (0.0, 0.0), 1.0, True))
+    for rec in records:
+        call = getattr(cal, rec.function)
+        args = () if rec.arg is None else (rec.arg,)
+        calls.clear()
+        entries = call(w, db, 0, *args, availability=availability, neurons=neurons)
+        plan, scope = cal._op_scope(w, db, 0, rec.name, availability, neurons)
+        assert scope == [0, 200]
+        assert calls == [(rec.name, rec, scope, plan, availability)]
+        coord = cal._entry_coord(cfg, 0, 0, rec.name)
+        assert entries == [cal.CalibrationEntry(coord, rec.name, rec.model, (1.0, 2.0),
+                                                0.5, True)]
+        assert db.entry(coord, rec.name) == entries[0]
+        calls.clear()
+        assert call(w, db, 0, *args, neurons=[]) == [] and calls == []
 
 
 def test_calibration_exclusion_drops_failed_circuits():

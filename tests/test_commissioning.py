@@ -372,6 +372,20 @@ def test_broken_leaf_merger_strands_its_neurons():
     assert all(c.hicann != h for c in eff.excluded_of(Kind.EXT_MERGER))
 
 
+def test_a_stranded_channel_strands_every_block_it_sends():
+    # 16-circuit blocks: block b sends on channel b % 8, so 4 blocks share one
+    small = TopologyConfig(neuron_block_size=16)
+    h = small.hicann_at(18, 4)
+
+    def stranded(*mergers):
+        ind = AvailabilityState(small, [Coord(Kind.MERGER, (h, m)) for m in mergers])
+        eff = effective_exclusion(small, ind)
+        return {c.indices[1] for c in eff.excluded_of(Kind.NEURON) if c.hicann == h}
+
+    assert stranded(3) == {n for b in (3, 11, 19, 27) for n in range(16 * b, 16 * b + 16)}
+    assert stranded(*range(8)) == set(range(512))
+
+
 def test_closure_properties_on_random_sets():
     extra_rates = DefectRates(jtag=0.01, repeater=3e-4, merger_stuck=2e-4)
     for s in range(10):
@@ -418,16 +432,17 @@ def test_closure_states_byte_identical():
 
 
 def test_reduced_topology_commissioning_byte_identical():
-    # R5 covers only the neuron blocks that own a sending channel; two
-    # unstable arrays are written off
+    # two unstable arrays are written off. The effective neuron row: 5 dies
+    # that pass JTAG lose every circuit (2560), and dies 14 and 31 strand 4
+    # and 6 sending channels, each taking its 4 blocks of 16 circuits (640)
     db, mem = commission(build_wafer(5, SMALL, defects=random_defects(5, SMALL, SMALL_RATES)))
     ind, eff = db.state("individual"), db.state("effective")
     assert mem.unstable_arrays == [Coord.synapse_array(7, 0), Coord.synapse_array(8, 1)]
     assert state_digest(ind) == "a4062380d40b0471dd8b3afabaa758168a900fe8dfa46178ec373fc9555476be"
-    assert state_digest(eff) == "ee3a243f81a69e58c234db68635a4d4692ad5e56cae2ed180d1f539f27335aca"
+    assert state_digest(eff) == "91f2b31d079b02b3b9a01b0dab4e86d655ba0cd05c1ebf73cd392a1624565f93"
     rows = {r.resource: (r.individual, r.effective)
             for r in exclusion_report(SMALL, ind, eff) if r.individual or r.effective}
-    assert rows == {"jtag_link": (4, 7), "highspeed_link": (2, 9), "neuron": (0, 2720),
+    assert rows == {"jtag_link": (4, 7), "highspeed_link": (2, 9), "neuron": (0, 3200),
                     "merger": (1, 1), "synapse_array": (2, 2), "synapse_row": (448, 448),
                     "synapse_driver": (221, 221), "synapse": (112672, 112672),
                     "ext_merger": (0, 50), "repeater": (104, 710), "bus": (0, 2885),

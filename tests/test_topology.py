@@ -301,3 +301,11 @@ def test_every_public_name_is_used():
     unused += ["." + name for name in sorted(members)
                if name not in ENTRY_POINTS and not attributes[name]]
     assert unused == []
+
+
+def test_calibration_names_no_oracle():
+    # the oracle wall: calibration reads the hidden circuit values only
+    # through the physics that experiment and wafer.adc_readout simulate
+    names, _ = _code_names(SRC / "calibration.py")
+    oracles = ("truth", "true_parameter", "true_parameter_array", "fg_dac_array", "fg_state")
+    assert [name for name in oracles if names[name]] == []
