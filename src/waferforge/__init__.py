@@ -2,7 +2,7 @@
 
 The package models one wafer module end to end: static topology, a
 ground-truth hardware model with fixed-pattern variability, commissioning
-(communication, memory and analog readout tests plus availability closure),
+(communication and memory tests plus availability closure),
 the per-circuit calibration suite and configured experiments on the
 calibrated circuits. Everything is deterministic given a master seed.
 """

@@ -13,11 +13,16 @@ flags get cleared, and reports decide which HICANNs' children are counted.
 
 Each state also keeps the exact number of excluded cells of every mask,
 kept up to date by the writers (``exclude``, ``exclude_many``,
-``exclude_block``, ``from_json``) and shared by ``copy()``, so a count is
-read, not scanned. ``mask()`` hands out the raw writable array and forgets
-its kind's count, which the next ``count_excluded`` recomputes once: write
-through a mask before the next count of its kind, as a mask must not be
-held across a ``copy()``.
+``exclude_blocks``, ``from_json``) and shared by ``copy()``, so a count is
+read, not scanned; for a paged mask (below) it keeps the count of every
+die as well. A writer into a kind without exclusions, or into a die of a
+paged mask without exclusions, knows every cell it writes there is new, so
+it writes them without reading them first. ``mask()``
+hands out the raw writable array and forgets its kind's counts: the next
+``count_excluded`` of the kind recounts its mask once, and a paged mask's
+dies are counted from their cells from then on. Write through a mask
+before the next count of its kind, as a mask must not be held across a
+``copy()``.
 
 A mask of ``PAGED_MASK_BYTES`` (4 MiB) or more, such as the reference
 module's 43 MB synapse mask, is a zero-filled private anonymous mapping
@@ -71,6 +76,8 @@ class AvailabilityState:
         self._masks: dict[Kind, np.ndarray] = {}
         self._shared: set[Kind] = set()  # masks a copy() shares, copied before a write
         self._counts: dict[Kind, int] = {}  # excluded cells per mask; absent = recount
+        # excluded cells per die of each paged mask; absent = count the dies' cells
+        self._die_counts: dict[Kind, np.ndarray] = {}
         if excluded:
             self.exclude_many(excluded)
 
@@ -87,6 +94,7 @@ class AvailabilityState:
         """
         m = self._writable(kind)
         self._counts.pop(kind, None)
+        self._die_counts.pop(kind, None)
         return m
 
     def read_mask(self, kind: Kind) -> np.ndarray:
@@ -103,6 +111,8 @@ class AvailabilityState:
         if m is None:
             m = self._masks[kind] = _zeros(self.topology.index_shapes[kind])
             self._counts[kind] = 0
+            if m.nbytes >= PAGED_MASK_BYTES:
+                self._die_counts[kind] = np.zeros(len(m), dtype=np.int64)
         elif kind in self._shared:  # written where set, so a paged copy stays sparse
             out = _zeros(m.shape)
             np.copyto(out, m, where=m)
@@ -120,6 +130,9 @@ class AvailabilityState:
         if not m[coord.indices]:
             m[coord.indices] = True
             self._add(coord.kind, 1)
+            per = self._die_counts.get(coord.kind)
+            if per is not None:
+                per[coord.hicann] += 1
 
     def exclude_many(self, coords) -> None:
         """Exclude every coordinate of ``coords``, or none if one is invalid."""
@@ -136,15 +149,33 @@ class AvailabilityState:
         for kind, f in flat.items():
             self._write_flat(kind, f)
 
-    def exclude_block(self, kind: Kind, leading: tuple[int, ...]) -> None:
-        """Exclude every cell of ``kind`` whose leading indices are ``leading``."""
+    def exclude_blocks(self, kind: Kind, leading) -> None:
+        """Exclude every cell of ``kind`` whose leading indices are one of
+        the index tuples of ``leading``, all of one length from 1 to the
+        kind's rank; none if one is outside the kind's shape."""
         shape = self.topology.index_shapes[kind]
-        if len(leading) > len(shape) or not all(0 <= i < n for i, n in zip(leading, shape)):
-            raise ValueError(f"{kind.value}[{','.join(map(str, leading))}]: "
-                             f"outside index shape {shape}")
-        block = self._writable(kind)[(*leading, ...)]
-        self._add(kind, block.size - int(np.count_nonzero(block)))
-        block[...] = True
+        blocks = sorted(set(map(tuple, leading)))
+        for b in blocks:
+            if not (0 < len(b) == len(blocks[0]) <= len(shape)
+                    and all(0 <= i < n for i, n in zip(b, shape))):
+                raise ValueError(f"{kind.value}[{','.join(map(str, b))}]: "
+                                 f"outside index shape {shape}")
+        if not blocks:
+            return
+        m = self._writable(kind)
+        fresh = self._counts.get(kind) == 0
+        per = self._die_counts.get(kind)
+        size = math.prod(shape[len(blocks[0]):])
+        # blocks of one length are disjoint, so a block in a kind or on a die
+        # without exclusions is new: count it without reading (and faulting in) it
+        new = [size if fresh or per is not None and per[b[0]] == 0
+               else size - int(np.count_nonzero(m[b])) for b in blocks]
+        for b in blocks:
+            m[b] = True
+        self._add(kind, sum(new))
+        if per is not None:
+            for b, n in zip(blocks, new):
+                per[b[0]] += n
 
     def _flat(self, kind: Kind, indices: list) -> np.ndarray:
         """Flat mask positions of index tuples of ``kind``; a ValueError
@@ -159,10 +190,26 @@ class AvailabilityState:
 
     def _write_flat(self, kind: Kind, flat: np.ndarray) -> None:
         m = self._writable(kind).reshape(-1)
+        per = self._die_counts.get(kind)
+        # a cell in a kind or on a die without exclusions is new, and reading
+        # it first would fault its page of a paged mask in twice
+        if self._counts.get(kind) == 0:
+            new = flat
+        elif per is None:
+            new = flat[~m[flat]]
+        else:
+            known = per[flat // (m.size // len(per))] == 0
+            rest = flat[~known]
+            new = np.concatenate((flat[known], rest[~m[rest]]))
         # sorted so that repeats are adjacent (np.unique's first call maps ~1.7 MB more)
-        new = np.sort(flat[~m[flat]])
+        new = np.sort(new)
         m[new] = True
-        self._add(kind, new.size and 1 + int(np.count_nonzero(np.diff(new))))
+        distinct = np.ones(new.size, dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=distinct[1:])
+        new = new[distinct]
+        self._add(kind, new.size)
+        if per is not None:
+            per += np.bincount(new // (m.size // len(per)), minlength=len(per))
 
     def is_usable(self, coord: Coord) -> bool:
         validate_coord(self.topology, coord)
@@ -178,10 +225,14 @@ class AvailabilityState:
         if m is None:
             return 0
         if hicanns is not None:
+            hicanns = np.asarray(hicanns, dtype=np.intp)
             if m.nbytes < PAGED_MASK_BYTES:
-                return int(np.count_nonzero(m[np.asarray(hicanns, dtype=np.intp)]))
-            # a paged mask die by die: a gather would copy out every listed die's rows
-            return sum(int(np.count_nonzero(m[h])) for h in hicanns)
+                return int(np.count_nonzero(m[hicanns]))
+            per = self._die_counts.get(kind)
+            if per is not None:
+                return int(per[hicanns].sum())
+            # die by die: a gather would copy out every listed die's rows
+            return sum(int(np.count_nonzero(m[h])) for h in hicanns.tolist())
         n = self._counts.get(kind)
         if n is None:
             n = self._counts[kind] = int(np.count_nonzero(m))
@@ -204,6 +255,7 @@ class AvailabilityState:
         new = AvailabilityState(self.topology)
         new._masks = dict(self._masks)
         new._counts = dict(self._counts)
+        new._die_counts = {k: per.copy() for k, per in self._die_counts.items()}
         self._shared.update(self._masks)
         new._shared.update(self._masks)
         return new
@@ -250,9 +302,6 @@ class AvailabilityDb:
 
     def names(self) -> list[str]:
         return sorted(self._states)
-
-    def has_state(self, name: str) -> bool:
-        return name in self._states
 
     def state(self, name: str) -> AvailabilityState:
         if name not in self._states:

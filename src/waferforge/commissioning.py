@@ -5,7 +5,14 @@ and high-speed links, ``memory_test`` write/read-tests every reachable
 memory-mapped register (with a same-value stability phase per synapse
 array), and ``effective_exclusion`` closes the discovered individual
 failures over the hardware dependencies. Reports compare both states
-against fixed reference component totals.
+against component totals: the paper's reference subsets on the reference
+module, each topology's own design counts on any other.
+
+The tests read the wafer's defects through its ``DefectTable`` (one row
+per defect, integer columns), which building the wafer validated: each
+test classifies the rows with array masks over those columns, and only
+the cells that need random draws are visited one by one. ``_excluded_unit``
+is the one mapping from a defect to the component it takes out.
 
 The memory test keys its random values per cell: a stuck cell's writes
 come from the stream ``("memtest", cell)``, an unstable cell's rewrites
@@ -37,16 +44,18 @@ rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import rng
 from .availability import AvailabilityDb, AvailabilityState
-from .defects import DefectType, check_defects
-from .topology import Coord, Direction, Kind, TopologyConfig, resource_count
-from .wafer import (WaferModel, adc_readout, dac_to_volts, from_reference_dac,
-                    program_floating_gates, true_parameter)
+from .defects import DefectSet, DefectTable, DefectType
+from .topology import (KIND_CODE, KINDS, Coord, Direction, Kind, TopologyConfig,
+                       resource_count)
+from .wafer import WaferModel
 
 FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
 
@@ -54,14 +63,6 @@ FULL_TEST_SECONDS = 70.0  # reported per-hicann cost of the full pass
 # stability phase (a cell flipping with probability p escapes with (1-p)^reps)
 WRITES_PER_CELL = 10
 STABILITY_REPS = 10
-
-# analog readout test: two FG levels in reference-DAC codes, each digitized as
-# READOUT_SAMPLES samples; the mean must match within READOUT_MEAN_TOL volts
-# (after the 1:2 divider) and the sample noise stay below READOUT_NOISE_TOL
-READOUT_LEVELS = (284, 682)
-READOUT_SAMPLES = 64
-READOUT_MEAN_TOL = 0.15
-READOUT_NOISE_TOL = 0.003
 
 # memory region each register-backed component lives in (discovery scope)
 REGION_OF_KIND = {
@@ -79,7 +80,11 @@ REGION_OF_KIND = {
     Kind.NEURON: "neuron_builder_sram",
 }
 
-# fixed reference subsets the documented component totals are quoted against
+# by kind code: a kind's memory region, and whether that is the FG controller SRAM
+_REGION = [REGION_OF_KIND.get(k) for k in KINDS]
+_IN_CONTROLLER = np.array([r == "fg_controller_sram" for r in _REGION])
+
+# the paper's subsets of the reference module that its totals are quoted against
 REPORT_REFERENCE = {
     "infrastructure_hicanns": 373,  # jtag-reachable dies carrying routing fabric
     "experiment_hicanns": 356,  # dies with a working high-speed link
@@ -89,14 +94,6 @@ _INFRA_KINDS = (Kind.FG_BLOCK, Kind.EXT_MERGER, Kind.REPEATER, Kind.BUS, Kind.SW
 _EXPERIMENT_KINDS = (Kind.NEURON, Kind.MERGER, Kind.BG_GEN, Kind.ANALOG_OUT,
                      Kind.SYNAPSE_ARRAY, Kind.SYNAPSE_ROW, Kind.SYNAPSE_DRIVER,
                      Kind.SYNAPSE)
-
-
-def _jtag(h: int) -> Coord:
-    return Coord(Kind.JTAG_LINK, (h,))
-
-
-def _highspeed(h: int) -> Coord:
-    return Coord(Kind.HIGHSPEED_LINK, (h,))
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +115,17 @@ def comm_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> CommResult
     well, but only genuine failures are recorded as individual exclusions.
     """
     cfg = wafer.topology
+    tab = wafer.defects.table(cfg)
     jtag_ok = np.ones(cfg.n_hicanns, dtype=bool)
     highspeed_ok = np.ones(cfg.n_hicanns, dtype=bool)
     highspeed_ok[list(cfg.no_highspeed_hicanns())] = False
-    failed = []  # genuine high-speed failures
-    for d in wafer.defects:
-        if d.type is DefectType.JTAG_DEAD:
-            jtag_ok[d.coord.hicann] = False
-        elif d.type is DefectType.HIGHSPEED_DEAD:
-            highspeed_ok[d.coord.hicann] = False
-            failed.append(_highspeed(d.coord.hicann))
+    jtag_ok[tab.hicann[tab.is_type(DefectType.JTAG_DEAD)]] = False
+    failed = tab.hicann[tab.is_type(DefectType.HIGHSPEED_DEAD)]  # genuine failures
+    highspeed_ok[failed] = False
     if db is not None:
         db.ensure("individual").exclude_many(
-            [_jtag(h) for h in np.flatnonzero(~jtag_ok).tolist()] + failed)
+            [Coord(Kind.JTAG_LINK, (h,)) for h in np.flatnonzero(~jtag_ok).tolist()]
+            + [Coord(Kind.HIGHSPEED_LINK, (h,)) for h in failed.tolist()])
     return CommResult(jtag_ok, highspeed_ok)
 
 
@@ -173,20 +168,25 @@ def stability_test(wafer: WaferModel, array: Coord) -> StabilityResult:
     """
     if array.kind is not Kind.SYNAPSE_ARRAY:
         raise ValueError(f"expected a synapse array coordinate, got {array}")
-    h, a = array.indices
-    cells = [d for d in wafer.defects.of_type(DefectType.MEMORY_UNSTABLE)
-             if d.coord.kind is Kind.SYNAPSE and d.coord.indices[:2] == (h, a)]
+    cfg = wafer.topology
+    tab = wafer.defects.table(cfg)
+    kind, flat = _excluded_unit(cfg, tab)
+    # the unstable synapses of the array, in Coord order
+    at = np.flatnonzero((tab.kind == KIND_CODE[Kind.SYNAPSE])
+                        & (kind == KIND_CODE[Kind.SYNAPSE_ARRAY]) & (flat == np.ravel_multi_index(
+                            array.indices, cfg.index_shapes[Kind.SYNAPSE_ARRAY])))
+    cells = [tab.defects[i] for i in sorted(at.tolist(), key=tab.flat.__getitem__)]
     words = rng.stream_words(wafer.master_seed,
                              [("stability", str(d.coord)) for d in cells], STABILITY_REPS)
     flips = _flips(words, np.array([d.flip_probability for d in cells], dtype=float))
-    bad = sorted((d.coord for d, f in zip(cells, flips.tolist()) if f), key=Coord.sort_key)
+    bad = [d.coord for d, f in zip(cells, flips.tolist()) if f]
     return StabilityResult(array, not bad, bad)
 
 
 def array_exclusion(cfg: TopologyConfig, h: int, a: int) -> list[Coord]:
     """Everything that goes when one synapse array is written off, as coordinates.
 
-    ``write_off_array`` applies the same exclusions to a state as mask slices.
+    ``write_off_arrays`` applies the same exclusions to a state as mask slices.
     """
     out = [Coord.synapse_array(h, a)]
     out += [Coord.synapse_row(h, a, r) for r in range(cfg.rows_per_array)]
@@ -197,19 +197,42 @@ def array_exclusion(cfg: TopologyConfig, h: int, a: int) -> list[Coord]:
     return out
 
 
-def write_off_array(state: AvailabilityState, h: int, a: int) -> None:
-    """Exclude synapse array ``(h, a)`` with all its rows, drivers and synapses."""
-    state.exclude(Coord.synapse_array(h, a))
+def write_off_arrays(state: AvailabilityState, arrays: list[Coord]) -> None:
+    """Exclude each synapse array of ``arrays`` with all its rows, drivers
+    and synapses, each kind's blocks in one write."""
+    state.exclude_many(arrays)
+    leading = [a.indices for a in arrays]
     for kind in (Kind.SYNAPSE_ROW, Kind.SYNAPSE_DRIVER, Kind.SYNAPSE):
-        state.exclude_block(kind, (h, a))
+        state.exclude_blocks(kind, leading)
 
 
-def _excluded_unit(d) -> Coord:
-    # the component carrying the failing register goes; a fault in the FG
-    # controller SRAM corrupts programming sequences for the whole die
-    if REGION_OF_KIND[d.coord.kind] == "fg_controller_sram":
-        return Coord.hicann_(d.coord.hicann)
-    return d.coord
+def _excluded_unit(cfg: TopologyConfig, tab: DefectTable) -> tuple[np.ndarray, np.ndarray]:
+    """Kind code and flat mask index of the component each defect of
+    ``tab`` takes out. A dead link takes its link, an unstable synapse its
+    whole array (``write_off_arrays``), any other fault the component
+    carrying the failing register; a fault in the FG controller SRAM
+    corrupts programming sequences for the whole die."""
+    kind, flat = tab.kind.copy(), tab.flat.copy()
+    for at, unit, index in (
+            (_IN_CONTROLLER[tab.kind], Kind.HICANN, tab.hicann),
+            (tab.is_type(DefectType.JTAG_DEAD), Kind.JTAG_LINK, tab.hicann),
+            (tab.is_type(DefectType.HIGHSPEED_DEAD), Kind.HIGHSPEED_LINK, tab.hicann),
+            (tab.is_type(DefectType.MEMORY_UNSTABLE) & (tab.kind == KIND_CODE[Kind.SYNAPSE]),
+             Kind.SYNAPSE_ARRAY, tab.flat // math.prod(cfg.index_shapes[Kind.SYNAPSE][2:]))):
+        kind[at], flat[at] = KIND_CODE[unit], index[at]
+    return kind, flat
+
+
+def _unit_coords(cfg: TopologyConfig, tab: DefectTable, rows: np.ndarray,
+                 kind: np.ndarray, flat: np.ndarray) -> list[Coord]:
+    """Coordinates of the components ``(kind, flat)`` that the defects
+    ``rows`` of ``tab`` take out, in Coord order: a defect's own coordinate
+    where it is its component."""
+    own = (kind == tab.kind).tolist()
+    kind, flat = kind.tolist(), flat.tolist()
+    return [tab.defects[i].coord if own[i] else Coord(KINDS[kind[i]], np.unravel_index(
+        flat[i], cfg.index_shapes[KINDS[kind[i]]]))
+        for i in sorted(rows.tolist(), key=lambda i: (kind[i], flat[i]))]
 
 
 @dataclass
@@ -221,7 +244,7 @@ class MemoryTestResult:
     reduced_passes: int
     skipped: int
     discovered: list[Coord]  # failing units, without the contents of unstable arrays
-    unstable_arrays: list[Coord]  # written off whole, see write_off_array
+    unstable_arrays: list[Coord]  # written off whole, see write_off_arrays
 
 
 def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
@@ -232,14 +255,20 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     by-design unbonded dies still get the full pass, their routing fabric
     stays in service. Passes and skips come from the individual link masks.
     One die takes a reported 70 s; groups run in parallel, dies within a
-    group in sequence, their seconds added in member order. One pass over
-    the defect set classifies the defects and collects the stuck cells and
-    the unstable cells outside synapse arrays; one ``rng.stream_words``
-    call draws their words and one array pass decides them. All random
-    draws are keyed by cell coordinate, so the outcome is independent of
-    visit order; discovered exclusions merge in coordinate order.
+    group in sequence, their seconds added in member order.
+
+    Array masks over the wafer's ``DefectTable`` pick the defects the test
+    reaches (per-kind region lookups, the link masks at each defect's die)
+    and split them into faults found outright; stuck cells and unstable
+    cells outside synapse arrays, whose words one ``rng.stream_words`` call
+    draws and one array pass decides; and synapse arrays holding an
+    unstable cell, each rewritten by ``stability_test``. All random draws
+    are keyed by cell coordinate, so the outcome is independent of visit
+    order. The unstable arrays are written off in one pass per kind, then
+    the discovered exclusions merge in coordinate order.
     """
     cfg = wafer.topology
+    tab = wafer.defects.table(cfg)
     ind = db.ensure("individual")
     mm = cfg.memory_map()
     routing = cfg.routing_regions()
@@ -258,50 +287,40 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
     group_seconds = np.cumsum(seconds.reshape(cfg.n_groups, cfg.group_size), axis=1)[:, -1]
     duration = float(group_seconds.max(initial=0.0))
 
-    no_jtag, no_highspeed = no_jtag.tolist(), no_highspeed.tolist()
-    found: list[Coord] = []
-    drawn = []  # stuck cells and unstable non-synapse cells, decided by their draws
-    suspect: set[Coord] = set()  # arrays holding an unstable cell
-    for d in wafer.defects:
-        if d.type is DefectType.JTAG_DEAD or d.type is DefectType.HIGHSPEED_DEAD:
-            continue  # link faults, not memory faults
-        h = d.coord.hicann
-        if no_jtag[h] or REGION_OF_KIND.get(d.coord.kind) not in (
-                routing if no_highspeed[h] else mm):
-            continue
-        if d.type is DefectType.MEMORY_STUCK:
-            drawn.append(d)
-        elif d.type is DefectType.MEMORY_UNSTABLE:
-            if d.coord.kind is Kind.SYNAPSE:
-                # the per-array stability phase below covers it
-                suspect.add(Coord.synapse_array(*d.coord.indices[:2]))
-            else:
-                drawn.append(d)
-        else:
-            found.append(_excluded_unit(d))
-    if drawn:
-        stuck = [d.type is DefectType.MEMORY_STUCK for d in drawn]
+    # a defect is tested when its die answers and its kind's region is in
+    # the die's pass; link faults are not memory faults
+    in_pass = np.where(no_highspeed[tab.hicann],
+                       np.array([r in routing for r in _REGION])[tab.kind],
+                       np.array([r in mm for r in _REGION])[tab.kind])
+    tested = in_pass & ~no_jtag[tab.hicann] & ~(
+        tab.is_type(DefectType.JTAG_DEAD) | tab.is_type(DefectType.HIGHSPEED_DEAD))
+    stuck = tested & tab.is_type(DefectType.MEMORY_STUCK)
+    unstable = tested & tab.is_type(DefectType.MEMORY_UNSTABLE)
+    kind, flat = _excluded_unit(cfg, tab)
+    # the per-array stability phase covers an unstable synapse
+    in_array = unstable & (kind == KIND_CODE[Kind.SYNAPSE_ARRAY])
+    seen = tested & ~stuck & ~unstable
+    drawn = np.flatnonzero(stuck | unstable & ~in_array)
+    if drawn.size:
+        is_stuck = stuck[drawn]
+        cells = list(zip([tab.defects[i] for i in drawn.tolist()], is_stuck.tolist()))
         words = rng.stream_words(  # two writes per word, one rewrite per word
-            wafer.master_seed,
-            [("memtest" if s else "stability", str(d.coord)) for d, s in zip(drawn, stuck)],
+            wafer.master_seed, [("memtest" if s else "stability", str(d.coord)) for d, s in cells],
             max(-(-WRITES_PER_CELL // 2), STABILITY_REPS))
         # a stuck pattern, or an unstable cell's flip probability
-        limit = np.array([d.pattern if s else d.flip_probability
-                          for d, s in zip(drawn, stuck)], dtype=float)
+        limit = np.array([d.pattern if s else d.flip_probability for d, s in cells], dtype=float)
         # a stuck cell escapes when every random value lands on its pattern
-        seen = np.where(stuck,
-                        np.any(_write_values(words, WRITES_PER_CELL) != limit[:, None], axis=1),
-                        _flips(words, limit))
-        found += [_excluded_unit(d) for d, s in zip(drawn, seen.tolist()) if s]
-
+        seen[drawn] = np.where(
+            is_stuck, np.any(_write_values(words, WRITES_PER_CELL) != limit[:, None], axis=1),
+            _flips(words, limit))
+    shape = cfg.index_shapes[Kind.SYNAPSE_ARRAY]
     # an array without unstable cells reads back stable on every rewrite
-    unstable = sorted((c for c in suspect
-                       if not stability_test(wafer, c).stable),
-                      key=Coord.sort_key)
-    found.sort(key=Coord.sort_key)
+    unstable_arrays = [c for c in (Coord(Kind.SYNAPSE_ARRAY, np.unravel_index(a, shape))
+                                   for a in sorted(set(flat[in_array].tolist())))
+                       if not stability_test(wafer, c).stable]
+    found = _unit_coords(cfg, tab, np.flatnonzero(seen), kind, flat)
+    write_off_arrays(ind, unstable_arrays)
     ind.exclude_many(found)
-    for array in unstable:
-        write_off_array(ind, *array.indices)
     bytes_by_region = {r: mm[r] * (full_passes + (reduced_passes if r in routing else 0))
                        for r in mm}
     return MemoryTestResult(
@@ -312,70 +331,30 @@ def memory_test(wafer: WaferModel, db: AvailabilityDb) -> MemoryTestResult:
         reduced_passes=reduced_passes,
         skipped=skipped,
         discovered=found,
-        unstable_arrays=unstable,
+        unstable_arrays=unstable_arrays,
     )
-
-
-# ---------------------------------------------------------------------------
-# analog readout test
-
-
-def analog_readout_test(wafer: WaferModel, db: AvailabilityDb | None = None) -> np.ndarray:
-    """Drive the ``READOUT_LEVELS`` onto the readout chain and digitize them.
-
-    Pass iff, for both levels, the mean reading matches the programmed
-    level within ``READOUT_MEAN_TOL`` (the tolerance absorbs cell variation
-    and readout shift) and the sample noise stays below
-    ``READOUT_NOISE_TOL``. Unreachable dies and dies without a
-    usable analog output fail.
-
-    Each die is judged by circuit 0's readout chain alone: the model gives
-    every circuit its own readout shift, but only circuit 0's is read, so a
-    die passes when circuit 0's shift is within tolerance, whatever its
-    other circuits read.
-    """
-    cfg = wafer.topology
-    ind = db.state("individual") if db is not None and db.has_state("individual") \
-        else AvailabilityState(cfg)
-    # reachable, programmable and with at least one usable analog output
-    ok = ~(ind.read_mask(Kind.JTAG_LINK) | ind.read_mask(Kind.HICANN)
-           | ind.read_mask(Kind.ANALOG_OUT).all(axis=1))
-    for h in np.flatnonzero(ok).tolist():
-        for level in from_reference_dac(cfg, READOUT_LEVELS):
-            program_floating_gates(wafer, h, {"e_leak": level})
-            v = true_parameter(wafer, Coord.neuron(h, 0), "e_leak")
-            reading = adc_readout(wafer, h, [0], np.full((1, READOUT_SAMPLES), v),
-                                  token=("analog_level", level))
-            if abs(float(reading.mean()) * wafer.variability.adc_divider
-                   - dac_to_volts(cfg, level)) > READOUT_MEAN_TOL:
-                ok[h] = False
-            if float(reading.std()) > READOUT_NOISE_TOL:
-                ok[h] = False
-    return ok
 
 
 # ---------------------------------------------------------------------------
 # individual state without test censoring
 
 
-def individual_from_defects(cfg: TopologyConfig, defects) -> AvailabilityState:
+def individual_from_defects(cfg: TopologyConfig, defects: DefectSet) -> AvailabilityState:
     """Individual state a fully transparent test suite would record.
 
     The real pipeline cannot see past a dead control link; this translation
-    can, which makes it the right input for closure property checks. Where
-    tests can reach, ``comm_test`` + ``memory_test`` discover exactly these
-    flags (up to the astronomically unlikely stuck-pattern collision).
+    can, which makes it the right input for closure property checks. It
+    takes out each defect's ``_excluded_unit``. Where tests can reach,
+    ``comm_test`` + ``memory_test`` discover exactly these flags (up to an
+    unstable cell that never flips and the astronomically unlikely
+    stuck-pattern collision).
     """
+    tab = defects.table(cfg)
+    kind, flat = _excluded_unit(cfg, tab)
+    units = _unit_coords(cfg, tab, np.arange(len(tab.defects)), kind, flat)
     state = AvailabilityState(cfg)
-    for d in defects:
-        if d.type is DefectType.JTAG_DEAD:
-            state.exclude(_jtag(d.coord.hicann))
-        elif d.type is DefectType.HIGHSPEED_DEAD:
-            state.exclude(_highspeed(d.coord.hicann))
-        elif d.type is DefectType.MEMORY_UNSTABLE and d.coord.kind is Kind.SYNAPSE:
-            write_off_array(state, *d.coord.indices[:2])
-        else:
-            state.exclude(_excluded_unit(d))
+    write_off_arrays(state, [c for c in units if c.kind is Kind.SYNAPSE_ARRAY])
+    state.exclude_many(units)
     return state
 
 
@@ -447,9 +426,9 @@ def commission(wafer: WaferModel,
                db: AvailabilityDb | None = None) -> tuple[AvailabilityDb, MemoryTestResult]:
     """Full pipeline: comm test, memory test, closure into "effective".
 
-    The defect set is checked against the topology again: it may have
-    changed since the wafer was built."""
-    check_defects(wafer.topology, wafer.defects)
+    The defect set is checked against the topology again, which rebuilds
+    its table only if the set changed since the wafer was built."""
+    wafer.defects.table(wafer.topology)
     if db is None:
         db = AvailabilityDb(wafer.topology)
     comm_test(wafer, db)
@@ -479,8 +458,12 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
 
     Sub-hicann resources are counted on dies whose control link passed the
     individual tests (nobody can enumerate components behind a dead link)
-    and quoted against the fixed reference totals, so numbers stay
-    comparable between wafers.
+    and quoted against fixed totals, so numbers stay comparable between
+    wafers of one topology. The reference module (``TopologyConfig()``) is
+    quoted against the paper's ``REPORT_REFERENCE`` subsets, 373 dies for
+    infrastructure and 356 for experiments. Any other topology is quoted
+    against its own design counts: every die for infrastructure, and every
+    die with a high-speed link by design for experiments.
     """
     H = cfg.n_hicanns
     unreachable = np.flatnonzero(individual.read_mask(Kind.JTAG_LINK))
@@ -501,13 +484,18 @@ def exclusion_report(cfg: TopologyConfig, individual: AvailabilityState,
         row("jtag_link", kind=Kind.JTAG_LINK, components=H, tested=H),
         row("highspeed_link", kind=Kind.HIGHSPEED_LINK, components=H, tested=hs_tested),
     ]
-    for kind in _EXPERIMENT_KINDS:
-        n = resource_count(cfg, kind, REPORT_REFERENCE["experiment_hicanns"])
-        rows.append(row(kind.value, kind, n, n, reachable_only=True))
-    for kind in _INFRA_KINDS:
-        n = resource_count(cfg, kind, REPORT_REFERENCE["infrastructure_hicanns"])
-        rows.append(row(kind.value, kind, n, n, reachable_only=True))
+    dies = ((REPORT_REFERENCE["experiment_hicanns"], REPORT_REFERENCE["infrastructure_hicanns"])
+            if _is_reference(cfg) else (hs_tested, H))
+    for kinds, n_dies in zip((_EXPERIMENT_KINDS, _INFRA_KINDS), dies):
+        for kind in kinds:
+            n = resource_count(cfg, kind, n_dies)
+            rows.append(row(kind.value, kind, n, n, reachable_only=True))
     return rows
+
+
+@lru_cache(maxsize=8)
+def _is_reference(cfg: TopologyConfig) -> bool:
+    return cfg == TopologyConfig()
 
 
 def write_report_csv(path, rows: list[ReportRow]) -> None:

@@ -2,19 +2,23 @@
 
 A defect set is part of a wafer's definition. Commissioning never sees the
 set directly; it can only observe defects through the tests it runs
-(communication, memory, analog readout), which is what the availability
-database is built from.
+(communication and memory), which is what the availability database is
+built from. It reads the set through ``DefectSet.table``: one row per
+defect, with the defect's type, its kind and where it sits in that kind's
+mask as integer columns, validated against the topology when built.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .topology import Coord, Kind, TopologyConfig, check_schema, validate_coord
+from .topology import (KIND_CODE, KINDS, Coord, Kind, TopologyConfig, check_schema,
+                       validate_coord)
 
 SCHEMA = "waferforge.defects/1"
 
@@ -30,6 +34,10 @@ class DefectType(enum.Enum):
     SWITCH_BROKEN = "switch_broken"
 
     __hash__ = object.__hash__  # identity, as for Kind
+
+
+# type code: a type's position in ``DefectType``
+TYPE_CODE = {t: i for i, t in enumerate(DefectType)}
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,32 @@ class DefectRates:
     fg_block_stuck: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class DefectTable:
+    """A defect set as columns on one topology: row i describes defect i.
+
+    ``type`` holds each defect's ``TYPE_CODE``, ``kind`` its coordinate's
+    ``KIND_CODE``, ``hicann`` its die and ``flat`` its position in the
+    kind's C-ordered mask (``np.ravel_multi_index`` of its indices), so
+    ``flat`` orders the defects of one kind as ``Coord.sort_key`` does.
+    ``defects`` is the list it was built from.
+    """
+
+    topology: TopologyConfig
+    defects: tuple[Defect, ...]
+    type: np.ndarray
+    kind: np.ndarray
+    hicann: np.ndarray
+    flat: np.ndarray
+
+    def is_type(self, t: DefectType) -> np.ndarray:
+        return self.type == TYPE_CODE[t]
+
+
 @dataclass
 class DefectSet:
     defects: list[Defect] = field(default_factory=list)
+    _table: DefectTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.defects)
@@ -76,8 +107,18 @@ class DefectSet:
     def add(self, defect: Defect) -> None:
         self.defects.append(defect)
 
-    def of_type(self, t: DefectType) -> list[Defect]:
-        return [d for d in self.defects if d.type is t]
+    def table(self, cfg: TopologyConfig) -> DefectTable:
+        """The set's ``DefectTable`` on ``cfg``, built and validated on the
+        first call and again whenever the list differs from the one it was
+        built from (an ``add``, an item replaced, a new list).
+
+        Raises ValueError naming the first defect whose coordinate lies
+        outside the topology."""
+        defects = tuple(self.defects)
+        t = self._table
+        if t is None or t.defects != defects or not (t.topology is cfg or t.topology == cfg):
+            t = self._table = _build_table(cfg, defects)
+        return t
 
     def to_json(self) -> dict:
         return {
@@ -92,27 +133,30 @@ class DefectSet:
         return cls([Defect.from_json(d) for d in data["defects"]])
 
 
-def check_defects(cfg: TopologyConfig, defects) -> None:
-    """Raise ValueError naming the first defect whose coordinate lies
-    outside the topology. Each kind's coordinates are tested at once, one
-    index column at a time against ``cfg.index_shapes``; only a set that
-    fails is searched for its first bad defect."""
-    defects = list(defects)
-    by_kind: dict[Kind, list[tuple[int, ...]]] = {}
-    for d in defects:
-        by_kind.setdefault(d.coord.kind, []).append(d.coord.indices)
-    for kind, indices in by_kind.items():
-        shape = cfg.index_shapes[kind]
-        if set(map(len, indices)) != {len(shape)} or not all(
-                min(col) >= 0 and max(col) < b for col, b in zip(zip(*indices), shape)):
-            break
-    else:
-        return
-    for d in defects:
-        try:
-            validate_coord(cfg, d.coord)
-        except ValueError as e:
-            raise ValueError(f"defect {d.type.value}: {e}") from None
+def _build_table(cfg: TopologyConfig, defects: tuple[Defect, ...]) -> DefectTable:
+    """Each kind's coordinates are placed at once by ``np.ravel_multi_index``;
+    only a set it refuses is searched for its first bad defect."""
+    n = len(defects)
+    types = np.fromiter((TYPE_CODE[d.type] for d in defects), dtype=np.int64, count=n)
+    kind = np.fromiter((KIND_CODE[d.coord.kind] for d in defects), dtype=np.int64, count=n)
+    hicann, flat = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    try:
+        for code in set(kind.tolist()):
+            shape = cfg.index_shapes[KINDS[code]]
+            at = np.flatnonzero(kind == code)
+            indices = np.array([defects[i].coord.indices for i in at.tolist()], dtype=np.int64)
+            flat[at] = np.ravel_multi_index(indices.T, shape)
+            hicann[at] = flat[at] // math.prod(shape[1:])
+    except ValueError:
+        for d in defects:
+            try:
+                validate_coord(cfg, d.coord)
+            except ValueError as e:
+                raise ValueError(f"defect {d.type.value}: {e}") from None
+        raise
+    for column in (types, kind, hicann, flat):  # shared by every caller of table()
+        column.setflags(write=False)
+    return DefectTable(cfg, defects, types, kind, hicann, flat)
 
 
 def _sample_indices(gen: np.random.Generator, n_units: int, rate: float) -> np.ndarray:

@@ -9,6 +9,7 @@ wafer builds, noisy writes and measurement noise reproducible and mergeable.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -61,11 +62,23 @@ class Rekeyed:
         return self._gen
 
 
+# one Rekeyed per thread, built on a thread's first keyed draw (a forked
+# child takes its parent's, which re-keying resets like a new one)
+_local = threading.local()
+
+
+def _keyed() -> Rekeyed:
+    keyed = getattr(_local, "keyed", None)
+    if keyed is None:
+        keyed = _local.keyed = Rekeyed()
+    return keyed
+
+
 def stream_normals(master_seed: int, token_paths, n: int) -> np.ndarray:
     """Standard normals with one row per token path: row i is
     ``stream(master_seed, *token_paths[i]).standard_normal(n)``, drawn by
-    one ``Rekeyed`` generator."""
-    keyed = Rekeyed()
+    the calling thread's ``Rekeyed`` generator."""
+    keyed = _keyed()
     token_paths = list(token_paths)
     out = np.empty((len(token_paths), n))
     for row, tokens in zip(out, token_paths):
@@ -76,8 +89,8 @@ def stream_normals(master_seed: int, token_paths, n: int) -> np.ndarray:
 def stream_words(master_seed: int, token_paths, n: int) -> np.ndarray:
     """Raw 64-bit Philox words with one row per token path: row i is
     ``stream(master_seed, *token_paths[i]).bit_generator.random_raw(n)``,
-    drawn by one ``Rekeyed`` generator."""
-    keyed = Rekeyed()
+    drawn by the calling thread's ``Rekeyed`` generator."""
+    keyed = _keyed()
     token_paths = list(token_paths)
     out = np.empty((len(token_paths), n), dtype=np.uint64)
     for row, tokens in zip(out, token_paths):

@@ -76,7 +76,9 @@ class Kind(enum.Enum):
     __hash__ = object.__hash__
 
 
-_KIND_ORDER = {k: i for i, k in enumerate(Kind)}
+# kind code: a kind's position in ``Kind``, the first part of ``Coord.sort_key``
+KINDS = tuple(Kind)  # by kind code
+KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 
 
 class Direction(enum.IntEnum):
@@ -113,7 +115,7 @@ class Coord:
         return self.indices[0]
 
     def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.indices)
+        return (KIND_CODE[self.kind], self.indices)
 
     def __lt__(self, other: "Coord") -> bool:
         return self.sort_key() < other.sort_key()

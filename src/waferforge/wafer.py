@@ -3,7 +3,7 @@
 A :class:`WaferModel` is fully defined by ``(master_seed, topology,
 variability, defects)``. The hidden per-circuit coefficients are re-derived
 from the seed on demand and are never serialized; test oracles may query them
-through :func:`true_parameter`, calibration code must not.
+through :func:`true_parameter_array`, calibration code must not.
 
 Floating-gate programming is noisy: each write lands within a few DAC steps
 of the requested value and two consecutive writes of the same value differ.
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .defects import DefectSet, check_defects
+from .defects import DefectSet
 from .topology import Coord, Kind, TopologyConfig, check_schema, validate_coord
 from .variability import SoftplusLaw, VariabilityConfig
 
@@ -163,8 +163,8 @@ class WaferModel:
 
     def __post_init__(self):
         # a defect outside the topology is refused here, not as an
-        # IndexError deep inside commissioning
-        check_defects(self.topology, self.defects)
+        # IndexError deep inside commissioning, whose tests read the table built here
+        self.defects.table(self.topology)
 
     def truth(self, h: int) -> HicannTruth:
         if h not in self._truth:
@@ -356,21 +356,6 @@ def true_parameter_array(wafer: WaferModel, h: int, name: str,
     if FG_CELLS[name].shared:  # every circuit of a block sees its block's cell
         v = v[np.arange(cfg.neurons_per_hicann) // cfg.neurons_per_fg_block]
     return v
-
-
-def true_parameter(wafer: WaferModel, coord: Coord, name: str,
-                   d_eff: float | None = None) -> float:
-    """Physical value of a parameter given the current floating-gate state.
-
-    ``d_eff`` overrides the stored effective DAC value of the controlling
-    cell (useful to evaluate the transfer function at a hypothetical point).
-    Oracle access for tests and reporting; calibration code must observe the
-    wafer through experiments instead.
-    """
-    if coord.kind is not Kind.NEURON:
-        raise ValueError("true_parameter expects a neuron coordinate")
-    h, n = coord.indices
-    return float(true_parameter_array(wafer, h, name, d_eff)[n])
 
 
 def conductance_step_array(wafer: WaferModel, h: int, circuits, weights,

@@ -172,7 +172,7 @@ def test_out_of_range_coordinates_rejected():
             st.exclude_many(batch)
         assert st.all_excluded() == [Coord.neuron(3, 511)] and len(st) == 1
     with pytest.raises(ValueError, match=re.escape("synapse[384,0]")):
-        st.exclude_block(Kind.SYNAPSE, (384, 0))
+        st.exclude_blocks(Kind.SYNAPSE, [(384, 0)])
     assert len(st) == 1
     for coords, name in (([[3, 5], [3, -1]], "neuron[3,-1]"),
                          ([[3, 512]], "neuron[3,512]"),

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
 
-from waferforge.defects import DefectRates, random_defects
-from waferforge.topology import TopologyConfig
+from waferforge import defects
+from waferforge.commissioning import commission
+from waferforge.defects import Defect, DefectRates, DefectSet, DefectType, random_defects
+from waferforge.topology import Coord, Kind, TopologyConfig
+from waferforge.wafer import build_wafer
 
 # rates at which every (defect type, component kind) pair is drawn on both
 # topologies below
@@ -30,3 +35,79 @@ def test_random_defects_reproduce_pinned_lists(topology, seed):
     assert len({(d.type, d.coord.kind) for d in ds}) == 10
     listed = json.dumps([d.to_json() for d in ds.defects])
     assert hashlib.sha256(listed.encode()).hexdigest() == PINNED[(topology, seed)]
+
+
+# ---- the defect table ------------------------------------------------------
+
+
+def test_table_columns_place_every_defect():
+    for name, cfg in TOPOLOGIES.items():
+        ds = random_defects(3, cfg, RATES)
+        tab = ds.table(cfg)
+        assert tab.defects == tuple(ds.defects)
+        for i, d in enumerate(ds.defects):
+            shape = cfg.index_shapes[d.coord.kind]
+            assert list(DefectType)[tab.type[i]] is d.type
+            assert list(Kind)[tab.kind[i]] is d.coord.kind
+            assert tab.hicann[i] == d.coord.hicann
+            assert tab.flat[i] == np.ravel_multi_index(d.coord.indices, shape)
+        assert np.array_equal(tab.is_type(DefectType.JTAG_DEAD),
+                              [d.type is DefectType.JTAG_DEAD for d in ds.defects])
+    empty = DefectSet().table(TopologyConfig())
+    assert empty.flat.shape == empty.hicann.shape == (0,)
+
+
+def test_table_is_built_once_per_list(monkeypatch):
+    calls = []
+    build = defects._build_table
+    monkeypatch.setattr(defects, "_build_table", lambda cfg, ds: calls.append(1) or build(cfg, ds))
+    cfg = TopologyConfig()
+    w = build_wafer(1, cfg, defects=random_defects(3, cfg, RATES))
+    tab = w.defects.table(cfg)
+    commission(w)
+    assert w.defects.table(TopologyConfig()) is tab  # an equal topology finds it too
+    assert len(calls) == 1
+    shuffled = DefectSet(w.defects.defects[::-1])
+    assert shuffled.table(cfg).flat.tolist() == tab.flat.tolist()[::-1]
+
+
+def test_table_sees_every_change_to_the_list():
+    cfg = TopologyConfig()
+    ds = DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(5))])
+    first = ds.table(cfg)
+    ds.add(Defect(DefectType.REPEATER_BROKEN, Coord.repeater(7, 9)))
+    assert ds.table(cfg).flat.tolist() == [5, 7 * 320 + 9]
+    ds.defects[0] = Defect(DefectType.HIGHSPEED_DEAD, Coord.hicann_(6))
+    tab = ds.table(cfg)
+    assert tab.hicann.tolist() == [6, 7] and tab.is_type(DefectType.HIGHSPEED_DEAD)[0]
+    assert first.hicann.tolist() == [5]  # a table is never changed in place
+    ds.defects = []
+    assert len(ds.table(cfg).flat) == 0
+    small = TopologyConfig(reticle_rows=(1, 2, 1))
+    ds.add(Defect(DefectType.REPEATER_BROKEN, Coord.repeater(31, 9)))
+    assert ds.table(small).flat.tolist() == [31 * 320 + 9]
+    with pytest.raises(ValueError, match=re.escape("defect repeater_broken: repeater[40,9]")):
+        DefectSet([Defect(DefectType.REPEATER_BROKEN, Coord.repeater(40, 9))]).table(small)
+
+
+def test_a_changed_defect_set_is_checked_again():
+    # the table of the built wafer does not stand in for the changed list
+    w = build_wafer(1, defects=DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(5))]))
+    w.defects.add(Defect(DefectType.SWITCH_BROKEN, Coord(Kind.SWITCH, (3, 10 ** 6))))
+    with pytest.raises(ValueError, match=re.escape("defect switch_broken: switch[3,1000000]: "
+                                                   "index 1 out of range")):
+        commission(w)
+    w.defects.defects[1] = Defect(DefectType.MEMORY_STUCK, Coord(Kind.SYNAPSE, (3, 0, 0)), 7)
+    with pytest.raises(ValueError, match=re.escape("defect memory_stuck: synapse[3,0,0]: "
+                                                   "expected 4 indices")):
+        commission(w)
+    w.defects = DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(-1))])
+    with pytest.raises(ValueError, match=re.escape("defect jtag_dead: hicann[-1]: index 0")):
+        commission(w)
+
+
+def test_a_table_error_that_no_defect_explains_propagates(monkeypatch):
+    monkeypatch.setattr(defects, "validate_coord", lambda cfg, coord: None)
+    ds = DefectSet([Defect(DefectType.JTAG_DEAD, Coord.hicann_(384))])
+    with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+        ds.table(TopologyConfig())

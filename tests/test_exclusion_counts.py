@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
+import pytest
 
 from waferforge.availability import AvailabilityState
-from waferforge.commissioning import commission, exclusion_report, write_off_array
+from waferforge.commissioning import commission, exclusion_report, write_off_arrays
 from waferforge.defects import DefectRates, DefectSet, DefectType, random_defects
 from waferforge.scenarios import golden_defect_set
 from waferforge.topology import Coord, Kind, TopologyConfig
@@ -75,7 +77,7 @@ def test_counts_after_copy_and_writes_on_either_side():
     assert_counts_exact(b)
     b.exclude(Coord.neuron(3, 5))
     a.exclude_many([Coord.synapse(1, 0, 2, 4), Coord(Kind.BUS, (0, 1))])
-    write_off_array(b, 2, 1)
+    write_off_arrays(b, [Coord.synapse_array(2, 1)])
     b.mask(Kind.SYNAPSE)[0, 0, 0, :10] = True  # raw write through the mask
     for st in (a, b):
         assert_counts_exact(st)
@@ -90,7 +92,7 @@ def test_counts_after_copy_and_writes_on_either_side():
 
 def test_counts_after_json_round_trip():
     st = AvailabilityState(CFG, [Coord(Kind.BUS, (5, 9)), Coord(Kind.BUS, (5, 2)), Coord.hicann_(1)])
-    write_off_array(st, 4, 0)
+    write_off_arrays(st, [Coord.synapse_array(4, 0)])
     loaded = AvailabilityState.from_json(st.to_json(), CFG)
     assert loaded == st
     assert_counts_exact(loaded)
@@ -119,11 +121,11 @@ def test_counts_with_repeated_and_duplicate_coordinates():
 def test_counts_when_writing_off_an_array_with_excluded_synapses():
     st = AvailabilityState(CFG, [Coord.synapse(5, 1, 0, 0), Coord.synapse(5, 1, 219, 255),
                                  Coord.synapse_row(5, 1, 3), Coord.synapse(5, 0, 9, 9)])
-    write_off_array(st, 5, 1)
+    write_off_arrays(st, [Coord.synapse_array(5, 1)])
     assert_counts_exact(st)
     assert st.count_excluded(Kind.SYNAPSE) == 220 * 256 + 1
     assert st.count_excluded(Kind.SYNAPSE_ROW) == 224
-    write_off_array(st, 5, 1)  # twice is a no-op
+    write_off_arrays(st, [Coord.synapse_array(5, 1)])  # twice is a no-op
     assert_counts_exact(st)
 
 
@@ -147,3 +149,47 @@ def test_dense_report_scans_no_whole_synapse_mask(monkeypatch):
     assert rows["synapse"].individual == rows["synapse"].effective == 337969
     assert [c[Kind.SYNAPSE] for c in counts] == [337969, 337969]
     assert lengths == [sum(c.values()) for c in counts]
+
+
+def assert_die_counts_exact(state):
+    # every kind's count on each die, and on all dies at once, is a scan of
+    # that die's cells
+    for k in Kind:
+        m = state.read_mask(k)
+        scanned = [int(np.count_nonzero(m[h])) for h in range(CFG.n_hicanns)]
+        assert [state.count_excluded(k, [h]) for h in range(CFG.n_hicanns)] == scanned, k
+        assert state.count_excluded(k, range(CFG.n_hicanns)) == sum(scanned)
+
+
+def test_counts_after_flat_block_and_overlapping_block_writes():
+    st = AvailabilityState(CFG)
+    # into a kind without exclusions, counted without reading a cell
+    st.exclude_blocks(Kind.SYNAPSE, [(5, 1), (9, 0), (5, 1)])
+    st.exclude_blocks(Kind.SYNAPSE_ROW, [(5, 1)])
+    st.exclude_many([Coord.synapse(5, 1, 0, 0), Coord.synapse(6, 0, 3, 3),
+                     Coord.synapse(6, 0, 3, 3), Coord.synapse(6, 0, 3, 4)])
+    assert st.count_excluded(Kind.SYNAPSE) == 2 * 220 * 256 + 2
+    for state in (st, st.copy()):
+        assert_counts_exact(state)
+        assert_die_counts_exact(state)
+    # blocks over cells and blocks already excluded
+    st.exclude_blocks(Kind.SYNAPSE, [(6, 0, 3), (6, 0, 4)])
+    st.exclude_blocks(Kind.SYNAPSE, [(5,), (9,)])
+    st.exclude_blocks(Kind.SYNAPSE_ROW, [(5, 1, 2), (5, 0, 2)])
+    assert st.count_excluded(Kind.SYNAPSE) == 4 * 220 * 256 + 2 * 256
+    assert st.count_excluded(Kind.SYNAPSE_ROW) == 225
+    b = st.copy()
+    b.exclude(Coord.synapse(7, 0, 0, 0))
+    st.exclude_many([Coord.synapse(5, 0, 0, 0), Coord.synapse(8, 1, 0, 0)])
+    for state in (st, b):
+        assert_counts_exact(state)
+        assert_die_counts_exact(state)
+    # a raw write through the mask is recounted: the totals once, the dies from their cells
+    st.mask(Kind.SYNAPSE)[7, 0, 0, :4] = True
+    assert_counts_exact(st)
+    assert_die_counts_exact(st)
+    assert_die_counts_exact(st.copy())
+    with pytest.raises(ValueError, match=re.escape("synapse[9,0,0,0,0]")):
+        st.exclude_blocks(Kind.SYNAPSE, [(9, 0, 0, 0, 0)])
+    st.exclude_blocks(Kind.SYNAPSE, [])
+    assert_counts_exact(st)

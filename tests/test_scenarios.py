@@ -15,9 +15,13 @@ from waferforge.wafer import build_wafer
 CFG = TopologyConfig()
 
 
+def of_type(ds, t):
+    return [d for d in ds if d.type is t]
+
+
 def test_golden_composition():
     ds = golden_defect_set()
-    by_type = {t: len(ds.of_type(t)) for t in DefectType if ds.of_type(t)}
+    by_type = {t: len(of_type(ds, t)) for t in DefectType if of_type(ds, t)}
     assert by_type == {
         DefectType.JTAG_DEAD: 12,
         DefectType.HIGHSPEED_DEAD: 12,
@@ -27,8 +31,8 @@ def test_golden_composition():
     assert len(ds.defects) == 212
     # 11 of the 12 failed high-speed links sit on dies that are also
     # unreachable over the control link; exactly one is a genuine fault
-    jtag_dies = {d.coord.hicann for d in ds.of_type(DefectType.JTAG_DEAD)}
-    hs_dies = {d.coord.hicann for d in ds.of_type(DefectType.HIGHSPEED_DEAD)}
+    jtag_dies = {d.coord.hicann for d in of_type(ds, DefectType.JTAG_DEAD)}
+    hs_dies = {d.coord.hicann for d in of_type(ds, DefectType.HIGHSPEED_DEAD)}
     assert len(hs_dies & jtag_dies) == 11
     assert len(hs_dies - jtag_dies) == 1
 
@@ -47,7 +51,7 @@ def test_shipped_file_matches_generator():
 def test_golden_repeater_placement():
     ds = golden_defect_set()
     per_block = {}
-    for c in (d.coord for d in ds.of_type(DefectType.REPEATER_BROKEN)):
+    for c in (d.coord for d in of_type(ds, DefectType.REPEATER_BROKEN)):
         per_block.setdefault((c.hicann, c.indices[1] // 40), []).append(c)
     pairs = {k: v for k, v in per_block.items() if len(v) > 1}
     # exactly two blocks take a second hit and get written off whole

@@ -245,7 +245,7 @@ def test_every_config_field_is_read(config):
 # public names that nothing in src/ or bench/ has to call
 ENTRY_POINTS = (
     # the package's user-facing calls and state queries
-    "load_golden_defects", "jtag_fault_sample", "analog_readout_test",
+    "load_golden_defects", "jtag_fault_sample",
     "apply_calibration", "save", "save_state", "load_state", "write_report_csv",
     "write_trace_csv", "excluded_of", "all_excluded", "build", "kinds", "names",
     "run_experiment", "calibration_exclusion",
@@ -304,8 +304,10 @@ def test_every_public_name_is_used():
 
 
 def test_calibration_names_no_oracle():
-    # the oracle wall: calibration reads the hidden circuit values only
-    # through the physics that experiment and wafer.adc_readout simulate
-    names, _ = _code_names(SRC / "calibration.py")
+    # the oracle wall: calibration and commissioning read the hidden circuit
+    # values only through the physics that experiment and wafer.adc_readout
+    # simulate
     oracles = ("truth", "true_parameter", "true_parameter_array", "fg_dac_array", "fg_state")
-    assert [name for name in oracles if names[name]] == []
+    for module in ("calibration.py", "commissioning.py"):
+        names, _ = _code_names(SRC / module)
+        assert [name for name in oracles if names[name]] == [], module

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
 import re
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from waferforge.defects import Defect, DefectSet, DefectType
 from waferforge.topology import Coord, Kind, TopologyConfig
 from waferforge.variability import SoftplusLaw, VariabilityConfig
 from waferforge.wafer import (
+    CONTROL_CELL,
     FG_CELLS,
     WaferModel,
     adc_readout,
@@ -22,7 +28,6 @@ from waferforge.wafer import (
     inverse_softplus_tau,
     program_floating_gates,
     softplus_tau,
-    true_parameter,
     true_parameter_array,
 )
 
@@ -162,20 +167,20 @@ def test_dac_transfer_endpoints():
 def test_voltage_parameter_transfer():
     w = build_wafer(10, variability=ZERO)
     program_floating_gates(w, 0, {"e_leak": 682})
-    v = true_parameter(w, Coord.neuron(0, 9), "e_leak")
+    v = true_parameter_array(w, 0, "e_leak")[9]
     assert v == pytest.approx(1.2, abs=1e-12)
     # d_eff override bypasses the programmed state
-    v0 = true_parameter(w, Coord.neuron(0, 9), "e_leak", d_eff=0)
+    v0 = true_parameter_array(w, 0, "e_leak", d_eff=0)[9]
     assert v0 == 0.0
 
 
 def test_tau_ref_pins_to_zero_at_full_scale():
     w = build_wafer(12, variability=ZERO)
     program_floating_gates(w, 0, {"i_pulse": 1023})
-    assert true_parameter(w, Coord.neuron(0, 0), "tau_ref") == 0.0
+    assert true_parameter_array(w, 0, "tau_ref")[0] == 0.0
     # 1.0 uA with c0=0.5, c1=250 -> (1/1 - 0.5)/250 = 2 ms
     i_1ua = round(1.0 / 2.5 * 1023)  # 409 -> 0.99976 uA
-    tr = true_parameter(w, Coord.neuron(0, 0), "tau_ref", d_eff=i_1ua)
+    tr = true_parameter_array(w, 0, "tau_ref", d_eff=i_1ua)[0]
     assert tr == pytest.approx((1023 / 409 / 2.5 - 0.5) / 250, rel=1e-12)
     assert tr == pytest.approx(0.002, rel=1e-3)
 
@@ -192,19 +197,19 @@ def test_tau_ref_margin_survives_variability():
 def test_tau_mem_matches_softplus_law():
     w = build_wafer(13, variability=ZERO)
     program_floating_gates(w, 0, {"i_gl": 74})  # 0.18084 uA
-    tm = true_parameter(w, Coord.neuron(0, 7), "tau_mem")
+    tm = true_parameter_array(w, 0, "tau_mem")[7]
     assert tm == pytest.approx(0.019159386358239945, rel=1e-12)
     # larger bias current -> faster membrane
-    tm_hi = true_parameter(w, Coord.neuron(0, 7), "tau_mem", d_eff=512)
+    tm_hi = true_parameter_array(w, 0, "tau_mem", d_eff=512)[7]
     assert tm_hi < tm
 
 
 def test_tau_syn_matches_softplus_law():
     w = build_wafer(14, variability=ZERO)
     program_floating_gates(w, 0, {"v_syntcx": 568, "v_syntci": 568})
-    ts = true_parameter(w, Coord.neuron(0, 0), "tau_synx")
+    ts = true_parameter_array(w, 0, "tau_synx")[0]
     assert ts == pytest.approx(0.0010805603616899648, rel=1e-12)
-    assert true_parameter(w, Coord.neuron(0, 0), "tau_syni") == pytest.approx(ts, rel=1e-12)
+    assert true_parameter_array(w, 0, "tau_syni")[0] == pytest.approx(ts, rel=1e-12)
 
 
 def test_softplus_inverse_roundtrip():
@@ -217,7 +222,7 @@ def test_softplus_inverse_roundtrip():
 def test_g_leak_is_capacitance_over_tau():
     w = build_wafer(15, variability=ZERO)
     program_floating_gates(w, 0, {"i_gl": 74})
-    gl = true_parameter(w, Coord.neuron(0, 0), "g_leak")
+    gl = true_parameter_array(w, 0, "g_leak")[0]
     assert gl == pytest.approx(2.16e-12 / 0.019159386358239945, rel=1e-12)
 
 
@@ -321,6 +326,70 @@ def test_stream_words_match_their_keyed_streams():
     assert rng.stream_words(3, [], 8).shape == (0, 8)
 
 
+PATHS = [("memtest", "synapse(300,1,2,3)"), ("stability", 7, ("a", 2)), ("adc", 0, 17), ()]
+
+
+def _keyed_rows_match(seed):
+    """Whether the thread's keyed draws equal fresh streams, after other draws."""
+    ok = True
+    for n in (1, 7, 10):
+        rng.stream_normals(seed + 1, [("earlier", n)], 3)
+        words, normals = rng.stream_words(seed, PATHS, n), rng.stream_normals(seed, PATHS, n)
+        for tokens, w, z in zip(PATHS, words, normals):
+            ok &= np.array_equal(w, rng.stream(seed, *tokens).bit_generator.random_raw(n))
+            ok &= np.array_equal(z, rng.stream(seed, *tokens).standard_normal(n))
+    return bool(ok)
+
+
+def test_keyed_draws_reuse_one_generator_per_thread(monkeypatch):
+    built = []
+    init = rng.Rekeyed.__init__
+    monkeypatch.setattr(rng.Rekeyed, "__init__", lambda self: built.append(1) or init(self))
+    monkeypatch.setattr(rng, "_local", threading.local())
+    assert _keyed_rows_match(5)
+    assert len(built) == 1
+    results = []
+    worker = threading.Thread(target=lambda: results.append(_keyed_rows_match(6)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results == [True] and len(built) == 2
+
+
+def test_keyed_draws_in_concurrent_threads_and_a_forked_child():
+    # more threads than cores, switching every microsecond, would re-key a
+    # shared generator between another thread's re-key and its draw
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        workers = [threading.Thread(target=lambda s=s: results.append(
+            all(_keyed_rows_match(s) for _ in range(10)))) for s in (0, 1, 2**40 + 7, 9)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert results == [True] * 4
+    rng.stream_words(9, PATHS, 3)  # the parent's generator is keyed when it forks
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if _keyed_rows_match(3) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_rekeyed_draws_match_their_keyed_streams():
     # every re-keyed draw starts as a fresh stream does, also right after an
     # odd-sized integers draw left half of a 64-bit word buffered
@@ -417,18 +486,22 @@ def test_hicann_outside_the_topology_is_refused(h, tmp_path):
 
 
 def test_true_parameter_array_matches_scalar():
+    # each circuit's value is the array evaluated at the circuit's own stored
+    # DAC value, given as a scalar override
     w = build_wafer(24)
     program_floating_gates(w, 0, dict({n: 500 for n in PER_CIRCUIT},
                                       v_reset=284, vgmax=[455] * 4))
     for name in ("e_leak", "tau_mem", "tau_ref", "v_reset", "tau_synx", "vgmax0"):
         arr = true_parameter_array(w, 0, name)
-        picks = [true_parameter(w, Coord.neuron(0, n), name) for n in (0, 127, 128, 511)]
+        cell = CONTROL_CELL.get(name, name)
+        d = fg_dac_array(w, 0, cell)
+        per = CFG.neurons_per_fg_block if FG_CELLS[cell].shared else 1
+        picks = [true_parameter_array(w, 0, name, d_eff=float(d[n // per]))[n]
+                 for n in (0, 127, 128, 511)]
         assert arr.shape == (512,)
         assert picks == [arr[0], arr[127], arr[128], arr[511]]
     with pytest.raises(ValueError, match="unknown parameter 'tau_foo'"):
         true_parameter_array(w, 0, "tau_foo")
-    with pytest.raises(ValueError, match="expects a neuron coordinate"):
-        true_parameter(w, Coord.fg_block(0, 0), "e_leak")
 
 
 def test_v_reset_and_vgmax_are_per_block():
